@@ -42,6 +42,10 @@ class GroupCost:
             "energy_uj": self.energy_uj,
         }
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "GroupCost":
+        return cls(obj["group"], obj["target"], obj["macs"], obj["latency_us"], obj["energy_uj"])
+
 
 @dataclass
 class CostEstimate:
@@ -61,6 +65,17 @@ class CostEstimate:
             "per_group_breakdown": [g.to_json() for g in self.per_group_breakdown],
             "budget_flags": dict(self.budget_flags),
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "CostEstimate":
+        return cls(
+            latency_ms=obj["latency_ms"],
+            energy_mj=obj["energy_mj"],
+            ram_peak_bytes=obj["ram_peak_bytes"],
+            flash_bytes=obj["flash_bytes"],
+            per_group_breakdown=[GroupCost.from_json(g) for g in obj["per_group_breakdown"]],
+            budget_flags=obj["budget_flags"],
+        )
 
 
 def node_macs(graph: GraphIR, node: OpNode) -> int:

@@ -97,7 +97,3 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
             arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
             samples.append((row["sample_id"], arr, int(row["label"])))
     return samples
-
-
-def dataset_meta(path: str | Path) -> dict:
-    return json.loads((Path(path) / "meta.json").read_text())

@@ -32,6 +32,7 @@ class LinkBudget:
 
     @property
     def daily_budget_bytes(self) -> float:
+        """Bytes transmittable per day: rate * duration * passes / 8."""
         return self.data_rate_bps * self.pass_duration_s * self.passes_per_day / 8.0
 
     def to_json(self) -> dict:
@@ -54,11 +55,6 @@ class LinkBudget:
     @classmethod
     def load(cls, path: str | Path) -> "LinkBudget":
         return cls.from_json(json.loads(Path(path).read_text()))
-
-
-def daily_budget(link: LinkBudget) -> float:
-    """Bytes transmittable per day: rate * duration * passes / 8."""
-    return link.daily_budget_bytes
 
 
 @dataclass

@@ -156,9 +156,6 @@ class GraphIR:
     def copy(self) -> "GraphIR":
         return copy.deepcopy(self)
 
-    def tensor(self, tid: str) -> TensorSpec:
-        return self.tensors[tid]
-
     def node(self, nid: str) -> OpNode:
         for n in self.nodes:
             if n.id == nid:
@@ -474,8 +471,3 @@ def infer_shapes(graph: GraphIR) -> tuple[GraphIR, list[str]]:
 
 def parameter_count(graph: GraphIR) -> int:
     return sum(t.num_elements for t in graph.tensors.values() if t.is_constant)
-
-
-def weight_bytes(graph: GraphIR) -> int:
-    """Bytes of constant tensor payloads (weights + biases)."""
-    return sum(t.size_bytes for t in graph.tensors.values() if t.is_constant)

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .costmodel import CostEstimate, GroupCost, estimate_deployment, estimate_group, flash_bytes
+from .costmodel import CostEstimate, estimate_deployment, estimate_group, flash_bytes
 from .graph import GraphIR, OpKind, infer_shapes
 from .hardware import HardwareProfile
 
@@ -472,20 +472,7 @@ def build_deployment_plan(
 
 def load_plan(path: str | Path) -> DeploymentPlan:
     obj = json.loads(Path(path).read_text())
-    est = None
-    if obj.get("estimates"):
-        eo = obj["estimates"]
-        est = CostEstimate(
-            latency_ms=eo["latency_ms"],
-            energy_mj=eo["energy_mj"],
-            ram_peak_bytes=eo["ram_peak_bytes"],
-            flash_bytes=eo["flash_bytes"],
-            per_group_breakdown=[
-                GroupCost(b["group"], b["target"], b["macs"], b["latency_us"], b["energy_uj"])
-                for b in eo["per_group_breakdown"]
-            ],
-            budget_flags=eo["budget_flags"],
-        )
+    est = CostEstimate.from_json(obj["estimates"]) if obj.get("estimates") else None
     return DeploymentPlan(
         model=obj["model"],
         profile=obj["profile"],

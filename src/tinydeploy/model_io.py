@@ -31,6 +31,18 @@ class ModelFormatError(ValueError):
     """Malformed manifest or blob; message names the offending location."""
 
 
+def pack_tensor(data, dtype: DType) -> bytes:
+    """A constant tensor's blob payload: its elements in `dtype`, little-endian."""
+    raw = np.ascontiguousarray(data, dtype=dtype.np_dtype)
+    return raw.astype(raw.dtype.newbyteorder("<")).tobytes()
+
+
+def unpack_tensor(raw: bytes, dtype: DType, shape) -> np.ndarray:
+    """Inverse of pack_tensor: a native-order array of `shape`."""
+    data = np.frombuffer(raw, dtype=np.dtype(dtype.value).newbyteorder("<"))
+    return data.astype(dtype.np_dtype).reshape(shape)
+
+
 def _quant_to_json(qp: QuantParams | None) -> dict | None:
     if qp is None:
         return None
@@ -94,8 +106,7 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
             "blob": None,
         }
         if t.data is not None:
-            raw = np.ascontiguousarray(t.data, dtype=t.dtype.np_dtype)
-            payload = raw.astype(raw.dtype.newbyteorder("<")).tobytes()
+            payload = pack_tensor(t.data, t.dtype)
             entry["blob"] = {"offset": len(blob), "length": len(payload)}
             blob.extend(payload)
         tensors_json[tid] = entry
@@ -164,9 +175,7 @@ def load_model(path: str | Path) -> GraphIR:
                     f"tensor {tid}: blob length mismatch (needs bytes up to "
                     f"{loc['offset'] + loc['length']}, blob has {len(blob)})"
                 )
-            raw = blob[loc["offset"]:loc["offset"] + loc["length"]]
-            data = np.frombuffer(raw, dtype=np.dtype(dtype.value).newbyteorder("<"))
-            data = data.astype(dtype.np_dtype).reshape(shape)
+            data = unpack_tensor(blob[loc["offset"]:loc["offset"] + loc["length"]], dtype, shape)
         tensors[tid] = TensorSpec(
             id=tid,
             shape=shape,

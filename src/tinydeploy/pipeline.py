@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -45,28 +46,9 @@ from .pruning import (
 )
 from .quantization import quantize_graph
 
-STAGE_ORDER = (
-    "evaluate-float",
-    "prune",
-    "evaluate-pruned",
-    "calibrate",
-    "quantize",
-    "evaluate-quantized",
-    "map",
-    "estimate",
-    "simulate-downlink",
-    "report",
-)
-
-# Artifact name patterns a pipeline run owns; stale ones are purged at setup
-# so re-running a config in place regenerates everything from scratch.
-_ARTIFACT_PATTERNS = (
-    "model_float.*", "eval_float.*", "prune_plan.json",
-    "model_masked_stage*.*", "checkpoint_stage*.*", "model_pruned.*",
-    "eval_pruned.*", "calibration_ranges.json", "model_quantized.*",
-    "eval_quantized.*", "deployment_plan.*", "cost_estimate.json",
-    "downlink_report.*", "report.json", "report.csv", "plot_latency_energy.csv",
-)
+# JSON config values are coerced by field annotation; str fields pass as given.
+_COERCE = {"int": int, "float": float, "bool": bool,
+           "list[float]": lambda values: [float(v) for v in values]}
 
 
 class PipelineError(RuntimeError):
@@ -103,23 +85,24 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
+        """Decode the JSON form; absent keys take the field defaults.
+
+        The prune_* fields nest under "prune" (`prune.schedule`,
+        `prune.skip`). "_docs" is ignored; any other unknown key is an
+        error, so a misspelt key cannot silently run with the default.
+        """
         prune = obj.get("prune", {})
-        try:
-            return cls(
-                model=obj["model"],
-                dataset=obj["dataset"],
-                output_dir=obj["output_dir"],
-                calibration_samples=int(obj.get("calibration_samples", 32)),
-                prune_schedule=[float(f) for f in prune.get("schedule", [0.10, 0.05, 0.05])],
-                prune_skip=bool(prune.get("skip", False)),
-                confidence_threshold=float(obj.get("confidence_threshold", 0.95)),
-                bytes_per_sample=float(obj.get("bytes_per_sample", 12288.0)),
-                hardware_profile=obj.get("hardware_profile", "builtin:profile_desk_calibrated"),
-                link_budget=obj.get("link_budget", "builtin:link_sband_256k"),
-                seed=int(obj.get("seed", 0)),
-            )
-        except KeyError as exc:
-            raise PipelineError(f"config missing required field {exc}") from None
+        flat = {k: v for k, v in obj.items() if k not in ("_docs", "prune")}
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(k for k in flat if k not in types or k.startswith("prune_"))
+        unknown += sorted(f"prune.{k}" for k in prune if f"prune_{k}" not in types)
+        if unknown:
+            raise PipelineError(f"config has unknown key(s): {', '.join(unknown)}")
+        flat.update((f"prune_{k}", v) for k, v in prune.items())
+        for f in fields(cls):
+            if f.name not in flat and f.default is MISSING and f.default_factory is MISSING:
+                raise PipelineError(f"config missing required field {f.name!r}")
+        return cls(**{k: _COERCE.get(types[k], lambda v: v)(v) for k, v in flat.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -323,12 +306,92 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
     return report
 
 
-def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict | None:
-    """Run all stages into config.output_dir; returns the combined report.
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
 
-    A failing stage removes the files it created and raises PipelineError
-    tagged with the stage name. `stop_after` ends the run early after the
-    named stage (see STAGE_ORDER).
+    `outputs` are the glob patterns of the artifacts the stage writes into
+    the output directory; `run(out, config, dataset)` writes them. Stages
+    marked `pruning` are skipped when the config sets `prune.skip`.
+    """
+
+    name: str
+    outputs: tuple[str, ...]
+    run: Callable[[Path, PipelineConfig, Path], object]
+    pruning: bool = False
+
+
+# The run functions look up the stage_* functions at call time, so code
+# that rebinds a module-level stage_* name (tracing) sees every call.
+
+
+def _evaluate(model: str, prefix: str):
+    return lambda out, cfg, ds: stage_evaluate(out / f"{model}.json", ds, out / prefix)
+
+
+def _prune(out: Path, config: PipelineConfig, dataset: Path) -> None:
+    n_stages = len(config.prune_schedule)
+    for k in range(1, n_stages + 1):
+        stage_prune_step(
+            out / ("model_float.json" if k == 1 else f"model_masked_stage{k-1}.json"),
+            out / "prune_plan.json",
+            out / f"model_masked_stage{k}",
+            config.prune_schedule,
+            out_pruned=(out / "model_pruned") if k == n_stages else None,
+            # Identity fine-tuning: re-import the unmodified checkpoint.
+            checkpoint_in=(out / f"checkpoint_stage{k-1}.json") if k > 1 else None,
+            checkpoint_out=out / f"checkpoint_stage{k}",
+        )
+
+
+def _quant_source(out: Path, config: PipelineConfig) -> Path:
+    return out / ("model_float.json" if config.prune_skip else "model_pruned.json")
+
+
+STAGES = (
+    Stage("evaluate-float", ("eval_float.*",), _evaluate("model_float", "eval_float")),
+    Stage("prune", ("prune_plan.json", "model_masked_stage*.*", "checkpoint_stage*.*",
+                    "model_pruned.*"), _prune, pruning=True),
+    Stage("evaluate-pruned", ("eval_pruned.*",), _evaluate("model_pruned", "eval_pruned"),
+          pruning=True),
+    Stage("calibrate", ("calibration_ranges.json",), lambda out, cfg, ds: stage_calibrate(
+        _quant_source(out, cfg), ds, cfg.calibration_samples, cfg.seed,
+        out / "calibration_ranges.json")),
+    Stage("quantize", ("model_quantized.*",), lambda out, cfg, ds: stage_quantize(
+        _quant_source(out, cfg), out / "calibration_ranges.json", out / "model_quantized")),
+    Stage("evaluate-quantized", ("eval_quantized.*",),
+          _evaluate("model_quantized", "eval_quantized")),
+    Stage("map", ("deployment_plan.*",), lambda out, cfg, ds: stage_map(
+        out / "model_quantized.json", cfg.hardware_profile,
+        out / "deployment_plan.json", out / "deployment_plan.txt")),
+    Stage("estimate", ("cost_estimate.json",), lambda out, cfg, ds: stage_estimate(
+        out / "model_quantized.json", out / "deployment_plan.json",
+        cfg.hardware_profile, out / "cost_estimate.json")),
+    Stage("simulate-downlink", ("downlink_report.*",), lambda out, cfg, ds: stage_downlink(
+        out / "eval_quantized.csv", cfg.link_budget, cfg.confidence_threshold,
+        cfg.bytes_per_sample, out / "downlink_report.json",
+        ground_csv=out / "eval_float.csv", out_text=out / "downlink_report.txt")),
+    Stage("report", ("report.json", "report.csv", "plot_latency_energy.csv"),
+          lambda out, cfg, ds: stage_report(out, cfg)),
+)
+STAGE_ORDER = tuple(stage.name for stage in STAGES)
+
+
+def _purge(out: Path) -> None:
+    """Remove every artifact a run owns: model_float.* and all stage outputs."""
+    for pattern in ("model_float.*",) + tuple(p for stage in STAGES for p in stage.outputs):
+        for path in out.glob(pattern):
+            path.unlink()
+
+
+def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict | None:
+    """Run the STAGES into config.output_dir; returns the combined report.
+
+    Artifacts left by an earlier run are purged first, so a rerun in place
+    regenerates everything. `stop_after` ends the run after the named stage
+    (see STAGE_ORDER) and returns None, even when that stage was skipped; a
+    stop after the last stage is a full run. A failing stage removes every
+    artifact of the run and raises PipelineError tagged with its name.
     """
     if stop_after is not None and stop_after not in STAGE_ORDER:
         raise PipelineError(f"unknown stage {stop_after!r}; choose from {STAGE_ORDER}")
@@ -340,135 +403,21 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict 
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for pattern in _ARTIFACT_PATTERNS:
-        for stale in out.glob(pattern):
-            stale.unlink()
-    created: list[Path] = []
-    current_stage = "setup"
-
-    def track(*names: str) -> list[Path]:
-        paths = [out / n for n in names]
-        created.extend(paths)
-        return paths
-
-    def snapshot(func):
-        try:
-            return func()
-        except Exception as exc:
-            for p in created:
-                p.unlink(missing_ok=True)
-            raise PipelineError(f"{current_stage}: {exc}") from exc
-
-    def run() -> dict | None:
-        nonlocal current_stage
-
-        current_stage = "setup"
+    _purge(out)
+    name = "setup"
+    try:
         graph = load_model(model_path)
         report = validate(graph)
         if not report.ok:
             raise ValueError("input model invalid: " + "; ".join(report.violations))
-        float_model, _ = track("model_float.json", "model_float.bin")
-        save_model(graph, float_model)
-
-        current_stage = "evaluate-float"
-        track("eval_float.csv", "eval_float.json")
-        stage_evaluate(out / "model_float.json", dataset_path, out / "eval_float")
-        if stop_after == "evaluate-float":
-            return None
-
-        quant_source = out / "model_float.json"
-        if not config.prune_skip:
-            current_stage = "prune"
-            track("prune_plan.json")
-            n_stages = len(config.prune_schedule)
-            prev_ckpt = None
-            for k in range(1, n_stages + 1):
-                track(
-                    f"model_masked_stage{k}.json", f"model_masked_stage{k}.bin",
-                    f"checkpoint_stage{k}.json", f"checkpoint_stage{k}.bin",
-                )
-                last = k == n_stages
-                if last:
-                    track("model_pruned.json", "model_pruned.bin")
-                model_in = out / ("model_float.json" if k == 1 else f"model_masked_stage{k-1}.json")
-                stage_prune_step(
-                    model_in,
-                    out / "prune_plan.json",
-                    out / f"model_masked_stage{k}",
-                    config.prune_schedule,
-                    out_pruned=(out / "model_pruned") if last else None,
-                    checkpoint_in=prev_ckpt,
-                    checkpoint_out=out / f"checkpoint_stage{k}",
-                )
-                # Identity fine-tuning: re-import the unmodified checkpoint.
-                prev_ckpt = out / f"checkpoint_stage{k}.json"
-            if stop_after == "prune":
-                return None
-
-            current_stage = "evaluate-pruned"
-            track("eval_pruned.csv", "eval_pruned.json")
-            stage_evaluate(out / "model_pruned.json", dataset_path, out / "eval_pruned")
-            quant_source = out / "model_pruned.json"
-            if stop_after == "evaluate-pruned":
-                return None
-        elif stop_after in ("prune", "evaluate-pruned"):
-            return None
-
-        current_stage = "calibrate"
-        track("calibration_ranges.json")
-        stage_calibrate(
-            quant_source, dataset_path, config.calibration_samples,
-            config.seed, out / "calibration_ranges.json",
-        )
-        if stop_after == "calibrate":
-            return None
-
-        current_stage = "quantize"
-        track("model_quantized.json", "model_quantized.bin")
-        stage_quantize(quant_source, out / "calibration_ranges.json", out / "model_quantized")
-        if stop_after == "quantize":
-            return None
-
-        current_stage = "evaluate-quantized"
-        track("eval_quantized.csv", "eval_quantized.json")
-        stage_evaluate(out / "model_quantized.json", dataset_path, out / "eval_quantized")
-        if stop_after == "evaluate-quantized":
-            return None
-
-        current_stage = "map"
-        track("deployment_plan.json", "deployment_plan.txt")
-        stage_map(
-            out / "model_quantized.json", config.hardware_profile,
-            out / "deployment_plan.json", out / "deployment_plan.txt",
-        )
-        if stop_after == "map":
-            return None
-
-        current_stage = "estimate"
-        track("cost_estimate.json")
-        stage_estimate(
-            out / "model_quantized.json", out / "deployment_plan.json",
-            config.hardware_profile, out / "cost_estimate.json",
-        )
-        if stop_after == "estimate":
-            return None
-
-        current_stage = "simulate-downlink"
-        track("downlink_report.json", "downlink_report.txt")
-        stage_downlink(
-            out / "eval_quantized.csv",
-            config.link_budget,
-            config.confidence_threshold,
-            config.bytes_per_sample,
-            out / "downlink_report.json",
-            ground_csv=out / "eval_float.csv",
-            out_text=out / "downlink_report.txt",
-        )
-        if stop_after == "simulate-downlink":
-            return None
-
-        current_stage = "report"
-        track("report.json", "report.csv", "plot_latency_energy.csv")
-        return stage_report(out, config)
-
-    return snapshot(run)
+        save_model(graph, out / "model_float.json")
+        for stage in STAGES:
+            name = stage.name
+            if not (stage.pruning and config.prune_skip):
+                result = stage.run(out, config, dataset_path)
+            if name == stop_after:
+                break
+    except Exception as exc:
+        _purge(out)
+        raise PipelineError(f"{name}: {exc}") from exc
+    return result if stage is STAGES[-1] else None

@@ -35,6 +35,7 @@ from .graph import (
     infer_shapes,
     validate,
 )
+from .model_io import pack_tensor, unpack_tensor
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -374,8 +375,7 @@ def export_checkpoint(graph: GraphIR) -> Checkpoint:
     for tid, t in sorted(graph.tensors.items()):  # model blob layout order
         if not t.is_constant:
             continue
-        raw = np.ascontiguousarray(t.data, dtype=t.dtype.np_dtype)
-        payload = raw.astype(raw.dtype.newbyteorder("<")).tobytes()
+        payload = pack_tensor(t.data, t.dtype)
         index[tid] = {
             "offset": len(blob),
             "length": len(payload),
@@ -411,6 +411,5 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
         if entry["offset"] + entry["length"] > len(checkpoint.blob):
             raise CheckpointError(f"tensor {tid}: checkpoint blob too short")
         raw = checkpoint.blob[entry["offset"]:entry["offset"] + entry["length"]]
-        data = np.frombuffer(raw, dtype=np.dtype(t.dtype.value).newbyteorder("<"))
-        t.data = data.astype(t.dtype.np_dtype).reshape(t.shape)
+        t.data = unpack_tensor(raw, t.dtype, t.shape)
     return g

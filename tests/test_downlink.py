@@ -8,7 +8,6 @@ from tinydeploy.downlink import (
     DownlinkError,
     DownlinkScenario,
     LinkBudget,
-    daily_budget,
     simulate,
 )
 from tinydeploy.executor import InferenceRecord
@@ -26,9 +25,9 @@ def records_with(confidences, correct_flags=None, prefix="s"):
 
 
 def test_daily_budget_formula():
-    assert daily_budget(SBAND) == 256_000 * 600 * 4 / 8  # 76.8 MB
-    assert daily_budget(SBAND) == pytest.approx(76.8e6)
-    assert daily_budget(UHF) == pytest.approx(2.88e6)
+    assert SBAND.daily_budget_bytes == 256_000 * 600 * 4 / 8  # 76.8 MB
+    assert SBAND.daily_budget_bytes == pytest.approx(76.8e6)
+    assert UHF.daily_budget_bytes == pytest.approx(2.88e6)
 
 
 def test_zero_rate_link_rejected():

@@ -9,7 +9,7 @@ from tinydeploy.downlink import DownlinkScenario, LinkBudget, simulate
 from tinydeploy.executor import read_records_csv
 from tinydeploy.graph import validate
 from tinydeploy.model_io import graphs_equal, load_model, save_model
-from tinydeploy.pipeline import PipelineConfig, PipelineError, run_pipeline
+from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
 from tinydeploy.pruning import build_prune_plan, materialize
 
 
@@ -114,12 +114,15 @@ def test_prune_skip_config(assets, tmp_path):
 
 
 def test_pipeline_error_removes_partial_outputs(assets, tmp_path):
-    config = make_config(assets, tmp_path / "out", calibration_samples=16)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not a pipeline artifact\n")
+    config = make_config(assets, out, calibration_samples=16)
     config.confidence_threshold = 5.0  # breaks the downlink stage
     with pytest.raises(PipelineError, match="simulate-downlink"):
         run_pipeline(config)
-    assert not (tmp_path / "out" / "report.json").exists()
-    assert not (tmp_path / "out" / "model_quantized.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "not a pipeline artifact\n"
 
 
 def test_missing_model_path_reported(assets, tmp_path):
@@ -128,12 +131,73 @@ def test_missing_model_path_reported(assets, tmp_path):
         run_pipeline(config)
 
 
-def test_stop_after_stage(assets, tmp_path):
-    config = make_config(assets, tmp_path / "out")
-    result = run_pipeline(config, stop_after="quantize")
-    assert result is None
-    assert (tmp_path / "out" / "model_quantized.json").exists()
-    assert not (tmp_path / "out" / "deployment_plan.json").exists()
+# The files each stage adds, in run order, written out by hand so that the
+# test checks the stage table in pipeline.py rather than repeating it.
+STAGE_FILES = {
+    "evaluate-float": ["eval_float.csv", "eval_float.json"],
+    "prune": [
+        "prune_plan.json",
+        "model_masked_stage1.json", "model_masked_stage1.bin",
+        "checkpoint_stage1.json", "checkpoint_stage1.bin",
+        "model_masked_stage2.json", "model_masked_stage2.bin",
+        "checkpoint_stage2.json", "checkpoint_stage2.bin",
+        "model_masked_stage3.json", "model_masked_stage3.bin",
+        "checkpoint_stage3.json", "checkpoint_stage3.bin",
+        "model_pruned.json", "model_pruned.bin",
+    ],
+    "evaluate-pruned": ["eval_pruned.csv", "eval_pruned.json"],
+    "calibrate": ["calibration_ranges.json"],
+    "quantize": ["model_quantized.json", "model_quantized.bin"],
+    "evaluate-quantized": ["eval_quantized.csv", "eval_quantized.json"],
+    "map": ["deployment_plan.json", "deployment_plan.txt"],
+    "estimate": ["cost_estimate.json"],
+    "simulate-downlink": ["downlink_report.json", "downlink_report.txt"],
+    "report": ["report.json", "report.csv", "plot_latency_energy.csv"],
+}
+
+
+@pytest.mark.parametrize("skip", [False, True])
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_stop_after_stage(assets, tmp_path, stage, skip):
+    out = tmp_path / "out"
+    config = make_config(assets, out, prune={"schedule": [0.10, 0.05, 0.05], "skip": skip})
+    result = run_pipeline(config, stop_after=stage)
+    # Stopping after the last stage is a full run, which returns the report.
+    assert (result is None) == (stage != "report")
+    expected = {"model_float.json", "model_float.bin"}
+    for name, files in STAGE_FILES.items():
+        if not (skip and name in ("prune", "evaluate-pruned")):
+            expected.update(files)
+        if name == stage:
+            break
+    assert {p.name for p in out.iterdir()} == expected
+
+
+def test_config_rejects_unknown_keys(assets, tmp_path):
+    with pytest.raises(PipelineError, match="confidence_treshold"):
+        make_config(assets, tmp_path / "out", confidence_treshold=0.5)
+    with pytest.raises(PipelineError, match="prune.skp"):
+        make_config(assets, tmp_path / "out", prune={"schedule": [0.1], "skp": True})
+
+
+def test_config_defaults_and_coercion():
+    config = PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o"})
+    assert config == PipelineConfig("m", "d", "o")
+    config = PipelineConfig.from_json({
+        "model": "m", "dataset": "d", "output_dir": "o", "calibration_samples": "16",
+        "seed": 3.0, "bytes_per_sample": 100, "prune": {"schedule": ["0.5", 1], "skip": 1},
+    })
+    assert (config.calibration_samples, config.seed, config.bytes_per_sample) == (16, 3, 100.0)
+    assert type(config.seed) is int and type(config.bytes_per_sample) is float
+    assert config.prune_schedule == [0.5, 1.0] and config.prune_skip is True
+    with pytest.raises(PipelineError, match="missing required field 'dataset'"):
+        PipelineConfig.from_json({"model": "m", "output_dir": "o"})
+
+
+def test_example_config_loads():
+    config = PipelineConfig.load(Path(__file__).parent.parent / "configs" / "example_pipeline.json")
+    assert config.prune_schedule == [0.10, 0.05, 0.05]
+    assert config.calibration_samples == 32
 
 
 # --- CLI -------------------------------------------------------------------
@@ -247,6 +311,16 @@ def test_cli_map_rejects_float_model(assets, capsys):
 def test_cli_validate_model(assets, capsys):
     assert main(["validate-model", "--model", str(assets / "small_convnet.json")]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_cli_run_rejects_misspelt_config_key(assets, tmp_path, capsys):
+    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg["confidence_treshold"] = cfg.pop("confidence_threshold")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert "error [config has unknown key(s): confidence_treshold]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_file_nonzero(capsys):
