@@ -1,6 +1,7 @@
 """Graph IR for small feed-forward ConvNets.
 
-Activations are NHWC with batch fixed to N=1, Conv2D weights are
+Activations are NHWC; graph shapes declare batch N=1, and a prepared
+`executor.Program` runs any leading batch size. Conv2D weights are
 (out, kh, kw, in), DepthwiseConv2D weights are (1, kh, kw, channels) and
 FullyConnected weights are (out, in). Graphs are treated as immutable:
 every transformation returns a new graph.

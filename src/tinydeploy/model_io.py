@@ -133,6 +133,15 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
     return manifest_path, blob_path
 
 
+def _field(obj, key: str, where: str):
+    """obj[key] from a manifest object, or a ModelFormatError naming both."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ModelFormatError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
 def load_model(path: str | Path) -> GraphIR:
     """Load a manifest + blob pair saved by save_model."""
     path = Path(path)
@@ -145,70 +154,75 @@ def load_model(path: str | Path) -> GraphIR:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{manifest_path}: malformed manifest: {exc}") from None
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{manifest_path}: unsupported format_version {manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"{manifest_path}: unsupported format_version {version!r}")
     blob = blob_path.read_bytes() if blob_path.exists() else b""
 
+    top = str(manifest_path)
     tensors: dict[str, TensorSpec] = {}
-    for tid, entry in manifest["tensors"].items():
+    for tid, entry in _field(manifest, "tensors", top).items():
+        where = f"tensor {tid}"
+        dtype_name, kind_name = _field(entry, "dtype", where), _field(entry, "kind", where)
         try:
-            dtype = DType(entry["dtype"])
+            dtype = DType(dtype_name)
         except ValueError:
-            raise ModelFormatError(f"tensor {tid}: unsupported dtype {entry['dtype']!r}") from None
+            raise ModelFormatError(f"{where}: unsupported dtype {dtype_name!r}") from None
         try:
-            kind = TensorKind(entry["kind"])
+            kind = TensorKind(kind_name)
         except ValueError:
-            raise ModelFormatError(f"tensor {tid}: unsupported kind {entry['kind']!r}") from None
-        shape = tuple(int(d) for d in entry["shape"])
+            raise ModelFormatError(f"{where}: unsupported kind {kind_name!r}") from None
+        shape = tuple(int(d) for d in _field(entry, "shape", where))
         data = None
         loc = entry.get("blob")
         if loc is not None:
+            offset = _field(loc, "offset", f"{where} blob")
+            length = _field(loc, "length", f"{where} blob")
             expected = int(np.prod(shape)) * dtype.size_bytes
-            if loc["length"] != expected:
+            if length != expected:
                 raise ModelFormatError(
-                    f"tensor {tid}: blob length mismatch (manifest {loc['length']}, shape implies {expected})"
+                    f"{where}: blob length mismatch (manifest {length}, shape implies {expected})"
                 )
-            if loc["offset"] + loc["length"] > len(blob):
+            if offset + length > len(blob):
                 raise ModelFormatError(
-                    f"tensor {tid}: blob length mismatch (needs bytes up to "
-                    f"{loc['offset'] + loc['length']}, blob has {len(blob)})"
+                    f"{where}: blob length mismatch (needs bytes up to "
+                    f"{offset + length}, blob has {len(blob)})"
                 )
-            data = unpack_tensor(blob[loc["offset"]:loc["offset"] + loc["length"]], dtype, shape)
+            data = unpack_tensor(blob[offset:offset + length], dtype, shape)
         tensors[tid] = TensorSpec(
             id=tid,
             shape=shape,
             dtype=dtype,
             kind=kind,
-            quant=_quant_from_json(entry.get("quant"), f"tensor {tid}"),
+            quant=_quant_from_json(entry.get("quant"), where),
             data=data,
         )
 
     nodes = []
-    for entry in manifest["nodes"]:
+    for i, entry in enumerate(_field(manifest, "nodes", top)):
+        nid = _field(entry, "id", f"node {i}")
+        where = f"node {nid}"
+        kind_name = _field(entry, "kind", where)
         try:
-            kind = OpKind(entry["kind"])
+            kind = OpKind(kind_name)
         except ValueError:
-            raise ModelFormatError(
-                f"node {entry.get('id', '?')}: unsupported op kind {entry['kind']!r}"
-            ) from None
+            raise ModelFormatError(f"{where}: unsupported op kind {kind_name!r}") from None
         nodes.append(
             OpNode(
-                id=entry["id"],
+                id=nid,
                 kind=kind,
                 attrs=dict(entry.get("attrs", {})),
-                inputs=list(entry["inputs"]),
-                outputs=list(entry["outputs"]),
+                inputs=list(_field(entry, "inputs", where)),
+                outputs=list(_field(entry, "outputs", where)),
             )
         )
 
     graph = GraphIR(
-        name=manifest["name"],
+        name=_field(manifest, "name", top),
         nodes=nodes,
         tensors=tensors,
-        graph_inputs=list(manifest["graph_inputs"]),
-        graph_outputs=list(manifest["graph_outputs"]),
+        graph_inputs=list(_field(manifest, "graph_inputs", top)),
+        graph_outputs=list(_field(manifest, "graph_outputs", top)),
     )
     report = validate(graph)
     if not report.ok:

@@ -162,16 +162,17 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     The ridge term scales with the mean feature energy so the same value
     works across models with different activation magnitudes.
     """
-    from .executor import run_f32
+    from .executor import prepare
 
     g = graph.copy()
     fc = [n for n in g.nodes if n.kind == OpKind.FULLY_CONNECTED][-1]
     feat_id = fc.inputs[0]
 
+    program = prepare(g)
     feats, labels = [], []
     for _, x, label in samples:
         trace: dict = {}
-        run_f32(g, x, trace=trace)
+        program.run(x, trace=trace)
         feats.append(trace[feat_id].reshape(-1).astype(np.float64))
         labels.append(int(label))
     x_mat = np.stack(feats)
@@ -183,7 +184,10 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     xa = np.hstack([x_mat, np.ones((n, 1))])
     gram = xa.T @ xa
     ridge_eff = ridge * np.trace(gram) / (f + 1)
-    sol = np.linalg.solve(gram + ridge_eff * np.eye(f + 1), xa.T @ targets)
+    # In place: `gram + ridge_eff * np.eye(f + 1)` would allocate two more
+    # (f+1)^2 float64 matrices, 134 MB each for dwsep_net's 4096 features.
+    gram[np.diag_indices_from(gram)] += ridge_eff
+    sol = np.linalg.solve(gram, xa.T @ targets)
 
     g.tensors[fc.inputs[1]].data = np.ascontiguousarray(sol[:-1].T, dtype=np.float32)
     if len(fc.inputs) == 3:

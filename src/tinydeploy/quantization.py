@@ -144,6 +144,10 @@ def fixed_point_multiplier(m: float) -> tuple[int, int]:
 
     The significand is a 31-bit integer; shift >= 1 covers every
     multiplier below 2**30, far beyond any sane requantization ratio.
+    A multiplier below 2**-32 (shift >= 63) scales every int32
+    accumulator to a magnitude below 0.5, so it is encoded as
+    significand 0 (with shift 31), which requantizes to 0; this keeps
+    shift <= 62, where requantize_fixed_point cannot overflow int64.
     """
     if not (m > 0 and math.isfinite(m)):
         raise QuantizationError(f"requant multiplier must be positive, got {m}")
@@ -155,6 +159,8 @@ def fixed_point_multiplier(m: float) -> tuple[int, int]:
     shift = 31 - exp
     if shift < 1:
         raise QuantizationError(f"requant multiplier {m} out of supported range")
+    if shift >= 63:
+        return 0, 31
     return int(sig), int(shift)
 
 

@@ -197,3 +197,21 @@ def brute_force_hybrid_accuracy(onboard, ground, threshold):
         else:
             hits += int(r.correct)
     return hits / len(onboard)
+
+
+def per_sample_records(run, graph, samples):
+    """(id, class, repr(confidence), label) from one `run(graph, x)` per sample.
+
+    The reference for chunked `evaluate`: the loop it replaced.
+    """
+    out_id = graph.graph_outputs[0]
+    records = []
+    for sample_id, x, label in samples:
+        probs = run(graph, x)[out_id].reshape(-1)
+        predicted = int(np.argmax(probs))
+        records.append((sample_id, predicted, repr(float(probs[predicted])), int(label)))
+    return records
+
+
+def record_tuples(records):
+    return [(r.sample_id, r.predicted_class, repr(r.confidence), r.true_label) for r in records]

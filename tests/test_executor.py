@@ -8,13 +8,17 @@ from graphutil import (
     conv_relu_softmax,
     naive_conv2d,
     naive_maxpool,
+    per_sample_records,
+    record_tuples,
 )
 from tinydeploy.executor import (
+    EVAL_CHUNK,
     ExecutionError,
     InferenceRecord,
     TensorRange,
     calibrate,
     evaluate,
+    prepare,
     read_records_csv,
     run_f32,
     write_records_csv,
@@ -229,6 +233,45 @@ def test_label_out_of_range_rejected():
     g = uniform_logit_graph()
     with pytest.raises(ExecutionError, match="label"):
         evaluate(g, [(np.ones((1, 4), dtype=np.float32), 10)])
+
+
+# 37 is not a multiple of EVAL_CHUNK, so the last chunk is partial.
+EQUIVALENCE_SAMPLES = 37
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
+def test_evaluate_matches_per_sample_run_f32(model, request, test_samples):
+    assert EQUIVALENCE_SAMPLES % EVAL_CHUNK
+    graph = request.getfixturevalue(model)
+    samples = test_samples[:EQUIVALENCE_SAMPLES]
+    records, _ = evaluate(graph, samples)
+    assert record_tuples(records) == per_sample_records(run_f32, graph, samples)
+
+
+@pytest.mark.parametrize(
+    "model", ["small_convnet", "dwsep_net", "small_convnet_quantized", "dwsep_net_quantized"]
+)
+def test_program_batch_trace_matches_single_samples(model, request, test_samples):
+    program = prepare(request.getfixturevalue(model))
+    xs = [x for _, x, _ in test_samples[:EQUIVALENCE_SAMPLES]]
+    batch_trace = {}
+    program.run(np.concatenate(xs), trace=batch_trace)
+    single = []
+    for x in xs:
+        trace = {}
+        program.run(x, trace=trace)
+        single.append(trace)
+    for tid, values in batch_trace.items():
+        want = np.concatenate([t[tid] for t in single])
+        assert values.dtype == want.dtype
+        assert values.tobytes() == want.tobytes(), tid
+
+
+def test_evaluate_rejects_wrong_input_shape():
+    g = uniform_logit_graph()
+    good = np.ones((1, 4), dtype=np.float32)
+    with pytest.raises(ExecutionError, match="sample s00020: input shape"):
+        evaluate(g, [(good, 0)] * 20 + [(np.ones((2, 4), dtype=np.float32), 0)])
 
 
 def test_records_csv_roundtrip(tmp_path):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from graphutil import conv_attrs
+from graphutil import conv_attrs, per_sample_records, record_tuples
 from tinydeploy.executor import (
+    EVAL_CHUNK,
     AccumulatorOverflowError,
     ExecutionError,
     calibrate,
     evaluate,
+    prepare,
     run_f32,
     run_int8,
 )
@@ -93,6 +95,57 @@ def test_accumulator_overflow_reported():
     with pytest.raises(AccumulatorOverflowError, match="conv"):
         run_int8(g, np.array([[[[100.0]]]], dtype=np.float32))
 
+    # The same overflow in a later evaluate chunk: only the last sample overflows.
+    g.nodes += [
+        OpNode("flat", OpKind.FLATTEN, {}, ["out"], ["flat_out"]),
+        OpNode("softmax", OpKind.SOFTMAX, {}, ["flat_out"], ["probs"]),
+    ]
+    g.graph_outputs = ["probs"]
+    g.tensors["flat_out"] = TensorSpec("flat_out", (1, 1), DType.INT8, TensorKind.ACTIVATION,
+                                       quant=unit_qp())
+    g.tensors["probs"] = TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
+    zero = np.zeros((1, 1, 1, 1), dtype=np.float32)
+    records, _ = evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 1))
+    assert len(records) == EVAL_CHUNK + 1
+    with pytest.raises(AccumulatorOverflowError, match="conv"):
+        evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 3) + [(np.full_like(zero, 100.0), 0)])
+
+
+def test_int8_gemm_exact_at_extreme_codes():
+    # Largest centered codes and weights, K = 4096: the float64 GEMM must
+    # give the int64 product exactly.
+    from tinydeploy.executor import _int8_gemm
+
+    rng = np.random.default_rng(12)
+    k = 4096
+    centered = rng.choice([-255, 255], size=(24, k)).astype(np.int64)
+    centered[0] = 255
+    w = rng.choice([-128, 127], size=(8, k)).astype(np.int64)
+    w[0], w[1] = -128, 127
+    w[1, 0] = -128  # an odd total above 2**24, which float32 cannot hold
+    got = _int8_gemm(centered.astype(np.float64), w.astype(np.float64).T)
+    want = centered @ w.T
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert (want[0, 0], want[0, 1]) == (-255 * 128 * k, 255 * (127 * (k - 1) - 128))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("shift", 64, "requant outside"),
+    ("significand", 2**31, "requant outside"),
+    ("zero_point", 200, "zero point 200 outside"),
+])
+def test_prepare_rejects_out_of_range_tables(field, value, message):
+    # Manifest values under which the int64 requantization or the exact
+    # float64 GEMM would go wrong are refused before anything runs.
+    g = unit_scale_conv_graph(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 4, 4, 1))
+    if field == "zero_point":
+        g.tensors["in"].quant = QuantParams(scale=1.0, zero_point=value)
+    else:
+        g.nodes[0].attrs["requant"][field] = [value]
+    with pytest.raises(ExecutionError, match=message):
+        prepare(g)
+
 
 def test_bit_identical_intermediates_across_runs(small_convnet_quantized, test_samples):
     x = test_samples[0][1]
@@ -134,6 +187,14 @@ def test_top1_agreement_small_convnet(small_convnet, small_convnet_quantized, te
     rq, _ = evaluate(small_convnet_quantized, test_samples)
     agreement = np.mean([a.predicted_class == b.predicted_class for a, b in zip(rf, rq)])
     assert agreement >= 0.90
+
+
+@pytest.mark.parametrize("model", ["small_convnet_quantized", "dwsep_net_quantized"])
+def test_evaluate_matches_per_sample_run_int8(model, request, test_samples):
+    graph = request.getfixturevalue(model)
+    samples = test_samples[:37]  # a partial last chunk
+    records, _ = evaluate(graph, samples)
+    assert record_tuples(records) == per_sample_records(run_int8, graph, samples)
 
 
 def test_int8_add_requantizes_operands():
@@ -182,17 +243,16 @@ def test_int8_concat_requantizes_each_input():
     }
     g = GraphIR("cat", nodes, tensors, ["a", "b"], ["out"])
     g, _ = infer_shapes(g)
-    # two-input graphs bypass run_int8's single-input path; drive the node directly
-    from tinydeploy.executor import _int8_node
+    # Program.run takes one graph input; drive the prepared steps directly
     import tinydeploy.quantization as q
 
     env = {
         "a": q.quantize_tensor(np.array([[1.0, -2.0], [0.5, 3.0]]).reshape(1, 2, 2, 1), qa),
         "b": q.quantize_tensor(np.array([[0.25, 1.5], [-1.0, 2.0]]).reshape(1, 2, 2, 1), qb),
     }
-    env["ar"] = _int8_node(g, g.node("r1"), env)
-    env["br"] = _int8_node(g, g.node("r2"), env)
-    out = _int8_node(g, g.node("cat"), env)
+    for step in prepare(g).steps:
+        env[step.output] = step.run(env)
+    out = env["out"]
     assert out.shape == (1, 2, 2, 2)
     # oracle: requantize each centered code by S_i/S_o then add Z_o
     for part, tid, qp in ((0, "ar", qa), (1, "br", qb)):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from graphutil import conv_relu_softmax
+from tinydeploy.cli import main
 from tinydeploy.model_io import ModelFormatError, graphs_equal, load_model, save_model
 from tinydeploy.models import build_small_convnet
 
@@ -59,6 +60,44 @@ def test_manifest_length_field_checked(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match="blob length mismatch"):
         load_model(tmp_path / "m")
+
+
+def _drop_key(manifest, path):
+    *parents, key = path
+    for p in parents:
+        manifest = manifest[p]
+    del manifest[key]
+
+
+MISSING_KEYS = [
+    ("nodes",),
+    ("graph_outputs",),
+    ("tensors", "w", "dtype"),
+    ("tensors", "w", "blob", "offset"),
+    ("nodes", 0, "inputs"),
+    ("nodes", 1, "id"),
+]
+
+
+@pytest.mark.parametrize("path", MISSING_KEYS, ids=lambda p: ".".join(map(str, p)))
+def test_missing_manifest_key_rejected(tmp_path, path):
+    manifest_path, _ = save_model(conv_relu_softmax(), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    _drop_key(manifest, path)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"missing key '{path[-1]}'"):
+        load_model(tmp_path / "m")
+
+
+def test_cli_validate_model_reports_missing_key(tmp_path, capsys):
+    manifest_path, _ = save_model(conv_relu_softmax(), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["nodes"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["validate-model", "--model", str(manifest_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing key 'nodes'" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
 def test_save_is_deterministic(tmp_path):

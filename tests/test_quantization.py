@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,30 @@ def test_requantize_unit_multiplier_identity():
     sig, shift = fixed_point_multiplier(1.0)
     acc = np.arange(-300, 300, dtype=np.int64)
     np.testing.assert_array_equal(requantize_fixed_point(acc, sig, shift), acc)
+
+
+def _exact_round_half_away(acc: int, m: float) -> int:
+    v = Fraction(acc) * Fraction(m)
+    mag = math.floor(abs(v) + Fraction(1, 2))
+    return mag if v >= 0 else -mag
+
+
+@pytest.mark.parametrize("m,raw_shift", [
+    (1.5 * 2.0**-32, 62),
+    (1.5 * 2.0**-33, 63),
+    (8e-11, 64),
+    (1e-300, 1027),
+])
+def test_requantize_exact_at_large_shifts(m, raw_shift):
+    assert 31 - math.frexp(m)[1] == raw_shift
+    sig, shift = fixed_point_multiplier(m)
+    assert 1 <= shift <= 62
+    if raw_shift >= 63:
+        # below 2**-32 every int32 accumulator maps to magnitude < 0.5
+        assert sig == 0
+    acc = np.array([2**31 - 1, -(2**31 - 1), 2**30, -(2**30), 5, -5, 0], dtype=np.int64)
+    want = [_exact_round_half_away(int(a), m) for a in acc]
+    np.testing.assert_array_equal(requantize_fixed_point(acc, sig, shift), want)
 
 
 def test_requantize_rounds_half_away():
