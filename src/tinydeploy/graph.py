@@ -5,6 +5,13 @@ Activations are NHWC; graph shapes declare batch N=1, and a prepared
 (out, kh, kw, in), DepthwiseConv2D weights are (1, kh, kw, channels) and
 FullyConnected weights are (out, in). Graphs are treated as immutable:
 every transformation returns a new graph.
+
+`infer_shapes` copies structure only: its graph has new `OpNode`s (own
+`inputs`, `outputs` and `attrs`) and new `TensorSpec`s, but shares the
+input's constant `data` arrays and `QuantParams` objects. Transformations
+therefore replace `TensorSpec.data` (and `quant`) instead of writing into
+them, except on a `GraphIR.copy()` (a deep copy) that they own, as
+`pruning.apply_masks` does.
 """
 from __future__ import annotations
 
@@ -155,6 +162,7 @@ class GraphIR:
     graph_outputs: list[str]
 
     def copy(self) -> "GraphIR":
+        """Deep copy, constant arrays included: the copy may be written into."""
         return copy.deepcopy(self)
 
     def node(self, nid: str) -> OpNode:
@@ -454,12 +462,25 @@ def infer_shapes(graph: GraphIR) -> tuple[GraphIR, list[str]]:
     """Fill every activation shape; returns (new graph, topological order).
 
     Requires validate(graph).ok and known graph input shapes. Idempotent.
+    The new graph has its own nodes and TensorSpecs but shares the input's
+    constant `data` arrays and `QuantParams` objects (see module docstring).
     """
     report = validate(graph)
     if not report.ok:
         raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(report.violations))
 
-    g = graph.copy()
+    # Structure-only copy: fresh nodes (own inputs/outputs/attrs) and fresh
+    # TensorSpec shells, whose shapes are filled in below. The shells share
+    # the input's constant arrays and QuantParams; copy.copy skips
+    # __post_init__, so an F-ordered array stays the very same object.
+    g = GraphIR(
+        graph.name,
+        [OpNode(n.id, n.kind, dict(n.attrs), list(n.inputs), list(n.outputs))
+         for n in graph.nodes],
+        {tid: copy.copy(t) for tid, t in graph.tensors.items()},
+        list(graph.graph_inputs),
+        list(graph.graph_outputs),
+    )
     order = topological_order(g)
     nodes = {n.id: n for n in g.nodes}
     for nid in order:

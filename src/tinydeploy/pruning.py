@@ -129,18 +129,30 @@ def _validate_schedule(schedule) -> list[float]:
 # channel propagation
 
 
-def _propagation_actions(graph: GraphIR, layer_id: str):
-    """Downstream actions for removing output structures of `layer_id`.
+def _propagation_table(graph: GraphIR) -> dict[str, list | None]:
+    """Downstream actions for every Conv2D/FullyConnected layer of `graph`.
 
-    Returns a list of ("dw"|"conv_in"|"fc_in", node_id, positions) where
-    positions is the Flatten spatial expansion factor for "fc_in" (1 when
-    the input was already 2-D), or None when the layer is not prunable.
+    Maps layer id -> list of ("dw"|"conv_in"|"fc_in", node_id, positions)
+    where positions is the Flatten spatial expansion factor for "fc_in"
+    (1 when the input was already 2-D), or None when the layer is not
+    prunable. Shapes are inferred once for the whole table; the actions
+    depend only on graph structure and Flatten spatial sizes, which
+    channel removal leaves unchanged.
     """
     g, _ = infer_shapes(graph)
     consumers = g.consumer_map()
+    return {
+        node.id: _propagation_actions(g, consumers, node.outputs[0])
+        for node in g.nodes
+        if node.kind in PRUNABLE_OPS
+    }
+
+
+def _propagation_actions(g: GraphIR, consumers, output: str):
+    """Walk one layer's `output` through its consumers on shape-inferred `g`."""
     actions = []
     # (tensor_id, flatten positions or None while still channel-shaped)
-    queue: list[tuple[str, int | None]] = [(g.node(layer_id).outputs[0], None)]
+    queue: list[tuple[str, int | None]] = [(output, None)]
     seen: set[tuple[str, int | None]] = set()
     while queue:
         tid, positions = queue.pop(0)
@@ -179,11 +191,7 @@ def _propagation_actions(graph: GraphIR, layer_id: str):
 
 def prunable_layers(graph: GraphIR) -> list[str]:
     """Conv2D/FullyConnected layers whose channel removals stay absorbable."""
-    out = []
-    for node in graph.nodes:
-        if node.kind in PRUNABLE_OPS and _propagation_actions(graph, node.id) is not None:
-            out.append(node.id)
-    return out
+    return [lid for lid, actions in _propagation_table(graph).items() if actions is not None]
 
 
 def _layer_weight(graph: GraphIR, layer_id: str):
@@ -264,6 +272,7 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     materialized one does.
     """
     g = graph.copy()
+    table = _propagation_table(graph)
     for layer_id, count in plan.original_counts.items():
         node = g.node(layer_id)
         w = g.tensors[node.inputs[1]]
@@ -274,7 +283,7 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
         removed = sorted(plan.removed(layer_id))
         if not removed:
             continue
-        actions = _propagation_actions(graph, layer_id)
+        actions = table.get(layer_id)
         if actions is None:
             raise PruneError(f"layer {layer_id} is not prunable in this graph")
         w.data[removed] = 0
@@ -290,8 +299,13 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
 
 
 def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
-    """Physically remove pruned structures and re-infer shapes."""
+    """Physically remove pruned structures and re-infer shapes.
+
+    The propagation table comes from the input graph: removing channels
+    changes neither graph structure nor Flatten spatial sizes.
+    """
     g = graph.copy()
+    table = _propagation_table(graph)
     for layer_id, count in plan.original_counts.items():
         node = g.node(layer_id)
         w = g.tensors[node.inputs[1]]
@@ -302,7 +316,7 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
         removed = sorted(plan.removed(layer_id))
         if not removed:
             continue
-        actions = _propagation_actions(g, layer_id)
+        actions = table.get(layer_id)
         if actions is None:
             raise PruneError(f"layer {layer_id} is not prunable in this graph")
 

@@ -7,6 +7,7 @@ from tinydeploy.graph import (
     GraphIR,
     OpKind,
     OpNode,
+    QuantParams,
     ShapeError,
     TensorKind,
     TensorSpec,
@@ -111,6 +112,33 @@ def test_infer_shapes_idempotent():
     g2, order2 = infer_shapes(g1)
     assert order1 == order2
     assert all(g1.tensors[t].shape == g2.tensors[t].shape for t in g1.tensors)
+
+
+def test_infer_shapes_copies_structure_and_shares_constants():
+    g = conv_relu_softmax()
+    g.tensors["w"].quant = QuantParams(scale=0.5, zero_point=0)
+    out, _ = infer_shapes(g)
+    for tid, t in g.tensors.items():
+        assert out.tensors[tid] is not t
+        assert out.tensors[tid].data is t.data  # same array object, or both None
+        assert out.tensors[tid].quant is t.quant
+    assert g.tensors["w"].data is not None
+    for a, b in zip(g.nodes, out.nodes):
+        assert a is not b
+        assert a.attrs == b.attrs and a.attrs is not b.attrs
+        assert a.inputs == b.inputs and a.inputs is not b.inputs
+        assert a.outputs == b.outputs and a.outputs is not b.outputs
+    assert out.graph_inputs is not g.graph_inputs
+    assert out.graph_outputs is not g.graph_outputs
+
+
+def test_infer_shapes_keeps_weight_layout():
+    # A TensorSpec(...) rebuild would make an F-ordered weight C-ordered.
+    g = conv_relu_softmax()
+    g.tensors["w"].data = np.asfortranarray(g.tensors["w"].data)
+    out, _ = infer_shapes(g)
+    assert out.tensors["w"].data is g.tensors["w"].data
+    assert out.tensors["w"].data.flags.f_contiguous
 
 
 def test_topological_order_respects_producers():

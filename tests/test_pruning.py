@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from graphutil import act, const, conv_attrs, make_graph, two_conv_chain
-from tinydeploy.executor import run_f32
+from tinydeploy import pruning
+from tinydeploy.executor import calibrate, run_f32
 from tinydeploy.graph import (
     DType,
     OpKind,
     OpNode,
     TensorKind,
     TensorSpec,
+    infer_shapes,
     parameter_count,
     validate,
 )
-from tinydeploy.model_io import graphs_equal
+from tinydeploy.model_io import graphs_equal, save_model
 from tinydeploy.pruning import (
     Checkpoint,
     CheckpointError,
@@ -27,6 +29,7 @@ from tinydeploy.pruning import (
     prunable_layers,
     rank_filters,
 )
+from tinydeploy.quantization import quantize_graph
 
 
 def test_l2_norm_three_four_five():
@@ -240,6 +243,53 @@ def test_mask_length_mismatch_rejected():
     plan.original_counts["c1"] = 9
     with pytest.raises(PruneError, match="c1"):
         apply_masks(g, plan)
+
+
+def _saved_bytes(graph, path):
+    manifest_path, blob_path = save_model(graph, path)
+    return manifest_path.read_bytes(), blob_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "transform", ["quantize_graph", "apply_masks", "materialize", "import_checkpoint"]
+)
+def test_transformations_leave_input_unchanged(tmp_path, small_convnet, test_samples, transform):
+    # infer_shapes shares constant arrays, so a transformation that wrote
+    # into them instead of replacing them would change its input.
+    g = small_convnet.copy()
+    before = _saved_bytes(g, tmp_path / "before")
+    plan = build_prune_plan(g, [0.25])
+    if transform == "quantize_graph":
+        out = quantize_graph(g, calibrate(g, [s[1] for s in test_samples[:4]]))
+    elif transform == "apply_masks":
+        out = apply_masks(g, plan)
+    elif transform == "materialize":
+        out = materialize(g, plan)
+    else:
+        out = import_checkpoint(g, export_checkpoint(apply_masks(g, plan)))
+    assert not graphs_equal(out, g)
+    assert _saved_bytes(g, tmp_path / "after") == before
+
+
+@pytest.mark.parametrize("call", ["new_plan", "plan_next_stage", "apply_masks", "materialize"])
+def test_pruning_infers_shapes_at_most_twice(monkeypatch, small_convnet, call):
+    assert len(prunable_layers(small_convnet)) >= 3
+    staged = plan_next_stage(small_convnet, new_plan(small_convnet, [0.25, 0.25]))
+    calls = []
+
+    def counting_infer_shapes(graph):
+        calls.append(graph.name)
+        return infer_shapes(graph)
+
+    monkeypatch.setattr(pruning, "infer_shapes", counting_infer_shapes)
+    run = {
+        "new_plan": lambda: new_plan(small_convnet, [0.25]),
+        "plan_next_stage": lambda: plan_next_stage(small_convnet, staged),
+        "apply_masks": lambda: apply_masks(small_convnet, staged),
+        "materialize": lambda: materialize(small_convnet, staged),
+    }[call]
+    run()
+    assert 1 <= len(calls) <= 2
 
 
 # --- checkpoints -----------------------------------------------------------
