@@ -477,6 +477,13 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     quantized = graph.is_quantized()
     g, order = infer_shapes(graph)
     nodes = {n.id: n for n in g.nodes}
+    # einsum(optimize=False) sums in a stride-dependent order, so every
+    # constant gets one layout (C order): an F-ordered weight, as
+    # np.delete leaves behind, then runs exactly like its saved+loaded copy.
+    # g's TensorSpecs are infer_shapes' own, so the input graph is untouched.
+    for t in g.tensors.values():
+        if t.data is not None:
+            t.data = np.ascontiguousarray(t.data)
 
     if not quantized:
         if fused_groups is not None:

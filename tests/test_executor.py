@@ -19,11 +19,14 @@ from tinydeploy.executor import (
     calibrate,
     evaluate,
     prepare,
+    ranges_to_json,
     read_records_csv,
     run_f32,
     write_records_csv,
 )
 from tinydeploy.graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorSpec
+from tinydeploy.model_io import load_model, save_model
+from tinydeploy.pruning import build_prune_plan, materialize
 
 
 def single_op_graph(kind, attrs, in_shape, consts=(), n_inputs=1):
@@ -265,6 +268,35 @@ def test_program_batch_trace_matches_single_samples(model, request, test_samples
         want = np.concatenate([t[tid] for t in single])
         assert values.dtype == want.dtype
         assert values.tobytes() == want.tobytes(), tid
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
+def test_f32_results_independent_of_weight_layout(model, request, test_samples):
+    g = request.getfixturevalue(model)
+    fortran = g.copy()
+    for t in fortran.tensors.values():
+        if t.data is not None:
+            t.data = np.asfortranarray(t.data)
+    assert fortran.tensors["fc_w"].data.flags.f_contiguous
+    x = np.concatenate([s[1] for s in test_samples[:8]])
+    want, got = {}, {}
+    run_f32(g, x, trace=want)
+    run_f32(fortran, x, trace=got)
+    assert want.keys() == got.keys()
+    for tid in want:
+        assert want[tid].tobytes() == got[tid].tobytes(), tid
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
+def test_calibrate_matches_saved_and_loaded_pruned_graph(tmp_path, model, request, test_samples):
+    # materialize leaves FullyConnected weights F-ordered (np.delete along
+    # axis 1); the disk round trip makes them C-ordered.
+    g = request.getfixturevalue(model)
+    pruned = materialize(g, build_prune_plan(g, [0.25]))
+    save_model(pruned, tmp_path / "p")
+    reloaded = load_model(tmp_path / "p")
+    samples = [s[1] for s in test_samples[:16]]
+    assert ranges_to_json(calibrate(pruned, samples)) == ranges_to_json(calibrate(reloaded, samples))
 
 
 def test_evaluate_rejects_wrong_input_shape():
