@@ -469,10 +469,8 @@ def infer_shapes(graph: GraphIR) -> tuple[GraphIR, list[str]]:
     if not report.ok:
         raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(report.violations))
 
-    # Structure-only copy: fresh nodes (own inputs/outputs/attrs) and fresh
-    # TensorSpec shells, whose shapes are filled in below. The shells share
-    # the input's constant arrays and QuantParams; copy.copy skips
-    # __post_init__, so an F-ordered array stays the very same object.
+    # copy.copy, unlike TensorSpec(...), skips __post_init__: the shell keeps
+    # the very same data array, F-ordered or not.
     g = GraphIR(
         graph.name,
         [OpNode(n.id, n.kind, dict(n.attrs), list(n.inputs), list(n.outputs))

@@ -9,6 +9,7 @@ README "Model file format").
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +75,7 @@ def _quant_from_json(obj: dict | None, where: str) -> QuantParams | None:
             axis=obj.get("axis"),
             symmetric=bool(obj.get("symmetric", False)),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{where}: bad quantization params: {exc}") from None
 
 
@@ -128,18 +129,46 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
         ],
         "tensors": tensors_json,
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    blob_path.write_bytes(bytes(blob))
+    write_pair(manifest_path, manifest, blob_path, bytes(blob))
     return manifest_path, blob_path
 
 
-def _field(obj, key: str, where: str):
-    """obj[key] from a manifest object, or a ModelFormatError naming both."""
+def write_pair(manifest_path: Path, manifest: dict, blob_path: Path, blob: bytes) -> None:
+    """Write a manifest+blob pair without leaving a half-written pair behind.
+
+    Both go to temporary files in the target directory first; then the
+    blob and, last, the manifest are renamed over the final names. A
+    failure before the renames leaves any earlier pair untouched.
+    """
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    pending = []
+    try:
+        for final, payload in ((blob_path, blob), (manifest_path, text.encode())):
+            tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
+            pending.append((tmp, final))
+            tmp.write_bytes(payload)
+        for tmp, final in pending:
+            os.replace(tmp, final)
+    finally:
+        for tmp, _ in pending:
+            tmp.unlink(missing_ok=True)
+
+
+def _field(obj, key: str, where: str, kind: type | None = None):
+    """obj[key] from a manifest object, or a ModelFormatError naming both.
+
+    With `kind`, the value must also be of that JSON type.
+    """
     if not isinstance(obj, dict):
         raise ModelFormatError(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise ModelFormatError(f"{where}: missing key {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ModelFormatError(
+            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
 
 
 def load_model(path: str | Path) -> GraphIR:
@@ -161,7 +190,7 @@ def load_model(path: str | Path) -> GraphIR:
 
     top = str(manifest_path)
     tensors: dict[str, TensorSpec] = {}
-    for tid, entry in _field(manifest, "tensors", top).items():
+    for tid, entry in _field(manifest, "tensors", top, dict).items():
         where = f"tensor {tid}"
         dtype_name, kind_name = _field(entry, "dtype", where), _field(entry, "kind", where)
         try:
@@ -172,12 +201,15 @@ def load_model(path: str | Path) -> GraphIR:
             kind = TensorKind(kind_name)
         except ValueError:
             raise ModelFormatError(f"{where}: unsupported kind {kind_name!r}") from None
-        shape = tuple(int(d) for d in _field(entry, "shape", where))
+        shape = _field(entry, "shape", where, list)
+        if not all(isinstance(d, int) for d in shape):
+            raise ModelFormatError(f"{where}: shape {shape!r} must hold integers")
+        shape = tuple(shape)
         data = None
         loc = entry.get("blob")
         if loc is not None:
-            offset = _field(loc, "offset", f"{where} blob")
-            length = _field(loc, "length", f"{where} blob")
+            offset = _field(loc, "offset", f"{where} blob", int)
+            length = _field(loc, "length", f"{where} blob", int)
             expected = int(np.prod(shape)) * dtype.size_bytes
             if length != expected:
                 raise ModelFormatError(
@@ -199,8 +231,8 @@ def load_model(path: str | Path) -> GraphIR:
         )
 
     nodes = []
-    for i, entry in enumerate(_field(manifest, "nodes", top)):
-        nid = _field(entry, "id", f"node {i}")
+    for i, entry in enumerate(_field(manifest, "nodes", top, list)):
+        nid = _field(entry, "id", f"node {i}", str)
         where = f"node {nid}"
         kind_name = _field(entry, "kind", where)
         try:
@@ -211,18 +243,18 @@ def load_model(path: str | Path) -> GraphIR:
             OpNode(
                 id=nid,
                 kind=kind,
-                attrs=dict(entry.get("attrs", {})),
-                inputs=list(_field(entry, "inputs", where)),
-                outputs=list(_field(entry, "outputs", where)),
+                attrs=dict(_field(entry, "attrs", where, dict) if "attrs" in entry else {}),
+                inputs=list(_field(entry, "inputs", where, list)),
+                outputs=list(_field(entry, "outputs", where, list)),
             )
         )
 
     graph = GraphIR(
-        name=_field(manifest, "name", top),
+        name=_field(manifest, "name", top, str),
         nodes=nodes,
         tensors=tensors,
-        graph_inputs=list(_field(manifest, "graph_inputs", top)),
-        graph_outputs=list(_field(manifest, "graph_outputs", top)),
+        graph_inputs=list(_field(manifest, "graph_inputs", top, list)),
+        graph_outputs=list(_field(manifest, "graph_outputs", top, list)),
     )
     report = validate(graph)
     if not report.ok:

@@ -35,7 +35,7 @@ from .graph import (
     infer_shapes,
     validate,
 )
-from .model_io import pack_tensor, unpack_tensor
+from .model_io import pack_tensor, unpack_tensor, write_pair
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -368,8 +368,7 @@ class Checkpoint:
         if path.suffix == ".json":
             path = path.with_suffix("")
         manifest = {"checkpoint_version": 1, "tensors": self.index}
-        path.with_suffix(".json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        path.with_suffix(".bin").write_bytes(self.blob)
+        write_pair(path.with_suffix(".json"), manifest, path.with_suffix(".bin"), self.blob)
         return path.with_suffix(".json"), path.with_suffix(".bin")
 
     @classmethod

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ from graphutil import conv_relu_softmax
 from tinydeploy.cli import main
 from tinydeploy.model_io import ModelFormatError, graphs_equal, load_model, save_model
 from tinydeploy.models import build_small_convnet
+from tinydeploy.pruning import export_checkpoint
 
 
 def test_roundtrip_structural_identity(tmp_path):
@@ -87,6 +90,104 @@ def test_missing_manifest_key_rejected(tmp_path, path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match=f"missing key '{path[-1]}'"):
         load_model(tmp_path / "m")
+
+
+def _set_key(manifest, path, value):
+    *parents, key = path
+    for p in parents:
+        manifest = manifest[p]
+    manifest[key] = value
+
+
+WRONG_TYPES = [
+    (("tensors",), [], "key 'tensors' must be dict, got list"),
+    (("nodes",), {}, "key 'nodes' must be list, got dict"),
+    (("nodes", 0, "inputs"), 3, "key 'inputs' must be list, got int"),
+    (("nodes", 0, "attrs"), [], "key 'attrs' must be dict, got list"),
+    (("graph_inputs",), "in", "key 'graph_inputs' must be list, got str"),
+    (("tensors", "w", "shape"), 36, "key 'shape' must be list, got int"),
+    (("tensors", "w", "shape"), ["4"], "must hold integers"),
+    (("tensors", "w", "blob", "length"), "4", "key 'length' must be int, got str"),
+    (("tensors", "w", "quant"), [1], "bad quantization params"),
+]
+
+
+@pytest.mark.parametrize("path,value,message", WRONG_TYPES, ids=[
+    ".".join(map(str, path)) + "=" + type(value).__name__ for path, value, _ in WRONG_TYPES
+])
+def test_wrong_manifest_type_rejected(tmp_path, path, value, message):
+    manifest_path, _ = save_model(conv_relu_softmax(), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    _set_key(manifest, path, value)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("key,value", [("tensors", []), ("nodes", 7)])
+def test_cli_validate_model_reports_wrong_type(tmp_path, capsys, key, value):
+    manifest_path, _ = save_model(conv_relu_softmax(), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["validate-model", "--model", str(manifest_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"key {key!r} must be" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+class _DiskFull:
+    """A file that takes half of what is written to it, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("disk full")
+
+
+def _fail_second_write(monkeypatch):
+    real_open = Path.open
+    writes = []
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        if "w" in mode:
+            writes.append(self)
+            if len(writes) == 2:
+                return _DiskFull(fh)
+        return fh
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+@pytest.mark.parametrize("writer", ["save_model", "Checkpoint.save"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_half_written_pair(tmp_path, monkeypatch, writer, existing):
+    old, new = conv_relu_softmax(seed=0), conv_relu_softmax(seed=1)
+    if writer == "save_model":
+        def save(g):
+            return save_model(g, tmp_path / "m")
+    else:
+        def save(g):
+            return export_checkpoint(g).save(tmp_path / "m")
+    if existing:
+        save(old)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    _fail_second_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        save(new)
+    # The earlier pair (or nothing) under the final names, no temporary files.
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    assert [p.read_bytes() for p in save(new)] != [before.get("m.json"), before.get("m.bin")]
 
 
 def test_cli_validate_model_reports_missing_key(tmp_path, capsys):
