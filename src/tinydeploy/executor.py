@@ -19,9 +19,10 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (
     DType,
@@ -100,36 +101,62 @@ class InferenceRecord:
 
 
 class _Window:
-    """The padding and gather indices of one windowed node, computed once."""
+    """The padding, strides and output size of one windowed node, computed once.
+
+    Windows are read through strided views of the padded input; no kernel
+    gathers them through index arrays.
+    """
 
     def __init__(self, node: OpNode, in_shape: tuple[int, ...]):
-        kernel = (node.attrs["kernel_h"], node.attrs["kernel_w"])
-        stride = (node.attrs["stride_h"], node.attrs["stride_w"])
+        self.kernel = (node.attrs["kernel_h"], node.attrs["kernel_w"])
+        self.stride = (node.attrs["stride_h"], node.attrs["stride_w"])
         padding = node.attrs["padding"]
         h, w = in_shape[1:3]
         if padding == "SAME":
-            ph = same_padding_amounts(h, kernel[0], stride[0])
-            pw = same_padding_amounts(w, kernel[1], stride[1])
+            ph = same_padding_amounts(h, self.kernel[0], self.stride[0])
+            pw = same_padding_amounts(w, self.kernel[1], self.stride[1])
         else:
             ph = pw = (0, 0)
-        self.pad = ((0, 0), ph, pw, (0, 0)) if any(ph + pw) else None
-        oh, ow = conv_output_hw((h, w), kernel, stride, padding)
-        rows = np.arange(oh)[:, None] * stride[0] + np.arange(kernel[0])[None, :]
-        cols = np.arange(ow)[:, None] * stride[1] + np.arange(kernel[1])[None, :]
-        self.rows = rows[:, None, :, None]
-        self.cols = cols[None, :, None, :]
+        self.pad = (ph, pw) if any(ph + pw) else None
+        self.out_hw = conv_output_hw((h, w), self.kernel, self.stride, padding)
         self.hw = (h, w)
 
+    def _padded(self, x: np.ndarray, pad_value) -> np.ndarray:
+        if self.pad is None:
+            return x
+        (top, bottom), (left, right) = self.pad
+        b, h, w, c = x.shape
+        out = np.full((b, top + h + bottom, left + w + right, c), pad_value, dtype=x.dtype)
+        out[:, top:top + h, left:left + w] = x
+        return out
+
     def patches(self, x: np.ndarray, pad_value) -> np.ndarray:
-        """(B,H,W,C) -> (B,Ho,Wo,kh,kw,C) windows with constant padding."""
-        if self.pad is not None:
-            x = np.pad(x, self.pad, mode="constant", constant_values=pad_value)
-        return x[:, self.rows, self.cols, :]
+        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding."""
+        sh, sw = self.stride
+        view = sliding_window_view(self._padded(x, pad_value), self.kernel, axis=(1, 2))
+        return np.ascontiguousarray(view[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3))
+
+    def taps(self, x: np.ndarray, pad_value) -> list[np.ndarray]:
+        """The strided (B,Ho,Wo,C) view under each kernel offset, row-major."""
+        x = self._padded(x, pad_value)
+        (kh, kw), (sh, sw), (oh, ow) = self.kernel, self.stride, self.out_hw
+        return [
+            x[:, i:i + sh * (oh - 1) + 1:sh, j:j + sw * (ow - 1) + 1:sw]
+            for i in range(kh) for j in range(kw)
+        ]
 
     def valid_counts(self) -> np.ndarray:
         """Number of in-bounds cells per window, shape (Ho, Wo)."""
         ones = np.ones((1, *self.hw, 1), dtype=np.int64)
-        return self.patches(ones, 0).sum(axis=(3, 4))[0, :, :, 0]
+        return _fold(np.add, self.taps(ones, 0))[0, :, :, 0]
+
+
+def _fold(ufunc: np.ufunc, views: list[np.ndarray]) -> np.ndarray:
+    """`ufunc` applied left to right over same-shaped views, into a new array."""
+    out = views[0].copy()
+    for view in views[1:]:
+        ufunc(out, view, out=out)
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -191,7 +218,7 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
     if kind == OpKind.MAX_POOL2D:
         window = _Window(node, graph.tensors[src].shape)
-        return lambda env: window.patches(env[src], -np.inf).max(axis=(3, 4)).astype(np.float32)
+        return lambda env: _fold(np.maximum, window.taps(env[src], -np.inf))
 
     if kind == OpKind.AVG_POOL2D:
         window = _Window(node, graph.tensors[src].shape)
@@ -297,11 +324,18 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
             return acc.reshape(patches.shape[:3] + (w_t.shape[1],))
     else:
         window = _Window(node, graph.tensors[src].shape)
-        w_dw = w[0].astype(np.int64)
+        kh, kw = window.kernel
+        # Each product |x - zp| * |w| is at most 255 * 128, so a sum of
+        # kh*kw of them is exact in int32 below 2**31; int64 beyond that.
+        acc_type = np.int32 if kh * kw * 255 * 128 < 2**31 else np.int64
+        w_taps = w[0].reshape(kh * kw, -1).astype(acc_type)
 
         def product(x: np.ndarray) -> np.ndarray:
-            patches = window.patches(x.astype(np.int64) - zp_in, 0)
-            return np.einsum("nhwijc,ijc->nhwc", patches, w_dw, optimize=False)
+            views = window.taps(x.astype(acc_type) - zp_in, 0)
+            acc = views[0] * w_taps[0]
+            for view, w_tap in zip(views[1:], w_taps[1:]):
+                acc += view * w_tap
+            return acc.astype(np.int64)
 
     def weighted(env: Env) -> np.ndarray:
         acc = product(env[src])
@@ -331,7 +365,7 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         # can never beat a real cell.
         _assert_inherited(graph, node)
         window = _Window(node, graph.tensors[src].shape)
-        return lambda env: window.patches(env[src], QMIN).max(axis=(3, 4))
+        return lambda env: _fold(np.maximum, window.taps(env[src], QMIN))
 
     if kind == OpKind.AVG_POOL2D:
         qx = _require_quant(graph, src)
@@ -349,7 +383,7 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
         def avg_pool(env: Env) -> np.ndarray:
             centered = env[src].astype(np.int64) - qx.zero_point
-            total = window.patches(centered, 0).sum(axis=(3, 4))
+            total = _fold(np.add, window.taps(centered, 0))
             _check_acc32(total, node.id)
             q = requantize_fixed_point(total, sig, shift) + qout.zero_point
             return np.clip(q, QMIN, QMAX).astype(np.int8)
@@ -569,7 +603,8 @@ def calibrate(
     Activation ranges come from executing the Float32 graph on every
     sample; constant tensors get ranges from their data. Adding samples
     can only widen ranges. Samples run one at a time, so only one
-    sample's activations are held at once.
+    sample's activations are held at once: a chunk of EVAL_CHUNK would
+    hold every activation of every sample in it.
     """
     if len(calibration_set) == 0:
         raise ExecutionError("empty calibration set")
@@ -598,9 +633,16 @@ def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
 # ---------------------------------------------------------------------------
 # dataset evaluation
 
-# Samples per Program.run in evaluate: large enough to amortize the
-# per-call overhead and feed BLAS, small enough to keep activations small.
+# Samples per Program.run in evaluate and fit_classifier: large enough to
+# amortize the per-call overhead and feed BLAS, small enough to keep
+# activations small.
 EVAL_CHUNK = 16
+
+
+def batches(samples: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The samples concatenated along the batch axis, EVAL_CHUNK at a time."""
+    for start in range(0, len(samples), EVAL_CHUNK):
+        yield np.concatenate(samples[start:start + EVAL_CHUNK])
 
 
 def evaluate(
@@ -645,17 +687,15 @@ def evaluate(
         labels.append(label)
 
     records: list[InferenceRecord] = []
-    for start in range(0, len(inputs), EVAL_CHUNK):
-        batch = np.concatenate(inputs[start:start + EVAL_CHUNK])
-        probs = program.run(batch)[out_id].reshape(len(batch), -1)
-        for row, sample_id, label in zip(probs, ids[start:], labels[start:]):
+    for batch in batches(inputs):
+        for row in program.run(batch)[out_id].reshape(len(batch), -1):
             predicted = int(np.argmax(row))
             records.append(
                 InferenceRecord(
-                    sample_id=sample_id,
+                    sample_id=ids[len(records)],
                     predicted_class=predicted,
                     confidence=float(row[predicted]),
-                    true_label=label,
+                    true_label=labels[len(records)],
                 )
             )
     accuracy = float(np.mean([r.correct for r in records])) if records else 0.0

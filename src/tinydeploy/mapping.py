@@ -455,8 +455,9 @@ def build_deployment_plan(
         latencies[gid] = estimate_group(grp, targets[gid], profile, g).latency_us
     deps = group_dependencies(g, fused_groups)
     timeline = schedule(fused_groups, deps, targets, latencies, profile)
-    memory = plan_memory(g, timeline, fused_groups)
-    verify_memory_plan(memory, tensor_lifetimes(g, timeline, fused_groups))
+    lifetimes = tensor_lifetimes(g, timeline, fused_groups)
+    memory = place_lifetimes(lifetimes)
+    verify_memory_plan(memory, lifetimes)
     plan = DeploymentPlan(
         model=g.name,
         profile=profile.name,

@@ -154,18 +154,23 @@ def write_pair(manifest_path: Path, manifest: dict, blob_path: Path, blob: bytes
             tmp.unlink(missing_ok=True)
 
 
-def _field(obj, key: str, where: str, kind: type | None = None):
-    """obj[key] from a manifest object, or a ModelFormatError naming both.
+def _field(
+    obj, key: str, where: str, kind: type | None = None,
+    error: type[ValueError] = ModelFormatError,
+):
+    """obj[key] from a manifest object, or an `error` naming both.
 
-    With `kind`, the value must also be of that JSON type.
+    With `kind`, the value must also be of that JSON type; a JSON
+    true/false is not an int.
     """
     if not isinstance(obj, dict):
-        raise ModelFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+        raise error(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
-        raise ModelFormatError(f"{where}: missing key {key!r}")
+        raise error(f"{where}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ModelFormatError(
+    wrong = kind is not None and not isinstance(value, kind)
+    if wrong or (kind is int and isinstance(value, bool)):
+        raise error(
             f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
         )
     return value

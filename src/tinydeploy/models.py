@@ -162,20 +162,24 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     The ridge term scales with the mean feature energy so the same value
     works across models with different activation magnitudes.
     """
-    from .executor import prepare
+    from .executor import batches, prepare
 
     g = graph.copy()
     fc = [n for n in g.nodes if n.kind == OpKind.FULLY_CONNECTED][-1]
     feat_id = fc.inputs[0]
 
     program = prepare(g)
-    feats, labels = [], []
-    for _, x, label in samples:
+
+    def features(batch: np.ndarray) -> np.ndarray:
         trace: dict = {}
-        program.run(x, trace=trace)
-        feats.append(trace[feat_id].reshape(-1).astype(np.float64))
-        labels.append(int(label))
-    x_mat = np.stack(feats)
+        program.run(batch, trace=trace)
+        return trace[feat_id].reshape(len(batch), -1)
+
+    samples = list(samples)
+    labels = [int(label) for _, _, label in samples]
+    x_mat = np.concatenate(
+        [features(b) for b in batches([x for _, x, _ in samples])], dtype=np.float64
+    )
     n, f = x_mat.shape
     n_classes = g.tensors[fc.inputs[1]].shape[0]
     targets = np.full((n, n_classes), -margin)

@@ -35,7 +35,7 @@ from .graph import (
     infer_shapes,
     validate,
 )
-from .model_io import pack_tensor, unpack_tensor, write_pair
+from .model_io import _field, pack_tensor, unpack_tensor, write_pair
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -377,9 +377,10 @@ class Checkpoint:
         if path.suffix == ".json":
             path = path.with_suffix("")
         manifest = json.loads(path.with_suffix(".json").read_text())
-        if manifest.get("checkpoint_version") != 1:
+        if not isinstance(manifest, dict) or manifest.get("checkpoint_version") != 1:
             raise CheckpointError(f"unsupported checkpoint version in {path}")
-        return cls(index=manifest["tensors"], blob=path.with_suffix(".bin").read_bytes())
+        index = _field(manifest, "tensors", f"checkpoint {path}", dict, CheckpointError)
+        return cls(index=index, blob=path.with_suffix(".bin").read_bytes())
 
 
 def export_checkpoint(graph: GraphIR) -> Checkpoint:
@@ -413,16 +414,20 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
         if not t.is_constant:
             continue
         entry = checkpoint.index[tid]
-        if entry["dtype"] != t.dtype.value:
+        where = f"checkpoint tensor {tid}"
+        dtype = _field(entry, "dtype", where, str, CheckpointError)
+        offset = _field(entry, "offset", where, int, CheckpointError)
+        length = _field(entry, "length", where, int, CheckpointError)
+        if dtype != t.dtype.value:
+            raise CheckpointError(f"tensor {tid}: checkpoint dtype {dtype} != {t.dtype.value}")
+        if length != t.size_bytes:
             raise CheckpointError(
-                f"tensor {tid}: checkpoint dtype {entry['dtype']} != {t.dtype.value}"
+                f"tensor {tid}: checkpoint length {length} != expected {t.size_bytes}"
             )
-        if entry["length"] != t.size_bytes:
-            raise CheckpointError(
-                f"tensor {tid}: checkpoint length {entry['length']} != expected {t.size_bytes}"
-            )
-        if entry["offset"] + entry["length"] > len(checkpoint.blob):
+        if offset < 0:
+            raise CheckpointError(f"tensor {tid}: negative checkpoint offset {offset}")
+        if offset + length > len(checkpoint.blob):
             raise CheckpointError(f"tensor {tid}: checkpoint blob too short")
-        raw = checkpoint.blob[entry["offset"]:entry["offset"] + entry["length"]]
+        raw = checkpoint.blob[offset:offset + length]
         t.data = unpack_tensor(raw, t.dtype, t.shape)
     return g

@@ -17,9 +17,11 @@ from tinydeploy.graph import (
     OpNode,
     TensorKind,
     TensorSpec,
+    conv_output_hw,
     infer_shapes,
     same_padding_amounts,
 )
+from tinydeploy.quantization import QMAX, QMIN, fixed_point_multiplier, requantize_fixed_point
 
 
 def act(tid, shape=(1, 1)):
@@ -131,6 +133,89 @@ def naive_maxpool(x, kernel, stride):
                     for iy in range(kernel) for ix in range(kernel)
                 ]
                 out[0, oy, ox, ch] = max(window)
+    return out
+
+
+def fancy_patches(x, attrs, pad_value):
+    """(B,H,W,C) -> (B,Ho,Wo,kh,kw,C) windows gathered through index arrays.
+
+    The gather the executor used before it read windows through strided
+    views, kept as the reference its window kernels must reproduce.
+    """
+    kernel = (attrs["kernel_h"], attrs["kernel_w"])
+    stride = (attrs["stride_h"], attrs["stride_w"])
+    h, w = x.shape[1:3]
+    if attrs["padding"] == "SAME":
+        ph = same_padding_amounts(h, kernel[0], stride[0])
+        pw = same_padding_amounts(w, kernel[1], stride[1])
+        x = np.pad(x, ((0, 0), ph, pw, (0, 0)), mode="constant", constant_values=pad_value)
+    oh, ow = conv_output_hw((h, w), kernel, stride, attrs["padding"])
+    rows = np.arange(oh)[:, None] * stride[0] + np.arange(kernel[0])[None, :]
+    cols = np.arange(ow)[:, None] * stride[1] + np.arange(kernel[1])[None, :]
+    return x[:, rows[:, None, :, None], cols[None, :, None, :], :]
+
+
+def _valid_counts(attrs, hw):
+    ones = np.ones((1, *hw, 1), dtype=np.int64)
+    return fancy_patches(ones, attrs, 0).sum(axis=(3, 4))[0]  # (Ho, Wo, 1)
+
+
+def reference_window_f32(node, x, w=None, b=None):
+    """A Float32 windowed node's output, computed as before strided views."""
+    if node.kind == OpKind.MAX_POOL2D:
+        return fancy_patches(x, node.attrs, -np.inf).max(axis=(3, 4)).astype(np.float32)
+    if node.kind == OpKind.AVG_POOL2D:
+        total = fancy_patches(x, node.attrs, 0.0).astype(np.float64).sum(axis=(3, 4))
+        return (total / _valid_counts(node.attrs, x.shape[1:3])).astype(np.float32)
+    patches = fancy_patches(x, node.attrs, 0.0)
+    if node.kind == OpKind.CONV2D:
+        w_mat = w.reshape(w.shape[0], -1)
+        cols = patches.reshape(-1, w_mat.shape[1])
+        out = np.einsum("xk,ok->xo", cols, w_mat, optimize=False)
+        out = out.reshape(patches.shape[:3] + (w_mat.shape[0],))
+    else:
+        out = np.einsum("nhwijc,ijc->nhwc", patches, w[0], optimize=False)
+    return (out + b).astype(np.float32)
+
+
+def reference_window_int8(graph, codes):
+    """Output codes of a quantized graph's one windowed node, from its input
+    codes, with the accumulators computed in int64 over gathered windows."""
+    node = graph.nodes[0]
+    q_in = graph.tensors[node.inputs[0]].quant
+    q_out = graph.tensors[node.outputs[0]].quant
+    if node.kind == OpKind.MAX_POOL2D:
+        return fancy_patches(codes, node.attrs, QMIN).max(axis=(3, 4))
+    centered = fancy_patches(codes.astype(np.int64) - q_in.zero_point, node.attrs, 0)
+    if node.kind == OpKind.AVG_POOL2D:
+        counts = _valid_counts(node.attrs, codes.shape[1:3])
+        sig, shift = np.vectorize(
+            lambda n: fixed_point_multiplier(q_in.scale / (float(n) * q_out.scale))
+        )(counts)
+        acc = centered.sum(axis=(3, 4))
+    else:
+        w = graph.tensors[node.inputs[1]].data.astype(np.int64)
+        if node.kind == OpKind.CONV2D:
+            acc = np.tensordot(centered, w, axes=([3, 4, 5], [1, 2, 3]))
+        else:
+            acc = np.einsum("nhwijc,ijc->nhwc", centered, w[0], optimize=False)
+        acc = acc + graph.tensors[node.inputs[2]].data.astype(np.int64)
+        sig = np.asarray(node.attrs["requant"]["significand"], dtype=np.int64)
+        shift = np.asarray(node.attrs["requant"]["shift"], dtype=np.int64)
+    q = requantize_fixed_point(acc, sig, shift) + q_out.zero_point
+    return np.clip(q, QMIN, QMAX).astype(np.int8)
+
+
+def naive_depthwise_acc(centered, w):
+    """VALID stride-1 depthwise accumulators by direct loops over Python ints."""
+    b, h, wdt, c = centered.shape
+    _, kh, kw, _ = w.shape
+    out = np.zeros((b, h - kh + 1, wdt - kw + 1, c), dtype=np.int64)
+    for n, oy, ox, ch in itertools.product(*map(range, out.shape)):
+        out[n, oy, ox, ch] = sum(
+            int(centered[n, oy + iy, ox + ix, ch]) * int(w[0, iy, ix, ch])
+            for iy in range(kh) for ix in range(kw)
+        )
     return out
 
 

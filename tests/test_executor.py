@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphutil import (
     act,
@@ -10,6 +12,8 @@ from graphutil import (
     naive_maxpool,
     per_sample_records,
     record_tuples,
+    reference_window_f32,
+    reference_window_int8,
 )
 from tinydeploy.executor import (
     EVAL_CHUNK,
@@ -27,6 +31,7 @@ from tinydeploy.executor import (
 from tinydeploy.graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorSpec
 from tinydeploy.model_io import load_model, save_model
 from tinydeploy.pruning import build_prune_plan, materialize
+from tinydeploy.quantization import quantize_graph
 
 
 def single_op_graph(kind, attrs, in_shape, consts=(), n_inputs=1):
@@ -120,6 +125,68 @@ def test_avgpool_same_padding_excludes_pad_cells():
     out = run_f32(g, x)["out"].reshape(2, 2)
     # windows clipped to valid cells: [[mean(0,1,3,4), mean(2,5)], [mean(6,7), mean(8)]]
     np.testing.assert_allclose(out, [[2.0, 3.5], [6.5, 8.0]])
+
+
+WINDOW_KINDS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.MAX_POOL2D, OpKind.AVG_POOL2D)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_kernels_match_gathered_windows(data):
+    # Every windowed kernel, Float32 and INT8, against the index-array
+    # gather it replaced, run one sample at a time: Float32 bit for bit,
+    # INT8 code for code. Per sample, because the gather's einsum was not
+    # batch-invariant: on a (B,4,1,1) input under a 4x1 depthwise kernel
+    # its B > 1 layout summed in another order than B = 1.
+    kind = data.draw(st.sampled_from(WINDOW_KINDS), label="kind")
+    padding = data.draw(st.sampled_from(["SAME", "VALID"]), label="padding")
+    kh, kw = data.draw(st.integers(1, 4), label="kh"), data.draw(st.integers(1, 4), label="kw")
+    sh, sw = data.draw(st.integers(1, 3), label="sh"), data.draw(st.integers(1, 3), label="sw")
+    lo_h, lo_w = (1, 1) if padding == "SAME" else (kh, kw)
+    h, w = data.draw(st.integers(lo_h, 9), label="h"), data.draw(st.integers(lo_w, 9), label="w")
+    batch, c = data.draw(st.integers(1, 4), label="batch"), data.draw(st.integers(1, 9), label="c")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    x = rng.normal(size=(batch, h, w, c)).astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0  # ties between signed zeros in MaxPool
+    attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw, "padding": padding}
+    weights = bias = None
+    consts = []
+    if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D):
+        out_c = data.draw(st.integers(1, 6), label="out_c") if kind == OpKind.CONV2D else c
+        weights = rng.normal(size=(out_c if kind == OpKind.CONV2D else 1, kh, kw, c))
+        weights = weights.astype(np.float32)
+        bias = rng.normal(size=(out_c,)).astype(np.float32)
+        consts = [const("w", weights), const("b", bias, TensorKind.BIAS)]
+    g = single_op_graph(kind, attrs, (1, h, w, c), consts=consts)
+
+    got = prepare(g).run(x)["out"]
+    want = np.concatenate([reference_window_f32(g.nodes[0], x[i:i + 1], weights, bias)
+                           for i in range(batch)])
+    assert got.dtype == want.dtype == np.float32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+    qg = quantize_graph(g, calibrate(g, [x]))
+    trace = {}
+    prepare(qg).run(x, trace=trace)
+    np.testing.assert_array_equal(trace["out"], reference_window_int8(qg, trace["in"]))
+
+
+def test_single_channel_depthwise_independent_of_batch():
+    # On C = 1 the index-array gather's layout made einsum sum a batch of
+    # 16 in another order than one sample; C-ordered windows do not.
+    rng = np.random.default_rng(4)
+    g = single_op_graph(
+        OpKind.DEPTHWISE_CONV2D, conv_attrs(padding="SAME"), (1, 8, 8, 1),
+        consts=[const("w", rng.normal(size=(1, 3, 3, 1))),
+                const("b", rng.normal(size=(1,)), TensorKind.BIAS)],
+    )
+    x = rng.normal(size=(EVAL_CHUNK, 8, 8, 1)).astype(np.float32)
+    program = prepare(g)
+    single = np.concatenate([program.run(x[i:i + 1])["out"] for i in range(len(x))])
+    assert program.run(x)["out"].tobytes() == single.tobytes()
 
 
 def test_softmax_normalization():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphutil import conv_attrs, per_sample_records, record_tuples
+from graphutil import conv_attrs, naive_depthwise_acc, per_sample_records, record_tuples
 from tinydeploy.executor import (
     EVAL_CHUNK,
     AccumulatorOverflowError,
@@ -34,23 +34,25 @@ def unit_requant():
     return {"significand": sig, "shift": shift}
 
 
-def unit_scale_conv_graph(weights, bias, in_shape):
-    """Hand-quantized graph with S=1, Z=0 everywhere."""
+def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
+    """Hand-quantized graph with S=1 everywhere and Z=0 except at the input."""
     w = np.asarray(weights, dtype=np.int8)
     b = np.asarray(bias, dtype=np.int32)
-    out_c = w.shape[0]
+    axis = 0 if kind == OpKind.CONV2D else 3
+    out_c = w.shape[axis]
     per_ch = QuantParams(
         scale=np.ones(out_c), zero_point=np.zeros(out_c, dtype=np.int64),
-        granularity="per_channel", axis=0, symmetric=True,
+        granularity="per_channel", axis=axis, symmetric=True,
     )
     requant = {
         "significand": [unit_requant()["significand"]] * out_c,
         "shift": [unit_requant()["shift"]] * out_c,
     }
-    nodes = [OpNode("conv", OpKind.CONV2D, {**conv_attrs(kernel=w.shape[1]), "requant": requant},
-                    ["in", "w", "b"], ["out"])]
+    attrs = {**conv_attrs(kernel=w.shape[1]), "requant": requant}
+    nodes = [OpNode("conv", kind, attrs, ["in", "w", "b"], ["out"])]
     tensors = [
-        TensorSpec("in", in_shape, DType.INT8, TensorKind.INPUT, quant=unit_qp()),
+        TensorSpec("in", in_shape, DType.INT8, TensorKind.INPUT,
+                   quant=QuantParams(scale=1.0, zero_point=zp_in)),
         TensorSpec("w", w.shape, DType.INT8, TensorKind.WEIGHT, quant=per_ch, data=w),
         TensorSpec("b", b.shape, DType.INT32, TensorKind.BIAS,
                    quant=QuantParams(scale=np.ones(out_c), zero_point=np.zeros(out_c, dtype=np.int64),
@@ -128,6 +130,50 @@ def test_int8_gemm_exact_at_extreme_codes():
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, want)
     assert (want[0, 0], want[0, 1]) == (-255 * 128 * k, 255 * (127 * (k - 1) - 128))
+
+
+@pytest.mark.parametrize("kernel", [3, 257])
+def test_int8_depthwise_exact_at_extreme_codes(kernel):
+    # Centered codes of magnitude 255 against weights -128 and 127. A 3x3
+    # kernel accumulates in int32; 257x257 = 66049 taps exceed the int32
+    # bound (255 * 128 * 66049 > 2**31) and take the int64 path, where a
+    # channel's sum passes -2**31 before its bias brings it back.
+    rng = np.random.default_rng(kernel)
+    size = kernel + 2 if kernel == 3 else kernel
+    w = np.empty((1, kernel, kernel, 3), dtype=np.int8)
+    w[..., 0], w[..., 1] = -128, 127
+    w[..., 2] = rng.choice([-128, 127], size=(kernel, kernel))
+    codes = np.full((2, size, size, 3), 127, dtype=np.int8)
+    codes[1, ..., 2] = rng.choice([-128, 127], size=(size, size))
+    zp_in = -128  # code 127 centers to 255
+    want = naive_depthwise_acc(codes.astype(np.int64) - zp_in, w)
+    # Biases put every channel's first output at -100, 0 and 100.
+    bias = np.clip(-want[0, 0, 0] + [-100, 0, 100], -2**31, 2**31 - 1)
+    g = unit_scale_conv_graph(w, bias, (1, size, size, 3), OpKind.DEPTHWISE_CONV2D, zp_in)
+    trace = {}
+    run_int8(g, codes.astype(np.float32) - zp_in, trace=trace)
+    np.testing.assert_array_equal(trace["in"], codes)
+    expect = np.clip(want + bias.astype(np.int64), -128, 127)
+    np.testing.assert_array_equal(trace["out"], expect)
+    if kernel == 3:
+        np.testing.assert_array_equal(trace["out"][0, 0, 0], [-100, 0, 100])
+    else:
+        assert want[0, 0, 0, 0] < -2**31
+
+
+def test_depthwise_accumulator_overflow_reported():
+    # The int32 products sum to 255 * 127 * 9 without overflow; the bias
+    # then takes the accumulator past 2**31 - 1, which must be reported.
+    w = np.full((1, 3, 3, 2), 127, dtype=np.int8)
+    x = np.full((1, 3, 3, 2), 255.0, dtype=np.float32)
+    for excess in (0, 1):
+        bias = [0, 2**31 - 1 - 255 * 127 * 9 + excess]
+        g = unit_scale_conv_graph(w, bias, (1, 3, 3, 2), OpKind.DEPTHWISE_CONV2D, zp_in=-128)
+        if excess:
+            with pytest.raises(AccumulatorOverflowError, match="conv"):
+                run_int8(g, x)
+        else:
+            assert run_int8(g, x)["out"].reshape(-1).tolist() == [127.0, 127.0]
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from graphutil import brute_force_arena_peak, brute_force_makespan
 from tinydeploy.executor import run_int8
-from tinydeploy.graph import OpKind
+from tinydeploy import mapping
+from tinydeploy.graph import OpKind, infer_shapes
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import (
     Lifetime,
@@ -285,6 +286,20 @@ def test_memory_plan_safety_bundled(small_convnet_quantized, dwsep_net_quantized
         verify_memory_plan(plan.memory_plan, lifetimes)  # raises on overlap
         total = sum(lt.size for lt in lifetimes)
         assert plan.memory_plan.arena_peak_bytes < total
+
+
+def test_deployment_plan_infers_shapes_three_times(monkeypatch, small_convnet_quantized):
+    # Once each in build_deployment_plan, partition_and_fuse and
+    # tensor_lifetimes, whose result both places and verifies the arena.
+    calls = []
+
+    def counting_infer_shapes(graph):
+        calls.append(graph.name)
+        return infer_shapes(graph)
+
+    monkeypatch.setattr(mapping, "infer_shapes", counting_infer_shapes)
+    build_deployment_plan(small_convnet_quantized, HardwareProfile())
+    assert len(calls) == 3
 
 
 def test_fused_intermediates_not_materialized(small_convnet_quantized):

@@ -108,6 +108,7 @@ WRONG_TYPES = [
     (("tensors", "w", "shape"), 36, "key 'shape' must be list, got int"),
     (("tensors", "w", "shape"), ["4"], "must hold integers"),
     (("tensors", "w", "blob", "length"), "4", "key 'length' must be int, got str"),
+    (("tensors", "w", "blob", "offset"), False, "key 'offset' must be int, got bool"),
     (("tensors", "w", "quant"), [1], "bad quantization params"),
 ]
 

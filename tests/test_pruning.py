@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 from graphutil import act, const, conv_attrs, make_graph, two_conv_chain
 from tinydeploy import pruning
+from tinydeploy.cli import main
 from tinydeploy.executor import calibrate, run_f32
 from tinydeploy.graph import (
     DType,
@@ -333,6 +337,52 @@ def test_checkpoint_externally_scaled_weights_take_effect():
     run_f32(g, x, trace=trace_a)
     run_f32(imported, x, trace=trace_b)
     np.testing.assert_allclose(trace_b["t1"], 2.0 * trace_a["t1"] - g.tensors["b1"].data, atol=1e-4)
+
+
+MALFORMED_CHECKPOINTS = [
+    ("no_tensors", lambda m: m.pop("tensors"), "missing key 'tensors'"),
+    ("tensors_list", lambda m: m.update(tensors=[]), "key 'tensors' must be dict, got list"),
+    ("entry_list", lambda m: m["tensors"].update(w1=[0, 432]),
+     "checkpoint tensor w1: expected an object, got list"),
+    ("offset_str", lambda m: m["tensors"]["w1"].update(offset="0"),
+     "key 'offset' must be int, got str"),
+    ("length_float", lambda m: m["tensors"]["w1"].update(length=432.0),
+     "key 'length' must be int, got float"),
+    ("offset_bool", lambda m: m["tensors"]["w1"].update(offset=False),
+     "key 'offset' must be int, got bool"),
+    ("no_dtype", lambda m: m["tensors"]["w1"].pop("dtype"), "missing key 'dtype'"),
+    ("offset_negative", lambda m: m["tensors"]["w1"].update(offset=-4),
+     "negative checkpoint offset -4"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [c[1:] for c in MALFORMED_CHECKPOINTS],
+                         ids=[c[0] for c in MALFORMED_CHECKPOINTS])
+def test_malformed_checkpoint_manifest_rejected(tmp_path, edit, message):
+    g = two_conv_chain()
+    manifest_path, _ = export_checkpoint(g).save(tmp_path / "c")
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        import_checkpoint(g, Checkpoint.load(manifest_path))
+
+
+def test_cli_prune_stage_reports_malformed_checkpoint(tmp_path, capsys):
+    g = two_conv_chain()
+    save_model(g, tmp_path / "m")
+    manifest_path, _ = export_checkpoint(g).save(tmp_path / "c")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"]["w1"] = [0, 432]
+    manifest_path.write_text(json.dumps(manifest))
+    argv = ["prune-stage", "--model", str(tmp_path / "m.json"),
+            "--plan", str(tmp_path / "plan.json"), "--schedule", "0.25",
+            "--out-masked", str(tmp_path / "masked"), "--checkpoint-in", str(manifest_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "checkpoint tensor w1: expected an object" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "masked.json").exists()
 
 
 def test_checkpoint_unknown_tensor_rejected():
