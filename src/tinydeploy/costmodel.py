@@ -16,13 +16,21 @@ hardware profile and are illustrative, not measured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graph import GraphIR, OpKind, OpNode
+from .graph import WEIGHTED_OPS, GraphIR, OpKind, OpNode
 from .hardware import HardwareProfile
 from .quantization import quantization_table_bytes
 
-MAC_OPS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
+
+def group_id(group: Sequence[str]) -> str:
+    """A fused group's id in plans and timelines: its node ids joined by "+"."""
+    return "+".join(group)
+
+
+def group_index(fused_groups: Iterable[Sequence[str]]) -> dict[str, str]:
+    """Node id -> id of the fused group that holds it."""
+    return {nid: group_id(group) for group in fused_groups for nid in group}
 
 
 @dataclass
@@ -80,7 +88,7 @@ class CostEstimate:
 
 def node_macs(graph: GraphIR, node: OpNode) -> int:
     """Multiply-accumulate count; 0 for ops costed by the byte proxy."""
-    if node.kind not in MAC_OPS:
+    if node.kind not in WEIGHTED_OPS:
         return 0
     out = graph.tensors[node.outputs[0]].shape
     w = graph.tensors[node.inputs[1]].shape
@@ -97,7 +105,7 @@ def node_macs(graph: GraphIR, node: OpNode) -> int:
 
 def node_proxy_ops(graph: GraphIR, node: OpNode) -> int:
     """Byte-count proxy for non-MAC ops: bytes read plus bytes written."""
-    if node.kind in MAC_OPS:
+    if node.kind in WEIGHTED_OPS:
         return 0
     total = 0
     for tid in node.inputs:
@@ -128,7 +136,7 @@ def estimate_group(
     latency_us = ops / profile.throughput_ops_per_us(target) + profile.per_op_overhead_us
     energy_uj = latency_us * profile.active_power_w(target)
     return GroupCost(
-        group_id="+".join(group),
+        group_id=group_id(group),
         target=target,
         macs=macs,
         latency_us=latency_us,
@@ -146,11 +154,11 @@ def flash_bytes(graph: GraphIR, profile: HardwareProfile) -> int:
 
 def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostEstimate:
     """Full-plan estimate; latency is the schedule makespan, not the op sum."""
-    breakdown = []
     target_of = {entry.group_id: entry.target for entry in plan.timeline}
-    for group in plan.fused_groups:
-        gid = "+".join(group)
-        breakdown.append(estimate_group(group, target_of[gid], profile, graph))
+    breakdown = [
+        estimate_group(group, target_of[group_id(group)], profile, graph)
+        for group in plan.fused_groups
+    ]
 
     makespan_us = max((entry.end_us for entry in plan.timeline), default=0.0)
     active_uj = sum(g.energy_uj for g in breakdown)

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .executor import InferenceRecord
+from .model_io import NUMBER, _field
 
 
 class DownlinkError(ValueError):
@@ -45,11 +46,19 @@ class LinkBudget:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinkBudget":
+        """A link budget from its JSON object.
+
+        Raises DownlinkError naming a missing or wrong-typed field.
+        """
+
+        def field(key: str, kind):
+            return _field(obj, key, "link budget", kind, DownlinkError)
+
         return cls(
-            name=obj["name"],
-            data_rate_bps=obj["data_rate_bps"],
-            passes_per_day=obj["passes_per_day"],
-            pass_duration_s=obj["pass_duration_s"],
+            name=field("name", str),
+            data_rate_bps=field("data_rate_bps", NUMBER),
+            passes_per_day=field("passes_per_day", NUMBER),
+            pass_duration_s=field("pass_duration_s", NUMBER),
         )
 
     @classmethod

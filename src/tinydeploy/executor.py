@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .graph import (
+    WEIGHTED_OPS,
     DType,
     GraphIR,
     OpKind,
@@ -183,7 +184,7 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
     # Reductions go through einsum(optimize=False): numpy's own fixed-order
     # loops, so results cannot vary with BLAS backend, thread count or the
     # batch a sample runs in.
-    if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED):
+    if kind in WEIGHTED_OPS:
         w = graph.tensors[node.inputs[1]].data
         bias = _bias(graph, node, np.float32)
 
@@ -352,7 +353,7 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
 def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
     kind = node.kind
     src = node.inputs[0]
-    if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED):
+    if kind in WEIGHTED_OPS:
         return _int8_weighted_kernel(graph, node, fused_relu=False)
 
     if kind == OpKind.RELU:
@@ -496,9 +497,6 @@ class Program:
         return outputs
 
 
-_FUSIBLE_PRODUCERS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
-
-
 def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None) -> Program:
     """Validate, infer shapes, check dtypes and bind every kernel once.
 
@@ -549,7 +547,7 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     for grp in groups:
         if (
             len(grp) == 2
-            and nodes[grp[0]].kind in _FUSIBLE_PRODUCERS
+            and nodes[grp[0]].kind in WEIGHTED_OPS
             and nodes[grp[1]].kind == OpKind.RELU
         ):
             producer, relu = nodes[grp[0]], nodes[grp[1]]

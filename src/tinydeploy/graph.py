@@ -57,7 +57,8 @@ class OpKind(str, enum.Enum):
     SOFTMAX = "Softmax"
 
 
-# Ops that carry constant weights and define output structures (filters/neurons).
+# Ops that carry constant weights and define output structures (filters/neurons):
+# the ops with a MAC count, and the producers a following ReLU fuses into.
 WEIGHTED_OPS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
 
 # Ops whose output preserves per-channel identity of their input (used by

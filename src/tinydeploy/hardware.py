@@ -9,10 +9,11 @@ the bundled desk models land in a realistic latency/energy regime.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .graph import OpKind
+from .model_io import NUMBER, _field
 
 DEFAULT_NPU_OPS = ("Conv2D", "DepthwiseConv2D", "ReLU", "Add")
 
@@ -79,6 +80,19 @@ class HardwareProfile:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareProfile":
+        """A profile from its JSON object; absent fields keep their defaults.
+
+        Raises ValueError naming an unknown or wrong-typed field.
+        """
+        where = "hardware profile"
+        if not isinstance(obj, dict):
+            raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key in obj:
+            if key not in defaults:
+                raise ValueError(f"{where}: unknown key {key!r}")
+            kind = {tuple: list, str: str}.get(type(defaults[key]), NUMBER)
+            _field(obj, key, where, kind, ValueError)
         return cls(**obj)
 
     @classmethod

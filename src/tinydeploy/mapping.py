@@ -8,6 +8,9 @@ memory in a single arena with lifetime-based buffer reuse (greedy
 best-fit, tensors placed in descending size). Weights live in flash and
 never enter the arena; tensors internal to a fused group are never
 materialized.
+
+A fused group is the list of its node ids; `costmodel.group_id` names it
+in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
@@ -15,11 +18,17 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .costmodel import CostEstimate, estimate_deployment, estimate_group, flash_bytes
-from .graph import GraphIR, OpKind, infer_shapes
+from .costmodel import (
+    CostEstimate,
+    estimate_deployment,
+    estimate_group,
+    flash_bytes,
+    group_id,
+    group_index,
+)
+from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes
 from .hardware import HardwareProfile
-
-FUSIBLE_PRODUCERS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
+from .model_io import NUMBER, _field
 
 
 class MappingError(ValueError):
@@ -106,10 +115,10 @@ def partition_and_fuse(
         n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in g.nodes
     }
 
-    fused_with: dict[str, str] = {}  # relu id -> producer id
+    fused_with: dict[str, str] = {}  # producer id -> relu id
     for nid in order:
         node = nodes[nid]
-        if node.kind not in FUSIBLE_PRODUCERS:
+        if node.kind not in WEIGHTED_OPS:
             continue
         out = node.outputs[0]
         outs = consumers.get(out, [])
@@ -120,17 +129,14 @@ def partition_and_fuse(
         relu = outs[0]
         if assignment[node.id] != assignment[relu.id]:
             continue
-        fused_with[relu.id] = node.id
+        fused_with[node.id] = relu.id
 
-    groups: list[list[str]] = []
-    for nid in order:
-        if nid in fused_with:
-            continue
-        group = [nid]
-        for relu_id, prod_id in fused_with.items():
-            if prod_id == nid:
-                group.append(relu_id)
-        groups.append(group)
+    fused_relus = set(fused_with.values())
+    groups = [
+        [nid, fused_with[nid]] if nid in fused_with else [nid]
+        for nid in order
+        if nid not in fused_relus
+    ]
     return assignment, groups
 
 
@@ -138,54 +144,36 @@ def group_dependencies(
     graph: GraphIR, fused_groups: list[list[str]]
 ) -> dict[str, set[str]]:
     """Group id -> set of group ids it must wait for."""
-    node_group = {}
-    for group in fused_groups:
-        gid = "+".join(group)
-        for nid in group:
-            node_group[nid] = gid
+    node_group = group_index(fused_groups)
     producers = graph.producer_map()
-    deps: dict[str, set[str]] = {"+".join(g): set() for g in fused_groups}
-    for group in fused_groups:
-        gid = "+".join(group)
-        for nid in group:
-            for tid in graph.node(nid).inputs:
-                prod = producers.get(tid)
-                if prod is not None and node_group[prod.id] != gid:
-                    deps[gid].add(node_group[prod.id])
+    deps: dict[str, set[str]] = {group_id(g): set() for g in fused_groups}
+    for node in graph.nodes:
+        gid = node_group[node.id]
+        for tid in node.inputs:
+            prod = producers.get(tid)
+            if prod is not None and node_group[prod.id] != gid:
+                deps[gid].add(node_group[prod.id])
     return deps
 
 
 def _upward_ranks(
-    gids: list[str], dependencies: dict[str, set[str]], latencies: dict[str, float]
+    topo_order: list[str], dependents: dict[str, list[str]], latencies: dict[str, float]
 ) -> dict[str, float]:
     """Longest latency path from each group to any sink, own latency included."""
-    successors: dict[str, list[str]] = {g: [] for g in gids}
-    for gid, deps in dependencies.items():
-        for dep in deps:
-            successors[dep].append(gid)
     ranks: dict[str, float] = {}
-
-    def rank(gid: str) -> float:
-        if gid not in ranks:
-            ranks[gid] = latencies[gid] + max(
-                (rank(s) for s in successors[gid]), default=0.0
-            )
-        return ranks[gid]
-
-    for gid in gids:
-        rank(gid)
+    for gid in reversed(topo_order):
+        ranks[gid] = latencies[gid] + max((ranks[d] for d in dependents[gid]), default=0.0)
     return ranks
 
 
 def _priority_topo_order(
-    gids: list[str], dependencies: dict[str, set[str]], key
+    gids: list[str],
+    dependencies: dict[str, set[str]],
+    dependents: dict[str, list[str]],
+    key,
 ) -> list[str]:
     """Kahn's algorithm picking the ready group with the smallest key."""
     indeg = {g: len(dependencies[g]) for g in gids}
-    dependents: dict[str, list[str]] = {g: [] for g in gids}
-    for g, deps in dependencies.items():
-        for dep in deps:
-            dependents[dep].append(g)
     ready = [g for g in gids if indeg[g] == 0]
     order = []
     while ready:
@@ -237,53 +225,21 @@ def _run_list_schedule(
 EXACT_SCHEDULE_LIMIT = 6
 
 
-def _exact_best_order(
-    gids: list[str],
-    dependencies: dict[str, set[str]],
-    targets: dict[str, str],
-    latencies: dict[str, float],
-    transfer_us: float,
-    position: dict[str, int],
-) -> list[str]:
-    """Branch-and-bound over priority orders; feasible for a handful of groups."""
-    best_order: list[str] | None = None
-    best_makespan = float("inf")
+def _topological_orders(
+    gids: list[str], dependencies: dict[str, set[str]], order: tuple[str, ...] = ()
+):
+    """Every topological order of `gids` that extends `order`.
 
-    def dfs(order: list[str], done: dict[str, float],
-            busy: dict[str, list[tuple[float, float]]], makespan: float) -> None:
-        nonlocal best_order, best_makespan
-        if makespan >= best_makespan:
-            return  # appending groups never shrinks the makespan
-        if len(order) == len(gids):
-            best_order, best_makespan = list(order), makespan
-            return
-        ready = [
-            g for g in gids
-            if g not in done and dependencies[g] <= set(done)
-        ]
-        for gid in sorted(ready, key=lambda g: position[g]):
-            data_ready = 0.0
-            for dep in dependencies[gid]:
-                edge = done[dep]
-                if targets[dep] != targets[gid]:
-                    edge += transfer_us
-                data_ready = max(data_ready, edge)
-            spans = busy[targets[gid]]
-            start = data_ready
-            for s, e in spans:
-                if start + latencies[gid] <= s:
-                    break
-                start = max(start, e)
-            end = start + latencies[gid]
-            done[gid] = end
-            spans.append((start, end))
-            spans.sort()
-            dfs(order + [gid], done, busy, max(makespan, end))
-            spans.remove((start, end))
-            del done[gid]
-
-    dfs([], {}, {"CPU": [], "NPU": []}, 0.0)
-    return best_order
+    Depth-first, trying ready groups in list order; yields nothing when
+    the groups have a dependency cycle.
+    """
+    if len(order) == len(gids):
+        yield list(order)
+        return
+    placed = set(order)
+    for gid in gids:
+        if gid not in placed and dependencies[gid] <= placed:
+            yield from _topological_orders(gids, dependencies, order + (gid,))
 
 
 def schedule(
@@ -296,33 +252,38 @@ def schedule(
     """List scheduling over the two resources.
 
     Groups are placed in priority order into the earliest idle gap of
-    their target at or after their data-ready time. For up to
-    EXACT_SCHEDULE_LIMIT groups the priority order is found by exact
-    branch-and-bound; beyond that a portfolio of priority lists
-    (critical-path upward rank, topological position,
-    longest-latency-first) competes and the best makespan wins. Ties
-    break deterministically, so plans are reproducible. Cross-target
-    edges pay the profile's transfer latency.
+    their target at or after their data-ready time. Candidate priority
+    orders compete and the first with the smallest makespan wins: for up
+    to EXACT_SCHEDULE_LIMIT groups every topological order, generated
+    depth-first with ready groups tried in `fused_groups` order; beyond
+    that a portfolio of priority lists (critical-path upward rank,
+    topological position, longest-latency-first). Ties break
+    deterministically, so plans are reproducible. Cross-target edges pay
+    the profile's transfer latency.
     """
-    gids = ["+".join(g) for g in fused_groups]
+    gids = [group_id(g) for g in fused_groups]
     position = {gid: i for i, gid in enumerate(gids)}
     for gid in gids:
         if not dependencies[gid] <= set(gids):
             raise AssertionError(f"group {gid} depends on unknown group")
 
     if len(gids) <= EXACT_SCHEDULE_LIMIT:
-        order = _exact_best_order(
-            gids, dependencies, targets, latencies, profile.transfer_latency_us, position
-        )
-        if order is None:
-            raise AssertionError("dependency cycle among groups")
-        candidates = [order]
+        candidates = _topological_orders(gids, dependencies)
     else:
-        ranks = _upward_ranks(gids, dependencies, latencies)
+        dependents: dict[str, list[str]] = {g: [] for g in gids}
+        for gid, deps in dependencies.items():
+            for dep in deps:
+                dependents[dep].append(gid)
+
+        def topo(key):
+            return _priority_topo_order(gids, dependencies, dependents, key)
+
+        by_position = topo(lambda g: position[g])  # raises on a dependency cycle
+        ranks = _upward_ranks(by_position, dependents, latencies)
         candidates = [
-            _priority_topo_order(gids, dependencies, lambda g: (-ranks[g], position[g])),
-            _priority_topo_order(gids, dependencies, lambda g: (position[g],)),
-            _priority_topo_order(gids, dependencies, lambda g: (-latencies[g], position[g])),
+            topo(lambda g: (-ranks[g], position[g])),
+            by_position,
+            topo(lambda g: (-latencies[g], position[g])),
         ]
     best: list[TimelineEntry] | None = None
     for order in candidates:
@@ -332,6 +293,8 @@ def schedule(
         makespan = max(e.end_us for e in timeline)
         if best is None or makespan < max(e.end_us for e in best):
             best = timeline
+    if best is None:
+        raise AssertionError("dependency cycle among groups")
     best.sort(key=lambda e: (e.start_us, position[e.group_id]))
     return best
 
@@ -359,11 +322,7 @@ def tensor_lifetimes(
     group are not materialized and get no lifetime.
     """
     g, _ = infer_shapes(graph)
-    node_group: dict[str, str] = {}
-    for group in fused_groups:
-        gid = "+".join(group)
-        for nid in group:
-            node_group[nid] = gid
+    node_group = group_index(fused_groups)
     interval = {e.group_id: (e.start_us, e.end_us) for e in timeline}
     makespan = max((e.end_us for e in timeline), default=0.0)
     producers = g.producer_map()
@@ -377,10 +336,9 @@ def tensor_lifetimes(
         cons = consumers.get(tid, [])
         if (
             prod is not None
-            and cons
-            and tid not in g.graph_outputs
-            and all(node_group[c.id] == node_group[prod.id] for c in cons)
             and len(cons) == 1
+            and tid not in g.graph_outputs
+            and node_group[cons[0].id] == node_group[prod.id]
         ):
             continue  # fused-internal, never materialized
         start = 0.0 if prod is None else interval[node_group[prod.id]][0]
@@ -418,15 +376,6 @@ def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
     return MemoryPlan(offsets=offsets, arena_peak_bytes=peak)
 
 
-def plan_memory(
-    graph: GraphIR,
-    timeline: list[TimelineEntry],
-    fused_groups: list[list[str]],
-) -> MemoryPlan:
-    """Arena plan for a scheduled graph (see place_lifetimes)."""
-    return place_lifetimes(tensor_lifetimes(graph, timeline, fused_groups))
-
-
 def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
     """Exhaustive pairwise check: live-together tensors never share bytes."""
     by_id = {lt.tensor_id: lt for lt in lifetimes}
@@ -448,11 +397,9 @@ def build_deployment_plan(
     """Partition, fuse, schedule, plan memory and estimate in one pass."""
     g, _ = infer_shapes(graph)
     assignment, fused_groups = partition_and_fuse(g, profile)
-    targets = {"+".join(grp): assignment[grp[0]] for grp in fused_groups}
-    latencies = {}
-    for grp in fused_groups:
-        gid = "+".join(grp)
-        latencies[gid] = estimate_group(grp, targets[gid], profile, g).latency_us
+    costs = [estimate_group(grp, assignment[grp[0]], profile, g) for grp in fused_groups]
+    targets = {c.group_id: c.target for c in costs}
+    latencies = {c.group_id: c.latency_us for c in costs}
     deps = group_dependencies(g, fused_groups)
     timeline = schedule(fused_groups, deps, targets, latencies, profile)
     lifetimes = tensor_lifetimes(g, timeline, fused_groups)
@@ -472,25 +419,73 @@ def build_deployment_plan(
 
 
 def load_plan(path: str | Path) -> DeploymentPlan:
+    """Read a plan written by `DeploymentPlan.save`, rejecting malformed ones.
+
+    Fields must be present with their JSON types, no node may sit in two
+    fused groups, and each group needs exactly one timeline entry under
+    its `group_id`, on CPU or NPU as `assignment` says. Violations raise
+    MappingError naming the field.
+    """
     obj = json.loads(Path(path).read_text())
+    where = f"plan {path}"
+
+    def field(o, key: str, kind, at: str = where):
+        return _field(o, key, at, kind, MappingError)
+
+    model, profile = field(obj, "model", str), field(obj, "profile", str)
+    assignment = field(obj, "assignment", dict)
+    fused_groups = field(obj, "fused_groups", list)
+    for i, grp in enumerate(fused_groups):
+        if not grp or not isinstance(grp, list) or not all(isinstance(n, str) for n in grp):
+            raise MappingError(f"{where}: fused_groups[{i}] must be a non-empty list of node ids")
+    timeline = []
+    for i, e in enumerate(field(obj, "timeline", list)):
+        at = f"{where} timeline[{i}]"
+        timeline.append(TimelineEntry(
+            field(e, "group", str, at), field(e, "target", str, at),
+            field(e, "start_us", NUMBER, at), field(e, "end_us", NUMBER, at),
+        ))
+    memory = field(obj, "memory_plan", dict)
+    offsets = {}
+    for tid, e in field(memory, "tensors", dict, f"{where} memory_plan").items():
+        at = f"{where} memory_plan tensor {tid}"
+        offsets[tid] = (field(e, "offset", int, at), field(e, "size", int, at))
+
+    seen: set[str] = set()
+    for nid in (nid for grp in fused_groups for nid in grp):
+        if nid in seen:
+            raise MappingError(f"{where}: node {nid} is in two fused groups")
+        seen.add(nid)
+    gids = {group_id(grp) for grp in fused_groups}
+    target_of: dict[str, str] = {}
+    for e in timeline:
+        if e.group_id not in gids or e.group_id in target_of:
+            raise MappingError(f"{where}: timeline names unknown or repeated group {e.group_id}")
+        if e.target not in ("CPU", "NPU"):
+            raise MappingError(f"{where}: group {e.group_id} target {e.target!r} is not CPU or NPU")
+        target_of[e.group_id] = e.target
+    for grp in fused_groups:
+        gid = group_id(grp)
+        if gid not in target_of:
+            raise MappingError(f"{where}: fused group {gid} has no timeline entry")
+        for nid in grp:
+            if assignment.get(nid) != target_of[gid]:
+                raise MappingError(
+                    f"{where}: node {nid} is assigned {assignment.get(nid)!r} "
+                    f"but its group {gid} runs on {target_of[gid]}"
+                )
+
     est = CostEstimate.from_json(obj["estimates"]) if obj.get("estimates") else None
     return DeploymentPlan(
-        model=obj["model"],
-        profile=obj["profile"],
-        assignment=obj["assignment"],
-        fused_groups=[list(g) for g in obj["fused_groups"]],
-        timeline=[
-            TimelineEntry(e["group"], e["target"], e["start_us"], e["end_us"])
-            for e in obj["timeline"]
-        ],
+        model=model,
+        profile=profile,
+        assignment=assignment,
+        fused_groups=fused_groups,
+        timeline=timeline,
         memory_plan=MemoryPlan(
-            offsets={
-                tid: (e["offset"], e["size"])
-                for tid, e in obj["memory_plan"]["tensors"].items()
-            },
-            arena_peak_bytes=obj["memory_plan"]["arena_peak_bytes"],
+            offsets=offsets, arena_peak_bytes=field(memory, "arena_peak_bytes", int)
         ),
-        flash_bytes=obj["flash_bytes"],
+        flash_bytes=field(obj, "flash_bytes", int),
         estimates=est,
     )
 

@@ -154,25 +154,29 @@ def write_pair(manifest_path: Path, manifest: dict, blob_path: Path, blob: bytes
             tmp.unlink(missing_ok=True)
 
 
+NUMBER = (int, float)
+
+
 def _field(
-    obj, key: str, where: str, kind: type | None = None,
+    obj, key: str, where: str, kind: type | tuple[type, ...] | None = None,
     error: type[ValueError] = ModelFormatError,
 ):
     """obj[key] from a manifest object, or an `error` naming both.
 
-    With `kind`, the value must also be of that JSON type; a JSON
-    true/false is not an int.
+    With `kind` (a type or a tuple such as NUMBER), the value must also
+    be of that JSON type; a JSON true/false is not a number.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise error(f"{where}: missing key {key!r}")
     value = obj[key]
-    wrong = kind is not None and not isinstance(value, kind)
-    if wrong or (kind is int and isinstance(value, bool)):
-        raise error(
-            f"{where}: key {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if kind is not None and (
+        not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
+    ):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise error(f"{where}: key {key!r} must be {names}, got {type(value).__name__}")
     return value
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,53 @@ def test_list_schedule_within_oracle_bound(data):
     optimal = brute_force_makespan(gids, deps, targets, latencies)
     assert makespan <= 1.2 * optimal + 1e-9
     assert makespan >= optimal - 1e-9
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_small_schedule_is_first_minimal_permutation(data):
+    # Up to EXACT_SCHEDULE_LIMIT groups, schedule() returns the list-schedule
+    # timeline of the first topological permutation with the least makespan.
+    n = data.draw(st.integers(min_value=1, max_value=mapping.EXACT_SCHEDULE_LIMIT))
+    gids = [f"g{i}" for i in range(n)]
+    hidden = data.draw(st.permutations(gids), label="hidden order")
+    deps = {
+        g: data.draw(st.sets(st.sampled_from(hidden[:i])) if i else st.just(set()), label=g)
+        for i, g in enumerate(hidden)
+    }
+    targets = {g: data.draw(st.sampled_from(["CPU", "NPU"]), label=f"target {g}") for g in gids}
+    latencies = {
+        g: data.draw(st.sampled_from([0.0, 1.0, 2.0, 3.5]), label=f"lat {g}") for g in gids
+    }
+    transfer = data.draw(st.sampled_from([0.0, 1.5]), label="transfer")
+    profile = HardwareProfile(transfer_latency_us=transfer)
+
+    timeline = schedule([[g] for g in gids], deps, targets, latencies, profile)
+
+    best = None
+    for order in itertools.permutations(gids):
+        pos = {g: i for i, g in enumerate(order)}
+        if any(pos[d] > pos[g] for g in gids for d in deps[g]):
+            continue
+        candidate = mapping._run_list_schedule(list(order), deps, targets, latencies, transfer)
+        if best is None or max(e.end_us for e in candidate) < max(e.end_us for e in best):
+            best = candidate
+    best.sort(key=lambda e: (e.start_us, gids.index(e.group_id)))
+    assert timeline == best
+
+
+@pytest.mark.parametrize("deps", [
+    {"a": {"c"}, "b": {"a"}, "c": {"b"}},
+    {"a": set(), "b": {"c"}, "c": {"b"}, "d": {"a"}},
+    {"a": {"a"}},
+    {**{f"g{i}": {f"g{i - 1}"} for i in range(1, 7)}, "g0": {"g6"}},
+], ids=["three_cycle", "two_cycle_beside_chain", "self_loop", "seven_cycle"])
+def test_schedule_cycle_raises(deps):
+    groups = [[g] for g in deps]
+    targets = {g: "CPU" for g in deps}
+    latencies = {g: 1.0 for g in deps}
+    with pytest.raises(AssertionError, match="dependency cycle among groups"):
+        schedule(groups, deps, targets, latencies, HardwareProfile())
 
 
 def test_cross_target_transfer_latency_term():

@@ -1,13 +1,16 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from tinydeploy.cli import main
 from tinydeploy.datasets import generate_dataset
-from tinydeploy.downlink import DownlinkScenario, LinkBudget, simulate
-from tinydeploy.executor import read_records_csv
+from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
+from tinydeploy.executor import InferenceRecord, read_records_csv, write_records_csv
 from tinydeploy.graph import validate
+from tinydeploy.hardware import HardwareProfile
+from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
 from tinydeploy.model_io import graphs_equal, load_model, save_model
 from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
 from tinydeploy.pruning import build_prune_plan, materialize
@@ -387,3 +390,86 @@ def test_cli_run_and_make_assets(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "report.json").exists()
+
+
+# --- malformed plan, profile and link files --------------------------------
+
+
+@pytest.fixture(scope="module")
+def mapped(tmp_path_factory, small_convnet_quantized):
+    root = tmp_path_factory.mktemp("mapped")
+    save_model(small_convnet_quantized, root / "model")
+    build_deployment_plan(small_convnet_quantized, HardwareProfile()).save(root / "plan.json")
+    write_records_csv([InferenceRecord("s0", 1, 0.5, 1)], root / "records.csv")
+    return root
+
+
+def assert_one_error_line(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+def _drop_timeline_entry(plan, gid):
+    plan["timeline"] = [e for e in plan["timeline"] if e["group"] != gid]
+
+
+def _retarget(plan, gid, target):
+    next(e for e in plan["timeline"] if e["group"] == gid)["target"] = target
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("timeline"), "missing key 'timeline'"),
+    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"),
+     "fused group conv1+conv1_relu has no timeline entry"),
+    (lambda p: p["fused_groups"].append(["conv1"]), "node conv1 is in two fused groups"),
+    (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list"),
+    (lambda p: _retarget(p, "conv1+conv1_relu", "GPU"),
+     "group conv1+conv1_relu target 'GPU' is not CPU or NPU"),
+    (lambda p: _retarget(p, "conv1+conv1_relu", "CPU"),
+     "node conv1 is assigned 'NPU' but its group conv1+conv1_relu runs on CPU"),
+], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
+        "gpu_target", "target_not_assigned"])
+def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
+    plan = json.loads((mapped / "plan.json").read_text())
+    edit(plan)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    with pytest.raises(MappingError, match=re.escape(message)):
+        load_plan(path)
+    rc = main(["estimate", "--model", str(mapped / "model.json"), "--plan", str(path),
+               "--out", str(tmp_path / "est.json")])
+    assert rc == 1
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "est.json").exists()
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"name": "p", "npu_throughput": 600.0}, "unknown key 'npu_throughput'"),
+    ({"name": "p", "cpu_freq_mhz": "800"}, "key 'cpu_freq_mhz' must be int or float, got str"),
+    ([{"name": "p"}], "expected an object, got list"),
+], ids=["unknown_key", "string_value", "top_level_list"])
+def test_malformed_profile_rejected(mapped, tmp_path, capsys, profile, message):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(profile))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        HardwareProfile.load(path)
+    rc = main(["map", "--model", str(mapped / "model.json"), "--profile", str(path),
+               "--out", str(tmp_path / "plan.json")])
+    assert rc == 1
+    assert_one_error_line(capsys, message)
+
+
+@pytest.mark.parametrize("link, message", [
+    ({"name": "l", "data_rate_bps": 9600, "passes_per_day": 4}, "missing key 'pass_duration_s'"),
+    ([9600, 4, 600], "expected an object, got list"),
+], ids=["missing_key", "top_level_list"])
+def test_malformed_link_budget_rejected(mapped, tmp_path, capsys, link, message):
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(link))
+    with pytest.raises(DownlinkError, match=re.escape(message)):
+        LinkBudget.load(path)
+    rc = main(["simulate-downlink", "--records", str(mapped / "records.csv"),
+               "--link", str(path), "--out", str(tmp_path / "downlink.json")])
+    assert rc == 1
+    assert_one_error_line(capsys, message)
