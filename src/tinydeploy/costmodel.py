@@ -50,10 +50,6 @@ class GroupCost:
             "energy_uj": self.energy_uj,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GroupCost":
-        return cls(obj["group"], obj["target"], obj["macs"], obj["latency_us"], obj["energy_uj"])
-
 
 @dataclass
 class CostEstimate:
@@ -73,17 +69,6 @@ class CostEstimate:
             "per_group_breakdown": [g.to_json() for g in self.per_group_breakdown],
             "budget_flags": dict(self.budget_flags),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CostEstimate":
-        return cls(
-            latency_ms=obj["latency_ms"],
-            energy_mj=obj["energy_mj"],
-            ram_peak_bytes=obj["ram_peak_bytes"],
-            flash_bytes=obj["flash_bytes"],
-            per_group_breakdown=[GroupCost.from_json(g) for g in obj["per_group_breakdown"]],
-            budget_flags=obj["budget_flags"],
-        )
 
 
 def node_macs(graph: GraphIR, node: OpNode) -> int:
@@ -159,14 +144,19 @@ def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostE
         estimate_group(group, target_of[group_id(group)], profile, graph)
         for group in plan.fused_groups
     ]
+    return _plan_estimate(plan, breakdown, flash_bytes(graph, profile), profile)
 
+
+def _plan_estimate(
+    plan, breakdown: list[GroupCost], flash: int, profile: HardwareProfile
+) -> CostEstimate:
+    """Totals and budget flags of a plan from its per-group costs and flash size."""
     makespan_us = max((entry.end_us for entry in plan.timeline), default=0.0)
     active_uj = sum(g.energy_uj for g in breakdown)
     energy_mj = (active_uj + profile.idle_power_w * makespan_us) / 1000.0
     latency_ms = makespan_us / 1000.0
 
     ram_peak = plan.memory_plan.arena_peak_bytes + profile.runtime_ram_overhead_bytes
-    flash = flash_bytes(graph, profile)
     deadline_ms = 1000.0 / profile.deadline_fps
     flags = {
         "ram_ok": ram_peak <= profile.ram_budget_bytes,

@@ -251,7 +251,7 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
 
 def _check_acc32(acc: np.ndarray, node_id: str) -> None:
-    if acc.size and np.abs(acc).max() > _INT32_MAX:
+    if acc.size and (acc.max() > _INT32_MAX or acc.min() < -_INT32_MAX):
         raise AccumulatorOverflowError(f"node {node_id}: 32-bit accumulator overflow")
 
 
@@ -338,15 +338,17 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
                 acc += view * w_tap
             return acc.astype(np.int64)
 
+    # A fused ReLU clamps at the output zero point, real value 0.
+    q_low = max(QMIN, zp_out) if fused_relu else QMIN
+
     def weighted(env: Env) -> np.ndarray:
-        acc = product(env[src])
+        acc = product(env[src])  # a fresh array, so updated in place
         if bias is not None:
-            acc = acc + bias
+            acc += bias
         _check_acc32(acc, node.id)
-        q = requantize_fixed_point(acc, sig, shift) + zp_out
-        if fused_relu:
-            q = np.maximum(q, zp_out)
-        return np.clip(q, QMIN, QMAX).astype(np.int8)
+        q = requantize_fixed_point(acc, sig, shift)
+        q += zp_out
+        return np.clip(q, q_low, QMAX, out=q).astype(np.int8)
     return weighted
 
 

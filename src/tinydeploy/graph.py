@@ -6,17 +6,20 @@ Activations are NHWC; graph shapes declare batch N=1, and a prepared
 FullyConnected weights are (out, in). Graphs are treated as immutable:
 every transformation returns a new graph.
 
-`infer_shapes` copies structure only: its graph has new `OpNode`s (own
-`inputs`, `outputs` and `attrs`) and new `TensorSpec`s, but shares the
-input's constant `data` arrays and `QuantParams` objects. Transformations
-therefore replace `TensorSpec.data` (and `quant`) instead of writing into
-them, except on a `GraphIR.copy()` (a deep copy) that they own, as
-`pruning.apply_masks` does.
+Graph copies share constants. `GraphIR.copy()`, and therefore
+`infer_shapes`, copies structure only: new `OpNode`s (own `inputs`,
+`outputs` and `attrs`) and new `TensorSpec`s, which share the input's
+constant `data` arrays and `QuantParams` objects. The rule that keeps
+this safe is copy-on-write: a transformation may set any field of a
+TensorSpec it copied, but replaces `data` (and `quant`) instead of
+writing into them. To change a few elements it writes into a fresh copy
+of just that array, as `pruning.apply_masks` does.
 """
 from __future__ import annotations
 
-import copy
 import enum
+import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +137,7 @@ class TensorSpec:
 
     @property
     def num_elements(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def size_bytes(self) -> int:
@@ -163,8 +166,26 @@ class GraphIR:
     graph_outputs: list[str]
 
     def copy(self) -> "GraphIR":
-        """Deep copy, constant arrays included: the copy may be written into."""
-        return copy.deepcopy(self)
+        """Structure-only copy: new nodes, attrs dicts and TensorSpecs.
+
+        Constant `data` arrays and `QuantParams` objects are shared with
+        this graph, so the copy follows the module's copy-on-write rule.
+        """
+        tensors = {}
+        for tid, t in self.tensors.items():
+            # A bare shell with a copied __dict__ skips __post_init__, so
+            # it keeps the very same data array, F-ordered or not.
+            shell = object.__new__(TensorSpec)
+            shell.__dict__.update(t.__dict__)
+            tensors[tid] = shell
+        return GraphIR(
+            self.name,
+            [OpNode(n.id, n.kind, dict(n.attrs), list(n.inputs), list(n.outputs))
+             for n in self.nodes],
+            tensors,
+            list(self.graph_inputs),
+            list(self.graph_outputs),
+        )
 
     def node(self, nid: str) -> OpNode:
         for n in self.nodes:
@@ -239,6 +260,11 @@ _WINDOW_OPS = (
 
 def validate(graph: GraphIR) -> ValidationReport:
     """Check structural invariants; violations are data, not exceptions."""
+    return ValidationReport(_checked_order(graph)[0])
+
+
+def _checked_order(graph: GraphIR) -> tuple[list[str], list[str] | None]:
+    """(violations, topological order); the order is None unless valid."""
     v: list[str] = []
 
     producers: dict[str, str] = {}
@@ -306,13 +332,12 @@ def validate(graph: GraphIR) -> ValidationReport:
                 v.append(f"node {n.id}: Concat requires integer axis attr")
 
     # Cycle check: Kahn's algorithm over the node dependency relation.
-    if not v:
-        try:
-            topological_order(graph)
-        except ValueError as exc:
-            v.append(str(exc))
-
-    return ValidationReport(v)
+    if v:
+        return v, None
+    try:
+        return v, topological_order(graph)
+    except ValueError as exc:
+        return [str(exc)], None
 
 
 def topological_order(graph: GraphIR) -> list[str]:
@@ -321,26 +346,26 @@ def topological_order(graph: GraphIR) -> list[str]:
     Deterministic: among ready nodes, original node order breaks ties.
     Raises ValueError when the graph has a cycle.
     """
-    producers = graph.producer_map()
-    indeg: dict[str, int] = {}
-    dependents: dict[str, list[str]] = {n.id: [] for n in graph.nodes}
-    for n in graph.nodes:
-        deps = {producers[t].id for t in n.inputs if t in producers}
-        indeg[n.id] = len(deps)
+    producer = {t: i for i, n in enumerate(graph.nodes) for t in n.outputs}
+    indeg: list[int] = []
+    dependents: list[list[int]] = [[] for _ in graph.nodes]
+    for i, n in enumerate(graph.nodes):
+        deps = {producer[t] for t in n.inputs if t in producer}
+        indeg.append(len(deps))
         for d in deps:
-            dependents[d].append(n.id)
+            dependents[d].append(i)
 
+    # A heap of node positions: popping the smallest ready position is the
+    # tie-break rule, without re-sorting the ready list at every step.
+    ready = [i for i, d in enumerate(indeg) if d == 0]
     order: list[str] = []
-    ready = [n.id for n in graph.nodes if indeg[n.id] == 0]
-    position = {n.id: i for i, n in enumerate(graph.nodes)}
     while ready:
-        ready.sort(key=lambda nid: position[nid])
-        nid = ready.pop(0)
-        order.append(nid)
-        for dep in dependents[nid]:
+        i = heapq.heappop(ready)
+        order.append(graph.nodes[i].id)
+        for dep in dependents[i]:
             indeg[dep] -= 1
             if indeg[dep] == 0:
-                ready.append(dep)
+                heapq.heappush(ready, dep)
     if len(order) != len(graph.nodes):
         raise ValueError("dependency cycle among nodes")
     return order
@@ -454,7 +479,7 @@ def _node_output_shape(graph: GraphIR, node: OpNode) -> tuple[int, ...]:
 
     if kind == OpKind.FLATTEN:
         data = ishape(0)
-        return (data[0], int(np.prod(data[1:])))
+        return (data[0], math.prod(data[1:]))
 
     raise ShapeError(f"node {node.id}: unsupported kind {kind}")
 
@@ -463,24 +488,14 @@ def infer_shapes(graph: GraphIR) -> tuple[GraphIR, list[str]]:
     """Fill every activation shape; returns (new graph, topological order).
 
     Requires validate(graph).ok and known graph input shapes. Idempotent.
-    The new graph has its own nodes and TensorSpecs but shares the input's
-    constant `data` arrays and `QuantParams` objects (see module docstring).
+    The new graph is a `GraphIR.copy()`: it shares the input's constant
+    `data` arrays and `QuantParams` objects (see module docstring).
     """
-    report = validate(graph)
-    if not report.ok:
-        raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(report.violations))
+    violations, order = _checked_order(graph)
+    if violations:
+        raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(violations))
 
-    # copy.copy, unlike TensorSpec(...), skips __post_init__: the shell keeps
-    # the very same data array, F-ordered or not.
-    g = GraphIR(
-        graph.name,
-        [OpNode(n.id, n.kind, dict(n.attrs), list(n.inputs), list(n.outputs))
-         for n in graph.nodes],
-        {tid: copy.copy(t) for tid, t in graph.tensors.items()},
-        list(graph.graph_inputs),
-        list(graph.graph_outputs),
-    )
-    order = topological_order(g)
+    g = graph.copy()
     nodes = {n.id: n for n in g.nodes}
     for nid in order:
         node = nodes[nid]

@@ -20,13 +20,14 @@ from pathlib import Path
 
 from .costmodel import (
     CostEstimate,
-    estimate_deployment,
+    GroupCost,
+    _plan_estimate,
     estimate_group,
     flash_bytes,
     group_id,
     group_index,
 )
-from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes
+from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes, topological_order
 from .hardware import HardwareProfile
 from .model_io import NUMBER, _field
 
@@ -102,19 +103,21 @@ def partition_and_fuse(
 ) -> tuple[dict[str, str], list[list[str]]]:
     """Assign each node to NPU iff its kind is supported, then fuse.
 
-    Fusion merges a weighted producer with an immediately following ReLU
-    when the intermediate tensor has exactly one consumer and both nodes
-    share a target.
+    Takes a shape-inferred graph (an `infer_shapes` result, or a graph
+    loaded from disk). Fusion merges a weighted producer with an
+    immediately following ReLU when the intermediate tensor has exactly
+    one consumer and both nodes share a target. Groups are listed in
+    topological order.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
-    g, order = infer_shapes(graph)
-    nodes = {n.id: n for n in g.nodes}
-    consumers = g.consumer_map()
+    nodes = {n.id: n for n in graph.nodes}
+    consumers = graph.consumer_map()
     assignment = {
-        n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in g.nodes
+        n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
     }
 
+    order = topological_order(graph)
     fused_with: dict[str, str] = {}  # producer id -> relu id
     for nid in order:
         node = nodes[nid]
@@ -124,7 +127,7 @@ def partition_and_fuse(
         outs = consumers.get(out, [])
         if len(outs) != 1 or outs[0].kind != OpKind.RELU:
             continue
-        if out in g.graph_outputs:
+        if out in graph.graph_outputs:
             continue
         relu = outs[0]
         if assignment[node.id] != assignment[relu.id]:
@@ -317,19 +320,19 @@ def tensor_lifetimes(
 ) -> list[Lifetime]:
     """Arena tensors with [first write, last read) intervals in schedule time.
 
+    Takes a shape-inferred graph: sizes come from its tensor shapes.
     Graph inputs are live from time zero; graph outputs stay live until
     the makespan. Tensors produced and consumed entirely inside one fused
     group are not materialized and get no lifetime.
     """
-    g, _ = infer_shapes(graph)
     node_group = group_index(fused_groups)
     interval = {e.group_id: (e.start_us, e.end_us) for e in timeline}
     makespan = max((e.end_us for e in timeline), default=0.0)
-    producers = g.producer_map()
-    consumers = g.consumer_map()
+    producers = graph.producer_map()
+    consumers = graph.consumer_map()
 
     lifetimes = []
-    for tid, t in g.tensors.items():
+    for tid, t in graph.tensors.items():
         if t.is_constant:
             continue
         prod = producers.get(tid)
@@ -337,15 +340,15 @@ def tensor_lifetimes(
         if (
             prod is not None
             and len(cons) == 1
-            and tid not in g.graph_outputs
+            and tid not in graph.graph_outputs
             and node_group[cons[0].id] == node_group[prod.id]
         ):
             continue  # fused-internal, never materialized
         start = 0.0 if prod is None else interval[node_group[prod.id]][0]
         end = max((interval[node_group[c.id]][1] for c in cons), default=start)
-        if tid in g.graph_outputs:
+        if tid in graph.graph_outputs:
             end = max(end, makespan)
-        if prod is not None and not cons and tid not in g.graph_outputs:
+        if prod is not None and not cons and tid not in graph.graph_outputs:
             end = max(end, interval[node_group[prod.id]][1])
         # Zero-duration schedules still need a live instant.
         end = max(end, start + 1e-9)
@@ -394,7 +397,11 @@ def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
 def build_deployment_plan(
     graph: GraphIR, profile: HardwareProfile
 ) -> DeploymentPlan:
-    """Partition, fuse, schedule, plan memory and estimate in one pass."""
+    """Partition, fuse, schedule, plan memory and estimate in one pass.
+
+    Shapes are inferred once; every step works on that one graph, and the
+    estimate reuses the per-group costs the schedule was built from.
+    """
     g, _ = infer_shapes(graph)
     assignment, fused_groups = partition_and_fuse(g, profile)
     costs = [estimate_group(grp, assignment[grp[0]], profile, g) for grp in fused_groups]
@@ -414,7 +421,7 @@ def build_deployment_plan(
         memory_plan=memory,
         flash_bytes=flash_bytes(g, profile),
     )
-    plan.estimates = estimate_deployment(plan, g, profile)
+    plan.estimates = _plan_estimate(plan, costs, plan.flash_bytes, profile)
     return plan
 
 
@@ -475,7 +482,25 @@ def load_plan(path: str | Path) -> DeploymentPlan:
                     f"but its group {gid} runs on {target_of[gid]}"
                 )
 
-    est = CostEstimate.from_json(obj["estimates"]) if obj.get("estimates") else None
+    est, raw = None, obj.get("estimates")
+    if raw is not None:
+        at = f"{where} estimates"
+        breakdown = []
+        for i, e in enumerate(field(raw, "per_group_breakdown", list, at)):
+            g_at = f"{at} per_group_breakdown[{i}]"
+            breakdown.append(GroupCost(
+                field(e, "group", str, g_at), field(e, "target", str, g_at),
+                field(e, "macs", int, g_at), field(e, "latency_us", NUMBER, g_at),
+                field(e, "energy_uj", NUMBER, g_at),
+            ))
+        est = CostEstimate(
+            latency_ms=field(raw, "latency_ms", NUMBER, at),
+            energy_mj=field(raw, "energy_mj", NUMBER, at),
+            ram_peak_bytes=field(raw, "ram_peak_bytes", int, at),
+            flash_bytes=field(raw, "flash_bytes", int, at),
+            per_group_breakdown=breakdown,
+            budget_flags=field(raw, "budget_flags", dict, at),
+        )
     return DeploymentPlan(
         model=model,
         profile=profile,

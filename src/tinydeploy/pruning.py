@@ -3,9 +3,9 @@
 Output structures (Conv2D filters, FullyConnected neurons) are ranked by
 the L2 norm of their weight slice; each stage removes the lowest-ranked
 floor(fraction * original_count) structures per layer, fractions relative
-to the original count. Masking zeroes the structures in place;
-materializing removes them physically and slices every consumer's input
-channels.
+to the original count. Masking zeroes the structures in fresh copies of
+the touched constants; materializing removes them physically and slices
+every consumer's input channels.
 
 Channel propagation rule: a removal travels from a layer's output through
 channel-preserving ops (ReLU, MaxPool2D, AvgPool2D) and DepthwiseConv2D
@@ -32,6 +32,7 @@ from .graph import (
     CHANNEL_PRESERVING_OPS,
     GraphIR,
     OpKind,
+    TensorSpec,
     infer_shapes,
     validate,
 )
@@ -194,16 +195,17 @@ def prunable_layers(graph: GraphIR) -> list[str]:
     return [lid for lid, actions in _propagation_table(graph).items() if actions is not None]
 
 
-def _layer_weight(graph: GraphIR, layer_id: str):
-    node = graph.node(layer_id)
-    return graph.tensors[node.inputs[1]]
+def _prunable_weights(graph: GraphIR) -> dict[str, TensorSpec]:
+    """Prunable layer id -> its weight tensor."""
+    nodes = {n.id: n for n in graph.nodes}
+    return {lid: graph.tensors[nodes[lid].inputs[1]] for lid in prunable_layers(graph)}
 
 
 def rank_filters(graph: GraphIR) -> dict[str, list[FilterScore]]:
     """Per-layer L2 norms of every output structure, prunable layers only."""
     scores: dict[str, list[FilterScore]] = {}
-    for layer_id in prunable_layers(graph):
-        w = _layer_weight(graph, layer_id).data
+    for layer_id, weight in _prunable_weights(graph).items():
+        w = weight.data
         if w.dtype != np.float32:
             raise PruneError(f"layer {layer_id}: pruning requires Float32 weights")
         flat = np.asarray(w, dtype=np.float64).reshape(w.shape[0], -1)
@@ -248,10 +250,7 @@ def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:
 
 def new_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     schedule = _validate_schedule(schedule)
-    counts = {
-        layer_id: int(_layer_weight(graph, layer_id).shape[0])
-        for layer_id in prunable_layers(graph)
-    }
+    counts = {lid: int(w.shape[0]) for lid, w in _prunable_weights(graph).items()}
     return PrunePlan(schedule=schedule, original_counts=counts)
 
 
@@ -269,12 +268,23 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     Besides the pruned layer's weight rows and bias entries, per-channel
     kernels and biases of depthwise consumers on the propagation path are
     zeroed too, so the masked graph computes exactly what the
-    materialized one does.
+    materialized one does. Copy-on-write: each touched constant is zeroed
+    in a fresh copy, and every other constant stays shared with `graph`.
     """
     g = graph.copy()
+    nodes = {n.id: n for n in g.nodes}
     table = _propagation_table(graph)
+    copied: set[str] = set()
+
+    def own(tid: str) -> np.ndarray:
+        t = g.tensors[tid]
+        if tid not in copied:
+            t.data = t.data.copy(order="K")
+            copied.add(tid)
+        return t.data
+
     for layer_id, count in plan.original_counts.items():
-        node = g.node(layer_id)
+        node = nodes[layer_id]
         w = g.tensors[node.inputs[1]]
         if w.shape[0] != count:
             raise PruneError(
@@ -286,15 +296,15 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
         actions = table.get(layer_id)
         if actions is None:
             raise PruneError(f"layer {layer_id} is not prunable in this graph")
-        w.data[removed] = 0
+        own(node.inputs[1])[removed] = 0
         if len(node.inputs) == 3:
-            g.tensors[node.inputs[2]].data[removed] = 0
+            own(node.inputs[2])[removed] = 0
         for action, consumer_id, _ in actions:
             if action == "dw":
-                dw = g.node(consumer_id)
-                g.tensors[dw.inputs[1]].data[:, :, :, removed] = 0
+                dw = nodes[consumer_id]
+                own(dw.inputs[1])[:, :, :, removed] = 0
                 if len(dw.inputs) == 3:
-                    g.tensors[dw.inputs[2]].data[removed] = 0
+                    own(dw.inputs[2])[removed] = 0
     return g
 
 
@@ -305,9 +315,10 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     changes neither graph structure nor Flatten spatial sizes.
     """
     g = graph.copy()
+    nodes = {n.id: n for n in g.nodes}
     table = _propagation_table(graph)
     for layer_id, count in plan.original_counts.items():
-        node = g.node(layer_id)
+        node = nodes[layer_id]
         w = g.tensors[node.inputs[1]]
         if w.shape[0] != count:
             raise PruneError(
@@ -328,7 +339,7 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
             b.shape = b.data.shape
 
         for action, consumer_id, positions in actions:
-            consumer = g.node(consumer_id)
+            consumer = nodes[consumer_id]
             cw = g.tensors[consumer.inputs[1]]
             if action == "dw":
                 cw.data = np.delete(cw.data, removed, axis=3)

@@ -167,14 +167,22 @@ def fixed_point_multiplier(m: float) -> tuple[int, int]:
 def requantize_fixed_point(
     acc: np.ndarray, significand: int | np.ndarray, shift: int | np.ndarray
 ) -> np.ndarray:
-    """round_half_away(acc * sig / 2**shift) in pure int64 arithmetic."""
+    """round_half_away(acc * sig / 2**shift) in pure int64 arithmetic.
+
+    floor((p + h - [p < 0]) / 2**s) with h = 2**(s-1) rounds p / 2**s half
+    away from zero for either sign, and the arithmetic right shift is that
+    floor. With |acc| <= 2**31, sig < 2**31 and shift <= 62, p + h < 2**63.
+    `significand` and `shift` share one shape (one requant table).
+    """
     acc = np.asarray(acc, dtype=np.int64)
     sig = np.asarray(significand, dtype=np.int64)
     sh = np.asarray(shift, dtype=np.int64)
     prod = acc * sig
-    half = np.left_shift(np.int64(1), sh - 1)
-    mag = np.right_shift(np.abs(prod) + half, sh)
-    return np.sign(prod) * mag
+    neg = prod < 0
+    prod += np.left_shift(np.int64(1), sh - 1)
+    prod -= neg
+    prod >>= sh
+    return prod
 
 
 def _requant_attr(multiplier: np.ndarray | float) -> dict:

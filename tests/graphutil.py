@@ -223,6 +223,36 @@ def naive_depthwise_acc(centered, w):
 # brute-force oracles
 
 
+def reference_topological_order(graph):
+    """Reference for `graph.topological_order`'s heap: Kahn's algorithm that
+    re-sorts the ready list by node position at every step, so the smallest
+    original position among ready nodes goes first.
+    """
+    producers = graph.producer_map()
+    indeg = {}
+    dependents = {n.id: [] for n in graph.nodes}
+    for n in graph.nodes:
+        deps = {producers[t].id for t in n.inputs if t in producers}
+        indeg[n.id] = len(deps)
+        for d in deps:
+            dependents[d].append(n.id)
+
+    order = []
+    ready = [n.id for n in graph.nodes if indeg[n.id] == 0]
+    position = {n.id: i for i, n in enumerate(graph.nodes)}
+    while ready:
+        ready.sort(key=lambda nid: position[nid])
+        nid = ready.pop(0)
+        order.append(nid)
+        for dep in dependents[nid]:
+            indeg[dep] -= 1
+            if indeg[dep] == 0:
+                ready.append(dep)
+    if len(order) != len(graph.nodes):
+        raise ValueError("dependency cycle among nodes")
+    return order
+
+
 def brute_force_makespan(group_ids, deps, targets, latencies):
     """Minimal makespan of any topological order under earliest-start rules.
 

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphutil import act, const, conv_attrs, conv_relu_softmax, make_graph
+from graphutil import (
+    act,
+    const,
+    conv_attrs,
+    conv_relu_softmax,
+    make_graph,
+    reference_topological_order,
+)
 from tinydeploy.graph import (
     DType,
     GraphIR,
@@ -151,6 +160,53 @@ def test_topological_order_respects_producers():
         for tid in node.inputs:
             if tid in producers:
                 assert pos[producers[tid].id] < pos[node.id]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_topological_order_matches_reference(data):
+    # Random DAGs: node i reads the graph input or outputs of nodes earlier
+    # in a hidden order, listed in shuffled order. Optional extra edges
+    # may close cycles; a self-read always does.
+    n = data.draw(st.integers(min_value=1, max_value=9), label="nodes")
+    hidden = data.draw(st.permutations(range(n)), label="hidden order")
+    inputs = {}
+    for rank, i in enumerate(hidden):
+        sources = ["x"] + [f"t{j}" for j in hidden[:rank]]
+        inputs[i] = data.draw(st.lists(st.sampled_from(sources), min_size=1, max_size=3))
+    for i in data.draw(st.lists(st.sampled_from(range(n)), max_size=2), label="back edges"):
+        inputs[i].append(f"t{data.draw(st.sampled_from(range(n)))}")
+    self_loop = data.draw(st.booleans(), label="self loop")
+    if self_loop:
+        inputs[0].append("t0")
+    nodes = [OpNode(f"n{i}", OpKind.CONCAT, {"axis": 1}, inputs[i], [f"t{i}"]) for i in range(n)]
+    tensors = {t.id: t for t in [act("x")] + [act(f"t{i}") for i in range(n)]}
+    g = GraphIR("dag", nodes, tensors, ["x"], [f"t{n - 1}"])
+
+    try:
+        want = reference_topological_order(g)
+    except ValueError as exc:
+        assert "cycle" in str(exc)
+        with pytest.raises(ValueError, match="dependency cycle among nodes"):
+            topological_order(g)
+        return
+    assert not self_loop
+    assert topological_order(g) == want
+
+
+def test_graph_copy_shares_constants_and_quant_params(small_convnet_quantized):
+    g = small_convnet_quantized
+    out = g.copy()
+    assert any(t.quant is not None and t.quant.granularity == "per_channel"
+               for t in g.tensors.values())
+    for tid, t in g.tensors.items():
+        o = out.tensors[tid]
+        assert o is not t
+        assert (o.id, o.shape, o.dtype, o.kind) == (t.id, t.shape, t.dtype, t.kind)
+        assert o.data is t.data
+        assert o.quant is t.quant
+    for a, b in zip(g.nodes, out.nodes):
+        assert a is not b and a.attrs is not b.attrs and a.attrs == b.attrs
 
 
 def test_cycle_detected():

@@ -337,9 +337,9 @@ def test_memory_plan_safety_bundled(small_convnet_quantized, dwsep_net_quantized
         assert plan.memory_plan.arena_peak_bytes < total
 
 
-def test_deployment_plan_infers_shapes_three_times(monkeypatch, small_convnet_quantized):
-    # Once each in build_deployment_plan, partition_and_fuse and
-    # tensor_lifetimes, whose result both places and verifies the arena.
+def test_deployment_plan_infers_shapes_once(monkeypatch, small_convnet_quantized):
+    # build_deployment_plan hands its one shape-inferred graph to
+    # partition_and_fuse and tensor_lifetimes, which infer nothing again.
     calls = []
 
     def counting_infer_shapes(graph):
@@ -348,7 +348,7 @@ def test_deployment_plan_infers_shapes_three_times(monkeypatch, small_convnet_qu
 
     monkeypatch.setattr(mapping, "infer_shapes", counting_infer_shapes)
     build_deployment_plan(small_convnet_quantized, HardwareProfile())
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 def test_fused_intermediates_not_materialized(small_convnet_quantized):

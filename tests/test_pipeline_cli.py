@@ -428,8 +428,13 @@ def _retarget(plan, gid, target):
      "group conv1+conv1_relu target 'GPU' is not CPU or NPU"),
     (lambda p: _retarget(p, "conv1+conv1_relu", "CPU"),
      "node conv1 is assigned 'NPU' but its group conv1+conv1_relu runs on CPU"),
+    (lambda p: p["estimates"].pop("energy_mj"), "estimates: missing key 'energy_mj'"),
+    (lambda p: p["estimates"]["per_group_breakdown"][0].update(macs="12"),
+     "per_group_breakdown[0]: key 'macs' must be int, got str"),
+    (lambda p: p.update(estimates=[1.0]), "estimates: expected an object, got list"),
 ], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
-        "gpu_target", "target_not_assigned"])
+        "gpu_target", "target_not_assigned", "estimates_without_energy",
+        "breakdown_macs_string", "estimates_list"])
 def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
     plan = json.loads((mapped / "plan.json").read_text())
     edit(plan)

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -8,6 +9,8 @@ from graphutil import act, const, conv_attrs, make_graph, two_conv_chain
 from tinydeploy import pruning
 from tinydeploy.cli import main
 from tinydeploy.executor import calibrate, run_f32
+from tinydeploy.hardware import HardwareProfile
+from tinydeploy.mapping import build_deployment_plan
 from tinydeploy.graph import (
     DType,
     OpKind,
@@ -273,6 +276,43 @@ def test_transformations_leave_input_unchanged(tmp_path, small_convnet, test_sam
         out = import_checkpoint(g, export_checkpoint(apply_masks(g, plan)))
     assert not graphs_equal(out, g)
     assert _saved_bytes(g, tmp_path / "after") == before
+
+
+def test_apply_masks_copies_only_touched_constants(tmp_path, dwsep_net):
+    plan = new_plan(dwsep_net, [0.25])
+    plan.stages.append({"conv1": [0, 7]})
+    before = _saved_bytes(dwsep_net, tmp_path / "before")
+    masked = apply_masks(dwsep_net, plan)
+    # conv1's rows and bias, and the depthwise kernel and bias it feeds
+    touched = {"conv1_w", "conv1_b", "dw1_w", "dw1_b"}
+    for tid, t in dwsep_net.tensors.items():
+        if not t.is_constant:
+            continue
+        new = masked.tensors[tid].data
+        if tid in touched:
+            removed = [0, 7] if tid.startswith("conv1") else (Ellipsis, [0, 7])
+            assert not np.shares_memory(new, t.data), tid
+            assert np.all(new[removed] == 0) and np.any(t.data[removed] != 0), tid
+        else:
+            assert new is t.data, tid
+    assert _saved_bytes(dwsep_net, tmp_path / "after") == before
+
+
+def test_compile_path_makes_no_deep_copy(monkeypatch, tmp_path, dwsep_net, test_samples):
+    def no_deepcopy(*args, **kwargs):
+        raise AssertionError("copy.deepcopy called on the compile path")
+
+    monkeypatch.setattr(copy, "deepcopy", no_deepcopy)
+    g = dwsep_net
+    plan = new_plan(g, [0.1, 0.05])
+    for _ in plan.schedule:
+        plan = plan_next_stage(g, plan)
+        export_checkpoint(apply_masks(g, plan)).save(tmp_path / "ckpt")
+        g = import_checkpoint(g, Checkpoint.load(tmp_path / "ckpt"))
+    pruned = materialize(g, plan)
+    quantized = quantize_graph(pruned, calibrate(pruned, [s[1] for s in test_samples[:4]]))
+    deployment = build_deployment_plan(quantized, HardwareProfile())
+    assert deployment.estimates is not None
 
 
 @pytest.mark.parametrize("call", ["new_plan", "plan_next_stage", "apply_masks", "materialize"])

@@ -152,6 +152,37 @@ def test_requantize_exact_at_large_shifts(m, raw_shift):
     np.testing.assert_array_equal(requantize_fixed_point(acc, sig, shift), want)
 
 
+@st.composite
+def _requant_case(draw):
+    """(int32 acc, significand in [0, 2^31), shift in [1, 62]), often a tie."""
+    if draw(st.booleans()):
+        # Exact tie: acc * sig = odd * 2**(shift - 1), split as acc = a * 2**i,
+        # sig = b * 2**j with a, b odd and i + j = shift - 1.
+        i, j = draw(st.integers(0, 30)), draw(st.integers(0, 30))
+        acc = (2 * draw(st.integers(0, 2**(30 - i) - 1)) + 1) << i
+        sig = (2 * draw(st.integers(0, 2**(30 - j) - 1)) + 1) << j
+        return draw(st.sampled_from([acc, -acc])), sig, i + j + 1
+    return (
+        draw(st.integers(-(2**31), 2**31 - 1)),
+        draw(st.integers(0, 2**31 - 1)),
+        draw(st.integers(1, 62)),
+    )
+
+
+@given(st.lists(_requant_case(), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_requantize_matches_exact_rounding(cases):
+    acc, sig, shift = (np.array(col, dtype=np.int64) for col in zip(*cases))
+    want = []
+    for a, s, sh in cases:
+        v = Fraction(a * s, 2**sh)
+        mag = math.floor(abs(v) + Fraction(1, 2))
+        want.append(mag if v >= 0 else -mag)
+    np.testing.assert_array_equal(requantize_fixed_point(acc, sig, shift), want)
+    a, s, sh = cases[0]
+    assert requantize_fixed_point(a, s, sh) == want[0]
+
+
 def test_requantize_rounds_half_away():
     sig, shift = fixed_point_multiplier(0.5)
     acc = np.array([1, 3, -1, -3], dtype=np.int64)
