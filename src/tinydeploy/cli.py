@@ -8,15 +8,15 @@ Exit code 0 on success, 1 with a stage-tagged diagnostic on failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from . import pipeline
 from .data_files import resolve_path
 from .datasets import generate_dataset, synthetic_samples
+from .downlink import DownlinkError
 from .graph import validate
-from .model_io import load_model, save_model
+from .model_io import NUMBER, _field, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
 from .pipeline import PipelineConfig, PipelineError
 
@@ -116,11 +116,18 @@ def _cmd_simulate_downlink(args) -> int:
     records, ground = args.records, args.ground_records
     threshold, bps = args.threshold, args.bytes_per_sample
     if args.scenario:
-        scenario = json.loads(Path(args.scenario).read_text())
-        records = records or scenario.get("records")
-        ground = ground or scenario.get("ground_records")
-        threshold = scenario.get("threshold", threshold)
-        bps = scenario.get("bytes_per_sample", bps)
+        scenario = read_json(args.scenario, DownlinkError)
+
+        def option(key: str, kind, default):
+            """The scenario's `key` (absent or null: `default`), of JSON type `kind`."""
+            if isinstance(scenario, dict) and scenario.get(key) is None:
+                return default
+            return _field(scenario, key, f"scenario {args.scenario}", kind, DownlinkError)
+
+        records = records or option("records", str, None)
+        ground = ground or option("ground_records", str, None)
+        threshold = option("threshold", NUMBER, threshold)
+        bps = option("bytes_per_sample", NUMBER, bps)
     if not records:
         print("error: no records CSV given (flag --records or scenario file)", file=sys.stderr)
         return 1
@@ -257,7 +264,7 @@ def main(argv=None) -> int:
     except PipelineError as exc:
         print(f"error [{exc}]", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

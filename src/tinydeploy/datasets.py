@@ -8,11 +8,16 @@ shape and class count.
 """
 from __future__ import annotations
 
-import csv
-import json
+import math
 from pathlib import Path
 
 import numpy as np
+
+from .model_io import _field, csv_text, json_text, read_csv, read_json, write_files
+
+
+class DatasetError(ValueError):
+    pass
 
 
 def class_pattern(num_classes: int, label: int, hw: int, channels: int, seed: int) -> np.ndarray:
@@ -68,32 +73,43 @@ def generate_dataset(
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
     samples = synthetic_samples(num_samples, num_classes, hw, channels, seed, noise)
-    with open(out_dir / "index.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "file", "label"])
-        for sample_id, img, label in samples:
-            rel = f"samples/{sample_id}.bin"
-            arr = np.ascontiguousarray(img, dtype=np.float32)
-            (out_dir / rel).write_bytes(arr.astype("<f4").tobytes())
-            writer.writerow([sample_id, rel, label])
+    files = [(out_dir / f"samples/{sample_id}.bin", img.astype("<f4").tobytes())
+             for sample_id, img, _ in samples]
+    index = [("sample_id", "file", "label")]
+    index += [(sample_id, f"samples/{sample_id}.bin", label) for sample_id, _, label in samples]
     meta = {
         "shape": [1, hw, hw, channels],
         "num_classes": num_classes,
         "seed": seed,
         "noise": noise,
     }
-    (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    # index.csv last, so an index never names a sample file not yet written.
+    write_files(files + [(out_dir / "meta.json", json_text(meta)),
+                         (out_dir / "index.csv", csv_text(index))])
     return out_dir
 
 
 def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
+    """The (sample_id, image, label) samples of a generate_dataset directory.
+
+    A malformed meta.json or index.csv, or a sample file whose size does
+    not match `shape`, raises DatasetError naming the file (and the line
+    and column of index.csv).
+    """
     path = Path(path)
-    meta = json.loads((path / "meta.json").read_text())
-    shape = tuple(meta["shape"])
+    meta_path = path / "meta.json"
+    shape = _field(read_json(meta_path, DatasetError), "shape", str(meta_path), list, DatasetError)
+    if not shape or not all(type(d) is int and d > 0 for d in shape):
+        raise DatasetError(f"{meta_path}: shape {shape!r} must hold positive integers")
+    size = 4 * math.prod(shape)
+    columns = {"sample_id": str, "file": str, "label": int}
     samples = []
-    with open(path / "index.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            raw = (path / row["file"]).read_bytes()
-            arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
-            samples.append((row["sample_id"], arr, int(row["label"])))
+    for row in read_csv(path / "index.csv", columns, DatasetError):
+        raw = (path / row["file"]).read_bytes()
+        if len(raw) != size:
+            raise DatasetError(
+                f"{path / row['file']}: {len(raw)} bytes, shape {shape} needs {size}"
+            )
+        arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+        samples.append((row["sample_id"], arr, row["label"]))
     return samples

@@ -7,13 +7,12 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .executor import InferenceRecord
-from .model_io import NUMBER, _field
+from .model_io import NUMBER, _field, read_json
 
 
 class DownlinkError(ValueError):
@@ -36,14 +35,6 @@ class LinkBudget:
         """Bytes transmittable per day: rate * duration * passes / 8."""
         return self.data_rate_bps * self.pass_duration_s * self.passes_per_day / 8.0
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "data_rate_bps": self.data_rate_bps,
-            "passes_per_day": self.passes_per_day,
-            "pass_duration_s": self.pass_duration_s,
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "LinkBudget":
         """A link budget from its JSON object.
@@ -63,7 +54,7 @@ class LinkBudget:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinkBudget":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, DownlinkError))
 
 
 @dataclass

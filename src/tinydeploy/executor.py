@@ -14,10 +14,8 @@ run to run, and give each sample the same result whatever batch it runs in.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,6 +33,7 @@ from .graph import (
     infer_shapes,
     same_padding_amounts,
 )
+from .model_io import NUMBER, _field, csv_text, read_csv, write_files, write_json
 from .quantization import (
     QMAX,
     QMIN,
@@ -627,7 +626,15 @@ def ranges_to_json(ranges: dict[str, TensorRange]) -> dict:
 
 
 def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
-    return {tid: TensorRange(tid, e["min"], e["max"]) for tid, e in obj.items()}
+    """Inverse of ranges_to_json; a malformed entry raises ExecutionError naming it."""
+    if not isinstance(obj, dict):
+        raise ExecutionError(f"calibration ranges: expected an object, got {type(obj).__name__}")
+
+    def bound(entry, key: str, tid: str) -> float:
+        return _field(entry, key, f"calibration range {tid}", NUMBER, ExecutionError)
+
+    return {tid: TensorRange(tid, bound(e, "min", tid), bound(e, "max", tid))
+            for tid, e in obj.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -706,39 +713,20 @@ RECORD_FIELDS = ("sample_id", "predicted_class", "confidence", "true_label", "co
 
 
 def write_records_csv(records: Sequence[InferenceRecord], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow(
-                [r.sample_id, r.predicted_class, repr(r.confidence), r.true_label, int(r.correct)]
-            )
+    rows = [[r.sample_id, r.predicted_class, repr(r.confidence), r.true_label, int(r.correct)]
+            for r in records]
+    write_files([(path, csv_text([RECORD_FIELDS, *rows]))])
 
 
 def read_records_csv(path: str | Path) -> list[InferenceRecord]:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                InferenceRecord(
-                    sample_id=row["sample_id"],
-                    predicted_class=int(row["predicted_class"]),
-                    confidence=float(row["confidence"]),
-                    true_label=int(row["true_label"]),
-                )
-            )
-    return records
+    """Records written by write_records_csv (its `correct` column is derived).
+
+    A missing column or a value that is not a number raises ExecutionError
+    naming the file, the line and the column.
+    """
+    columns = {"sample_id": str, "predicted_class": int, "confidence": float, "true_label": int}
+    return [InferenceRecord(**row) for row in read_csv(path, columns, ExecutionError)]
 
 
 def write_records_json(records: Sequence[InferenceRecord], path: str | Path) -> None:
-    payload = [
-        {
-            "sample_id": r.sample_id,
-            "predicted_class": r.predicted_class,
-            "confidence": r.confidence,
-            "true_label": r.true_label,
-            "correct": r.correct,
-        }
-        for r in records
-    ]
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, [{**asdict(r), "correct": r.correct} for r in records])

@@ -8,12 +8,11 @@ the bundled desk models land in a realistic latency/energy regime.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .graph import OpKind
-from .model_io import NUMBER, _field
+from .model_io import NUMBER, _field, read_json
 
 DEFAULT_NPU_OPS = ("Conv2D", "DepthwiseConv2D", "ReLU", "Add")
 
@@ -70,14 +69,6 @@ class HardwareProfile:
     def active_power_w(self, target: str) -> float:
         return self.npu_power_w if target == "NPU" else self.cpu_power_w
 
-    def to_json(self) -> dict:
-        out = asdict(self)
-        out["npu_supported_ops"] = list(self.npu_supported_ops)
-        return out
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
-
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareProfile":
         """A profile from its JSON object; absent fields keep their defaults.
@@ -97,4 +88,4 @@ class HardwareProfile:
 
     @classmethod
     def load(cls, path: str | Path) -> "HardwareProfile":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, ValueError))

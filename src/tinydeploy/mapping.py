@@ -14,7 +14,6 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .costmodel import (
 )
 from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes, topological_order
 from .hardware import HardwareProfile
-from .model_io import NUMBER, _field
+from .model_io import NUMBER, _field, read_json, write_json
 
 
 class MappingError(ValueError):
@@ -95,7 +94,7 @@ class DeploymentPlan:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
 
 def partition_and_fuse(
@@ -433,7 +432,7 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     its `group_id`, on CPU or NPU as `assignment` says. Violations raise
     MappingError naming the field.
     """
-    obj = json.loads(Path(path).read_text())
+    obj = read_json(path, MappingError)
     where = f"plan {path}"
 
     def field(o, key: str, kind, at: str = where):

@@ -1,16 +1,22 @@
-"""On-disk model format: `<name>.json` manifest + `<name>.bin` weight blob.
+"""Artifact files: every one is written by `write_files`, atomically.
 
-The manifest holds nodes, tensors, attributes and per-tensor blob
+`json_text` and `csv_text` hold the JSON and CSV layouts; `read_json`,
+`read_csv` and `_field` name the file, line or key of malformed input.
+Models are a `<name>.json` manifest + `<name>.bin` weight blob. The
+manifest holds nodes, tensors, attributes and per-tensor blob
 offsets/lengths; the blob is the little-endian concatenation of constant
 tensor payloads in manifest order. Float32 is 4-byte IEEE-754, Int8 signed
 bytes, Int32 little-endian. Field names are part of the contract (see
-README "Model file format").
+README "File formats").
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -134,24 +140,90 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
 
 
 def write_pair(manifest_path: Path, manifest: dict, blob_path: Path, blob: bytes) -> None:
-    """Write a manifest+blob pair without leaving a half-written pair behind.
+    """Write a manifest+blob pair through `write_files`, the manifest renamed last."""
+    write_files([(blob_path, blob), (manifest_path, json_text(manifest))])
 
-    Both go to temporary files in the target directory first; then the
-    blob and, last, the manifest are renamed over the final names. A
-    failure before the renames leaves any earlier pair untouched.
+
+def write_files(files: Iterable[tuple[str | Path, bytes | str]]) -> None:
+    """Write each (path, payload) without leaving a half-written file behind.
+
+    Every payload (a str is UTF-8 encoded) goes to a temporary file in its
+    target directory; then they are renamed over the final names in the
+    order given. No temporary file survives.
     """
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     pending = []
     try:
-        for final, payload in ((blob_path, blob), (manifest_path, text.encode())):
+        for final, payload in files:
+            final = Path(final)
             tmp = final.with_name(f".{final.name}.{os.getpid()}.tmp")
             pending.append((tmp, final))
-            tmp.write_bytes(payload)
+            try:
+                tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
+            except OSError as exc:
+                if exc.filename is not None:
+                    exc.filename = str(final)  # name the artifact, not its temporary file
+                raise
         for tmp, final in pending:
             os.replace(tmp, final)
     finally:
         for tmp, _ in pending:
             tmp.unlink(missing_ok=True)
+
+
+def json_text(obj) -> str:
+    """The JSON layout of every artifact."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, obj) -> None:
+    write_files([(path, json_text(obj))])
+
+
+def csv_text(rows: Iterable[Iterable]) -> str:
+    """Rows as the csv module writes them, CRLF line ends included."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def read_json(path: str | Path, error: type[Exception]):
+    """A JSON file's value; `error` names the file if it does not decode."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: malformed JSON: {exc}") from None
+
+
+def read_csv(
+    path: str | Path, columns: dict[str, Callable], error: type[Exception]
+) -> list[dict]:
+    """The rows of a CSV file with a header line, as dicts of `columns`.
+
+    Each column's value is converted by its function (str, int, float).
+    A missing column, a short row or a value that does not convert raises
+    `error` naming the file, the line and the column.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [key for key in columns if key not in (reader.fieldnames or ())]
+        if missing:
+            raise error(f"{path}: missing column {missing[0]!r}")
+        rows = []
+        for row in reader:
+            out = {}
+            for key, convert in columns.items():
+                value = row[key]
+                if value is None:
+                    raise error(f"{path} line {reader.line_num}: no value for column {key!r}")
+                try:
+                    out[key] = convert(value)
+                except ValueError:
+                    raise error(
+                        f"{path} line {reader.line_num}: column {key!r}: "
+                        f"{value!r} is not {convert.__name__}"
+                    ) from None
+            rows.append(out)
+    return rows
 
 
 NUMBER = (int, float)
@@ -188,10 +260,7 @@ def load_model(path: str | Path) -> GraphIR:
     manifest_path = path.with_suffix(".json")
     blob_path = path.with_suffix(".bin")
 
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{manifest_path}: malformed manifest: {exc}") from None
+    manifest = read_json(manifest_path, ModelFormatError)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"{manifest_path}: unsupported format_version {version!r}")

@@ -10,19 +10,18 @@ seed; re-running a config produces byte-identical output trees.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import costmodel
+from . import costmodel, model_io
 from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import load_dataset
 from .downlink import DownlinkScenario, simulate
 from .executor import (
+    ExecutionError,
     calibrate,
     evaluate,
     ranges_from_json,
@@ -31,7 +30,7 @@ from .executor import (
     write_records_csv,
     write_records_json,
 )
-from .graph import parameter_count, validate
+from .graph import parameter_count
 from .mapping import build_deployment_plan, load_plan, render_report
 from .model_io import load_model, save_model
 from .pruning import (
@@ -91,6 +90,8 @@ class PipelineConfig:
         `prune.skip`). "_docs" is ignored; any other unknown key is an
         error, so a misspelt key cannot silently run with the default.
         """
+        if not isinstance(obj, dict) or not isinstance(obj.get("prune", {}), dict):
+            raise PipelineError('config and its "prune" entry must be JSON objects')
         prune = obj.get("prune", {})
         flat = {k: v for k, v in obj.items() if k not in ("_docs", "prune")}
         types = {f.name: f.type for f in fields(cls)}
@@ -106,15 +107,7 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise PipelineError(f"{path}: malformed config: {exc}") from None
-        return cls.from_json(obj)
-
-
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        return cls.from_json(model_io.read_json(path, PipelineError))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +172,13 @@ def stage_calibrate(model_path, dataset_path, num_samples, seed, out_json) -> in
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(samples), size=num_samples, replace=False).tolist())
     ranges = calibrate(graph, [samples[i][1] for i in picked])
-    _write_json(Path(out_json), ranges_to_json(ranges))
+    model_io.write_json(out_json, ranges_to_json(ranges))
     return num_samples
 
 
 def stage_quantize(model_path, ranges_json, out_model) -> None:
     graph = load_model(model_path)
-    ranges = ranges_from_json(json.loads(Path(ranges_json).read_text()))
+    ranges = ranges_from_json(model_io.read_json(ranges_json, ExecutionError))
     save_model(quantize_graph(graph, ranges), out_model)
 
 
@@ -195,7 +188,7 @@ def stage_map(model_path, profile_ref, out_plan, out_text=None):
     plan = build_deployment_plan(graph, profile)
     plan.save(out_plan)
     if out_text is not None:
-        Path(out_text).write_text(render_report(plan))
+        model_io.write_files([(out_text, render_report(plan))])
     return plan
 
 
@@ -204,7 +197,7 @@ def stage_estimate(model_path, plan_path, profile_ref, out_json):
     plan = load_plan(plan_path)
     profile = load_profile(profile_ref)
     est = costmodel.estimate_deployment(plan, graph, profile)
-    _write_json(Path(out_json), est.to_json())
+    model_io.write_json(out_json, est.to_json())
     return est
 
 
@@ -228,9 +221,9 @@ def stage_downlink(
         ground_records=ground,
     )
     report = simulate(scenario, link)
-    _write_json(Path(out_json), report.to_json())
+    model_io.write_json(out_json, report.to_json())
     if out_text is not None:
-        Path(out_text).write_text(report.summary())
+        model_io.write_files([(out_text, report.summary())])
     return report
 
 
@@ -265,8 +258,8 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
             "flash_bytes": costmodel.flash_bytes(graph, profile),
         }
 
-    estimates = json.loads((out / "cost_estimate.json").read_text())
-    downlink_report = json.loads((out / "downlink_report.json").read_text())
+    estimates = model_io.read_json(out / "cost_estimate.json", PipelineError)
+    downlink_report = model_io.read_json(out / "downlink_report.json", PipelineError)
     float_flash = stages["float"]["flash_bytes"]
     quant_flash = stages["quantized"]["flash_bytes"]
     report = {
@@ -277,32 +270,29 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         "deployment": estimates,
         "downlink": downlink_report,
     }
-    _write_json(out / "report.json", report)
 
     dataset_name = Path(config.dataset).name
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "dataset", "stage", "accuracy", "parameters", "flash_bytes",
-             "ram_peak_bytes", "latency_ms", "energy_mj"]
-        )
-        for stage in ("float", "pruned", "quantized"):
-            entry = stages[stage]
-            if entry is None:
-                continue
-            deployed = stage == "quantized"
-            writer.writerow([
-                report["model"], dataset_name, stage, repr(entry["accuracy"]),
-                entry["parameters"], entry["flash_bytes"],
-                estimates["ram_peak_bytes"] if deployed else "",
-                repr(estimates["latency_ms"]) if deployed else "",
-                repr(estimates["energy_mj"]) if deployed else "",
-            ])
-
-    with open(out / "plot_latency_energy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "latency_ms", "energy_mj"])
-        writer.writerow([report["model"], repr(estimates["latency_ms"]), repr(estimates["energy_mj"])])
+    rows = [["model", "dataset", "stage", "accuracy", "parameters", "flash_bytes",
+             "ram_peak_bytes", "latency_ms", "energy_mj"]]
+    for stage in ("float", "pruned", "quantized"):
+        entry = stages[stage]
+        if entry is None:
+            continue
+        deployed = stage == "quantized"
+        rows.append([
+            report["model"], dataset_name, stage, repr(entry["accuracy"]),
+            entry["parameters"], entry["flash_bytes"],
+            estimates["ram_peak_bytes"] if deployed else "",
+            repr(estimates["latency_ms"]) if deployed else "",
+            repr(estimates["energy_mj"]) if deployed else "",
+        ])
+    plot = [["model", "latency_ms", "energy_mj"],
+            [report["model"], repr(estimates["latency_ms"]), repr(estimates["energy_mj"])]]
+    model_io.write_files([
+        (out / "report.json", model_io.json_text(report)),
+        (out / "report.csv", model_io.csv_text(rows)),
+        (out / "plot_latency_energy.csv", model_io.csv_text(plot)),
+    ])
     return report
 
 
@@ -406,11 +396,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict 
     _purge(out)
     name = "setup"
     try:
-        graph = load_model(model_path)
-        report = validate(graph)
-        if not report.ok:
-            raise ValueError("input model invalid: " + "; ".join(report.violations))
-        save_model(graph, out / "model_float.json")
+        save_model(load_model(model_path), out / "model_float.json")
         for stage in STAGES:
             name = stage.name
             if not (stage.pruning and config.prune_skip):

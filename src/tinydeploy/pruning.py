@@ -21,7 +21,6 @@ weights across the boundary in the model blob layout.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,11 +31,11 @@ from .graph import (
     CHANNEL_PRESERVING_OPS,
     GraphIR,
     OpKind,
+    ShapeError,
     TensorSpec,
     infer_shapes,
-    validate,
 )
-from .model_io import _field, pack_tensor, unpack_tensor, write_pair
+from .model_io import _field, pack_tensor, read_json, unpack_tensor, write_json, write_pair
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -96,23 +95,31 @@ class PrunePlan:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrunePlan":
-        return cls(
-            schedule=[float(f) for f in obj["schedule"]],
-            original_counts={k: int(v) for k, v in obj["original_counts"].items()},
-            stages=[
-                {layer: [int(i) for i in idx] for layer, idx in stage.items()}
-                for stage in obj["stages"]
-            ],
-            basis=obj.get("basis", "original_count"),
-        )
+        """Decode the JSON form; a malformed field raises PruneError naming it."""
+        where = "prune plan"
+        schedule = _field(obj, "schedule", where, list, PruneError)
+        counts = _field(obj, "original_counts", where, dict, PruneError)
+        stages = _field(obj, "stages", where, list, PruneError)
+        try:
+            return cls(
+                schedule=[float(f) for f in schedule],
+                original_counts={k: int(v) for k, v in counts.items()},
+                stages=[
+                    {layer: [int(i) for i in idx] for layer, idx in stage.items()}
+                    for stage in stages
+                ],
+                basis=str(obj.get("basis", "original_count")),
+            )
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise PruneError(f"{where}: malformed schedule, counts or stages: {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "PrunePlan":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        return cls.from_json(read_json(path, PruneError))
 
 
 def _validate_schedule(schedule) -> list[float]:
@@ -356,11 +363,10 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
                 cw.data = np.delete(cw.data, cols, axis=1)
                 cw.shape = cw.data.shape
 
-    g, _ = infer_shapes(g)
-    report = validate(g)
-    if not report.ok:
-        raise PruneError("materialized graph invalid: " + "; ".join(report.violations))
-    return g
+    try:
+        return infer_shapes(g)[0]
+    except ShapeError as exc:
+        raise PruneError(f"materialized graph invalid: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +393,7 @@ class Checkpoint:
         path = Path(path)
         if path.suffix == ".json":
             path = path.with_suffix("")
-        manifest = json.loads(path.with_suffix(".json").read_text())
+        manifest = read_json(path.with_suffix(".json"), CheckpointError)
         if not isinstance(manifest, dict) or manifest.get("checkpoint_version") != 1:
             raise CheckpointError(f"unsupported checkpoint version in {path}")
         index = _field(manifest, "tensors", f"checkpoint {path}", dict, CheckpointError)

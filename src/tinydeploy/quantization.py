@@ -30,8 +30,8 @@ from .graph import (
     GraphIR,
     OpKind,
     QuantParams,
+    ShapeError,
     infer_shapes,
-    validate,
 )
 
 if TYPE_CHECKING:
@@ -205,14 +205,14 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
     unchanged; only dtypes, quantization params and requant attrs differ.
     Deterministic: identical inputs give byte-identical graphs.
     """
-    report = validate(graph)
-    if not report.ok:
-        raise QuantizationError("cannot quantize invalid graph: " + "; ".join(report.violations))
+    try:
+        g, order = infer_shapes(graph)
+    except ShapeError as exc:
+        raise QuantizationError(f"cannot quantize invalid graph: {exc}") from None
     for t in graph.tensors.values():
         if not t.is_constant and t.dtype != DType.FLOAT32:
             raise QuantizationError(f"tensor {t.id}: expected Float32 source graph")
 
-    g, order = infer_shapes(graph)
     nodes = {n.id: n for n in g.nodes}
     producers = g.producer_map()
 

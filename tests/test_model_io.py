@@ -1,14 +1,25 @@
+import ast
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import tinydeploy
 from graphutil import conv_relu_softmax
 from tinydeploy.cli import main
-from tinydeploy.model_io import ModelFormatError, graphs_equal, load_model, save_model
+from tinydeploy.executor import InferenceRecord, write_records_csv
+from tinydeploy.hardware import HardwareProfile
+from tinydeploy.mapping import build_deployment_plan
+from tinydeploy.model_io import (
+    ModelFormatError,
+    graphs_equal,
+    load_model,
+    save_model,
+    write_json,
+)
 from tinydeploy.models import build_small_convnet
-from tinydeploy.pruning import export_checkpoint
+from tinydeploy.pruning import PrunePlan, export_checkpoint
 
 
 def test_roundtrip_structural_identity(tmp_path):
@@ -51,7 +62,7 @@ def test_malformed_manifest_rejected(tmp_path):
     g = conv_relu_softmax()
     manifest_path, _ = save_model(g, tmp_path / "m")
     manifest_path.write_text("{not json")
-    with pytest.raises(ModelFormatError, match="malformed manifest"):
+    with pytest.raises(ModelFormatError, match=re.escape(f"{manifest_path}: malformed JSON")):
         load_model(tmp_path / "m")
 
 
@@ -154,7 +165,7 @@ class _DiskFull:
         raise OSError("disk full")
 
 
-def _fail_second_write(monkeypatch):
+def _fail_nth_write(monkeypatch, n):
     real_open = Path.open
     writes = []
 
@@ -162,33 +173,48 @@ def _fail_second_write(monkeypatch):
         fh = real_open(self, mode, *args, **kwargs)
         if "w" in mode:
             writes.append(self)
-            if len(writes) == 2:
+            if len(writes) == n:
                 return _DiskFull(fh)
         return fh
 
     monkeypatch.setattr(Path, "open", open_)
 
 
-@pytest.mark.parametrize("writer", ["save_model", "Checkpoint.save"])
+# writer -> (write the artifact for (seed, directory, a quantized graph), the
+# write to fail): a pair fails on its second file, after the first is complete.
+WRITERS = {
+    "save_model": (lambda seed, d, q: save_model(conv_relu_softmax(seed=seed), d / "m"), 2),
+    "Checkpoint.save": (
+        lambda seed, d, q: export_checkpoint(conv_relu_softmax(seed=seed)).save(d / "m"), 2),
+    "PrunePlan.save": (
+        lambda seed, d, q: PrunePlan([0.5], {"conv": 4 + seed}).save(d / "plan.json"), 1),
+    "DeploymentPlan.save": (
+        lambda seed, d, q: build_deployment_plan(q, HardwareProfile(name=f"p{seed}"))
+        .save(d / "plan.json"), 1),
+    "write_records_csv": (
+        lambda seed, d, q: write_records_csv([InferenceRecord("s0", seed, 0.5, 1)], d / "r.csv"),
+        1),
+    "write_json": (lambda seed, d, q: write_json(d / "x.json", {"seed": seed}), 1),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
 @pytest.mark.parametrize("existing", [False, True])
-def test_failed_write_leaves_no_half_written_pair(tmp_path, monkeypatch, writer, existing):
-    old, new = conv_relu_softmax(seed=0), conv_relu_softmax(seed=1)
-    if writer == "save_model":
-        def save(g):
-            return save_model(g, tmp_path / "m")
-    else:
-        def save(g):
-            return export_checkpoint(g).save(tmp_path / "m")
+def test_failed_write_leaves_no_half_written_pair(
+    tmp_path, monkeypatch, small_convnet_quantized, writer, existing,
+):
+    write, nth = WRITERS[writer]
     if existing:
-        save(old)
+        write(0, tmp_path, small_convnet_quantized)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    _fail_second_write(monkeypatch)
+    _fail_nth_write(monkeypatch, nth)
     with pytest.raises(OSError, match="disk full"):
-        save(new)
-    # The earlier pair (or nothing) under the final names, no temporary files.
+        write(1, tmp_path, small_convnet_quantized)
+    # The earlier files (or nothing) under the final names, no temporary files.
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     monkeypatch.undo()
-    assert [p.read_bytes() for p in save(new)] != [before.get("m.json"), before.get("m.bin")]
+    write(1, tmp_path, small_convnet_quantized)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} != before
 
 
 def test_cli_validate_model_reports_missing_key(tmp_path, capsys):
@@ -215,3 +241,20 @@ def test_quantized_roundtrip(tmp_path, small_convnet_quantized):
     loaded = load_model(tmp_path / "q")
     assert graphs_equal(small_convnet_quantized, loaded)
     assert loaded.is_quantized()
+
+
+def test_only_model_io_encodes_reads_or_writes_files():
+    """json, csv, open() and Path writes appear in model_io.py alone."""
+    offenders = []
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        if path.name == "model_io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                        else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            func = node.func if isinstance(node, ast.Call) else None
+            if ({"json", "csv"} & set(imported)
+                    or isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
+                    or isinstance(func, ast.Name) and func.id == "open"):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from pathlib import Path
 
@@ -195,6 +196,9 @@ def test_config_defaults_and_coercion():
     assert config.prune_schedule == [0.5, 1.0] and config.prune_skip is True
     with pytest.raises(PipelineError, match="missing required field 'dataset'"):
         PipelineConfig.from_json({"model": "m", "output_dir": "o"})
+    for obj in ([], {"model": "m", "prune": [0.1]}):
+        with pytest.raises(PipelineError, match='"prune" entry must be JSON objects'):
+            PipelineConfig.from_json(obj)
 
 
 def test_example_config_loads():
@@ -478,3 +482,114 @@ def test_malformed_link_budget_rejected(mapped, tmp_path, capsys, link, message)
                "--link", str(path), "--out", str(tmp_path / "downlink.json")])
     assert rc == 1
     assert_one_error_line(capsys, message)
+
+
+# --- malformed plans, ranges, scenarios, records and datasets --------------
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def _dataset(tmp_path: Path, edit) -> Path:
+    root = generate_dataset(tmp_path / "ds", num_samples=4, seed=7)
+    edit(root)
+    return root
+
+
+def _drop_shape(root: Path) -> None:
+    meta = json.loads((root / "meta.json").read_text())
+    del meta["shape"]
+    (root / "meta.json").write_text(json.dumps(meta))
+
+
+def _truncate_sample(root: Path) -> None:
+    sample = root / "samples" / "s00001.bin"
+    sample.write_bytes(sample.read_bytes()[:100])
+
+
+RECORDS_HEADER = "sample_id,predicted_class,confidence,true_label,correct\n"
+
+# case -> (argv for a directory holding the mapped model, the message)
+MALFORMED_INPUTS = {
+    "plan_without_original_counts": (
+        lambda m, t: ["prune-stage", "--model", str(m / "model.json"), "--plan",
+                      str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
+                      "--out-masked", str(t / "masked")],
+        "prune plan: missing key 'original_counts'"),
+    "ranges_without_max": (
+        lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
+                      str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
+        "calibration range x: missing key 'max'"),
+    "scenario_list": (
+        lambda m, t: ["simulate-downlink", "--scenario", str(_write(t / "s.json", "[1]")),
+                      "--out", str(t / "d.json")],
+        "expected an object, got list"),
+    "scenario_records_int": (
+        lambda m, t: ["simulate-downlink", "--scenario",
+                      str(_write(t / "s.json", '{"records": 5}')), "--out", str(t / "d.json")],
+        "key 'records' must be str, got int"),
+    "records_without_confidence": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", "sample_id,predicted_class,true_label\ns0,1,1\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv: missing column 'confidence'"),
+    "records_class_not_int": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns1,one,0.5,1,0\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv line 3: column 'predicted_class': 'one' is not int"),
+    "evaluate_meta_without_shape": (
+        lambda m, t: ["evaluate", "--model", str(m / "model.json"),
+                      "--dataset", str(_dataset(t, _drop_shape)), "--out", str(t / "e")],
+        "meta.json: missing key 'shape'"),
+    "calibrate_meta_without_shape": (
+        lambda m, t: ["calibrate", "--model", str(m / "model.json"),
+                      "--dataset", str(_dataset(t, _drop_shape)), "--out", str(t / "c.json")],
+        "meta.json: missing key 'shape'"),
+    "short_sample_file": (
+        lambda m, t: ["evaluate", "--model", str(m / "model.json"),
+                      "--dataset", str(_dataset(t, _truncate_sample)), "--out", str(t / "e")],
+        "samples/s00001.bin: 100 bytes, shape [1, 32, 32, 3] needs 12288"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_file_rejected(mapped, tmp_path, capsys, case):
+    argv, message = MALFORMED_INPUTS[case]
+    assert main(argv(mapped, tmp_path)) == 1
+    assert_one_error_line(capsys, message)
+
+
+def test_runs_leave_no_temporary_files(assets, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_pipeline(make_config(assets, out))
+    assert (out / "report.csv").exists() and not list(tmp_path.rglob(".*.tmp"))
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "report.csv":  # after report.json, before the plot CSV
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(PipelineError, match="report: disk full"):
+        run_pipeline(make_config(assets, out))
+    assert not list(tmp_path.rglob(".*.tmp")) and not list(out.iterdir())
+
+
+def test_dataset_index_written_after_its_samples(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "meta.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        generate_dataset(tmp_path / "ds", num_samples=4, seed=7)
+    # Every sample is in place, the index that names them is not.
+    assert len(list((tmp_path / "ds" / "samples").iterdir())) == 4
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == ["samples"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphutil import act, const, conv_attrs, make_graph, two_conv_chain
+from tinydeploy import graph as graph_module
 from tinydeploy import pruning
 from tinydeploy.cli import main
 from tinydeploy.executor import calibrate, run_f32
@@ -36,7 +37,7 @@ from tinydeploy.pruning import (
     prunable_layers,
     rank_filters,
 )
-from tinydeploy.quantization import quantize_graph
+from tinydeploy.quantization import QuantizationError, quantize_graph
 
 
 def test_l2_norm_three_four_five():
@@ -163,6 +164,23 @@ def test_materialize_channel_propagation_shapes():
     assert mat.tensors["w2"].shape == (16, 3, 3, 6)
     assert mat.tensors["b1"].shape == (6,)
     assert validate(mat).ok
+
+
+def test_materialize_and_quantize_check_the_graph_once(monkeypatch):
+    # Neither validates beside the validation inside infer_shapes.
+    g = two_conv_chain(first_filters=8, second_filters=16, seed=1)
+    plan = build_prune_plan(g, [0.25])
+    ranges = calibrate(materialize(g, plan), [np.ones((1, 6, 6, 3), dtype=np.float32)])
+    checked = []
+    real = graph_module._checked_order
+    monkeypatch.setattr(graph_module, "_checked_order", lambda g: checked.append(g) or real(g))
+    mat = materialize(g, plan)
+    assert len(checked) == 2  # the propagation table's infer_shapes, then the result's
+    quantize_graph(mat, ranges)
+    assert len(checked) == 3
+    mat.graph_outputs.append("missing")
+    with pytest.raises(QuantizationError, match="cannot quantize invalid graph: .*missing"):
+        quantize_graph(mat, ranges)
 
 
 def test_materialize_reduces_parameters():
