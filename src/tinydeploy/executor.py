@@ -11,10 +11,16 @@ outputs are requantized with fixed-point multipliers and saturated to
 
 Both interpreters are pure functions of (graph, input), bit-reproducible
 run to run, and give each sample the same result whatever batch it runs in.
+Kernels are closures over read-only constants and each run has its own
+env, so one `Program` may run from several threads at once; `evaluate`
+runs its chunks on up to one thread per CPU the process may use, and
+numpy releases the GIL inside the kernels' einsum, BLAS and ufunc calls.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -454,7 +460,9 @@ class Program:
     `graph` is the shape-inferred copy; `steps` run in order over an env
     of tensor id -> array. Graph shapes declare batch N=1, but every step
     works on any leading batch size B, and a sample's result does not
-    depend on the batch it runs in.
+    depend on the batch it runs in. Steps only read their bound constants
+    and every `run` has its own env, so a Program may run from several
+    threads at once.
     """
 
     def __init__(self, graph: GraphIR, steps: list[Step], quantized: bool):
@@ -652,6 +660,26 @@ def batches(samples: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
         yield np.concatenate(samples[start:start + EVAL_CHUNK])
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
+    """[fn(batch) for batch in batches(samples)], the batches run on a thread pool.
+
+    One worker per usable CPU, at most one per chunk. Results come back in
+    chunk order; if chunks raise, the first failing chunk's exception is
+    raised, later chunks not yet started are cancelled, and every worker
+    has exited before this returns or raises.
+    """
+    workers = max(1, min(math.ceil(len(samples) / EVAL_CHUNK), usable_cpus()))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, batches(samples)))
+
+
 def evaluate(
     graph: GraphIR,
     dataset: Iterable[tuple],
@@ -661,7 +689,7 @@ def evaluate(
     Dataset items are (input, label) or (sample_id, input, label); the
     graph must end in Softmax over class logits. Every label and input
     shape is checked before any sample runs; samples then run in chunks
-    of EVAL_CHUNK.
+    of EVAL_CHUNK through `map_batches`.
     """
     program = prepare(graph)
     g = program.graph
@@ -694,8 +722,9 @@ def evaluate(
         labels.append(label)
 
     records: list[InferenceRecord] = []
-    for batch in batches(inputs):
-        for row in program.run(batch)[out_id].reshape(len(batch), -1):
+    for outputs in map_batches(program.run, inputs):
+        probabilities = outputs[out_id]
+        for row in probabilities.reshape(len(probabilities), -1):
             predicted = int(np.argmax(row))
             records.append(
                 InferenceRecord(

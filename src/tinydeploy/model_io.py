@@ -231,7 +231,7 @@ NUMBER = (int, float)
 
 def _field(
     obj, key: str, where: str, kind: type | tuple[type, ...] | None = None,
-    error: type[ValueError] = ModelFormatError,
+    error: type[Exception] = ModelFormatError,
 ):
     """obj[key] from a manifest object, or an `error` naming both.
 

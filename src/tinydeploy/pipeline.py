@@ -103,7 +103,14 @@ class PipelineConfig:
         for f in fields(cls):
             if f.name not in flat and f.default is MISSING and f.default_factory is MISSING:
                 raise PipelineError(f"config missing required field {f.name!r}")
-        return cls(**{k: _COERCE.get(types[k], lambda v: v)(v) for k, v in flat.items()})
+        values = {}
+        for k, v in flat.items():
+            try:
+                values[k] = _COERCE.get(types[k], lambda v: v)(v)
+            except (TypeError, ValueError, OverflowError):
+                key = k.replace("prune_", "prune.", 1)
+                raise PipelineError(f"config key {key!r}: {v!r} is not {types[k]}") from None
+        return cls(**values)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -258,7 +265,12 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
             "flash_bytes": costmodel.flash_bytes(graph, profile),
         }
 
-    estimates = model_io.read_json(out / "cost_estimate.json", PipelineError)
+    estimate_path = out / "cost_estimate.json"
+    estimates = model_io.read_json(estimate_path, PipelineError)
+    ram_peak, latency, energy = (
+        model_io._field(estimates, key, str(estimate_path), model_io.NUMBER, PipelineError)
+        for key in ("ram_peak_bytes", "latency_ms", "energy_mj")
+    )
     downlink_report = model_io.read_json(out / "downlink_report.json", PipelineError)
     float_flash = stages["float"]["flash_bytes"]
     quant_flash = stages["quantized"]["flash_bytes"]
@@ -282,12 +294,11 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         rows.append([
             report["model"], dataset_name, stage, repr(entry["accuracy"]),
             entry["parameters"], entry["flash_bytes"],
-            estimates["ram_peak_bytes"] if deployed else "",
-            repr(estimates["latency_ms"]) if deployed else "",
-            repr(estimates["energy_mj"]) if deployed else "",
+            ram_peak if deployed else "",
+            repr(latency) if deployed else "",
+            repr(energy) if deployed else "",
         ])
-    plot = [["model", "latency_ms", "energy_mj"],
-            [report["model"], repr(estimates["latency_ms"]), repr(estimates["energy_mj"])]]
+    plot = [["model", "latency_ms", "energy_mj"], [report["model"], repr(latency), repr(energy)]]
     model_io.write_files([
         (out / "report.json", model_io.json_text(report)),
         (out / "report.csv", model_io.csv_text(rows)),

@@ -291,13 +291,20 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
         return t.data
 
     for layer_id, count in plan.original_counts.items():
-        node = nodes[layer_id]
+        node = nodes.get(layer_id)
+        if node is None or node.kind not in PRUNABLE_OPS:
+            raise PruneError(
+                f"layer {layer_id}: in the prune plan but not a prunable layer of the model"
+            )
         w = g.tensors[node.inputs[1]]
         if w.shape[0] != count:
             raise PruneError(
                 f"layer {layer_id}: mask length {count} != filter count {w.shape[0]}"
             )
         removed = sorted(plan.removed(layer_id))
+        outside = [i for i in removed if not 0 <= i < count]
+        if outside:
+            raise PruneError(f"layer {layer_id}: filter index {outside[0]} outside [0, {count})")
         if not removed:
             continue
         actions = table.get(layer_id)

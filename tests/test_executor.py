@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from graphutil import (
     reference_window_f32,
     reference_window_int8,
 )
+from tinydeploy import executor
 from tinydeploy.executor import (
     EVAL_CHUNK,
     ExecutionError,
@@ -309,13 +312,42 @@ def test_label_out_of_range_rejected():
 EQUIVALENCE_SAMPLES = 37
 
 
+@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
-def test_evaluate_matches_per_sample_run_f32(model, request, test_samples):
+def test_evaluate_matches_per_sample_run_f32(model, workers, request, test_samples, monkeypatch):
     assert EQUIVALENCE_SAMPLES % EVAL_CHUNK
+    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
     graph = request.getfixturevalue(model)
     samples = test_samples[:EQUIVALENCE_SAMPLES]
     records, _ = evaluate(graph, samples)
     assert record_tuples(records) == per_sample_records(run_f32, graph, samples)
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert executor.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert executor.usable_cpus() == 5
+
+
+@pytest.mark.parametrize(
+    "cpus, samples, workers", [(1, 37, 1), (8, 37, 3), (2, 37, 2), (8, 0, 1)]
+)
+def test_map_batches_pool_size(cpus, samples, workers, monkeypatch):
+    # One worker per usable CPU, at most one per chunk, never none.
+    sizes = []
+
+    class Pool(executor.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(executor, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(executor, "ThreadPoolExecutor", Pool)
+    xs = [np.full((1, 2), i, dtype=np.float32) for i in range(samples)]
+    assert executor.map_batches(len, xs) == [len(b) for b in executor.batches(xs)]
+    assert sizes == [workers]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from graphutil import conv_attrs, naive_depthwise_acc, per_sample_records, record_tuples
+from tinydeploy import executor
 from tinydeploy.executor import (
     EVAL_CHUNK,
     AccumulatorOverflowError,
@@ -91,7 +95,7 @@ def test_unit_scale_matches_float_exactly():
     np.testing.assert_array_equal(run_int8(g, x)["out"], run_f32(gf, x)["out"])
 
 
-def test_accumulator_overflow_reported():
+def test_accumulator_overflow_reported(monkeypatch):
     w = np.full((1, 1, 1, 1), 127, dtype=np.int8)
     g = unit_scale_conv_graph(w, np.array([2**31 - 10], dtype=np.int64), (1, 1, 1, 1))
     with pytest.raises(AccumulatorOverflowError, match="conv"):
@@ -107,10 +111,15 @@ def test_accumulator_overflow_reported():
                                        quant=unit_qp())
     g.tensors["probs"] = TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
     zero = np.zeros((1, 1, 1, 1), dtype=np.float32)
+    # Three workers for the two chunks; none of them outlives the call.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 3)
+    threads = threading.active_count()
     records, _ = evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 1))
     assert len(records) == EVAL_CHUNK + 1
+    assert threading.active_count() == threads
     with pytest.raises(AccumulatorOverflowError, match="conv"):
         evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 3) + [(np.full_like(zero, 100.0), 0)])
+    assert threading.active_count() == threads
 
 
 def test_int8_gemm_exact_at_extreme_codes():
@@ -235,12 +244,33 @@ def test_top1_agreement_small_convnet(small_convnet, small_convnet_quantized, te
     assert agreement >= 0.90
 
 
+@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("model", ["small_convnet_quantized", "dwsep_net_quantized"])
-def test_evaluate_matches_per_sample_run_int8(model, request, test_samples):
+def test_evaluate_matches_per_sample_run_int8(model, workers, request, test_samples, monkeypatch):
+    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
     graph = request.getfixturevalue(model)
     samples = test_samples[:37]  # a partial last chunk
     records, _ = evaluate(graph, samples)
     assert record_tuples(records) == per_sample_records(run_int8, graph, samples)
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "small_convnet_quantized"])
+def test_evaluate_threads_under_fast_switching(model, request, test_samples, monkeypatch):
+    # One worker per chunk (13 for 200 samples, more than the cores), with
+    # the interpreter switching threads every microsecond: any state the
+    # workers shared and wrote would show as a record differing from the
+    # serial run's.
+    graph = request.getfixturevalue(model)
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 1)
+    want = record_tuples(evaluate(graph, test_samples)[0])
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = record_tuples(evaluate(graph, test_samples)[0])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_int8_add_requantizes_operands():

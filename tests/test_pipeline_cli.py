@@ -201,6 +201,19 @@ def test_config_defaults_and_coercion():
             PipelineConfig.from_json(obj)
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": [1]}, "config key 'seed': [1] is not int"),
+    ({"seed": float("inf")}, "config key 'seed': inf is not int"),
+    ({"calibration_samples": "many"}, "config key 'calibration_samples': 'many' is not int"),
+    ({"prune": {"schedule": 0.1}}, "config key 'prune.schedule': 0.1 is not list[float]"),
+    ({"prune": {"schedule": ["a"]}}, "config key 'prune.schedule': ['a'] is not list[float]"),
+], ids=["seed_list", "seed_infinite", "samples_word", "schedule_number", "schedule_word"])
+def test_config_value_that_will_not_coerce_rejected(edit, message):
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o", **edit})
+    assert str(info.value) == message
+
+
 def test_example_config_loads():
     config = PipelineConfig.load(Path(__file__).parent.parent / "configs" / "example_pipeline.json")
     assert config.prune_schedule == [0.10, 0.05, 0.05]
@@ -281,6 +294,26 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
     assert set(da) == set(db)
 
 
+def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = make_config(assets, out)
+    run_pipeline(config)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config.to_json()))
+    estimate_path = out / "cost_estimate.json"
+    estimate = json.loads(estimate_path.read_text())
+    for edit, message in (
+        (lambda e: e.pop("latency_ms"), "missing key 'latency_ms'"),
+        (lambda e: e.update(energy_mj="1.5"), "key 'energy_mj' must be int or float, got str"),
+    ):
+        broken = dict(estimate)
+        edit(broken)
+        estimate_path.write_text(json.dumps(broken))
+        assert main(["report", "--run-dir", str(out), "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error [{estimate_path}: {message}]\n"
+
+
 def test_cli_staged_pruning_matches_one_shot_plan(assets, tmp_path, small_convnet):
     # identity fine-tuning: staged CLI result equals the one-shot library plan
     out = tmp_path / "staged"
@@ -327,6 +360,17 @@ def test_cli_run_rejects_misspelt_config_key(assets, tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert "error [config has unknown key(s): confidence_treshold]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_config_value_that_will_not_coerce(assets, tmp_path, capsys):
+    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg["seed"] = [1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error [config key 'seed': [1] is not int]\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -400,8 +444,9 @@ def test_cli_run_and_make_assets(tmp_path, capsys):
 
 
 @pytest.fixture(scope="module")
-def mapped(tmp_path_factory, small_convnet_quantized):
+def mapped(tmp_path_factory, small_convnet, small_convnet_quantized):
     root = tmp_path_factory.mktemp("mapped")
+    save_model(small_convnet, root / "model_float")
     save_model(small_convnet_quantized, root / "model")
     build_deployment_plan(small_convnet_quantized, HardwareProfile()).save(root / "plan.json")
     write_records_csv([InferenceRecord("s0", 1, 0.5, 1)], root / "records.csv")
@@ -510,6 +555,16 @@ def _truncate_sample(root: Path) -> None:
 
 
 RECORDS_HEADER = "sample_id,predicted_class,confidence,true_label,correct\n"
+# small_convnet's prunable layers and their filter counts
+PLAN_COUNTS = {"conv1": 16, "conv2": 32, "conv3": 64}
+
+
+def _prune_stage(m: Path, t: Path, counts: dict, stages: list) -> list[str]:
+    """prune-stage argv on the Float32 model with a two-stage plan file."""
+    plan = {"schedule": [0.1, 0.1], "original_counts": counts, "stages": stages}
+    return ["prune-stage", "--model", str(m / "model_float.json"),
+            "--plan", str(_write(t / "p.json", json.dumps(plan))), "--out-masked", str(t / "masked")]
+
 
 # case -> (argv for a directory holding the mapped model, the message)
 MALFORMED_INPUTS = {
@@ -518,6 +573,15 @@ MALFORMED_INPUTS = {
                       str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
                       "--out-masked", str(t / "masked")],
         "prune plan: missing key 'original_counts'"),
+    "plan_layer_not_in_model": (
+        lambda m, t: _prune_stage(m, t, {**PLAN_COUNTS, "ghost": 4}, []),
+        "layer ghost: in the prune plan but not a prunable layer of the model"),
+    "plan_layer_not_prunable": (
+        lambda m, t: _prune_stage(m, t, {**PLAN_COUNTS, "conv1_relu": 16}, []),
+        "layer conv1_relu: in the prune plan but not a prunable layer of the model"),
+    "plan_index_past_filters": (
+        lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"conv1": [999]}]),
+        "layer conv1: filter index 999 outside [0, 16)"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
