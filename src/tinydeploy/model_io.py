@@ -2,12 +2,12 @@
 
 `json_text` and `csv_text` hold the JSON and CSV layouts; `read_json`,
 `read_csv` and `_field` name the file, line or key of malformed input.
-Models are a `<name>.json` manifest + `<name>.bin` weight blob. The
-manifest holds nodes, tensors, attributes and per-tensor blob
-offsets/lengths; the blob is the little-endian concatenation of constant
-tensor payloads in manifest order. Float32 is 4-byte IEEE-754, Int8 signed
-bytes, Int32 little-endian. Field names are part of the contract (see
-README "File formats").
+Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
+(`pair_paths`, `write_pair`); the manifest gives each constant tensor's
+blob offset/length. `pack_blob` concatenates the payloads little-endian
+in sorted tensor-id order and `read_blob` reads one back, bounds-checked.
+Float32 is 4-byte IEEE-754, Int8 signed bytes, Int32 little-endian. Field
+names are part of the contract (see README "File formats").
 """
 from __future__ import annotations
 
@@ -85,6 +85,53 @@ def _quant_from_json(obj: dict | None, where: str) -> QuantParams | None:
         raise ModelFormatError(f"{where}: bad quantization params: {exc}") from None
 
 
+def pair_paths(path: str | Path) -> tuple[Path, Path]:
+    """`<path>.json` and `<path>.bin`; `path` may omit the extension or end in `.json`."""
+    path = Path(path)
+    if path.suffix == ".json":
+        path = path.with_suffix("")
+    return path.with_suffix(".json"), path.with_suffix(".bin")
+
+
+def pack_blob(tensors: dict[str, TensorSpec]) -> tuple[bytes, dict[str, dict]]:
+    """The payloads of the tensors holding data, in sorted id order (so
+    load+save is byte-stable), and each one's `{offset, length}` by id."""
+    blob = bytearray()
+    locations = {}
+    for tid, t in sorted(tensors.items()):
+        if t.data is not None:
+            payload = pack_tensor(t.data, t.dtype)
+            locations[tid] = {"offset": len(blob), "length": len(payload)}
+            blob.extend(payload)
+    return bytes(blob), locations
+
+
+def read_blob(blob: bytes, location, dtype: DType, shape, where: str, error=ModelFormatError):
+    """The array at `location` (`{offset, length}` ints) in `blob`, or an
+    `error` naming `where` unless `length` fits `shape` and `dtype` and
+    the bytes lie inside `blob`."""
+    offset = _field(location, "offset", where, int, error)
+    length = _field(location, "length", where, int, error)
+    expected = int(np.prod(shape)) * dtype.size_bytes
+    if length != expected:
+        raise error(f"{where}: blob length mismatch (manifest {length}, shape implies {expected})")
+    if offset < 0:
+        raise error(f"{where}: negative blob offset {offset}")
+    if offset + length > len(blob):
+        raise error(
+            f"{where}: blob length mismatch (needs bytes up to {offset + length}, "
+            f"blob has {len(blob)})"
+        )
+    return unpack_tensor(blob[offset:offset + length], dtype, shape)
+
+
+def write_pair(path: str | Path, manifest: dict, blob: bytes) -> tuple[Path, Path]:
+    """Write a manifest+blob pair, the manifest renamed last; returns both paths."""
+    manifest_path, blob_path = pair_paths(path)
+    write_files([(blob_path, blob), (manifest_path, json_text(manifest))])
+    return manifest_path, blob_path
+
+
 def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
     """Write `<path>.json` + `<path>.bin`; returns both paths.
 
@@ -94,30 +141,7 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
     if not report.ok:
         raise ModelFormatError("refusing to save invalid graph: " + "; ".join(report.violations))
 
-    path = Path(path)
-    if path.suffix == ".json":
-        path = path.with_suffix("")
-    manifest_path = path.with_suffix(".json")
-    blob_path = path.with_suffix(".bin")
-
-    # Canonical layout: blob payloads in sorted tensor-id order, so saving
-    # is a pure function of graph content (load+save is byte-stable).
-    blob = bytearray()
-    tensors_json = {}
-    for tid, t in sorted(graph.tensors.items()):
-        entry = {
-            "shape": list(t.shape),
-            "dtype": t.dtype.value,
-            "kind": t.kind.value,
-            "quant": _quant_to_json(t.quant),
-            "blob": None,
-        }
-        if t.data is not None:
-            payload = pack_tensor(t.data, t.dtype)
-            entry["blob"] = {"offset": len(blob), "length": len(payload)}
-            blob.extend(payload)
-        tensors_json[tid] = entry
-
+    blob, locations = pack_blob(graph.tensors)
     manifest = {
         "format_version": FORMAT_VERSION,
         "name": graph.name,
@@ -133,15 +157,18 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
             }
             for n in graph.nodes
         ],
-        "tensors": tensors_json,
+        "tensors": {
+            tid: {
+                "shape": list(t.shape),
+                "dtype": t.dtype.value,
+                "kind": t.kind.value,
+                "quant": _quant_to_json(t.quant),
+                "blob": locations.get(tid),
+            }
+            for tid, t in graph.tensors.items()
+        },
     }
-    write_pair(manifest_path, manifest, blob_path, bytes(blob))
-    return manifest_path, blob_path
-
-
-def write_pair(manifest_path: Path, manifest: dict, blob_path: Path, blob: bytes) -> None:
-    """Write a manifest+blob pair through `write_files`, the manifest renamed last."""
-    write_files([(blob_path, blob), (manifest_path, json_text(manifest))])
+    return write_pair(path, manifest, blob)
 
 
 def write_files(files: Iterable[tuple[str | Path, bytes | str]]) -> None:
@@ -254,12 +281,7 @@ def _field(
 
 def load_model(path: str | Path) -> GraphIR:
     """Load a manifest + blob pair saved by save_model."""
-    path = Path(path)
-    if path.suffix == ".json":
-        path = path.with_suffix("")
-    manifest_path = path.with_suffix(".json")
-    blob_path = path.with_suffix(".bin")
-
+    manifest_path, blob_path = pair_paths(path)
     manifest = read_json(manifest_path, ModelFormatError)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != FORMAT_VERSION:
@@ -283,22 +305,8 @@ def load_model(path: str | Path) -> GraphIR:
         if not all(isinstance(d, int) for d in shape):
             raise ModelFormatError(f"{where}: shape {shape!r} must hold integers")
         shape = tuple(shape)
-        data = None
         loc = entry.get("blob")
-        if loc is not None:
-            offset = _field(loc, "offset", f"{where} blob", int)
-            length = _field(loc, "length", f"{where} blob", int)
-            expected = int(np.prod(shape)) * dtype.size_bytes
-            if length != expected:
-                raise ModelFormatError(
-                    f"{where}: blob length mismatch (manifest {length}, shape implies {expected})"
-                )
-            if offset + length > len(blob):
-                raise ModelFormatError(
-                    f"{where}: blob length mismatch (needs bytes up to "
-                    f"{offset + length}, blob has {len(blob)})"
-                )
-            data = unpack_tensor(blob[offset:offset + length], dtype, shape)
+        data = None if loc is None else read_blob(blob, loc, dtype, shape, f"{where} blob")
         tensors[tid] = TensorSpec(
             id=tid,
             shape=shape,

@@ -5,7 +5,8 @@ the L2 norm of their weight slice; each stage removes the lowest-ranked
 floor(fraction * original_count) structures per layer, fractions relative
 to the original count. Masking zeroes the structures in fresh copies of
 the touched constants; materializing removes them physically and slices
-every consumer's input channels.
+every consumer's input channels. Both walk the removals that
+`_checked_removals`, the one check of a plan against a graph, returns.
 
 Channel propagation rule: a removal travels from a layer's output through
 channel-preserving ops (ReLU, MaxPool2D, AvgPool2D) and DepthwiseConv2D
@@ -17,7 +18,8 @@ excluded from pruning; this keeps cross-branch masks consistent and
 always protects the final classifier.
 
 Fine-tuning happens externally: export_checkpoint/import_checkpoint move
-weights across the boundary in the model blob layout.
+weights across the boundary as a manifest+blob pair whose blob is the
+model blob of the same graph, packed and read by model_io.
 """
 from __future__ import annotations
 
@@ -31,11 +33,12 @@ from .graph import (
     CHANNEL_PRESERVING_OPS,
     GraphIR,
     OpKind,
+    OpNode,
     ShapeError,
     TensorSpec,
     infer_shapes,
 )
-from .model_io import _field, pack_tensor, read_json, unpack_tensor, write_json, write_pair
+from .model_io import _field, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -137,20 +140,21 @@ def _validate_schedule(schedule) -> list[float]:
 # channel propagation
 
 
-def _propagation_table(graph: GraphIR) -> dict[str, list | None]:
-    """Downstream actions for every Conv2D/FullyConnected layer of `graph`.
+def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None]]:
+    """Every Conv2D/FullyConnected layer of `graph` with its downstream actions.
 
-    Maps layer id -> list of ("dw"|"conv_in"|"fc_in", node_id, positions)
-    where positions is the Flatten spatial expansion factor for "fc_in"
-    (1 when the input was already 2-D), or None when the layer is not
-    prunable. Shapes are inferred once for the whole table; the actions
-    depend only on graph structure and Flatten spatial sizes, which
-    channel removal leaves unchanged.
+    Maps layer id -> (layer node, actions), where actions is a list of
+    ("dw"|"conv_in"|"fc_in", consumer node, positions) with positions the
+    Flatten spatial expansion factor for "fc_in" (1 when the input was
+    already 2-D), or None when the layer is not prunable. Shapes are
+    inferred once for the whole table; the actions depend only on graph
+    structure and Flatten spatial sizes, which channel removal leaves
+    unchanged.
     """
     g, _ = infer_shapes(graph)
     consumers = g.consumer_map()
     return {
-        node.id: _propagation_actions(g, consumers, node.outputs[0])
+        node.id: (node, _propagation_actions(g, consumers, node.outputs[0]))
         for node in g.nodes
         if node.kind in PRUNABLE_OPS
     }
@@ -178,14 +182,14 @@ def _propagation_actions(g: GraphIR, consumers, output: str):
             elif kind == OpKind.DEPTHWISE_CONV2D:
                 if positions is not None:
                     return None
-                actions.append(("dw", consumer.id, None))
+                actions.append(("dw", consumer, None))
                 queue.append((consumer.outputs[0], None))
             elif kind == OpKind.CONV2D:
                 if positions is not None:
                     return None
-                actions.append(("conv_in", consumer.id, None))
+                actions.append(("conv_in", consumer, None))
             elif kind == OpKind.FULLY_CONNECTED:
-                actions.append(("fc_in", consumer.id, positions or 1))
+                actions.append(("fc_in", consumer, positions or 1))
             elif kind == OpKind.FLATTEN:
                 if positions is not None:
                     return None
@@ -199,13 +203,16 @@ def _propagation_actions(g: GraphIR, consumers, output: str):
 
 def prunable_layers(graph: GraphIR) -> list[str]:
     """Conv2D/FullyConnected layers whose channel removals stay absorbable."""
-    return [lid for lid, actions in _propagation_table(graph).items() if actions is not None]
+    return [lid for lid, (_, actions) in _propagation_table(graph).items() if actions is not None]
 
 
 def _prunable_weights(graph: GraphIR) -> dict[str, TensorSpec]:
     """Prunable layer id -> its weight tensor."""
-    nodes = {n.id: n for n in graph.nodes}
-    return {lid: graph.tensors[nodes[lid].inputs[1]] for lid in prunable_layers(graph)}
+    return {
+        lid: graph.tensors[node.inputs[1]]
+        for lid, (node, actions) in _propagation_table(graph).items()
+        if actions is not None
+    }
 
 
 def rank_filters(graph: GraphIR) -> dict[str, list[FilterScore]]:
@@ -269,6 +276,45 @@ def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     return plan
 
 
+def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, list[int], list]]:
+    """The plan's removals on `graph`: (layer node, sorted removed indices,
+    propagation actions) for each layer that has removals.
+
+    The one check of a plan against a graph. Raises PruneError when a
+    stage names a layer that `original_counts` lacks, or a counted layer
+    is not a Conv2D/FullyConnected node of `graph`, has another filter
+    count, has an index out of range, or has removals that cannot be
+    absorbed in this graph.
+    """
+    table = _propagation_table(graph)
+    for k, stage in enumerate(plan.stages, 1):
+        for layer_id in sorted(stage):
+            if layer_id not in plan.original_counts:
+                raise PruneError(
+                    f"prune plan stage {k}: layer {layer_id} is not in original_counts"
+                )
+    checked = []
+    for layer_id, count in plan.original_counts.items():
+        if layer_id not in table:
+            raise PruneError(
+                f"layer {layer_id}: in the prune plan but not a prunable layer of the model"
+            )
+        node, actions = table[layer_id]
+        filters = graph.tensors[node.inputs[1]].shape[0]
+        if filters != count:
+            raise PruneError(f"layer {layer_id}: mask length {count} != filter count {filters}")
+        removed = sorted(plan.removed(layer_id))
+        outside = [i for i in removed if not 0 <= i < count]
+        if outside:
+            raise PruneError(f"layer {layer_id}: filter index {outside[0]} outside [0, {count})")
+        if not removed:
+            continue
+        if actions is None:
+            raise PruneError(f"layer {layer_id} is not prunable in this graph")
+        checked.append((node, removed, actions))
+    return checked
+
+
 def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     """Zero removed structures; shapes unchanged.
 
@@ -279,8 +325,6 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     in a fresh copy, and every other constant stays shared with `graph`.
     """
     g = graph.copy()
-    nodes = {n.id: n for n in g.nodes}
-    table = _propagation_table(graph)
     copied: set[str] = set()
 
     def own(tid: str) -> np.ndarray:
@@ -290,85 +334,43 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
             copied.add(tid)
         return t.data
 
-    for layer_id, count in plan.original_counts.items():
-        node = nodes.get(layer_id)
-        if node is None or node.kind not in PRUNABLE_OPS:
-            raise PruneError(
-                f"layer {layer_id}: in the prune plan but not a prunable layer of the model"
-            )
-        w = g.tensors[node.inputs[1]]
-        if w.shape[0] != count:
-            raise PruneError(
-                f"layer {layer_id}: mask length {count} != filter count {w.shape[0]}"
-            )
-        removed = sorted(plan.removed(layer_id))
-        outside = [i for i in removed if not 0 <= i < count]
-        if outside:
-            raise PruneError(f"layer {layer_id}: filter index {outside[0]} outside [0, {count})")
-        if not removed:
-            continue
-        actions = table.get(layer_id)
-        if actions is None:
-            raise PruneError(f"layer {layer_id} is not prunable in this graph")
-        own(node.inputs[1])[removed] = 0
-        if len(node.inputs) == 3:
-            own(node.inputs[2])[removed] = 0
-        for action, consumer_id, _ in actions:
+    for node, removed, actions in _checked_removals(graph, plan):
+        for tid in node.inputs[1:]:  # weight rows and bias entries
+            own(tid)[removed] = 0
+        for action, consumer, _ in actions:
             if action == "dw":
-                dw = nodes[consumer_id]
-                own(dw.inputs[1])[:, :, :, removed] = 0
-                if len(dw.inputs) == 3:
-                    own(dw.inputs[2])[removed] = 0
+                own(consumer.inputs[1])[:, :, :, removed] = 0
+                if len(consumer.inputs) == 3:
+                    own(consumer.inputs[2])[removed] = 0
     return g
 
 
 def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     """Physically remove pruned structures and re-infer shapes.
 
-    The propagation table comes from the input graph: removing channels
-    changes neither graph structure nor Flatten spatial sizes.
+    The plan is checked, and the propagation table built, on the input
+    graph: removing channels changes neither graph structure nor Flatten
+    spatial sizes.
     """
     g = graph.copy()
-    nodes = {n.id: n for n in g.nodes}
-    table = _propagation_table(graph)
-    for layer_id, count in plan.original_counts.items():
-        node = nodes[layer_id]
-        w = g.tensors[node.inputs[1]]
-        if w.shape[0] != count:
-            raise PruneError(
-                f"layer {layer_id}: plan count {count} != filter count {w.shape[0]}"
-            )
-        removed = sorted(plan.removed(layer_id))
-        if not removed:
-            continue
-        actions = table.get(layer_id)
-        if actions is None:
-            raise PruneError(f"layer {layer_id} is not prunable in this graph")
 
-        w.data = np.delete(w.data, removed, axis=0)
-        w.shape = w.data.shape
-        if len(node.inputs) == 3:
-            b = g.tensors[node.inputs[2]]
-            b.data = np.delete(b.data, removed, axis=0)
-            b.shape = b.data.shape
+    def drop(tid: str, index: list[int], axis: int) -> None:
+        t = g.tensors[tid]
+        t.data = np.delete(t.data, index, axis=axis)
+        t.shape = t.data.shape
 
-        for action, consumer_id, positions in actions:
-            consumer = nodes[consumer_id]
-            cw = g.tensors[consumer.inputs[1]]
-            if action == "dw":
-                cw.data = np.delete(cw.data, removed, axis=3)
-                cw.shape = cw.data.shape
-                if len(consumer.inputs) == 3:
-                    cb = g.tensors[consumer.inputs[2]]
-                    cb.data = np.delete(cb.data, removed, axis=0)
-                    cb.shape = cb.data.shape
-            elif action == "conv_in":
-                cw.data = np.delete(cw.data, removed, axis=3)
-                cw.shape = cw.data.shape
-            else:  # fc_in: columns p*C + c for every spatial position p
+    for node, removed, actions in _checked_removals(graph, plan):
+        count = g.tensors[node.inputs[1]].shape[0]
+        for tid in node.inputs[1:]:  # weight rows and bias entries
+            drop(tid, removed, 0)
+        for action, consumer, positions in actions:
+            if action == "fc_in":  # columns p*C + c for every spatial position p
                 cols = [p * count + c for p in range(positions) for c in removed]
-                cw.data = np.delete(cw.data, cols, axis=1)
-                cw.shape = cw.data.shape
+                drop(consumer.inputs[1], cols, 1)
+            else:  # dw and conv_in: the input-channel axis, and a depthwise bias
+                drop(consumer.inputs[1], removed, 3)
+                if action == "dw" and len(consumer.inputs) == 3:
+                    drop(consumer.inputs[2], removed, 0)
 
     try:
         return infer_shapes(g)[0]
@@ -382,46 +384,30 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
 
 @dataclass
 class Checkpoint:
-    """Constant-tensor snapshot in the model blob layout."""
+    """Constant-tensor snapshot: its blob is the model blob of the same graph."""
 
     index: dict[str, dict]  # tensor id -> {offset, length, dtype, shape}
     blob: bytes
 
     def save(self, path: str | Path) -> tuple[Path, Path]:
-        path = Path(path)
-        if path.suffix == ".json":
-            path = path.with_suffix("")
-        manifest = {"checkpoint_version": 1, "tensors": self.index}
-        write_pair(path.with_suffix(".json"), manifest, path.with_suffix(".bin"), self.blob)
-        return path.with_suffix(".json"), path.with_suffix(".bin")
+        return write_pair(path, {"checkpoint_version": 1, "tensors": self.index}, self.blob)
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        path = Path(path)
-        if path.suffix == ".json":
-            path = path.with_suffix("")
-        manifest = read_json(path.with_suffix(".json"), CheckpointError)
+        manifest_path, blob_path = pair_paths(path)
+        base = manifest_path.with_suffix("")
+        manifest = read_json(manifest_path, CheckpointError)
         if not isinstance(manifest, dict) or manifest.get("checkpoint_version") != 1:
-            raise CheckpointError(f"unsupported checkpoint version in {path}")
-        index = _field(manifest, "tensors", f"checkpoint {path}", dict, CheckpointError)
-        return cls(index=index, blob=path.with_suffix(".bin").read_bytes())
+            raise CheckpointError(f"unsupported checkpoint version in {base}")
+        index = _field(manifest, "tensors", f"checkpoint {base}", dict, CheckpointError)
+        return cls(index=index, blob=blob_path.read_bytes())
 
 
 def export_checkpoint(graph: GraphIR) -> Checkpoint:
-    blob = bytearray()
-    index: dict[str, dict] = {}
-    for tid, t in sorted(graph.tensors.items()):  # model blob layout order
-        if not t.is_constant:
-            continue
-        payload = pack_tensor(t.data, t.dtype)
-        index[tid] = {
-            "offset": len(blob),
-            "length": len(payload),
-            "dtype": t.dtype.value,
-            "shape": list(t.shape),
-        }
-        blob.extend(payload)
-    return Checkpoint(index=index, blob=bytes(blob))
+    blob, index = pack_blob(graph.tensors)
+    for tid, entry in index.items():
+        entry.update(dtype=graph.tensors[tid].dtype.value, shape=list(graph.tensors[tid].shape))
+    return Checkpoint(index=index, blob=blob)
 
 
 def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
@@ -440,18 +426,7 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
         entry = checkpoint.index[tid]
         where = f"checkpoint tensor {tid}"
         dtype = _field(entry, "dtype", where, str, CheckpointError)
-        offset = _field(entry, "offset", where, int, CheckpointError)
-        length = _field(entry, "length", where, int, CheckpointError)
         if dtype != t.dtype.value:
             raise CheckpointError(f"tensor {tid}: checkpoint dtype {dtype} != {t.dtype.value}")
-        if length != t.size_bytes:
-            raise CheckpointError(
-                f"tensor {tid}: checkpoint length {length} != expected {t.size_bytes}"
-            )
-        if offset < 0:
-            raise CheckpointError(f"tensor {tid}: negative checkpoint offset {offset}")
-        if offset + length > len(checkpoint.blob):
-            raise CheckpointError(f"tensor {tid}: checkpoint blob too short")
-        raw = checkpoint.blob[offset:offset + length]
-        t.data = unpack_tensor(raw, t.dtype, t.shape)
+        t.data = read_blob(checkpoint.blob, entry, t.dtype, t.shape, where, CheckpointError)
     return g

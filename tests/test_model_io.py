@@ -76,6 +76,21 @@ def test_manifest_length_field_checked(tmp_path):
         load_model(tmp_path / "m")
 
 
+def test_negative_blob_offset_rejected(tmp_path, capsys):
+    # b's 16 bytes come first; blob[-32:-16] has the right length, so an
+    # unchecked offset would load other bytes without an error.
+    manifest_path, _ = save_model(conv_relu_softmax(), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"]["b"]["blob"]["offset"] = -32
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match="tensor b blob: negative blob offset -32"):
+        load_model(manifest_path)
+    assert main(["validate-model", "--model", str(manifest_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "negative blob offset -32" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def _drop_key(manifest, path):
     *parents, key = path
     for p in parents:
@@ -244,7 +259,8 @@ def test_quantized_roundtrip(tmp_path, small_convnet_quantized):
 
 
 def test_only_model_io_encodes_reads_or_writes_files():
-    """json, csv, open() and Path writes appear in model_io.py alone."""
+    """json, csv, open(), Path writes and the tensor codec appear in model_io.py alone."""
+    codec = {"pack_tensor", "unpack_tensor"}
     offenders = []
     for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
         if path.name == "model_io.py":
@@ -252,8 +268,13 @@ def test_only_model_io_encodes_reads_or_writes_files():
         for node in ast.walk(ast.parse(path.read_text())):
             imported = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            names = (
+                {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
+            )
             func = node.func if isinstance(node, ast.Call) else None
             if ({"json", "csv"} & set(imported)
+                    or codec & names
+                    or isinstance(node, ast.Attribute) and node.attr in codec
                     or isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
                     or isinstance(func, ast.Name) and func.id == "open"):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")

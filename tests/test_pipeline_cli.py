@@ -582,6 +582,9 @@ MALFORMED_INPUTS = {
     "plan_index_past_filters": (
         lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"conv1": [999]}]),
         "layer conv1: filter index 999 outside [0, 16)"),
+    "plan_stage_layer_not_counted": (
+        lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"ghost": [0]}]),
+        "prune plan stage 1: layer ghost is not in original_counts"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],

@@ -262,12 +262,22 @@ def test_flatten_column_propagation(small_convnet):
 
 
 def test_mask_length_mismatch_rejected():
+    # ... and every other plan that does not fit the graph, masked or materialized
     g = two_conv_chain(first_filters=8)
-    plan = new_plan(g, [0.2])
-    plan.stages.append({"c1": [0]})
-    plan.original_counts["c1"] = 9
-    with pytest.raises(PruneError, match="c1"):
-        apply_masks(g, plan)
+    for edit, message in [
+        (lambda p: p.original_counts.update(c1=9), "layer c1: mask length 9 != filter count 8"),
+        (lambda p: p.original_counts.update(ghost=4),
+         "layer ghost: in the prune plan but not a prunable layer of the model"),
+        (lambda p: p.stages.append({"c1": [999]}), "layer c1: filter index 999 outside [0, 8)"),
+        (lambda p: p.stages.append({"ghost": [0]}),
+         "prune plan stage 2: layer ghost is not in original_counts"),
+    ]:
+        plan = new_plan(g, [0.2, 0.2])
+        plan.stages.append({"c1": [0]})
+        edit(plan)
+        for transform in (apply_masks, materialize):
+            with pytest.raises(PruneError, match=re.escape(message)):
+                transform(g, plan)
 
 
 def _saved_bytes(graph, path):
@@ -369,6 +379,14 @@ def test_checkpoint_file_roundtrip(tmp_path, small_convnet):
     assert graphs_equal(small_convnet, restored)
 
 
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
+def test_checkpoint_blob_is_the_model_blob(request, tmp_path, model):
+    g = request.getfixturevalue(model)
+    for graph in (g, apply_masks(g, build_prune_plan(g, [0.25]))):
+        _, blob_path = save_model(graph, tmp_path / "m")
+        assert export_checkpoint(graph).blob == blob_path.read_bytes()
+
+
 def test_checkpoint_wrong_length_names_tensor():
     g = two_conv_chain()
     ckpt = export_checkpoint(g)
@@ -410,7 +428,7 @@ MALFORMED_CHECKPOINTS = [
      "key 'offset' must be int, got bool"),
     ("no_dtype", lambda m: m["tensors"]["w1"].pop("dtype"), "missing key 'dtype'"),
     ("offset_negative", lambda m: m["tensors"]["w1"].update(offset=-4),
-     "negative checkpoint offset -4"),
+     "checkpoint tensor w1: negative blob offset -4"),
 ]
 
 
