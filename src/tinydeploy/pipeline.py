@@ -45,8 +45,17 @@ from .pruning import (
 )
 from .quantization import quantize_graph
 
+
+def _int(value) -> int:
+    """int(value) for an integral number or numeric string; a fraction or
+    a JSON true/false raises ValueError instead of truncating."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 # JSON config values are coerced by field annotation; str fields pass as given.
-_COERCE = {"int": int, "float": float, "bool": bool,
+_COERCE = {"int": _int, "float": float, "bool": bool,
            "list[float]": lambda values: [float(v) for v in values]}
 
 
@@ -256,9 +265,13 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
     ):
         model_path = out / f"{model_file}.json"
         if not model_path.exists():
+            if stage != "pruned":  # only pruning may be skipped
+                raise PipelineError(f"{model_path}: no {stage} model to report on")
             stages[stage] = None
             continue
         graph = load_model(model_path)
+        if stage == "float":
+            model_name = graph.name
         stages[stage] = {
             "accuracy": _accuracy_from_csv(out / f"{eval_prefix}.csv"),
             "parameters": parameter_count(graph),
@@ -275,7 +288,7 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
     float_flash = stages["float"]["flash_bytes"]
     quant_flash = stages["quantized"]["flash_bytes"]
     report = {
-        "model": load_model(out / "model_float.json").name,
+        "model": model_name,
         "config": config.to_json(),
         "stages": stages,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),

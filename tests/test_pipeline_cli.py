@@ -199,6 +199,11 @@ def test_config_defaults_and_coercion():
     for obj in ([], {"model": "m", "prune": [0.1]}):
         with pytest.raises(PipelineError, match='"prune" entry must be JSON objects'):
             PipelineConfig.from_json(obj)
+    # Int fields take integral numbers only: no truncation, no true/false.
+    for key, value in [("seed", 1.5), ("seed", True), ("calibration_samples", "1.5")]:
+        message = f"config key {key!r}: {value!r} is not int"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o", key: value})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -312,6 +317,23 @@ def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
         assert main(["report", "--run-dir", str(out), "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error [{estimate_path}: {message}]\n"
+
+
+def test_cli_report_needs_float_and_quantized_models(mapped, tmp_path, capsys):
+    cfg_path = _write(tmp_path / "cfg.json", '{"model": "m", "dataset": "d", "output_dir": "o"}')
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    argv = ["report", "--run-dir", str(run_dir), "--config", str(cfg_path)]
+    assert main(argv) == 1
+    missing = run_dir / "model_float.json"
+    assert capsys.readouterr().err == f"error [{missing}: no float model to report on]\n"
+    # With the float model and its evaluation; pruning may be skipped, quantizing not.
+    for src, dst in [("model_float.json",) * 2, ("model_float.bin",) * 2,
+                     ("records.csv", "eval_float.csv")]:
+        (run_dir / dst).write_bytes((mapped / src).read_bytes())
+    assert main(argv) == 1
+    missing = run_dir / "model_quantized.json"
+    assert capsys.readouterr().err == f"error [{missing}: no quantized model to report on]\n"
 
 
 def test_cli_staged_pruning_matches_one_shot_plan(assets, tmp_path, small_convnet):
