@@ -152,6 +152,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_make_assets(args) -> int:
+    for option, count in (("--samples", args.samples), ("--train-samples", args.train_samples)):
+        if count < 1:
+            raise ValueError(f"make-assets {option} must be at least 1, got {count}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset_dir = generate_dataset(

@@ -428,5 +428,8 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
         dtype = _field(entry, "dtype", where, str, CheckpointError)
         if dtype != t.dtype.value:
             raise CheckpointError(f"tensor {tid}: checkpoint dtype {dtype} != {t.dtype.value}")
+        shape = _field(entry, "shape", where, list, CheckpointError)
+        if shape != list(t.shape) or not all(type(d) is int for d in shape):
+            raise CheckpointError(f"tensor {tid}: checkpoint shape {shape} != {list(t.shape)}")
         t.data = read_blob(checkpoint.blob, entry, t.dtype, t.shape, where, CheckpointError)
     return g

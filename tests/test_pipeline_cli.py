@@ -14,7 +14,7 @@ from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
 from tinydeploy.model_io import graphs_equal, load_model, save_model
 from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
-from tinydeploy.pruning import build_prune_plan, materialize
+from tinydeploy.pruning import build_prune_plan, export_checkpoint, materialize
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +462,15 @@ def test_cli_run_and_make_assets(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--train-samples", "0"), ("--train-samples", "-3"), ("--samples", "0"), ("--samples", "-1"),
+])
+def test_cli_make_assets_rejects_empty_sample_count(tmp_path, capsys, option, value):
+    assert main(["make-assets", "--out", str(tmp_path / "assets"), option, value]) == 1
+    assert_one_error_line(capsys, f"make-assets {option} must be at least 1, got {value}")
+    assert not (tmp_path / "assets").exists()
+
+
 # --- malformed plan, profile and link files --------------------------------
 
 
@@ -581,6 +590,16 @@ RECORDS_HEADER = "sample_id,predicted_class,confidence,true_label,correct\n"
 PLAN_COUNTS = {"conv1": 16, "conv2": 32, "conv3": 64}
 
 
+def _checkpoint_in(m: Path, t: Path, tid: str, shape) -> list[str]:
+    """prune-stage argv importing the Float32 model's checkpoint with `tid`'s shape edited."""
+    manifest_path, _ = export_checkpoint(load_model(m / "model_float.json")).save(t / "c")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"][tid]["shape"] = shape
+    manifest_path.write_text(json.dumps(manifest))
+    return ["prune-stage", "--model", str(m / "model_float.json"), "--plan", str(t / "p.json"),
+            "--out-masked", str(t / "masked"), "--checkpoint-in", str(manifest_path)]
+
+
 def _prune_stage(m: Path, t: Path, counts: dict, stages: list) -> list[str]:
     """prune-stage argv on the Float32 model with a two-stage plan file."""
     plan = {"schedule": [0.1, 0.1], "original_counts": counts, "stages": stages}
@@ -607,6 +626,12 @@ MALFORMED_INPUTS = {
     "plan_stage_layer_not_counted": (
         lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"ghost": [0]}]),
         "prune plan stage 1: layer ghost is not in original_counts"),
+    "checkpoint_shape_mismatch": (
+        lambda m, t: _checkpoint_in(m, t, "conv1_w", [1]),
+        "tensor conv1_w: checkpoint shape [1] != [16, 3, 3, 3]"),
+    "checkpoint_shape_string": (
+        lambda m, t: _checkpoint_in(m, t, "conv1_w", "garbage"),
+        "checkpoint tensor conv1_w: key 'shape' must be list, got str"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
