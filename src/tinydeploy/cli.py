@@ -25,11 +25,17 @@ def _parse_schedule(text: str) -> list[float]:
     return [float(f) for f in text.split(",") if f.strip()]
 
 
+def _at_least(command: str, option: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise ValueError(f"{command} {option} must be at least {minimum}, got {value}")
+
+
 def _cmd_run(args) -> int:
     config = PipelineConfig.load(args.config)
     if args.out:
         config.output_dir = args.out
     if args.seed is not None:
+        _at_least("run", "--seed", args.seed, 0)
         config.seed = args.seed
     report = pipeline.run_pipeline(config, stop_after=args.stage)
     if report is not None:
@@ -81,6 +87,8 @@ def _cmd_prune_stage(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _at_least("calibrate", "--samples", args.samples, 1)
+    _at_least("calibrate", "--seed", args.seed, 0)
     used = pipeline.stage_calibrate(
         args.model, resolve_path(args.dataset), args.samples, args.seed, args.out
     )
@@ -152,9 +160,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_make_assets(args) -> int:
-    for option, count in (("--samples", args.samples), ("--train-samples", args.train_samples)):
-        if count < 1:
-            raise ValueError(f"make-assets {option} must be at least 1, got {count}")
+    _at_least("make-assets", "--samples", args.samples, 1)
+    _at_least("make-assets", "--train-samples", args.train_samples, 1)
+    _at_least("make-assets", "--seed", args.seed, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset_dir = generate_dataset(

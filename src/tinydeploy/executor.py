@@ -15,6 +15,17 @@ Kernels are closures over read-only constants and each run has its own
 env, so one `Program` may run from several threads at once; `evaluate`
 runs its chunks on up to one thread per CPU the process may use, and
 numpy releases the GIL inside the kernels' einsum, BLAS and ufunc calls.
+
+Windows are read through strided views of the padded input. Conv2D
+copies them once into C-ordered (B,Ho,Wo,kh,kw,C) patches for its
+matrix product; DepthwiseConv2D runs one einsum over an uncopied
+(B,Ho,kh,kw,Wo*C) view (stride_w 1; (B,Ho,kh,kw,Wo,C) otherwise), which
+sums each output element in the same order as over the patches; the
+pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
+Float32 DepthwiseConv2D and AvgPool2D keep the patches: with C == 1
+numpy coalesces the window into a horizontal or pairwise reduction,
+whose order no view reproduces. INT8 DepthwiseConv2D sums exactly in
+float32 while kh*kw*255*128 < 2**24, in float64 beyond.
 """
 from __future__ import annotations
 
@@ -26,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .graph import (
     WEIGHTED_OPS,
@@ -142,6 +153,22 @@ class _Window:
         view = sliding_window_view(self._padded(x, pad_value), self.kernel, axis=(1, 2))
         return np.ascontiguousarray(view[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3))
 
+    def rows(self, x: np.ndarray, pad_value) -> np.ndarray:
+        """The windows as a strided view of the padded input, no copy.
+
+        (B,Ho,kh,kw,Wo*C) for stride_w 1, where output column and channel
+        merge into one contiguous axis; (B,Ho,kh,kw,Wo,C) otherwise.
+        """
+        x = np.ascontiguousarray(self._padded(x, pad_value))
+        (kh, kw), (sh, sw), (oh, ow) = self.kernel, self.stride, self.out_hw
+        b, c = x.shape[0], x.shape[3]
+        sb, sr, sp, sc = x.strides
+        if sw == 1:
+            shape, strides = (b, oh, kh, kw, ow * c), (sb, sh * sr, sr, sp, sc)
+        else:
+            shape, strides = (b, oh, kh, kw, ow, c), (sb, sh * sr, sr, sp, sw * sp, sc)
+        return as_strided(x, shape, strides, writeable=False)
+
     def taps(self, x: np.ndarray, pad_value) -> list[np.ndarray]:
         """The strided (B,Ho,Wo,C) view under each kernel offset, row-major."""
         x = self._padded(x, pad_value)
@@ -163,6 +190,28 @@ def _fold(ufunc: np.ufunc, views: list[np.ndarray]) -> np.ndarray:
     for view in views[1:]:
         ufunc(out, view, out=out)
     return out
+
+
+def _depthwise(window: _Window, w: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x (B,H,W,C) -> (B,Ho,Wo,C) depthwise sums under weights w (kh,kw,C).
+
+    One einsum over `window.rows`: its inner loop runs along the long
+    contiguous Wo*C (or C) axis as one multiply-add per element, kernel
+    offsets row-major in the outer loops, so each output element is
+    summed in the same order as over C-ordered (B,Ho,Wo,kh,kw,C) patches.
+    """
+    oh, ow = window.out_hw
+    c = w.shape[-1]
+    if window.stride[1] == 1:
+        w = np.tile(w, (1, 1, ow))
+        spec = "nhijx,ijx->nhx"
+    else:
+        spec = "nhijwc,ijc->nhwc"
+
+    def product(x: np.ndarray) -> np.ndarray:
+        out = np.einsum(spec, window.rows(x, 0), w, optimize=False)
+        return out.reshape(len(x), oh, ow, c)
+    return product
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -207,16 +256,21 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
                 return out.reshape(patches.shape[:3] + (w_mat.shape[0],))
         else:
             window = _Window(node, graph.tensors[src].shape)
-
-            def product(x: np.ndarray) -> np.ndarray:
-                patches = window.patches(x, 0.0)
-                return np.einsum("nhwijc,ijc->nhwc", patches, w[0], optimize=False)
+            if w.shape[-1] > 1:
+                product = _depthwise(window, w[0])
+            else:
+                # Single channel: einsum over the patches, not the rows view.
+                # With C == 1 numpy coalesces the window into a horizontal or
+                # pairwise reduction, an order no strided view reproduces.
+                def product(x: np.ndarray) -> np.ndarray:
+                    patches = window.patches(x, 0.0)
+                    return np.einsum("nhwijc,ijc->nhwc", patches, w[0], optimize=False)
 
         def weighted(env: Env) -> np.ndarray:
-            out = product(env[src])
+            out = product(env[src])  # a fresh float32 array
             if bias is not None:
-                out = out + bias
-            return out.astype(np.float32)
+                out += bias
+            return out
         return weighted
 
     if kind == OpKind.RELU:
@@ -230,10 +284,22 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         window = _Window(node, graph.tensors[src].shape)
         counts = window.valid_counts()[None, :, :, None]
 
-        def avg_pool(env: Env) -> np.ndarray:
-            total = window.patches(env[src], 0.0).astype(np.float64).sum(axis=(3, 4))
-            return (total / counts).astype(np.float32)
-        return avg_pool
+        if graph.tensors[src].shape[3] == 1:
+            # Single channel: sum coalesces the window into a pairwise
+            # reduction (see DepthwiseConv2D), so it stays on the patches.
+            def window_sum(x: np.ndarray) -> np.ndarray:
+                return window.patches(x, 0.0).astype(np.float64).sum(axis=(3, 4))
+        else:
+            # The taps added row-major onto zeros: the order sum takes over
+            # C-ordered patches, and its +0.0 for a window of -0.0 cells.
+            def window_sum(x: np.ndarray) -> np.ndarray:
+                taps = window.taps(x, 0.0)
+                total = np.zeros(taps[0].shape, dtype=np.float64)
+                for tap in taps:
+                    total += tap
+                return total
+
+        return lambda env: (window_sum(env[src]) / counts).astype(np.float32)
 
     if kind == OpKind.ADD:
         other = node.inputs[1]
@@ -289,16 +355,16 @@ def _assert_inherited(graph: GraphIR, node: OpNode) -> None:
         )
 
 
-def _int8_gemm(centered: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """centered @ w_t as exact int64, multiplied in float64 through BLAS.
+def _int8_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as exact int64, multiplied in float64 through BLAS.
 
-    Operands hold integers: centered codes |x - zp| <= 255 and Int8
+    One operand holds centered codes |x - zp| <= 255, the other Int8
     weights |w| <= 128, so every product is below 2**15 and every partial
     sum, for any K below 2**38, below 2**53. Float64 represents all of
     them exactly, so the result is the integer product whatever order
     BLAS sums in.
     """
-    return (centered @ w_t).astype(np.int64)
+    return (a @ b).astype(np.int64)
 
 
 def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Kernel:
@@ -315,45 +381,52 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
     zp_out = _require_quant(graph, node.outputs[0]).zero_point
     w = weights.data
 
+    # Conv2D accumulates channel-major, (O, X) over the X output pixels, so
+    # the epilogue's per-channel constants are (O, 1) and each of its
+    # passes runs along X rather than along a short row of O channels.
+    channel_major = node.kind == OpKind.CONV2D
     if node.kind == OpKind.FULLY_CONNECTED:
         w_t = w.astype(np.float64).T
 
         def product(x: np.ndarray) -> np.ndarray:
             return _int8_gemm(x.astype(np.float64) - zp_in, w_t)
-    elif node.kind == OpKind.CONV2D:
+    elif channel_major:
         window = _Window(node, graph.tensors[src].shape)
-        w_t = w.reshape(w.shape[0], -1).astype(np.float64).T
+        w_mat = w.reshape(w.shape[0], -1).astype(np.float64)
+        if bias is not None:
+            bias = bias[:, None]
+        sig, shift = sig.reshape(-1, 1), shift.reshape(-1, 1)
 
         def product(x: np.ndarray) -> np.ndarray:
             patches = window.patches(x.astype(np.float64) - zp_in, 0.0)
-            acc = _int8_gemm(patches.reshape(-1, w_t.shape[0]), w_t)
-            return acc.reshape(patches.shape[:3] + (w_t.shape[1],))
+            return _int8_gemm(w_mat, patches.reshape(-1, w_mat.shape[1]).T)
     else:
         window = _Window(node, graph.tensors[src].shape)
         kh, kw = window.kernel
-        # Each product |x - zp| * |w| is at most 255 * 128, so a sum of
-        # kh*kw of them is exact in int32 below 2**31; int64 beyond that.
-        acc_type = np.int32 if kh * kw * 255 * 128 < 2**31 else np.int64
-        w_taps = w[0].reshape(kh * kw, -1).astype(acc_type)
+        # Each product |x - zp| * |w| is at most 255 * 128, so every partial
+        # sum of kh*kw of them is an integer float32 holds exactly below
+        # 2**24, whatever the order; float64 beyond that.
+        acc_type = np.float32 if kh * kw * 255 * 128 < 2**24 else np.float64
+        depthwise = _depthwise(window, w[0].astype(acc_type))
 
         def product(x: np.ndarray) -> np.ndarray:
-            views = window.taps(x.astype(acc_type) - zp_in, 0)
-            acc = views[0] * w_taps[0]
-            for view, w_tap in zip(views[1:], w_taps[1:]):
-                acc += view * w_tap
-            return acc.astype(np.int64)
+            return depthwise(x.astype(acc_type) - acc_type(zp_in)).astype(np.int64)
 
     # A fused ReLU clamps at the output zero point, real value 0.
     q_low = max(QMIN, zp_out) if fused_relu else QMIN
 
     def weighted(env: Env) -> np.ndarray:
-        acc = product(env[src])  # a fresh array, so updated in place
+        x = env[src]
+        acc = product(x)  # a fresh array, so updated in place
         if bias is not None:
             acc += bias
         _check_acc32(acc, node.id)
         q = requantize_fixed_point(acc, sig, shift)
         q += zp_out
-        return np.clip(q, q_low, QMAX, out=q).astype(np.int8)
+        q = np.clip(q, q_low, QMAX, out=q).astype(np.int8)
+        if channel_major:
+            return np.ascontiguousarray(q.T).reshape(len(x), *window.out_hw, len(q))
+        return q
     return weighted
 
 

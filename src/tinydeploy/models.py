@@ -187,15 +187,18 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     if not samples:
         raise ValueError("fit_classifier: no training samples")
     labels = [int(label) for _, _, label in samples]
-    x_mat = np.concatenate(
-        [features(b) for b in batches([x for _, x, _ in samples])], dtype=np.float64
-    )
-    n, f = x_mat.shape
+    n, f = len(samples), int(np.prod(program.graph.tensors[feat_id].shape[1:]))
+    # Each chunk's features go straight into Xa, whose last column is ones.
+    xa = np.empty((n, f + 1))
+    xa[:, f] = 1.0
+    start = 0
+    for batch in batches([x for _, x, _ in samples]):
+        xa[start:start + len(batch), :f] = features(batch)
+        start += len(batch)
     n_classes = g.tensors[fc.inputs[1]].shape[0]
     targets = np.full((n, n_classes), -margin)
     targets[np.arange(n), labels] = margin
 
-    xa = np.hstack([x_mat, np.ones((n, 1))])
     kernel = xa @ xa.T
     # trace(Xa Xa^T) = trace(Xa^T Xa) = ||Xa||_F^2
     ridge_eff = ridge * np.trace(kernel) / (f + 1)

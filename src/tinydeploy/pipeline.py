@@ -63,6 +63,10 @@ class PipelineError(RuntimeError):
     pass
 
 
+# Lowest accepted value of the int fields that have one.
+_MINIMUM = {"seed": 0, "calibration_samples": 1}
+
+
 @dataclass
 class PipelineConfig:
     model: str
@@ -76,6 +80,13 @@ class PipelineConfig:
     hardware_profile: str = "builtin:profile_desk_calibrated"
     link_budget: str = "builtin:link_sband_256k"
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for key, minimum in _MINIMUM.items():
+            if getattr(self, key) < minimum:
+                raise PipelineError(
+                    f"config key {key!r} must be at least {minimum}, got {getattr(self, key)}"
+                )
 
     def to_json(self) -> dict:
         return {

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,33 +134,19 @@ def test_avgpool_same_padding_excludes_pad_cells():
 WINDOW_KINDS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.MAX_POOL2D, OpKind.AVG_POOL2D)
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_window_kernels_match_gathered_windows(data):
-    # Every windowed kernel, Float32 and INT8, against the index-array
-    # gather it replaced, run one sample at a time: Float32 bit for bit,
-    # INT8 code for code. Per sample, because the gather's einsum was not
-    # batch-invariant: on a (B,4,1,1) input under a 4x1 depthwise kernel
-    # its B > 1 layout summed in another order than B = 1.
-    kind = data.draw(st.sampled_from(WINDOW_KINDS), label="kind")
-    padding = data.draw(st.sampled_from(["SAME", "VALID"]), label="padding")
-    kh, kw = data.draw(st.integers(1, 4), label="kh"), data.draw(st.integers(1, 4), label="kw")
-    sh, sw = data.draw(st.integers(1, 3), label="sh"), data.draw(st.integers(1, 3), label="sw")
-    lo_h, lo_w = (1, 1) if padding == "SAME" else (kh, kw)
-    h, w = data.draw(st.integers(lo_h, 9), label="h"), data.draw(st.integers(lo_w, 9), label="w")
-    batch, c = data.draw(st.integers(1, 4), label="batch"), data.draw(st.integers(1, 9), label="c")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-
-    x = rng.normal(size=(batch, h, w, c)).astype(np.float32)
-    x[rng.random(x.shape) < 0.2] = 0.0
-    x[rng.random(x.shape) < 0.2] = -0.0  # ties between signed zeros in MaxPool
-    attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw, "padding": padding}
+def _assert_window_kernel_matches(kind, attrs, x, rng, out_c=None):
+    """One windowed node, Float32 and INT8, against the index-array gather it
+    replaced, run one sample at a time: Float32 bit for bit, INT8 code for
+    code. Per sample, because the gather's einsum was not batch-invariant:
+    on a (B,4,1,1) input under a 4x1 depthwise kernel its B > 1 layout
+    summed in another order than B = 1."""
+    batch, h, w, c = x.shape
     weights = bias = None
     consts = []
     if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D):
-        out_c = data.draw(st.integers(1, 6), label="out_c") if kind == OpKind.CONV2D else c
-        weights = rng.normal(size=(out_c if kind == OpKind.CONV2D else 1, kh, kw, c))
-        weights = weights.astype(np.float32)
+        out_c = out_c if kind == OpKind.CONV2D else c
+        shape = (out_c if kind == OpKind.CONV2D else 1, attrs["kernel_h"], attrs["kernel_w"], c)
+        weights = rng.normal(size=shape).astype(np.float32)
         bias = rng.normal(size=(out_c,)).astype(np.float32)
         consts = [const("w", weights), const("b", bias, TensorKind.BIAS)]
     g = single_op_graph(kind, attrs, (1, h, w, c), consts=consts)
@@ -175,6 +162,95 @@ def test_window_kernels_match_gathered_windows(data):
     trace = {}
     prepare(qg).run(x, trace=trace)
     np.testing.assert_array_equal(trace["out"], reference_window_int8(qg, trace["in"]))
+
+
+def _window_input(rng, shape, wide=False):
+    """Normal values or, `wide`, signed powers of two from 2^-30 to 2^30 in
+    steps of 2^10: their sums cancel exactly or absorb the small terms, so a
+    window summed in another order gives another result."""
+    if wide:
+        x = rng.choice([-1.0, 1.0], size=shape) * 2.0 ** (10 * rng.integers(-3, 4, size=shape))
+    else:
+        x = rng.normal(size=shape)
+    x = x.astype(np.float32)
+    x[rng.random(x.shape) < 0.2] = 0.0
+    x[rng.random(x.shape) < 0.2] = -0.0  # ties between signed zeros in MaxPool
+    return x
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_window_kernels_match_gathered_windows(data):
+    kind = data.draw(st.sampled_from(WINDOW_KINDS), label="kind")
+    padding = data.draw(st.sampled_from(["SAME", "VALID"]), label="padding")
+    kh, kw = data.draw(st.integers(1, 4), label="kh"), data.draw(st.integers(1, 4), label="kw")
+    sh, sw = data.draw(st.integers(1, 3), label="sh"), data.draw(st.integers(1, 3), label="sw")
+    lo_h, lo_w = (1, 1) if padding == "SAME" else (kh, kw)
+    h, w = data.draw(st.integers(lo_h, 9), label="h"), data.draw(st.integers(lo_w, 9), label="w")
+    batch, c = data.draw(st.integers(1, 4), label="batch"), data.draw(st.integers(1, 9), label="c")
+    out_c = data.draw(st.integers(1, 6), label="out_c") if kind == OpKind.CONV2D else None
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw, "padding": padding}
+    _assert_window_kernel_matches(kind, attrs, _window_input(rng, (batch, h, w, c)), rng, out_c)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_window_kernels_match_gathered_windows_at_real_sizes(data):
+    # Rows of Wo*C up to 1088 elements, far past einsum's unrolled SIMD
+    # block, which the small sizes above rarely leave. Conv2D, whose
+    # patches are still copied, keeps to 8 channels.
+    kind = data.draw(st.sampled_from(WINDOW_KINDS), label="kind")
+    padding = data.draw(st.sampled_from(["SAME", "VALID"]), label="padding")
+    kh, kw = data.draw(st.integers(1, 5), label="kh"), data.draw(st.integers(1, 5), label="kw")
+    sh, sw = data.draw(st.integers(1, 2), label="sh"), data.draw(st.integers(1, 2), label="sw")
+    h, w = data.draw(st.integers(16, 34), label="h"), data.draw(st.integers(16, 34), label="w")
+    c = data.draw(st.integers(1, 8 if kind == OpKind.CONV2D else 32), label="c")
+    batch = data.draw(st.integers(1, 16), label="batch")
+    out_c = data.draw(st.integers(1, 32), label="out_c") if kind == OpKind.CONV2D else None
+    wide = data.draw(st.booleans(), label="wide")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw, "padding": padding}
+    x = _window_input(rng, (batch, h, w, c), wide)
+    _assert_window_kernel_matches(kind, attrs, x, rng, out_c)
+
+
+@pytest.mark.parametrize("kind, shape, kernel, stride, padding", [
+    # C == 1: depthwise and AvgPool keep the patch path
+    (OpKind.DEPTHWISE_CONV2D, (16, 32, 32, 1), 3, (1, 1), "SAME"),
+    (OpKind.AVG_POOL2D, (16, 34, 33, 1), 3, (2, 2), "SAME"),
+    # stride_w 2: the (B,Ho,kh,kw,Wo,C) view
+    (OpKind.DEPTHWISE_CONV2D, (16, 34, 34, 16), 3, (1, 2), "SAME"),
+    (OpKind.DEPTHWISE_CONV2D, (7, 33, 31, 5), 5, (2, 2), "VALID"),
+    (OpKind.AVG_POOL2D, (16, 16, 16, 32), 2, (2, 2), "VALID"),
+    # dwsep_net's dw1: Wo*C = 512
+    (OpKind.DEPTHWISE_CONV2D, (16, 32, 32, 16), 3, (1, 1), "SAME"),
+], ids=["dw_c1", "avg_c1", "dw_stride_w2", "dw_5x5_stride2", "avg_2x2_stride2", "dw1"])
+def test_window_kernels_match_gathered_windows_named_cases(kind, shape, kernel, stride, padding):
+    rng = np.random.default_rng(sum(shape))
+    attrs = {"kernel_h": kernel, "kernel_w": kernel, "stride_h": stride[0],
+             "stride_w": stride[1], "padding": padding}
+    _assert_window_kernel_matches(kind, attrs, _window_input(rng, shape, wide=True), rng)
+
+
+def test_depthwise_reads_windows_without_copying_them():
+    # dwsep_net's dw1 step: a (B,Ho,Wo,kh,kw,C) window copy alone is 9.4 MB;
+    # the padded input and the output are about 1.2 and 1.0 MB.
+    rng = np.random.default_rng(5)
+    g = single_op_graph(
+        OpKind.DEPTHWISE_CONV2D, conv_attrs(padding="SAME"), (1, 32, 32, 16),
+        consts=[const("w", rng.normal(size=(1, 3, 3, 16))),
+                const("b", rng.normal(size=(16,)), TensorKind.BIAS)],
+    )
+    program = prepare(g)
+    x = rng.normal(size=(16, 32, 32, 16)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        program.run(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_single_channel_depthwise_independent_of_batch():

@@ -219,6 +219,17 @@ def test_config_value_that_will_not_coerce_rejected(edit, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": -1}, "config key 'seed' must be at least 0, got -1"),
+    ({"calibration_samples": -2}, "config key 'calibration_samples' must be at least 1, got -2"),
+    ({"calibration_samples": 0}, "config key 'calibration_samples' must be at least 1, got 0"),
+], ids=["seed_negative", "samples_negative", "samples_zero"])
+def test_config_value_below_minimum_rejected(edit, message):
+    with pytest.raises(PipelineError) as info:
+        PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o", **edit})
+    assert str(info.value) == message
+
+
 def test_example_config_loads():
     config = PipelineConfig.load(Path(__file__).parent.parent / "configs" / "example_pipeline.json")
     assert config.prune_schedule == [0.10, 0.05, 0.05]
@@ -396,6 +407,16 @@ def test_cli_run_rejects_config_value_that_will_not_coerce(assets, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_rejects_negative_config_seed(assets, tmp_path, capsys):
+    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg["seed"] = -1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error [config key 'seed' must be at least 0, got -1]\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_missing_file_nonzero(capsys):
     rc = main(["evaluate", "--model", "/nonexistent/m.json",
                "--dataset", "/nonexistent", "--out", "/tmp/x"])
@@ -469,6 +490,29 @@ def test_cli_make_assets_rejects_empty_sample_count(tmp_path, capsys, option, va
     assert main(["make-assets", "--out", str(tmp_path / "assets"), option, value]) == 1
     assert_one_error_line(capsys, f"make-assets {option} must be at least 1, got {value}")
     assert not (tmp_path / "assets").exists()
+
+
+def _config_file(assets: Path, tmp_path: Path) -> Path:
+    return _write(tmp_path / "cfg.json", json.dumps(make_config(assets, tmp_path / "out").to_json()))
+
+
+# A negative seed or sample count is rejected before anything runs or is written.
+@pytest.mark.parametrize("argv, message", [
+    (lambda a, t: ["make-assets", "--out", str(t / "out"), "--seed", "-1"],
+     "make-assets --seed must be at least 0, got -1"),
+    (lambda a, t: ["calibrate", "--model", str(a / "small_convnet.json"),
+                   "--dataset", str(a / "dataset"), "--seed", "-1", "--out", str(t / "out")],
+     "calibrate --seed must be at least 0, got -1"),
+    (lambda a, t: ["calibrate", "--model", str(a / "small_convnet.json"),
+                   "--dataset", str(a / "dataset"), "--samples", "-2", "--out", str(t / "out")],
+     "calibrate --samples must be at least 1, got -2"),
+    (lambda a, t: ["run", "--config", str(_config_file(a, t)), "--seed", "-1"],
+     "run --seed must be at least 0, got -1"),
+], ids=["make_assets_seed", "calibrate_seed", "calibrate_samples", "run_seed"])
+def test_cli_rejects_negative_seed_or_sample_count(assets, tmp_path, capsys, argv, message):
+    assert main(argv(assets, tmp_path)) == 1
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "out").exists()
 
 
 # --- malformed plan, profile and link files --------------------------------
