@@ -125,17 +125,18 @@ def _cmd_simulate_downlink(args) -> int:
     threshold, bps = args.threshold, args.bytes_per_sample
     if args.scenario:
         scenario = read_json(args.scenario, DownlinkError)
-
-        def option(key: str, kind, default):
-            """The scenario's `key` (absent or null: `default`), of JSON type `kind`."""
-            if isinstance(scenario, dict) and scenario.get(key) is None:
-                return default
-            return _field(scenario, key, f"scenario {args.scenario}", kind, DownlinkError)
-
-        records = records or option("records", str, None)
-        ground = ground or option("ground_records", str, None)
-        threshold = option("threshold", NUMBER, threshold)
-        bps = option("bytes_per_sample", NUMBER, bps)
+        kinds = {"records": str, "ground_records": str,
+                 "threshold": NUMBER, "bytes_per_sample": NUMBER}
+        # An absent or null key keeps the flag's value.
+        given = {
+            key: _field(scenario, key, f"scenario {args.scenario}", kind, DownlinkError)
+            for key, kind in kinds.items()
+            if not isinstance(scenario, dict) or scenario.get(key) is not None
+        }
+        records = records or given.get("records")
+        ground = ground or given.get("ground_records")
+        threshold = given.get("threshold", threshold)
+        bps = given.get("bytes_per_sample", bps)
     if not records:
         print("error: no records CSV given (flag --records or scenario file)", file=sys.stderr)
         return 1

@@ -98,8 +98,8 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     """
     path = Path(path)
     meta_path = path / "meta.json"
-    shape = _field(read_json(meta_path, DatasetError), "shape", str(meta_path), list, DatasetError)
-    if not shape or not all(type(d) is int and d > 0 for d in shape):
+    shape = _field(read_json(meta_path, DatasetError), "shape", str(meta_path), [int], DatasetError)
+    if not shape or min(shape) < 1:
         raise DatasetError(f"{meta_path}: shape {shape!r} must hold positive integers")
     size = 4 * math.prod(shape)
     columns = {"sample_id": str, "file": str, "label": int}

@@ -7,12 +7,12 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 from .executor import InferenceRecord
-from .model_io import NUMBER, _field, read_json
+from .model_io import KINDS, _field, read_json
 
 
 class DownlinkError(ValueError):
@@ -37,20 +37,12 @@ class LinkBudget:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinkBudget":
-        """A link budget from its JSON object.
-
-        Raises DownlinkError naming a missing or wrong-typed field.
-        """
-
-        def field(key: str, kind):
-            return _field(obj, key, "link budget", kind, DownlinkError)
-
-        return cls(
-            name=field("name", str),
-            data_rate_bps=field("data_rate_bps", NUMBER),
-            passes_per_day=field("passes_per_day", NUMBER),
-            pass_duration_s=field("pass_duration_s", NUMBER),
-        )
+        """A link budget from its JSON object, each field of its annotation's
+        `KINDS` kind; DownlinkError names a missing or wrong-typed field."""
+        return cls(**{
+            f.name: _field(obj, f.name, "link budget", KINDS[f.type], DownlinkError)
+            for f in fields(cls)
+        })
 
     @classmethod
     def load(cls, path: str | Path) -> "LinkBudget":

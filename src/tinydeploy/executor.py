@@ -710,12 +710,14 @@ def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
     """Inverse of ranges_to_json; a malformed entry raises ExecutionError naming it."""
     if not isinstance(obj, dict):
         raise ExecutionError(f"calibration ranges: expected an object, got {type(obj).__name__}")
-
-    def bound(entry, key: str, tid: str) -> float:
-        return _field(entry, key, f"calibration range {tid}", NUMBER, ExecutionError)
-
-    return {tid: TensorRange(tid, bound(e, "min", tid), bound(e, "max", tid))
-            for tid, e in obj.items()}
+    return {
+        tid: TensorRange(
+            tid,
+            _field(e, "min", f"calibration range {tid}", NUMBER, ExecutionError),
+            _field(e, "max", f"calibration range {tid}", NUMBER, ExecutionError),
+        )
+        for tid, e in obj.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .graph import OpKind
-from .model_io import NUMBER, _field, read_json
+from .model_io import KINDS, _field, read_json
 
 DEFAULT_NPU_OPS = ("Conv2D", "DepthwiseConv2D", "ReLU", "Add")
 
@@ -73,17 +73,17 @@ class HardwareProfile:
     def from_json(cls, obj: dict) -> "HardwareProfile":
         """A profile from its JSON object; absent fields keep their defaults.
 
-        Raises ValueError naming an unknown or wrong-typed field.
+        Each value must be of its annotation's `KINDS` kind; ValueError
+        names an unknown or wrong-typed field.
         """
         where = "hardware profile"
         if not isinstance(obj, dict):
             raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
+        kinds = {f.name: KINDS[f.type] for f in fields(cls)}
         for key in obj:
-            if key not in defaults:
+            if key not in kinds:
                 raise ValueError(f"{where}: unknown key {key!r}")
-            kind = {tuple: list, str: str}.get(type(defaults[key]), NUMBER)
-            _field(obj, key, where, kind, ValueError)
+            _field(obj, key, where, kinds[key], ValueError)
         return cls(**obj)
 
     @classmethod

@@ -433,29 +433,25 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     MappingError naming the field.
     """
     obj = read_json(path, MappingError)
-    where = f"plan {path}"
-
-    def field(o, key: str, kind, at: str = where):
-        return _field(o, key, at, kind, MappingError)
-
-    model, profile = field(obj, "model", str), field(obj, "profile", str)
-    assignment = field(obj, "assignment", dict)
-    fused_groups = field(obj, "fused_groups", list)
+    where, err = f"plan {path}", MappingError
+    model, profile = _field(obj, "model", where, str, err), _field(obj, "profile", where, str, err)
+    assignment = _field(obj, "assignment", where, dict, err)
+    fused_groups = _field(obj, "fused_groups", where, [[str]], err)
     for i, grp in enumerate(fused_groups):
-        if not grp or not isinstance(grp, list) or not all(isinstance(n, str) for n in grp):
+        if not grp:
             raise MappingError(f"{where}: fused_groups[{i}] must be a non-empty list of node ids")
     timeline = []
-    for i, e in enumerate(field(obj, "timeline", list)):
+    for i, e in enumerate(_field(obj, "timeline", where, list, err)):
         at = f"{where} timeline[{i}]"
         timeline.append(TimelineEntry(
-            field(e, "group", str, at), field(e, "target", str, at),
-            field(e, "start_us", NUMBER, at), field(e, "end_us", NUMBER, at),
+            _field(e, "group", at, str, err), _field(e, "target", at, str, err),
+            _field(e, "start_us", at, NUMBER, err), _field(e, "end_us", at, NUMBER, err),
         ))
-    memory = field(obj, "memory_plan", dict)
+    memory = _field(obj, "memory_plan", where, dict, err)
     offsets = {}
-    for tid, e in field(memory, "tensors", dict, f"{where} memory_plan").items():
+    for tid, e in _field(memory, "tensors", f"{where} memory_plan", dict, err).items():
         at = f"{where} memory_plan tensor {tid}"
-        offsets[tid] = (field(e, "offset", int, at), field(e, "size", int, at))
+        offsets[tid] = (_field(e, "offset", at, int, err), _field(e, "size", at, int, err))
 
     seen: set[str] = set()
     for nid in (nid for grp in fused_groups for nid in grp):
@@ -485,20 +481,20 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     if raw is not None:
         at = f"{where} estimates"
         breakdown = []
-        for i, e in enumerate(field(raw, "per_group_breakdown", list, at)):
+        for i, e in enumerate(_field(raw, "per_group_breakdown", at, list, err)):
             g_at = f"{at} per_group_breakdown[{i}]"
             breakdown.append(GroupCost(
-                field(e, "group", str, g_at), field(e, "target", str, g_at),
-                field(e, "macs", int, g_at), field(e, "latency_us", NUMBER, g_at),
-                field(e, "energy_uj", NUMBER, g_at),
+                _field(e, "group", g_at, str, err), _field(e, "target", g_at, str, err),
+                _field(e, "macs", g_at, int, err), _field(e, "latency_us", g_at, NUMBER, err),
+                _field(e, "energy_uj", g_at, NUMBER, err),
             ))
         est = CostEstimate(
-            latency_ms=field(raw, "latency_ms", NUMBER, at),
-            energy_mj=field(raw, "energy_mj", NUMBER, at),
-            ram_peak_bytes=field(raw, "ram_peak_bytes", int, at),
-            flash_bytes=field(raw, "flash_bytes", int, at),
+            latency_ms=_field(raw, "latency_ms", at, NUMBER, err),
+            energy_mj=_field(raw, "energy_mj", at, NUMBER, err),
+            ram_peak_bytes=_field(raw, "ram_peak_bytes", at, int, err),
+            flash_bytes=_field(raw, "flash_bytes", at, int, err),
             per_group_breakdown=breakdown,
-            budget_flags=field(raw, "budget_flags", dict, at),
+            budget_flags=_field(raw, "budget_flags", at, dict, err),
         )
     return DeploymentPlan(
         model=model,
@@ -507,9 +503,9 @@ def load_plan(path: str | Path) -> DeploymentPlan:
         fused_groups=fused_groups,
         timeline=timeline,
         memory_plan=MemoryPlan(
-            offsets=offsets, arena_peak_bytes=field(memory, "arena_peak_bytes", int)
+            offsets=offsets, arena_peak_bytes=_field(memory, "arena_peak_bytes", where, int, err)
         ),
-        flash_bytes=field(obj, "flash_bytes", int),
+        flash_bytes=_field(obj, "flash_bytes", where, int, err),
         estimates=est,
     )
 

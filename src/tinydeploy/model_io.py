@@ -73,16 +73,17 @@ def _quant_to_json(qp: QuantParams | None) -> dict | None:
 def _quant_from_json(obj: dict | None, where: str) -> QuantParams | None:
     if obj is None:
         return None
+    where = f"{where}: bad quantization params"
+    granularity = _field(obj, "granularity", where, str)
+    per_channel = granularity == "per_channel"
+    scale = _field(obj, "scale", where, [NUMBER] if per_channel else NUMBER)
+    zero_point = _field(obj, "zero_point", where, [int] if per_channel else int)
+    axis = _field(obj, "axis", where, (int, type(None)))
+    symmetric = _field(obj, "symmetric", where, bool)
     try:
-        return QuantParams(
-            scale=obj["scale"],
-            zero_point=obj["zero_point"],
-            granularity=obj["granularity"],
-            axis=obj.get("axis"),
-            symmetric=bool(obj.get("symmetric", False)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"{where}: bad quantization params: {exc}") from None
+        return QuantParams(scale, zero_point, granularity, axis, symmetric)
+    except ValueError as exc:
+        raise ModelFormatError(f"{where}: {exc}") from None
 
 
 def pair_paths(path: str | Path) -> tuple[Path, Path]:
@@ -255,28 +256,41 @@ def read_csv(
 
 NUMBER = (int, float)
 
+# The JSON kind of a dataclass field annotation: configs, profiles and
+# link budgets are decoded by annotation through `_field`.
+KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool,
+         "list[float]": [NUMBER], "tuple[str, ...]": [str]}
+
 
 def _field(
-    obj, key: str, where: str, kind: type | tuple[type, ...] | None = None,
-    error: type[Exception] = ModelFormatError,
+    obj, key: str, where: str, kind=None, error: type[Exception] = ModelFormatError,
 ):
-    """obj[key] from a manifest object, or an `error` naming both.
+    """obj[key] from a JSON object, or an `error` naming both.
 
-    With `kind` (a type or a tuple such as NUMBER), the value must also
-    be of that JSON type; a JSON true/false is not a number.
+    With `kind` the value must also be of that JSON kind: a type (str,
+    dict, list, int, bool), a tuple of types such as NUMBER, or a
+    one-element list such as [NUMBER] for a list whose every element is
+    of that kind. JSON true/false is a bool only, and 3.0 is not an int.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
     if key not in obj:
         raise error(f"{where}: missing key {key!r}")
-    value = obj[key]
+    if kind is not None:
+        _check_kind(obj[key], kind, f"{where}: key {key!r}", error)
+    return obj[key]
+
+
+def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
+    if isinstance(kind, list):
+        _check_kind(value, list, what, error)
+        for i, item in enumerate(value):
+            _check_kind(item, kind[0], f"{what}[{i}]", error)
+        return
     kinds = kind if isinstance(kind, tuple) else (kind,)
-    if kind is not None and (
-        not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
-    ):
+    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
-        raise error(f"{where}: key {key!r} must be {names}, got {type(value).__name__}")
-    return value
+        raise error(f"{what} must be {names}, got {type(value).__name__}")
 
 
 def load_model(path: str | Path) -> GraphIR:
@@ -301,10 +315,7 @@ def load_model(path: str | Path) -> GraphIR:
             kind = TensorKind(kind_name)
         except ValueError:
             raise ModelFormatError(f"{where}: unsupported kind {kind_name!r}") from None
-        shape = _field(entry, "shape", where, list)
-        if not all(isinstance(d, int) for d in shape):
-            raise ModelFormatError(f"{where}: shape {shape!r} must hold integers")
-        shape = tuple(shape)
+        shape = tuple(_field(entry, "shape", where, [int]))
         loc = entry.get("blob")
         data = None if loc is None else read_blob(blob, loc, dtype, shape, f"{where} blob")
         tensors[tid] = TensorSpec(

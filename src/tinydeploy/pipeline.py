@@ -46,17 +46,20 @@ from .pruning import (
 from .quantization import quantize_graph
 
 
-def _int(value) -> int:
-    """int(value) for an integral number or numeric string; a fraction or
-    a JSON true/false raises ValueError instead of truncating."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(value)
-    return int(value)
-
-
-# JSON config values are coerced by field annotation; str fields pass as given.
-_COERCE = {"int": _int, "float": float, "bool": bool,
-           "list[float]": lambda values: [float(v) for v in values]}
+def _config_form(value, kind):
+    """`value` with the config-only text forms read as `kind`: a numeric
+    string as its number, an integral float as int, an int as float, 0/1
+    as false/true. Anything else is left for `model_io._field` to judge."""
+    if isinstance(kind, list):
+        return [_config_form(v, kind[0]) for v in value] if isinstance(value, list) else value
+    try:
+        if kind is int and (isinstance(value, str) or type(value) is float and value.is_integer()):
+            return int(value)
+        if kind is model_io.NUMBER and (isinstance(value, str) or type(value) is int):
+            return float(value)
+    except (ValueError, OverflowError):
+        return value
+    return bool(value) if kind is bool and type(value) is int and value in (0, 1) else value
 
 
 class PipelineError(RuntimeError):
@@ -89,18 +92,9 @@ class PipelineConfig:
                 )
 
     def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "output_dir": self.output_dir,
-            "calibration_samples": self.calibration_samples,
-            "prune": {"schedule": list(self.prune_schedule), "skip": self.prune_skip},
-            "confidence_threshold": self.confidence_threshold,
-            "bytes_per_sample": self.bytes_per_sample,
-            "hardware_profile": self.hardware_profile,
-            "link_budget": self.link_budget,
-            "seed": self.seed,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["prune"] = {"schedule": list(obj.pop("prune_schedule")), "skip": obj.pop("prune_skip")}
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
@@ -109,6 +103,8 @@ class PipelineConfig:
         The prune_* fields nest under "prune" (`prune.schedule`,
         `prune.skip`). "_docs" is ignored; any other unknown key is an
         error, so a misspelt key cannot silently run with the default.
+        Each value must be of its annotation's `model_io.KINDS` kind, after
+        `_config_form` has read the config-only text forms.
         """
         if not isinstance(obj, dict) or not isinstance(obj.get("prune", {}), dict):
             raise PipelineError('config and its "prune" entry must be JSON objects')
@@ -123,13 +119,14 @@ class PipelineConfig:
         for f in fields(cls):
             if f.name not in flat and f.default is MISSING and f.default_factory is MISSING:
                 raise PipelineError(f"config missing required field {f.name!r}")
-        values = {}
-        for k, v in flat.items():
+        kinds = {k: model_io.KINDS[types[k]] for k in flat}
+        values = {k: _config_form(v, kinds[k]) for k, v in flat.items()}
+        for k, kind in kinds.items():
             try:
-                values[k] = _COERCE.get(types[k], lambda v: v)(v)
-            except (TypeError, ValueError, OverflowError):
+                model_io._field(values, k, "config", kind, PipelineError)
+            except PipelineError:
                 key = k.replace("prune_", "prune.", 1)
-                raise PipelineError(f"config key {key!r}: {v!r} is not {types[k]}") from None
+                raise PipelineError(f"config key {key!r}: {flat[k]!r} is not {types[k]}") from None
         return cls(**values)
 
     @classmethod

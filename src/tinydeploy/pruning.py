@@ -38,7 +38,9 @@ from .graph import (
     TensorSpec,
     infer_shapes,
 )
-from .model_io import _field, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair
+from .model_io import (
+    NUMBER, _field, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair,
+)
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
 DEFAULT_SCHEDULE = (0.10, 0.05, 0.05)
@@ -66,7 +68,6 @@ class PrunePlan:
     schedule: list[float]
     original_counts: dict[str, int]
     stages: list[dict[str, list[int]]] = field(default_factory=list)
-    basis: str = "original_count"
 
     def removed(self, layer_id: str) -> set[int]:
         out: set[int] = set()
@@ -88,7 +89,7 @@ class PrunePlan:
     def to_json(self) -> dict:
         return {
             "schedule": list(self.schedule),
-            "basis": self.basis,
+            "basis": "original_count",
             "original_counts": dict(sorted(self.original_counts.items())),
             "stages": [
                 {layer: list(idx) for layer, idx in sorted(stage.items())}
@@ -102,23 +103,22 @@ class PrunePlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrunePlan":
-        """Decode the JSON form; a malformed field raises PruneError naming it."""
+        """Decode the JSON form; a malformed field raises PruneError naming it.
+
+        "masks" is derived and not read; "basis", if given, must be "original_count".
+        """
         where = "prune plan"
-        schedule = _field(obj, "schedule", where, list, PruneError)
+        schedule = _field(obj, "schedule", where, [NUMBER], PruneError)
         counts = _field(obj, "original_counts", where, dict, PruneError)
-        stages = _field(obj, "stages", where, list, PruneError)
-        try:
-            return cls(
-                schedule=[float(f) for f in schedule],
-                original_counts={k: int(v) for k, v in counts.items()},
-                stages=[
-                    {layer: [int(i) for i in idx] for layer, idx in stage.items()}
-                    for stage in stages
-                ],
-                basis=str(obj.get("basis", "original_count")),
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise PruneError(f"{where}: malformed schedule, counts or stages: {exc}") from None
+        stages = _field(obj, "stages", where, [dict], PruneError)
+        for layer in counts:
+            _field(counts, layer, f"{where} original_counts", int, PruneError)
+        for i, stage in enumerate(stages, 1):
+            for layer in stage:
+                _field(stage, layer, f"{where} stage {i}", [int], PruneError)
+        if obj.get("basis", "original_count") != "original_count":
+            raise PruneError(f"{where}: key 'basis' must be 'original_count', got {obj['basis']!r}")
+        return cls(schedule, counts, stages)
 
     @classmethod
     def load(cls, path: str | Path) -> "PrunePlan":
@@ -258,7 +258,6 @@ def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:
         schedule=list(plan.schedule),
         original_counts=dict(plan.original_counts),
         stages=[*[dict(s) for s in plan.stages], stage],
-        basis=plan.basis,
     )
 
 
@@ -428,8 +427,8 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
         dtype = _field(entry, "dtype", where, str, CheckpointError)
         if dtype != t.dtype.value:
             raise CheckpointError(f"tensor {tid}: checkpoint dtype {dtype} != {t.dtype.value}")
-        shape = _field(entry, "shape", where, list, CheckpointError)
-        if shape != list(t.shape) or not all(type(d) is int for d in shape):
+        shape = _field(entry, "shape", where, [int], CheckpointError)
+        if shape != list(t.shape):
             raise CheckpointError(f"tensor {tid}: checkpoint shape {shape} != {list(t.shape)}")
         t.data = read_blob(checkpoint.blob, entry, t.dtype, t.shape, where, CheckpointError)
     return g

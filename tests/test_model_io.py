@@ -132,7 +132,7 @@ WRONG_TYPES = [
     (("nodes", 0, "attrs"), [], "key 'attrs' must be dict, got list"),
     (("graph_inputs",), "in", "key 'graph_inputs' must be list, got str"),
     (("tensors", "w", "shape"), 36, "key 'shape' must be list, got int"),
-    (("tensors", "w", "shape"), ["4"], "must hold integers"),
+    (("tensors", "w", "shape"), ["4"], "key 'shape'[0] must be int, got str"),
     (("tensors", "w", "blob", "length"), "4", "key 'length' must be int, got str"),
     (("tensors", "w", "blob", "offset"), False, "key 'offset' must be int, got bool"),
     (("tensors", "w", "quant"), [1], "bad quantization params"),
@@ -278,4 +278,42 @@ def test_only_model_io_encodes_reads_or_writes_files():
                     or isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
                     or isinstance(func, ast.Name) and func.id == "open"):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
+def _calls(node, name: str) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == name
+            or isinstance(func, ast.Attribute) and func.attr == name)
+
+
+def test_json_decoders_leave_kinds_to_field():
+    """The JSON decoders (`*from_json`, `load_plan`) convert nothing with
+    int/float/bool/str; those names appear there only as kinds given to
+    `_field` or `isinstance`. No function wraps `_field` in a nested one."""
+    converters = {"int", "float", "bool", "str"}
+    offenders = []
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for inner in ast.walk(func):
+                if (inner is not func and isinstance(inner, (ast.FunctionDef, ast.Lambda))
+                        and any(_calls(n, "_field") for n in ast.walk(inner))):
+                    offenders.append(f"{path.name}:{inner.lineno} {func.name} wraps _field")
+            if not (func.name.endswith("from_json") or func.name == "load_plan"):
+                continue
+            body = [node for stmt in func.body for node in ast.walk(stmt)]
+            hints = {id(n) for node in body if isinstance(node, ast.AnnAssign)
+                     for n in ast.walk(node.annotation)}
+            kinds = {
+                id(name)
+                for call in body if _calls(call, "_field") or _calls(call, "isinstance")
+                for arg in call.args for name in ast.walk(arg)
+            }
+            called = {id(call.func) for call in body if isinstance(call, ast.Call)}
+            for name in body:
+                if (isinstance(name, ast.Name) and name.id in converters and id(name) not in hints
+                        and (id(name) not in kinds or id(name) in called)):
+                    offenders.append(f"{path.name}:{name.lineno} {func.name} uses {name.id}")
     assert offenders == []

@@ -212,7 +212,11 @@ def test_config_defaults_and_coercion():
     ({"calibration_samples": "many"}, "config key 'calibration_samples': 'many' is not int"),
     ({"prune": {"schedule": 0.1}}, "config key 'prune.schedule': 0.1 is not list[float]"),
     ({"prune": {"schedule": ["a"]}}, "config key 'prune.schedule': ['a'] is not list[float]"),
-], ids=["seed_list", "seed_infinite", "samples_word", "schedule_number", "schedule_word"])
+    ({"hardware_profile": 5}, "config key 'hardware_profile': 5 is not str"),
+    ({"link_budget": ["x"]}, "config key 'link_budget': ['x'] is not str"),
+    ({"prune": {"skip": 2}}, "config key 'prune.skip': 2 is not bool"),
+], ids=["seed_list", "seed_infinite", "samples_word", "schedule_number", "schedule_word",
+        "profile_int", "link_list", "skip_two"])
 def test_config_value_that_will_not_coerce_rejected(edit, message):
     with pytest.raises(PipelineError) as info:
         PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o", **edit})
@@ -529,9 +533,11 @@ def mapped(tmp_path_factory, small_convnet, small_convnet_quantized):
 
 
 def assert_one_error_line(capsys, message):
+    """stderr is one line naming `message`: `error: ...`, or `error [...]`
+    as the CLI prints a PipelineError (a config or a pipeline stage)."""
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err and "Traceback" not in err
+    assert err.startswith("error: ") or err.startswith("error [") and err.endswith("]\n")
+    assert err.count("\n") == 1 and message in err and "Traceback" not in err
 
 
 def _drop_timeline_entry(plan, gid):
@@ -592,7 +598,9 @@ def test_malformed_profile_rejected(mapped, tmp_path, capsys, profile, message):
 @pytest.mark.parametrize("link, message", [
     ({"name": "l", "data_rate_bps": 9600, "passes_per_day": 4}, "missing key 'pass_duration_s'"),
     ([9600, 4, 600], "expected an object, got list"),
-], ids=["missing_key", "top_level_list"])
+    ({"name": "l", "data_rate_bps": 9600, "passes_per_day": 4.5, "pass_duration_s": 600},
+     "key 'passes_per_day' must be int, got float"),
+], ids=["missing_key", "top_level_list", "passes_fraction"])
 def test_malformed_link_budget_rejected(mapped, tmp_path, capsys, link, message):
     path = tmp_path / "link.json"
     path.write_text(json.dumps(link))
@@ -651,8 +659,68 @@ def _prune_stage(m: Path, t: Path, counts: dict, stages: list) -> list[str]:
             "--plan", str(_write(t / "p.json", json.dumps(plan))), "--out-masked", str(t / "masked")]
 
 
+def _run_config(m: Path, t: Path, **edit) -> list[str]:
+    """run argv for a config on the mapped model with `edit` applied; its
+    dataset does not exist, so only a config check can name the fault."""
+    config = {"model": str(m / "model.json"), "dataset": str(t / "dataset"),
+              "output_dir": str(t / "out"), **edit}
+    return ["run", "--config", str(_write(t / "cfg.json", json.dumps(config)))]
+
+
+def _tensors_edited(m: Path, t: Path, edit) -> list[str]:
+    """validate-model argv for the quantized model with `edit` applied to
+    its manifest's tensors object."""
+    manifest = json.loads((m / "model.json").read_text())
+    edit(manifest["tensors"])
+    _write(t / "model.json", json.dumps(manifest))
+    (t / "model.bin").write_bytes((m / "model.bin").read_bytes())
+    return ["validate-model", "--model", str(t / "model.json")]
+
+
 # case -> (argv for a directory holding the mapped model, the message)
 MALFORMED_INPUTS = {
+    "config_skip_string": (
+        lambda m, t: _run_config(m, t, prune={"skip": "false"}),
+        "config key 'prune.skip': 'false' is not bool"),
+    "config_threshold_true": (
+        lambda m, t: _run_config(m, t, confidence_threshold=True),
+        "config key 'confidence_threshold': True is not float"),
+    "config_schedule_true": (
+        lambda m, t: _run_config(m, t, prune={"schedule": [0.1, True]}),
+        "config key 'prune.schedule': [0.1, True] is not list[float]"),
+    "config_output_dir_int": (
+        lambda m, t: _run_config(m, t, output_dir=3),
+        "config key 'output_dir': 3 is not str"),
+    "plan_count_fraction": (
+        lambda m, t: _prune_stage(m, t, {**PLAN_COUNTS, "conv1": 16.7}, []),
+        "prune plan original_counts: key 'conv1' must be int, got float"),
+    "plan_stage_fraction_and_true": (
+        lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"conv1": [1.5, True]}]),
+        "prune plan stage 1: key 'conv1'[0] must be int, got float"),
+    "plan_basis_other": (
+        lambda m, t: ["prune-stage", "--model", str(m / "model_float.json"), "--plan",
+                      str(_write(t / "p.json", json.dumps({
+                          "schedule": [0.1], "original_counts": PLAN_COUNTS, "stages": [],
+                          "basis": 7}))),
+                      "--out-masked", str(t / "masked")],
+        "prune plan: key 'basis' must be 'original_count', got 7"),
+    "manifest_symmetric_string": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"]["quant"].update(symmetric="false")),
+        "tensor in: bad quantization params: key 'symmetric' must be bool, got str"),
+    "manifest_zero_point_fraction": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"]["quant"].update(zero_point=1.7)),
+        "tensor in: bad quantization params: key 'zero_point' must be int, got float"),
+    "manifest_axis_true": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_w"]["quant"].update(axis=True)),
+        "tensor conv1_w: bad quantization params: key 'axis' must be int or NoneType, got bool"),
+    "manifest_shape_true": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"].update(shape=[True, 32, 32, 3])),
+        "tensor in: key 'shape'[0] must be int, got bool"),
+    "profile_bytes_fraction": (
+        lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
+                      str(_write(t / "profile.json", '{"op_metadata_bytes": 64.5}')),
+                      "--out", str(t / "plan.json")],
+        "hardware profile: key 'op_metadata_bytes' must be int, got float"),
     "plan_without_original_counts": (
         lambda m, t: ["prune-stage", "--model", str(m / "model.json"), "--plan",
                       str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
