@@ -16,6 +16,13 @@ env, so one `Program` may run from several threads at once; `evaluate`
 runs its chunks on up to one thread per CPU the process may use, and
 numpy releases the GIL inside the kernels' einsum, BLAS and ufunc calls.
 
+An activation lives in a run's env from the step that writes it to the
+last step that reads it, as in a TFLite Micro arena (David et al.,
+arXiv:2010.08678); only graph outputs outlive the run. Whoever wants
+intermediates observes them through `Program.run`'s `on_step` hook, which
+sees the input and each step's output as it is computed; `run_f32` and
+`run_int8` collect them into a `trace` dict that way.
+
 Windows are read through strided views of the padded input. Conv2D
 copies them once into C-ordered (B,Ho,Wo,kh,kw,C) patches for its
 matrix product; DepthwiseConv2D runs one einsum over an uncopied
@@ -24,8 +31,15 @@ sums each output element in the same order as over the patches; the
 pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
 Float32 DepthwiseConv2D and AvgPool2D keep the patches: with C == 1
 numpy coalesces the window into a horizontal or pairwise reduction,
-whose order no view reproduces. INT8 DepthwiseConv2D sums exactly in
-float32 while kh*kw*255*128 < 2**24, in float64 beyond.
+whose order no view reproduces.
+
+INT8 Conv2D, DepthwiseConv2D and FullyConnected share one accumulation
+rule: a sum of K products (K = kh*kw*C, kh*kw or F) runs in float32 while
+K*255*128 < 2**24 and in float64 beyond, where every partial sum is an
+exact integer whatever order BLAS or einsum takes. Their int64 epilogue
+(bias, 32-bit check, requantization, zero point, clip) then runs over
+tiles of at most `_EPILOGUE_TILE` elements into one preallocated Int8
+output, so its temporaries do not grow with the batch or the layer.
 """
 from __future__ import annotations
 
@@ -355,20 +369,40 @@ def _assert_inherited(graph: GraphIR, node: OpNode) -> None:
         )
 
 
+# int64 elements per tile of the INT8 weighted epilogue: its temporaries
+# stay this size whatever the batch or layer size.
+_EPILOGUE_TILE = 2**16
+
+
+def _acc_dtype(k: int) -> type:
+    """The float type that sums k products |x - zp| * |w| <= 255 * 128 exactly.
+
+    Every partial sum is then an integer of magnitude at most k*255*128:
+    float32 holds all of them exactly below 2**24, float64 below 2**53.
+    """
+    return np.float32 if k * 255 * 128 < 2**24 else np.float64
+
+
 def _int8_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b as exact int64, multiplied in float64 through BLAS.
+    """a @ b for centered codes against Int8 weights, exact, through BLAS.
 
     One operand holds centered codes |x - zp| <= 255, the other Int8
-    weights |w| <= 128, so every product is below 2**15 and every partial
-    sum, for any K below 2**38, below 2**53. Float64 represents all of
-    them exactly, so the result is the integer product whatever order
-    BLAS sums in.
+    weights |w| <= 128, so every product is below 2**15. Both are cast to
+    `_acc_dtype(K)`, which holds every partial sum exactly, so the result
+    holds the integer product whatever order BLAS sums in.
     """
-    return (a @ b).astype(np.int64)
+    acc = _acc_dtype(a.shape[-1])
+    return a.astype(acc, copy=False) @ b.astype(acc, copy=False)
 
 
 def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Kernel:
-    """Conv2D / DepthwiseConv2D / FullyConnected, optionally with fused ReLU."""
+    """Conv2D / DepthwiseConv2D / FullyConnected, optionally with fused ReLU.
+
+    The product accumulates exactly in `_acc_dtype` of the window or
+    input size. The epilogue (int64 cast, bias, 32-bit check, fixed-point
+    requantization, zero point, clip) then runs on `_EPILOGUE_TILE`-sized
+    tiles of output rows, writing into one preallocated Int8 output.
+    """
     src = node.inputs[0]
     zp_in = _require_quant(graph, src).zero_point
     if not QMIN <= zp_in <= QMAX:
@@ -381,52 +415,48 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
     zp_out = _require_quant(graph, node.outputs[0]).zero_point
     w = weights.data
 
-    # Conv2D accumulates channel-major, (O, X) over the X output pixels, so
-    # the epilogue's per-channel constants are (O, 1) and each of its
-    # passes runs along X rather than along a short row of O channels.
-    channel_major = node.kind == OpKind.CONV2D
     if node.kind == OpKind.FULLY_CONNECTED:
-        w_t = w.astype(np.float64).T
+        w_t = w.astype(_acc_dtype(w.shape[1])).T
 
         def product(x: np.ndarray) -> np.ndarray:
-            return _int8_gemm(x.astype(np.float64) - zp_in, w_t)
-    elif channel_major:
+            return _int8_gemm(x.astype(w_t.dtype) - zp_in, w_t)
+    elif node.kind == OpKind.CONV2D:
         window = _Window(node, graph.tensors[src].shape)
-        w_mat = w.reshape(w.shape[0], -1).astype(np.float64)
-        if bias is not None:
-            bias = bias[:, None]
-        sig, shift = sig.reshape(-1, 1), shift.reshape(-1, 1)
+        w_mat = w.reshape(w.shape[0], -1)
+        w_mat = w_mat.astype(_acc_dtype(w_mat.shape[1]))
 
+        # Channel-major: (O, X) over the X output pixels, so the epilogue's
+        # passes run along X rather than along a short row of O channels.
+        # Its transpose is the (B, Ho, Wo, O) output's (X, O) rows.
         def product(x: np.ndarray) -> np.ndarray:
-            patches = window.patches(x.astype(np.float64) - zp_in, 0.0)
-            return _int8_gemm(w_mat, patches.reshape(-1, w_mat.shape[1]).T)
+            patches = window.patches(x.astype(w_mat.dtype) - zp_in, 0.0)
+            acc = _int8_gemm(w_mat, patches.reshape(-1, w_mat.shape[1]).T)
+            return acc.T.reshape(*patches.shape[:3], len(w_mat))
     else:
         window = _Window(node, graph.tensors[src].shape)
-        kh, kw = window.kernel
-        # Each product |x - zp| * |w| is at most 255 * 128, so every partial
-        # sum of kh*kw of them is an integer float32 holds exactly below
-        # 2**24, whatever the order; float64 beyond that.
-        acc_type = np.float32 if kh * kw * 255 * 128 < 2**24 else np.float64
+        acc_type = _acc_dtype(window.kernel[0] * window.kernel[1])
         depthwise = _depthwise(window, w[0].astype(acc_type))
 
         def product(x: np.ndarray) -> np.ndarray:
-            return depthwise(x.astype(acc_type) - acc_type(zp_in)).astype(np.int64)
+            return depthwise(x.astype(acc_type) - acc_type(zp_in))
 
     # A fused ReLU clamps at the output zero point, real value 0.
     q_low = max(QMIN, zp_out) if fused_relu else QMIN
 
     def weighted(env: Env) -> np.ndarray:
-        x = env[src]
-        acc = product(x)  # a fresh array, so updated in place
-        if bias is not None:
-            acc += bias
-        _check_acc32(acc, node.id)
-        q = requantize_fixed_point(acc, sig, shift)
-        q += zp_out
-        q = np.clip(q, q_low, QMAX, out=q).astype(np.int8)
-        if channel_major:
-            return np.ascontiguousarray(q.T).reshape(len(x), *window.out_hw, len(q))
-        return q
+        acc = product(env[src])  # (..., C) exact integers; a transposed view for Conv2D
+        out = np.empty(acc.shape, dtype=np.int8)
+        acc_rows, out_rows = acc.reshape(-1, acc.shape[-1]), out.reshape(-1, acc.shape[-1])
+        tile = max(1, _EPILOGUE_TILE // acc.shape[-1])
+        for start in range(0, len(acc_rows), tile):
+            q = acc_rows[start:start + tile].astype(np.int64)
+            if bias is not None:
+                q += bias
+            _check_acc32(q, node.id)
+            q = requantize_fixed_point(q, sig, shift)
+            q += zp_out
+            out_rows[start:start + tile] = np.clip(q, q_low, QMAX, out=q)
+        return out
     return weighted
 
 
@@ -521,10 +551,15 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
 
 class Step(NamedTuple):
-    """One kernel of a Program: computes tensor `output` from the env."""
+    """One kernel of a Program: computes tensor `output` from the env.
+
+    `reads` are the input ids of the node it runs (of the producer, for a
+    fused producer+ReLU), constants included.
+    """
 
     output: str
     run: Kernel
+    reads: tuple[str, ...]
 
 
 class Program:
@@ -536,12 +571,21 @@ class Program:
     depend on the batch it runs in. Steps only read their bound constants
     and every `run` has its own env, so a Program may run from several
     threads at once.
+
+    An activation lives in the env from the step that writes it to the
+    last step that reads it; graph outputs live until `run` returns.
     """
 
     def __init__(self, graph: GraphIR, steps: list[Step], quantized: bool):
         self.graph = graph
         self.steps = steps
         self.quantized = quantized
+        # last[tid]: the index of the last step reading or writing tid.
+        last = {tid: i for i, step in enumerate(steps) for tid in (*step.reads, step.output)}
+        self._dead: list[list[str]] = [[] for _ in steps]
+        for tid, i in last.items():
+            if tid not in graph.graph_outputs and not graph.tensors[tid].is_constant:
+                self._dead[i].append(tid)
 
     @property
     def input(self) -> TensorSpec:
@@ -552,22 +596,28 @@ class Program:
         return self.graph.tensors[inputs[0]]
 
     def run(
-        self, x: np.ndarray, trace: dict[str, np.ndarray] | None = None
+        self, x: np.ndarray, on_step: Callable[[str, np.ndarray], None] | None = None
     ) -> dict[str, np.ndarray]:
         """Execute on a (B, *input_shape[1:]) batch; returns {output_id: array}.
 
-        Outputs are Float32 (INT8 outputs are dequantized). Pass a dict as
-        `trace` to also capture every intermediate activation.
+        Outputs are Float32 (INT8 outputs are dequantized). `on_step`, if
+        given, is called as on_step(tensor_id, array) with the graph input
+        (quantized, in an INT8 program) and then with each step's output
+        as it is computed; the array must not be modified.
         """
         spec = self.input
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != len(spec.shape) or x.shape[1:] != spec.shape[1:]:
             raise ExecutionError(f"input shape {x.shape} != graph input shape {spec.shape}")
         env = {spec.id: quantize_tensor(x, spec.quant) if self.quantized else x}
-        for step in self.steps:
+        if on_step is not None:
+            on_step(spec.id, env[spec.id])
+        for step, dead in zip(self.steps, self._dead):
             env[step.output] = step.run(env)
-        if trace is not None:
-            trace.update(env)
+            if on_step is not None:
+                on_step(step.output, env[step.output])
+            for tid in dead:
+                del env[tid]
 
         outputs: dict[str, np.ndarray] = {}
         for tid in self.graph.graph_outputs:
@@ -577,6 +627,10 @@ class Program:
                 value = dequantize_tensor(value, t.quant).astype(np.float32)
             outputs[tid] = value
         return outputs
+
+
+def _step(node: OpNode, kernel: Kernel) -> Step:
+    return Step(node.outputs[0], kernel, tuple(node.inputs))
 
 
 def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None) -> Program:
@@ -612,7 +666,7 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
                 raise ExecutionError(
                     f"tensor {t.id}: Float32 graph carries {t.dtype.value} constants"
                 )
-        steps = [Step(nodes[nid].outputs[0], _f32_kernel(g, nodes[nid])) for nid in order]
+        steps = [_step(nodes[nid], _f32_kernel(g, nodes[nid])) for nid in order]
         return Program(g, steps, quantized=False)
 
     if fused_groups is None:
@@ -634,9 +688,10 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         ):
             producer, relu = nodes[grp[0]], nodes[grp[1]]
             _assert_inherited(g, relu)
-            steps.append(Step(relu.outputs[0], _int8_weighted_kernel(g, producer, fused_relu=True)))
+            kernel = _int8_weighted_kernel(g, producer, fused_relu=True)
+            steps.append(Step(relu.outputs[0], kernel, tuple(producer.inputs)))
         else:
-            steps.extend(Step(nodes[nid].outputs[0], _int8_kernel(g, nodes[nid])) for nid in grp)
+            steps.extend(_step(nodes[nid], _int8_kernel(g, nodes[nid])) for nid in grp)
     return Program(g, steps, quantized=True)
 
 
@@ -645,8 +700,11 @@ def run_f32(
     x: np.ndarray,
     trace: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Prepare and run a Float32 graph; see `Program.run`."""
-    return _prepare_f32(graph).run(x, trace=trace)
+    """Prepare and run a Float32 graph; see `Program.run`.
+
+    A `trace` dict receives every activation by tensor id.
+    """
+    return _prepare_f32(graph).run(x, None if trace is None else trace.__setitem__)
 
 
 def run_int8(
@@ -658,11 +716,12 @@ def run_int8(
     """Prepare and run a quantized graph; see `prepare` and `Program.run`.
 
     The input is quantized, the graph runs on integers and INT8 outputs
-    are dequantized to Float32.
+    are dequantized to Float32. A `trace` dict receives every activation
+    by tensor id, as the integer codes the interpreter holds.
     """
     if not graph.is_quantized():
         raise ExecutionError("run_int8 requires a fully quantized graph")
-    return prepare(graph, fused_groups).run(x, trace=trace)
+    return prepare(graph, fused_groups).run(x, None if trace is None else trace.__setitem__)
 
 
 def _prepare_f32(graph: GraphIR) -> Program:
@@ -681,21 +740,22 @@ def calibrate(
     """Observed min/max per tensor over the calibration runs.
 
     Activation ranges come from executing the Float32 graph on every
-    sample; constant tensors get ranges from their data. Adding samples
-    can only widen ranges. Samples run one at a time, so only one
-    sample's activations are held at once: a chunk of EVAL_CHUNK would
-    hold every activation of every sample in it.
+    sample, folded in as each step computes them; constant tensors get
+    ranges from their data. Adding samples can only widen ranges. Samples
+    run one at a time: a chunk of EVAL_CHUNK would hold each step's
+    windows and activations for every sample in it.
     """
     if len(calibration_set) == 0:
         raise ExecutionError("empty calibration set")
     program = _prepare_f32(graph)
     ranges: dict[str, TensorRange] = {}
+
+    def observe(tid: str, values: np.ndarray) -> None:
+        r = TensorRange(tid, float(values.min()), float(values.max()))
+        ranges[tid] = ranges[tid].merged(r) if tid in ranges else r
+
     for sample in calibration_set:
-        trace: dict[str, np.ndarray] = {}
-        program.run(sample, trace=trace)
-        for tid, values in trace.items():
-            r = TensorRange(tid, float(values.min()), float(values.max()))
-            ranges[tid] = ranges[tid].merged(r) if tid in ranges else r
+        program.run(sample, on_step=observe)
     for tid, t in graph.tensors.items():
         if t.is_constant:
             ranges[tid] = TensorRange(tid, float(t.data.min()), float(t.data.max()))

@@ -258,6 +258,11 @@ _WINDOW_OPS = (
 )
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool, which isinstance counts as one (JSON true)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def validate(graph: GraphIR) -> ValidationReport:
     """Check structural invariants; violations are data, not exceptions."""
     return ValidationReport(_checked_order(graph)[0])
@@ -322,13 +327,13 @@ def _checked_order(graph: GraphIR) -> tuple[list[str], list[str] | None]:
         if n.kind in _WINDOW_OPS:
             for key in ("kernel_h", "kernel_w", "stride_h", "stride_w"):
                 val = n.attrs.get(key)
-                if not isinstance(val, int) or val < 1:
+                if not _is_int(val) or val < 1:
                     v.append(f"node {n.id}: attr {key}={val!r} must be an integer >= 1")
             if n.attrs.get("padding") not in VALID_PADDINGS:
                 v.append(f"node {n.id}: padding {n.attrs.get('padding')!r} not in {VALID_PADDINGS}")
         if n.kind == OpKind.CONCAT:
             axis = n.attrs.get("axis")
-            if not isinstance(axis, int):
+            if not _is_int(axis):
                 v.append(f"node {n.id}: Concat requires integer axis attr")
 
     # Cycle check: Kahn's algorithm over the node dependency relation.

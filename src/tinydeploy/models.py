@@ -179,9 +179,13 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     program = prepare(g)
 
     def features(batch: np.ndarray) -> np.ndarray:
-        trace: dict = {}
-        program.run(batch, trace=trace)
-        return trace[feat_id].reshape(len(batch), -1)
+        kept = []
+
+        def keep(tid: str, values: np.ndarray) -> None:
+            if tid == feat_id:
+                kept.append(values)
+        program.run(batch, on_step=keep)
+        return kept[0].reshape(len(batch), -1)
 
     samples = list(samples)
     if not samples:

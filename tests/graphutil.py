@@ -90,6 +90,47 @@ def two_conv_chain(first_filters=8, second_filters=16, seed=0):
     return make_graph("two_conv", nodes, tensors, ["in"], ["probs"])
 
 
+def skip_branch_graph(seed=0):
+    """A residual block and an inception block, with skip edges.
+
+    The input is read again by the Add two steps after the first
+    convolution, and the Add's output by the Concat four steps later.
+    The block's ReLU output `rs` is a graph output that later steps
+    also read. Conv -> ReLU -> Conv, Add(in, .) -> ReLU, then Concat of
+    a 1x1 Conv branch, a MaxPool branch and the Add output, and a
+    Flatten -> FullyConnected -> Softmax head.
+    """
+    rng = np.random.default_rng(seed)
+    same = conv_attrs(padding="SAME")
+    nodes = [
+        OpNode("c1", OpKind.CONV2D, same, ["in", "w1", "b1"], ["a"]),
+        OpNode("r1", OpKind.RELU, {}, ["a"], ["ra"]),
+        OpNode("c2", OpKind.CONV2D, conv_attrs(kernel=1), ["ra", "w2", "b2"], ["b"]),
+        OpNode("add", OpKind.ADD, {}, ["in", "b"], ["s"]),
+        OpNode("r2", OpKind.RELU, {}, ["s"], ["rs"]),
+        OpNode("c3", OpKind.CONV2D, conv_attrs(kernel=1), ["rs", "w3", "b3"], ["p"]),
+        OpNode("mp", OpKind.MAX_POOL2D, same, ["rs"], ["m"]),
+        OpNode("cat", OpKind.CONCAT, {"axis": 3}, ["p", "m", "s"], ["cat"]),
+        OpNode("fl", OpKind.FLATTEN, {}, ["cat"], ["flat"]),
+        OpNode("fc", OpKind.FULLY_CONNECTED, {}, ["flat", "w4", "b4"], ["logits"]),
+        OpNode("sm", OpKind.SOFTMAX, {}, ["logits"], ["probs"]),
+    ]
+    tensors = [
+        TensorSpec("in", (1, 6, 6, 4), DType.FLOAT32, TensorKind.INPUT),
+        const("w1", rng.normal(0, 0.3, size=(8, 3, 3, 4))),
+        const("b1", rng.normal(0, 0.1, size=(8,)), TensorKind.BIAS),
+        const("w2", rng.normal(0, 0.3, size=(4, 1, 1, 8))),
+        const("b2", rng.normal(0, 0.1, size=(4,)), TensorKind.BIAS),
+        const("w3", rng.normal(0, 0.3, size=(6, 1, 1, 4))),
+        const("b3", rng.normal(0, 0.1, size=(6,)), TensorKind.BIAS),
+        const("w4", rng.normal(0, 0.1, size=(5, 6 * 6 * 14))),
+        const("b4", rng.normal(0, 0.1, size=(5,)), TensorKind.BIAS),
+        *(act(t) for t in ("a", "ra", "b", "s", "rs", "p", "m", "cat", "flat", "logits")),
+        TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT),
+    ]
+    return make_graph("skip_branch", nodes, tensors, ["in"], ["probs", "rs"])
+
+
 # ---------------------------------------------------------------------------
 # naive reference ops (loop-based, independent of the executor)
 

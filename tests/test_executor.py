@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graphutil import (
     record_tuples,
     reference_window_f32,
     reference_window_int8,
+    skip_branch_graph,
 )
 from tinydeploy import executor
 from tinydeploy.executor import (
@@ -160,7 +162,7 @@ def _assert_window_kernel_matches(kind, attrs, x, rng, out_c=None):
 
     qg = quantize_graph(g, calibrate(g, [x]))
     trace = {}
-    prepare(qg).run(x, trace=trace)
+    prepare(qg).run(x, on_step=trace.__setitem__)
     np.testing.assert_array_equal(trace["out"], reference_window_int8(qg, trace["in"]))
 
 
@@ -251,6 +253,81 @@ def test_depthwise_reads_windows_without_copying_them():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("model", ["dwsep_net", "dwsep_net_quantized"])
+def test_program_run_frees_dead_activations(model, request, test_samples):
+    # One B=16 run of dwsep_net peaks at about 4 MB with each activation
+    # freed after its last reader. Kept until run returned, they took the
+    # peak to 12.6 MB (Float32) and 11.1 MB (INT8, whose epilogue also ran
+    # on whole int64 accumulators).
+    program = prepare(request.getfixturevalue(model))
+    x = np.concatenate([x for _, x, _ in test_samples[:16]])
+    program.run(x)
+    tracemalloc.start()
+    try:
+        program.run(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.fixture(scope="module")
+def skip_branch():
+    g = skip_branch_graph()
+    rng = np.random.default_rng(3)
+    xs = [rng.normal(size=(1, 6, 6, 4)).astype(np.float32) for _ in range(8)]
+    return g, quantize_graph(g, calibrate(g, xs[:4])), np.concatenate(xs)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_freeing_activations_leaves_skip_edge_outputs_unchanged(skip_branch, quantized):
+    g, qg, x = skip_branch
+    program = prepare(qg if quantized else g)
+    trace = {}
+    traced = program.run(x, on_step=trace.__setitem__)
+    untraced = program.run(x)
+    assert traced.keys() == untraced.keys() == {"probs", "rs"}
+    for tid in traced:
+        assert traced[tid].tobytes() == untraced[tid].tobytes(), tid
+    assert trace.keys() == {"in"} | {s.output for s in program.steps}
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_activations_die_after_their_last_reader(skip_branch, quantized):
+    # Each hook call sees every activation whose last reader has run
+    # already gone; nothing but the graph outputs survives the run.
+    g, qg, x = skip_branch
+    program = prepare(qg if quantized else g)
+    producers = program.graph.producer_map()
+    nodes = [producers[step.output] for step in program.steps]
+    last = {t: i for i, node in enumerate(nodes) for t in node.inputs}
+    for node in nodes:  # a Flatten output is a view of its input
+        if node.kind == OpKind.FLATTEN:
+            last[node.inputs[0]] = last[node.outputs[0]]
+    outputs = set(program.graph.graph_outputs)
+    # A Float32 program's input is the caller's array.
+    kept = outputs if quantized else outputs | {"in"}
+    refs: dict[str, weakref.ref] = {}
+    alive_after_last_read = []
+
+    def on_step(tid, values):
+        step = len(refs) - 1  # the input comes first, as step -1
+        alive_after_last_read.extend(
+            t for t, ref in refs.items()
+            if t not in kept and last.get(t, -1) < step and ref() is not None
+        )
+        refs[tid] = weakref.ref(values)
+
+    result = program.run(x, on_step=on_step)
+    assert len(refs) == len(program.steps) + 1
+    assert alive_after_last_read == []
+    # An Int8 output is returned dequantized, so its codes die with the run.
+    assert {t for t, ref in refs.items() if ref() is not None} == (
+        {"probs"} if quantized else {"probs", "rs", "in"}
+    )
+    assert result.keys() == outputs
 
 
 def test_single_channel_depthwise_independent_of_batch():
@@ -433,11 +510,11 @@ def test_program_batch_trace_matches_single_samples(model, request, test_samples
     program = prepare(request.getfixturevalue(model))
     xs = [x for _, x, _ in test_samples[:EQUIVALENCE_SAMPLES]]
     batch_trace = {}
-    program.run(np.concatenate(xs), trace=batch_trace)
+    program.run(np.concatenate(xs), on_step=batch_trace.__setitem__)
     single = []
     for x in xs:
         trace = {}
-        program.run(x, trace=trace)
+        program.run(x, on_step=trace.__setitem__)
         single.append(trace)
     for tid, values in batch_trace.items():
         want = np.concatenate([t[tid] for t in single])

@@ -244,3 +244,21 @@ def test_bad_attrs_reported():
     report = validate(g)
     assert any("kernel_h" in v for v in report.violations)
     assert any("padding" in v for v in report.violations)
+
+
+def test_boolean_window_and_axis_attrs_reported():
+    # JSON true is an int to isinstance; as a stride or an axis it is refused.
+    nodes = [
+        OpNode("pool", OpKind.MAX_POOL2D,
+               {"kernel_h": 2, "kernel_w": 2, "stride_h": True, "stride_w": 1,
+                "padding": "VALID"},
+               ["in"], ["p"]),
+        OpNode("cat", OpKind.CONCAT, {"axis": True}, ["p", "p"], ["out"]),
+    ]
+    tensors = [TensorSpec("in", (1, 8, 8, 3), DType.FLOAT32, TensorKind.INPUT),
+               act("p"), act("out")]
+    report = validate(GraphIR("bools", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))
+    assert report.violations == [
+        "node pool: attr stride_h=True must be an integer >= 1",
+        "node cat: Concat requires integer axis attr",
+    ]

@@ -39,10 +39,11 @@ def unit_requant():
 
 
 def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
-    """Hand-quantized graph with S=1 everywhere and Z=0 except at the input."""
+    """Hand-quantized Conv2D, DepthwiseConv2D or FullyConnected graph with
+    S=1 everywhere and Z=0 except at the input."""
     w = np.asarray(weights, dtype=np.int8)
     b = np.asarray(bias, dtype=np.int32)
-    axis = 0 if kind == OpKind.CONV2D else 3
+    axis = 3 if kind == OpKind.DEPTHWISE_CONV2D else 0
     out_c = w.shape[axis]
     per_ch = QuantParams(
         scale=np.ones(out_c), zero_point=np.zeros(out_c, dtype=np.int64),
@@ -52,7 +53,9 @@ def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
         "significand": [unit_requant()["significand"]] * out_c,
         "shift": [unit_requant()["shift"]] * out_c,
     }
-    attrs = {**conv_attrs(kernel=w.shape[1]), "requant": requant}
+    attrs = {"requant": requant}
+    if kind != OpKind.FULLY_CONNECTED:
+        attrs.update(conv_attrs(kernel=w.shape[1]))
     nodes = [OpNode("conv", kind, attrs, ["in", "w", "b"], ["out"])]
     tensors = [
         TensorSpec("in", in_shape, DType.INT8, TensorKind.INPUT,
@@ -123,8 +126,8 @@ def test_accumulator_overflow_reported(monkeypatch):
 
 
 def test_int8_gemm_exact_at_extreme_codes():
-    # Largest centered codes and weights, K = 4096: the float64 GEMM must
-    # give the int64 product exactly.
+    # Largest centered codes and weights, K = 4096: past float32's exact
+    # bound, the float64 GEMM must give the int64 product exactly.
     from tinydeploy.executor import _int8_gemm
 
     rng = np.random.default_rng(12)
@@ -134,19 +137,49 @@ def test_int8_gemm_exact_at_extreme_codes():
     w = rng.choice([-128, 127], size=(8, k)).astype(np.int64)
     w[0], w[1] = -128, 127
     w[1, 0] = -128  # an odd total above 2**24, which float32 cannot hold
-    got = _int8_gemm(centered.astype(np.float64), w.astype(np.float64).T)
+    got = _int8_gemm(centered, w.T)
     want = centered @ w.T
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got.astype(np.int64), want)
     assert (want[0, 0], want[0, 1]) == (-255 * 128 * k, 255 * (127 * (k - 1) - 128))
+
+
+@pytest.mark.parametrize("kind", [OpKind.CONV2D, OpKind.FULLY_CONNECTED])
+@pytest.mark.parametrize("k, acc_type", [(514, np.float32), (515, np.float64)])
+def test_int8_weighted_exact_at_float32_bound(kind, k, acc_type):
+    # K = 514 products of magnitude 255 * 128 sum to at most 16776960, below
+    # 2**24, so float32 holds every partial sum; K = 515 reaches 16809600
+    # and must take float64. Channel 2 sums to the odd -255 * (128 * K - 1),
+    # which float32 cannot hold past 2**24.
+    assert executor._acc_dtype(k) is acc_type
+    rng = np.random.default_rng(k)
+    w = np.full((3, k), -128, dtype=np.int8)
+    w[1] = rng.choice([-128, 127], size=k)
+    w[2, 0] = -127
+    codes = np.full((2, k), 127, dtype=np.int8)
+    codes[1] = rng.choice([-128, 127], size=k)
+    zp_in = -128  # code 127 centers to 255
+    want = (codes.astype(np.int64) - zp_in) @ w.T.astype(np.int64)
+    assert want[0, 2] == -255 * (128 * k - 1)
+    # Biases put the first sample's outputs at -100, 0 and 100.
+    bias = -want[0] + [-100, 0, 100]
+    expect = np.clip(want + bias, -128, 127)
+    if kind == OpKind.CONV2D:
+        w, codes, expect = w[:, None, None], codes[:, None, None], expect[:, None, None]
+    g = unit_scale_conv_graph(w, bias, (1, *codes.shape[1:]), kind, zp_in)
+    trace = {}
+    run_int8(g, codes.astype(np.float32) - zp_in, trace=trace)
+    np.testing.assert_array_equal(trace["in"], codes)
+    np.testing.assert_array_equal(trace["out"], expect)
+    np.testing.assert_array_equal(trace["out"].reshape(2, 3)[0], [-100, 0, 100])
 
 
 @pytest.mark.parametrize("kernel", [3, 257])
 def test_int8_depthwise_exact_at_extreme_codes(kernel):
     # Centered codes of magnitude 255 against weights -128 and 127. A 3x3
-    # kernel accumulates in int32; 257x257 = 66049 taps exceed the int32
-    # bound (255 * 128 * 66049 > 2**31) and take the int64 path, where a
-    # channel's sum passes -2**31 before its bias brings it back.
+    # kernel accumulates in float32 (9 * 255 * 128 < 2**24); 257x257 =
+    # 66049 taps pass that bound and take float64, where a channel's sum
+    # passes -2**31 before its bias brings it back.
     rng = np.random.default_rng(kernel)
     size = kernel + 2 if kernel == 3 else kernel
     w = np.empty((1, kernel, kernel, 3), dtype=np.int8)
@@ -183,6 +216,21 @@ def test_depthwise_accumulator_overflow_reported():
                 run_int8(g, x)
         else:
             assert run_int8(g, x)["out"].reshape(-1).tolist() == [127.0, 127.0]
+
+
+@pytest.mark.parametrize("kind", [OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D])
+def test_overflow_in_last_epilogue_tile_reported(kind):
+    # One channel, one pixel more than an epilogue tile holds: only the
+    # last pixel, alone in the second tile, overflows.
+    pixels = executor._EPILOGUE_TILE + 1
+    w = np.full((1, 1, 1, 1), 127, dtype=np.int8)
+    g = unit_scale_conv_graph(w, [2**31 - 10 - 127 * 100], (1, 1, pixels, 1), kind)
+    x = np.zeros((1, 1, pixels, 1), dtype=np.float32)
+    x[0, 0, -1] = 100.0
+    assert run_int8(g, x)["out"].max() == 127.0
+    x[0, 0, -1] = 101.0
+    with pytest.raises(AccumulatorOverflowError, match="node conv:"):
+        run_int8(g, x)
 
 
 @pytest.mark.parametrize("field,value,message", [

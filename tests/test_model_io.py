@@ -281,6 +281,19 @@ def test_only_model_io_encodes_reads_or_writes_files():
     assert offenders == []
 
 
+def test_library_observes_runs_only_through_on_step():
+    """No module passes `trace=` to a run: library code reads activations
+    through `Program.run`'s `on_step` hook, which keeps none it does not
+    ask for."""
+    offenders = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and any(kw.arg == "trace" for kw in node.keywords)
+    ]
+    assert offenders == []
+
+
 def _calls(node, name: str) -> bool:
     func = node.func if isinstance(node, ast.Call) else None
     return (isinstance(func, ast.Name) and func.id == name

@@ -667,11 +667,11 @@ def _run_config(m: Path, t: Path, **edit) -> list[str]:
     return ["run", "--config", str(_write(t / "cfg.json", json.dumps(config)))]
 
 
-def _tensors_edited(m: Path, t: Path, edit) -> list[str]:
+def _tensors_edited(m: Path, t: Path, edit, part: str = "tensors") -> list[str]:
     """validate-model argv for the quantized model with `edit` applied to
-    its manifest's tensors object."""
+    its manifest's `part` object, by default its tensors."""
     manifest = json.loads((m / "model.json").read_text())
-    edit(manifest["tensors"])
+    edit(manifest[part])
     _write(t / "model.json", json.dumps(manifest))
     (t / "model.bin").write_bytes((m / "model.bin").read_bytes())
     return ["validate-model", "--model", str(t / "model.json")]
@@ -716,6 +716,10 @@ MALFORMED_INPUTS = {
     "manifest_shape_true": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"].update(shape=[True, 32, 32, 3])),
         "tensor in: key 'shape'[0] must be int, got bool"),
+    "manifest_stride_true": (
+        lambda m, t: _tensors_edited(
+            m, t, lambda nodes: nodes[0]["attrs"].update(stride_h=True), part="nodes"),
+        "node conv1: attr stride_h=True must be an integer >= 1"),
     "profile_bytes_fraction": (
         lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
                       str(_write(t / "profile.json", '{"op_metadata_bytes": 64.5}')),
