@@ -15,7 +15,7 @@ hardware profile and are illustrative, not measured.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from .graph import WEIGHTED_OPS, GraphIR, OpKind, OpNode
@@ -35,20 +35,11 @@ def group_index(fused_groups: Iterable[Sequence[str]]) -> dict[str, str]:
 
 @dataclass
 class GroupCost:
-    group_id: str
+    group: str  # its `group_id`
     target: str
     macs: int
     latency_us: float
     energy_uj: float
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group_id,
-            "target": self.target,
-            "macs": self.macs,
-            "latency_us": self.latency_us,
-            "energy_uj": self.energy_uj,
-        }
 
 
 @dataclass
@@ -57,18 +48,11 @@ class CostEstimate:
     energy_mj: float
     ram_peak_bytes: int
     flash_bytes: int
-    per_group_breakdown: list[GroupCost] = field(default_factory=list)
-    budget_flags: dict = field(default_factory=dict)
+    per_group_breakdown: list[GroupCost]
+    budget_flags: dict
 
     def to_json(self) -> dict:
-        return {
-            "latency_ms": self.latency_ms,
-            "energy_mj": self.energy_mj,
-            "ram_peak_bytes": self.ram_peak_bytes,
-            "flash_bytes": self.flash_bytes,
-            "per_group_breakdown": [g.to_json() for g in self.per_group_breakdown],
-            "budget_flags": dict(self.budget_flags),
-        }
+        return asdict(self)
 
 
 def node_macs(graph: GraphIR, node: OpNode) -> int:
@@ -103,25 +87,21 @@ def node_proxy_ops(graph: GraphIR, node: OpNode) -> int:
 
 
 def estimate_group(
-    group: Sequence[str],
+    nodes: Sequence[OpNode],
     target: str,
     profile: HardwareProfile,
     graph: GraphIR,
 ) -> GroupCost:
-    """(macs, latency, energy) for one fused group on one target."""
-    nodes = {n.id: n for n in graph.nodes}
+    """(macs, latency, energy) for one fused group, given as its nodes, on one target."""
     macs = 0
     ops = 0
-    for nid in group:
-        if nid not in nodes:
-            raise ValueError(f"plan group references unknown node {nid}; wrong model?")
-        node = nodes[nid]
+    for node in nodes:
         macs += node_macs(graph, node)
         ops += 2 * node_macs(graph, node) + node_proxy_ops(graph, node)
     latency_us = ops / profile.throughput_ops_per_us(target) + profile.per_op_overhead_us
     energy_uj = latency_us * profile.active_power_w(target)
     return GroupCost(
-        group_id=group_id(group),
+        group=group_id([node.id for node in nodes]),
         target=target,
         macs=macs,
         latency_us=latency_us,
@@ -139,9 +119,13 @@ def flash_bytes(graph: GraphIR, profile: HardwareProfile) -> int:
 
 def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostEstimate:
     """Full-plan estimate; latency is the schedule makespan, not the op sum."""
-    target_of = {entry.group_id: entry.target for entry in plan.timeline}
+    target_of = {entry.group: entry.target for entry in plan.timeline}
+    nodes = {n.id: n for n in graph.nodes}
+    for nid in (nid for group in plan.fused_groups for nid in group):
+        if nid not in nodes:
+            raise ValueError(f"plan group references unknown node {nid}; wrong model?")
     breakdown = [
-        estimate_group(group, target_of[group_id(group)], profile, graph)
+        estimate_group([nodes[nid] for nid in group], target_of[group_id(group)], profile, graph)
         for group in plan.fused_groups
     ]
     return _plan_estimate(plan, breakdown, flash_bytes(graph, profile), profile)

@@ -7,12 +7,12 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .executor import InferenceRecord
-from .model_io import KINDS, _field, read_json
+from .model_io import decode, read_json
 
 
 class DownlinkError(ValueError):
@@ -36,17 +36,10 @@ class LinkBudget:
         return self.data_rate_bps * self.pass_duration_s * self.passes_per_day / 8.0
 
     @classmethod
-    def from_json(cls, obj: dict) -> "LinkBudget":
-        """A link budget from its JSON object, each field of its annotation's
-        `KINDS` kind; DownlinkError names a missing or wrong-typed field."""
-        return cls(**{
-            f.name: _field(obj, f.name, "link budget", KINDS[f.type], DownlinkError)
-            for f in fields(cls)
-        })
-
-    @classmethod
     def load(cls, path: str | Path) -> "LinkBudget":
-        return cls.from_json(read_json(path, DownlinkError))
+        """A link budget file (`model_io.decode`); DownlinkError names a
+        missing, unknown or wrong-typed key."""
+        return decode(cls, read_json(path, DownlinkError), "link budget", DownlinkError)
 
 
 @dataclass
@@ -85,18 +78,7 @@ class DownlinkReport:
     hybrid_accuracy: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "threshold": self.threshold,
-            "full_volume_bytes": self.full_volume_bytes,
-            "transmitted_count": self.transmitted_count,
-            "transmitted_volume_bytes": self.transmitted_volume_bytes,
-            "reduction_pct": self.reduction_pct,
-            "fits_daily_budget": self.fits_daily_budget,
-            "daily_budget_bytes": self.daily_budget_bytes,
-            "onboard_accuracy": self.onboard_accuracy,
-            "hybrid_accuracy": self.hybrid_accuracy,
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lines = [

@@ -47,6 +47,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -787,6 +788,9 @@ def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
 # amortize the per-call overhead and feed BLAS, small enough to keep
 # activations small.
 EVAL_CHUNK = 16
+# Chunks map_batches runs at a time: enough to keep the workers busy, few
+# enough that the inputs are not all copied at once.
+CHUNKS_IN_FLIGHT = 8
 
 
 def batches(samples: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
@@ -805,14 +809,20 @@ def usable_cpus() -> int:
 def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
     """[fn(batch) for batch in batches(samples)], the batches run on a thread pool.
 
-    One worker per usable CPU, at most one per chunk. Results come back in
-    chunk order; if chunks raise, the first failing chunk's exception is
-    raised, later chunks not yet started are cancelled, and every worker
-    has exited before this returns or raises.
+    The chunks are concatenated and run CHUNKS_IN_FLIGHT at a time, so
+    only those are copied at once; one worker per usable CPU, at most one
+    per chunk run at a time. Results come back in chunk order; if
+    chunks raise, the first failing chunk's exception is raised, later
+    chunks not yet started are cancelled, and every worker has exited
+    before this returns or raises.
     """
-    workers = max(1, min(math.ceil(len(samples) / EVAL_CHUNK), usable_cpus()))
+    workers = max(1, min(math.ceil(len(samples) / EVAL_CHUNK), usable_cpus(), CHUNKS_IN_FLIGHT))
+    chunks = batches(samples)
+    results: list = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, batches(samples)))
+        while in_flight := list(islice(chunks, CHUNKS_IN_FLIGHT)):
+            results += pool.map(fn, in_flight)
+    return results
 
 
 def evaluate(

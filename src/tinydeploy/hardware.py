@@ -8,11 +8,11 @@ the bundled desk models land in a realistic latency/energy regime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import OpKind
-from .model_io import KINDS, _field, read_json
+from .model_io import decode, read_json
 
 DEFAULT_NPU_OPS = ("Conv2D", "DepthwiseConv2D", "ReLU", "Add")
 
@@ -70,22 +70,7 @@ class HardwareProfile:
         return self.npu_power_w if target == "NPU" else self.cpu_power_w
 
     @classmethod
-    def from_json(cls, obj: dict) -> "HardwareProfile":
-        """A profile from its JSON object; absent fields keep their defaults.
-
-        Each value must be of its annotation's `KINDS` kind; ValueError
-        names an unknown or wrong-typed field.
-        """
-        where = "hardware profile"
-        if not isinstance(obj, dict):
-            raise ValueError(f"{where}: expected an object, got {type(obj).__name__}")
-        kinds = {f.name: KINDS[f.type] for f in fields(cls)}
-        for key in obj:
-            if key not in kinds:
-                raise ValueError(f"{where}: unknown key {key!r}")
-            _field(obj, key, where, kinds[key], ValueError)
-        return cls(**obj)
-
-    @classmethod
     def load(cls, path: str | Path) -> "HardwareProfile":
-        return cls.from_json(read_json(path, ValueError))
+        """A profile file (`model_io.decode`): absent fields keep their
+        defaults; ValueError names an unknown or wrong-typed key."""
+        return decode(cls, read_json(path, ValueError), "hardware profile", ValueError)

@@ -14,12 +14,11 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .costmodel import (
     CostEstimate,
-    GroupCost,
     _plan_estimate,
     estimate_group,
     flash_bytes,
@@ -28,7 +27,7 @@ from .costmodel import (
 )
 from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes, topological_order
 from .hardware import HardwareProfile
-from .model_io import NUMBER, _field, read_json, write_json
+from .model_io import _field, decode, read_json, write_json
 
 
 class MappingError(ValueError):
@@ -37,18 +36,10 @@ class MappingError(ValueError):
 
 @dataclass
 class TimelineEntry:
-    group_id: str
+    group: str  # its `group_id`
     target: str
     start_us: float
     end_us: float
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group_id,
-            "target": self.target,
-            "start_us": self.start_us,
-            "end_us": self.end_us,
-        }
 
 
 @dataclass
@@ -87,7 +78,7 @@ class DeploymentPlan:
             "profile": self.profile,
             "assignment": dict(sorted(self.assignment.items())),
             "fused_groups": [list(g) for g in self.fused_groups],
-            "timeline": [e.to_json() for e in self.timeline],
+            "timeline": [asdict(e) for e in self.timeline],
             "memory_plan": self.memory_plan.to_json(),
             "flash_bytes": self.flash_bytes,
             "estimates": self.estimates.to_json() if self.estimates else None,
@@ -297,7 +288,7 @@ def schedule(
             best = timeline
     if best is None:
         raise AssertionError("dependency cycle among groups")
-    best.sort(key=lambda e: (e.start_us, position[e.group_id]))
+    best.sort(key=lambda e: (e.start_us, position[e.group]))
     return best
 
 
@@ -325,7 +316,7 @@ def tensor_lifetimes(
     group are not materialized and get no lifetime.
     """
     node_group = group_index(fused_groups)
-    interval = {e.group_id: (e.start_us, e.end_us) for e in timeline}
+    interval = {e.group: (e.start_us, e.end_us) for e in timeline}
     makespan = max((e.end_us for e in timeline), default=0.0)
     producers = graph.producer_map()
     consumers = graph.consumer_map()
@@ -403,9 +394,13 @@ def build_deployment_plan(
     """
     g, _ = infer_shapes(graph)
     assignment, fused_groups = partition_and_fuse(g, profile)
-    costs = [estimate_group(grp, assignment[grp[0]], profile, g) for grp in fused_groups]
-    targets = {c.group_id: c.target for c in costs}
-    latencies = {c.group_id: c.latency_us for c in costs}
+    nodes = {n.id: n for n in g.nodes}
+    costs = [
+        estimate_group([nodes[nid] for nid in grp], assignment[grp[0]], profile, g)
+        for grp in fused_groups
+    ]
+    targets = {c.group: c.target for c in costs}
+    latencies = {c.group: c.latency_us for c in costs}
     deps = group_dependencies(g, fused_groups)
     timeline = schedule(fused_groups, deps, targets, latencies, profile)
     lifetimes = tensor_lifetimes(g, timeline, fused_groups)
@@ -429,7 +424,8 @@ def load_plan(path: str | Path) -> DeploymentPlan:
 
     Fields must be present with their JSON types, no node may sit in two
     fused groups, and each group needs exactly one timeline entry under
-    its `group_id`, on CPU or NPU as `assignment` says. Violations raise
+    its `group_id`, on CPU or NPU as `assignment` says. Timeline entries
+    and estimates are read by `model_io.decode`. Violations raise
     MappingError naming the field.
     """
     obj = read_json(path, MappingError)
@@ -440,13 +436,10 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     for i, grp in enumerate(fused_groups):
         if not grp:
             raise MappingError(f"{where}: fused_groups[{i}] must be a non-empty list of node ids")
-    timeline = []
-    for i, e in enumerate(_field(obj, "timeline", where, list, err)):
-        at = f"{where} timeline[{i}]"
-        timeline.append(TimelineEntry(
-            _field(e, "group", at, str, err), _field(e, "target", at, str, err),
-            _field(e, "start_us", at, NUMBER, err), _field(e, "end_us", at, NUMBER, err),
-        ))
+    timeline = [
+        decode(TimelineEntry, e, f"{where} timeline[{i}]", err)
+        for i, e in enumerate(_field(obj, "timeline", where, list, err))
+    ]
     memory = _field(obj, "memory_plan", where, dict, err)
     offsets = {}
     for tid, e in _field(memory, "tensors", f"{where} memory_plan", dict, err).items():
@@ -461,11 +454,11 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     gids = {group_id(grp) for grp in fused_groups}
     target_of: dict[str, str] = {}
     for e in timeline:
-        if e.group_id not in gids or e.group_id in target_of:
-            raise MappingError(f"{where}: timeline names unknown or repeated group {e.group_id}")
+        if e.group not in gids or e.group in target_of:
+            raise MappingError(f"{where}: timeline names unknown or repeated group {e.group}")
         if e.target not in ("CPU", "NPU"):
-            raise MappingError(f"{where}: group {e.group_id} target {e.target!r} is not CPU or NPU")
-        target_of[e.group_id] = e.target
+            raise MappingError(f"{where}: group {e.group} target {e.target!r} is not CPU or NPU")
+        target_of[e.group] = e.target
     for grp in fused_groups:
         gid = group_id(grp)
         if gid not in target_of:
@@ -477,25 +470,8 @@ def load_plan(path: str | Path) -> DeploymentPlan:
                     f"but its group {gid} runs on {target_of[gid]}"
                 )
 
-    est, raw = None, obj.get("estimates")
-    if raw is not None:
-        at = f"{where} estimates"
-        breakdown = []
-        for i, e in enumerate(_field(raw, "per_group_breakdown", at, list, err)):
-            g_at = f"{at} per_group_breakdown[{i}]"
-            breakdown.append(GroupCost(
-                _field(e, "group", g_at, str, err), _field(e, "target", g_at, str, err),
-                _field(e, "macs", g_at, int, err), _field(e, "latency_us", g_at, NUMBER, err),
-                _field(e, "energy_uj", g_at, NUMBER, err),
-            ))
-        est = CostEstimate(
-            latency_ms=_field(raw, "latency_ms", at, NUMBER, err),
-            energy_mj=_field(raw, "energy_mj", at, NUMBER, err),
-            ram_peak_bytes=_field(raw, "ram_peak_bytes", at, int, err),
-            flash_bytes=_field(raw, "flash_bytes", at, int, err),
-            per_group_breakdown=breakdown,
-            budget_flags=_field(raw, "budget_flags", at, dict, err),
-        )
+    raw = obj.get("estimates")
+    est = None if raw is None else decode(CostEstimate, raw, f"{where} estimates", err)
     return DeploymentPlan(
         model=model,
         profile=profile,
@@ -520,7 +496,7 @@ def render_report(plan: DeploymentPlan) -> str:
         f"{'group':<40} {'target':<6} {'start_us':>10} {'end_us':>10}",
     ]
     for e in plan.timeline:
-        lines.append(f"{e.group_id:<40} {e.target:<6} {e.start_us:>10.1f} {e.end_us:>10.1f}")
+        lines.append(f"{e.group:<40} {e.target:<6} {e.start_us:>10.1f} {e.end_us:>10.1f}")
     if plan.estimates is not None:
         est = plan.estimates
         lines += [

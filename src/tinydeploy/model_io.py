@@ -2,6 +2,10 @@
 
 `json_text` and `csv_text` hold the JSON and CSV layouts; `read_json`,
 `read_csv` and `_field` name the file, line or key of malformed input.
+Records (profiles, link budgets, plan timeline and cost entries) are
+read by `decode`, the one record reader, and written with
+`dataclasses.asdict`: a record's dataclass is the one statement of its
+JSON form.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
 (`pair_paths`, `write_pair`); the manifest gives each constant tensor's
 blob offset/length. `pack_blob` concatenates the payloads little-endian
@@ -15,8 +19,9 @@ import csv
 import io
 import json
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, get_args, get_type_hints
 
 import numpy as np
 
@@ -26,8 +31,10 @@ from .graph import (
     OpKind,
     OpNode,
     QuantParams,
+    ShapeError,
     TensorKind,
     TensorSpec,
+    infer_shapes,
     validate,
 )
 
@@ -256,9 +263,9 @@ def read_csv(
 
 NUMBER = (int, float)
 
-# The JSON kind of a dataclass field annotation: configs, profiles and
-# link budgets are decoded by annotation through `_field`.
-KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool,
+# The JSON kind of a dataclass field annotation: configs and `decode`d
+# records are read by annotation through `_field`.
+KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool, "dict": dict,
          "list[float]": [NUMBER], "tuple[str, ...]": [str]}
 
 
@@ -279,6 +286,35 @@ def _field(
     if kind is not None:
         _check_kind(obj[key], kind, f"{where}: key {key!r}", error)
     return obj[key]
+
+
+def decode(cls, obj, where: str, error: type[Exception]):
+    """The `cls` dataclass record a JSON object holds.
+
+    Every key must name a field, and a field without a default is
+    required. Each value must be of its annotation's `KINDS` kind; the
+    elements of a list of records (`list[GroupCost]`) are decoded by
+    `decode` in turn. `error` names `where` and the key at fault.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected an object, got {type(obj).__name__}")
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise error(f"{where}: unknown key {key!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name not in obj and (f.default is not MISSING or f.default_factory is not MISSING):
+            continue
+        if f.type in KINDS:
+            values[f.name] = _field(obj, f.name, where, KINDS[f.type], error)
+        else:  # a list of records
+            record = get_args(get_type_hints(cls)[f.name])[0]
+            values[f.name] = [
+                decode(record, item, f"{where} {f.name}[{i}]", error)
+                for i, item in enumerate(_field(obj, f.name, where, list, error))
+            ]
+    return cls(**values)
 
 
 def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
@@ -353,9 +389,15 @@ def load_model(path: str | Path) -> GraphIR:
         graph_inputs=list(_field(manifest, "graph_inputs", top, list)),
         graph_outputs=list(_field(manifest, "graph_outputs", top, list)),
     )
-    report = validate(graph)
-    if not report.ok:
-        raise ModelFormatError(f"{manifest_path}: invalid graph: " + "; ".join(report.violations))
+    try:
+        inferred, _ = infer_shapes(graph)  # validates the graph first
+    except ShapeError as exc:
+        raise ModelFormatError(f"{manifest_path}: {exc}") from None
+    for tid, t in inferred.tensors.items():
+        if t.shape != tensors[tid].shape:
+            raise ModelFormatError(
+                f"tensor {tid}: shape {list(tensors[tid].shape)} != inferred {list(t.shape)}"
+            )
     return graph
 
 

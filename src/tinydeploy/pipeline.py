@@ -287,11 +287,8 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         }
 
     estimate_path = out / "cost_estimate.json"
-    estimates = model_io.read_json(estimate_path, PipelineError)
-    ram_peak, latency, energy = (
-        model_io._field(estimates, key, str(estimate_path), model_io.NUMBER, PipelineError)
-        for key in ("ram_peak_bytes", "latency_ms", "energy_mj")
-    )
+    est = model_io.decode(costmodel.CostEstimate, model_io.read_json(estimate_path, PipelineError),
+                          str(estimate_path), PipelineError)
     downlink_report = model_io.read_json(out / "downlink_report.json", PipelineError)
     float_flash = stages["float"]["flash_bytes"]
     quant_flash = stages["quantized"]["flash_bytes"]
@@ -300,7 +297,7 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         "config": config.to_json(),
         "stages": stages,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),
-        "deployment": estimates,
+        "deployment": est.to_json(),
         "downlink": downlink_report,
     }
 
@@ -315,11 +312,12 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         rows.append([
             report["model"], dataset_name, stage, repr(entry["accuracy"]),
             entry["parameters"], entry["flash_bytes"],
-            ram_peak if deployed else "",
-            repr(latency) if deployed else "",
-            repr(energy) if deployed else "",
+            est.ram_peak_bytes if deployed else "",
+            repr(est.latency_ms) if deployed else "",
+            repr(est.energy_mj) if deployed else "",
         ])
-    plot = [["model", "latency_ms", "energy_mj"], [report["model"], repr(latency), repr(energy)]]
+    plot = [["model", "latency_ms", "energy_mj"],
+            [report["model"], repr(est.latency_ms), repr(est.energy_mj)]]
     model_io.write_files([
         (out / "report.json", model_io.json_text(report)),
         (out / "report.csv", model_io.csv_text(rows)),

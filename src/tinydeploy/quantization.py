@@ -214,7 +214,6 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
             raise QuantizationError(f"tensor {t.id}: expected Float32 source graph")
 
     nodes = {n.id: n for n in g.nodes}
-    producers = g.producer_map()
 
     def require_range(tid: str) -> "TensorRange":
         if tid not in ranges:

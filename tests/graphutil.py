@@ -40,10 +40,8 @@ def conv_attrs(kernel=3, stride=1, padding="VALID"):
     }
 
 
-def make_graph(name, nodes, tensors, inputs, outputs, infer=True):
-    g = GraphIR(name, nodes, {t.id: t for t in tensors}, inputs, outputs)
-    if infer:
-        g, _ = infer_shapes(g)
+def make_graph(name, nodes, tensors, inputs, outputs):
+    g, _ = infer_shapes(GraphIR(name, nodes, {t.id: t for t in tensors}, inputs, outputs))
     return g
 
 

@@ -62,14 +62,14 @@ def test_latency_600mmac_at_600gops():
     g = conv_graph(out_c=75, kernel=10, in_shape=(1, 49, 49, 200), stride=2)
     macs = node_macs(g, g.nodes[0])
     assert macs == 20 * 20 * 75 * 10 * 10 * 200  # 600 MMACs
-    cost = estimate_group(["conv"], "NPU", profile, g)
+    cost = estimate_group(g.nodes, "NPU", profile, g)
     assert cost.latency_us == pytest.approx(2000.0)
 
 
 def test_energy_is_power_times_time():
     profile = HardwareProfile(npu_utilization=1.0, per_op_overhead_us=0.0, npu_power_w=0.3)
     g = conv_graph(out_c=75, kernel=10, in_shape=(1, 49, 49, 200), stride=2)
-    cost = estimate_group(["conv"], "NPU", profile, g)
+    cost = estimate_group(g.nodes, "NPU", profile, g)
     assert cost.energy_uj == pytest.approx(600.0)  # 0.3 W * 2000 us = 0.6 mJ
 
 
@@ -81,7 +81,7 @@ def test_zero_mac_group_costs_overhead_only():
     g = make_graph("r", nodes, tensors, ["in"], ["out"])
     # byte proxy: 4 floats in + 4 floats out = 32 ops; make them free via huge throughput
     profile2 = HardwareProfile(per_op_overhead_us=7.5, cpu_freq_mhz=1e12)
-    cost = estimate_group(["relu"], "CPU", profile2, g)
+    cost = estimate_group(g.nodes, "CPU", profile2, g)
     assert cost.macs == 0
     assert cost.latency_us == pytest.approx(7.5, abs=1e-6)
 
@@ -89,7 +89,7 @@ def test_zero_mac_group_costs_overhead_only():
 def test_proxy_ops_count_bytes():
     nodes = [OpNode("relu", OpKind.RELU, {}, ["in"], ["out"])]
     tensors = [TensorSpec("in", (1, 4), DType.FLOAT32, TensorKind.INPUT), act("out", (1, 4))]
-    g = make_graph("r", nodes, tensors, ["in"], ["out"], infer=True)
+    g = make_graph("r", nodes, tensors, ["in"], ["out"])
     assert node_proxy_ops(g, g.nodes[0]) == 16 + 16
 
 
@@ -97,8 +97,8 @@ def test_latency_monotone_in_macs():
     profile = HardwareProfile()
     small = conv_graph(out_c=4, kernel=3, in_shape=(1, 16, 16, 4))
     large = conv_graph(out_c=8, kernel=3, in_shape=(1, 16, 16, 4))
-    c_small = estimate_group(["conv"], "NPU", profile, small)
-    c_large = estimate_group(["conv"], "NPU", profile, large)
+    c_small = estimate_group(small.nodes, "NPU", profile, small)
+    c_large = estimate_group(large.nodes, "NPU", profile, large)
     assert c_large.latency_us > c_small.latency_us
     assert c_large.energy_uj > c_small.energy_uj
 
@@ -174,7 +174,7 @@ def test_serial_single_target_energy_arithmetic():
     g = conv_graph(out_c=2, kernel=1, in_shape=(1, 2, 2, 2))
     plan = FakePlan()
     plan.fused_groups = [["conv"]]
-    cost = estimate_group(["conv"], "CPU", profile, g)
+    cost = estimate_group(g.nodes, "CPU", profile, g)
     plan.timeline = [TimelineEntry("conv", "CPU", 0.0, cost.latency_us)]
     plan.memory_plan = MemoryPlan(offsets={}, arena_peak_bytes=0)
     est = estimate_deployment(plan, g, profile)

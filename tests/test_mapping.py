@@ -143,7 +143,7 @@ def test_diamond_parallel_branches():
 
 def test_timeline_respects_dependencies_and_resources(small_convnet_quantized):
     plan = build_deployment_plan(small_convnet_quantized, HardwareProfile())
-    entries = {e.group_id: e for e in plan.timeline}
+    entries = {e.group: e for e in plan.timeline}
     deps = group_dependencies(small_convnet_quantized, plan.fused_groups)
     for gid, dep_set in deps.items():
         for dep in dep_set:
@@ -214,7 +214,7 @@ def test_small_schedule_is_first_minimal_permutation(data):
         candidate = mapping._run_list_schedule(list(order), deps, targets, latencies, transfer)
         if best is None or max(e.end_us for e in candidate) < max(e.end_us for e in best):
             best = candidate
-    best.sort(key=lambda e: (e.start_us, gids.index(e.group_id)))
+    best.sort(key=lambda e: (e.start_us, gids.index(e.group)))
     assert timeline == best
 
 
@@ -239,12 +239,12 @@ def test_cross_target_transfer_latency_term():
     latencies = {"a": 1000.0, "b": 500.0}
     profile = HardwareProfile(transfer_latency_us=250.0)
     timeline = schedule(groups, deps, targets, latencies, profile)
-    entries = {e.group_id: e for e in timeline}
+    entries = {e.group: e for e in timeline}
     assert entries["b"].start_us == 1250.0  # producer end + transfer
     # same-target edge pays nothing
     targets_same = {"a": "CPU", "b": "CPU"}
     timeline = schedule(groups, deps, targets_same, latencies, profile)
-    entries = {e.group_id: e for e in timeline}
+    entries = {e.group: e for e in timeline}
     assert entries["b"].start_us == 1000.0
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,16 @@ import pytest
 import tinydeploy
 from graphutil import conv_relu_softmax
 from tinydeploy.cli import main
+from tinydeploy.costmodel import CostEstimate, GroupCost
+from tinydeploy.downlink import DownlinkError, LinkBudget
 from tinydeploy.executor import InferenceRecord, write_records_csv
 from tinydeploy.hardware import HardwareProfile
-from tinydeploy.mapping import build_deployment_plan
+from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan
 from tinydeploy.model_io import (
     ModelFormatError,
+    decode,
     graphs_equal,
+    json_text,
     load_model,
     save_model,
     write_json,
@@ -256,6 +261,38 @@ def test_quantized_roundtrip(tmp_path, small_convnet_quantized):
     loaded = load_model(tmp_path / "q")
     assert graphs_equal(small_convnet_quantized, loaded)
     assert loaded.is_quantized()
+
+
+GROUP_COST = GroupCost("conv1+conv1_relu", "NPU", 442368, 412.5, 103.125)
+
+# Each record `decode` reads, with the error its loader raises.
+RECORDS = {
+    "profile": (HardwareProfile(name="p", npu_supported_ops=("Conv2D",)), ValueError),
+    "link_budget": (LinkBudget("l", 9600.0, 4, 600.0), DownlinkError),
+    "timeline_entry": (TimelineEntry("conv1+conv1_relu", "NPU", 0.0, 412.5), MappingError),
+    "group_cost": (GROUP_COST, MappingError),
+    "cost_estimate": (
+        CostEstimate(1.8, 0.5, 60000, 200000, [GROUP_COST, GROUP_COST], {"ram_ok": True}),
+        MappingError),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_decode_inverts_asdict(name):
+    record, error = RECORDS[name]
+    assert decode(type(record), json.loads(json_text(asdict(record))), "r", error) == record
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_decode_rejects_unknown_key_and_wrong_kind(name):
+    record, error = RECORDS[name]
+    obj = {**asdict(record), "bogus": 1}
+    with pytest.raises(error, match=re.escape("record x: unknown key 'bogus'")):
+        decode(type(record), obj, "record x", error)
+    key = fields(record)[0].name
+    obj = {**asdict(record), key: None}
+    with pytest.raises(error, match=re.escape(f"record x: key {key!r} must be ")):
+        decode(type(record), obj, "record x", error)
 
 
 def test_only_model_io_encodes_reads_or_writes_files():

@@ -562,9 +562,11 @@ def _retarget(plan, gid, target):
     (lambda p: p["estimates"]["per_group_breakdown"][0].update(macs="12"),
      "per_group_breakdown[0]: key 'macs' must be int, got str"),
     (lambda p: p.update(estimates=[1.0]), "estimates: expected an object, got list"),
+    (lambda p: p["estimates"]["per_group_breakdown"][1].update(group_id="conv1"),
+     "estimates per_group_breakdown[1]: unknown key 'group_id'"),
 ], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
         "gpu_target", "target_not_assigned", "estimates_without_energy",
-        "breakdown_macs_string", "estimates_list"])
+        "breakdown_macs_string", "estimates_list", "breakdown_unknown_key"])
 def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
     plan = json.loads((mapped / "plan.json").read_text())
     edit(plan)
@@ -677,6 +679,20 @@ def _tensors_edited(m: Path, t: Path, edit, part: str = "tensors") -> list[str]:
     return ["validate-model", "--model", str(t / "model.json")]
 
 
+def _plan_edited(m: Path, t: Path, edit) -> list[str]:
+    """estimate argv for the mapped model's plan with `edit` applied."""
+    plan = json.loads((m / "plan.json").read_text())
+    edit(plan)
+    return ["estimate", "--model", str(m / "model.json"),
+            "--plan", str(_write(t / "plan.json", json.dumps(plan))), "--out", str(t / "est.json")]
+
+
+def _rename_node(plan: dict, old: str, new: str) -> None:
+    """Rename node `old` to `new` in the plan, as the first node of its group."""
+    text = json.dumps(plan).replace(f'"{old}"', f'"{new}"').replace(f'"{old}+', f'"{new}+')
+    plan.update(json.loads(text))
+
+
 # case -> (argv for a directory holding the mapped model, the message)
 MALFORMED_INPUTS = {
     "config_skip_string": (
@@ -716,6 +732,9 @@ MALFORMED_INPUTS = {
     "manifest_shape_true": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"].update(shape=[True, 32, 32, 3])),
         "tensor in: key 'shape'[0] must be int, got bool"),
+    "manifest_shape_not_inferred": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_out"].update(shape=[1, 64, 64, 16])),
+        "tensor conv1_out: shape [1, 64, 64, 16] != inferred [1, 32, 32, 16]"),
     "manifest_stride_true": (
         lambda m, t: _tensors_edited(
             m, t, lambda nodes: nodes[0]["attrs"].update(stride_h=True), part="nodes"),
@@ -748,6 +767,19 @@ MALFORMED_INPUTS = {
     "checkpoint_shape_string": (
         lambda m, t: _checkpoint_in(m, t, "conv1_w", "garbage"),
         "checkpoint tensor conv1_w: key 'shape' must be list, got str"),
+    "link_unknown_key": (
+        lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
+                      str(_write(t / "link.json", json.dumps({
+                          "name": "l", "data_rate_bps": 9600, "passes_per_day": 4,
+                          "pass_duration_s": 600, "data_rate": 9600}))),
+                      "--out", str(t / "d.json")],
+        "link budget: unknown key 'data_rate'"),
+    "plan_timeline_unknown_key": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["timeline"][0].update(group_id="conv1")),
+        "timeline[0]: unknown key 'group_id'"),
+    "plan_node_not_in_model": (
+        lambda m, t: _plan_edited(m, t, lambda p: _rename_node(p, "conv1", "ghost")),
+        "plan group references unknown node ghost; wrong model?"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
