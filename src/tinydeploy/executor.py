@@ -1,8 +1,8 @@
 """Reference interpreters for the graph IR.
 
-`prepare(graph)` validates a graph, infers its shapes and binds every
-kernel to its constants once, giving a `Program` that runs batches of
-any leading size. Float32 graphs run in Float32. Quantized graphs run
+`prepare(graph)` validates a graph and binds every kernel to its
+constants once, giving a `Program` that runs batches of any leading
+size. Float32 graphs run in Float32. Quantized graphs run
 with integer-only arithmetic between the quantize/dequantize boundaries:
 convolutions and matmuls accumulate in 32-bit (checked, not wrapped),
 outputs are requantized with fixed-point multipliers and saturated to
@@ -61,8 +61,8 @@ from .graph import (
     OpKind,
     OpNode,
     TensorSpec,
+    checked_order,
     conv_output_hw,
-    infer_shapes,
     same_padding_amounts,
 )
 from .model_io import NUMBER, _field, csv_text, read_csv, write_files, write_json
@@ -564,9 +564,9 @@ class Step(NamedTuple):
 
 
 class Program:
-    """A graph validated, shape-inferred and bound to its kernels once.
+    """A graph validated and bound to its kernels once.
 
-    `graph` is the shape-inferred copy; `steps` run in order over an env
+    `graph` is prepare's private copy; `steps` run in order over an env
     of tensor id -> array. Graph shapes declare batch N=1, but every step
     works on any leading batch size B, and a sample's result does not
     depend on the batch it runs in. Steps only read their bound constants
@@ -635,7 +635,7 @@ def _step(node: OpNode, kernel: Kernel) -> Step:
 
 
 def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None) -> Program:
-    """Validate, infer shapes, check dtypes and bind every kernel once.
+    """Validate, check dtypes and bind every kernel once.
 
     A fully quantized graph (`GraphIR.is_quantized`) gets the INT8
     kernels, any other graph the Float32 ones. `fused_groups` (node-id
@@ -644,12 +644,12 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     intermediate tensor; the math is unchanged.
     """
     quantized = graph.is_quantized()
-    g, order = infer_shapes(graph)
+    g = graph.copy()
+    order = checked_order(g)
     nodes = {n.id: n for n in g.nodes}
     # einsum(optimize=False) sums in a stride-dependent order, so every
     # constant gets one layout (C order): an F-ordered weight, as
     # np.delete leaves behind, then runs exactly like its saved+loaded copy.
-    # g's TensorSpecs are infer_shapes' own, so the input graph is untouched.
     for t in g.tensors.values():
         if t.data is not None:
             t.data = np.ascontiguousarray(t.data)

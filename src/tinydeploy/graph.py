@@ -6,6 +6,12 @@ Activations are NHWC; graph shapes declare batch N=1, and a prepared
 FullyConnected weights are (out, in). Graphs are treated as immutable:
 every transformation returns a new graph.
 
+Shapes are established once per graph version, by `infer_shapes` in
+`model_io.load_model`, the bundled-model builder and `pruning.materialize`;
+every other transformation (`apply_masks`, `import_checkpoint`,
+`quantize_graph`) keeps them, and every reader trusts them. A graph built
+by hand goes through `infer_shapes` before any other call.
+
 Graph copies share constants. `GraphIR.copy()`, and therefore
 `infer_shapes`, copies structure only: new `OpNode`s (own `inputs`,
 `outputs` and `attrs`) and new `TensorSpec`s, which share the input's
@@ -345,6 +351,14 @@ def _checked_order(graph: GraphIR) -> tuple[list[str], list[str] | None]:
         return [str(exc)], None
 
 
+def checked_order(graph: GraphIR) -> list[str]:
+    """Topological order of a valid graph; raises ShapeError naming its violations."""
+    violations, order = _checked_order(graph)
+    if violations:
+        raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(violations))
+    return order
+
+
 def topological_order(graph: GraphIR) -> list[str]:
     """Node ids ordered so every node appears after all its producers.
 
@@ -496,10 +510,7 @@ def infer_shapes(graph: GraphIR) -> tuple[GraphIR, list[str]]:
     The new graph is a `GraphIR.copy()`: it shares the input's constant
     `data` arrays and `QuantParams` objects (see module docstring).
     """
-    violations, order = _checked_order(graph)
-    if violations:
-        raise ShapeError("cannot infer shapes on invalid graph: " + "; ".join(violations))
-
+    order = checked_order(graph)
     g = graph.copy()
     nodes = {n.id: n for n in g.nodes}
     for nid in order:

@@ -14,7 +14,7 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .costmodel import (
@@ -25,7 +25,7 @@ from .costmodel import (
     group_id,
     group_index,
 )
-from .graph import WEIGHTED_OPS, GraphIR, OpKind, infer_shapes, topological_order
+from .graph import WEIGHTED_OPS, GraphIR, OpKind, topological_order
 from .hardware import HardwareProfile
 from .model_io import _field, decode, read_json, write_json
 
@@ -93,11 +93,9 @@ def partition_and_fuse(
 ) -> tuple[dict[str, str], list[list[str]]]:
     """Assign each node to NPU iff its kind is supported, then fuse.
 
-    Takes a shape-inferred graph (an `infer_shapes` result, or a graph
-    loaded from disk). Fusion merges a weighted producer with an
-    immediately following ReLU when the intermediate tensor has exactly
-    one consumer and both nodes share a target. Groups are listed in
-    topological order.
+    Fusion merges a weighted producer with an immediately following ReLU
+    when the intermediate tensor has exactly one consumer and both nodes
+    share a target. Groups are listed in topological order.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
@@ -310,7 +308,6 @@ def tensor_lifetimes(
 ) -> list[Lifetime]:
     """Arena tensors with [first write, last read) intervals in schedule time.
 
-    Takes a shape-inferred graph: sizes come from its tensor shapes.
     Graph inputs are live from time zero; graph outputs stay live until
     the makespan. Tensors produced and consumed entirely inside one fused
     group are not materialized and get no lifetime.
@@ -389,31 +386,29 @@ def build_deployment_plan(
 ) -> DeploymentPlan:
     """Partition, fuse, schedule, plan memory and estimate in one pass.
 
-    Shapes are inferred once; every step works on that one graph, and the
-    estimate reuses the per-group costs the schedule was built from.
+    The estimate reuses the per-group costs the schedule was built from.
     """
-    g, _ = infer_shapes(graph)
-    assignment, fused_groups = partition_and_fuse(g, profile)
-    nodes = {n.id: n for n in g.nodes}
+    assignment, fused_groups = partition_and_fuse(graph, profile)
+    nodes = {n.id: n for n in graph.nodes}
     costs = [
-        estimate_group([nodes[nid] for nid in grp], assignment[grp[0]], profile, g)
+        estimate_group([nodes[nid] for nid in grp], assignment[grp[0]], profile, graph)
         for grp in fused_groups
     ]
     targets = {c.group: c.target for c in costs}
     latencies = {c.group: c.latency_us for c in costs}
-    deps = group_dependencies(g, fused_groups)
+    deps = group_dependencies(graph, fused_groups)
     timeline = schedule(fused_groups, deps, targets, latencies, profile)
-    lifetimes = tensor_lifetimes(g, timeline, fused_groups)
+    lifetimes = tensor_lifetimes(graph, timeline, fused_groups)
     memory = place_lifetimes(lifetimes)
     verify_memory_plan(memory, lifetimes)
     plan = DeploymentPlan(
-        model=g.name,
+        model=graph.name,
         profile=profile.name,
         assignment=assignment,
         fused_groups=fused_groups,
         timeline=timeline,
         memory_plan=memory,
-        flash_bytes=flash_bytes(g, profile),
+        flash_bytes=flash_bytes(graph, profile),
     )
     plan.estimates = _plan_estimate(plan, costs, plan.flash_bytes, profile)
     return plan
@@ -422,11 +417,11 @@ def build_deployment_plan(
 def load_plan(path: str | Path) -> DeploymentPlan:
     """Read a plan written by `DeploymentPlan.save`, rejecting malformed ones.
 
-    Fields must be present with their JSON types, no node may sit in two
-    fused groups, and each group needs exactly one timeline entry under
-    its `group_id`, on CPU or NPU as `assignment` says. Timeline entries
-    and estimates are read by `model_io.decode`. Violations raise
-    MappingError naming the field.
+    Fields must be present with their JSON types and no key may be
+    unknown, no node may sit in two fused groups, and each group needs
+    exactly one timeline entry under its `group_id`, on CPU or NPU as
+    `assignment` says. Timeline entries and estimates are read by
+    `model_io.decode`. Violations raise MappingError naming the field.
     """
     obj = read_json(path, MappingError)
     where, err = f"plan {path}", MappingError
@@ -442,9 +437,16 @@ def load_plan(path: str | Path) -> DeploymentPlan:
     ]
     memory = _field(obj, "memory_plan", where, dict, err)
     offsets = {}
+    known = [(where, obj, {f.name for f in fields(DeploymentPlan)}),
+             (f"{where} memory_plan", memory, {"arena_peak_bytes", "tensors"})]
     for tid, e in _field(memory, "tensors", f"{where} memory_plan", dict, err).items():
         at = f"{where} memory_plan tensor {tid}"
         offsets[tid] = (_field(e, "offset", at, int, err), _field(e, "size", at, int, err))
+        known.append((at, e, {"offset", "size"}))
+    for at, record, keys in known:
+        unknown = sorted(set(record) - keys)
+        if unknown:
+            raise MappingError(f"{at}: unknown key {unknown[0]!r}")
 
     seen: set[str] = set()
     for nid in (nid for grp in fused_groups for nid in grp):

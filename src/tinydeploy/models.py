@@ -22,6 +22,7 @@ class _Builder:
             "in": TensorSpec("in", input_shape, DType.FLOAT32, TensorKind.INPUT)
         }
         self.head = "in"
+        self.channels = input_shape[-1]  # channel count at the head
 
     def _activation(self, tid: str) -> str:
         self.tensors[tid] = TensorSpec(tid, (1, 1), DType.FLOAT32, TensorKind.ACTIVATION)
@@ -41,8 +42,7 @@ class _Builder:
 
     def conv(self, nid: str, out_c: int, kernel: int = 3, stride: int = 1,
              padding: str = "SAME", relu: bool = True, gain: float = 1.0) -> None:
-        in_c = self._head_channels()
-        w = self._weights(f"{nid}_w", (out_c, kernel, kernel, in_c), gain)
+        w = self._weights(f"{nid}_w", (out_c, kernel, kernel, self.channels), gain)
         b = self._bias(f"{nid}_b", out_c)
         out = self._activation(f"{nid}_out")
         self.nodes.append(OpNode(nid, OpKind.CONV2D, {
@@ -50,14 +50,14 @@ class _Builder:
             "stride_h": stride, "stride_w": stride, "padding": padding,
         }, [self.head, w, b], [out]))
         self.head = out
+        self.channels = out_c
         if relu:
             self.relu(f"{nid}_relu")
 
     def depthwise(self, nid: str, kernel: int = 3, stride: int = 1,
                   padding: str = "SAME", relu: bool = True) -> None:
-        c = self._head_channels()
-        w = self._weights(f"{nid}_w", (1, kernel, kernel, c))
-        b = self._bias(f"{nid}_b", c)
+        w = self._weights(f"{nid}_w", (1, kernel, kernel, self.channels))
+        b = self._bias(f"{nid}_b", self.channels)
         out = self._activation(f"{nid}_out")
         self.nodes.append(OpNode(nid, OpKind.DEPTHWISE_CONV2D, {
             "kernel_h": kernel, "kernel_w": kernel,
@@ -98,14 +98,6 @@ class _Builder:
         self.tensors[out] = TensorSpec(out, (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
         self.nodes.append(OpNode(nid, OpKind.SOFTMAX, {}, [self.head], [out]))
         self.head = out
-
-    def _head_channels(self) -> int:
-        # Channel count at the current head, tracked through inference.
-        graph, _ = infer_shapes(self._partial_graph())
-        return graph.tensors[self.head].shape[-1]
-
-    def _partial_graph(self) -> GraphIR:
-        return GraphIR(self.name, list(self.nodes), dict(self.tensors), ["in"], [self.head])
 
     def finish(self) -> GraphIR:
         graph = GraphIR(self.name, self.nodes, self.tensors, ["in"], [self.head])

@@ -146,22 +146,20 @@ def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None]]:
     Maps layer id -> (layer node, actions), where actions is a list of
     ("dw"|"conv_in"|"fc_in", consumer node, positions) with positions the
     Flatten spatial expansion factor for "fc_in" (1 when the input was
-    already 2-D), or None when the layer is not prunable. Shapes are
-    inferred once for the whole table; the actions depend only on graph
-    structure and Flatten spatial sizes, which channel removal leaves
-    unchanged.
+    already 2-D), or None when the layer is not prunable. The actions
+    depend only on graph structure and the graph's Flatten spatial sizes,
+    which channel removal leaves unchanged.
     """
-    g, _ = infer_shapes(graph)
-    consumers = g.consumer_map()
+    consumers = graph.consumer_map()
     return {
-        node.id: (node, _propagation_actions(g, consumers, node.outputs[0]))
-        for node in g.nodes
+        node.id: (node, _propagation_actions(graph, consumers, node.outputs[0]))
+        for node in graph.nodes
         if node.kind in PRUNABLE_OPS
     }
 
 
 def _propagation_actions(g: GraphIR, consumers, output: str):
-    """Walk one layer's `output` through its consumers on shape-inferred `g`."""
+    """Walk one layer's `output` through its consumers on `g`."""
     actions = []
     # (tensor_id, flatten positions or None while still channel-shaped)
     queue: list[tuple[str, int | None]] = [(output, None)]

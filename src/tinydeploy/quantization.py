@@ -31,7 +31,7 @@ from .graph import (
     OpKind,
     QuantParams,
     ShapeError,
-    infer_shapes,
+    checked_order,
 )
 
 if TYPE_CHECKING:
@@ -205,8 +205,9 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
     unchanged; only dtypes, quantization params and requant attrs differ.
     Deterministic: identical inputs give byte-identical graphs.
     """
+    g = graph.copy()
     try:
-        g, order = infer_shapes(graph)
+        order = checked_order(g)
     except ShapeError as exc:
         raise QuantizationError(f"cannot quantize invalid graph: {exc}") from None
     for t in graph.tensors.values():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from graphutil import brute_force_arena_peak, brute_force_makespan
 from tinydeploy.executor import run_int8
 from tinydeploy import mapping
-from tinydeploy.graph import OpKind, infer_shapes
+from tinydeploy.graph import OpKind
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import (
     Lifetime,
@@ -337,18 +337,12 @@ def test_memory_plan_safety_bundled(small_convnet_quantized, dwsep_net_quantized
         assert plan.memory_plan.arena_peak_bytes < total
 
 
-def test_deployment_plan_infers_shapes_once(monkeypatch, small_convnet_quantized):
-    # build_deployment_plan hands its one shape-inferred graph to
-    # partition_and_fuse and tensor_lifetimes, which infer nothing again.
-    calls = []
-
-    def counting_infer_shapes(graph):
-        calls.append(graph.name)
-        return infer_shapes(graph)
-
-    monkeypatch.setattr(mapping, "infer_shapes", counting_infer_shapes)
+def test_deployment_plan_infers_shapes_once(validations, small_convnet_quantized):
+    # The graph's own shapes are consistent (see the graph module), so
+    # planning neither infers shapes nor validates.
+    validations.clear()
     build_deployment_plan(small_convnet_quantized, HardwareProfile())
-    assert len(calls) == 1
+    assert validations == []
 
 
 def test_fused_intermediates_not_materialized(small_convnet_quantized):

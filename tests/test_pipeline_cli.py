@@ -564,9 +564,12 @@ def _retarget(plan, gid, target):
     (lambda p: p.update(estimates=[1.0]), "estimates: expected an object, got list"),
     (lambda p: p["estimates"]["per_group_breakdown"][1].update(group_id="conv1"),
      "estimates per_group_breakdown[1]: unknown key 'group_id'"),
+    (lambda p: p["memory_plan"]["tensors"]["in"].update(z=3),
+     "memory_plan tensor in: unknown key 'z'"),
 ], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
         "gpu_target", "target_not_assigned", "estimates_without_energy",
-        "breakdown_macs_string", "estimates_list", "breakdown_unknown_key"])
+        "breakdown_macs_string", "estimates_list", "breakdown_unknown_key",
+        "memory_tensor_unknown_key"])
 def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
     plan = json.loads((mapped / "plan.json").read_text())
     edit(plan)
@@ -735,6 +738,12 @@ MALFORMED_INPUTS = {
     "manifest_shape_not_inferred": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_out"].update(shape=[1, 64, 64, 16])),
         "tensor conv1_out: shape [1, 64, 64, 16] != inferred [1, 32, 32, 16]"),
+    "manifest_dangling_input": (
+        lambda m, t: _tensors_edited(
+            m, t, lambda nodes: (nodes[1].update(id="conv1"), nodes[2].update(inputs=["nowhere"])),
+            part="nodes"),
+        "cannot infer shapes on invalid graph: duplicate node id conv1; "
+        "node pool1: unknown tensor nowhere"),
     "manifest_stride_true": (
         lambda m, t: _tensors_edited(
             m, t, lambda nodes: nodes[0]["attrs"].update(stride_h=True), part="nodes"),
@@ -777,6 +786,12 @@ MALFORMED_INPUTS = {
     "plan_timeline_unknown_key": (
         lambda m, t: _plan_edited(m, t, lambda p: p["timeline"][0].update(group_id="conv1")),
         "timeline[0]: unknown key 'group_id'"),
+    "plan_unknown_key": (
+        lambda m, t: _plan_edited(m, t, lambda p: p.update(x=1)),
+        "plan.json: unknown key 'x'"),
+    "plan_memory_unknown_key": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"].update(y=2)),
+        "plan.json memory_plan: unknown key 'y'"),
     "plan_node_not_in_model": (
         lambda m, t: _plan_edited(m, t, lambda p: _rename_node(p, "conv1", "ghost")),
         "plan group references unknown node ghost; wrong model?"),

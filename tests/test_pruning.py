@@ -5,10 +5,9 @@ import re
 import numpy as np
 import pytest
 
-from graphutil import act, const, conv_attrs, make_graph, two_conv_chain
-from tinydeploy import graph as graph_module
-from tinydeploy import pruning
+from graphutil import act, const, conv_attrs, make_graph, skip_branch_graph, two_conv_chain
 from tinydeploy.cli import main
+from tinydeploy.costmodel import estimate_deployment
 from tinydeploy.executor import calibrate, run_f32
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import build_deployment_plan
@@ -166,18 +165,17 @@ def test_materialize_channel_propagation_shapes():
     assert validate(mat).ok
 
 
-def test_materialize_and_quantize_check_the_graph_once(monkeypatch):
-    # Neither validates beside the validation inside infer_shapes.
+def test_materialize_and_quantize_check_the_graph_once(validations):
+    # materialize validates once, inside the infer_shapes of its result;
+    # quantize_graph once, in its entry check.
     g = two_conv_chain(first_filters=8, second_filters=16, seed=1)
     plan = build_prune_plan(g, [0.25])
     ranges = calibrate(materialize(g, plan), [np.ones((1, 6, 6, 3), dtype=np.float32)])
-    checked = []
-    real = graph_module._checked_order
-    monkeypatch.setattr(graph_module, "_checked_order", lambda g: checked.append(g) or real(g))
+    validations.clear()
     mat = materialize(g, plan)
-    assert len(checked) == 2  # the propagation table's infer_shapes, then the result's
+    assert len(validations) == 1
     quantize_graph(mat, ranges)
-    assert len(checked) == 3
+    assert len(validations) == 2
     mat.graph_outputs.append("missing")
     with pytest.raises(QuantizationError, match="cannot quantize invalid graph: .*missing"):
         quantize_graph(mat, ranges)
@@ -343,25 +341,58 @@ def test_compile_path_makes_no_deep_copy(monkeypatch, tmp_path, dwsep_net, test_
     assert deployment.estimates is not None
 
 
+def test_compile_chain_validates_three_times(validations, dwsep_net, test_samples):
+    # Three prune stages, materialize, calibrate, quantize, plan and
+    # estimate: materialize infers the new shapes, calibrate's prepare and
+    # quantize_graph check their private copies, and nothing else validates.
+    validations.clear()
+    g = dwsep_net
+    plan = new_plan(g, [0.1, 0.05, 0.05])
+    for _ in plan.schedule:
+        plan = plan_next_stage(g, plan)
+        g = import_checkpoint(g, export_checkpoint(apply_masks(g, plan)))
+    pruned = materialize(g, plan)
+    quantized = quantize_graph(pruned, calibrate(pruned, [s[1] for s in test_samples[:4]]))
+    profile = HardwareProfile()
+    estimate_deployment(build_deployment_plan(quantized, profile), quantized, profile)
+    assert len(validations) == 3
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net", "skip_branch"])
+def test_transformations_keep_consistent_shapes(request, model):
+    # Every graph the library hands on has the shapes infer_shapes derives.
+    g = skip_branch_graph() if model == "skip_branch" else request.getfixturevalue(model)
+    plan = build_prune_plan(g, [0.25])
+    masked = apply_masks(g, plan)
+    pruned = materialize(g, plan)
+    x = np.random.default_rng(0).normal(size=(4, *g.tensors["in"].shape[1:]))
+    outputs = {
+        "apply_masks": masked,
+        "import_checkpoint": import_checkpoint(g, export_checkpoint(masked)),
+        "materialize": pruned,
+        "quantize_graph": quantize_graph(pruned, calibrate(pruned, list(x[:, None]))),
+    }
+    for call, out in outputs.items():
+        inferred, _ = infer_shapes(out)
+        for tid, t in out.tensors.items():
+            assert t.shape == inferred.tensors[tid].shape, (call, tid)
+
+
 @pytest.mark.parametrize("call", ["new_plan", "plan_next_stage", "apply_masks", "materialize"])
-def test_pruning_infers_shapes_at_most_twice(monkeypatch, small_convnet, call):
+def test_pruning_infers_shapes_at_most_twice(validations, small_convnet, call):
+    # Only materialize makes a graph with new shapes, so only it validates
+    # (once, inside infer_shapes); the others read the graph's own shapes.
     assert len(prunable_layers(small_convnet)) >= 3
     staged = plan_next_stage(small_convnet, new_plan(small_convnet, [0.25, 0.25]))
-    calls = []
-
-    def counting_infer_shapes(graph):
-        calls.append(graph.name)
-        return infer_shapes(graph)
-
-    monkeypatch.setattr(pruning, "infer_shapes", counting_infer_shapes)
-    run = {
-        "new_plan": lambda: new_plan(small_convnet, [0.25]),
-        "plan_next_stage": lambda: plan_next_stage(small_convnet, staged),
-        "apply_masks": lambda: apply_masks(small_convnet, staged),
-        "materialize": lambda: materialize(small_convnet, staged),
+    validations.clear()
+    run, passes = {
+        "new_plan": (lambda: new_plan(small_convnet, [0.25]), 0),
+        "plan_next_stage": (lambda: plan_next_stage(small_convnet, staged), 0),
+        "apply_masks": (lambda: apply_masks(small_convnet, staged), 0),
+        "materialize": (lambda: materialize(small_convnet, staged), 1),
     }[call]
     run()
-    assert 1 <= len(calls) <= 2
+    assert len(validations) == passes
 
 
 # --- checkpoints -----------------------------------------------------------
