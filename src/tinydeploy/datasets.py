@@ -92,9 +92,9 @@ def generate_dataset(
 def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     """The (sample_id, image, label) samples of a generate_dataset directory.
 
-    A malformed meta.json or index.csv, or a sample file whose size does
-    not match `shape`, raises DatasetError naming the file (and the line
-    and column of index.csv).
+    A malformed meta.json or index.csv, a sample id that index.csv
+    repeats, or a sample file whose size does not match `shape` raises
+    DatasetError naming the file (and the line and column of index.csv).
     """
     path = Path(path)
     meta_path = path / "meta.json"
@@ -104,7 +104,7 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     size = 4 * math.prod(shape)
     columns = {"sample_id": str, "file": str, "label": int}
     samples = []
-    for row in read_csv(path / "index.csv", columns, DatasetError):
+    for row in read_csv(path / "index.csv", columns, DatasetError, unique="sample_id"):
         raw = (path / row["file"]).read_bytes()
         if len(raw) != size:
             raise DatasetError(

@@ -7,6 +7,7 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -53,6 +54,12 @@ class DownlinkScenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise DownlinkError(f"threshold {self.threshold} outside (0, 1]")
+        # Records are matched by sample id, so each id may occur once per side.
+        for side, records in (("onboard", self.onboard_records),
+                              ("ground", self.ground_records or ())):
+            repeated = [sid for sid, n in Counter(r.sample_id for r in records).items() if n > 1]
+            if repeated:
+                raise DownlinkError(f"{side} records repeat sample id {repeated[0]!r}")
         if self.num_samples != len(self.onboard_records):
             raise DownlinkError(
                 f"num_samples {self.num_samples} != {len(self.onboard_records)} onboard records"

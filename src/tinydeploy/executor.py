@@ -13,19 +13,24 @@ Both interpreters are pure functions of (graph, input), bit-reproducible
 run to run, and give each sample the same result whatever batch it runs in.
 Kernels are closures over read-only constants and each run has its own
 env, so one `Program` may run from several threads at once; `evaluate`
-runs its chunks on up to one thread per CPU the process may use, and
-numpy releases the GIL inside the kernels' einsum, BLAS and ufunc calls.
+runs its chunks on the calling thread and up to one pool thread more per
+further CPU the process may use, and numpy releases the GIL inside the
+kernels' einsum, BLAS and ufunc calls.
 
 An activation lives in a run's env from the step that writes it to the
 last step that reads it, as in a TFLite Micro arena (David et al.,
-arXiv:2010.08678); only graph outputs outlive the run. Whoever wants
+arXiv:2010.08678); only graph outputs outlive the run. A ReLU whose
+input dies at its step overwrites that input in place, as MCUNet's
+in-place activations do (Lin et al., arXiv:2007.10319). Whoever wants
 intermediates observes them through `Program.run`'s `on_step` hook, which
-sees the input and each step's output as it is computed; `run_f32` and
-`run_int8` collect them into a `trace` dict that way.
+sees the input and each step's output as it is computed; an array it is
+handed is valid only during the call, and `run_f32` and `run_int8` copy
+each one into a `trace` dict.
 
 Windows are read through strided views of the padded input. Conv2D
 copies them once into C-ordered (B,Ho,Wo,kh,kw,C) patches for its
-matrix product; DepthwiseConv2D runs one einsum over an uncopied
+matrix product (a 1x1, stride-1, unpadded Conv2D's contiguous input is
+its patches already); DepthwiseConv2D runs one einsum over an uncopied
 (B,Ho,kh,kw,Wo*C) view (stride_w 1; (B,Ho,kh,kw,Wo,C) otherwise), which
 sums each output element in the same order as over the patches; the
 pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
@@ -45,9 +50,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -163,7 +168,13 @@ class _Window:
         return out
 
     def patches(self, x: np.ndarray, pad_value) -> np.ndarray:
-        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding."""
+        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding.
+
+        A 1x1, stride-1, unpadded window is one input cell, so the
+        contiguous input is the patches, without a window view.
+        """
+        if self.kernel == self.stride == (1, 1) and self.pad is None:
+            return np.ascontiguousarray(x)[:, :, :, None, None, :]
         sh, sw = self.stride
         view = sliding_window_view(self._padded(x, pad_value), self.kernel, axis=(1, 2))
         return np.ascontiguousarray(view[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3))
@@ -240,11 +251,20 @@ def _bias(graph: GraphIR, node: OpNode, dtype) -> np.ndarray | None:
     return graph.tensors[node.inputs[2]].data.astype(dtype) if len(node.inputs) == 3 else None
 
 
-# ---------------------------------------------------------------------------
-# Float32 kernels
-
 Env = dict[str, np.ndarray]
 Kernel = Callable[[Env], np.ndarray]
+
+
+def _relu(src: str, floor: np.generic) -> Kernel:
+    """max(x, floor), into `out` if given: `Program` passes x itself where
+    x dies at this step."""
+    def relu(env: Env, out: np.ndarray | None = None) -> np.ndarray:
+        return np.maximum(env[src], floor, out=out)
+    return relu
+
+
+# ---------------------------------------------------------------------------
+# Float32 kernels
 
 
 def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
@@ -289,7 +309,7 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         return weighted
 
     if kind == OpKind.RELU:
-        return lambda env: np.maximum(env[src], np.float32(0.0))
+        return _relu(src, np.float32(0.0))
 
     if kind == OpKind.MAX_POOL2D:
         window = _Window(node, graph.tensors[src].shape)
@@ -469,8 +489,7 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
     if kind == OpKind.RELU:
         _assert_inherited(graph, node)
-        zp = np.int8(_require_quant(graph, src).zero_point)
-        return lambda env: np.maximum(env[src], zp)
+        return _relu(src, np.int8(_require_quant(graph, src).zero_point))
 
     if kind == OpKind.MAX_POOL2D:
         # max is order-preserving under affine maps with S > 0; QMIN padding
@@ -574,12 +593,15 @@ class Program:
     threads at once.
 
     An activation lives in the env from the step that writes it to the
-    last step that reads it; graph outputs live until `run` returns.
+    last step that reads it; graph outputs live until `run` returns. A
+    ReLU step overwrites its input when that input dies at the step and
+    an earlier step other than a Flatten (whose output is a view of its
+    own input) wrote it; the graph input, in a Float32 program the
+    caller's array, is never overwritten.
     """
 
     def __init__(self, graph: GraphIR, steps: list[Step], quantized: bool):
         self.graph = graph
-        self.steps = steps
         self.quantized = quantized
         # last[tid]: the index of the last step reading or writing tid.
         last = {tid: i for i, step in enumerate(steps) for tid in (*step.reads, step.output)}
@@ -587,6 +609,21 @@ class Program:
         for tid, i in last.items():
             if tid not in graph.graph_outputs and not graph.tensors[tid].is_constant:
                 self._dead[i].append(tid)
+        producers = graph.producer_map()
+        written: set[str] = set()
+        self.steps: list[Step] = []
+        for step, dead in zip(steps, self._dead):
+            node, src = producers[step.output], step.reads[0]
+            if (
+                node.kind == OpKind.RELU
+                and step.reads == tuple(node.inputs)  # not a fused producer+ReLU
+                and src in dead
+                and src in written
+                and producers[src].kind != OpKind.FLATTEN
+            ):
+                step = step._replace(run=_overwriting(step.run, src))
+            self.steps.append(step)
+            written.add(step.output)
 
     @property
     def input(self) -> TensorSpec:
@@ -604,7 +641,9 @@ class Program:
         Outputs are Float32 (INT8 outputs are dequantized). `on_step`, if
         given, is called as on_step(tensor_id, array) with the graph input
         (quantized, in an INT8 program) and then with each step's output
-        as it is computed; the array must not be modified.
+        as it is computed. The array is valid only during the call: a
+        later in-place ReLU may overwrite it, so copy it to keep it, and
+        do not modify it.
         """
         spec = self.input
         x = np.asarray(x, dtype=np.float32)
@@ -632,6 +671,11 @@ class Program:
 
 def _step(node: OpNode, kernel: Kernel) -> Step:
     return Step(node.outputs[0], kernel, tuple(node.inputs))
+
+
+def _overwriting(relu: Callable[..., np.ndarray], src: str) -> Kernel:
+    """A `_relu` kernel that writes its result into its input `src`."""
+    return lambda env: relu(env, out=env[src])
 
 
 def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None) -> Program:
@@ -703,9 +747,9 @@ def run_f32(
 ) -> dict[str, np.ndarray]:
     """Prepare and run a Float32 graph; see `Program.run`.
 
-    A `trace` dict receives every activation by tensor id.
+    A `trace` dict receives a copy of every activation by tensor id.
     """
-    return _prepare_f32(graph).run(x, None if trace is None else trace.__setitem__)
+    return _prepare_f32(graph).run(x, _copy_into(trace))
 
 
 def run_int8(
@@ -717,12 +761,19 @@ def run_int8(
     """Prepare and run a quantized graph; see `prepare` and `Program.run`.
 
     The input is quantized, the graph runs on integers and INT8 outputs
-    are dequantized to Float32. A `trace` dict receives every activation
-    by tensor id, as the integer codes the interpreter holds.
+    are dequantized to Float32. A `trace` dict receives a copy of every
+    activation by tensor id, as the integer codes the interpreter holds.
     """
     if not graph.is_quantized():
         raise ExecutionError("run_int8 requires a fully quantized graph")
-    return prepare(graph, fused_groups).run(x, None if trace is None else trace.__setitem__)
+    return prepare(graph, fused_groups).run(x, _copy_into(trace))
+
+
+def _copy_into(trace: dict[str, np.ndarray] | None) -> Callable[[str, np.ndarray], None] | None:
+    """An on_step hook that keeps a copy of each array in `trace`."""
+    if trace is None:
+        return None
+    return lambda tid, values: trace.__setitem__(tid, values.copy())
 
 
 def _prepare_f32(graph: GraphIR) -> Program:
@@ -788,8 +839,8 @@ def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
 # amortize the per-call overhead and feed BLAS, small enough to keep
 # activations small.
 EVAL_CHUNK = 16
-# Chunks map_batches runs at a time: enough to keep the workers busy, few
-# enough that the inputs are not all copied at once.
+# The most workers map_batches runs, so the most chunks it has copied and
+# running at once.
 CHUNKS_IN_FLIGHT = 8
 
 
@@ -807,22 +858,45 @@ def usable_cpus() -> int:
 
 
 def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
-    """[fn(batch) for batch in batches(samples)], the batches run on a thread pool.
+    """[fn(batch) for batch in batches(samples)], on the calling thread and a pool.
 
-    The chunks are concatenated and run CHUNKS_IN_FLIGHT at a time, so
-    only those are copied at once; one worker per usable CPU, at most one
-    per chunk run at a time. Results come back in chunk order; if
-    chunks raise, the first failing chunk's exception is raised, later
-    chunks not yet started are cancelled, and every worker has exited
-    before this returns or raises.
+    One worker per usable CPU, at most one per chunk and at most
+    CHUNKS_IN_FLIGHT: the calling thread and `workers - 1` pool threads
+    (no pool for one worker). Each worker takes the next chunk in order,
+    concatenates it and runs it, so only the chunks being run are copied.
+    Results come back in chunk order. Once a chunk has raised, no worker
+    starts another, and the first failing chunk in chunk order raises
+    (every chunk before it has run), whichever thread ran it; every pool
+    thread has exited before this returns or raises.
     """
     workers = max(1, min(math.ceil(len(samples) / EVAL_CHUNK), usable_cpus(), CHUNKS_IN_FLIGHT))
-    chunks = batches(samples)
-    results: list = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while in_flight := list(islice(chunks, CHUNKS_IN_FLIGHT)):
-            results += pool.map(fn, in_flight)
-    return results
+    chunks = enumerate(batches(samples))
+    taking = threading.Lock()
+    results: dict[int, object] = {}
+    failures: dict[int, BaseException] = {}
+
+    def work() -> None:
+        while not failures:
+            with taking:
+                i, batch = next(chunks, (None, None))
+            if batch is None:
+                return
+            try:
+                results[i] = fn(batch)
+            except BaseException as exc:
+                failures[i] = exc
+
+    if workers == 1:
+        work()
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            pooled = [pool.submit(work) for _ in range(workers - 1)]
+            work()
+        for future in pooled:
+            future.result()
+    if failures:
+        raise failures[min(failures)]
+    return [results[i] for i in range(len(results))]
 
 
 def evaluate(

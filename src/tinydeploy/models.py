@@ -169,27 +169,23 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
     feat_id = fc.inputs[0]
 
     program = prepare(g)
-
-    def features(batch: np.ndarray) -> np.ndarray:
-        kept = []
-
-        def keep(tid: str, values: np.ndarray) -> None:
-            if tid == feat_id:
-                kept.append(values)
-        program.run(batch, on_step=keep)
-        return kept[0].reshape(len(batch), -1)
-
     samples = list(samples)
     if not samples:
         raise ValueError("fit_classifier: no training samples")
     labels = [int(label) for _, _, label in samples]
     n, f = len(samples), int(np.prod(program.graph.tensors[feat_id].shape[1:]))
-    # Each chunk's features go straight into Xa, whose last column is ones.
+    # Each chunk's features go straight into Xa, whose last column is ones,
+    # while the hook is called: the array it is handed is valid only then.
     xa = np.empty((n, f + 1))
     xa[:, f] = 1.0
     start = 0
+
+    def keep(tid: str, values: np.ndarray) -> None:
+        if tid == feat_id:
+            xa[start:start + len(values), :f] = values.reshape(len(values), -1)
+
     for batch in batches([x for _, x, _ in samples]):
-        xa[start:start + len(batch), :f] = features(batch)
+        program.run(batch, on_step=keep)
         start += len(batch)
     n_classes = g.tensors[fc.inputs[1]].shape[0]
     targets = np.full((n, n_classes), -margin)

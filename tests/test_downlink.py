@@ -109,6 +109,24 @@ def test_mismatched_record_sets_rejected():
         )
 
 
+@pytest.mark.parametrize("side", ["onboard", "ground"])
+def test_repeated_sample_id_rejected(side):
+    # Records are matched by sample id, so a repeated id would count one
+    # sample twice: here, s0 transmitted and both of its ground records
+    # right would give a hybrid accuracy of 1.5.
+    onboard = [InferenceRecord("s0", 0, 0.4, 1), InferenceRecord("s1", 1, 0.9, 1)]
+    ground = [InferenceRecord("s0", 1, 1.0, 1), InferenceRecord("s1", 1, 1.0, 1)]
+    if side == "onboard":
+        onboard.append(InferenceRecord("s0", 0, 0.9, 1))
+    else:
+        ground.append(InferenceRecord("s0", 1, 1.0, 1))
+    with pytest.raises(DownlinkError, match=f"{side} records repeat sample id 's0'"):
+        DownlinkScenario(
+            num_samples=len(onboard), bytes_per_sample=1.0, threshold=0.5,
+            onboard_records=onboard, ground_records=ground,
+        )
+
+
 def test_threshold_out_of_range_rejected():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(DownlinkError, match="threshold"):

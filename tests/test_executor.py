@@ -1,4 +1,6 @@
 import os
+import threading
+import time
 import tracemalloc
 import weakref
 
@@ -12,6 +14,8 @@ from graphutil import (
     const,
     conv_attrs,
     conv_relu_softmax,
+    keep_copies,
+    make_graph,
     naive_conv2d,
     naive_maxpool,
     per_sample_records,
@@ -22,6 +26,7 @@ from graphutil import (
 )
 from tinydeploy import executor
 from tinydeploy.executor import (
+    CHUNKS_IN_FLIGHT,
     EVAL_CHUNK,
     ExecutionError,
     InferenceRecord,
@@ -39,7 +44,7 @@ from tinydeploy.datasets import synthetic_samples
 from tinydeploy.model_io import load_model, save_model
 from tinydeploy.models import build_dwsep_net
 from tinydeploy.pruning import build_prune_plan, materialize
-from tinydeploy.quantization import quantize_graph
+from tinydeploy.quantization import dequantize_tensor, quantize_graph, quantize_tensor
 
 
 def single_op_graph(kind, attrs, in_shape, consts=(), n_inputs=1):
@@ -164,7 +169,7 @@ def _assert_window_kernel_matches(kind, attrs, x, rng, out_c=None):
 
     qg = quantize_graph(g, calibrate(g, [x]))
     trace = {}
-    prepare(qg).run(x, on_step=trace.__setitem__)
+    prepare(qg).run(x, on_step=keep_copies(trace))
     np.testing.assert_array_equal(trace["out"], reference_window_int8(qg, trace["in"]))
 
 
@@ -262,7 +267,8 @@ def test_program_run_frees_dead_activations(model, request, test_samples):
     # One B=16 run of dwsep_net peaks at about 4 MB with each activation
     # freed after its last reader. Kept until run returned, they took the
     # peak to 12.6 MB (Float32) and 11.1 MB (INT8, whose epilogue also ran
-    # on whole int64 accumulators).
+    # on whole int64 accumulators). With ReLU writing into its dying
+    # input, the Float32 peak is about 3.1 MB.
     program = prepare(request.getfixturevalue(model))
     x = np.concatenate([x for _, x, _ in test_samples[:16]])
     program.run(x)
@@ -272,7 +278,8 @@ def test_program_run_frees_dead_activations(model, request, test_samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    bound = {"dwsep_net": 3.5, "dwsep_net_quantized": 6}[model]
+    assert peak < bound * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +295,7 @@ def test_freeing_activations_leaves_skip_edge_outputs_unchanged(skip_branch, qua
     g, qg, x = skip_branch
     program = prepare(qg if quantized else g)
     trace = {}
-    traced = program.run(x, on_step=trace.__setitem__)
+    traced = program.run(x, on_step=keep_copies(trace))
     untraced = program.run(x)
     assert traced.keys() == untraced.keys() == {"probs", "rs"}
     for tid in traced:
@@ -316,6 +323,9 @@ def test_activations_die_after_their_last_reader(skip_branch, quantized):
 
     def on_step(tid, values):
         step = len(refs) - 1  # the input comes first, as step -1
+        node = producers.get(tid)
+        if node is not None and node.kind == OpKind.RELU and refs[node.inputs[0]]() is values:
+            last[node.inputs[0]] = last[tid]  # an in-place ReLU's output is its input's array
         alive_after_last_read.extend(
             t for t, ref in refs.items()
             if t not in kept and last.get(t, -1) < step and ref() is not None
@@ -330,6 +340,97 @@ def test_activations_die_after_their_last_reader(skip_branch, quantized):
         {"probs"} if quantized else {"probs", "rs", "in"}
     )
     assert result.keys() == outputs
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_relu_overwrites_only_inputs_dying_at_it(skip_branch, quantized):
+    # r1's input `a` dies at r1, so r1 writes into it; r2's input `s` is
+    # read again by the Concat, so r2 must not. Each step's output, copied
+    # as the hook sees it, equals the same kernel run on copies of what it
+    # reads, so no in-place write reached an array a later step reads.
+    g, qg, x = skip_branch
+    program = prepare(qg if quantized else g)
+    x_before = x.copy()
+    arrays, seen = {}, {}
+
+    def on_step(tid, values):
+        arrays[tid] = values
+        seen[tid] = values.copy()
+
+    program.run(x, on_step=on_step)
+    assert x.tobytes() == x_before.tobytes()
+    assert arrays["ra"] is arrays["a"]
+    assert arrays["rs"] is not arrays["s"]
+    env = {"in": seen["in"]}
+    for step in program.steps:
+        env[step.output] = step.run({tid: values.copy() for tid, values in env.items()})
+    assert env.keys() == seen.keys()
+    for tid, values in env.items():
+        assert seen[tid].dtype == values.dtype
+        assert seen[tid].tobytes() == values.tobytes(), tid
+
+
+def test_relu_never_overwrites_the_graph_input():
+    # In a Float32 program the graph input is the caller's array, even
+    # where a ReLU is its last reader.
+    x = np.array([[-2.0, 0.0, 3.0]], dtype=np.float32)
+    out = run_f32(relu_only_graph(), x)["out"]
+    assert x.tolist() == [[-2.0, 0.0, 3.0]] and out.tolist() == [[0.0, 0.0, 3.0]]
+
+
+def test_relu_never_writes_through_a_flatten_view():
+    # The Flatten output dies at the ReLU, but it is a view of the graph
+    # output `a`, which an in-place ReLU would clip.
+    rng = np.random.default_rng(8)
+    nodes = [
+        OpNode("c", OpKind.CONV2D, conv_attrs(kernel=1), ["in", "w", "b"], ["a"]),
+        OpNode("fl", OpKind.FLATTEN, {}, ["a"], ["f"]),
+        OpNode("r", OpKind.RELU, {}, ["f"], ["r"]),
+    ]
+    tensors = [
+        TensorSpec("in", (1, 2, 2, 3), DType.FLOAT32, TensorKind.INPUT),
+        const("w", rng.normal(size=(2, 1, 1, 3))),
+        const("b", rng.normal(size=(2,)), TensorKind.BIAS),
+        act("a"), act("f"), act("r"),
+    ]
+    g = make_graph("flatten_relu", nodes, tensors, ["in"], ["a", "r"])
+    out = run_f32(g, rng.normal(size=(4, 2, 2, 3)).astype(np.float32))
+    assert (out["a"] < 0).any()
+    assert out["r"].tobytes() == np.maximum(out["a"].reshape(4, -1), np.float32(0)).tobytes()
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_pointwise_conv_uses_its_input_as_the_patches(quantized, monkeypatch):
+    # dwsep_net's pw1 step at B=16: a 1x1, stride-1 Conv2D on a 1 MB
+    # Float32 input (0.25 MB of Int8 codes) into a 2 MB output. Its input
+    # is its (X, C) patch matrix: no window view is built and nothing is
+    # copied. (A contiguous 1x1 window view was no copy either.)
+    rng = np.random.default_rng(6)
+    g = single_op_graph(
+        OpKind.CONV2D, conv_attrs(kernel=1, padding="SAME"), (1, 32, 32, 16),
+        consts=[const("w", rng.normal(size=(32, 1, 1, 16))),
+                const("b", rng.normal(size=(32,)), TensorKind.BIAS)],
+    )
+    x = rng.normal(size=(16, 32, 32, 16)).astype(np.float32)
+    if quantized:
+        g = quantize_graph(g, calibrate(g, [x[:1], x[1:2]]))
+    program = prepare(g)
+    want = program.run(x)["out"]
+    monkeypatch.setattr(executor, "sliding_window_view", None)
+    env = {"in": quantize_tensor(x, program.input.quant) if quantized else x}
+    tracemalloc.start()
+    try:
+        got = program.steps[0].run(env)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if quantized:
+        got = dequantize_tensor(got, g.tensors["out"].quant).astype(np.float32)
+    assert got.tobytes() == want.tobytes()
+    # Float32: the output alone. INT8: the (O, X) accumulator, the Int8
+    # output and the epilogue's int64 tiles.
+    bound = 3.75 if quantized else 2.1
+    assert peak < bound * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_single_channel_depthwise_independent_of_batch():
@@ -490,7 +591,9 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     "cpus, samples, workers", [(1, 37, 1), (8, 37, 3), (2, 37, 2), (8, 0, 1)]
 )
 def test_map_batches_pool_size(cpus, samples, workers, monkeypatch):
-    # One worker per usable CPU, at most one per chunk, never none.
+    # One worker per usable CPU, at most one per chunk, never none. The
+    # calling thread is one of them: the pool gets the others, and there
+    # is no pool for one worker.
     sizes = []
 
     class Pool(executor.ThreadPoolExecutor):
@@ -500,9 +603,84 @@ def test_map_batches_pool_size(cpus, samples, workers, monkeypatch):
 
     monkeypatch.setattr(executor, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(executor, "ThreadPoolExecutor", Pool)
+    threads = set()
+
+    def size(batch):
+        threads.add(threading.get_ident())
+        return len(batch)
+
     xs = [np.full((1, 2), i, dtype=np.float32) for i in range(samples)]
-    assert executor.map_batches(len, xs) == [len(b) for b in executor.batches(xs)]
-    assert sizes == [workers]
+    assert executor.map_batches(size, xs) == [len(b) for b in executor.batches(xs)]
+    assert sizes == ([workers - 1] if workers > 1 else [])
+    assert len(threads) <= workers
+
+
+def _chunk_samples(chunks: int) -> list[np.ndarray]:
+    """EVAL_CHUNK samples per chunk, each holding its sample index."""
+    return [np.full((1, 2), i, dtype=np.float32) for i in range(chunks * EVAL_CHUNK)]
+
+
+@pytest.mark.parametrize("failing_on", ["caller", "pool"])
+def test_map_batches_raises_first_failing_chunk(failing_on, monkeypatch):
+    # Chunks 0 and 1 run at once, one on the calling thread and one on the
+    # pool's. The `failing_on` thread's chunk fails late; the other thread
+    # fails chunk 2 first. Chunk order decides, not time: the earlier
+    # chunk's exception is raised, and no chunk starts after a failure.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    both_started = threading.Barrier(2, timeout=30)
+    chunk_2_failed = threading.Event()
+    ran = []
+    threads = threading.active_count()
+
+    def fn(batch):
+        chunk = int(batch[0, 0]) // EVAL_CHUNK
+        on_caller = threading.get_ident() == caller
+        ran.append((chunk, on_caller))
+        if chunk >= 2:
+            chunk_2_failed.set()
+            raise ValueError(f"chunk {chunk}")
+        both_started.wait()
+        if on_caller == (failing_on == "caller"):
+            assert chunk_2_failed.wait(timeout=30)
+            raise ValueError(f"chunk {chunk}")
+        return chunk
+
+    with pytest.raises(ValueError) as failure:
+        executor.map_batches(fn, _chunk_samples(3 * CHUNKS_IN_FLIGHT))
+    late = next(chunk for chunk, on_caller in ran if on_caller == (failing_on == "caller"))
+    assert str(failure.value) == f"chunk {late}"
+    assert sorted(ran)[:2] in ([(0, False), (1, True)], [(0, True), (1, False)])
+    assert sorted(chunk for chunk, _ in ran) == [0, 1, 2]
+    assert threading.active_count() == threads
+
+
+def test_map_batches_waits_for_the_pool_after_a_caller_failure(monkeypatch):
+    # The calling thread's own chunk fails while the pool's chunk is still
+    # running: its exception is raised only after the pool chunk has
+    # finished and the pool thread has exited.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    both_started = threading.Barrier(2, timeout=30)
+    caller_failed = threading.Event()
+    finished = []
+
+    def fn(batch):
+        chunk = int(batch[0, 0]) // EVAL_CHUNK
+        both_started.wait()
+        if threading.get_ident() == caller:
+            caller_failed.set()
+            raise ValueError(f"chunk {chunk} on the caller")
+        assert caller_failed.wait(timeout=30)
+        time.sleep(0.05)
+        finished.append(chunk)
+        return chunk
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="on the caller"):
+        executor.map_batches(fn, _chunk_samples(2 * CHUNKS_IN_FLIGHT))
+    assert len(finished) == 1
+    assert threading.active_count() == threads
 
 
 def test_evaluate_memory_does_not_grow_with_dataset(monkeypatch):
@@ -532,11 +710,11 @@ def test_program_batch_trace_matches_single_samples(model, request, test_samples
     program = prepare(request.getfixturevalue(model))
     xs = [x for _, x, _ in test_samples[:EQUIVALENCE_SAMPLES]]
     batch_trace = {}
-    program.run(np.concatenate(xs), on_step=batch_trace.__setitem__)
+    program.run(np.concatenate(xs), on_step=keep_copies(batch_trace))
     single = []
     for x in xs:
         trace = {}
-        program.run(x, on_step=trace.__setitem__)
+        program.run(x, on_step=keep_copies(trace))
         single.append(trace)
     for tid, values in batch_trace.items():
         want = np.concatenate([t[tid] for t in single])

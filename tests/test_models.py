@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphutil import keep_copies
 from tinydeploy.executor import prepare
 from tinydeploy.graph import OpKind
 from tinydeploy.models import build_dwsep_net, build_small_convnet, fit_classifier
@@ -12,7 +13,7 @@ def _fc_features(graph, samples) -> np.ndarray:
     """The last FullyConnected layer's input for each sample, float64 rows."""
     fc_in = [n for n in graph.nodes if n.kind == OpKind.FULLY_CONNECTED][-1].inputs[0]
     trace: dict = {}
-    prepare(graph).run(np.concatenate([x for _, x, _ in samples]), on_step=trace.__setitem__)
+    prepare(graph).run(np.concatenate([x for _, x, _ in samples]), on_step=keep_copies(trace))
     return trace[fc_in].reshape(len(samples), -1).astype(np.float64)
 
 
@@ -43,9 +44,10 @@ def test_dual_fit_equals_primal_reference(small_convnet, train_samples):
 
 
 def test_fit_classifier_memory_peak(train_samples):
-    # About 14 MB for the dual fit (22 MB while its feature pass kept every
-    # activation of a chunk); a primal (f+1)^2 solve holds two
-    # 4097 x 4097 float64 matrices (147.5 MB peak).
+    # About 13 MB for the dual fit: 13.9 MB while the feature pass kept
+    # each chunk's features past the hook call and ReLU copied its dying
+    # input, 22 MB while it kept every activation of a chunk; a primal
+    # (f+1)^2 solve holds two 4097 x 4097 float64 matrices (147.5 MB peak).
     graph = build_dwsep_net()
     tracemalloc.start()
     try:
@@ -53,7 +55,7 @@ def test_fit_classifier_memory_peak(train_samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 13.4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_fit_classifier_rejects_empty_training_set():

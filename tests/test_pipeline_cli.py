@@ -642,6 +642,11 @@ def _truncate_sample(root: Path) -> None:
     sample.write_bytes(sample.read_bytes()[:100])
 
 
+def _repeat_first_id(root: Path) -> None:
+    index = root / "index.csv"
+    index.write_text(index.read_text().replace("s00001,", "s00000,", 1))
+
+
 RECORDS_HEADER = "sample_id,predicted_class,confidence,true_label,correct\n"
 # small_convnet's prunable layers and their filter counts
 PLAN_COUNTS = {"conv1": 16, "conv2": 32, "conv3": 64}
@@ -829,6 +834,15 @@ MALFORMED_INPUTS = {
         lambda m, t: ["evaluate", "--model", str(m / "model.json"),
                       "--dataset", str(_dataset(t, _truncate_sample)), "--out", str(t / "e")],
         "samples/s00001.bin: 100 bytes, shape [1, 32, 32, 3] needs 12288"),
+    "dataset_duplicate_id": (
+        lambda m, t: ["evaluate", "--model", str(m / "model.json"),
+                      "--dataset", str(_dataset(t, _repeat_first_id)), "--out", str(t / "e")],
+        "index.csv line 3: sample_id 's00000' repeats line 2"),
+    "records_duplicate_id": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns0,0,0.9,1,0\n")),
+                      "--out", str(t / "d.json")],
+        "onboard records repeat sample id 's0'"),
 }
 
 
