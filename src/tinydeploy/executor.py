@@ -869,10 +869,10 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
     (every chunk before it has run), whichever thread ran it; every pool
     thread has exited before this returns or raises.
     """
-    workers = max(1, min(math.ceil(len(samples) / EVAL_CHUNK), usable_cpus(), CHUNKS_IN_FLIGHT))
+    results: list = [None] * math.ceil(len(samples) / EVAL_CHUNK)
+    workers = max(1, min(len(results), usable_cpus(), CHUNKS_IN_FLIGHT))
     chunks = enumerate(batches(samples))
     taking = threading.Lock()
-    results: dict[int, object] = {}
     failures: dict[int, BaseException] = {}
 
     def work() -> None:
@@ -896,7 +896,7 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
             future.result()
     if failures:
         raise failures[min(failures)]
-    return [results[i] for i in range(len(results))]
+    return results
 
 
 def evaluate(

@@ -26,7 +26,6 @@ from graphutil import (
 )
 from tinydeploy import executor
 from tinydeploy.executor import (
-    CHUNKS_IN_FLIGHT,
     EVAL_CHUNK,
     ExecutionError,
     InferenceRecord,
@@ -647,7 +646,7 @@ def test_map_batches_raises_first_failing_chunk(failing_on, monkeypatch):
         return chunk
 
     with pytest.raises(ValueError) as failure:
-        executor.map_batches(fn, _chunk_samples(3 * CHUNKS_IN_FLIGHT))
+        executor.map_batches(fn, _chunk_samples(8))
     late = next(chunk for chunk, on_caller in ran if on_caller == (failing_on == "caller"))
     assert str(failure.value) == f"chunk {late}"
     assert sorted(ran)[:2] in ([(0, False), (1, True)], [(0, True), (1, False)])
@@ -678,7 +677,7 @@ def test_map_batches_waits_for_the_pool_after_a_caller_failure(monkeypatch):
 
     threads = threading.active_count()
     with pytest.raises(ValueError, match="on the caller"):
-        executor.map_batches(fn, _chunk_samples(2 * CHUNKS_IN_FLIGHT))
+        executor.map_batches(fn, _chunk_samples(4))
     assert len(finished) == 1
     assert threading.active_count() == threads
 
