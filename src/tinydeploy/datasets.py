@@ -104,7 +104,14 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     size = 4 * math.prod(shape)
     columns = {"sample_id": str, "file": str, "label": int}
     samples = []
-    for row in read_csv(path / "index.csv", columns, DatasetError, unique="sample_id"):
+    first_line: dict[str, int] = {}
+    for line, row in enumerate(read_csv(path / "index.csv", columns, DatasetError), start=2):
+        first = first_line.setdefault(row["sample_id"], line)
+        if first != line:
+            raise DatasetError(
+                f"{path / 'index.csv'} line {line}: sample_id {row['sample_id']!r} "
+                f"repeats line {first}"
+            )
         raw = (path / row["file"]).read_bytes()
         if len(raw) != size:
             raise DatasetError(

@@ -29,8 +29,7 @@ each one into a `trace` dict.
 
 Windows are read through strided views of the padded input. Conv2D
 copies them once into C-ordered (B,Ho,Wo,kh,kw,C) patches for its
-matrix product (a 1x1, stride-1, unpadded Conv2D's contiguous input is
-its patches already); DepthwiseConv2D runs one einsum over an uncopied
+matrix product; DepthwiseConv2D runs one einsum over an uncopied
 (B,Ho,kh,kw,Wo*C) view (stride_w 1; (B,Ho,kh,kw,Wo,C) otherwise), which
 sums each output element in the same order as over the patches; the
 pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
@@ -168,13 +167,7 @@ class _Window:
         return out
 
     def patches(self, x: np.ndarray, pad_value) -> np.ndarray:
-        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding.
-
-        A 1x1, stride-1, unpadded window is one input cell, so the
-        contiguous input is the patches, without a window view.
-        """
-        if self.kernel == self.stride == (1, 1) and self.pad is None:
-            return np.ascontiguousarray(x)[:, :, :, None, None, :]
+        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding."""
         sh, sw = self.stride
         view = sliding_window_view(self._padded(x, pad_value), self.kernel, axis=(1, 2))
         return np.ascontiguousarray(view[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3))
@@ -594,10 +587,11 @@ class Program:
 
     An activation lives in the env from the step that writes it to the
     last step that reads it; graph outputs live until `run` returns. A
-    ReLU step overwrites its input when that input dies at the step and
-    an earlier step other than a Flatten (whose output is a view of its
-    own input) wrote it; the graph input, in a Float32 program the
-    caller's array, is never overwritten.
+    ReLU step overwrites its input when that input dies at the step, an
+    earlier step wrote it, and no Flatten wrote or reads it (a Flatten's
+    output is a view of its input, which may outlive either of them);
+    the graph input, in a Float32 program the caller's array, is never
+    overwritten.
     """
 
     def __init__(self, graph: GraphIR, steps: list[Step], quantized: bool):
@@ -609,7 +603,7 @@ class Program:
         for tid, i in last.items():
             if tid not in graph.graph_outputs and not graph.tensors[tid].is_constant:
                 self._dead[i].append(tid)
-        producers = graph.producer_map()
+        producers, consumers = graph.producer_map(), graph.consumer_map()
         written: set[str] = set()
         self.steps: list[Step] = []
         for step, dead in zip(steps, self._dead):
@@ -619,7 +613,7 @@ class Program:
                 and step.reads == tuple(node.inputs)  # not a fused producer+ReLU
                 and src in dead
                 and src in written
-                and producers[src].kind != OpKind.FLATTEN
+                and OpKind.FLATTEN not in {producers[src].kind, *(n.kind for n in consumers[src])}
             ):
                 step = step._replace(run=_overwriting(step.run, src))
             self.steps.append(step)
@@ -865,7 +859,7 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
     (no pool for one worker). Each worker takes the next chunk in order,
     concatenates it and runs it, so only the chunks being run are copied.
     Results come back in chunk order. Once a chunk has raised, no worker
-    starts another, and the first failing chunk in chunk order raises
+    takes another, and the first failing chunk in chunk order raises
     (every chunk before it has run), whichever thread ran it; every pool
     thread has exited before this returns or raises.
     """
@@ -876,15 +870,18 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
     failures: dict[int, BaseException] = {}
 
     def work() -> None:
-        while not failures:
+        while True:
             with taking:
+                if failures:
+                    return
                 i, batch = next(chunks, (None, None))
             if batch is None:
                 return
             try:
                 results[i] = fn(batch)
             except BaseException as exc:
-                failures[i] = exc
+                with taking:
+                    failures[i] = exc
 
     if workers == 1:
         work()

@@ -230,15 +230,13 @@ def read_json(path: str | Path, error: type[Exception]):
 
 
 def read_csv(
-    path: str | Path, columns: dict[str, Callable], error: type[Exception],
-    unique: str | None = None,
+    path: str | Path, columns: dict[str, Callable], error: type[Exception]
 ) -> list[dict]:
     """The rows of a CSV file with a header line, as dicts of `columns`.
 
     Each column's value is converted by its function (str, int, float).
     A missing column, a short row or a value that does not convert raises
-    `error` naming the file, the line and the column; so does a repeated
-    value in the `unique` column, naming the line it first appeared on.
+    `error` naming the file, the line and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -246,7 +244,6 @@ def read_csv(
         if missing:
             raise error(f"{path}: missing column {missing[0]!r}")
         rows = []
-        first_line: dict = {}
         for row in reader:
             out = {}
             for key, convert in columns.items():
@@ -260,13 +257,6 @@ def read_csv(
                         f"{path} line {reader.line_num}: column {key!r}: "
                         f"{value!r} is not {convert.__name__}"
                     ) from None
-            if unique is not None:
-                first = first_line.setdefault(out[unique], reader.line_num)
-                if first != reader.line_num:
-                    raise error(
-                        f"{path} line {reader.line_num}: {unique} {out[unique]!r} "
-                        f"repeats line {first}"
-                    )
             rows.append(out)
     return rows
 

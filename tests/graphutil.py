@@ -40,12 +40,6 @@ def conv_attrs(kernel=3, stride=1, padding="VALID"):
     }
 
 
-def keep_copies(trace):
-    """An on_step hook that keeps a copy of each array in `trace`: the
-    array a hook is handed is valid only during the call."""
-    return lambda tid, values: trace.__setitem__(tid, values.copy())
-
-
 def make_graph(name, nodes, tensors, inputs, outputs):
     g, _ = infer_shapes(GraphIR(name, nodes, {t.id: t for t in tensors}, inputs, outputs))
     return g

@@ -14,7 +14,6 @@ from graphutil import (
     const,
     conv_attrs,
     conv_relu_softmax,
-    keep_copies,
     make_graph,
     naive_conv2d,
     naive_maxpool,
@@ -43,7 +42,7 @@ from tinydeploy.datasets import synthetic_samples
 from tinydeploy.model_io import load_model, save_model
 from tinydeploy.models import build_dwsep_net
 from tinydeploy.pruning import build_prune_plan, materialize
-from tinydeploy.quantization import dequantize_tensor, quantize_graph, quantize_tensor
+from tinydeploy.quantization import quantize_graph, quantize_tensor
 
 
 def single_op_graph(kind, attrs, in_shape, consts=(), n_inputs=1):
@@ -168,7 +167,7 @@ def _assert_window_kernel_matches(kind, attrs, x, rng, out_c=None):
 
     qg = quantize_graph(g, calibrate(g, [x]))
     trace = {}
-    prepare(qg).run(x, on_step=keep_copies(trace))
+    prepare(qg).run(x, on_step=executor._copy_into(trace))
     np.testing.assert_array_equal(trace["out"], reference_window_int8(qg, trace["in"]))
 
 
@@ -294,7 +293,7 @@ def test_freeing_activations_leaves_skip_edge_outputs_unchanged(skip_branch, qua
     g, qg, x = skip_branch
     program = prepare(qg if quantized else g)
     trace = {}
-    traced = program.run(x, on_step=keep_copies(trace))
+    traced = program.run(x, on_step=executor._copy_into(trace))
     untraced = program.run(x)
     assert traced.keys() == untraced.keys() == {"probs", "rs"}
     for tid in traced:
@@ -377,14 +376,17 @@ def test_relu_never_overwrites_the_graph_input():
     assert x.tolist() == [[-2.0, 0.0, 3.0]] and out.tolist() == [[0.0, 0.0, 3.0]]
 
 
-def test_relu_never_writes_through_a_flatten_view():
-    # The Flatten output dies at the ReLU, but it is a view of the graph
-    # output `a`, which an in-place ReLU would clip.
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("relu_reads", ["f", "a"])
+def test_relu_never_writes_through_a_flatten_view(relu_reads, quantized):
+    # The ReLU's input dies at it, but the Flatten output `f` is a view
+    # of `a`: a ReLU reading `f` would clip the graph output `a`, and
+    # one reading `a` would clip the graph output `f`.
     rng = np.random.default_rng(8)
     nodes = [
         OpNode("c", OpKind.CONV2D, conv_attrs(kernel=1), ["in", "w", "b"], ["a"]),
         OpNode("fl", OpKind.FLATTEN, {}, ["a"], ["f"]),
-        OpNode("r", OpKind.RELU, {}, ["f"], ["r"]),
+        OpNode("r", OpKind.RELU, {}, [relu_reads], ["r"]),
     ]
     tensors = [
         TensorSpec("in", (1, 2, 2, 3), DType.FLOAT32, TensorKind.INPUT),
@@ -392,18 +394,23 @@ def test_relu_never_writes_through_a_flatten_view():
         const("b", rng.normal(size=(2,)), TensorKind.BIAS),
         act("a"), act("f"), act("r"),
     ]
-    g = make_graph("flatten_relu", nodes, tensors, ["in"], ["a", "r"])
-    out = run_f32(g, rng.normal(size=(4, 2, 2, 3)).astype(np.float32))
-    assert (out["a"] < 0).any()
-    assert out["r"].tobytes() == np.maximum(out["a"].reshape(4, -1), np.float32(0)).tobytes()
+    kept = "a" if relu_reads == "f" else "f"
+    g = make_graph("flatten_relu", nodes, tensors, ["in"], [kept, "r"])
+    x = rng.normal(size=(4, 2, 2, 3)).astype(np.float32)
+    if quantized:
+        g = quantize_graph(g, calibrate(g, list(x[:, None])))
+    out = prepare(g).run(x)
+    kept_rows = out[kept].reshape(4, -1)
+    assert (kept_rows < 0).any()
+    assert out["r"].reshape(4, -1).tobytes() == np.maximum(kept_rows, np.float32(0)).tobytes()
 
 
 @pytest.mark.parametrize("quantized", [False, True])
-def test_pointwise_conv_uses_its_input_as_the_patches(quantized, monkeypatch):
+def test_pointwise_conv_memory_peak(quantized):
     # dwsep_net's pw1 step at B=16: a 1x1, stride-1 Conv2D on a 1 MB
-    # Float32 input (0.25 MB of Int8 codes) into a 2 MB output. Its input
-    # is its (X, C) patch matrix: no window view is built and nothing is
-    # copied. (A contiguous 1x1 window view was no copy either.)
+    # Float32 input (0.25 MB of Int8 codes) into a 2 MB output. The
+    # window view of a contiguous input is C-contiguous already, so its
+    # patches are no copy.
     rng = np.random.default_rng(6)
     g = single_op_graph(
         OpKind.CONV2D, conv_attrs(kernel=1, padding="SAME"), (1, 32, 32, 16),
@@ -414,18 +421,13 @@ def test_pointwise_conv_uses_its_input_as_the_patches(quantized, monkeypatch):
     if quantized:
         g = quantize_graph(g, calibrate(g, [x[:1], x[1:2]]))
     program = prepare(g)
-    want = program.run(x)["out"]
-    monkeypatch.setattr(executor, "sliding_window_view", None)
     env = {"in": quantize_tensor(x, program.input.quant) if quantized else x}
     tracemalloc.start()
     try:
-        got = program.steps[0].run(env)
+        program.steps[0].run(env)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    if quantized:
-        got = dequantize_tensor(got, g.tensors["out"].quant).astype(np.float32)
-    assert got.tobytes() == want.tobytes()
     # Float32: the output alone. INT8: the (O, X) accumulator, the Int8
     # output and the epilogue's int64 tiles.
     bound = 3.75 if quantized else 2.1
@@ -709,11 +711,11 @@ def test_program_batch_trace_matches_single_samples(model, request, test_samples
     program = prepare(request.getfixturevalue(model))
     xs = [x for _, x, _ in test_samples[:EQUIVALENCE_SAMPLES]]
     batch_trace = {}
-    program.run(np.concatenate(xs), on_step=keep_copies(batch_trace))
+    program.run(np.concatenate(xs), on_step=executor._copy_into(batch_trace))
     single = []
     for x in xs:
         trace = {}
-        program.run(x, on_step=keep_copies(trace))
+        program.run(x, on_step=executor._copy_into(trace))
         single.append(trace)
     for tid, values in batch_trace.items():
         want = np.concatenate([t[tid] for t in single])

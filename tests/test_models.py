@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphutil import keep_copies
-from tinydeploy.executor import prepare
+from tinydeploy.executor import run_f32
 from tinydeploy.graph import OpKind
 from tinydeploy.models import build_dwsep_net, build_small_convnet, fit_classifier
 
@@ -13,7 +12,7 @@ def _fc_features(graph, samples) -> np.ndarray:
     """The last FullyConnected layer's input for each sample, float64 rows."""
     fc_in = [n for n in graph.nodes if n.kind == OpKind.FULLY_CONNECTED][-1].inputs[0]
     trace: dict = {}
-    prepare(graph).run(np.concatenate([x for _, x, _ in samples]), on_step=keep_copies(trace))
+    run_f32(graph, np.concatenate([x for _, x, _ in samples]), trace)
     return trace[fc_in].reshape(len(samples), -1).astype(np.float64)
 
 
