@@ -118,12 +118,17 @@ def flash_bytes(graph: GraphIR, profile: HardwareProfile) -> int:
 
 
 def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostEstimate:
-    """Full-plan estimate; latency is the schedule makespan, not the op sum."""
+    """Full-plan estimate of a plan whose groups hold exactly the graph's
+    nodes; latency is the schedule makespan, not the op sum."""
     target_of = {entry.group: entry.target for entry in plan.timeline}
     nodes = {n.id: n for n in graph.nodes}
-    for nid in (nid for group in plan.fused_groups for nid in group):
+    grouped = group_index(plan.fused_groups)
+    for nid in grouped:
         if nid not in nodes:
             raise ValueError(f"plan group references unknown node {nid}; wrong model?")
+    for nid in nodes:
+        if nid not in grouped:
+            raise ValueError(f"model node {nid} is in no plan group; wrong model?")
     breakdown = [
         estimate_group([nodes[nid] for nid in group], target_of[group_id(group)], profile, graph)
         for group in plan.fused_groups

@@ -14,7 +14,7 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .costmodel import (
@@ -27,7 +27,7 @@ from .costmodel import (
 )
 from .graph import WEIGHTED_OPS, GraphIR, OpKind, topological_order
 from .hardware import HardwareProfile
-from .model_io import _field, decode, read_json, write_json
+from .model_io import decode, read_json, write_json
 
 
 class MappingError(ValueError):
@@ -43,18 +43,15 @@ class TimelineEntry:
 
 
 @dataclass
-class MemoryPlan:
-    offsets: dict[str, tuple[int, int]]  # tensor id -> (offset, size)
-    arena_peak_bytes: int
+class Slot:
+    offset: int
+    size: int
 
-    def to_json(self) -> dict:
-        return {
-            "arena_peak_bytes": self.arena_peak_bytes,
-            "tensors": {
-                tid: {"offset": off, "size": size}
-                for tid, (off, size) in sorted(self.offsets.items())
-            },
-        }
+
+@dataclass
+class MemoryPlan:
+    tensors: dict[str, Slot]  # tensor id -> its bytes in the arena
+    arena_peak_bytes: int
 
 
 @dataclass
@@ -72,20 +69,8 @@ class DeploymentPlan:
     def makespan_us(self) -> float:
         return max((e.end_us for e in self.timeline), default=0.0)
 
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "profile": self.profile,
-            "assignment": dict(sorted(self.assignment.items())),
-            "fused_groups": [list(g) for g in self.fused_groups],
-            "timeline": [asdict(e) for e in self.timeline],
-            "memory_plan": self.memory_plan.to_json(),
-            "flash_bytes": self.flash_bytes,
-            "estimates": self.estimates.to_json() if self.estimates else None,
-        }
-
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json())
+        write_json(path, asdict(self))
 
 
 def partition_and_fuse(
@@ -346,7 +331,7 @@ def tensor_lifetimes(
 def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
     """Greedy best-fit offsets, tensors in descending size order."""
     placed: list[tuple[Lifetime, int]] = []
-    offsets: dict[str, tuple[int, int]] = {}
+    slots: dict[str, Slot] = {}
     for lt in sorted(lifetimes, key=lambda l: (-l.size, l.tensor_id)):
         ranges = sorted(
             (off, off + other.size) for other, off in placed if other.overlaps(lt)
@@ -360,24 +345,24 @@ def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
             cursor = max(cursor, hi)
         if best_off is None:
             best_off = cursor  # open-ended region after the last conflict
-        offsets[lt.tensor_id] = (best_off, lt.size)
+        slots[lt.tensor_id] = Slot(best_off, lt.size)
         placed.append((lt, best_off))
-    peak = max((off + size for off, size in offsets.values()), default=0)
-    return MemoryPlan(offsets=offsets, arena_peak_bytes=peak)
+    peak = max((s.offset + s.size for s in slots.values()), default=0)
+    return MemoryPlan(tensors=slots, arena_peak_bytes=peak)
 
 
 def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
     """Exhaustive pairwise check: live-together tensors never share bytes."""
     by_id = {lt.tensor_id: lt for lt in lifetimes}
-    items = sorted(plan.offsets.items())
-    for i, (tid_a, (off_a, size_a)) in enumerate(items):
-        for tid_b, (off_b, size_b) in items[i + 1:]:
+    items = sorted(plan.tensors.items())
+    for i, (tid_a, a) in enumerate(items):
+        for tid_b, b in items[i + 1:]:
             if not by_id[tid_a].overlaps(by_id[tid_b]):
                 continue
-            if off_a < off_b + size_b and off_b < off_a + size_a:
+            if a.offset < b.offset + b.size and b.offset < a.offset + a.size:
                 raise MappingError(
-                    f"memory plan overlap: {tid_a} [{off_a}, {off_a + size_a}) vs "
-                    f"{tid_b} [{off_b}, {off_b + size_b})"
+                    f"memory plan overlap: {tid_a} [{a.offset}, {a.offset + a.size}) vs "
+                    f"{tid_b} [{b.offset}, {b.offset + b.size})"
                 )
 
 
@@ -417,75 +402,48 @@ def build_deployment_plan(
 def load_plan(path: str | Path) -> DeploymentPlan:
     """Read a plan written by `DeploymentPlan.save`, rejecting malformed ones.
 
-    Fields must be present with their JSON types and no key may be
-    unknown, no node may sit in two fused groups, and each group needs
-    exactly one timeline entry under its `group_id`, on CPU or NPU as
-    `assignment` says. Timeline entries and estimates are read by
-    `model_io.decode`. Violations raise MappingError naming the field.
+    `model_io.decode` reads it: fields must be present with their JSON
+    types and no key may be unknown. No fused group may be empty or share
+    a node, each needs exactly one timeline entry under its `group_id`,
+    on CPU or NPU as `assignment` says, and every tensor's slot must lie
+    inside the arena. Violations raise MappingError naming the field.
     """
-    obj = read_json(path, MappingError)
-    where, err = f"plan {path}", MappingError
-    model, profile = _field(obj, "model", where, str, err), _field(obj, "profile", where, str, err)
-    assignment = _field(obj, "assignment", where, dict, err)
-    fused_groups = _field(obj, "fused_groups", where, [[str]], err)
-    for i, grp in enumerate(fused_groups):
+    where = f"plan {path}"
+    plan = decode(DeploymentPlan, read_json(path, MappingError), where, MappingError)
+    for i, grp in enumerate(plan.fused_groups):
         if not grp:
             raise MappingError(f"{where}: fused_groups[{i}] must be a non-empty list of node ids")
-    timeline = [
-        decode(TimelineEntry, e, f"{where} timeline[{i}]", err)
-        for i, e in enumerate(_field(obj, "timeline", where, list, err))
-    ]
-    memory = _field(obj, "memory_plan", where, dict, err)
-    offsets = {}
-    known = [(where, obj, {f.name for f in fields(DeploymentPlan)}),
-             (f"{where} memory_plan", memory, {"arena_peak_bytes", "tensors"})]
-    for tid, e in _field(memory, "tensors", f"{where} memory_plan", dict, err).items():
-        at = f"{where} memory_plan tensor {tid}"
-        offsets[tid] = (_field(e, "offset", at, int, err), _field(e, "size", at, int, err))
-        known.append((at, e, {"offset", "size"}))
-    for at, record, keys in known:
-        unknown = sorted(set(record) - keys)
-        if unknown:
-            raise MappingError(f"{at}: unknown key {unknown[0]!r}")
-
     seen: set[str] = set()
-    for nid in (nid for grp in fused_groups for nid in grp):
+    for nid in (nid for grp in plan.fused_groups for nid in grp):
         if nid in seen:
             raise MappingError(f"{where}: node {nid} is in two fused groups")
         seen.add(nid)
-    gids = {group_id(grp) for grp in fused_groups}
+    gids = {group_id(grp) for grp in plan.fused_groups}
     target_of: dict[str, str] = {}
-    for e in timeline:
+    for e in plan.timeline:
         if e.group not in gids or e.group in target_of:
             raise MappingError(f"{where}: timeline names unknown or repeated group {e.group}")
         if e.target not in ("CPU", "NPU"):
             raise MappingError(f"{where}: group {e.group} target {e.target!r} is not CPU or NPU")
         target_of[e.group] = e.target
-    for grp in fused_groups:
+    for grp in plan.fused_groups:
         gid = group_id(grp)
         if gid not in target_of:
             raise MappingError(f"{where}: fused group {gid} has no timeline entry")
         for nid in grp:
-            if assignment.get(nid) != target_of[gid]:
+            if plan.assignment.get(nid) != target_of[gid]:
                 raise MappingError(
-                    f"{where}: node {nid} is assigned {assignment.get(nid)!r} "
+                    f"{where}: node {nid} is assigned {plan.assignment.get(nid)!r} "
                     f"but its group {gid} runs on {target_of[gid]}"
                 )
-
-    raw = obj.get("estimates")
-    est = None if raw is None else decode(CostEstimate, raw, f"{where} estimates", err)
-    return DeploymentPlan(
-        model=model,
-        profile=profile,
-        assignment=assignment,
-        fused_groups=fused_groups,
-        timeline=timeline,
-        memory_plan=MemoryPlan(
-            offsets=offsets, arena_peak_bytes=_field(memory, "arena_peak_bytes", where, int, err)
-        ),
-        flash_bytes=_field(obj, "flash_bytes", where, int, err),
-        estimates=est,
-    )
+    peak = plan.memory_plan.arena_peak_bytes
+    if peak < 0:
+        raise MappingError(f"{where}: memory_plan arena_peak_bytes {peak} is negative")
+    for tid, s in plan.memory_plan.tensors.items():
+        if min(s.offset, s.size) < 0 or s.offset + s.size > peak:
+            raise MappingError(f"{where}: memory_plan tensors[{tid}] offset {s.offset} size "
+                               f"{s.size} is not inside the {peak}-byte arena")
+    return plan
 
 
 def render_report(plan: DeploymentPlan) -> str:

@@ -2,10 +2,12 @@
 
 `json_text` and `csv_text` hold the JSON and CSV layouts; `read_json`,
 `read_csv` and `_field` name the file, line or key of malformed input.
-Records (profiles, link budgets, plan timeline and cost entries) are
-read by `decode`, the one record reader, and written with
-`dataclasses.asdict`: a record's dataclass is the one statement of its
-JSON form.
+Records (profiles, link budgets, deployment plans with their timeline,
+memory slots and cost estimates) are read by `decode`, the one record
+reader, and written with `dataclasses.asdict`: a record's dataclass is
+the one statement of its JSON form. A record nested in a record, in a
+list or under the keys of an object is named by its path, such as
+`plan.json memory_plan tensors[in]` or `timeline[0]`.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
 (`pair_paths`, `write_pair`); the manifest gives each constant tensor's
 blob offset/length. `pack_blob` concatenates the payloads little-endian
@@ -21,7 +23,7 @@ import json
 import os
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable, Iterable, get_args, get_type_hints
+from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -266,7 +268,8 @@ NUMBER = (int, float)
 # The JSON kind of a dataclass field annotation: configs and `decode`d
 # records are read by annotation through `_field`.
 KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool, "dict": dict,
-         "list[float]": [NUMBER], "tuple[str, ...]": [str]}
+         "dict[str, str]": {str: str}, "list[float]": [NUMBER], "list[list[str]]": [[str]],
+         "tuple[str, ...]": [str]}
 
 
 def _field(
@@ -275,9 +278,10 @@ def _field(
     """obj[key] from a JSON object, or an `error` naming both.
 
     With `kind` the value must also be of that JSON kind: a type (str,
-    dict, list, int, bool), a tuple of types such as NUMBER, or a
+    dict, list, int, bool), a tuple of types such as NUMBER, a
     one-element list such as [NUMBER] for a list whose every element is
-    of that kind. JSON true/false is a bool only, and 3.0 is not an int.
+    of that kind, or {str: kind} for an object whose every value is.
+    JSON true/false is a bool only, and 3.0 is not an int.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
@@ -292,9 +296,11 @@ def decode(cls, obj, where: str, error: type[Exception]):
     """The `cls` dataclass record a JSON object holds.
 
     Every key must name a field, and a field without a default is
-    required. Each value must be of its annotation's `KINDS` kind; the
-    elements of a list of records (`list[GroupCost]`) are decoded by
-    `decode` in turn. `error` names `where` and the key at fault.
+    required. Each value must be of its annotation's `KINDS` kind or hold
+    records, decoded in turn: a record, `record | None` (null is None),
+    or a list or `dict[str, ...]` of records. `error` names `where` and
+    the key at fault; a nested record is `<where> <field>`, with `[i]` or
+    `[key]` appended for an entry of a list or dict.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
@@ -306,22 +312,34 @@ def decode(cls, obj, where: str, error: type[Exception]):
     for f in fields(cls):
         if f.name not in obj and (f.default is not MISSING or f.default_factory is not MISSING):
             continue
-        if f.type in KINDS:
-            values[f.name] = _field(obj, f.name, where, KINDS[f.type], error)
-        else:  # a list of records
-            record = get_args(get_type_hints(cls)[f.name])[0]
-            values[f.name] = [
-                decode(record, item, f"{where} {f.name}[{i}]", error)
-                for i, item in enumerate(_field(obj, f.name, where, list, error))
-            ]
+        value = _field(obj, f.name, where, KINDS.get(f.type), error)
+        if f.type not in KINDS:
+            value = _records(get_type_hints(cls)[f.name], value, where, f.name, error)
+        values[f.name] = value
     return cls(**values)
 
 
+def _records(hint, value, where: str, name: str, error: type[Exception]):
+    """Field `name`'s `value` decoded as its records annotation `hint`."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args:  # record | None
+        return None if value is None else _records(args[0], value, where, name, error)
+    if origin is list:
+        _check_kind(value, list, f"{where}: key {name!r}", error)
+        return [_records(args[0], v, where, f"{name}[{i}]", error) for i, v in enumerate(value)]
+    if origin is dict:
+        _check_kind(value, dict, f"{where}: key {name!r}", error)
+        return {k: _records(args[1], v, where, f"{name}[{k}]", error) for k, v in value.items()}
+    return decode(hint, value, f"{where} {name}", error)
+
+
 def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
-    if isinstance(kind, list):
-        _check_kind(value, list, what, error)
-        for i, item in enumerate(value):
-            _check_kind(item, kind[0], f"{what}[{i}]", error)
+    if isinstance(kind, (list, dict)):  # [element kind] or {str: value kind}
+        _check_kind(value, type(kind), what, error)
+        items = value.items() if isinstance(kind, dict) else enumerate(value)
+        element = kind[str] if isinstance(kind, dict) else kind[0]
+        for key, item in items:
+            _check_kind(item, element, f"{what}[{key}]", error)
         return
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
@@ -400,28 +418,3 @@ def load_model(path: str | Path) -> GraphIR:
             )
     return graph
 
-
-def graphs_equal(a: GraphIR, b: GraphIR) -> bool:
-    """Structural identity: same nodes/attrs/io and bit-identical constants."""
-    if a.name != b.name or a.graph_inputs != b.graph_inputs or a.graph_outputs != b.graph_outputs:
-        return False
-    if len(a.nodes) != len(b.nodes) or set(a.tensors) != set(b.tensors):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if (na.id, na.kind, na.attrs, na.inputs, na.outputs) != (
-            nb.id, nb.kind, nb.attrs, nb.inputs, nb.outputs,
-        ):
-            return False
-    for tid, ta in a.tensors.items():
-        tb = b.tensors[tid]
-        if (ta.shape, ta.dtype, ta.kind) != (tb.shape, tb.dtype, tb.kind):
-            return False
-        if (ta.quant is None) != (tb.quant is None):
-            return False
-        if ta.quant is not None and not ta.quant.equals(tb.quant):
-            return False
-        if (ta.data is None) != (tb.data is None):
-            return False
-        if ta.data is not None and ta.data.tobytes() != tb.data.tobytes():
-            return False
-    return True

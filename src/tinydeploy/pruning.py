@@ -265,14 +265,6 @@ def new_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     return PrunePlan(schedule=schedule, original_counts=counts)
 
 
-def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
-    """All stages at once (no fine-tuning between: weights never change)."""
-    plan = new_plan(graph, schedule)
-    for _ in plan.schedule:
-        plan = plan_next_stage(graph, plan)
-    return plan
-
-
 def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, list[int], list]]:
     """The plan's removals on `graph`: (layer node, sorted removed indices,
     propagation actions) for each layer that has removals.

@@ -1,8 +1,11 @@
-"""Shared graph builders and independent brute-force oracles for tests.
+"""Shared graph builders, independent brute-force oracles and test-only
+helpers.
 
 The oracles here deliberately avoid the production code paths: naive
 loop convolutions, permutation search for memory packing, topological
 enumeration for schedules, direct enumeration for hybrid accuracy.
+`graphs_equal` (structural identity) and `build_prune_plan` (every
+stage at once) serve only tests.
 """
 from __future__ import annotations
 
@@ -21,6 +24,7 @@ from tinydeploy.graph import (
     infer_shapes,
     same_padding_amounts,
 )
+from tinydeploy.pruning import DEFAULT_SCHEDULE, PrunePlan, new_plan, plan_next_stage
 from tinydeploy.quantization import QMAX, QMIN, fixed_point_multiplier, requantize_fixed_point
 
 
@@ -369,3 +373,37 @@ def per_sample_records(run, graph, samples):
 
 def record_tuples(records):
     return [(r.sample_id, r.predicted_class, repr(r.confidence), r.true_label) for r in records]
+
+
+def graphs_equal(a: GraphIR, b: GraphIR) -> bool:
+    """Structural identity: same nodes/attrs/io and bit-identical constants."""
+    if a.name != b.name or a.graph_inputs != b.graph_inputs or a.graph_outputs != b.graph_outputs:
+        return False
+    if len(a.nodes) != len(b.nodes) or set(a.tensors) != set(b.tensors):
+        return False
+    for na, nb in zip(a.nodes, b.nodes):
+        if (na.id, na.kind, na.attrs, na.inputs, na.outputs) != (
+            nb.id, nb.kind, nb.attrs, nb.inputs, nb.outputs,
+        ):
+            return False
+    for tid, ta in a.tensors.items():
+        tb = b.tensors[tid]
+        if (ta.shape, ta.dtype, ta.kind) != (tb.shape, tb.dtype, tb.kind):
+            return False
+        if (ta.quant is None) != (tb.quant is None):
+            return False
+        if ta.quant is not None and not ta.quant.equals(tb.quant):
+            return False
+        if (ta.data is None) != (tb.data is None):
+            return False
+        if ta.data is not None and ta.data.tobytes() != tb.data.tobytes():
+            return False
+    return True
+
+
+def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
+    """All stages at once (no fine-tuning between: weights never change)."""
+    plan = new_plan(graph, schedule)
+    for _ in plan.schedule:
+        plan = plan_next_stage(graph, plan)
+    return plan

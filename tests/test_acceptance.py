@@ -13,6 +13,7 @@ from graphutil import (
     brute_force_arena_peak,
     brute_force_hybrid_accuracy,
     brute_force_makespan,
+    build_prune_plan,
     two_conv_chain,
 )
 from tinydeploy.costmodel import flash_bytes
@@ -33,7 +34,7 @@ from tinydeploy.mapping import (
 )
 from tinydeploy.model_io import save_model
 from tinydeploy.pipeline import PipelineConfig, run_pipeline
-from tinydeploy.pruning import apply_masks, build_prune_plan, materialize, new_plan, plan_next_stage, rank_filters
+from tinydeploy.pruning import apply_masks, materialize, new_plan, plan_next_stage, rank_filters
 from tinydeploy.quantization import compute_qparams, dequantize_tensor, quantize_graph, quantize_tensor
 from tinydeploy.executor import TensorRange
 

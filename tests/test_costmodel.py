@@ -153,9 +153,9 @@ def test_budget_flags():
     from tinydeploy.mapping import MemoryPlan, TimelineEntry
 
     plan = FakePlan()
-    plan.fused_groups = []
-    plan.timeline = [TimelineEntry("g", "CPU", 0.0, 30_400.0)]
-    plan.memory_plan = MemoryPlan(offsets={}, arena_peak_bytes=120_000)
+    plan.fused_groups = [["conv"]]
+    plan.timeline = [TimelineEntry("conv", "CPU", 0.0, 30_400.0)]
+    plan.memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=120_000)
     g = conv_graph(out_c=2, kernel=1, in_shape=(1, 2, 2, 2))
     est = estimate_deployment(plan, g, profile)
     assert est.budget_flags["ram_ok"]
@@ -176,7 +176,7 @@ def test_serial_single_target_energy_arithmetic():
     plan.fused_groups = [["conv"]]
     cost = estimate_group(g.nodes, "CPU", profile, g)
     plan.timeline = [TimelineEntry("conv", "CPU", 0.0, cost.latency_us)]
-    plan.memory_plan = MemoryPlan(offsets={}, arena_peak_bytes=0)
+    plan.memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=0)
     est = estimate_deployment(plan, g, profile)
     expect_mj = (cost.latency_us * 0.5 + 0.1 * cost.latency_us) / 1000.0
     assert est.energy_mj == pytest.approx(expect_mj)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphutil import (
     act,
+    build_prune_plan,
     const,
     conv_attrs,
     conv_relu_softmax,
@@ -41,7 +42,7 @@ from tinydeploy.graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorS
 from tinydeploy.datasets import synthetic_samples
 from tinydeploy.model_io import load_model, save_model
 from tinydeploy.models import build_dwsep_net
-from tinydeploy.pruning import build_prune_plan, materialize
+from tinydeploy.pruning import materialize
 from tinydeploy.quantization import quantize_graph, quantize_tensor
 
 

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphutil import brute_force_arena_peak, brute_force_makespan
-from tinydeploy.executor import run_int8
+from graphutil import brute_force_arena_peak, brute_force_makespan, skip_branch_graph
+from tinydeploy.data_files import load_profile
+from tinydeploy.executor import calibrate, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import OpKind
 from tinydeploy.hardware import HardwareProfile
+from tinydeploy.quantization import quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
     MappingError,
     build_deployment_plan,
     group_dependencies,
+    load_plan,
     partition_and_fuse,
     schedule,
     tensor_lifetimes,
@@ -348,7 +351,7 @@ def test_deployment_plan_infers_shapes_once(validations, small_convnet_quantized
 def test_fused_intermediates_not_materialized(small_convnet_quantized):
     plan = build_deployment_plan(small_convnet_quantized, HardwareProfile())
     conv_out = small_convnet_quantized.node("conv1").outputs[0]
-    assert conv_out not in plan.memory_plan.offsets
+    assert conv_out not in plan.memory_plan.tensors
 
 
 @given(st.data())
@@ -367,13 +370,12 @@ def test_greedy_peak_within_1_5x_of_optimal(data):
     assert greedy >= optimal  # oracle is a true lower bound
 
 
-def test_plan_json_roundtrip(tmp_path, small_convnet_quantized):
-    from tinydeploy.mapping import load_plan
-
-    plan = build_deployment_plan(small_convnet_quantized, HardwareProfile())
-    plan.save(tmp_path / "plan.json")
-    loaded = load_plan(tmp_path / "plan.json")
-    assert loaded.assignment == plan.assignment
-    assert loaded.fused_groups == plan.fused_groups
-    assert loaded.memory_plan.arena_peak_bytes == plan.memory_plan.arena_peak_bytes
-    assert loaded.estimates.latency_ms == plan.estimates.latency_ms
+def test_plan_json_roundtrip(tmp_path, small_convnet_quantized, dwsep_net_quantized):
+    skip = skip_branch_graph()
+    xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 4)).astype(np.float32)
+    graphs = [small_convnet_quantized, dwsep_net_quantized, quantize_graph(skip, calibrate(skip, xs))]
+    for graph in graphs:
+        for profile in ("builtin:profile_default", "builtin:profile_desk_calibrated"):
+            plan = build_deployment_plan(graph, load_profile(profile))
+            plan.save(tmp_path / "plan.json")
+            assert load_plan(tmp_path / "plan.json") == plan

@@ -1,13 +1,15 @@
+from __future__ import annotations
+
 import ast
 import json
 import re
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import pytest
 
 import tinydeploy
-from graphutil import conv_relu_softmax
+from graphutil import conv_relu_softmax, graphs_equal
 from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
 from tinydeploy.downlink import DownlinkError, LinkBudget
@@ -17,7 +19,6 @@ from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_pla
 from tinydeploy.model_io import (
     ModelFormatError,
     decode,
-    graphs_equal,
     json_text,
     load_model,
     save_model,
@@ -293,6 +294,50 @@ def test_decode_rejects_unknown_key_and_wrong_kind(name):
     obj = {**asdict(record), key: None}
     with pytest.raises(error, match=re.escape(f"record x: key {key!r} must be ")):
         decode(type(record), obj, "record x", error)
+
+
+@dataclass
+class Leaf:
+    n: int
+
+
+@dataclass
+class Tree:
+    leaf: Leaf
+    by_key: dict[str, Leaf]
+    tags: dict[str, str]
+    rows: list[list[str]]
+    maybe: Leaf | None = None
+
+
+TREE = Tree(Leaf(1), {"a": Leaf(2), "b": Leaf(3)}, {"x": "y"}, [["p", "q"], []], Leaf(4))
+
+
+def test_decode_reads_nested_optional_and_keyed_records():
+    assert decode(Tree, json.loads(json_text(asdict(TREE))), "t", ValueError) == TREE
+    absent = {k: v for k, v in asdict(TREE).items() if k != "maybe"}
+    assert decode(Tree, absent, "t", ValueError).maybe is None
+    assert decode(Tree, {**absent, "maybe": None}, "t", ValueError).maybe is None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t["leaf"].update(n="1"), "t leaf: key 'n' must be int, got str"),
+    (lambda t: t["leaf"].pop("n"), "t leaf: missing key 'n'"),
+    (lambda t: t.update(leaf=[1]), "t leaf: expected an object, got list"),
+    (lambda t: t["by_key"]["b"].update(z=0), "t by_key[b]: unknown key 'z'"),
+    (lambda t: t["by_key"].update(c=None), "t by_key[c]: expected an object, got NoneType"),
+    (lambda t: t.update(by_key=[]), "t: key 'by_key' must be dict, got list"),
+    (lambda t: t.update(maybe={"n": 1.5}), "t maybe: key 'n' must be int, got float"),
+    (lambda t: t.update(maybe=7), "t maybe: expected an object, got int"),
+    (lambda t: t["tags"].update(x=1), "t: key 'tags'[x] must be str, got int"),
+    (lambda t: t["rows"][1].append(2), "t: key 'rows'[1][0] must be str, got int"),
+], ids=["leaf_kind", "leaf_missing", "leaf_list", "keyed_unknown", "keyed_null",
+        "keyed_list", "optional_kind", "optional_int", "tags_value", "rows_item"])
+def test_decode_names_the_path_of_a_nested_error(edit, message):
+    obj = json.loads(json_text(asdict(TREE)))
+    edit(obj)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode(Tree, obj, "t", ValueError)
 
 
 def test_only_model_io_encodes_reads_or_writes_files():

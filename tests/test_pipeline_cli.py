@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from graphutil import build_prune_plan, graphs_equal
 from tinydeploy.cli import main
 from tinydeploy.datasets import generate_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
@@ -12,9 +13,9 @@ from tinydeploy.executor import InferenceRecord, read_records_csv, write_records
 from tinydeploy.graph import validate
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
-from tinydeploy.model_io import graphs_equal, load_model, save_model
+from tinydeploy.model_io import load_model, save_model
 from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
-from tinydeploy.pruning import build_prune_plan, export_checkpoint, materialize
+from tinydeploy.pruning import export_checkpoint, materialize
 
 
 @pytest.fixture(scope="module")
@@ -565,11 +566,13 @@ def _retarget(plan, gid, target):
     (lambda p: p["estimates"]["per_group_breakdown"][1].update(group_id="conv1"),
      "estimates per_group_breakdown[1]: unknown key 'group_id'"),
     (lambda p: p["memory_plan"]["tensors"]["in"].update(z=3),
-     "memory_plan tensor in: unknown key 'z'"),
+     "memory_plan tensors[in]: unknown key 'z'"),
+    (lambda p: p["memory_plan"]["tensors"]["in"].update(offset=-1),
+     "memory_plan tensors[in] offset -1 size "),
 ], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
         "gpu_target", "target_not_assigned", "estimates_without_energy",
         "breakdown_macs_string", "estimates_list", "breakdown_unknown_key",
-        "memory_tensor_unknown_key"])
+        "memory_tensor_unknown_key", "memory_tensor_negative_offset"])
 def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
     plan = json.loads((mapped / "plan.json").read_text())
     edit(plan)
@@ -695,6 +698,14 @@ def _plan_edited(m: Path, t: Path, edit) -> list[str]:
             "--plan", str(_write(t / "plan.json", json.dumps(plan))), "--out", str(t / "est.json")]
 
 
+def _drop_group(plan: dict, group: list[str]) -> None:
+    """Leave `group` out of the plan: its fused group, timeline entry and assignment."""
+    plan["fused_groups"].remove(group)
+    _drop_timeline_entry(plan, "+".join(group))
+    for nid in group:
+        del plan["assignment"][nid]
+
+
 def _rename_node(plan: dict, old: str, new: str) -> None:
     """Rename node `old` to `new` in the plan, as the first node of its group."""
     text = json.dumps(plan).replace(f'"{old}"', f'"{new}"').replace(f'"{old}+', f'"{new}+')
@@ -800,6 +811,16 @@ MALFORMED_INPUTS = {
     "plan_node_not_in_model": (
         lambda m, t: _plan_edited(m, t, lambda p: _rename_node(p, "conv1", "ghost")),
         "plan group references unknown node ghost; wrong model?"),
+    "plan_leaves_out_node": (
+        lambda m, t: _plan_edited(m, t, lambda p: _drop_group(p, ["conv1", "conv1_relu"])),
+        "model node conv1 is in no plan group; wrong model?"),
+    "plan_arena_negative": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"].update(arena_peak_bytes=-5)),
+        "memory_plan arena_peak_bytes -5 is negative"),
+    "plan_slot_past_arena": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"]["in"].update(
+            offset=1, size=p["memory_plan"]["arena_peak_bytes"])),
+        "memory_plan tensors[in] offset 1 size "),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],

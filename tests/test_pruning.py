@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from graphutil import act, const, conv_attrs, make_graph, skip_branch_graph, two_conv_chain
+from graphutil import (
+    act,
+    build_prune_plan,
+    const,
+    conv_attrs,
+    graphs_equal,
+    make_graph,
+    skip_branch_graph,
+    two_conv_chain,
+)
 from tinydeploy.cli import main
 from tinydeploy.costmodel import estimate_deployment
 from tinydeploy.executor import calibrate, run_f32
@@ -21,13 +30,12 @@ from tinydeploy.graph import (
     parameter_count,
     validate,
 )
-from tinydeploy.model_io import graphs_equal, save_model
+from tinydeploy.model_io import save_model
 from tinydeploy.pruning import (
     Checkpoint,
     CheckpointError,
     PruneError,
     apply_masks,
-    build_prune_plan,
     export_checkpoint,
     import_checkpoint,
     materialize,
