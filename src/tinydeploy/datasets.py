@@ -2,18 +2,20 @@
 
 Each class owns a blob position, width and per-channel amplitude drawn
 from the class seed; samples add white noise on top. The on-disk layout
-is a directory of raw little-endian Float32 tensor files plus an
-index.csv (sample_id, file, label) and a meta.json with the tensor
-shape and class count.
+is a directory of raw Float32 tensor files (`model_io.tensor_file`)
+plus an index.csv (sample_id, file, label) and a meta.json with the
+tensor shape and class count.
 """
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .model_io import _field, csv_text, json_text, read_csv, read_json, write_files
+from .graph import DType
+from .model_io import (
+    _field, csv_text, json_text, read_csv, read_json, read_tensor_file, tensor_file, write_files,
+)
 
 
 class DatasetError(ValueError):
@@ -73,7 +75,7 @@ def generate_dataset(
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
     samples = synthetic_samples(num_samples, num_classes, hw, channels, seed, noise)
-    files = [(out_dir / f"samples/{sample_id}.bin", img.astype("<f4").tobytes())
+    files = [tensor_file(out_dir / f"samples/{sample_id}.bin", img, DType.FLOAT32)
              for sample_id, img, _ in samples]
     index = [("sample_id", "file", "label")]
     index += [(sample_id, f"samples/{sample_id}.bin", label) for sample_id, _, label in samples]
@@ -101,7 +103,6 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     shape = _field(read_json(meta_path, DatasetError), "shape", str(meta_path), [int], DatasetError)
     if not shape or min(shape) < 1:
         raise DatasetError(f"{meta_path}: shape {shape!r} must hold positive integers")
-    size = 4 * math.prod(shape)
     columns = {"sample_id": str, "file": str, "label": int}
     samples = []
     first_line: dict[str, int] = {}
@@ -112,11 +113,6 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
                 f"{path / 'index.csv'} line {line}: sample_id {row['sample_id']!r} "
                 f"repeats line {first}"
             )
-        raw = (path / row["file"]).read_bytes()
-        if len(raw) != size:
-            raise DatasetError(
-                f"{path / row['file']}: {len(raw)} bytes, shape {shape} needs {size}"
-            )
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+        arr = read_tensor_file(path / row["file"], DType.FLOAT32, shape, DatasetError)
         samples.append((row["sample_id"], arr, row["label"]))
     return samples

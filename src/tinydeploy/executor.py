@@ -106,10 +106,6 @@ class TensorRange:
         if self.min_r > self.max_r:
             raise ValueError(f"{self.tensor_id}: min {self.min_r} > max {self.max_r}")
 
-    @property
-    def degenerate(self) -> bool:
-        return self.min_r == self.max_r
-
     def merged(self, other: "TensorRange") -> "TensorRange":
         return TensorRange(
             self.tensor_id, min(self.min_r, other.min_r), max(self.max_r, other.max_r)

@@ -193,12 +193,6 @@ class GraphIR:
             list(self.graph_outputs),
         )
 
-    def node(self, nid: str) -> OpNode:
-        for n in self.nodes:
-            if n.id == nid:
-                return n
-        raise KeyError(nid)
-
     def producer_map(self) -> dict[str, OpNode]:
         """Map tensor id -> producing node (constants and inputs absent)."""
         out: dict[str, OpNode] = {}

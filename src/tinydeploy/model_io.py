@@ -12,12 +12,14 @@ Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
 (`pair_paths`, `write_pair`); the manifest gives each constant tensor's
 blob offset/length. `pack_blob` concatenates the payloads little-endian
 in sorted tensor-id order and `read_blob` reads one back, bounds-checked.
-Float32 is 4-byte IEEE-754, Int8 signed bytes, Int32 little-endian. Field
-names are part of the contract (see README "File formats").
+Dataset samples are raw tensor files of that codec (`tensor_file`,
+`read_tensor_file`). Float32 is 4-byte IEEE-754, Int8 signed bytes, Int32
+little-endian. Field names are part of the contract (README "File formats").
 """
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -57,6 +59,21 @@ def unpack_tensor(raw: bytes, dtype: DType, shape) -> np.ndarray:
     """Inverse of pack_tensor: a native-order array of `shape`."""
     data = np.frombuffer(raw, dtype=np.dtype(dtype.value).newbyteorder("<"))
     return data.astype(dtype.np_dtype).reshape(shape)
+
+
+def tensor_file(path: str | Path, data, dtype: DType) -> tuple[str | Path, bytes]:
+    """`(path, payload)` for `write_files`: a raw tensor file of `data` in `dtype`."""
+    return path, pack_tensor(data, dtype)
+
+
+def read_tensor_file(path: str | Path, dtype: DType, shape, error: type[Exception]) -> np.ndarray:
+    """The array of `shape` a raw tensor file holds, or an `error` naming
+    the file when its size is not that of `shape` in `dtype`."""
+    raw = Path(path).read_bytes()
+    size = int(np.prod(shape)) * dtype.size_bytes
+    if len(raw) != size:
+        raise error(f"{path}: {len(raw)} bytes, shape {shape} needs {size}")
+    return unpack_tensor(raw, dtype, shape)
 
 
 def _quant_to_json(qp: QuantParams | None) -> dict | None:
@@ -268,7 +285,8 @@ NUMBER = (int, float)
 # The JSON kind of a dataclass field annotation: configs and `decode`d
 # records are read by annotation through `_field`.
 KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool, "dict": dict,
-         "dict[str, str]": {str: str}, "list[float]": [NUMBER], "list[list[str]]": [[str]],
+         "dict[str, str]": {str: str}, "dict[str, int]": {str: int}, "list[float]": [NUMBER],
+         "list[list[str]]": [[str]], "list[dict[str, list[int]]]": [{str: [int]}],
          "tuple[str, ...]": [str]}
 
 
@@ -314,9 +332,15 @@ def decode(cls, obj, where: str, error: type[Exception]):
             continue
         value = _field(obj, f.name, where, KINDS.get(f.type), error)
         if f.type not in KINDS:
-            value = _records(get_type_hints(cls)[f.name], value, where, f.name, error)
+            value = _records(_type_hints(cls)[f.name], value, where, f.name, error)
         values[f.name] = value
     return cls(**values)
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """`cls`'s resolved field annotations, computed once per record class."""
+    return get_type_hints(cls)
 
 
 def _records(hint, value, where: str, name: str, error: type[Exception]):

@@ -10,7 +10,7 @@ seed; re-running a config produces byte-identical output trees.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +31,10 @@ from .executor import (
     write_records_json,
 )
 from .graph import parameter_count
-from .mapping import build_deployment_plan, load_plan, render_report
+from .mapping import (
+    MappingError, build_deployment_plan, load_plan, render_report, tensor_lifetimes,
+    verify_memory_plan,
+)
 from .model_io import load_model, save_model
 from .pruning import (
     Checkpoint,
@@ -49,7 +52,14 @@ from .quantization import quantize_graph
 def _config_form(value, kind):
     """`value` with the config-only text forms read as `kind`: a numeric
     string as its number, an integral float as int, an int as float, 0/1
-    as false/true. Anything else is left for `model_io._field` to judge."""
+    as false/true, and a record's field values by their annotations.
+    Anything else is left for `model_io.decode` to judge."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            return value
+        kinds = {f.name: PruneConfig if f.type == "PruneConfig" else model_io.KINDS.get(f.type)
+                 for f in fields(kind)}
+        return {k: _config_form(v, kinds.get(k)) for k, v in value.items()}
     if isinstance(kind, list):
         return [_config_form(v, kind[0]) for v in value] if isinstance(value, list) else value
     try:
@@ -71,13 +81,18 @@ _MINIMUM = {"seed": 0, "calibration_samples": 1}
 
 
 @dataclass
+class PruneConfig:
+    schedule: list[float] = field(default_factory=lambda: [0.10, 0.05, 0.05])
+    skip: bool = False
+
+
+@dataclass
 class PipelineConfig:
     model: str
     dataset: str
     output_dir: str
     calibration_samples: int = 32
-    prune_schedule: list[float] = field(default_factory=lambda: [0.10, 0.05, 0.05])
-    prune_skip: bool = False
+    prune: PruneConfig = field(default_factory=PruneConfig)
     confidence_threshold: float = 0.95
     bytes_per_sample: float = 12288.0
     hardware_profile: str = "builtin:profile_desk_calibrated"
@@ -91,43 +106,14 @@ class PipelineConfig:
                     f"config key {key!r} must be at least {minimum}, got {getattr(self, key)}"
                 )
 
-    def to_json(self) -> dict:
-        obj = {f.name: getattr(self, f.name) for f in fields(self)}
-        obj["prune"] = {"schedule": list(obj.pop("prune_schedule")), "skip": obj.pop("prune_skip")}
-        return obj
-
     @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        """Decode the JSON form; absent keys take the field defaults.
-
-        The prune_* fields nest under "prune" (`prune.schedule`,
-        `prune.skip`). "_docs" is ignored; any other unknown key is an
-        error, so a misspelt key cannot silently run with the default.
-        Each value must be of its annotation's `model_io.KINDS` kind, after
-        `_config_form` has read the config-only text forms.
-        """
-        if not isinstance(obj, dict) or not isinstance(obj.get("prune", {}), dict):
-            raise PipelineError('config and its "prune" entry must be JSON objects')
-        prune = obj.get("prune", {})
-        flat = {k: v for k, v in obj.items() if k not in ("_docs", "prune")}
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(k for k in flat if k not in types or k.startswith("prune_"))
-        unknown += sorted(f"prune.{k}" for k in prune if f"prune_{k}" not in types)
-        if unknown:
-            raise PipelineError(f"config has unknown key(s): {', '.join(unknown)}")
-        flat.update((f"prune_{k}", v) for k, v in prune.items())
-        for f in fields(cls):
-            if f.name not in flat and f.default is MISSING and f.default_factory is MISSING:
-                raise PipelineError(f"config missing required field {f.name!r}")
-        kinds = {k: model_io.KINDS[types[k]] for k in flat}
-        values = {k: _config_form(v, kinds[k]) for k, v in flat.items()}
-        for k, kind in kinds.items():
-            try:
-                model_io._field(values, k, "config", kind, PipelineError)
-            except PipelineError:
-                key = k.replace("prune_", "prune.", 1)
-                raise PipelineError(f"config key {key!r}: {flat[k]!r} is not {types[k]}") from None
-        return cls(**values)
+    def from_json(cls, obj) -> "PipelineConfig":
+        """The config a JSON object holds, in its `_config_form`, read by
+        `model_io.decode`. "_docs" is ignored; any other unknown key is an
+        error, so a misspelt key cannot silently run with the default."""
+        if isinstance(obj, dict):
+            obj = {k: v for k, v in obj.items() if k != "_docs"}
+        return model_io.decode(cls, _config_form(obj, cls), "config", PipelineError)
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
@@ -217,10 +203,27 @@ def stage_map(model_path, profile_ref, out_plan, out_text=None):
 
 
 def stage_estimate(model_path, plan_path, profile_ref, out_json):
+    """Cost-estimate a plan on the profile it was built for, once its
+    slots are found to be the model's arena tensors, none overlapping."""
     graph = load_model(model_path)
     plan = load_plan(plan_path)
     profile = load_profile(profile_ref)
+    if profile.name != plan.profile:
+        raise MappingError(f"plan {plan_path} was built for profile {plan.profile!r}, "
+                           f"not {profile.name!r}")
     est = costmodel.estimate_deployment(plan, graph, profile)
+    lifetimes = tensor_lifetimes(graph, plan.timeline, plan.fused_groups)
+    need = {lt.tensor_id: lt.size for lt in lifetimes}
+    have = {tid: slot.size for tid, slot in plan.memory_plan.tensors.items()}
+    where = f"plan {plan_path}: memory_plan"
+    for tid in sorted(need.keys() | have.keys()):
+        if tid not in have:
+            raise MappingError(f"{where} has no slot for arena tensor {tid}")
+        if tid not in need:
+            raise MappingError(f"{where} tensors[{tid}] is not an arena tensor of the model")
+        if have[tid] != need[tid]:
+            raise MappingError(f"{where} tensors[{tid}] size {have[tid]} != {need[tid]} bytes")
+    verify_memory_plan(plan.memory_plan, lifetimes)
     model_io.write_json(out_json, est.to_json())
     return est
 
@@ -294,7 +297,7 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
     quant_flash = stages["quantized"]["flash_bytes"]
     report = {
         "model": model_name,
-        "config": config.to_json(),
+        "config": asdict(config),
         "stages": stages,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),
         "deployment": est.to_json(),
@@ -350,13 +353,13 @@ def _evaluate(model: str, prefix: str):
 
 
 def _prune(out: Path, config: PipelineConfig, dataset: Path) -> None:
-    n_stages = len(config.prune_schedule)
+    n_stages = len(config.prune.schedule)
     for k in range(1, n_stages + 1):
         stage_prune_step(
             out / ("model_float.json" if k == 1 else f"model_masked_stage{k-1}.json"),
             out / "prune_plan.json",
             out / f"model_masked_stage{k}",
-            config.prune_schedule,
+            config.prune.schedule,
             out_pruned=(out / "model_pruned") if k == n_stages else None,
             # Identity fine-tuning: re-import the unmodified checkpoint.
             checkpoint_in=(out / f"checkpoint_stage{k-1}.json") if k > 1 else None,
@@ -365,7 +368,7 @@ def _prune(out: Path, config: PipelineConfig, dataset: Path) -> None:
 
 
 def _quant_source(out: Path, config: PipelineConfig) -> Path:
-    return out / ("model_float.json" if config.prune_skip else "model_pruned.json")
+    return out / ("model_float.json" if config.prune.skip else "model_pruned.json")
 
 
 STAGES = (
@@ -429,7 +432,7 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict 
         save_model(load_model(model_path), out / "model_float.json")
         for stage in STAGES:
             name = stage.name
-            if not (stage.pruning and config.prune_skip):
+            if not (stage.pruning and config.prune.skip):
                 result = stage.run(out, config, dataset_path)
             if name == stop_after:
                 break

@@ -24,7 +24,7 @@ model blob of the same graph, packed and read by model_io.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .graph import (
     infer_shapes,
 )
 from .model_io import (
-    NUMBER, _field, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair,
+    _field, decode, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair,
 )
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
@@ -86,43 +86,21 @@ class PrunePlan:
     def complete(self) -> bool:
         return len(self.stages) >= len(self.schedule)
 
-    def to_json(self) -> dict:
-        return {
-            "schedule": list(self.schedule),
-            "basis": "original_count",
-            "original_counts": dict(sorted(self.original_counts.items())),
-            "stages": [
-                {layer: list(idx) for layer, idx in sorted(stage.items())}
-                for stage in self.stages
-            ],
-            "masks": {layer: mask for layer, mask in sorted(self.masks.items())},
-        }
-
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json())
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PrunePlan":
-        """Decode the JSON form; a malformed field raises PruneError naming it.
-
-        "masks" is derived and not read; "basis", if given, must be "original_count".
-        """
-        where = "prune plan"
-        schedule = _field(obj, "schedule", where, [NUMBER], PruneError)
-        counts = _field(obj, "original_counts", where, dict, PruneError)
-        stages = _field(obj, "stages", where, [dict], PruneError)
-        for layer in counts:
-            _field(counts, layer, f"{where} original_counts", int, PruneError)
-        for i, stage in enumerate(stages, 1):
-            for layer in stage:
-                _field(stage, layer, f"{where} stage {i}", [int], PruneError)
-        if obj.get("basis", "original_count") != "original_count":
-            raise PruneError(f"{where}: key 'basis' must be 'original_count', got {obj['basis']!r}")
-        return cls(schedule, counts, stages)
+        write_json(path, {**asdict(self), "basis": "original_count", "masks": self.masks})
 
     @classmethod
     def load(cls, path: str | Path) -> "PrunePlan":
-        return cls.from_json(read_json(path, PruneError))
+        """Read a plan written by `save` with `model_io.decode`; a malformed
+        field raises PruneError naming it. "masks" is derived and not
+        read; "basis", if given, must be "original_count"."""
+        obj = read_json(path, PruneError)
+        if isinstance(obj, dict):
+            obj = {k: v for k, v in obj.items() if k != "masks"}
+            basis = obj.pop("basis", "original_count")
+            if basis != "original_count":
+                raise PruneError(f"prune plan: key 'basis' must be 'original_count', got {basis!r}")
+        return decode(cls, obj, "prune plan", PruneError)
 
 
 def _validate_schedule(schedule) -> list[float]:

@@ -4,8 +4,8 @@ helpers.
 The oracles here deliberately avoid the production code paths: naive
 loop convolutions, permutation search for memory packing, topological
 enumeration for schedules, direct enumeration for hybrid accuracy.
-`graphs_equal` (structural identity) and `build_prune_plan` (every
-stage at once) serve only tests.
+`graphs_equal` (structural identity), `build_prune_plan` (every stage
+at once) and `node` (a node by id) serve only tests.
 """
 from __future__ import annotations
 
@@ -407,3 +407,8 @@ def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     for _ in plan.schedule:
         plan = plan_next_stage(graph, plan)
     return plan
+
+
+def node(graph: GraphIR, nid: str) -> OpNode:
+    """The node of `graph` whose id is `nid`."""
+    return next(n for n in graph.nodes if n.id == nid)

