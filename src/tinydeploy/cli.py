@@ -13,11 +13,12 @@ from pathlib import Path
 
 from . import pipeline
 from .data_files import resolve_path
-from .datasets import generate_dataset, synthetic_samples
+from .datasets import DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, synthetic_samples
 from .downlink import DownlinkError
 from .model_io import NUMBER, _field, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
-from .pipeline import PipelineConfig, PipelineError
+from .pipeline import MINIMUM, PipelineConfig, PipelineError
+from .pruning import DEFAULT_SCHEDULE
 
 
 def _parse_schedule(text: str) -> list[float]:
@@ -34,7 +35,7 @@ def _cmd_run(args) -> int:
     if args.out:
         config.output_dir = args.out
     if args.seed is not None:
-        _at_least("run", "--seed", args.seed, 0)
+        _at_least("run", "--seed", args.seed, MINIMUM["seed"])
         config.seed = args.seed
     report = pipeline.run_pipeline(config, stop_after=args.stage)
     if report is not None:
@@ -81,8 +82,8 @@ def _cmd_prune_stage(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _at_least("calibrate", "--samples", args.samples, 1)
-    _at_least("calibrate", "--seed", args.seed, 0)
+    _at_least("calibrate", "--samples", args.samples, MINIMUM["calibration_samples"])
+    _at_least("calibrate", "--seed", args.seed, MINIMUM["seed"])
     used = pipeline.stage_calibrate(
         args.model, resolve_path(args.dataset), args.samples, args.seed, args.out
     )
@@ -160,12 +161,8 @@ def _cmd_make_assets(args) -> int:
     _at_least("make-assets", "--seed", args.seed, 0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset_dir = generate_dataset(
-        out / "dataset", num_samples=args.samples, seed=args.seed
-    )
-    train = synthetic_samples(
-        num_samples=args.train_samples, seed=args.seed, noise_seed=args.seed + 8668
-    )
+    dataset_dir = generate_dataset(out / "dataset", args.samples, args.seed)
+    train = synthetic_samples(args.train_samples, args.seed, noise_seed=args.seed + 8668)
     for name in BUNDLED_MODELS:
         graph = fit_classifier(build_bundled_model(name), train)
         save_model(graph, out / name)
@@ -201,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune-stage", help="run one prune iteration of the schedule")
     p.add_argument("--model", required=True)
     p.add_argument("--plan", required=True, help="plan JSON, created on first stage")
-    p.add_argument("--schedule", default="0.10,0.05,0.05")
+    p.add_argument("--schedule", default=",".join(map(str, DEFAULT_SCHEDULE)))
     p.add_argument("--out-masked", required=True)
     p.add_argument("--out-pruned", help="materialized model, written after the final stage")
     p.add_argument("--checkpoint-in", help="fine-tuned checkpoint to import before ranking")
@@ -212,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="record activation ranges on a dataset subset")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=PipelineConfig.calibration_samples)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 
@@ -241,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", help="onboard records CSV from evaluate")
     p.add_argument("--ground-records", help="ground model records CSV for hybrid accuracy")
     p.add_argument("--scenario", help="scenario JSON (records, ground_records, threshold, bytes_per_sample)")
-    p.add_argument("--link", default="builtin:link_sband_256k")
-    p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--bytes-per-sample", type=float, default=12288.0)
+    p.add_argument("--link", default=PipelineConfig.link_budget)
+    p.add_argument("--threshold", type=float, default=PipelineConfig.confidence_threshold)
+    p.add_argument("--bytes-per-sample", type=float, default=PipelineConfig.bytes_per_sample)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="also write a human-readable summary")
     p.set_defaults(func=_cmd_simulate_downlink)
@@ -255,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-assets", help="generate the bundled models and dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--samples", type=int, default=DEFAULT_NUM_SAMPLES)
     p.add_argument("--train-samples", type=int, default=300)
     p.set_defaults(func=_cmd_make_assets)
 

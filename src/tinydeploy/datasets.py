@@ -18,11 +18,21 @@ from .model_io import (
 )
 
 
+# One NHWC sample and the class count: the bundled models' input and
+# classifier width too.
+INPUT_SHAPE = (1, 32, 32, 3)
+NUM_CLASSES = 10
+_NOISE = 0.5  # std of the white noise on each sample
+DEFAULT_NUM_SAMPLES = 200
+DEFAULT_SEED = 7
+
+
 class DatasetError(ValueError):
     pass
 
 
-def class_pattern(num_classes: int, label: int, hw: int, channels: int, seed: int) -> np.ndarray:
+def class_pattern(label: int, seed: int) -> np.ndarray:
+    hw, channels = INPUT_SHAPE[1], INPUT_SHAPE[3]
     rng = np.random.default_rng(np.random.SeedSequence([seed, label]))
     cy, cx = rng.uniform(hw * 0.25, hw * 0.75, size=2)
     sigma = rng.uniform(hw * 0.10, hw * 0.22)
@@ -35,15 +45,11 @@ def class_pattern(num_classes: int, label: int, hw: int, channels: int, seed: in
 
 
 def synthetic_samples(
-    num_samples: int = 200,
-    num_classes: int = 10,
-    hw: int = 32,
-    channels: int = 3,
-    seed: int = 7,
-    noise: float = 0.5,
+    num_samples: int = DEFAULT_NUM_SAMPLES,
+    seed: int = DEFAULT_SEED,
     noise_seed: int | None = None,
 ) -> list[tuple[str, np.ndarray, int]]:
-    """Balanced in-memory dataset of (sample_id, (1,hw,hw,C) image, label).
+    """Balanced in-memory dataset of (sample_id, INPUT_SHAPE image, label).
 
     `seed` fixes the class patterns; `noise_seed` (defaults to `seed`)
     fixes the per-sample noise, so disjoint train/eval splits of the same
@@ -52,38 +58,30 @@ def synthetic_samples(
     if noise_seed is None:
         noise_seed = seed
     rng = np.random.default_rng(np.random.SeedSequence([noise_seed, num_samples]))
-    patterns = [
-        class_pattern(num_classes, k, hw, channels, seed) for k in range(num_classes)
-    ]
+    patterns = [class_pattern(k, seed) for k in range(NUM_CLASSES)]
     samples = []
     for i in range(num_samples):
-        label = i % num_classes
-        img = patterns[label] + rng.normal(0.0, noise, size=patterns[label].shape)
+        label = i % NUM_CLASSES
+        img = patterns[label] + rng.normal(0.0, _NOISE, size=patterns[label].shape)
         samples.append((f"s{i:05d}", img[None].astype(np.float32), label))
     return samples
 
 
 def generate_dataset(
-    out_dir: str | Path,
-    num_samples: int = 200,
-    num_classes: int = 10,
-    hw: int = 32,
-    channels: int = 3,
-    seed: int = 7,
-    noise: float = 0.5,
+    out_dir: str | Path, num_samples: int = DEFAULT_NUM_SAMPLES, seed: int = DEFAULT_SEED
 ) -> Path:
     out_dir = Path(out_dir)
     (out_dir / "samples").mkdir(parents=True, exist_ok=True)
-    samples = synthetic_samples(num_samples, num_classes, hw, channels, seed, noise)
+    samples = synthetic_samples(num_samples, seed)
     files = [tensor_file(out_dir / f"samples/{sample_id}.bin", img, DType.FLOAT32)
              for sample_id, img, _ in samples]
     index = [("sample_id", "file", "label")]
     index += [(sample_id, f"samples/{sample_id}.bin", label) for sample_id, _, label in samples]
     meta = {
-        "shape": [1, hw, hw, channels],
-        "num_classes": num_classes,
+        "shape": list(INPUT_SHAPE),
+        "num_classes": NUM_CLASSES,
         "seed": seed,
-        "noise": noise,
+        "noise": _NOISE,
     }
     # index.csv last, so an index never names a sample file not yet written.
     write_files(files + [(out_dir / "meta.json", json_text(meta)),

@@ -8,7 +8,7 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,7 +45,6 @@ class LinkBudget:
 
 @dataclass
 class DownlinkScenario:
-    num_samples: int
     bytes_per_sample: float
     threshold: float
     onboard_records: Sequence[InferenceRecord]
@@ -60,10 +59,6 @@ class DownlinkScenario:
             repeated = [sid for sid, n in Counter(r.sample_id for r in records).items() if n > 1]
             if repeated:
                 raise DownlinkError(f"{side} records repeat sample id {repeated[0]!r}")
-        if self.num_samples != len(self.onboard_records):
-            raise DownlinkError(
-                f"num_samples {self.num_samples} != {len(self.onboard_records)} onboard records"
-            )
         if self.ground_records is not None:
             onboard_ids = {r.sample_id for r in self.onboard_records}
             ground_ids = {r.sample_id for r in self.ground_records}
@@ -83,9 +78,6 @@ class DownlinkReport:
     daily_budget_bytes: float
     onboard_accuracy: float
     hybrid_accuracy: float | None = None
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def summary(self) -> str:
         lines = [
@@ -110,7 +102,7 @@ def simulate(scenario: DownlinkScenario, link: LinkBudget) -> DownlinkReport:
     accuracy counts onboard hits on confident samples plus ground hits on
     transmitted ones; it is only computed when ground records exist.
     """
-    n = scenario.num_samples
+    n = len(scenario.onboard_records)
     full_volume = n * scenario.bytes_per_sample
     transmitted = [r for r in scenario.onboard_records if r.confidence < scenario.threshold]
     transmitted_ids = {r.sample_id for r in transmitted}

@@ -58,6 +58,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from .costmodel import group_id
 from .graph import (
     WEIGHTED_OPS,
     DType,
@@ -714,19 +715,26 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         pos = {nid: i for i, nid in enumerate(order)}
         groups.sort(key=lambda grp: pos[grp[0]])
 
+    consumers = g.consumer_map()
     steps = []
     for grp in groups:
-        if (
+        if len(grp) == 1:
+            steps.append(_step(nodes[grp[0]], _int8_kernel(g, nodes[grp[0]])))
+            continue
+        producer, relu = nodes[grp[0]], nodes[grp[-1]]
+        inner = producer.outputs[0]
+        if not (
             len(grp) == 2
-            and nodes[grp[0]].kind in WEIGHTED_OPS
-            and nodes[grp[1]].kind == OpKind.RELU
+            and producer.kind in WEIGHTED_OPS
+            and relu.kind == OpKind.RELU
+            and [c.id for c in consumers.get(inner, [])] == [relu.id]
+            and inner not in g.graph_outputs
         ):
-            producer, relu = nodes[grp[0]], nodes[grp[1]]
-            _assert_inherited(g, relu)
-            kernel = _int8_weighted_kernel(g, producer, fused_relu=True)
-            steps.append(Step(relu.outputs[0], kernel, tuple(producer.inputs)))
-        else:
-            steps.extend(_step(nodes[nid], _int8_kernel(g, nodes[nid])) for nid in grp)
+            raise ExecutionError(f"fused group {group_id(grp)} is not a weighted op and "
+                                 "the ReLU that alone reads its output")
+        _assert_inherited(g, relu)
+        kernel = _int8_weighted_kernel(g, producer, fused_relu=True)
+        steps.append(Step(relu.outputs[0], kernel, tuple(producer.inputs)))
     return Program(g, steps, quantized=True)
 
 

@@ -14,11 +14,13 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .costmodel import (
     CostEstimate,
+    GroupCost,
     _plan_estimate,
     estimate_group,
     flash_bytes,
@@ -364,6 +366,43 @@ def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
                     f"memory plan overlap: {tid_a} [{a.offset}, {a.offset + a.size}) vs "
                     f"{tid_b} [{b.offset}, {b.offset + b.size})"
                 )
+
+
+def verify_timeline(
+    timeline: list[TimelineEntry],
+    dependencies: dict[str, set[str]],
+    costs: list[GroupCost],
+    transfer_us: float,
+) -> None:
+    """Check that `timeline` schedules groups of these modelled `costs`.
+
+    Each entry must last its group's latency, start once every dependency
+    has ended (plus `transfer_us` when their targets differ), and share no
+    time with another entry on its target. Times compare by `math.isclose`.
+    """
+    entry = {e.group: e for e in timeline}
+    for cost in costs:
+        e = entry[cost.group]
+        if not math.isclose(e.end_us - e.start_us, cost.latency_us):
+            raise MappingError(f"timeline group {e.group} lasts {e.end_us - e.start_us:.10g} us, "
+                               f"not its modelled {cost.latency_us:.10g} us")
+    for gid, deps in dependencies.items():
+        for dep in sorted(deps):
+            ready = entry[dep].end_us
+            if entry[dep].target != entry[gid].target:
+                ready += transfer_us
+            if _earlier(entry[gid].start_us, ready):
+                raise MappingError(f"timeline group {gid} starts at {entry[gid].start_us:.10g} us, "
+                                   f"before its input from {dep} is ready at {ready:.10g} us")
+    for target in ("CPU", "NPU"):
+        spans = sorted((e.start_us, e.end_us, e.group) for e in timeline if e.target == target)
+        for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+            if _earlier(start, end):
+                raise MappingError(f"timeline groups {first} and {second} overlap on {target}")
+
+
+def _earlier(t: float, ready: float) -> bool:
+    return t < ready and not math.isclose(t, ready)
 
 
 def build_deployment_plan(

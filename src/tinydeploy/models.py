@@ -8,121 +8,103 @@ from __future__ import annotations
 
 import numpy as np
 
+from .datasets import INPUT_SHAPE, NUM_CLASSES
 from .graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorSpec, infer_shapes
 
-BUNDLED_MODELS = ("small_convnet", "dwsep_net")
+_BIAS_SCALE = 0.05  # biases are uniform in [-_BIAS_SCALE, _BIAS_SCALE)
+_MARGIN = 6.0  # fit_classifier's targets
+_RIDGE = 0.1  # fit_classifier's ridge term, relative to the feature energy
 
 
 class _Builder:
-    def __init__(self, name: str, input_shape: tuple[int, ...], seed: int):
+    """Appends nodes to a chain: each op reads the current head tensor.
+
+    Conv2D and DepthwiseConv2D use stride 1 and SAME padding and are
+    always followed by a ReLU; pools use a 2x2 window with stride 2.
+    """
+
+    def __init__(self, name: str, seed: int):
         self.name = name
         self.rng = np.random.default_rng(seed)
         self.nodes: list[OpNode] = []
         self.tensors: dict[str, TensorSpec] = {
-            "in": TensorSpec("in", input_shape, DType.FLOAT32, TensorKind.INPUT)
+            "in": TensorSpec("in", INPUT_SHAPE, DType.FLOAT32, TensorKind.INPUT)
         }
         self.head = "in"
-        self.channels = input_shape[-1]  # channel count at the head
-
-    def _activation(self, tid: str) -> str:
-        self.tensors[tid] = TensorSpec(tid, (1, 1), DType.FLOAT32, TensorKind.ACTIVATION)
-        return tid
+        self.channels = INPUT_SHAPE[-1]  # channel count at the head
 
     def _weights(self, tid: str, shape: tuple[int, ...], gain: float = 1.0) -> str:
-        fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
+        fan_in = int(np.prod(shape[1:]))
         std = gain * np.sqrt(2.0 / fan_in)
         data = self.rng.normal(0.0, std, size=shape).astype(np.float32)
         self.tensors[tid] = TensorSpec(tid, shape, DType.FLOAT32, TensorKind.WEIGHT, data=data)
         return tid
 
-    def _bias(self, tid: str, n: int, scale: float = 0.05) -> str:
-        data = self.rng.uniform(-scale, scale, size=(n,)).astype(np.float32)
+    def _bias(self, tid: str, n: int) -> str:
+        data = self.rng.uniform(-_BIAS_SCALE, _BIAS_SCALE, size=(n,)).astype(np.float32)
         self.tensors[tid] = TensorSpec(tid, (n,), DType.FLOAT32, TensorKind.BIAS, data=data)
         return tid
 
-    def conv(self, nid: str, out_c: int, kernel: int = 3, stride: int = 1,
-             padding: str = "SAME", relu: bool = True, gain: float = 1.0) -> None:
-        w = self._weights(f"{nid}_w", (out_c, kernel, kernel, self.channels), gain)
-        b = self._bias(f"{nid}_b", out_c)
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, OpKind.CONV2D, {
-            "kernel_h": kernel, "kernel_w": kernel,
-            "stride_h": stride, "stride_w": stride, "padding": padding,
-        }, [self.head, w, b], [out]))
+    def _op(self, nid: str, kind: OpKind, attrs: dict, inputs: list[str]) -> None:
+        """Append `nid` reading `inputs`; its output `<nid>_out` becomes the head."""
+        out = f"{nid}_out"
+        self.tensors[out] = TensorSpec(out, (1, 1), DType.FLOAT32, TensorKind.ACTIVATION)
+        self.nodes.append(OpNode(nid, kind, attrs, inputs, [out]))
         self.head = out
-        self.channels = out_c
-        if relu:
-            self.relu(f"{nid}_relu")
 
-    def depthwise(self, nid: str, kernel: int = 3, stride: int = 1,
-                  padding: str = "SAME", relu: bool = True) -> None:
-        w = self._weights(f"{nid}_w", (1, kernel, kernel, self.channels))
+    def conv(self, nid: str, out_c: int, kernel: int = 3) -> None:
+        w = self._weights(f"{nid}_w", (out_c, kernel, kernel, self.channels))
+        b = self._bias(f"{nid}_b", out_c)
+        self._op(nid, OpKind.CONV2D, _window(kernel, 1, "SAME"), [self.head, w, b])
+        self.channels = out_c
+        self.relu(f"{nid}_relu")
+
+    def depthwise(self, nid: str) -> None:
+        w = self._weights(f"{nid}_w", (1, 3, 3, self.channels))
         b = self._bias(f"{nid}_b", self.channels)
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, OpKind.DEPTHWISE_CONV2D, {
-            "kernel_h": kernel, "kernel_w": kernel,
-            "stride_h": stride, "stride_w": stride, "padding": padding,
-        }, [self.head, w, b], [out]))
-        self.head = out
-        if relu:
-            self.relu(f"{nid}_relu")
+        self._op(nid, OpKind.DEPTHWISE_CONV2D, _window(3, 1, "SAME"), [self.head, w, b])
+        self.relu(f"{nid}_relu")
 
     def relu(self, nid: str) -> None:
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, OpKind.RELU, {}, [self.head], [out]))
-        self.head = out
+        self._op(nid, OpKind.RELU, {}, [self.head])
 
-    def pool(self, nid: str, kind: OpKind, kernel: int = 2, stride: int = 2,
-             padding: str = "VALID") -> None:
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, kind, {
-            "kernel_h": kernel, "kernel_w": kernel,
-            "stride_h": stride, "stride_w": stride, "padding": padding,
-        }, [self.head], [out]))
-        self.head = out
+    def pool(self, nid: str, kind: OpKind) -> None:
+        self._op(nid, kind, _window(2, 2, "VALID"), [self.head])
 
-    def flatten(self, nid: str = "flatten") -> None:
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, OpKind.FLATTEN, {}, [self.head], [out]))
-        self.head = out
-
-    def fc(self, nid: str, in_f: int, out_f: int, gain: float = 1.0) -> None:
-        w = self._weights(f"{nid}_w", (out_f, in_f), gain)
-        b = self._bias(f"{nid}_b", out_f)
-        out = self._activation(f"{nid}_out")
-        self.nodes.append(OpNode(nid, OpKind.FULLY_CONNECTED, {}, [self.head, w, b], [out]))
-        self.head = out
-
-    def softmax(self, nid: str = "softmax") -> None:
-        out = "probs"
-        self.tensors[out] = TensorSpec(out, (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
-        self.nodes.append(OpNode(nid, OpKind.SOFTMAX, {}, [self.head], [out]))
-        self.head = out
-
-    def finish(self) -> GraphIR:
-        graph = GraphIR(self.name, self.nodes, self.tensors, ["in"], [self.head])
+    def classifier(self, in_f: int) -> GraphIR:
+        """Append Flatten, a NUM_CLASSES-way FullyConnected layer over its
+        `in_f` features and the Softmax that writes "probs"; the graph."""
+        self._op("flatten", OpKind.FLATTEN, {}, [self.head])
+        w = self._weights("fc_w", (NUM_CLASSES, in_f), gain=2.0)
+        b = self._bias("fc_b", NUM_CLASSES)
+        self._op("fc", OpKind.FULLY_CONNECTED, {}, [self.head, w, b])
+        self.tensors["probs"] = TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
+        self.nodes.append(OpNode("softmax", OpKind.SOFTMAX, {}, [self.head], ["probs"]))
+        graph = GraphIR(self.name, self.nodes, self.tensors, ["in"], ["probs"])
         graph, _ = infer_shapes(graph)
         return graph
 
 
-def build_small_convnet(seed: int = 11, num_classes: int = 10) -> GraphIR:
-    """Plain 4-layer ConvNet: 3 conv blocks + classifier, 32x32x3 input."""
-    b = _Builder("small_convnet", (1, 32, 32, 3), seed)
+def _window(kernel: int, stride: int, padding: str) -> dict:
+    return {"kernel_h": kernel, "kernel_w": kernel,
+            "stride_h": stride, "stride_w": stride, "padding": padding}
+
+
+def build_small_convnet() -> GraphIR:
+    """Plain 4-layer ConvNet: 3 conv blocks + classifier."""
+    b = _Builder("small_convnet", seed=11)
     b.conv("conv1", 16)
     b.pool("pool1", OpKind.MAX_POOL2D)
     b.conv("conv2", 32)
     b.pool("pool2", OpKind.MAX_POOL2D)
     b.conv("conv3", 64)
     b.pool("pool3", OpKind.MAX_POOL2D)
-    b.flatten()
-    b.fc("fc", 4 * 4 * 64, num_classes, gain=2.0)
-    b.softmax()
-    return b.finish()
+    return b.classifier(4 * 4 * 64)
 
 
-def build_dwsep_net(seed: int = 23, num_classes: int = 10) -> GraphIR:
+def build_dwsep_net() -> GraphIR:
     """Depthwise-separable net: conv, two dw+pointwise blocks, classifier."""
-    b = _Builder("dwsep_net", (1, 32, 32, 3), seed)
+    b = _Builder("dwsep_net", seed=23)
     b.conv("conv1", 16)
     b.depthwise("dw1")
     b.conv("pw1", 32, kernel=1)
@@ -130,32 +112,31 @@ def build_dwsep_net(seed: int = 23, num_classes: int = 10) -> GraphIR:
     b.depthwise("dw2")
     b.conv("pw2", 64, kernel=1)
     b.pool("pool2", OpKind.AVG_POOL2D)
-    b.flatten()
-    b.fc("fc", 8 * 8 * 64, num_classes, gain=2.0)
-    b.softmax()
-    return b.finish()
+    return b.classifier(8 * 8 * 64)
 
 
-def build_bundled_model(name: str, seed: int | None = None) -> GraphIR:
-    if name == "small_convnet":
-        return build_small_convnet() if seed is None else build_small_convnet(seed)
-    if name == "dwsep_net":
-        return build_dwsep_net() if seed is None else build_dwsep_net(seed)
-    raise ValueError(f"unknown bundled model {name!r}; choose from {BUNDLED_MODELS}")
+_BUILDERS = {"small_convnet": build_small_convnet, "dwsep_net": build_dwsep_net}
+BUNDLED_MODELS = tuple(_BUILDERS)
 
 
-def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 0.1) -> GraphIR:
+def build_bundled_model(name: str) -> GraphIR:
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown bundled model {name!r}; choose from {BUNDLED_MODELS}")
+    return _BUILDERS[name]()
+
+
+def fit_classifier(graph: GraphIR, samples) -> GraphIR:
     """Deterministic closed-form ridge fit of the final classifier layer.
 
     Solves the regularized least-squares problem mapping the penultimate
-    features to +-margin one-vs-rest targets and writes the solution into
+    features to +-_MARGIN one-vs-rest targets and writes the solution into
     the last FullyConnected layer. Stands in for an externally trained
     checkpoint: no gradient descent, fully reproducible from the inputs.
     The ridge term scales with the mean feature energy so the same value
     works across models with different activation magnitudes.
 
     With Xa the n x (f+1) feature matrix (a ones column for the bias) and
-    lam = ridge * ||Xa||_F^2 / (f+1), the solution is taken in its dual
+    lam = _RIDGE * ||Xa||_F^2 / (f+1), the solution is taken in its dual
     form W = Xa^T (Xa Xa^T + lam I)^-1 T (Saunders et al., ICML 1998),
     which equals the primal (Xa^T Xa + lam I)^-1 Xa^T T. Every caller fits
     fewer samples than features (300 against 1024 or 4096), so the n x n
@@ -188,12 +169,12 @@ def fit_classifier(graph: GraphIR, samples, margin: float = 6.0, ridge: float = 
         program.run(batch, on_step=keep)
         start += len(batch)
     n_classes = g.tensors[fc.inputs[1]].shape[0]
-    targets = np.full((n, n_classes), -margin)
-    targets[np.arange(n), labels] = margin
+    targets = np.full((n, n_classes), -_MARGIN)
+    targets[np.arange(n), labels] = _MARGIN
 
     kernel = xa @ xa.T
     # trace(Xa Xa^T) = trace(Xa^T Xa) = ||Xa||_F^2
-    ridge_eff = ridge * np.trace(kernel) / (f + 1)
+    ridge_eff = _RIDGE * np.trace(kernel) / (f + 1)
     kernel[np.diag_indices_from(kernel)] += ridge_eff
     sol = xa.T @ np.linalg.solve(kernel, targets)
 

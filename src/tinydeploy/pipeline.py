@@ -32,11 +32,12 @@ from .executor import (
 )
 from .graph import parameter_count
 from .mapping import (
-    MappingError, build_deployment_plan, load_plan, render_report, tensor_lifetimes,
-    verify_memory_plan,
+    MappingError, build_deployment_plan, group_dependencies, load_plan, render_report,
+    tensor_lifetimes, verify_memory_plan, verify_timeline,
 )
 from .model_io import load_model, save_model
 from .pruning import (
+    DEFAULT_SCHEDULE,
     Checkpoint,
     PrunePlan,
     apply_masks,
@@ -77,12 +78,12 @@ class PipelineError(RuntimeError):
 
 
 # Lowest accepted value of the int fields that have one.
-_MINIMUM = {"seed": 0, "calibration_samples": 1}
+MINIMUM = {"seed": 0, "calibration_samples": 1}
 
 
 @dataclass
 class PruneConfig:
-    schedule: list[float] = field(default_factory=lambda: [0.10, 0.05, 0.05])
+    schedule: list[float] = field(default_factory=lambda: list(DEFAULT_SCHEDULE))
     skip: bool = False
 
 
@@ -100,7 +101,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key, minimum in _MINIMUM.items():
+        for key, minimum in MINIMUM.items():
             if getattr(self, key) < minimum:
                 raise PipelineError(
                     f"config key {key!r} must be at least {minimum}, got {getattr(self, key)}"
@@ -204,7 +205,9 @@ def stage_map(model_path, profile_ref, out_plan, out_text=None):
 
 def stage_estimate(model_path, plan_path, profile_ref, out_json):
     """Cost-estimate a plan on the profile it was built for, once its
-    slots are found to be the model's arena tensors, none overlapping."""
+    timeline is found to be a schedule of the model's modelled group costs
+    (`verify_timeline`) and its slots the model's arena tensors, none
+    overlapping."""
     graph = load_model(model_path)
     plan = load_plan(plan_path)
     profile = load_profile(profile_ref)
@@ -212,6 +215,8 @@ def stage_estimate(model_path, plan_path, profile_ref, out_json):
         raise MappingError(f"plan {plan_path} was built for profile {plan.profile!r}, "
                            f"not {profile.name!r}")
     est = costmodel.estimate_deployment(plan, graph, profile)
+    verify_timeline(plan.timeline, group_dependencies(graph, plan.fused_groups),
+                    est.per_group_breakdown, profile.transfer_latency_us)
     lifetimes = tensor_lifetimes(graph, plan.timeline, plan.fused_groups)
     need = {lt.tensor_id: lt.size for lt in lifetimes}
     have = {tid: slot.size for tid, slot in plan.memory_plan.tensors.items()}
@@ -224,7 +229,7 @@ def stage_estimate(model_path, plan_path, profile_ref, out_json):
         if have[tid] != need[tid]:
             raise MappingError(f"{where} tensors[{tid}] size {have[tid]} != {need[tid]} bytes")
     verify_memory_plan(plan.memory_plan, lifetimes)
-    model_io.write_json(out_json, est.to_json())
+    model_io.write_json(out_json, asdict(est))
     return est
 
 
@@ -241,14 +246,13 @@ def stage_downlink(
     ground = read_records_csv(ground_csv) if ground_csv else None
     link = load_link_budget(link_ref)
     scenario = DownlinkScenario(
-        num_samples=len(records),
         bytes_per_sample=float(bytes_per_sample),
         threshold=float(threshold),
         onboard_records=records,
         ground_records=ground,
     )
     report = simulate(scenario, link)
-    model_io.write_json(out_json, report.to_json())
+    model_io.write_json(out_json, asdict(report))
     if out_text is not None:
         model_io.write_files([(out_text, report.summary())])
     return report
@@ -300,7 +304,7 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
         "config": asdict(config),
         "stages": stages,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),
-        "deployment": est.to_json(),
+        "deployment": asdict(est),
         "downlink": downlink_report,
     }
 

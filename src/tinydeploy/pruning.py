@@ -177,11 +177,6 @@ def _propagation_actions(g: GraphIR, consumers, output: str):
     return actions
 
 
-def prunable_layers(graph: GraphIR) -> list[str]:
-    """Conv2D/FullyConnected layers whose channel removals stay absorbable."""
-    return [lid for lid, (_, actions) in _propagation_table(graph).items() if actions is not None]
-
-
 def _prunable_weights(graph: GraphIR) -> dict[str, TensorSpec]:
     """Prunable layer id -> its weight tensor."""
     return {

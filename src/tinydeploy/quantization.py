@@ -59,28 +59,18 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-def compute_qparams(rng: "TensorRange", mode: str = "asymmetric") -> QuantParams:
-    """Scale/zero-point from an observed range.
+def compute_qparams(rng: "TensorRange") -> QuantParams:
+    """Asymmetric per-tensor scale/zero-point from an observed range.
 
-    Asymmetric: the range is widened to include 0, S = span / 255 and
-    Z = round(-128 - min/S) clamped to [-128, 127]. Symmetric:
-    S = max(|min|, |max|) / 127, Z = 0. Degenerate all-zero ranges get
-    the convention S = 1, Z = 0.
+    The range is widened to include 0, S = span / 255 and
+    Z = round(-128 - min/S) clamped to [-128, 127]. A degenerate all-zero
+    range gets the convention S = 1, Z = 0.
     """
     lo, hi = float(rng.min_r), float(rng.max_r)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise QuantizationError(f"non-finite range ({lo}, {hi})")
     if lo > hi:
         raise QuantizationError(f"inverted range ({lo}, {hi})")
-
-    if mode == "symmetric":
-        bound = max(abs(lo), abs(hi))
-        if bound == 0.0:
-            return QuantParams(scale=1.0, zero_point=0, symmetric=True)
-        return QuantParams(scale=bound / 127.0, zero_point=0, symmetric=True)
-
-    if mode != "asymmetric":
-        raise QuantizationError(f"unknown mode {mode!r}")
     lo, hi = min(lo, 0.0), max(hi, 0.0)
     scale = (hi - lo) / 255.0
     if scale == 0.0:  # zero-width or subnormal-underflow range

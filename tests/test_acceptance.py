@@ -57,7 +57,7 @@ def test_criterion_01_downlink_arithmetic():
             InferenceRecord(f"s{i:05d}", 0, c, 0) for i, c in enumerate(confidences)
         ]
         scenario = DownlinkScenario(
-            num_samples=5400, bytes_per_sample=12_300.0, threshold=0.95,
+            bytes_per_sample=12_300.0, threshold=0.95,
             onboard_records=records,
         )
         report = simulate(scenario, LinkBudget("sband", 256_000, 4, 600.0))
@@ -343,7 +343,7 @@ def test_criterion_11_hybrid_accuracy():
                 InferenceRecord(f"s{i:04d}", int(rng.uniform() < 0.9), 1.0, 1)
                 for i in range(n)
             ]
-            report = simulate(DownlinkScenario(n, 1.0, 0.95, onboard, ground), link)
+            report = simulate(DownlinkScenario(1.0, 0.95, onboard, ground), link)
             expect = brute_force_hybrid_accuracy(onboard, ground, 0.95)
             assert report.hybrid_accuracy == pytest.approx(expect, abs=1e-12)
 
@@ -351,7 +351,7 @@ def test_criterion_11_hybrid_accuracy():
             prev = -1
             for k in range(1, 21):
                 rep = simulate(
-                    DownlinkScenario(n, 1.0, k * 0.05, onboard, ground), link
+                    DownlinkScenario(1.0, k * 0.05, onboard, ground), link
                 )
                 assert rep.transmitted_count >= prev
                 prev = rep.transmitted_count

@@ -41,7 +41,6 @@ def test_eurosat_paper_arithmetic():
     # 5400 samples at 12.3 KB, 768 below the 0.95 threshold
     confidences = [0.5] * 768 + [0.99] * (5400 - 768)
     scenario = DownlinkScenario(
-        num_samples=5400,
         bytes_per_sample=12_300.0,
         threshold=0.95,
         onboard_records=records_with(confidences),
@@ -56,7 +55,6 @@ def test_eurosat_paper_arithmetic():
 
 def test_threshold_one_everything_transmitted():
     scenario = DownlinkScenario(
-        num_samples=10,
         bytes_per_sample=100.0,
         threshold=1.0,
         onboard_records=records_with([0.3, 0.5, 0.9, 0.99, 0.1, 0.2, 0.4, 0.6, 0.7, 0.8]),
@@ -68,7 +66,6 @@ def test_threshold_one_everything_transmitted():
 
 def test_strict_inequality_at_threshold():
     scenario = DownlinkScenario(
-        num_samples=3,
         bytes_per_sample=1.0,
         threshold=0.95,
         onboard_records=records_with([0.95, 0.9499999, 0.96]),
@@ -84,7 +81,7 @@ def test_hybrid_accuracy_enumerated_example():
     onboard = records_with(confidences, onboard_ok)
     ground = records_with([1.0] * 10, [False] * 8 + [True, True])
     scenario = DownlinkScenario(
-        num_samples=10, bytes_per_sample=1.0, threshold=0.95,
+        bytes_per_sample=1.0, threshold=0.95,
         onboard_records=onboard, ground_records=ground,
     )
     report = simulate(scenario, SBAND)
@@ -93,7 +90,7 @@ def test_hybrid_accuracy_enumerated_example():
 
 def test_hybrid_disabled_without_ground_records():
     scenario = DownlinkScenario(
-        num_samples=2, bytes_per_sample=1.0, threshold=0.5,
+        bytes_per_sample=1.0, threshold=0.5,
         onboard_records=records_with([0.4, 0.9]),
     )
     assert simulate(scenario, SBAND).hybrid_accuracy is None
@@ -104,7 +101,7 @@ def test_mismatched_record_sets_rejected():
     ground = records_with([0.5], prefix="g")
     with pytest.raises(DownlinkError, match="different sample sets"):
         DownlinkScenario(
-            num_samples=2, bytes_per_sample=1.0, threshold=0.5,
+            bytes_per_sample=1.0, threshold=0.5,
             onboard_records=onboard, ground_records=ground,
         )
 
@@ -122,7 +119,7 @@ def test_repeated_sample_id_rejected(side):
         ground.append(InferenceRecord("s0", 1, 1.0, 1))
     with pytest.raises(DownlinkError, match=f"{side} records repeat sample id 's0'"):
         DownlinkScenario(
-            num_samples=len(onboard), bytes_per_sample=1.0, threshold=0.5,
+            bytes_per_sample=1.0, threshold=0.5,
             onboard_records=onboard, ground_records=ground,
         )
 
@@ -131,14 +128,14 @@ def test_threshold_out_of_range_rejected():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(DownlinkError, match="threshold"):
             DownlinkScenario(
-                num_samples=1, bytes_per_sample=1.0, threshold=bad,
+                bytes_per_sample=1.0, threshold=bad,
                 onboard_records=records_with([0.5]),
             )
 
 
 def test_transmitted_volume_exact():
     scenario = DownlinkScenario(
-        num_samples=4, bytes_per_sample=123.0, threshold=0.9,
+        bytes_per_sample=123.0, threshold=0.9,
         onboard_records=records_with([0.1, 0.95, 0.2, 0.99]),
     )
     report = simulate(scenario, SBAND)
@@ -152,15 +149,14 @@ def test_permutation_invariance():
     onboard = records_with(confidences, flags)
     ground = records_with([1.0] * 50, [True] * 50)
     base = simulate(
-        DownlinkScenario(50, 10.0, 0.9, onboard, ground), SBAND
+        DownlinkScenario(10.0, 0.9, onboard, ground), SBAND
     )
     perm = rng.permutation(50)
     shuffled = simulate(
-        DownlinkScenario(50, 10.0, 0.9,
-                         [onboard[i] for i in perm], [ground[i] for i in perm]),
+        DownlinkScenario(10.0, 0.9, [onboard[i] for i in perm], [ground[i] for i in perm]),
         SBAND,
     )
-    assert base.to_json() == shuffled.to_json()
+    assert base == shuffled
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=60),
@@ -168,8 +164,8 @@ def test_permutation_invariance():
 @settings(max_examples=100, deadline=None)
 def test_threshold_monotonicity_property(confidences, step):
     onboard = records_with(confidences)
-    lo = simulate(DownlinkScenario(len(confidences), 1.0, step * 0.05, onboard), SBAND)
-    hi = simulate(DownlinkScenario(len(confidences), 1.0, min(1.0, step * 0.05 + 0.05), onboard), SBAND)
+    lo = simulate(DownlinkScenario(1.0, step * 0.05, onboard), SBAND)
+    hi = simulate(DownlinkScenario(1.0, min(1.0, step * 0.05 + 0.05), onboard), SBAND)
     assert hi.transmitted_count >= lo.transmitted_count
 
 
@@ -182,7 +178,7 @@ def test_hybrid_matches_bruteforce_oracle():
         ground_ok = (rng.uniform(0, 1, size=n) < 0.9).tolist()
         onboard = records_with(confidences, onboard_ok)
         ground = records_with([1.0] * n, ground_ok)
-        report = simulate(DownlinkScenario(n, 1.0, 0.95, onboard, ground), SBAND)
+        report = simulate(DownlinkScenario(1.0, 0.95, onboard, ground), SBAND)
         expect = brute_force_hybrid_accuracy(onboard, ground, 0.95)
         assert report.hybrid_accuracy == pytest.approx(expect, abs=1e-12)
 
@@ -194,5 +190,5 @@ def test_hybrid_dominates_when_ground_stronger():
     onboard_ok = (rng.uniform(0, 1, size=n) < 0.5).tolist()
     onboard = records_with(confidences, onboard_ok)
     ground = records_with([1.0] * n, [True] * n)  # perfect ground model
-    report = simulate(DownlinkScenario(n, 1.0, 0.95, onboard, ground), SBAND)
+    report = simulate(DownlinkScenario(1.0, 0.95, onboard, ground), SBAND)
     assert report.hybrid_accuracy >= report.onboard_accuracy

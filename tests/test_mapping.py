@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from graphutil import brute_force_arena_peak, brute_force_makespan, node, skip_branch_graph
 from tinydeploy.data_files import load_profile
-from tinydeploy.executor import calibrate, run_int8
+from tinydeploy import pipeline
+from tinydeploy.costmodel import GroupCost
+from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import OpKind
 from tinydeploy.hardware import HardwareProfile
@@ -15,6 +18,7 @@ from tinydeploy.quantization import quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
     MappingError,
+    TimelineEntry,
     build_deployment_plan,
     group_dependencies,
     load_plan,
@@ -22,7 +26,9 @@ from tinydeploy.mapping import (
     schedule,
     tensor_lifetimes,
     verify_memory_plan,
+    verify_timeline,
 )
+from tinydeploy.model_io import save_model
 
 
 def _groups_by_first(fused_groups):
@@ -99,6 +105,18 @@ def test_fused_execution_bit_identical(small_convnet_quantized, test_samples):
         b = run_int8(small_convnet_quantized, x, fused_groups=groups)
         for tid in a:
             np.testing.assert_array_equal(a[tid], b[tid])
+
+
+@pytest.mark.parametrize("group", [
+    ["conv2", "conv1_relu"],  # the ReLU reads another op's output
+    ["conv1_relu", "conv1"],  # the ReLU first
+    ["conv1", "conv1_relu", "pool1"],  # more than a pair
+])
+def test_fused_group_must_be_a_producer_and_its_relu(small_convnet_quantized, group):
+    order = [n.id for n in small_convnet_quantized.nodes]
+    groups = [group] + [[nid] for nid in order if nid not in group]
+    with pytest.raises(ExecutionError, match=f"fused group {'[+]'.join(group)} is not"):
+        prepare(small_convnet_quantized, groups)
 
 
 def test_mapping_requires_quantized_graph(small_convnet):
@@ -370,12 +388,56 @@ def test_greedy_peak_within_1_5x_of_optimal(data):
     assert greedy >= optimal  # oracle is a true lower bound
 
 
-def test_plan_json_roundtrip(tmp_path, small_convnet_quantized, dwsep_net_quantized):
+PROFILES = ("builtin:profile_default", "builtin:profile_desk_calibrated")
+
+
+@pytest.fixture(scope="module")
+def mapped_graphs(small_convnet_quantized, dwsep_net_quantized):
+    """Both bundled models and `skip_branch_graph`, quantized."""
     skip = skip_branch_graph()
     xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 4)).astype(np.float32)
-    graphs = [small_convnet_quantized, dwsep_net_quantized, quantize_graph(skip, calibrate(skip, xs))]
-    for graph in graphs:
-        for profile in ("builtin:profile_default", "builtin:profile_desk_calibrated"):
+    return [small_convnet_quantized, dwsep_net_quantized, quantize_graph(skip, calibrate(skip, xs))]
+
+
+def test_plan_json_roundtrip(tmp_path, mapped_graphs):
+    for graph in mapped_graphs:
+        for profile in PROFILES:
             plan = build_deployment_plan(graph, load_profile(profile))
             plan.save(tmp_path / "plan.json")
             assert load_plan(tmp_path / "plan.json") == plan
+
+
+def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
+    for graph in mapped_graphs:
+        save_model(graph, tmp_path / "model")
+        for profile in PROFILES:
+            plan = build_deployment_plan(graph, load_profile(profile))
+            plan.save(tmp_path / "plan.json")
+            est = pipeline.stage_estimate(tmp_path / "model.json", tmp_path / "plan.json",
+                                          profile, tmp_path / "est.json")
+            assert est == plan.estimates
+
+
+def _entries(*spans):
+    """Timeline entries and their modelled costs from (group, target, start, end)."""
+    timeline = [TimelineEntry(*span) for span in spans]
+    costs = [GroupCost(e.group, e.target, 0, e.end_us - e.start_us, 0.0) for e in timeline]
+    return timeline, costs
+
+
+@pytest.mark.parametrize("spans, deps, message", [
+    ((("a", "NPU", 0.0, 10.0), ("b", "NPU", 5.0, 15.0)), {"a": set(), "b": set()},
+     "timeline groups a and b overlap on NPU"),
+    ((("a", "NPU", 0.0, 10.0), ("b", "CPU", 11.0, 21.0)), {"a": set(), "b": {"a"}},
+     "timeline group b starts at 11 us, before its input from a is ready at 12 us"),
+], ids=["overlap_on_target", "before_transfer_ends"])
+def test_timeline_rejected(spans, deps, message):
+    timeline, costs = _entries(*spans)
+    with pytest.raises(MappingError, match=re.escape(message)):
+        verify_timeline(timeline, deps, costs, transfer_us=2.0)
+
+
+def test_timeline_accepted_at_the_transfer_bound():
+    timeline, costs = _entries(("a", "NPU", 0.0, 10.0), ("b", "CPU", 12.0, 22.0),
+                               ("c", "CPU", 22.0, 23.0))
+    verify_timeline(timeline, {"a": set(), "b": {"a"}, "c": set()}, costs, transfer_us=2.0)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from graphutil import build_prune_plan, graphs_equal
-from tinydeploy.cli import main
+from tinydeploy.cli import _parse_schedule, build_parser, main
 from tinydeploy.data_files import load_profile
 from tinydeploy.datasets import generate_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
@@ -16,8 +17,9 @@ from tinydeploy.graph import validate
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
 from tinydeploy.model_io import load_model, save_model
+from tinydeploy.models import BUNDLED_MODELS, build_bundled_model
 from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
-from tinydeploy.pruning import export_checkpoint, materialize
+from tinydeploy.pruning import DEFAULT_SCHEDULE, export_checkpoint, materialize
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +249,29 @@ def test_example_config_loads():
     assert config.calibration_samples == 32
 
 
+def test_shared_defaults_agree(tmp_path):
+    meta = json.loads((generate_dataset(tmp_path / "ds", num_samples=1) / "meta.json").read_text())
+    for name in BUNDLED_MODELS:
+        graph = build_bundled_model(name)
+        assert list(graph.tensors[graph.graph_inputs[0]].shape) == meta["shape"]
+        assert graph.tensors[graph.graph_outputs[0]].shape == (1, meta["num_classes"])
+    config = PipelineConfig("m", "d", "o")
+
+    def defaults(*argv):
+        return build_parser().parse_args(list(argv))
+
+    calibrate = defaults("calibrate", "--model", "m", "--dataset", "d", "--out", "o")
+    assert (calibrate.samples, calibrate.seed) == (config.calibration_samples, config.seed)
+    downlink = defaults("simulate-downlink", "--out", "o")
+    assert (downlink.link, downlink.threshold, downlink.bytes_per_sample) == (
+        config.link_budget, config.confidence_threshold, config.bytes_per_sample)
+    prune = defaults("prune-stage", "--model", "m", "--plan", "p", "--out-masked", "o")
+    assert _parse_schedule(prune.schedule) == config.prune.schedule == list(DEFAULT_SCHEDULE)
+    assets = defaults("make-assets", "--out", "o")
+    params = inspect.signature(generate_dataset).parameters
+    assert (assets.samples, assets.seed) == (params["num_samples"].default, meta["seed"])
+
+
 # --- CLI -------------------------------------------------------------------
 
 
@@ -452,10 +477,10 @@ def test_cli_downlink_matches_library(assets, tmp_path):
     records = read_records_csv(records_csv)
     ground = read_records_csv(ground_csv)
     lib_report = simulate(
-        DownlinkScenario(len(records), 12288.0, 0.95, records, ground),
+        DownlinkScenario(12288.0, 0.95, records, ground),
         LinkBudget("sband-256k", 256000, 4, 600.0),
     )
-    assert cli_report == lib_report.to_json()
+    assert cli_report == asdict(lib_report)
 
 
 def test_cli_downlink_scenario_json(assets, tmp_path):
@@ -736,6 +761,18 @@ def _drop_group(plan: dict, group: list[str]) -> None:
         del plan["assignment"][nid]
 
 
+def _scale_timeline(plan: dict, factor: float) -> None:
+    for entry in plan["timeline"]:
+        entry["start_us"] *= factor
+        entry["end_us"] *= factor
+
+
+def _start_at_zero(plan: dict, gid: str) -> None:
+    """Move group `gid`'s timeline entry to start at 0 us, keeping its duration."""
+    entry = next(e for e in plan["timeline"] if e["group"] == gid)
+    entry["start_us"], entry["end_us"] = 0.0, entry["end_us"] - entry["start_us"]
+
+
 def _rename_node(plan: dict, old: str, new: str) -> None:
     """Rename node `old` to `new` in the plan, as the first node of its group."""
     text = json.dumps(plan).replace(f'"{old}"', f'"{new}"').replace(f'"{old}+', f'"{new}+')
@@ -844,6 +881,12 @@ MALFORMED_INPUTS = {
     "plan_leaves_out_node": (
         lambda m, t: _plan_edited(m, t, lambda p: _drop_group(p, ["conv1", "conv1_relu"])),
         "model node conv1 is in no plan group; wrong model?"),
+    "plan_timeline_scaled": (
+        lambda m, t: _plan_edited(m, t, lambda p: _scale_timeline(p, 0.01)),
+        "timeline group conv1+conv1_relu lasts "),
+    "plan_group_before_its_input": (
+        lambda m, t: _plan_edited(m, t, lambda p: _start_at_zero(p, "pool1")),
+        "timeline group pool1 starts at 0 us, before its input from conv1+conv1_relu"),
     "plan_arena_negative": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"].update(arena_peak_bytes=-5)),
         "memory_plan arena_peak_bytes -5 is negative"),

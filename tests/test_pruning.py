@@ -42,7 +42,6 @@ from tinydeploy.pruning import (
     materialize,
     new_plan,
     plan_next_stage,
-    prunable_layers,
     rank_filters,
 )
 from tinydeploy.quantization import QuantizationError, quantize_graph
@@ -209,7 +208,7 @@ def test_topology_preserved():
 
 
 def test_classifier_and_branch_layers_excluded(small_convnet):
-    layers = prunable_layers(small_convnet)
+    layers = new_plan(small_convnet).original_counts
     assert "fc" not in layers  # feeds Softmax
     assert set(layers) == {"conv1", "conv2", "conv3"}
 
@@ -232,7 +231,7 @@ def test_add_feeding_layer_excluded():
     ]
     g = make_graph("res", nodes, tensors, ["in"], ["probs"])
     # c1 feeds the Add both directly and through c2; c2 feeds it directly
-    assert prunable_layers(g) == []
+    assert new_plan(g).original_counts == {}
 
 
 def test_depthwise_propagation(dwsep_net):
@@ -391,7 +390,7 @@ def test_transformations_keep_consistent_shapes(request, model):
 def test_pruning_infers_shapes_at_most_twice(validations, small_convnet, call):
     # Only materialize makes a graph with new shapes, so only it validates
     # (once, inside infer_shapes); the others read the graph's own shapes.
-    assert len(prunable_layers(small_convnet)) >= 3
+    assert len(new_plan(small_convnet).original_counts) >= 3
     staged = plan_next_stage(small_convnet, new_plan(small_convnet, [0.25, 0.25]))
     validations.clear()
     run, passes = {

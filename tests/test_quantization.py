@@ -39,13 +39,6 @@ def test_asymmetric_qparams_example():
     assert qp.scale * (qp.zero_point - qp.zero_point) == 0.0
 
 
-def test_symmetric_qparams_example():
-    qp = compute_qparams(TensorRange("t", -2.54, 2.2), mode="symmetric")
-    assert qp.scale == pytest.approx(2.54 / 127, abs=1e-12)
-    assert qp.scale == pytest.approx(0.02, abs=1e-12)
-    assert qp.zero_point == 0
-
-
 def test_overflow_wide_range_rejected():
     with pytest.raises(QuantizationError, match="too wide"):
         compute_qparams(TensorRange("t", -1e308, 1e308))
@@ -53,8 +46,6 @@ def test_overflow_wide_range_rejected():
 
 def test_degenerate_zero_range_convention():
     qp = compute_qparams(TensorRange("t", 0.0, 0.0))
-    assert (qp.scale, qp.zero_point) == (1.0, 0)
-    qp = compute_qparams(TensorRange("t", 0.0, 0.0), mode="symmetric")
     assert (qp.scale, qp.zero_point) == (1.0, 0)
 
 
