@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Each subcommand wraps one pipeline stage with file-based inputs and
-outputs so stages can interleave with external fine-tuning between
-prune-stage invocations; `run` chains them from a single JSON config.
+Each stage subcommand is a thin file wrapper around the pipeline stage
+function that `run` calls: it loads the input files and the stage writes
+the outputs, so stages can interleave with external fine-tuning between
+prune-stage invocations. `run` chains the stages in memory from a single
+JSON config.
 Exit code 0 on success, 1 with a stage-tagged diagnostic on failure.
 """
 from __future__ import annotations
@@ -12,13 +14,17 @@ import sys
 from pathlib import Path
 
 from . import pipeline
+from .costmodel import CostEstimate
 from .data_files import resolve_path
-from .datasets import DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, synthetic_samples
+from .datasets import (
+    DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, load_dataset, synthetic_samples,
+)
 from .downlink import DownlinkError
-from .model_io import NUMBER, _field, load_model, read_json, save_model
+from .executor import ExecutionError, ranges_from_json, read_records_csv, top1_accuracy
+from .model_io import NUMBER, _field, decode, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
-from .pipeline import MINIMUM, PipelineConfig, PipelineError
-from .pruning import DEFAULT_SCHEDULE
+from .pipeline import MINIMUM, REPORTED, PipelineConfig, PipelineError
+from .pruning import DEFAULT_SCHEDULE, Checkpoint, PrunePlan, new_plan
 
 
 def _parse_schedule(text: str) -> list[float]:
@@ -58,19 +64,27 @@ def _cmd_validate_model(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    count, accuracy = pipeline.stage_evaluate(args.model, resolve_path(args.dataset), args.out)
-    print(f"{count} samples, top-1 accuracy {accuracy:.4f}")
+    records, accuracy = pipeline.stage_evaluate(
+        load_model(args.model), load_dataset(resolve_path(args.dataset)), args.out
+    )
+    print(f"{len(records)} samples, top-1 accuracy {accuracy:.4f}")
     return 0
 
 
 def _cmd_prune_stage(args) -> int:
-    plan = pipeline.stage_prune_step(
-        args.model,
-        args.plan,
+    graph = load_model(args.model)
+    plan_path = Path(args.plan)
+    if plan_path.exists():
+        plan = PrunePlan.load(plan_path)
+    else:
+        plan = new_plan(graph, _parse_schedule(args.schedule))
+    plan, *_ = pipeline.stage_prune_step(
+        graph,
+        plan,
+        plan_path,
         args.out_masked,
-        _parse_schedule(args.schedule),
         out_pruned=args.out_pruned,
-        checkpoint_in=args.checkpoint_in,
+        checkpoint_in=Checkpoint.load(args.checkpoint_in) if args.checkpoint_in else None,
         checkpoint_out=args.checkpoint_out,
         expect_stage=args.stage,
     )
@@ -84,21 +98,23 @@ def _cmd_prune_stage(args) -> int:
 def _cmd_calibrate(args) -> int:
     _at_least("calibrate", "--samples", args.samples, MINIMUM["calibration_samples"])
     _at_least("calibrate", "--seed", args.seed, MINIMUM["seed"])
-    used = pipeline.stage_calibrate(
-        args.model, resolve_path(args.dataset), args.samples, args.seed, args.out
+    _, used = pipeline.stage_calibrate(
+        load_model(args.model), load_dataset(resolve_path(args.dataset)), args.samples,
+        args.seed, args.out,
     )
     print(f"calibrated on {used} samples -> {args.out}")
     return 0
 
 
 def _cmd_quantize(args) -> int:
-    pipeline.stage_quantize(args.model, args.ranges, args.out)
+    ranges = ranges_from_json(read_json(args.ranges, ExecutionError))
+    pipeline.stage_quantize(load_model(args.model), ranges, args.out)
     print(f"quantized model written to {args.out}")
     return 0
 
 
 def _cmd_map(args) -> int:
-    plan = pipeline.stage_map(args.model, args.profile, args.out, args.report)
+    plan = pipeline.stage_map(load_model(args.model), args.profile, args.out, args.report)
     print(
         f"plan: {len(plan.fused_groups)} groups, makespan {plan.makespan_us:.1f} us, "
         f"arena peak {plan.memory_plan.arena_peak_bytes} B"
@@ -136,12 +152,12 @@ def _cmd_simulate_downlink(args) -> int:
         print("error: no records CSV given (flag --records or scenario file)", file=sys.stderr)
         return 1
     report = pipeline.stage_downlink(
-        records,
+        read_records_csv(records),
         args.link,
         threshold,
         bps,
         args.out,
-        ground_csv=ground,
+        ground=read_records_csv(ground) if ground else None,
         out_text=args.summary,
     )
     print(report.summary(), end="")
@@ -150,8 +166,23 @@ def _cmd_simulate_downlink(args) -> int:
 
 def _cmd_report(args) -> int:
     config = PipelineConfig.load(args.config)
-    report = pipeline.stage_report(args.run_dir, config)
-    print(f"report written to {Path(args.run_dir) / 'report.json'}")
+    run_dir = Path(args.run_dir)
+    stages = {}
+    for stage in REPORTED:
+        model_path = run_dir / f"model_{stage}.json"
+        if model_path.exists():
+            records = run_dir / f"eval_{stage}.csv"
+            stages[stage] = load_model(model_path), top1_accuracy(read_records_csv(records))
+        elif stage == "pruned":  # only pruning may be skipped
+            stages[stage] = None
+        else:
+            raise PipelineError(f"{model_path}: no {stage} model to report on")
+    estimate_path = run_dir / "cost_estimate.json"
+    est = decode(CostEstimate, read_json(estimate_path, PipelineError), str(estimate_path),
+                 PipelineError)
+    downlink = read_json(run_dir / "downlink_report.json", PipelineError)
+    pipeline.stage_report(run_dir, config, stages, est, downlink)
+    print(f"report written to {run_dir / 'report.json'}")
     return 0
 
 

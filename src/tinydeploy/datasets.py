@@ -104,7 +104,7 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     columns = {"sample_id": str, "file": str, "label": int}
     samples = []
     first_line: dict[str, int] = {}
-    for line, row in enumerate(read_csv(path / "index.csv", columns, DatasetError), start=2):
+    for line, row in read_csv(path / "index.csv", columns, DatasetError):
         first = first_line.setdefault(row["sample_id"], line)
         if first != line:
             raise DatasetError(

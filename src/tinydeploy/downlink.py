@@ -64,6 +64,13 @@ class DownlinkScenario:
             ground_ids = {r.sample_id for r in self.ground_records}
             if onboard_ids != ground_ids:
                 raise DownlinkError("onboard and ground records cover different sample sets")
+            ground_labels = {r.sample_id: r.true_label for r in self.ground_records}
+            for r in self.onboard_records:
+                if ground_labels[r.sample_id] != r.true_label:
+                    raise DownlinkError(
+                        f"sample id {r.sample_id!r}: ground true_label "
+                        f"{ground_labels[r.sample_id]} != onboard true_label {r.true_label}"
+                    )
 
 
 @dataclass

@@ -954,8 +954,12 @@ def evaluate(
                     true_label=labels[len(records)],
                 )
             )
-    accuracy = float(np.mean([r.correct for r in records])) if records else 0.0
-    return records, accuracy
+    return records, top1_accuracy(records)
+
+
+def top1_accuracy(records: Sequence[InferenceRecord]) -> float:
+    """The share of records whose predicted class is the true label."""
+    return float(np.mean([r.correct for r in records])) if records else 0.0
 
 
 RECORD_FIELDS = ("sample_id", "predicted_class", "confidence", "true_label", "correct")
@@ -968,13 +972,29 @@ def write_records_csv(records: Sequence[InferenceRecord], path: str | Path) -> N
 
 
 def read_records_csv(path: str | Path) -> list[InferenceRecord]:
-    """Records written by write_records_csv (its `correct` column is derived).
+    """Records written by write_records_csv.
 
-    A missing column or a value that is not a number raises ExecutionError
-    naming the file, the line and the column.
+    A missing column, a value that is not a number, a negative class or
+    label, or a `correct` that is not `int(predicted_class == true_label)`
+    raises ExecutionError naming the file, the line and the column.
     """
-    columns = {"sample_id": str, "predicted_class": int, "confidence": float, "true_label": int}
-    return [InferenceRecord(**row) for row in read_csv(path, columns, ExecutionError)]
+    columns = {"sample_id": str, "predicted_class": int, "confidence": float, "true_label": int,
+               "correct": int}
+    records = []
+    for line, row in read_csv(path, columns, ExecutionError):
+        where = f"{path} line {line}: column"
+        for key in ("predicted_class", "true_label"):
+            if row[key] < 0:
+                raise ExecutionError(f"{where} {key!r}: {row[key]} is negative")
+        correct = row.pop("correct")
+        record = InferenceRecord(**row)
+        if correct != record.correct:
+            raise ExecutionError(
+                f"{where} 'correct': {correct} is not {int(record.correct)} "
+                f"(predicted_class {record.predicted_class}, true_label {record.true_label})"
+            )
+        records.append(record)
+    return records
 
 
 def write_records_json(records: Sequence[InferenceRecord], path: str | Path) -> None:

@@ -250,8 +250,9 @@ def read_json(path: str | Path, error: type[Exception]):
 
 def read_csv(
     path: str | Path, columns: dict[str, Callable], error: type[Exception]
-) -> list[dict]:
-    """The rows of a CSV file with a header line, as dicts of `columns`.
+) -> list[tuple[int, dict]]:
+    """The rows of a CSV file with a header line, as (line number, dict of
+    `columns`) pairs.
 
     Each column's value is converted by its function (str, int, float).
     A missing column, a short row or a value that does not convert raises
@@ -276,7 +277,7 @@ def read_csv(
                         f"{path} line {reader.line_num}: column {key!r}: "
                         f"{value!r} is not {convert.__name__}"
                     ) from None
-            rows.append(out)
+            rows.append((reader.line_num, out))
     return rows
 
 

@@ -1,15 +1,21 @@
 """End-to-end pipeline: load -> baseline eval -> staged pruning with
-checkpoint round-trips -> calibrate -> quantize -> map -> estimate ->
-downlink simulation -> combined report.
+checkpoint export -> calibrate -> quantize -> map -> estimate -> downlink
+simulation -> combined report.
 
-Every stage is a file-in/file-out function shared between run_pipeline
-and the CLI subcommands, so running the stages one file at a time is
+`run_pipeline` reads the config's model and dataset once and hands each
+stage the objects it needs in memory: every stage function takes graphs,
+samples, ranges, a plan or records, writes its artifacts and returns the
+objects it made, so no stage reads a file the run wrote. The CLI
+subcommands are thin wrappers that load their input files and call the
+same stage functions, so running the stages one file at a time is
 bit-identical to the monolithic run (given no external fine-tuning).
 All randomness (calibration subset sampling) derives from the config
 seed; re-running a config produces byte-identical output trees.
 """
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
@@ -19,21 +25,19 @@ import numpy as np
 from . import costmodel, model_io
 from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import load_dataset
-from .downlink import DownlinkScenario, simulate
+from .downlink import DownlinkReport, DownlinkScenario, simulate
 from .executor import (
-    ExecutionError,
+    InferenceRecord,
     calibrate,
     evaluate,
-    ranges_from_json,
     ranges_to_json,
-    read_records_csv,
     write_records_csv,
     write_records_json,
 )
-from .graph import parameter_count
+from .graph import GraphIR, parameter_count
 from .mapping import (
-    MappingError, build_deployment_plan, group_dependencies, load_plan, render_report,
-    tensor_lifetimes, verify_memory_plan, verify_timeline,
+    DeploymentPlan, MappingError, build_deployment_plan, group_dependencies, load_plan,
+    render_report, tensor_lifetimes, verify_memory_plan, verify_timeline,
 )
 from .model_io import load_model, save_model
 from .pruning import (
@@ -48,6 +52,8 @@ from .pruning import (
     plan_next_stage,
 )
 from .quantization import quantize_graph
+
+log = logging.getLogger(__name__)
 
 
 def _config_form(value, kind):
@@ -122,79 +128,75 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# stage functions (file in, file out)
+# stage functions (objects in, objects out; each writes its artifacts)
 
 
-def stage_evaluate(model_path, dataset_path, out_prefix) -> tuple[int, float]:
-    """Evaluate a model on a dataset; writes <prefix>.csv and <prefix>.json."""
-    graph = load_model(model_path)
-    samples = load_dataset(dataset_path)
+def stage_evaluate(graph: GraphIR, samples, out_prefix) -> tuple[list[InferenceRecord], float]:
+    """Evaluate a graph on samples; writes <prefix>.csv and <prefix>.json
+    and returns the records and their top-1 accuracy."""
     records, accuracy = evaluate(graph, samples)
     out_prefix = Path(out_prefix)
     write_records_csv(records, out_prefix.with_suffix(".csv"))
     write_records_json(records, out_prefix.with_suffix(".json"))
-    return len(records), accuracy
+    return records, accuracy
 
 
 def stage_prune_step(
-    model_in,
-    plan_path,
+    graph: GraphIR,
+    plan: PrunePlan,
+    out_plan,
     out_masked,
-    schedule,
     out_pruned=None,
-    checkpoint_in=None,
+    checkpoint_in: Checkpoint | None = None,
     checkpoint_out=None,
     expect_stage: int | None = None,
-) -> PrunePlan:
+) -> tuple[PrunePlan, GraphIR, Checkpoint | None, GraphIR | None]:
     """One prune iteration: rank, extend the plan, mask, export checkpoint.
 
     `checkpoint_in` imports externally fine-tuned weights before ranking.
     When the plan reaches its last scheduled stage and `out_pruned` is
-    given, masks are made permanent into a materialized model.
+    given, masks are made permanent into a materialized model. Returns
+    the extended plan, the masked graph, the checkpoint written to
+    `checkpoint_out` and the materialized graph (None when not written).
     """
-    graph = load_model(model_in)
-    plan_path = Path(plan_path)
-    if plan_path.exists():
-        plan = PrunePlan.load(plan_path)
-    else:
-        plan = new_plan(graph, schedule)
     if expect_stage is not None and len(plan.stages) != expect_stage:
         raise PipelineError(
             f"prune plan at stage {len(plan.stages)}, expected {expect_stage}"
         )
     if checkpoint_in is not None:
-        graph = import_checkpoint(graph, Checkpoint.load(checkpoint_in))
+        graph = import_checkpoint(graph, checkpoint_in)
     plan = plan_next_stage(graph, plan)
     masked = apply_masks(graph, plan)
-    plan.save(plan_path)
+    plan.save(out_plan)
     save_model(masked, out_masked)
+    checkpoint = pruned = None
     if checkpoint_out is not None:
-        export_checkpoint(masked).save(checkpoint_out)
+        checkpoint = export_checkpoint(masked)
+        checkpoint.save(checkpoint_out)
     if plan.complete and out_pruned is not None:
-        save_model(materialize(masked, plan), out_pruned)
-    return plan
+        pruned = materialize(masked, plan)
+        save_model(pruned, out_pruned)
+    return plan, masked, checkpoint, pruned
 
 
-def stage_calibrate(model_path, dataset_path, num_samples, seed, out_json) -> int:
-    """Calibration ranges over a seeded subset of the dataset."""
-    graph = load_model(model_path)
-    samples = load_dataset(dataset_path)
+def stage_calibrate(graph: GraphIR, samples, num_samples, seed, out_json) -> tuple[dict, int]:
+    """Calibration ranges over a seeded subset of the samples; returns the
+    ranges and the number of samples they were taken over."""
     num_samples = min(int(num_samples), len(samples))
     rng = np.random.default_rng(seed)
     picked = sorted(rng.choice(len(samples), size=num_samples, replace=False).tolist())
     ranges = calibrate(graph, [samples[i][1] for i in picked])
     model_io.write_json(out_json, ranges_to_json(ranges))
-    return num_samples
+    return ranges, num_samples
 
 
-def stage_quantize(model_path, ranges_json, out_model) -> None:
-    graph = load_model(model_path)
-    ranges = ranges_from_json(model_io.read_json(ranges_json, ExecutionError))
-    save_model(quantize_graph(graph, ranges), out_model)
+def stage_quantize(graph: GraphIR, ranges, out_model) -> GraphIR:
+    quantized = quantize_graph(graph, ranges)
+    save_model(quantized, out_model)
+    return quantized
 
 
-def stage_map(model_path, profile_ref, out_plan, out_text=None):
-    graph = load_model(model_path)
+def stage_map(graph: GraphIR, profile_ref, out_plan, out_text=None) -> DeploymentPlan:
     profile = load_profile(profile_ref)
     plan = build_deployment_plan(graph, profile)
     plan.save(out_plan)
@@ -203,16 +205,23 @@ def stage_map(model_path, profile_ref, out_plan, out_text=None):
     return plan
 
 
-def stage_estimate(model_path, plan_path, profile_ref, out_json):
+def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate:
     """Cost-estimate a plan on the profile it was built for, once its
     timeline is found to be a schedule of the model's modelled group costs
     (`verify_timeline`) and its slots the model's arena tensors, none
-    overlapping."""
-    graph = load_model(model_path)
-    plan = load_plan(plan_path)
+    overlapping.
+
+    `graph` and `plan` may also be the paths of a saved model and plan, as
+    the `estimate` subcommand passes them; errors then name the plan file.
+    """
+    if isinstance(graph, (str, Path)):
+        graph = load_model(graph)
+    source = "plan"
+    if isinstance(plan, (str, Path)):
+        source, plan = f"plan {plan}", load_plan(plan)
     profile = load_profile(profile_ref)
     if profile.name != plan.profile:
-        raise MappingError(f"plan {plan_path} was built for profile {plan.profile!r}, "
+        raise MappingError(f"{source} was built for profile {plan.profile!r}, "
                            f"not {profile.name!r}")
     est = costmodel.estimate_deployment(plan, graph, profile)
     verify_timeline(plan.timeline, group_dependencies(graph, plan.fused_groups),
@@ -220,7 +229,7 @@ def stage_estimate(model_path, plan_path, profile_ref, out_json):
     lifetimes = tensor_lifetimes(graph, plan.timeline, plan.fused_groups)
     need = {lt.tensor_id: lt.size for lt in lifetimes}
     have = {tid: slot.size for tid, slot in plan.memory_plan.tensors.items()}
-    where = f"plan {plan_path}: memory_plan"
+    where = f"{source}: memory_plan"
     for tid in sorted(need.keys() | have.keys()):
         if tid not in have:
             raise MappingError(f"{where} has no slot for arena tensor {tid}")
@@ -234,16 +243,14 @@ def stage_estimate(model_path, plan_path, profile_ref, out_json):
 
 
 def stage_downlink(
-    records_csv,
+    records,
     link_ref,
     threshold,
     bytes_per_sample,
     out_json,
-    ground_csv=None,
+    ground=None,
     out_text=None,
-):
-    records = read_records_csv(records_csv)
-    ground = read_records_csv(ground_csv) if ground_csv else None
+) -> DownlinkReport:
     link = load_link_budget(link_ref)
     scenario = DownlinkScenario(
         bytes_per_sample=float(bytes_per_sample),
@@ -258,61 +265,43 @@ def stage_downlink(
     return report
 
 
-# ---------------------------------------------------------------------------
-# orchestration
+# The model stages a report covers; only "pruned" may be missing.
+REPORTED = ("float", "pruned", "quantized")
 
 
-def _accuracy_from_csv(path: Path) -> float:
-    records = read_records_csv(path)
-    return float(np.mean([r.correct for r in records])) if records else 0.0
+def stage_report(out_dir, config: PipelineConfig, stages: dict, est: costmodel.CostEstimate,
+                 downlink: dict) -> dict:
+    """Combine the stage results into report.json / report.csv / plot data.
 
-
-def stage_report(out_dir, config: PipelineConfig) -> dict:
-    """Combine stage artifacts into report.json / report.csv / plot data."""
+    `stages` maps each of REPORTED to its (graph, top-1 accuracy), or None
+    for a skipped pruning; `downlink` is the downlink report's JSON form.
+    """
     out = Path(out_dir)
     profile = load_profile(config.hardware_profile)
-
-    stages: dict[str, dict | None] = {}
-    for stage, model_file, eval_prefix in (
-        ("float", "model_float", "eval_float"),
-        ("pruned", "model_pruned", "eval_pruned"),
-        ("quantized", "model_quantized", "eval_quantized"),
-    ):
-        model_path = out / f"{model_file}.json"
-        if not model_path.exists():
-            if stage != "pruned":  # only pruning may be skipped
-                raise PipelineError(f"{model_path}: no {stage} model to report on")
-            stages[stage] = None
-            continue
-        graph = load_model(model_path)
-        if stage == "float":
-            model_name = graph.name
-        stages[stage] = {
-            "accuracy": _accuracy_from_csv(out / f"{eval_prefix}.csv"),
-            "parameters": parameter_count(graph),
-            "flash_bytes": costmodel.flash_bytes(graph, profile),
+    entries: dict[str, dict | None] = {
+        stage: None if stages[stage] is None else {
+            "accuracy": stages[stage][1],
+            "parameters": parameter_count(stages[stage][0]),
+            "flash_bytes": costmodel.flash_bytes(stages[stage][0], profile),
         }
-
-    estimate_path = out / "cost_estimate.json"
-    est = model_io.decode(costmodel.CostEstimate, model_io.read_json(estimate_path, PipelineError),
-                          str(estimate_path), PipelineError)
-    downlink_report = model_io.read_json(out / "downlink_report.json", PipelineError)
-    float_flash = stages["float"]["flash_bytes"]
-    quant_flash = stages["quantized"]["flash_bytes"]
+        for stage in REPORTED
+    }
+    float_flash = entries["float"]["flash_bytes"]
+    quant_flash = entries["quantized"]["flash_bytes"]
     report = {
-        "model": model_name,
+        "model": stages["float"][0].name,
         "config": asdict(config),
-        "stages": stages,
+        "stages": entries,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),
         "deployment": asdict(est),
-        "downlink": downlink_report,
+        "downlink": downlink,
     }
 
     dataset_name = Path(config.dataset).name
     rows = [["model", "dataset", "stage", "accuracy", "parameters", "flash_bytes",
              "ram_peak_bytes", "latency_ms", "energy_mj"]]
-    for stage in ("float", "pruned", "quantized"):
-        entry = stages[stage]
+    for stage in REPORTED:
+        entry = entries[stage]
         if entry is None:
             continue
         deployed = stage == "quantized"
@@ -333,18 +322,35 @@ def stage_report(out_dir, config: PipelineConfig) -> dict:
     return report
 
 
+# ---------------------------------------------------------------------------
+# orchestration
+
+
+@dataclass
+class Run:
+    """One run in progress: where it writes, its config and samples, and
+    every object a stage made, keyed by the stem of the file the stage
+    wrote it to ("model_pruned", "eval_float", "deployment_plan", ...)."""
+
+    out: Path
+    config: PipelineConfig
+    samples: list
+    made: dict[str, object]
+
+
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage.
 
     `outputs` are the glob patterns of the artifacts the stage writes into
-    the output directory; `run(out, config, dataset)` writes them. Stages
-    marked `pruning` are skipped when the config sets `prune.skip`.
+    the output directory; `run(run)` writes them and returns the objects it
+    made, by file stem, for `Run.made`. Stages marked `pruning` are
+    skipped when the config sets `prune.skip`.
     """
 
     name: str
     outputs: tuple[str, ...]
-    run: Callable[[Path, PipelineConfig, Path], object]
+    run: Callable[[Run], dict[str, object]]
     pruning: bool = False
 
 
@@ -353,26 +359,33 @@ class Stage:
 
 
 def _evaluate(model: str, prefix: str):
-    return lambda out, cfg, ds: stage_evaluate(out / f"{model}.json", ds, out / prefix)
+    return lambda r: {prefix: stage_evaluate(r.made[model], r.samples, r.out / prefix)}
 
 
-def _prune(out: Path, config: PipelineConfig, dataset: Path) -> None:
-    n_stages = len(config.prune.schedule)
-    for k in range(1, n_stages + 1):
-        stage_prune_step(
-            out / ("model_float.json" if k == 1 else f"model_masked_stage{k-1}.json"),
-            out / "prune_plan.json",
-            out / f"model_masked_stage{k}",
-            config.prune.schedule,
-            out_pruned=(out / "model_pruned") if k == n_stages else None,
-            # Identity fine-tuning: re-import the unmodified checkpoint.
-            checkpoint_in=(out / f"checkpoint_stage{k-1}.json") if k > 1 else None,
-            checkpoint_out=out / f"checkpoint_stage{k}",
+def _prune(r: Run) -> dict[str, object]:
+    schedule = r.config.prune.schedule
+    graph = r.made["model_float"]
+    plan, checkpoint = new_plan(graph, schedule), None
+    for k in range(1, len(schedule) + 1):
+        plan, graph, checkpoint, pruned = stage_prune_step(
+            graph, plan, r.out / "prune_plan.json", r.out / f"model_masked_stage{k}",
+            out_pruned=(r.out / "model_pruned") if k == len(schedule) else None,
+            # Identity fine-tuning: re-import the checkpoint just exported, unmodified.
+            checkpoint_in=checkpoint,
+            checkpoint_out=r.out / f"checkpoint_stage{k}",
         )
+    return {"model_pruned": pruned}
 
 
-def _quant_source(out: Path, config: PipelineConfig) -> Path:
-    return out / ("model_float.json" if config.prune.skip else "model_pruned.json")
+def _quant_source(r: Run) -> GraphIR:
+    return r.made["model_float" if r.config.prune.skip else "model_pruned"]
+
+
+def _report(r: Run) -> dict[str, object]:
+    stages = {stage: (r.made[f"model_{stage}"], r.made[f"eval_{stage}"][1])
+              if f"model_{stage}" in r.made else None for stage in REPORTED}
+    return {"report": stage_report(r.out, r.config, stages, r.made["cost_estimate"],
+                                   asdict(r.made["downlink_report"]))}
 
 
 STAGES = (
@@ -381,25 +394,29 @@ STAGES = (
                     "model_pruned.*"), _prune, pruning=True),
     Stage("evaluate-pruned", ("eval_pruned.*",), _evaluate("model_pruned", "eval_pruned"),
           pruning=True),
-    Stage("calibrate", ("calibration_ranges.json",), lambda out, cfg, ds: stage_calibrate(
-        _quant_source(out, cfg), ds, cfg.calibration_samples, cfg.seed,
-        out / "calibration_ranges.json")),
-    Stage("quantize", ("model_quantized.*",), lambda out, cfg, ds: stage_quantize(
-        _quant_source(out, cfg), out / "calibration_ranges.json", out / "model_quantized")),
+    Stage("calibrate", ("calibration_ranges.json",), lambda r: {
+        "calibration_ranges": stage_calibrate(
+            _quant_source(r), r.samples, r.config.calibration_samples, r.config.seed,
+            r.out / "calibration_ranges.json")[0]}),
+    Stage("quantize", ("model_quantized.*",), lambda r: {
+        "model_quantized": stage_quantize(
+            _quant_source(r), r.made["calibration_ranges"], r.out / "model_quantized")}),
     Stage("evaluate-quantized", ("eval_quantized.*",),
           _evaluate("model_quantized", "eval_quantized")),
-    Stage("map", ("deployment_plan.*",), lambda out, cfg, ds: stage_map(
-        out / "model_quantized.json", cfg.hardware_profile,
-        out / "deployment_plan.json", out / "deployment_plan.txt")),
-    Stage("estimate", ("cost_estimate.json",), lambda out, cfg, ds: stage_estimate(
-        out / "model_quantized.json", out / "deployment_plan.json",
-        cfg.hardware_profile, out / "cost_estimate.json")),
-    Stage("simulate-downlink", ("downlink_report.*",), lambda out, cfg, ds: stage_downlink(
-        out / "eval_quantized.csv", cfg.link_budget, cfg.confidence_threshold,
-        cfg.bytes_per_sample, out / "downlink_report.json",
-        ground_csv=out / "eval_float.csv", out_text=out / "downlink_report.txt")),
-    Stage("report", ("report.json", "report.csv", "plot_latency_energy.csv"),
-          lambda out, cfg, ds: stage_report(out, cfg)),
+    Stage("map", ("deployment_plan.*",), lambda r: {
+        "deployment_plan": stage_map(
+            r.made["model_quantized"], r.config.hardware_profile,
+            r.out / "deployment_plan.json", r.out / "deployment_plan.txt")}),
+    Stage("estimate", ("cost_estimate.json",), lambda r: {
+        "cost_estimate": stage_estimate(
+            r.made["model_quantized"], r.made["deployment_plan"], r.config.hardware_profile,
+            r.out / "cost_estimate.json")}),
+    Stage("simulate-downlink", ("downlink_report.*",), lambda r: {
+        "downlink_report": stage_downlink(
+            r.made["eval_quantized"][0], r.config.link_budget, r.config.confidence_threshold,
+            r.config.bytes_per_sample, r.out / "downlink_report.json",
+            ground=r.made["eval_float"][0], out_text=r.out / "downlink_report.txt")}),
+    Stage("report", ("report.json", "report.csv", "plot_latency_energy.csv"), _report),
 )
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
 
@@ -414,10 +431,13 @@ def _purge(out: Path) -> None:
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict | None:
     """Run the STAGES into config.output_dir; returns the combined report.
 
+    The model and the dataset are read once, in a "setup" step that also
+    writes model_float; the stages then hand each other what they made in
+    memory. Each stage's name and wall time are logged at INFO level.
     Artifacts left by an earlier run are purged first, so a rerun in place
     regenerates everything. `stop_after` ends the run after the named stage
     (see STAGE_ORDER) and returns None, even when that stage was skipped; a
-    stop after the last stage is a full run. A failing stage removes every
+    stop after the last stage is a full run. A failing step removes every
     artifact of the run and raises PipelineError tagged with its name.
     """
     if stop_after is not None and stop_after not in STAGE_ORDER:
@@ -433,14 +453,20 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict 
     _purge(out)
     name = "setup"
     try:
-        save_model(load_model(model_path), out / "model_float.json")
+        start = time.perf_counter()
+        graph = load_model(model_path)
+        save_model(graph, out / "model_float.json")
+        run = Run(out, config, load_dataset(dataset_path), {"model_float": graph})
+        log.info("%s took %.3f s", name, time.perf_counter() - start)
         for stage in STAGES:
             name = stage.name
             if not (stage.pruning and config.prune.skip):
-                result = stage.run(out, config, dataset_path)
+                start = time.perf_counter()
+                run.made.update(stage.run(run))
+                log.info("stage %s took %.3f s", name, time.perf_counter() - start)
             if name == stop_after:
                 break
     except Exception as exc:
         _purge(out)
         raise PipelineError(f"{name}: {exc}") from exc
-    return result if stage is STAGES[-1] else None
+    return run.made["report"] if stage is STAGES[-1] else None

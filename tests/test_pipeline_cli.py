@@ -1,13 +1,17 @@
 import inspect
 import json
+import logging
 import os
 import re
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from graphutil import build_prune_plan, graphs_equal
+from tinydeploy import executor, model_io, pipeline
 from tinydeploy.cli import _parse_schedule, build_parser, main
 from tinydeploy.data_files import load_profile
 from tinydeploy.datasets import generate_dataset
@@ -19,7 +23,9 @@ from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
 from tinydeploy.model_io import load_model, save_model
 from tinydeploy.models import BUNDLED_MODELS, build_bundled_model
 from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_pipeline
-from tinydeploy.pruning import DEFAULT_SCHEDULE, export_checkpoint, materialize
+from tinydeploy.pruning import (
+    DEFAULT_SCHEDULE, Checkpoint, PrunePlan, export_checkpoint, materialize, new_plan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +186,62 @@ def test_stop_after_stage(assets, tmp_path, stage, skip):
         if name == stage:
             break
     assert {p.name for p in out.iterdir()} == expected
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_run_reads_model_and_dataset_once(assets, tmp_path, monkeypatch, skip):
+    calls = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    # load_model reads its manifest through model_io.read_json too, so the
+    # JSON reads are counted on the module as pipeline sees it.
+    through = SimpleNamespace(**vars(model_io))
+    monkeypatch.setattr(pipeline, "model_io", through)
+    for owner, name in ((pipeline, "load_model"), (pipeline, "load_dataset"),
+                        (pipeline, "load_plan"), (executor, "read_records_csv"),
+                        (PrunePlan, "load"), (Checkpoint, "load"), (through, "read_json")):
+        count(owner, name)
+    run_pipeline(make_config(assets, tmp_path / "out", prune={"schedule": [0.1, 0.1], "skip": skip}))
+    assert dict(calls) == {"load_model": 1, "load_dataset": 1}
+
+
+def test_run_logs_each_stage_and_its_wall_time(assets, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger=pipeline.__name__)
+    run_pipeline(make_config(assets, tmp_path / "out"))
+    logged = [r.getMessage() for r in caplog.records if r.name == pipeline.__name__]
+    assert all(r.levelno == logging.INFO for r in caplog.records if r.name == pipeline.__name__)
+    assert [re.fullmatch(r"(?:stage )?(\S+) took \d+\.\d{3} s", m)[1] for m in logged] == [
+        "setup", *STAGE_ORDER]
+
+
+@pytest.mark.parametrize("model", BUNDLED_MODELS)
+def test_save_load_round_trip_is_identity_on_every_graph_the_run_hands_on(
+    request, tmp_path, test_samples, model
+):
+    """The run hands these graphs on in memory where it used to reload
+    them, which is only the same run if saving and loading changes nothing."""
+    graph, checkpoint = request.getfixturevalue(model), None
+    plan = new_plan(graph, DEFAULT_SCHEDULE)
+    handed_on = {}
+    for k in range(1, len(DEFAULT_SCHEDULE) + 1):
+        plan, graph, checkpoint, pruned = pipeline.stage_prune_step(
+            graph, plan, tmp_path / "plan.json", tmp_path / f"masked{k}",
+            out_pruned=tmp_path / "pruned", checkpoint_in=checkpoint,
+            checkpoint_out=tmp_path / f"checkpoint{k}")
+        handed_on[f"model_masked_stage{k}"] = graph
+    handed_on["model_pruned"] = pruned
+    ranges, _ = pipeline.stage_calibrate(pruned, test_samples, 32, 0, tmp_path / "ranges.json")
+    handed_on["model_quantized"] = pipeline.stage_quantize(pruned, ranges, tmp_path / "quantized")
+    for name, g in handed_on.items():
+        manifest, _ = save_model(g, tmp_path / f"{name}_round_trip")
+        assert graphs_equal(g, load_model(manifest)), name
 
 
 def test_config_rejects_unknown_keys(assets, tmp_path):
@@ -946,6 +1008,28 @@ MALFORMED_INPUTS = {
         lambda m, t: ["evaluate", "--model", str(m / "model.json"),
                       "--dataset", str(_dataset(t, _repeat_first_id)), "--out", str(t / "e")],
         "index.csv line 3: sample_id 's00000' repeats line 2"),
+    "records_negative_label": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns1,1,0.5,-1,0\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv line 3: column 'true_label': -1 is negative"),
+    "records_negative_class": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,-2,0.5,1,0\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv line 2: column 'predicted_class': -2 is negative"),
+    "records_correct_contradicts": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,7\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv line 2: column 'correct': 7 is not 1 (predicted_class 1, true_label 1)"),
+    "ground_labels_differ": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns1,0,0.5,0,1\n")),
+                      "--ground-records",
+                      str(_write(t / "g.csv", RECORDS_HEADER + "s0,2,0.9,2,1\ns1,1,0.9,1,1\n")),
+                      "--out", str(t / "d.json")],
+        "sample id 's0': ground true_label 2 != onboard true_label 1"),
     "records_duplicate_id": (
         lambda m, t: ["simulate-downlink", "--records",
                       str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns0,0,0.9,1,0\n")),
