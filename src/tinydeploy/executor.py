@@ -68,6 +68,7 @@ from .graph import (
     TensorSpec,
     checked_order,
     conv_output_hw,
+    fusable_relu,
     same_padding_amounts,
 )
 from .model_io import NUMBER, _field, csv_text, read_csv, write_files, write_json
@@ -722,14 +723,7 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
             steps.append(_step(nodes[grp[0]], _int8_kernel(g, nodes[grp[0]])))
             continue
         producer, relu = nodes[grp[0]], nodes[grp[-1]]
-        inner = producer.outputs[0]
-        if not (
-            len(grp) == 2
-            and producer.kind in WEIGHTED_OPS
-            and relu.kind == OpKind.RELU
-            and [c.id for c in consumers.get(inner, [])] == [relu.id]
-            and inner not in g.graph_outputs
-        ):
+        if len(grp) != 2 or fusable_relu(g, producer, consumers) is not relu:
             raise ExecutionError(f"fused group {group_id(grp)} is not a weighted op and "
                                  "the ReLU that alone reads its output")
         _assert_inherited(g, relu)
@@ -975,8 +969,9 @@ def read_records_csv(path: str | Path) -> list[InferenceRecord]:
     """Records written by write_records_csv.
 
     A missing column, a value that is not a number, a negative class or
-    label, or a `correct` that is not `int(predicted_class == true_label)`
-    raises ExecutionError naming the file, the line and the column.
+    label, a confidence outside [0, 1], or a `correct` that is not
+    `int(predicted_class == true_label)` raises ExecutionError naming the
+    file, the line and the column.
     """
     columns = {"sample_id": str, "predicted_class": int, "confidence": float, "true_label": int,
                "correct": int}
@@ -986,6 +981,8 @@ def read_records_csv(path: str | Path) -> list[InferenceRecord]:
         for key in ("predicted_class", "true_label"):
             if row[key] < 0:
                 raise ExecutionError(f"{where} {key!r}: {row[key]} is negative")
+        if not 0.0 <= row["confidence"] <= 1.0:
+            raise ExecutionError(f"{where} 'confidence': {row['confidence']} outside [0, 1]")
         correct = row.pop("correct")
         record = InferenceRecord(**row)
         if correct != record.correct:

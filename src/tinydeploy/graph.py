@@ -227,6 +227,20 @@ class GraphIR:
         return saw_int8
 
 
+def fusable_relu(
+    graph: GraphIR, node: OpNode, consumers: dict[str, list[OpNode]]
+) -> OpNode | None:
+    """The ReLU that `node` fuses with, or None: a weighted op fuses with
+    the ReLU that alone reads its output, when that output is not a graph
+    output. `consumers` is `graph.consumer_map()`."""
+    out = node.outputs[0]
+    readers = consumers.get(out, [])
+    if (node.kind in WEIGHTED_OPS and out not in graph.graph_outputs
+            and len(readers) == 1 and readers[0].kind == OpKind.RELU):
+        return readers[0]
+    return None
+
+
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)

@@ -1,33 +1,31 @@
 """Hardware-aware operator mapping.
 
 Partitions a quantized graph onto NPU/CPU by the profile's supported op
-set, fuses Conv2D/DepthwiseConv2D/FullyConnected with an immediately
-following ReLU (single consumer, same target), list-schedules the fused
-groups over the two resources with CPU/NPU overlap, and plans activation
-memory in a single arena with lifetime-based buffer reuse (greedy
-best-fit, tensors placed in descending size). Weights live in flash and
-never enter the arena; tensors internal to a fused group are never
-materialized.
+set, fuses Conv2D/DepthwiseConv2D/FullyConnected with the ReLU that alone
+reads its output (`graph.fusable_relu`, same target), list-schedules the
+fused groups over the two resources with CPU/NPU overlap, and plans
+activation memory in a single arena with lifetime-based buffer reuse
+(greedy best-fit, tensors placed in descending size). Weights live in
+flash and never enter the arena; tensors internal to a fused group are
+never materialized.
 
 A fused group is the list of its node ids; `costmodel.group_id` names it
 in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .costmodel import (
     CostEstimate,
-    GroupCost,
     _plan_estimate,
     estimate_group,
     flash_bytes,
     group_id,
     group_index,
 )
-from .graph import WEIGHTED_OPS, GraphIR, OpKind, topological_order
+from .graph import GraphIR, fusable_relu, topological_order
 from .hardware import HardwareProfile
 from .model_io import decode, read_json, write_json
 
@@ -80,9 +78,8 @@ def partition_and_fuse(
 ) -> tuple[dict[str, str], list[list[str]]]:
     """Assign each node to NPU iff its kind is supported, then fuse.
 
-    Fusion merges a weighted producer with an immediately following ReLU
-    when the intermediate tensor has exactly one consumer and both nodes
-    share a target. Groups are listed in topological order.
+    A weighted op fuses with its `graph.fusable_relu` when both share a
+    target. Groups are listed in topological order.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
@@ -95,19 +92,9 @@ def partition_and_fuse(
     order = topological_order(graph)
     fused_with: dict[str, str] = {}  # producer id -> relu id
     for nid in order:
-        node = nodes[nid]
-        if node.kind not in WEIGHTED_OPS:
-            continue
-        out = node.outputs[0]
-        outs = consumers.get(out, [])
-        if len(outs) != 1 or outs[0].kind != OpKind.RELU:
-            continue
-        if out in graph.graph_outputs:
-            continue
-        relu = outs[0]
-        if assignment[node.id] != assignment[relu.id]:
-            continue
-        fused_with[node.id] = relu.id
+        relu = fusable_relu(graph, nodes[nid], consumers)
+        if relu is not None and assignment[nid] == assignment[relu.id]:
+            fused_with[nid] = relu.id
 
     fused_relus = set(fused_with.values())
     groups = [
@@ -368,43 +355,6 @@ def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
                 )
 
 
-def verify_timeline(
-    timeline: list[TimelineEntry],
-    dependencies: dict[str, set[str]],
-    costs: list[GroupCost],
-    transfer_us: float,
-) -> None:
-    """Check that `timeline` schedules groups of these modelled `costs`.
-
-    Each entry must last its group's latency, start once every dependency
-    has ended (plus `transfer_us` when their targets differ), and share no
-    time with another entry on its target. Times compare by `math.isclose`.
-    """
-    entry = {e.group: e for e in timeline}
-    for cost in costs:
-        e = entry[cost.group]
-        if not math.isclose(e.end_us - e.start_us, cost.latency_us):
-            raise MappingError(f"timeline group {e.group} lasts {e.end_us - e.start_us:.10g} us, "
-                               f"not its modelled {cost.latency_us:.10g} us")
-    for gid, deps in dependencies.items():
-        for dep in sorted(deps):
-            ready = entry[dep].end_us
-            if entry[dep].target != entry[gid].target:
-                ready += transfer_us
-            if _earlier(entry[gid].start_us, ready):
-                raise MappingError(f"timeline group {gid} starts at {entry[gid].start_us:.10g} us, "
-                                   f"before its input from {dep} is ready at {ready:.10g} us")
-    for target in ("CPU", "NPU"):
-        spans = sorted((e.start_us, e.end_us, e.group) for e in timeline if e.target == target)
-        for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
-            if _earlier(start, end):
-                raise MappingError(f"timeline groups {first} and {second} overlap on {target}")
-
-
-def _earlier(t: float, ready: float) -> bool:
-    return t < ready and not math.isclose(t, ready)
-
-
 def build_deployment_plan(
     graph: GraphIR, profile: HardwareProfile
 ) -> DeploymentPlan:
@@ -439,50 +389,14 @@ def build_deployment_plan(
 
 
 def load_plan(path: str | Path) -> DeploymentPlan:
-    """Read a plan written by `DeploymentPlan.save`, rejecting malformed ones.
+    """Read a plan written by `DeploymentPlan.save`.
 
     `model_io.decode` reads it: fields must be present with their JSON
-    types and no key may be unknown. No fused group may be empty or share
-    a node, each needs exactly one timeline entry under its `group_id`,
-    on CPU or NPU as `assignment` says, and every tensor's slot must lie
-    inside the arena. Violations raise MappingError naming the field.
+    types and no key may be unknown, or MappingError names the field.
+    Whether the plan is the one `map` builds is `pipeline.stage_estimate`'s
+    check.
     """
-    where = f"plan {path}"
-    plan = decode(DeploymentPlan, read_json(path, MappingError), where, MappingError)
-    for i, grp in enumerate(plan.fused_groups):
-        if not grp:
-            raise MappingError(f"{where}: fused_groups[{i}] must be a non-empty list of node ids")
-    seen: set[str] = set()
-    for nid in (nid for grp in plan.fused_groups for nid in grp):
-        if nid in seen:
-            raise MappingError(f"{where}: node {nid} is in two fused groups")
-        seen.add(nid)
-    gids = {group_id(grp) for grp in plan.fused_groups}
-    target_of: dict[str, str] = {}
-    for e in plan.timeline:
-        if e.group not in gids or e.group in target_of:
-            raise MappingError(f"{where}: timeline names unknown or repeated group {e.group}")
-        if e.target not in ("CPU", "NPU"):
-            raise MappingError(f"{where}: group {e.group} target {e.target!r} is not CPU or NPU")
-        target_of[e.group] = e.target
-    for grp in plan.fused_groups:
-        gid = group_id(grp)
-        if gid not in target_of:
-            raise MappingError(f"{where}: fused group {gid} has no timeline entry")
-        for nid in grp:
-            if plan.assignment.get(nid) != target_of[gid]:
-                raise MappingError(
-                    f"{where}: node {nid} is assigned {plan.assignment.get(nid)!r} "
-                    f"but its group {gid} runs on {target_of[gid]}"
-                )
-    peak = plan.memory_plan.arena_peak_bytes
-    if peak < 0:
-        raise MappingError(f"{where}: memory_plan arena_peak_bytes {peak} is negative")
-    for tid, s in plan.memory_plan.tensors.items():
-        if min(s.offset, s.size) < 0 or s.offset + s.size > peak:
-            raise MappingError(f"{where}: memory_plan tensors[{tid}] offset {s.offset} size "
-                               f"{s.size} is not inside the {peak}-byte arena")
-    return plan
+    return decode(DeploymentPlan, read_json(path, MappingError), f"plan {path}", MappingError)
 
 
 def render_report(plan: DeploymentPlan) -> str:

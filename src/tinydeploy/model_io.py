@@ -7,7 +7,8 @@ memory slots and cost estimates) are read by `decode`, the one record
 reader, and written with `dataclasses.asdict`: a record's dataclass is
 the one statement of its JSON form. A record nested in a record, in a
 list or under the keys of an object is named by its path, such as
-`plan.json memory_plan tensors[in]` or `timeline[0]`.
+`plan.json memory_plan tensors[in]` or `timeline[0]`; `first_difference`
+names where two records differ by the same paths.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
 (`pair_paths`, `write_pair`); the manifest gives each constant tensor's
 blob offset/length. `pack_blob` concatenates the payloads little-endian
@@ -23,7 +24,7 @@ import functools
 import io
 import json
 import os
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 
@@ -336,6 +337,39 @@ def decode(cls, obj, where: str, error: type[Exception]):
             value = _records(_type_hints(cls)[f.name], value, where, f.name, error)
         values[f.name] = value
     return cls(**values)
+
+
+def first_difference(have, want, path: str = "") -> str | None:
+    """Where record `have` first differs from `want`, or None when they are equal.
+
+    Records compare field by field, lists first by length, dicts key by
+    key (`want`'s keys first) and everything else by `==`. The answer
+    names the value by its path, as `decode` does, with both sides:
+    `timeline[3] start_us: 5400.0 != 400.0`.
+    """
+    if is_dataclass(have) and type(have) is type(want):
+        pairs = [(f"{path} {f.name}".lstrip(), getattr(have, f.name), getattr(want, f.name))
+                 for f in fields(want)]
+    elif isinstance(have, list) and isinstance(want, list):
+        if len(have) != len(want):
+            return f"{path}: length {len(have)} != {len(want)}"
+        pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(have, want))]
+    elif isinstance(have, dict) and isinstance(want, dict):
+        pairs = [(f"{path}[{key}]", have.get(key, _ABSENT), want.get(key, _ABSENT))
+                 for key in [*want, *(key for key in have if key not in want)]]
+    else:
+        return None if have == want else f"{path}: {_brief(have)} != {_brief(want)}"
+    diffs = (first_difference(a, b, where) for where, a, b in pairs)
+    return next((diff for diff in diffs if diff is not None), None)
+
+
+_ABSENT = object()  # the value of a dict key one side lacks
+
+
+def _brief(value) -> str:
+    if value is _ABSENT:
+        return "absent"
+    return f"a {type(value).__name__}" if is_dataclass(value) else repr(value)
 
 
 @functools.cache

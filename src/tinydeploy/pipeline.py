@@ -35,10 +35,7 @@ from .executor import (
     write_records_json,
 )
 from .graph import GraphIR, parameter_count
-from .mapping import (
-    DeploymentPlan, MappingError, build_deployment_plan, group_dependencies, load_plan,
-    render_report, tensor_lifetimes, verify_memory_plan, verify_timeline,
-)
+from .mapping import DeploymentPlan, MappingError, build_deployment_plan, load_plan, render_report
 from .model_io import load_model, save_model
 from .pruning import (
     DEFAULT_SCHEDULE,
@@ -206,10 +203,10 @@ def stage_map(graph: GraphIR, profile_ref, out_plan, out_text=None) -> Deploymen
 
 
 def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate:
-    """Cost-estimate a plan on the profile it was built for, once its
-    timeline is found to be a schedule of the model's modelled group costs
-    (`verify_timeline`) and its slots the model's arena tensors, none
-    overlapping.
+    """Write and return the cost estimate of `plan`, which must be the plan
+    `map` builds from this model and profile: `build_deployment_plan`
+    rebuilds it, and any other plan raises a MappingError naming its first
+    field that differs (`model_io.first_difference`).
 
     `graph` and `plan` may also be the paths of a saved model and plan, as
     the `estimate` subcommand passes them; errors then name the plan file.
@@ -220,24 +217,13 @@ def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate
     if isinstance(plan, (str, Path)):
         source, plan = f"plan {plan}", load_plan(plan)
     profile = load_profile(profile_ref)
-    if profile.name != plan.profile:
-        raise MappingError(f"{source} was built for profile {plan.profile!r}, "
-                           f"not {profile.name!r}")
-    est = costmodel.estimate_deployment(plan, graph, profile)
-    verify_timeline(plan.timeline, group_dependencies(graph, plan.fused_groups),
-                    est.per_group_breakdown, profile.transfer_latency_us)
-    lifetimes = tensor_lifetimes(graph, plan.timeline, plan.fused_groups)
-    need = {lt.tensor_id: lt.size for lt in lifetimes}
-    have = {tid: slot.size for tid, slot in plan.memory_plan.tensors.items()}
-    where = f"{source}: memory_plan"
-    for tid in sorted(need.keys() | have.keys()):
-        if tid not in have:
-            raise MappingError(f"{where} has no slot for arena tensor {tid}")
-        if tid not in need:
-            raise MappingError(f"{where} tensors[{tid}] is not an arena tensor of the model")
-        if have[tid] != need[tid]:
-            raise MappingError(f"{where} tensors[{tid}] size {have[tid]} != {need[tid]} bytes")
-    verify_memory_plan(plan.memory_plan, lifetimes)
+    built = build_deployment_plan(graph, profile)
+    if plan != built:
+        raise MappingError(f"{source} {model_io.first_difference(plan, built)} "
+                           "(map builds it from this model and profile)")
+    # Equal to `built.estimates`; costed through `costmodel` so that traced
+    # runs still time the estimate as a step of its own (`costmodel.estimate`).
+    est = costmodel.estimate_deployment(built, graph, profile)
     model_io.write_json(out_json, asdict(est))
     return est
 

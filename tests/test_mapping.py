@@ -1,5 +1,4 @@
 import itertools
-import re
 
 import numpy as np
 import pytest
@@ -9,16 +8,14 @@ from hypothesis import strategies as st
 from graphutil import brute_force_arena_peak, brute_force_makespan, node, skip_branch_graph
 from tinydeploy.data_files import load_profile
 from tinydeploy import pipeline
-from tinydeploy.costmodel import GroupCost
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
-from tinydeploy.graph import OpKind
+from tinydeploy.graph import OpKind, fusable_relu
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.quantization import quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
     MappingError,
-    TimelineEntry,
     build_deployment_plan,
     group_dependencies,
     load_plan,
@@ -26,7 +23,6 @@ from tinydeploy.mapping import (
     schedule,
     tensor_lifetimes,
     verify_memory_plan,
-    verify_timeline,
 )
 from tinydeploy.model_io import save_model
 
@@ -117,6 +113,17 @@ def test_fused_group_must_be_a_producer_and_its_relu(small_convnet_quantized, gr
     groups = [group] + [[nid] for nid in order if nid not in group]
     with pytest.raises(ExecutionError, match=f"fused group {'[+]'.join(group)} is not"):
         prepare(small_convnet_quantized, groups)
+
+
+def test_fusable_relu_is_a_weighted_op_and_the_relu_that_alone_reads_it():
+    """One rule for `partition_and_fuse` and `prepare(fused_groups=)`."""
+    graph = skip_branch_graph()
+    consumers = graph.consumer_map()
+    fused = {n.id: fusable_relu(graph, n, consumers) for n in graph.nodes}
+    # c2 is read by the Add, fc by the Softmax, and the Add is not weighted.
+    assert {nid: relu.id for nid, relu in fused.items() if relu is not None} == {"c1": "r1"}
+    graph.graph_outputs.append("a")  # c1's output
+    assert fusable_relu(graph, graph.nodes[0], graph.consumer_map()) is None
 
 
 def test_mapping_requires_quantized_graph(small_convnet):
@@ -416,28 +423,3 @@ def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
             est = pipeline.stage_estimate(tmp_path / "model.json", tmp_path / "plan.json",
                                           profile, tmp_path / "est.json")
             assert est == plan.estimates
-
-
-def _entries(*spans):
-    """Timeline entries and their modelled costs from (group, target, start, end)."""
-    timeline = [TimelineEntry(*span) for span in spans]
-    costs = [GroupCost(e.group, e.target, 0, e.end_us - e.start_us, 0.0) for e in timeline]
-    return timeline, costs
-
-
-@pytest.mark.parametrize("spans, deps, message", [
-    ((("a", "NPU", 0.0, 10.0), ("b", "NPU", 5.0, 15.0)), {"a": set(), "b": set()},
-     "timeline groups a and b overlap on NPU"),
-    ((("a", "NPU", 0.0, 10.0), ("b", "CPU", 11.0, 21.0)), {"a": set(), "b": {"a"}},
-     "timeline group b starts at 11 us, before its input from a is ready at 12 us"),
-], ids=["overlap_on_target", "before_transfer_ends"])
-def test_timeline_rejected(spans, deps, message):
-    timeline, costs = _entries(*spans)
-    with pytest.raises(MappingError, match=re.escape(message)):
-        verify_timeline(timeline, deps, costs, transfer_us=2.0)
-
-
-def test_timeline_accepted_at_the_transfer_bound():
-    timeline, costs = _entries(("a", "NPU", 0.0, 10.0), ("b", "CPU", 12.0, 22.0),
-                               ("c", "CPU", 22.0, 23.0))
-    verify_timeline(timeline, {"a": set(), "b": {"a"}, "c": set()}, costs, transfer_us=2.0)

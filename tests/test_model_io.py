@@ -3,7 +3,7 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,6 +20,7 @@ from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_pla
 from tinydeploy.model_io import (
     ModelFormatError,
     decode,
+    first_difference,
     json_text,
     load_model,
     save_model,
@@ -344,6 +345,21 @@ def test_decode_names_the_path_of_a_nested_error(edit, message):
     edit(obj)
     with pytest.raises(ValueError, match=re.escape(message)):
         decode(Tree, obj, "t", ValueError)
+
+
+@pytest.mark.parametrize("have, difference", [
+    (replace(TREE, leaf=Leaf(5)), "leaf n: 5 != 1"),
+    (replace(TREE, by_key={"a": Leaf(2)}), "by_key[b]: absent != a Leaf"),
+    (replace(TREE, by_key={**TREE.by_key, "c": Leaf(0)}), "by_key[c]: a Leaf != absent"),
+    (replace(TREE, tags={"x": "z"}), "tags[x]: 'z' != 'y'"),
+    (replace(TREE, rows=[["p", "q"]]), "rows: length 1 != 2"),
+    (replace(TREE, rows=[["p", "r"], []]), "rows[0][1]: 'r' != 'q'"),
+    (replace(TREE, maybe=None), "maybe: None != a Leaf"),
+], ids=["leaf_value", "key_absent", "key_extra", "str_value", "list_length", "nested_item",
+        "optional_none"])
+def test_first_difference_names_the_path_and_both_values(have, difference):
+    assert first_difference(TREE, replace(TREE)) is None
+    assert have != TREE and first_difference(have, TREE) == difference
 
 
 def test_decode_resolves_type_hints_once_per_record_class(

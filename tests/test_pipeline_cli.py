@@ -4,20 +4,22 @@ import logging
 import os
 import re
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from graphutil import build_prune_plan, graphs_equal
-from tinydeploy import executor, model_io, pipeline
+from graphutil import build_prune_plan, graphs_equal, skip_branch_graph
+from tinydeploy import executor, mapping, model_io, pipeline
 from tinydeploy.cli import _parse_schedule, build_parser, main
 from tinydeploy.data_files import load_profile
 from tinydeploy.datasets import generate_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
 from tinydeploy.executor import InferenceRecord, read_records_csv, write_records_csv
-from tinydeploy.graph import validate
+from tinydeploy.graph import OpKind, validate
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, build_deployment_plan, load_plan
 from tinydeploy.model_io import load_model, save_model
@@ -26,6 +28,7 @@ from tinydeploy.pipeline import STAGE_ORDER, PipelineConfig, PipelineError, run_
 from tinydeploy.pruning import (
     DEFAULT_SCHEDULE, Checkpoint, PrunePlan, export_checkpoint, materialize, new_plan,
 )
+from tinydeploy.quantization import quantize_graph
 
 
 @pytest.fixture(scope="module")
@@ -642,37 +645,39 @@ def _retarget(plan, gid, target):
     next(e for e in plan["timeline"] if e["group"] == gid)["target"] = target
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda p: p.pop("timeline"), "missing key 'timeline'"),
-    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"),
-     "fused group conv1+conv1_relu has no timeline entry"),
-    (lambda p: p["fused_groups"].append(["conv1"]), "node conv1 is in two fused groups"),
-    (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list"),
-    (lambda p: _retarget(p, "conv1+conv1_relu", "GPU"),
-     "group conv1+conv1_relu target 'GPU' is not CPU or NPU"),
-    (lambda p: _retarget(p, "conv1+conv1_relu", "CPU"),
-     "node conv1 is assigned 'NPU' but its group conv1+conv1_relu runs on CPU"),
-    (lambda p: p["estimates"].pop("energy_mj"), "estimates: missing key 'energy_mj'"),
+# (edit, message, whether `decode` rejects it): `load_plan` decodes keys
+# and kinds; that the plan is the one `map` builds is `estimate`'s check.
+@pytest.mark.parametrize("edit, message, by_decode", [
+    (lambda p: p.pop("timeline"), "missing key 'timeline'", True),
+    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 8 != 9", False),
+    (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 10 != 9", False),
+    (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list", True),
+    (lambda p: _retarget(p, "conv1+conv1_relu", "GPU"), "timeline[0] target: 'GPU' != 'NPU'",
+     False),
+    (lambda p: _retarget(p, "conv1+conv1_relu", "CPU"), "timeline[0] target: 'CPU' != 'NPU'",
+     False),
+    (lambda p: p["estimates"].pop("energy_mj"), "estimates: missing key 'energy_mj'", True),
     (lambda p: p["estimates"]["per_group_breakdown"][0].update(macs="12"),
-     "per_group_breakdown[0]: key 'macs' must be int, got str"),
-    (lambda p: p.update(estimates=[1.0]), "estimates: expected an object, got list"),
+     "per_group_breakdown[0]: key 'macs' must be int, got str", True),
+    (lambda p: p.update(estimates=[1.0]), "estimates: expected an object, got list", True),
     (lambda p: p["estimates"]["per_group_breakdown"][1].update(group_id="conv1"),
-     "estimates per_group_breakdown[1]: unknown key 'group_id'"),
+     "estimates per_group_breakdown[1]: unknown key 'group_id'", True),
     (lambda p: p["memory_plan"]["tensors"]["in"].update(z=3),
-     "memory_plan tensors[in]: unknown key 'z'"),
+     "memory_plan tensors[in]: unknown key 'z'", True),
     (lambda p: p["memory_plan"]["tensors"]["in"].update(offset=-1),
-     "memory_plan tensors[in] offset -1 size "),
+     "memory_plan tensors[in] offset: -1 != 16384", False),
 ], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
         "gpu_target", "target_not_assigned", "estimates_without_energy",
         "breakdown_macs_string", "estimates_list", "breakdown_unknown_key",
         "memory_tensor_unknown_key", "memory_tensor_negative_offset"])
-def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message):
+def test_malformed_plan_rejected(mapped, tmp_path, capsys, edit, message, by_decode):
     plan = json.loads((mapped / "plan.json").read_text())
     edit(plan)
     path = tmp_path / "plan.json"
     path.write_text(json.dumps(plan))
-    with pytest.raises(MappingError, match=re.escape(message)):
-        load_plan(path)
+    if by_decode:
+        with pytest.raises(MappingError, match=re.escape(message)):
+            load_plan(path)
     rc = main(["estimate", "--model", str(mapped / "model.json"), "--plan", str(path),
                "--out", str(tmp_path / "est.json")])
     assert rc == 1
@@ -689,8 +694,8 @@ def test_estimate_rejects_a_profile_the_plan_was_not_built_for(
     argv = ["estimate", "--model", str(mapped / "model.json"),
             "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "est.json")]
     assert main(argv) == 1
-    assert_one_error_line(
-        capsys, "was built for profile 'stm32n6-desk-calibrated', not 'stm32n6-default'")
+    assert_one_error_line(capsys, "plan.json profile: 'stm32n6-desk-calibrated' != "
+                                  "'stm32n6-default' (map builds it from this model and profile)")
     assert not (tmp_path / "est.json").exists()
     assert main(argv + ["--profile", "builtin:profile_desk_calibrated"]) == 0
     assert json.loads((tmp_path / "est.json").read_text()) == asdict(plan.estimates)
@@ -829,6 +834,49 @@ def _scale_timeline(plan: dict, factor: float) -> None:
         entry["end_us"] *= factor
 
 
+def _shift_timeline(plan: dict, us: float) -> None:
+    for entry in plan["timeline"]:
+        entry["start_us"] += us
+        entry["end_us"] += us
+
+
+def _all_npu() -> HardwareProfile:
+    """The default profile with every op kind on the NPU, under its own name."""
+    return replace(HardwareProfile(), npu_supported_ops=tuple(kind.value for kind in OpKind))
+
+
+def _plan_built(m: Path, t: Path, profile: HardwareProfile, merge_last: int = 1) -> list[str]:
+    """estimate argv, under the default profile, for the plan that
+    `build_deployment_plan` makes of the mapped model under `profile`
+    with its last `merge_last` fused groups merged into one: consistent
+    in itself, but not the plan `map` builds."""
+    partition = mapping.partition_and_fuse
+
+    def merged(graph, prof):
+        assignment, groups = partition(graph, prof)
+        return assignment, groups[:-merge_last] + [sum(groups[-merge_last:], [])]
+    with mock.patch.object(mapping, "partition_and_fuse", merged):
+        plan = build_deployment_plan(load_model(m / "model.json"), profile)
+    return _plan_edited(m, t, lambda p: p.update(asdict(plan)))
+
+
+def _overlap_on_npu(m: Path, t: Path) -> list[str]:
+    """estimate argv for the all-NPU plan of `skip_branch_graph` with the
+    MaxPool `mp` moved to start with `c3`: both read only `rs`, so the two
+    overlap on the NPU while every input is still ready in time."""
+    skip = skip_branch_graph()
+    xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 4)).astype(np.float32)
+    graph = quantize_graph(skip, executor.calibrate(skip, xs))
+    save_model(graph, t / "skip")
+    plan = asdict(build_deployment_plan(graph, _all_npu()))
+    c3, mp = (next(e for e in plan["timeline"] if e["group"] == gid) for gid in ("c3", "mp"))
+    mp["start_us"], mp["end_us"] = c3["start_us"], c3["start_us"] + mp["end_us"] - mp["start_us"]
+    return ["estimate", "--model", str(t / "skip.json"),
+            "--plan", str(_write(t / "plan.json", json.dumps(plan))),
+            "--profile", str(_write(t / "profile.json", json.dumps(asdict(_all_npu())))),
+            "--out", str(t / "est.json")]
+
+
 def _start_at_zero(plan: dict, gid: str) -> None:
     """Move group `gid`'s timeline entry to start at 0 us, keeping its duration."""
     entry = next(e for e in plan["timeline"] if e["group"] == gid)
@@ -939,37 +987,50 @@ MALFORMED_INPUTS = {
         "plan.json memory_plan: unknown key 'y'"),
     "plan_node_not_in_model": (
         lambda m, t: _plan_edited(m, t, lambda p: _rename_node(p, "conv1", "ghost")),
-        "plan group references unknown node ghost; wrong model?"),
+        "plan.json assignment[conv1]: absent != 'NPU'"),
     "plan_leaves_out_node": (
         lambda m, t: _plan_edited(m, t, lambda p: _drop_group(p, ["conv1", "conv1_relu"])),
-        "model node conv1 is in no plan group; wrong model?"),
+        "plan.json assignment[conv1]: absent != 'NPU'"),
     "plan_timeline_scaled": (
         lambda m, t: _plan_edited(m, t, lambda p: _scale_timeline(p, 0.01)),
-        "timeline group conv1+conv1_relu lasts "),
+        "timeline[0] end_us: 0.08058346666666667 != 8.058346666666667"),
     "plan_group_before_its_input": (
         lambda m, t: _plan_edited(m, t, lambda p: _start_at_zero(p, "pool1")),
-        "timeline group pool1 starts at 0 us, before its input from conv1+conv1_relu"),
+        "timeline[1] start_us: 0.0 != 8.058346666666667 "
+        "(map builds it from this model and profile)"),
     "plan_arena_negative": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"].update(arena_peak_bytes=-5)),
-        "memory_plan arena_peak_bytes -5 is negative"),
+        "memory_plan arena_peak_bytes: -5 != 20480"),
     "plan_slot_past_arena": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"]["in"].update(
             offset=1, size=p["memory_plan"]["arena_peak_bytes"])),
-        "memory_plan tensors[in] offset 1 size "),
+        "memory_plan tensors[in] offset: 1 != 16384"),
     "plan_slots_overlap": (
         lambda m, t: _plan_edited(m, t, _stack_slots),
-        "memory plan overlap: "),
+        "memory_plan tensors[pool1_out] offset: 0 != 16384"),
     "plan_slot_resized": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"]["in"].update(
             size=3071)),
-        "memory_plan tensors[in] size 3071 != 3072 bytes"),
+        "memory_plan tensors[in] size: 3071 != 3072"),
     "plan_slot_missing": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"].pop("in")),
-        "memory_plan has no slot for arena tensor in"),
+        "memory_plan tensors[in]: absent != a Slot"),
     "plan_slot_not_in_model": (
         lambda m, t: _plan_edited(m, t, lambda p: p["memory_plan"]["tensors"].update(
             ghost={"offset": 0, "size": 1})),
-        "memory_plan tensors[ghost] is not an arena tensor of the model"),
+        "memory_plan tensors[ghost]: a Slot != absent"),
+    "plan_timeline_shifted": (
+        lambda m, t: _plan_edited(m, t, lambda p: _shift_timeline(p, 5000.0)),
+        "timeline[0] start_us: 5000.0 != 0.0"),
+    "plan_all_on_npu": (
+        lambda m, t: _plan_built(m, t, _all_npu()),
+        "plan.json assignment[pool1]: 'NPU' != 'CPU'"),
+    "plan_head_fused": (
+        lambda m, t: _plan_built(m, t, HardwareProfile(), merge_last=4),
+        "plan.json fused_groups: length 6 != 9"),
+    "plan_groups_overlap_on_npu": (
+        _overlap_on_npu,
+        "timeline[5] start_us: 20.08112 != 25.08688"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
@@ -1013,6 +1074,11 @@ MALFORMED_INPUTS = {
                       str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns1,1,0.5,-1,0\n")),
                       "--out", str(t / "d.json")],
         "r.csv line 3: column 'true_label': -1 is negative"),
+    "records_confidence_above_one": (
+        lambda m, t: ["simulate-downlink", "--records",
+                      str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,1.5,1,1\n")),
+                      "--out", str(t / "d.json")],
+        "r.csv line 2: column 'confidence': 1.5 outside [0, 1]"),
     "records_negative_class": (
         lambda m, t: ["simulate-downlink", "--records",
                       str(_write(t / "r.csv", RECORDS_HEADER + "s0,-2,0.5,1,0\n")),
