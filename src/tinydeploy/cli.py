@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a model on a dataset directory")
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True, help="output prefix for records (.csv/.json)")
+    p.add_argument("--out", required=True, help="output prefix; records go to <prefix>.csv")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("prune-stage", help="run one prune iteration of the schedule")

@@ -7,6 +7,7 @@ the onboard prediction. Volumes use decimal units (1 KB = 10^3 B,
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,6 +54,9 @@ class DownlinkScenario:
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold <= 1.0:
             raise DownlinkError(f"threshold {self.threshold} outside (0, 1]")
+        if not 0.0 < self.bytes_per_sample < math.inf:
+            raise DownlinkError(
+                f"bytes_per_sample {self.bytes_per_sample} must be finite and > 0")
         # Records are matched by sample id, so each id may occur once per side.
         for side, records in (("onboard", self.onboard_records),
                               ("ground", self.ground_records or ())):

@@ -51,7 +51,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,7 +71,7 @@ from .graph import (
     fusable_relu,
     same_padding_amounts,
 )
-from .model_io import NUMBER, _field, csv_text, read_csv, write_files, write_json
+from .model_io import NUMBER, _field, csv_text, read_csv, write_files
 from .quantization import (
     QMAX,
     QMIN,
@@ -992,7 +992,3 @@ def read_records_csv(path: str | Path) -> list[InferenceRecord]:
             )
         records.append(record)
     return records
-
-
-def write_records_json(records: Sequence[InferenceRecord], path: str | Path) -> None:
-    write_json(path, [{**asdict(r), "correct": r.correct} for r in records])

@@ -241,11 +241,16 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
 def read_json(path: str | Path, error: type[Exception]):
-    """A JSON file's value; `error` names the file if it does not decode."""
+    """A JSON file's value; `error` names the file if it does not decode
+    or holds NaN, Infinity or -Infinity, which are not JSON numbers."""
     try:
-        return json.loads(Path(path).read_bytes())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return json.loads(Path(path).read_bytes(), parse_constant=_non_finite)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _non_finite
         raise error(f"{path}: malformed JSON: {exc}") from None
 
 

@@ -1,6 +1,6 @@
-"""End-to-end pipeline: load -> baseline eval -> staged pruning with
-checkpoint export -> calibrate -> quantize -> map -> estimate -> downlink
-simulation -> combined report.
+"""End-to-end pipeline: load -> baseline eval -> staged pruning ->
+calibrate -> quantize -> map -> estimate -> downlink simulation ->
+combined report.
 
 `run_pipeline` reads the config's model and dataset once and hands each
 stage the objects it needs in memory: every stage function takes graphs,
@@ -8,7 +8,8 @@ samples, ranges, a plan or records, writes its artifacts and returns the
 objects it made, so no stage reads a file the run wrote. The CLI
 subcommands are thin wrappers that load their input files and call the
 same stage functions, so running the stages one file at a time is
-bit-identical to the monolithic run (given no external fine-tuning).
+bit-identical to the monolithic run. `run` has no trainer, so unlike
+`prune-stage` it exports no checkpoints for external fine-tuning.
 All randomness (calibration subset sampling) derives from the config
 seed; re-running a config produces byte-identical output trees.
 """
@@ -32,7 +33,6 @@ from .executor import (
     evaluate,
     ranges_to_json,
     write_records_csv,
-    write_records_json,
 )
 from .graph import GraphIR, parameter_count
 from .mapping import DeploymentPlan, MappingError, build_deployment_plan, load_plan, render_report
@@ -129,12 +129,10 @@ class PipelineConfig:
 
 
 def stage_evaluate(graph: GraphIR, samples, out_prefix) -> tuple[list[InferenceRecord], float]:
-    """Evaluate a graph on samples; writes <prefix>.csv and <prefix>.json
-    and returns the records and their top-1 accuracy."""
+    """Evaluate a graph on samples; writes <prefix>.csv and returns the
+    records and their top-1 accuracy."""
     records, accuracy = evaluate(graph, samples)
-    out_prefix = Path(out_prefix)
-    write_records_csv(records, out_prefix.with_suffix(".csv"))
-    write_records_json(records, out_prefix.with_suffix(".json"))
+    write_records_csv(records, Path(out_prefix).with_suffix(".csv"))
     return records, accuracy
 
 
@@ -147,14 +145,14 @@ def stage_prune_step(
     checkpoint_in: Checkpoint | None = None,
     checkpoint_out=None,
     expect_stage: int | None = None,
-) -> tuple[PrunePlan, GraphIR, Checkpoint | None, GraphIR | None]:
-    """One prune iteration: rank, extend the plan, mask, export checkpoint.
+) -> tuple[PrunePlan, GraphIR, GraphIR | None]:
+    """One prune iteration: rank, extend the plan, mask.
 
-    `checkpoint_in` imports externally fine-tuned weights before ranking.
-    When the plan reaches its last scheduled stage and `out_pruned` is
-    given, masks are made permanent into a materialized model. Returns
-    the extended plan, the masked graph, the checkpoint written to
-    `checkpoint_out` and the materialized graph (None when not written).
+    `checkpoint_in` imports externally fine-tuned weights before ranking;
+    `checkpoint_out` exports the masked ones for a trainer. When the plan
+    reaches its last scheduled stage and `out_pruned` is given, masks are
+    made permanent into a materialized model. Returns the extended plan,
+    the masked graph and the materialized graph (None when not written).
     """
     if expect_stage is not None and len(plan.stages) != expect_stage:
         raise PipelineError(
@@ -166,14 +164,13 @@ def stage_prune_step(
     masked = apply_masks(graph, plan)
     plan.save(out_plan)
     save_model(masked, out_masked)
-    checkpoint = pruned = None
     if checkpoint_out is not None:
-        checkpoint = export_checkpoint(masked)
-        checkpoint.save(checkpoint_out)
+        export_checkpoint(masked).save(checkpoint_out)
+    pruned = None
     if plan.complete and out_pruned is not None:
         pruned = materialize(masked, plan)
         save_model(pruned, out_pruned)
-    return plan, masked, checkpoint, pruned
+    return plan, masked, pruned
 
 
 def stage_calibrate(graph: GraphIR, samples, num_samples, seed, out_json) -> tuple[dict, int]:
@@ -351,15 +348,11 @@ def _evaluate(model: str, prefix: str):
 def _prune(r: Run) -> dict[str, object]:
     schedule = r.config.prune.schedule
     graph = r.made["model_float"]
-    plan, checkpoint = new_plan(graph, schedule), None
+    plan = new_plan(graph, schedule)
     for k in range(1, len(schedule) + 1):
-        plan, graph, checkpoint, pruned = stage_prune_step(
+        plan, graph, pruned = stage_prune_step(
             graph, plan, r.out / "prune_plan.json", r.out / f"model_masked_stage{k}",
-            out_pruned=(r.out / "model_pruned") if k == len(schedule) else None,
-            # Identity fine-tuning: re-import the checkpoint just exported, unmodified.
-            checkpoint_in=checkpoint,
-            checkpoint_out=r.out / f"checkpoint_stage{k}",
-        )
+            out_pruned=(r.out / "model_pruned") if k == len(schedule) else None)
     return {"model_pruned": pruned}
 
 
@@ -376,8 +369,8 @@ def _report(r: Run) -> dict[str, object]:
 
 STAGES = (
     Stage("evaluate-float", ("eval_float.*",), _evaluate("model_float", "eval_float")),
-    Stage("prune", ("prune_plan.json", "model_masked_stage*.*", "checkpoint_stage*.*",
-                    "model_pruned.*"), _prune, pruning=True),
+    Stage("prune", ("prune_plan.json", "model_masked_stage*.*", "model_pruned.*"), _prune,
+          pruning=True),
     Stage("evaluate-pruned", ("eval_pruned.*",), _evaluate("model_pruned", "eval_pruned"),
           pruning=True),
     Stage("calibrate", ("calibration_ranges.json",), lambda r: {

@@ -63,11 +63,22 @@ class FilterScore:
 
 @dataclass
 class PrunePlan:
-    """Staged removal sets plus derived keep-masks (True = kept)."""
+    """Staged removal sets plus derived keep-masks (True = kept); every
+    plan, one read from a file too, has its schedule checked."""
 
     schedule: list[float]
     original_counts: dict[str, int]
     stages: list[dict[str, list[int]]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        schedule = [float(f) for f in self.schedule]
+        if not schedule:
+            raise PruneError("prune plan: empty schedule")
+        if any(not 0.0 < f < 1.0 for f in schedule):
+            raise PruneError(f"prune plan: schedule fractions must lie in (0, 1): {schedule}")
+        if sum(schedule) >= 1.0:
+            raise PruneError(f"prune plan: schedule fractions must sum below 1: {schedule}")
+        self.schedule = schedule
 
     def removed(self, layer_id: str) -> set[int]:
         out: set[int] = set()
@@ -101,17 +112,6 @@ class PrunePlan:
             if basis != "original_count":
                 raise PruneError(f"prune plan: key 'basis' must be 'original_count', got {basis!r}")
         return decode(cls, obj, "prune plan", PruneError)
-
-
-def _validate_schedule(schedule) -> list[float]:
-    schedule = [float(f) for f in schedule]
-    if not schedule:
-        raise PruneError("empty prune schedule")
-    if any(not 0.0 < f < 1.0 for f in schedule):
-        raise PruneError(f"schedule fractions must lie in (0, 1): {schedule}")
-    if sum(schedule) >= 1.0:
-        raise PruneError(f"schedule fractions must sum below 1: {schedule}")
-    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +233,6 @@ def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:
 
 
 def new_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
-    schedule = _validate_schedule(schedule)
     counts = {lid: int(w.shape[0]) for lid, w in _prunable_weights(graph).items()}
     return PrunePlan(schedule=schedule, original_counts=counts)
 

@@ -133,6 +133,12 @@ def test_threshold_out_of_range_rejected():
             )
 
 
+@pytest.mark.parametrize("bad", [0.0, -12288.0, float("nan"), float("inf")])
+def test_bytes_per_sample_not_finite_and_positive_rejected(bad):
+    with pytest.raises(DownlinkError, match=f"bytes_per_sample {bad} must be finite and > 0"):
+        DownlinkScenario(bytes_per_sample=bad, threshold=0.5, onboard_records=records_with([0.5]))
+
+
 def test_transmitted_volume_exact():
     scenario = DownlinkScenario(
         bytes_per_sample=123.0, threshold=0.9,

@@ -23,6 +23,7 @@ from tinydeploy.model_io import (
     first_difference,
     json_text,
     load_model,
+    read_json,
     save_model,
     write_json,
 )
@@ -73,6 +74,15 @@ def test_malformed_manifest_rejected(tmp_path):
     manifest_path.write_text("{not json")
     with pytest.raises(ModelFormatError, match=re.escape(f"{manifest_path}: malformed JSON")):
         load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_rejects_non_finite_numbers(tmp_path, number):
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"a": [1.5, {number}]}}')
+    with pytest.raises(ValueError) as info:
+        read_json(path, ValueError)
+    assert str(info.value) == f"{path}: malformed JSON: non-finite number {number}"
 
 
 def test_manifest_length_field_checked(tmp_path):

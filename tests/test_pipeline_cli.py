@@ -152,21 +152,18 @@ def test_missing_model_path_reported(assets, tmp_path):
 # The files each stage adds, in run order, written out by hand so that the
 # test checks the stage table in pipeline.py rather than repeating it.
 STAGE_FILES = {
-    "evaluate-float": ["eval_float.csv", "eval_float.json"],
+    "evaluate-float": ["eval_float.csv"],
     "prune": [
         "prune_plan.json",
         "model_masked_stage1.json", "model_masked_stage1.bin",
-        "checkpoint_stage1.json", "checkpoint_stage1.bin",
         "model_masked_stage2.json", "model_masked_stage2.bin",
-        "checkpoint_stage2.json", "checkpoint_stage2.bin",
         "model_masked_stage3.json", "model_masked_stage3.bin",
-        "checkpoint_stage3.json", "checkpoint_stage3.bin",
         "model_pruned.json", "model_pruned.bin",
     ],
-    "evaluate-pruned": ["eval_pruned.csv", "eval_pruned.json"],
+    "evaluate-pruned": ["eval_pruned.csv"],
     "calibrate": ["calibration_ranges.json"],
     "quantize": ["model_quantized.json", "model_quantized.bin"],
-    "evaluate-quantized": ["eval_quantized.csv", "eval_quantized.json"],
+    "evaluate-quantized": ["eval_quantized.csv"],
     "map": ["deployment_plan.json", "deployment_plan.txt"],
     "estimate": ["cost_estimate.json"],
     "simulate-downlink": ["downlink_report.json", "downlink_report.txt"],
@@ -209,7 +206,8 @@ def test_run_reads_model_and_dataset_once(assets, tmp_path, monkeypatch, skip):
     monkeypatch.setattr(pipeline, "model_io", through)
     for owner, name in ((pipeline, "load_model"), (pipeline, "load_dataset"),
                         (pipeline, "load_plan"), (executor, "read_records_csv"),
-                        (PrunePlan, "load"), (Checkpoint, "load"), (through, "read_json")):
+                        (PrunePlan, "load"), (Checkpoint, "load"), (through, "read_json"),
+                        (pipeline, "export_checkpoint"), (pipeline, "import_checkpoint")):
         count(owner, name)
     run_pipeline(make_config(assets, tmp_path / "out", prune={"schedule": [0.1, 0.1], "skip": skip}))
     assert dict(calls) == {"load_model": 1, "load_dataset": 1}
@@ -230,14 +228,13 @@ def test_save_load_round_trip_is_identity_on_every_graph_the_run_hands_on(
 ):
     """The run hands these graphs on in memory where it used to reload
     them, which is only the same run if saving and loading changes nothing."""
-    graph, checkpoint = request.getfixturevalue(model), None
+    graph = request.getfixturevalue(model)
     plan = new_plan(graph, DEFAULT_SCHEDULE)
     handed_on = {}
     for k in range(1, len(DEFAULT_SCHEDULE) + 1):
-        plan, graph, checkpoint, pruned = pipeline.stage_prune_step(
+        plan, graph, pruned = pipeline.stage_prune_step(
             graph, plan, tmp_path / "plan.json", tmp_path / f"masked{k}",
-            out_pruned=tmp_path / "pruned", checkpoint_in=checkpoint,
-            checkpoint_out=tmp_path / f"checkpoint{k}")
+            out_pruned=tmp_path / "pruned")
         handed_on[f"model_masked_stage{k}"] = graph
     handed_on["model_pruned"] = pruned
     ranges, _ = pipeline.stage_calibrate(pruned, test_samples, 32, 0, tmp_path / "ranges.json")
@@ -372,7 +369,7 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
         if k == 3:
             argv += ["--out-pruned", str(out_b / "model_pruned")]
         if prev_ckpt:
-            argv += ["--checkpoint-in", prev_ckpt]  # identity fine-tuning
+            argv += ["--checkpoint-in", prev_ckpt]  # an unmodified checkpoint
         assert main(argv) == 0
         prev_ckpt = str(out_b / f"checkpoint_stage{k}.json")
     assert main(["evaluate", "--model", str(out_b / "model_pruned.json"),
@@ -408,7 +405,9 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
             assert ja == jb
         else:
             assert da[name] == db[name], name
-    assert set(da) == set(db)
+    # `run` writes no checkpoints; the staged run adds only its own.
+    checkpoints = {f"checkpoint_stage{k}.{ext}" for k in (1, 2, 3) for ext in ("json", "bin")}
+    assert set(db) == set(da) | checkpoints and not set(da) & checkpoints
 
 
 def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
@@ -779,9 +778,10 @@ def _checkpoint_in(m: Path, t: Path, tid: str, shape) -> list[str]:
             "--out-masked", str(t / "masked"), "--checkpoint-in", str(manifest_path)]
 
 
-def _prune_stage(m: Path, t: Path, counts: dict, stages: list) -> list[str]:
-    """prune-stage argv on the Float32 model with a two-stage plan file."""
-    plan = {"schedule": [0.1, 0.1], "original_counts": counts, "stages": stages}
+def _prune_stage(m: Path, t: Path, counts: dict, stages: list,
+                 schedule=(0.1, 0.1)) -> list[str]:
+    """prune-stage argv on the Float32 model with a plan file, by default of two stages."""
+    plan = {"schedule": list(schedule), "original_counts": counts, "stages": stages}
     return ["prune-stage", "--model", str(m / "model_float.json"),
             "--plan", str(_write(t / "p.json", json.dumps(plan))), "--out-masked", str(t / "masked")]
 
@@ -916,6 +916,9 @@ MALFORMED_INPUTS = {
                           "basis": 7}))),
                       "--out-masked", str(t / "masked")],
         "prune plan: key 'basis' must be 'original_count', got 7"),
+    "plan_schedule_negative": (
+        lambda m, t: _prune_stage(m, t, PLAN_COUNTS, [], schedule=[-0.1, 0.05]),
+        "prune plan: schedule fractions must lie in (0, 1): [-0.1, 0.05]"),
     "manifest_symmetric_string": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"]["quant"].update(symmetric="false")),
         "tensor in: bad quantization params: key 'symmetric' must be bool, got str"),
@@ -946,6 +949,11 @@ MALFORMED_INPUTS = {
                       str(_write(t / "profile.json", '{"op_metadata_bytes": 64.5}')),
                       "--out", str(t / "plan.json")],
         "hardware profile: key 'op_metadata_bytes' must be int, got float"),
+    "profile_utilization_nan": (
+        lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
+                      str(_write(t / "profile.json", '{"npu_utilization": NaN}')),
+                      "--out", str(t / "plan.json")],
+        "profile.json: malformed JSON: non-finite number NaN"),
     "plan_without_original_counts": (
         lambda m, t: ["prune-stage", "--model", str(m / "model.json"), "--plan",
                       str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
@@ -976,6 +984,10 @@ MALFORMED_INPUTS = {
                           "pass_duration_s": 600, "data_rate": 9600}))),
                       "--out", str(t / "d.json")],
         "link budget: unknown key 'data_rate'"),
+    "downlink_bytes_per_sample_negative": (
+        lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"),
+                      "--bytes-per-sample", "-12288", "--out", str(t / "d.json")],
+        "bytes_per_sample -12288.0 must be finite and > 0"),
     "plan_timeline_unknown_key": (
         lambda m, t: _plan_edited(m, t, lambda p: p["timeline"][0].update(group_id="conv1")),
         "timeline[0]: unknown key 'group_id'"),
