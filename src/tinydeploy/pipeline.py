@@ -26,7 +26,7 @@ import numpy as np
 from . import costmodel, model_io
 from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import load_dataset
-from .downlink import DownlinkReport, DownlinkScenario, simulate
+from .downlink import DownlinkError, DownlinkReport, DownlinkScenario, simulate
 from .executor import (
     InferenceRecord,
     calibrate,
@@ -40,6 +40,7 @@ from .model_io import load_model, save_model
 from .pruning import (
     DEFAULT_SCHEDULE,
     Checkpoint,
+    PruneError,
     PrunePlan,
     apply_masks,
     export_checkpoint,
@@ -109,6 +110,18 @@ class PipelineConfig:
                 raise PipelineError(
                     f"config key {key!r} must be at least {minimum}, got {getattr(self, key)}"
                 )
+        # The records these values make state their ranges; build them
+        # empty so that a value the run would use is refused before any
+        # stage runs. A skipped prune uses no schedule.
+        try:
+            DownlinkScenario(self.bytes_per_sample, self.confidence_threshold, ())
+        except DownlinkError as exc:
+            raise PipelineError(f"config: {exc}") from None
+        try:
+            if not self.prune.skip:
+                PrunePlan(self.prune.schedule, {})
+        except PruneError as exc:
+            raise PipelineError(f"config prune: {exc}") from None
 
     @classmethod
     def from_json(cls, obj) -> "PipelineConfig":

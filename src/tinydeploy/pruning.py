@@ -12,10 +12,23 @@ Channel propagation rule: a removal travels from a layer's output through
 channel-preserving ops (ReLU, MaxPool2D, AvgPool2D) and DepthwiseConv2D
 (whose per-channel kernels and bias entries are removed along the way)
 until it is absorbed by the input-channel axis of a Conv2D or, through
-Flatten, by the matching column block of a FullyConnected layer. Layers
-whose removals would reach Add, Concat, Softmax or a graph output are
-excluded from pruning; this keeps cross-branch masks consistent and
-always protects the final classifier.
+Flatten, by the matching columns of a FullyConnected layer.
+
+- Concat on the channel axis: a removal in input k continues at the same
+  indices plus input k's channel offset; a Flatten after it cuts the
+  columns p * C_total + offset + c for every spatial position p.
+- Add: the layers whose outputs meet at an Add, closed over chains of
+  Adds, form one coupled group. A group is ranked by its members' summed
+  L2 norms and every member loses the same indices at each stage; the
+  removal continues through the Add's output.
+
+A walk stops, and its layer is excluded, at a Concat on another axis or
+one that reads a tensor twice, at Softmax, at a graph output, or at any
+other op. A group is excluded as a whole when one member's walk stops,
+or when an Add operand does not trace back through ReLU, pools,
+DepthwiseConv2D and Adds to the group's layers (it comes from the graph
+input, a Concat or a constant). This always protects the final
+classifier.
 
 Fine-tuning happens externally: export_checkpoint/import_checkpoint move
 weights across the boundary as a manifest+blob pair whose blob is the
@@ -24,6 +37,7 @@ model blob of the same graph, packed and read by model_io.
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,7 +49,6 @@ from .graph import (
     OpKind,
     OpNode,
     ShapeError,
-    TensorSpec,
     infer_shapes,
 )
 from .model_io import (
@@ -118,113 +131,169 @@ class PrunePlan:
 # channel propagation
 
 
-def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None]]:
-    """Every Conv2D/FullyConnected layer of `graph` with its downstream actions.
+def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None, tuple[str, ...]]]:
+    """Every Conv2D/FullyConnected layer of `graph` with its downstream
+    actions and its coupled group.
 
-    Maps layer id -> (layer node, actions), where actions is a list of
-    ("dw"|"conv_in"|"fc_in", consumer node, positions) with positions the
-    Flatten spatial expansion factor for "fc_in" (1 when the input was
-    already 2-D), or None when the layer is not prunable. The actions
-    depend only on graph structure and the graph's Flatten spatial sizes,
-    which channel removal leaves unchanged.
+    Maps layer id -> (layer node, actions, group). Actions is a list of
+    ("dw"|"conv_in"|"fc_in", consumer node, bases): a removed filter c
+    cuts the consumer's input channel or column `base + c` for every base.
+    Actions are None when the layer is not prunable, and then for its
+    whole group. The group is the layers, in graph order, whose outputs
+    meet at an Add, closed over chains of Adds; a layer that meets no Add
+    is alone. The table depends only on graph structure and the channel
+    counts of Flatten and Concat inputs, which masking leaves unchanged;
+    every index it yields is one of the unpruned graph.
     """
     consumers = graph.consumer_map()
+    origins = _add_origins(graph)
+    layers = [n for n in graph.nodes if n.kind in PRUNABLE_OPS]
+    groups = {n.id: (n.id,) for n in layers}
+    for sources in filter(None, origins.values()):
+        members = set().union(*(groups[lid] for lid in sources))
+        group = tuple(n.id for n in layers if n.id in members)
+        groups.update(dict.fromkeys(group, group))
+    actions = {n.id: _propagation_actions(graph, consumers, origins, n.outputs[0]) for n in layers}
     return {
-        node.id: (node, _propagation_actions(graph, consumers, node.outputs[0]))
-        for node in graph.nodes
-        if node.kind in PRUNABLE_OPS
+        n.id: (n, None if any(actions[m] is None for m in groups[n.id]) else actions[n.id],
+               groups[n.id])
+        for n in layers
     }
 
 
-def _propagation_actions(g: GraphIR, consumers, output: str):
+def _add_origins(graph: GraphIR) -> dict[str, frozenset[str] | None]:
+    """Add output id -> the Conv2D/FullyConnected layers whose filters are
+    its channels, index for index, traced back through ReLU, pools,
+    DepthwiseConv2D and Adds; None when a channel of some operand comes
+    from elsewhere (the graph input, a Concat, a constant)."""
+    adds = [n for n in graph.nodes if n.kind == OpKind.ADD]
+    producers = graph.producer_map() if adds else {}
+    memo: dict[str, frozenset[str] | None] = {}
+
+    def origin(tid: str) -> frozenset[str] | None:
+        if tid not in memo:
+            n = producers.get(tid)
+            kind = n.kind if n is not None else None
+            if kind in PRUNABLE_OPS:
+                memo[tid] = frozenset([n.id])
+            elif kind in CHANNEL_PRESERVING_OPS or kind == OpKind.DEPTHWISE_CONV2D:
+                memo[tid] = origin(n.inputs[0])
+            elif kind == OpKind.ADD:
+                parts = [origin(t) for t in n.inputs]
+                memo[tid] = None if None in parts else frozenset().union(*parts)
+            else:
+                memo[tid] = None
+        return memo[tid]
+
+    return {n.outputs[0]: origin(n.outputs[0]) for n in adds}
+
+
+def _concat_offset(g: GraphIR, concat: OpNode, tid: str) -> int | None:
+    """The channel offset of input `tid` in `concat`'s output, or None when
+    the Concat is not on the channel axis or reads a tensor twice."""
+    rank = len(g.tensors[tid].shape)
+    if concat.attrs["axis"] % rank != rank - 1 or len(set(concat.inputs)) < len(concat.inputs):
+        return None
+    k = concat.inputs.index(tid)
+    return sum(g.tensors[t].shape[-1] for t in concat.inputs[:k])
+
+
+def _propagation_actions(g: GraphIR, consumers, origins, output: str):
     """Walk one layer's `output` through its consumers on `g`."""
     actions = []
-    # (tensor_id, flatten positions or None while still channel-shaped)
-    queue: list[tuple[str, int | None]] = [(output, None)]
-    seen: set[tuple[str, int | None]] = set()
+    # (tensor id, bases, flattened): removed filter c is the tensor's
+    # channel, or after a Flatten its column, `base + c` for every base
+    queue: deque[tuple[str, tuple[int, ...], bool]] = deque([(output, (0,), False)])
+    seen: set[tuple[str, tuple[int, ...], bool]] = set()
     while queue:
-        tid, positions = queue.pop(0)
-        if (tid, positions) in seen:
+        state = queue.popleft()
+        if state in seen:
             continue
-        seen.add((tid, positions))
+        seen.add(state)
+        tid, bases, flat = state
         if tid in g.graph_outputs:
             return None
         for consumer in consumers.get(tid, []):
-            kind = consumer.kind
-            if kind in (OpKind.ADD, OpKind.CONCAT, OpKind.SOFTMAX):
-                return None
+            kind, out = consumer.kind, consumer.outputs[0]
             if kind in CHANNEL_PRESERVING_OPS:
-                queue.append((consumer.outputs[0], positions))
-            elif kind == OpKind.DEPTHWISE_CONV2D:
-                if positions is not None:
+                queue.append((out, bases, flat))
+            elif kind == OpKind.ADD:
+                if not origins[out]:  # an operand the group cannot cut alike
                     return None
-                actions.append(("dw", consumer, None))
-                queue.append((consumer.outputs[0], None))
-            elif kind == OpKind.CONV2D:
-                if positions is not None:
-                    return None
-                actions.append(("conv_in", consumer, None))
+                queue.append((out, bases, flat))
             elif kind == OpKind.FULLY_CONNECTED:
-                actions.append(("fc_in", consumer, positions or 1))
+                actions.append(("fc_in", consumer, bases))
+            elif flat:
+                return None
+            elif kind == OpKind.DEPTHWISE_CONV2D:
+                actions.append(("dw", consumer, bases))
+                queue.append((out, bases, False))
+            elif kind == OpKind.CONV2D:
+                actions.append(("conv_in", consumer, bases))
             elif kind == OpKind.FLATTEN:
-                if positions is not None:
-                    return None
                 shape = g.tensors[tid].shape
                 spatial = int(np.prod(shape[1:-1])) if len(shape) > 2 else 1
-                queue.append((consumer.outputs[0], spatial))
+                columns = tuple(p * shape[-1] + b for p in range(spatial) for b in bases)
+                queue.append((out, columns, True))
+            elif kind == OpKind.CONCAT and (offset := _concat_offset(g, consumer, tid)) is not None:
+                queue.append((out, tuple(b + offset for b in bases), False))
             else:
                 return None
     return actions
 
 
-def _prunable_weights(graph: GraphIR) -> dict[str, TensorSpec]:
-    """Prunable layer id -> its weight tensor."""
+def _prunable(graph: GraphIR) -> dict[str, tuple[OpNode, tuple[str, ...]]]:
+    """Prunable layer id -> (its node, its coupled group)."""
     return {
-        lid: graph.tensors[node.inputs[1]]
-        for lid, (node, actions) in _propagation_table(graph).items()
+        lid: (node, group)
+        for lid, (node, actions, group) in _propagation_table(graph).items()
         if actions is not None
     }
 
 
+def _l2_norms(graph: GraphIR, node: OpNode) -> np.ndarray:
+    """The L2 norm of each output structure of a layer's Float32 weight."""
+    w = graph.tensors[node.inputs[1]].data
+    if w.dtype != np.float32:
+        raise PruneError(f"layer {node.id}: pruning requires Float32 weights")
+    flat = np.asarray(w, dtype=np.float64).reshape(w.shape[0], -1)
+    return np.sqrt((flat * flat).sum(axis=1))
+
+
 def rank_filters(graph: GraphIR) -> dict[str, list[FilterScore]]:
     """Per-layer L2 norms of every output structure, prunable layers only."""
-    scores: dict[str, list[FilterScore]] = {}
-    for layer_id, weight in _prunable_weights(graph).items():
-        w = weight.data
-        if w.dtype != np.float32:
-            raise PruneError(f"layer {layer_id}: pruning requires Float32 weights")
-        flat = np.asarray(w, dtype=np.float64).reshape(w.shape[0], -1)
-        norms = np.sqrt((flat * flat).sum(axis=1))
-        scores[layer_id] = [
-            FilterScore(layer_id, i, float(n)) for i, n in enumerate(norms)
-        ]
-    return scores
+    return {
+        lid: [FilterScore(lid, i, float(n)) for i, n in enumerate(_l2_norms(graph, node))]
+        for lid, (node, _) in _prunable(graph).items()
+    }
 
 
 def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:
     """Append one stage: rank current weights, remove the lowest-L2 unmasked.
 
-    Ranking is recomputed on the graph as passed in, so weights fine-tuned
-    between stages influence later removals.
+    A coupled group is ranked by its members' summed L2 norms, and every
+    member loses the same indices. Ranking is recomputed on the graph as
+    passed in, so weights fine-tuned between stages influence later
+    removals.
     """
     if plan.complete:
         raise PruneError("prune plan already has all scheduled stages")
     fraction = plan.schedule[len(plan.stages)]
-    scores = rank_filters(graph)
+    prunable = _prunable(graph)
     stage: dict[str, list[int]] = {}
-    for layer_id, layer_scores in scores.items():
+    for layer_id, (_, group) in prunable.items():
         if layer_id not in plan.original_counts:
             raise PruneError(f"layer {layer_id} missing from plan's original counts")
-        original = plan.original_counts[layer_id]
-        count = math.floor(fraction * original)
-        if count == 0:
+        count = math.floor(fraction * plan.original_counts[layer_id])
+        if count == 0 or layer_id != group[0]:  # a group is ranked at its first layer
             continue
-        already = plan.removed(layer_id)
-        live = [s for s in layer_scores if s.filter_index not in already]
+        norms = sum(_l2_norms(graph, prunable[m][0]) for m in group)
+        already = set().union(*(plan.removed(m) for m in group))
+        live = sorted((i for i in range(len(norms)) if i not in already),
+                      key=lambda i: (norms[i], i))
         if count >= len(live):
             raise PruneError(f"layer {layer_id}: stage would remove all remaining filters")
-        live.sort(key=lambda s: (s.l2_norm, s.filter_index))
-        stage[layer_id] = sorted(s.filter_index for s in live[:count])
+        stage.update((m, sorted(live[:count])) for m in group)
     return PrunePlan(
         schedule=list(plan.schedule),
         original_counts=dict(plan.original_counts),
@@ -233,7 +302,10 @@ def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:
 
 
 def new_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
-    counts = {lid: int(w.shape[0]) for lid, w in _prunable_weights(graph).items()}
+    counts = {
+        lid: int(graph.tensors[node.inputs[1]].shape[0])
+        for lid, (node, _) in _prunable(graph).items()
+    }
     return PrunePlan(schedule=schedule, original_counts=counts)
 
 
@@ -244,8 +316,9 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
     The one check of a plan against a graph. Raises PruneError when a
     stage names a layer that `original_counts` lacks, or a counted layer
     is not a Conv2D/FullyConnected node of `graph`, has another filter
-    count, has an index out of range, or has removals that cannot be
-    absorbed in this graph.
+    count, has an index out of range, has removals that cannot be
+    absorbed in this graph, or removes other indices in some stage than
+    another layer of its coupled group.
     """
     table = _propagation_table(graph)
     for k, stage in enumerate(plan.stages, 1):
@@ -260,7 +333,7 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
             raise PruneError(
                 f"layer {layer_id}: in the prune plan but not a prunable layer of the model"
             )
-        node, actions = table[layer_id]
+        node, actions, group = table[layer_id]
         filters = graph.tensors[node.inputs[1]].shape[0]
         if filters != count:
             raise PruneError(f"layer {layer_id}: mask length {count} != filter count {filters}")
@@ -272,6 +345,14 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
             continue
         if actions is None:
             raise PruneError(f"layer {layer_id} is not prunable in this graph")
+        for k, stage in enumerate(plan.stages, 1):
+            for other in group:
+                if set(stage.get(other, ())) != set(stage.get(layer_id, ())):
+                    first, second = sorted((layer_id, other), key=group.index)
+                    raise PruneError(
+                        f"prune plan stage {k}: layers {first} and {second} meet at an Add"
+                        " but remove different filters"
+                    )
         checked.append((node, removed, actions))
     return checked
 
@@ -298,11 +379,12 @@ def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     for node, removed, actions in _checked_removals(graph, plan):
         for tid in node.inputs[1:]:  # weight rows and bias entries
             own(tid)[removed] = 0
-        for action, consumer, _ in actions:
+        for action, consumer, bases in actions:
             if action == "dw":
-                own(consumer.inputs[1])[:, :, :, removed] = 0
+                channels = [b + c for b in bases for c in removed]
+                own(consumer.inputs[1])[:, :, :, channels] = 0
                 if len(consumer.inputs) == 3:
-                    own(consumer.inputs[2])[removed] = 0
+                    own(consumer.inputs[2])[channels] = 0
     return g
 
 
@@ -311,28 +393,28 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
 
     The plan is checked, and the propagation table built, on the input
     graph: removing channels changes neither graph structure nor Flatten
-    spatial sizes.
+    spatial sizes. Every cut of one tensor axis is gathered first and made
+    once, since a consumer of a Concat is cut by several layers at indices
+    of the unpruned tensor.
     """
-    g = graph.copy()
-
-    def drop(tid: str, index: list[int], axis: int) -> None:
-        t = g.tensors[tid]
-        t.data = np.delete(t.data, index, axis=axis)
-        t.shape = t.data.shape
-
+    cuts: dict[tuple[str, int], set[int]] = defaultdict(set)
     for node, removed, actions in _checked_removals(graph, plan):
-        count = g.tensors[node.inputs[1]].shape[0]
         for tid in node.inputs[1:]:  # weight rows and bias entries
-            drop(tid, removed, 0)
-        for action, consumer, positions in actions:
-            if action == "fc_in":  # columns p*C + c for every spatial position p
-                cols = [p * count + c for p in range(positions) for c in removed]
-                drop(consumer.inputs[1], cols, 1)
+            cuts[tid, 0].update(removed)
+        for action, consumer, bases in actions:
+            index = {b + c for b in bases for c in removed}
+            if action == "fc_in":
+                cuts[consumer.inputs[1], 1] |= index
             else:  # dw and conv_in: the input-channel axis, and a depthwise bias
-                drop(consumer.inputs[1], removed, 3)
+                cuts[consumer.inputs[1], 3] |= index
                 if action == "dw" and len(consumer.inputs) == 3:
-                    drop(consumer.inputs[2], removed, 0)
+                    cuts[consumer.inputs[2], 0] |= index
 
+    g = graph.copy()
+    for (tid, axis), index in cuts.items():
+        t = g.tensors[tid]
+        t.data = np.delete(t.data, sorted(index), axis=axis)
+        t.shape = t.data.shape
     try:
         return infer_shapes(g)[0]
     except ShapeError as exc:

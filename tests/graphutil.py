@@ -133,6 +133,92 @@ def skip_branch_graph(seed=0):
     return make_graph("skip_branch", nodes, tensors, ["in"], ["probs", "rs"])
 
 
+def conv_layer(rng, nid, src, filters, in_c, kernel=1, relu=True, depthwise=False):
+    """A SAME stride-1 Conv2D (or DepthwiseConv2D) reading `src`, with
+    random weights and bias and an optional ReLU: (nodes, tensors, output id)."""
+    kind = OpKind.DEPTHWISE_CONV2D if depthwise else OpKind.CONV2D
+    out_c = in_c if depthwise else filters
+    shape = (1, kernel, kernel, in_c) if depthwise else (filters, kernel, kernel, in_c)
+    nodes = [OpNode(nid, kind, conv_attrs(kernel, padding="SAME"),
+                    [src, f"{nid}_w", f"{nid}_b"], [f"{nid}_out"])]
+    tensors = [const(f"{nid}_w", rng.normal(0, 0.3, size=shape)),
+               const(f"{nid}_b", rng.normal(0, 0.1, size=(out_c,)), TensorKind.BIAS),
+               act(f"{nid}_out")]
+    if relu:
+        nodes.append(OpNode(f"{nid}_relu", OpKind.RELU, {}, [f"{nid}_out"], [f"{nid}_r"]))
+        tensors.append(act(f"{nid}_r"))
+    return nodes, tensors, nodes[-1].outputs[0]
+
+
+def op_layer(nid, kind, inputs, **attrs):
+    """One unweighted node `nid` reading `inputs`: (nodes, tensors, output id)."""
+    out = f"{nid}_out"
+    return [OpNode(nid, kind, attrs, list(inputs), [out])], [act(out)], out
+
+
+def classifier_graph(name, seed, build, features, in_shape=(1, 6, 6, 3)):
+    """The layers `build(rng)` returns in order, each a (nodes, tensors,
+    output id), then Flatten -> FullyConnected(5) -> Softmax on the last
+    layer's output, which has `features` elements."""
+    rng = np.random.default_rng(seed)
+    layers = build(rng)
+    nodes = [n for ns, _, _ in layers for n in ns] + [
+        OpNode("fl", OpKind.FLATTEN, {}, [layers[-1][2]], ["flat"]),
+        OpNode("fc", OpKind.FULLY_CONNECTED, {}, ["flat", "fc_w", "fc_b"], ["logits"]),
+        OpNode("sm", OpKind.SOFTMAX, {}, ["logits"], ["probs"]),
+    ]
+    tensors = [t for _, ts, _ in layers for t in ts] + [
+        TensorSpec("in", in_shape, DType.FLOAT32, TensorKind.INPUT),
+        const("fc_w", rng.normal(0, 0.1, size=(5, features))),
+        const("fc_b", rng.normal(0, 0.1, size=(5,)), TensorKind.BIAS),
+        act("flat"), act("logits"),
+        TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT),
+    ]
+    return make_graph(name, nodes, tensors, ["in"], ["probs"])
+
+
+def residual_chain_graph(seed=0):
+    """A stem and two residual blocks joined by chained Adds.
+
+    Stem Conv(8) -> ReLU -> x0; block 1 is Conv a1 -> ReLU -> Conv b1(8),
+    Add(x0, .) -> ReLU -> x1; block 2 is Conv a2 -> ReLU -> Conv b2(8) ->
+    DepthwiseConv2D d2, Add(x1, .) -> ReLU; then Flatten ->
+    FullyConnected -> Softmax. The stem, b1 and b2 meet at the Adds.
+    """
+    def build(rng):
+        stem = conv_layer(rng, "stem", "in", 8, 3, kernel=3)
+        a1 = conv_layer(rng, "a1", stem[2], 6, 8)
+        b1 = conv_layer(rng, "b1", a1[2], 8, 6, kernel=3, relu=False)
+        add1 = op_layer("add1", OpKind.ADD, [stem[2], b1[2]])
+        x1 = op_layer("r1", OpKind.RELU, [add1[2]])
+        a2 = conv_layer(rng, "a2", x1[2], 6, 8)
+        b2 = conv_layer(rng, "b2", a2[2], 8, 6, relu=False)
+        d2 = conv_layer(rng, "d2", b2[2], None, 8, kernel=3, relu=False, depthwise=True)
+        add2 = op_layer("add2", OpKind.ADD, [x1[2], d2[2]])
+        return [stem, a1, b1, add1, x1, a2, b2, d2, add2, op_layer("r2", OpKind.RELU, [add2[2]])]
+    return classifier_graph("residual_chain", seed, build, 6 * 6 * 8)
+
+
+def inception_graph(seed=0):
+    """Two Concats on the channel axis.
+
+    Stem Conv(6) -> ReLU -> x; Concat of Conv p(4) -> ReLU, Conv q(8) ->
+    ReLU and MaxPool(x), read by DepthwiseConv2D d and Conv c(5) -> ReLU;
+    Concat(d, c) -> Flatten -> FullyConnected -> Softmax. Every cut of the
+    stem, p and q reaches d, c and the FullyConnected columns at offsets.
+    """
+    def build(rng):
+        stem = conv_layer(rng, "stem", "in", 6, 3, kernel=3)
+        p = conv_layer(rng, "p", stem[2], 4, 6)
+        q = conv_layer(rng, "q", stem[2], 8, 6, kernel=3)
+        m = op_layer("mp", OpKind.MAX_POOL2D, [stem[2]], **conv_attrs(padding="SAME"))
+        cat1 = op_layer("cat1", OpKind.CONCAT, [p[2], q[2], m[2]], axis=3)
+        d = conv_layer(rng, "d", cat1[2], None, 18, kernel=3, relu=False, depthwise=True)
+        c = conv_layer(rng, "c", cat1[2], 5, 18)
+        return [stem, p, q, m, cat1, d, c, op_layer("cat2", OpKind.CONCAT, [d[2], c[2]], axis=3)]
+    return classifier_graph("inception", seed, build, 6 * 6 * 23)
+
+
 # ---------------------------------------------------------------------------
 # naive reference ops (loop-based, independent of the executor)
 

@@ -903,6 +903,15 @@ MALFORMED_INPUTS = {
     "config_output_dir_int": (
         lambda m, t: _run_config(m, t, output_dir=3),
         "config: key 'output_dir' must be str, got int"),
+    "config_bytes_per_sample_negative": (
+        lambda m, t: _run_config(m, t, bytes_per_sample=-1),
+        "config: bytes_per_sample -1.0 must be finite and > 0"),
+    "config_threshold_above_one": (
+        lambda m, t: _run_config(m, t, confidence_threshold=1.5),
+        "config: threshold 1.5 outside (0, 1]"),
+    "config_schedule_sum_one": (
+        lambda m, t: _run_config(m, t, prune={"schedule": [0.5, 0.6]}),
+        "config prune: prune plan: schedule fractions must sum below 1: [0.5, 0.6]"),
     "plan_count_fraction": (
         lambda m, t: _prune_stage(m, t, {**PLAN_COUNTS, "conv1": 16.7}, []),
         "prune plan: key 'original_counts'[conv1] must be int, got float"),

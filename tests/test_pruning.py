@@ -8,11 +8,16 @@ import pytest
 from graphutil import (
     act,
     build_prune_plan,
+    classifier_graph,
     const,
     conv_attrs,
+    conv_layer,
     graphs_equal,
+    inception_graph,
     make_graph,
     node,
+    op_layer,
+    residual_chain_graph,
     skip_branch_graph,
     two_conv_chain,
 )
@@ -230,8 +235,139 @@ def test_add_feeding_layer_excluded():
         TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT),
     ]
     g = make_graph("res", nodes, tensors, ["in"], ["probs"])
-    # c1 feeds the Add both directly and through c2; c2 feeds it directly
+    # c1 and c2 meet at the Add, which reads both their outputs, and the
+    # Add's removals reach Softmax through Flatten, so neither is prunable
     assert new_plan(g).original_counts == {}
+
+
+def _assert_masked_matches_materialized(g, plan, inputs=4):
+    masked, mat = apply_masks(g, plan), materialize(g, plan)
+    rng = np.random.default_rng(11)
+    for _ in range(inputs):
+        x = rng.normal(size=g.tensors["in"].shape).astype(np.float32)
+        assert np.abs(run_f32(masked, x)["probs"] - run_f32(mat, x)["probs"]).max() <= 1e-5
+    return mat
+
+
+def test_residual_chain_group_removes_alike():
+    g = residual_chain_graph()
+    plan = build_prune_plan(g, [0.25, 0.125])
+    assert plan.original_counts == {"stem": 8, "a1": 6, "b1": 8, "a2": 6, "b2": 8}
+    for stage in plan.stages:
+        assert stage["stem"] == stage["b1"] == stage["b2"]
+    assert [len(stage["stem"]) for stage in plan.stages] == [2, 1]
+    # the group is ranked by its members' summed norms
+    scores = rank_filters(g)
+    summed = sum(np.array([s.l2_norm for s in scores[lid]]) for lid in ("stem", "b1", "b2"))
+    order = sorted(range(8), key=lambda i: (summed[i], i))
+    assert plan.stages[0]["stem"] == sorted(order[:2])
+    assert plan.stages[1]["stem"] == order[2:3]
+    mat = _assert_masked_matches_materialized(g, plan)
+    assert mat.tensors["d2_w"].shape == (1, 3, 3, 5)
+    assert mat.tensors["a1_w"].shape == (5, 1, 1, 5)
+    assert mat.tensors["fc_w"].shape == (5, 6 * 6 * 5)
+
+
+def test_inception_concat_cuts_each_consumer_once():
+    g = inception_graph()
+    plan = new_plan(g, [0.25])
+    assert plan.original_counts == {"stem": 6, "p": 4, "q": 8, "c": 5}
+    plan.stages.append({"stem": [1, 4], "p": [0], "q": [2, 7], "c": [3]})
+    # Concat offsets: p at 0, q at 4, the stem's MaxPool at 12; d at 0 and
+    # c at 18 in the 23 channels the FullyConnected layer reads per position
+    cat1 = [0, 4 + 2, 4 + 7, 12 + 1, 12 + 4]
+    cuts = {
+        "stem_w": [(0, [1, 4])], "stem_b": [(0, [1, 4])],
+        "p_w": [(0, [0]), (3, [1, 4])], "p_b": [(0, [0])],
+        "q_w": [(0, [2, 7]), (3, [1, 4])], "q_b": [(0, [2, 7])],
+        "d_w": [(3, cat1)], "d_b": [(0, cat1)],
+        "c_w": [(0, [3]), (3, cat1)], "c_b": [(0, [3])],
+        "fc_w": [(1, [p * 23 + k for p in range(36) for k in [*cat1, 18 + 3]])],
+    }
+    mat = _assert_masked_matches_materialized(g, plan)
+    for tid, t in g.tensors.items():
+        want = t.data
+        for axis, index in cuts.get(tid, []):
+            want = np.delete(want, index, axis=axis)
+        if want is not None:
+            np.testing.assert_array_equal(mat.tensors[tid].data, want, err_msg=tid)
+    assert validate(mat).ok
+
+
+def _residual_on_concat(rng):
+    a = conv_layer(rng, "a", "in", 4, 3)
+    b = conv_layer(rng, "b", "in", 4, 3)
+    cat = op_layer("cat", OpKind.CONCAT, [a[2], b[2]], axis=3)
+    r1 = conv_layer(rng, "r1", cat[2], 6, 8)
+    r2 = conv_layer(rng, "r2", r1[2], 8, 6, relu=False)
+    return [a, b, cat, r1, r2, op_layer("add", OpKind.ADD, [cat[2], r2[2]])]
+
+
+def _concat_on_height(rng):
+    a = conv_layer(rng, "a", "in", 4, 3)
+    b = conv_layer(rng, "b", "in", 4, 3)
+    cat = op_layer("cat", OpKind.CONCAT, [a[2], b[2]], axis=1)
+    return [a, b, cat, conv_layer(rng, "c", cat[2], 5, 4)]
+
+
+def _concat_twice(rng):
+    a = conv_layer(rng, "a", "in", 4, 3)
+    cat = op_layer("cat", OpKind.CONCAT, [a[2], a[2]], axis=3)
+    return [a, cat, conv_layer(rng, "c", cat[2], 5, 8)]
+
+
+@pytest.mark.parametrize("build,features,prunable", [
+    (_residual_on_concat, 6 * 6 * 8, {"r1": 6}),  # the Add's skip comes from a Concat
+    (_concat_on_height, 12 * 6 * 5, {"c": 5}),  # Concat on axis 1
+    (_concat_twice, 6 * 6 * 5, {"c": 5}),  # Concat reads one tensor twice
+])
+def test_walks_that_stop_at_add_or_concat(build, features, prunable):
+    g = classifier_graph(build.__name__, 0, build, features)
+    assert new_plan(g).original_counts == prunable
+    _assert_masked_matches_materialized(g, build_prune_plan(g, [0.4]))
+
+
+def test_skip_branch_concat_layer_prunable():
+    # c2's Add also reads the graph input, so c2 stays out; c3 reaches the
+    # FullyConnected layer through the Concat at offset 0
+    g = skip_branch_graph()
+    assert new_plan(g).original_counts == {"c1": 8, "c3": 6}
+    plan = build_prune_plan(g, [0.34])
+    assert plan.stages[0].keys() == {"c1", "c3"}
+    masked, mat = apply_masks(g, plan), materialize(g, plan)
+    x = np.random.default_rng(3).normal(size=(1, 6, 6, 4)).astype(np.float32)
+    for out in g.graph_outputs:
+        assert np.abs(run_f32(masked, x)[out] - run_f32(mat, x)[out]).max() <= 1e-5
+    assert mat.tensors["w4"].shape == (5, 6 * 6 * 12)
+
+
+def _split_group(plan):
+    plan.stages[0]["b1"] = [i for i in range(8) if i not in plan.stages[0]["stem"]][:2]
+
+
+def test_plan_that_splits_a_group_rejected():
+    g = residual_chain_graph()
+    plan = build_prune_plan(g, [0.25])
+    _split_group(plan)
+    for transform in (apply_masks, materialize):
+        with pytest.raises(PruneError, match="prune plan stage 1: layers stem and b1 meet at an Add"):
+            transform(g, plan)
+
+
+def test_cli_prune_stage_refuses_a_split_group(tmp_path, capsys):
+    g = residual_chain_graph()
+    save_model(g, tmp_path / "m")
+    plan = build_prune_plan(g, [0.25, 0.125])
+    plan.stages.pop()
+    _split_group(plan)
+    plan.save(tmp_path / "plan.json")
+    argv = ["prune-stage", "--model", str(tmp_path / "m.json"), "--plan", str(tmp_path / "plan.json"),
+            "--out-masked", str(tmp_path / "masked")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "layers stem and b1 meet at an Add but remove different filters" in err
+    assert not (tmp_path / "masked.json").exists()
 
 
 def test_depthwise_propagation(dwsep_net):
