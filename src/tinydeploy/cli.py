@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import pipeline
 from .costmodel import CostEstimate
-from .data_files import resolve_path
+from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import (
     DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, load_dataset, synthetic_samples,
 )
@@ -114,7 +114,8 @@ def _cmd_quantize(args) -> int:
 
 
 def _cmd_map(args) -> int:
-    plan = pipeline.stage_map(load_model(args.model), args.profile, args.out, args.report)
+    plan = pipeline.stage_map(load_model(args.model), load_profile(args.profile), args.out,
+                              args.report)
     print(
         f"plan: {len(plan.fused_groups)} groups, makespan {plan.makespan_us:.1f} us, "
         f"arena peak {plan.memory_plan.arena_peak_bytes} B"
@@ -123,7 +124,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    est = pipeline.stage_estimate(args.model, args.plan, args.profile, args.out)
+    est = pipeline.stage_estimate(args.model, args.plan, load_profile(args.profile), args.out)
     print(
         f"latency {est.latency_ms:.3f} ms, energy {est.energy_mj:.3f} mJ, "
         f"ram {est.ram_peak_bytes} B, flash {est.flash_bytes} B"
@@ -153,7 +154,7 @@ def _cmd_simulate_downlink(args) -> int:
         return 1
     report = pipeline.stage_downlink(
         read_records_csv(records),
-        args.link,
+        load_link_budget(args.link),
         threshold,
         bps,
         args.out,
@@ -181,7 +182,8 @@ def _cmd_report(args) -> int:
     est = decode(CostEstimate, read_json(estimate_path, PipelineError), str(estimate_path),
                  PipelineError)
     downlink = read_json(run_dir / "downlink_report.json", PipelineError)
-    pipeline.stage_report(run_dir, config, stages, est, downlink)
+    pipeline.stage_report(run_dir, config, load_profile(config.hardware_profile), stages, est,
+                          downlink)
     print(f"report written to {run_dir / 'report.json'}")
     return 0
 

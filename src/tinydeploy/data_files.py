@@ -32,9 +32,18 @@ def resolve_path(ref: str | Path) -> Path:
     return Path(ref)
 
 
+def _load(what: str, ref: str | Path, load):
+    """`load` of the file `ref` names; a missing file raises
+    FileNotFoundError naming `what` and `ref`."""
+    try:
+        return load(resolve_path(ref))
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"{what} {ref}: {exc.strerror or exc}") from None
+
+
 def load_profile(ref: str | Path) -> HardwareProfile:
-    return HardwareProfile.load(resolve_path(ref))
+    return _load("hardware profile", ref, HardwareProfile.load)
 
 
 def load_link_budget(ref: str | Path) -> LinkBudget:
-    return LinkBudget.load(resolve_path(ref))
+    return _load("link budget", ref, LinkBudget.load)

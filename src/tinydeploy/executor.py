@@ -68,7 +68,7 @@ from .graph import (
     TensorSpec,
     checked_order,
     conv_output_hw,
-    fusable_relu,
+    fused_successor,
     same_padding_amounts,
 )
 from .model_io import NUMBER, _field, csv_text, read_csv, write_files
@@ -407,15 +407,20 @@ def _int8_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(acc, copy=False) @ b.astype(acc, copy=False)
 
 
-def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Kernel:
+def _int8_weighted_kernel(
+    graph: GraphIR, node: OpNode, fused_relu: bool, src: str | None = None
+) -> Kernel:
     """Conv2D / DepthwiseConv2D / FullyConnected, optionally with fused ReLU.
 
-    The product accumulates exactly in `_acc_dtype` of the window or
-    input size. The epilogue (int64 cast, bias, 32-bit check, fixed-point
-    requantization, zero point, clip) then runs on `_EPILOGUE_TILE`-sized
-    tiles of output rows, writing into one preallocated Int8 output.
+    `src` is the tensor the kernel reads, by default the node's input;
+    a FullyConnected reads it flattened to (B, -1), so it may be a fused
+    Flatten's input. The product accumulates exactly in `_acc_dtype` of
+    the window or input size. The epilogue (int64 cast, bias, 32-bit
+    check, fixed-point requantization, zero point, clip) then runs on
+    `_EPILOGUE_TILE`-sized tiles of output rows, writing into one
+    preallocated Int8 output.
     """
-    src = node.inputs[0]
+    src = node.inputs[0] if src is None else src
     zp_in = _require_quant(graph, src).zero_point
     if not QMIN <= zp_in <= QMAX:
         raise ExecutionError(f"node {node.id}: input zero point {zp_in} outside Int8 range")
@@ -431,7 +436,7 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
         w_t = w.astype(_acc_dtype(w.shape[1])).T
 
         def product(x: np.ndarray) -> np.ndarray:
-            return _int8_gemm(x.astype(w_t.dtype) - zp_in, w_t)
+            return _int8_gemm(x.reshape(len(x), -1).astype(w_t.dtype) - zp_in, w_t)
     elif node.kind == OpKind.CONV2D:
         window = _Window(node, graph.tensors[src].shape)
         w_mat = w.reshape(w.shape[0], -1)
@@ -472,11 +477,13 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode, fused_relu: bool) -> Ker
     return weighted
 
 
-def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
+def _int8_kernel(graph: GraphIR, node: OpNode, fused_relu: bool = False) -> Kernel:
+    """The INT8 kernel of `node`; `fused_relu` (weighted ops and Add only)
+    clips its output at the zero point, as the ReLU reading it would."""
     kind = node.kind
     src = node.inputs[0]
     if kind in WEIGHTED_OPS:
-        return _int8_weighted_kernel(graph, node, fused_relu=False)
+        return _int8_weighted_kernel(graph, node, fused_relu)
 
     if kind == OpKind.RELU:
         _assert_inherited(graph, node)
@@ -518,12 +525,13 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         zp_out = _require_quant(graph, node.outputs[0]).zero_point
         requant_a = _requant_table(node, "requant_a")
         requant_b = _requant_table(node, "requant_b")
+        q_low = max(QMIN, zp_out) if fused_relu else QMIN
 
         def add(env: Env) -> np.ndarray:
             # Both operands requantize to the output scale before adding.
             ta = requantize_fixed_point(env[src].astype(np.int64) - zp_a, *requant_a)
             tb = requantize_fixed_point(env[other].astype(np.int64) - zp_b, *requant_b)
-            return np.clip(ta + tb + zp_out, QMIN, QMAX).astype(np.int8)
+            return np.clip(ta + tb + zp_out, q_low, QMAX).astype(np.int8)
         return add
 
     if kind == OpKind.CONCAT:
@@ -564,8 +572,10 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 class Step(NamedTuple):
     """One kernel of a Program: computes tensor `output` from the env.
 
-    `reads` are the input ids of the node it runs (of the producer, for a
-    fused producer+ReLU), constants included.
+    `reads` are the input ids of the node it runs, constants included:
+    for a fused pair, what the pair reads from outside itself (the
+    producer's inputs under a ReLU; the Flatten's input and the
+    FullyConnected's constants).
     """
 
     output: str
@@ -676,8 +686,8 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     A fully quantized graph (`GraphIR.is_quantized`) gets the INT8
     kernels, any other graph the Float32 ones. `fused_groups` (node-id
     sequences from a deployment plan, quantized graphs only) executes
-    producer+ReLU pairs as single kernels without materializing the
-    intermediate tensor; the math is unchanged.
+    each pair `graph.fused_successor` allows as one kernel without
+    materializing the tensor between them; the math is unchanged.
     """
     quantized = graph.is_quantized()
     g = graph.copy()
@@ -722,13 +732,19 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         if len(grp) == 1:
             steps.append(_step(nodes[grp[0]], _int8_kernel(g, nodes[grp[0]])))
             continue
-        producer, relu = nodes[grp[0]], nodes[grp[-1]]
-        if len(grp) != 2 or fusable_relu(g, producer, consumers) is not relu:
-            raise ExecutionError(f"fused group {group_id(grp)} is not a weighted op and "
-                                 "the ReLU that alone reads its output")
-        _assert_inherited(g, relu)
-        kernel = _int8_weighted_kernel(g, producer, fused_relu=True)
-        steps.append(Step(relu.outputs[0], kernel, tuple(producer.inputs)))
+        first, second = nodes[grp[0]], nodes[grp[-1]]
+        if len(grp) != 2 or fused_successor(g, first, consumers) is not second:
+            raise ExecutionError(f"fused group {group_id(grp)} is not a node and the node "
+                                 "it fuses with (graph.fused_successor)")
+        if second.kind == OpKind.RELU:
+            _assert_inherited(g, second)
+            kernel, reads = _int8_kernel(g, first, fused_relu=True), first.inputs
+        else:  # Flatten + FullyConnected
+            _assert_inherited(g, first)
+            src = first.inputs[0]
+            kernel = _int8_weighted_kernel(g, second, fused_relu=False, src=src)
+            reads = [src, *second.inputs[1:]]
+        steps.append(Step(second.outputs[0], kernel, tuple(reads)))
     return Program(g, steps, quantized=True)
 
 

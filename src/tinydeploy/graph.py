@@ -67,7 +67,7 @@ class OpKind(str, enum.Enum):
 
 
 # Ops that carry constant weights and define output structures (filters/neurons):
-# the ops with a MAC count, and the producers a following ReLU fuses into.
+# the ops with a MAC count.
 WEIGHTED_OPS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
 
 # Ops whose output preserves per-channel identity of their input (used by
@@ -227,17 +227,26 @@ class GraphIR:
         return saw_int8
 
 
-def fusable_relu(
+def fused_successor(
     graph: GraphIR, node: OpNode, consumers: dict[str, list[OpNode]]
 ) -> OpNode | None:
-    """The ReLU that `node` fuses with, or None: a weighted op fuses with
-    the ReLU that alone reads its output, when that output is not a graph
-    output. `consumers` is `graph.consumer_map()`."""
+    """The node that `node` fuses with into one kernel, or None.
+
+    `node`'s output must not be a graph output and must have one reader,
+    which makes one of the pairs: a weighted op or an Add with a ReLU
+    (the kernel clips at the output zero point), or a Flatten with a
+    FullyConnected (the kernel reads the Flatten's input). `consumers` is
+    `graph.consumer_map()`.
+    """
     out = node.outputs[0]
     readers = consumers.get(out, [])
-    if (node.kind in WEIGHTED_OPS and out not in graph.graph_outputs
-            and len(readers) == 1 and readers[0].kind == OpKind.RELU):
-        return readers[0]
+    if out in graph.graph_outputs or len(readers) != 1:
+        return None
+    reader = readers[0]
+    if reader.kind == OpKind.RELU and node.kind in (*WEIGHTED_OPS, OpKind.ADD):
+        return reader
+    if node.kind == OpKind.FLATTEN and reader.kind == OpKind.FULLY_CONNECTED:
+        return reader
     return None
 
 

@@ -1,13 +1,16 @@
 """Hardware-aware operator mapping.
 
 Partitions a quantized graph onto NPU/CPU by the profile's supported op
-set, fuses Conv2D/DepthwiseConv2D/FullyConnected with the ReLU that alone
-reads its output (`graph.fusable_relu`, same target), list-schedules the
-fused groups over the two resources with CPU/NPU overlap, and plans
-activation memory in a single arena with lifetime-based buffer reuse
-(greedy best-fit, tensors placed in descending size). Weights live in
-flash and never enter the arena; tensors internal to a fused group are
-never materialized.
+set, fuses pairs into one kernel on one target (`graph.fused_successor`:
+a Conv2D/DepthwiseConv2D/FullyConnected or an Add with the ReLU that
+alone reads its output, a Flatten with the FullyConnected that alone
+reads its output), list-schedules the fused groups over the two
+resources with CPU/NPU overlap, and plans activation memory in a single
+arena with lifetime-based buffer reuse (greedy best-fit, tensors placed
+in descending size). Weights live in flash and never enter the arena;
+tensors internal to a fused group are never materialized. Fusing only
+saves dispatches: each group pays one dispatch overhead in the cost
+model, and the flash metadata is still counted per node.
 
 A fused group is the list of its node ids; `costmodel.group_id` names it
 in timelines and plans, and `costmodel.group_index` maps nodes to it.
@@ -25,7 +28,7 @@ from .costmodel import (
     group_id,
     group_index,
 )
-from .graph import GraphIR, fusable_relu, topological_order
+from .graph import GraphIR, fused_successor, topological_order
 from .hardware import HardwareProfile
 from .model_io import decode, read_json, write_json
 
@@ -78,8 +81,9 @@ def partition_and_fuse(
 ) -> tuple[dict[str, str], list[list[str]]]:
     """Assign each node to NPU iff its kind is supported, then fuse.
 
-    A weighted op fuses with its `graph.fusable_relu` when both share a
-    target. Groups are listed in topological order.
+    A node fuses with its `graph.fused_successor` when both share a
+    target, and groups stay pairs: a node that joined a group as its
+    second member starts none. Groups are listed in topological order.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
@@ -89,19 +93,17 @@ def partition_and_fuse(
         n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
     }
 
-    order = topological_order(graph)
-    fused_with: dict[str, str] = {}  # producer id -> relu id
-    for nid in order:
-        relu = fusable_relu(graph, nodes[nid], consumers)
-        if relu is not None and assignment[nid] == assignment[relu.id]:
-            fused_with[nid] = relu.id
-
-    fused_relus = set(fused_with.values())
-    groups = [
-        [nid, fused_with[nid]] if nid in fused_with else [nid]
-        for nid in order
-        if nid not in fused_relus
-    ]
+    groups: list[list[str]] = []
+    seconds: set[str] = set()
+    for nid in topological_order(graph):
+        if nid in seconds:
+            continue
+        succ = fused_successor(graph, nodes[nid], consumers)
+        if succ is not None and assignment[nid] == assignment[succ.id]:
+            groups.append([nid, succ.id])
+            seconds.add(succ.id)
+        else:
+            groups.append([nid])
     return assignment, groups
 
 

@@ -2,10 +2,11 @@
 calibrate -> quantize -> map -> estimate -> downlink simulation ->
 combined report.
 
-`run_pipeline` reads the config's model and dataset once and hands each
-stage the objects it needs in memory: every stage function takes graphs,
-samples, ranges, a plan or records, writes its artifacts and returns the
-objects it made, so no stage reads a file the run wrote. The CLI
+`run_pipeline` reads the config's model, dataset, hardware profile and
+link budget once and hands each stage the objects it needs in memory:
+every stage function takes graphs, samples, ranges, a profile, a plan or
+records, writes its artifacts and returns the objects it made, so no
+stage reads a file the run wrote. The CLI
 subcommands are thin wrappers that load their input files and call the
 same stage functions, so running the stages one file at a time is
 bit-identical to the monolithic run. `run` has no trainer, so unlike
@@ -26,7 +27,7 @@ import numpy as np
 from . import costmodel, model_io
 from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import load_dataset
-from .downlink import DownlinkError, DownlinkReport, DownlinkScenario, simulate
+from .downlink import DownlinkError, DownlinkReport, DownlinkScenario, LinkBudget, simulate
 from .executor import (
     InferenceRecord,
     calibrate,
@@ -35,6 +36,7 @@ from .executor import (
     write_records_csv,
 )
 from .graph import GraphIR, parameter_count
+from .hardware import HardwareProfile
 from .mapping import DeploymentPlan, MappingError, build_deployment_plan, load_plan, render_report
 from .model_io import load_model, save_model
 from .pruning import (
@@ -203,8 +205,9 @@ def stage_quantize(graph: GraphIR, ranges, out_model) -> GraphIR:
     return quantized
 
 
-def stage_map(graph: GraphIR, profile_ref, out_plan, out_text=None) -> DeploymentPlan:
-    profile = load_profile(profile_ref)
+def stage_map(
+    graph: GraphIR, profile: HardwareProfile, out_plan, out_text=None
+) -> DeploymentPlan:
     plan = build_deployment_plan(graph, profile)
     plan.save(out_plan)
     if out_text is not None:
@@ -212,7 +215,7 @@ def stage_map(graph: GraphIR, profile_ref, out_plan, out_text=None) -> Deploymen
     return plan
 
 
-def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate:
+def stage_estimate(graph, plan, profile: HardwareProfile, out_json) -> costmodel.CostEstimate:
     """Write and return the cost estimate of `plan`, which must be the plan
     `map` builds from this model and profile: `build_deployment_plan`
     rebuilds it, and any other plan raises a MappingError naming its first
@@ -226,7 +229,6 @@ def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate
     source = "plan"
     if isinstance(plan, (str, Path)):
         source, plan = f"plan {plan}", load_plan(plan)
-    profile = load_profile(profile_ref)
     built = build_deployment_plan(graph, profile)
     if plan != built:
         raise MappingError(f"{source} {model_io.first_difference(plan, built)} "
@@ -240,14 +242,13 @@ def stage_estimate(graph, plan, profile_ref, out_json) -> costmodel.CostEstimate
 
 def stage_downlink(
     records,
-    link_ref,
+    link: LinkBudget,
     threshold,
     bytes_per_sample,
     out_json,
     ground=None,
     out_text=None,
 ) -> DownlinkReport:
-    link = load_link_budget(link_ref)
     scenario = DownlinkScenario(
         bytes_per_sample=float(bytes_per_sample),
         threshold=float(threshold),
@@ -265,15 +266,15 @@ def stage_downlink(
 REPORTED = ("float", "pruned", "quantized")
 
 
-def stage_report(out_dir, config: PipelineConfig, stages: dict, est: costmodel.CostEstimate,
-                 downlink: dict) -> dict:
+def stage_report(out_dir, config: PipelineConfig, profile: HardwareProfile, stages: dict,
+                 est: costmodel.CostEstimate, downlink: dict) -> dict:
     """Combine the stage results into report.json / report.csv / plot data.
 
-    `stages` maps each of REPORTED to its (graph, top-1 accuracy), or None
-    for a skipped pruning; `downlink` is the downlink report's JSON form.
+    `profile` is the one `config.hardware_profile` names. `stages` maps
+    each of REPORTED to its (graph, top-1 accuracy), or None for a skipped
+    pruning; `downlink` is the downlink report's JSON form.
     """
     out = Path(out_dir)
-    profile = load_profile(config.hardware_profile)
     entries: dict[str, dict | None] = {
         stage: None if stages[stage] is None else {
             "accuracy": stages[stage][1],
@@ -324,13 +325,16 @@ def stage_report(out_dir, config: PipelineConfig, stages: dict, est: costmodel.C
 
 @dataclass
 class Run:
-    """One run in progress: where it writes, its config and samples, and
-    every object a stage made, keyed by the stem of the file the stage
-    wrote it to ("model_pruned", "eval_float", "deployment_plan", ...)."""
+    """One run in progress: where it writes, its config, the samples,
+    hardware profile and link budget the config names, and every object a
+    stage made, keyed by the stem of the file the stage wrote it to
+    ("model_pruned", "eval_float", "deployment_plan", ...)."""
 
     out: Path
     config: PipelineConfig
     samples: list
+    profile: HardwareProfile
+    link: LinkBudget
     made: dict[str, object]
 
 
@@ -376,7 +380,7 @@ def _quant_source(r: Run) -> GraphIR:
 def _report(r: Run) -> dict[str, object]:
     stages = {stage: (r.made[f"model_{stage}"], r.made[f"eval_{stage}"][1])
               if f"model_{stage}" in r.made else None for stage in REPORTED}
-    return {"report": stage_report(r.out, r.config, stages, r.made["cost_estimate"],
+    return {"report": stage_report(r.out, r.config, r.profile, stages, r.made["cost_estimate"],
                                    asdict(r.made["downlink_report"]))}
 
 
@@ -397,15 +401,15 @@ STAGES = (
           _evaluate("model_quantized", "eval_quantized")),
     Stage("map", ("deployment_plan.*",), lambda r: {
         "deployment_plan": stage_map(
-            r.made["model_quantized"], r.config.hardware_profile,
+            r.made["model_quantized"], r.profile,
             r.out / "deployment_plan.json", r.out / "deployment_plan.txt")}),
     Stage("estimate", ("cost_estimate.json",), lambda r: {
         "cost_estimate": stage_estimate(
-            r.made["model_quantized"], r.made["deployment_plan"], r.config.hardware_profile,
+            r.made["model_quantized"], r.made["deployment_plan"], r.profile,
             r.out / "cost_estimate.json")}),
     Stage("simulate-downlink", ("downlink_report.*",), lambda r: {
         "downlink_report": stage_downlink(
-            r.made["eval_quantized"][0], r.config.link_budget, r.config.confidence_threshold,
+            r.made["eval_quantized"][0], r.link, r.config.confidence_threshold,
             r.config.bytes_per_sample, r.out / "downlink_report.json",
             ground=r.made["eval_float"][0], out_text=r.out / "downlink_report.txt")}),
     Stage("report", ("report.json", "report.csv", "plot_latency_energy.csv"), _report),
@@ -423,9 +427,11 @@ def _purge(out: Path) -> None:
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict | None:
     """Run the STAGES into config.output_dir; returns the combined report.
 
-    The model and the dataset are read once, in a "setup" step that also
-    writes model_float; the stages then hand each other what they made in
-    memory. Each stage's name and wall time are logged at INFO level.
+    The hardware profile, the link budget, the model and the dataset are
+    read once, in a "setup" step that also writes model_float, so a bad
+    profile or link ref fails as "setup: ..." before any stage runs; the
+    stages then hand each other what they made in memory. Each stage's
+    name and wall time are logged at INFO level.
     Artifacts left by an earlier run are purged first, so a rerun in place
     regenerates everything. `stop_after` ends the run after the named stage
     (see STAGE_ORDER) and returns None, even when that stage was skipped; a
@@ -446,9 +452,11 @@ def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict 
     name = "setup"
     try:
         start = time.perf_counter()
+        profile = load_profile(config.hardware_profile)
+        link = load_link_budget(config.link_budget)
         graph = load_model(model_path)
         save_model(graph, out / "model_float.json")
-        run = Run(out, config, load_dataset(dataset_path), {"model_float": graph})
+        run = Run(out, config, load_dataset(dataset_path), profile, link, {"model_float": graph})
         log.info("%s took %.3f s", name, time.perf_counter() - start)
         for stage in STAGES:
             name = stage.name

@@ -16,7 +16,11 @@ counts depend on position).
 
 Outputs of ReLU, MaxPool2D and Flatten inherit their input's
 quantization parameters: these ops then operate directly on codes, and
-fusing them into a producing kernel cannot change the math.
+fusing them with a neighbouring kernel cannot change the math. A ReLU
+fused into its producer (Conv2D, DepthwiseConv2D, FullyConnected or Add)
+becomes that kernel's lower clip at the output zero point; a Flatten
+fused into the FullyConnected that reads it becomes a reshape of the
+FullyConnected's input (`graph.fused_successor`).
 """
 from __future__ import annotations
 

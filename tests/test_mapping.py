@@ -1,17 +1,25 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphutil import brute_force_arena_peak, brute_force_makespan, node, skip_branch_graph
+from graphutil import (
+    brute_force_arena_peak,
+    brute_force_makespan,
+    inception_graph,
+    node,
+    residual_chain_graph,
+    skip_branch_graph,
+)
 from tinydeploy.data_files import load_profile
 from tinydeploy import pipeline
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
-from tinydeploy.graph import OpKind, fusable_relu
-from tinydeploy.hardware import HardwareProfile
+from tinydeploy.graph import OpKind, OpNode, fused_successor
+from tinydeploy.hardware import DEFAULT_NPU_OPS, HardwareProfile
 from tinydeploy.quantization import quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
@@ -115,15 +123,82 @@ def test_fused_group_must_be_a_producer_and_its_relu(small_convnet_quantized, gr
         prepare(small_convnet_quantized, groups)
 
 
-def test_fusable_relu_is_a_weighted_op_and_the_relu_that_alone_reads_it():
+def _quantized(graph):
+    """`graph` quantized on ranges from 4 seeded random inputs."""
+    shape = graph.tensors[graph.graph_inputs[0]].shape
+    xs = np.random.default_rng(3).normal(size=(4, *shape)).astype(np.float32)
+    return quantize_graph(graph, calibrate(graph, xs))
+
+
+@pytest.mark.parametrize("group", [
+    ["add", "r2"],  # the Add's output is also read by the Concat
+    ["cat", "fl"],  # a Concat fuses with nothing
+    ["fl", "sm"],  # a Flatten fuses only with a FullyConnected
+    ["fc", "sm"],  # a FullyConnected fuses only with a ReLU
+])
+def test_prepare_refuses_a_group_outside_the_rule(group):
+    graph = _quantized(skip_branch_graph())
+    groups = [group] + [[n.id] for n in graph.nodes if n.id not in group]
+    with pytest.raises(ExecutionError, match=f"fused group {'[+]'.join(group)} is not a node "
+                                             "and the node it fuses with"):
+        prepare(graph, groups)
+
+
+def test_fused_successor_is_the_one_reader_a_node_fuses_into():
     """One rule for `partition_and_fuse` and `prepare(fused_groups=)`."""
+    def pairs(graph):
+        consumers = graph.consumer_map()
+        return {n.id: succ.id for n in graph.nodes
+                if (succ := fused_successor(graph, n, consumers)) is not None}
+
     graph = skip_branch_graph()
-    consumers = graph.consumer_map()
-    fused = {n.id: fusable_relu(graph, n, consumers) for n in graph.nodes}
-    # c2 is read by the Add, fc by the Softmax, and the Add is not weighted.
-    assert {nid: relu.id for nid, relu in fused.items() if relu is not None} == {"c1": "r1"}
-    graph.graph_outputs.append("a")  # c1's output
-    assert fusable_relu(graph, graph.nodes[0], graph.consumer_map()) is None
+    # c2 is read by the Add, the Add by the ReLU and the Concat, and the
+    # FullyConnected by the Softmax.
+    assert pairs(graph) == {"c1": "r1", "fl": "fc"}
+    graph.graph_outputs += ["a", "flat"]  # c1's and fl's outputs
+    assert pairs(graph) == {}
+
+    graph = residual_chain_graph()
+    assert pairs(graph) == {"stem": "stem_relu", "a1": "a1_relu", "add1": "r1",
+                            "a2": "a2_relu", "add2": "r2", "fl": "fc"}
+    graph.graph_outputs.append("add2_out")
+    assert "add2" not in pairs(graph)
+
+
+def test_add_fuses_only_with_the_relu_that_alone_reads_it():
+    profile = HardwareProfile()
+    _, groups = partition_and_fuse(_quantized(skip_branch_graph()), profile)
+    assert ["add"] in groups and ["r2"] in groups  # `s` is also read by the Concat
+
+    residual = residual_chain_graph()
+    _, groups = partition_and_fuse(_quantized(residual), profile)
+    assert ["add1", "r1"] in groups and ["add2", "r2"] in groups
+    residual.graph_outputs.append("add2_out")
+    _, groups = partition_and_fuse(_quantized(residual), profile)
+    assert ["add1", "r1"] in groups and ["add2"] in groups and ["r2"] in groups
+
+
+def test_flatten_fuses_with_its_fully_connected_on_one_target_only(small_convnet_quantized):
+    assignment, groups = partition_and_fuse(small_convnet_quantized, HardwareProfile())
+    assert ["flatten", "fc"] in groups and assignment["fc"] == "CPU"
+    npu_fc = HardwareProfile(npu_supported_ops=(*DEFAULT_NPU_OPS, "FullyConnected"))
+    assignment, groups = partition_and_fuse(small_convnet_quantized, npu_fc)
+    assert assignment["flatten"] == "CPU" and assignment["fc"] == "NPU"
+    assert ["flatten"] in groups and ["fc"] in groups
+
+
+def test_second_member_of_a_pair_starts_none():
+    """Flatten -> FullyConnected -> ReLU: the FullyConnected joins the
+    Flatten's group, so its ReLU stays a group of its own."""
+    graph = residual_chain_graph()
+    graph.nodes.insert(graph.nodes.index(node(graph, "fc")) + 1,
+                       OpNode("fc_relu", OpKind.RELU, {}, ["logits"], ["fc_r"]))
+    node(graph, "sm").inputs = ["fc_r"]
+    graph.tensors["fc_r"] = replace(graph.tensors["logits"], id="fc_r")
+    graph = _quantized(graph)
+    assert fused_successor(graph, node(graph, "fc"), graph.consumer_map()).id == "fc_relu"
+    _, groups = partition_and_fuse(graph, HardwareProfile())
+    assert ["fl", "fc"] in groups and ["fc_relu"] in groups
 
 
 def test_mapping_requires_quantized_graph(small_convnet):
@@ -400,10 +475,34 @@ PROFILES = ("builtin:profile_default", "builtin:profile_desk_calibrated")
 
 @pytest.fixture(scope="module")
 def mapped_graphs(small_convnet_quantized, dwsep_net_quantized):
-    """Both bundled models and `skip_branch_graph`, quantized."""
-    skip = skip_branch_graph()
-    xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 4)).astype(np.float32)
-    return [small_convnet_quantized, dwsep_net_quantized, quantize_graph(skip, calibrate(skip, xs))]
+    """Both bundled models, `skip_branch_graph`, `residual_chain_graph`
+    and `inception_graph`, quantized."""
+    return [small_convnet_quantized, dwsep_net_quantized, _quantized(skip_branch_graph()),
+            _quantized(residual_chain_graph()), _quantized(inception_graph())]
+
+
+def test_every_plan_map_builds_runs_fused_equal_to_unfused(mapped_graphs):
+    """Fused and unfused INT8 runs agree bit for bit on every tensor both
+    hold; the fused run holds all but each pair's inner tensor."""
+    pair_kinds = set()
+    for graph in mapped_graphs:
+        shape = graph.tensors[graph.graph_inputs[0]].shape
+        x = np.random.default_rng(5).normal(size=(3, *shape[1:])).astype(np.float32)
+        unfused = {}
+        run_int8(graph, x, trace=unfused)
+        nodes = {n.id: n for n in graph.nodes}
+        for profile in PROFILES:
+            plan = build_deployment_plan(graph, load_profile(profile))
+            fused = {}
+            run_int8(graph, x, fused_groups=plan.fused_groups, trace=fused)
+            inner = {nodes[grp[0]].outputs[0] for grp in plan.fused_groups if len(grp) == 2}
+            assert set(fused) == set(unfused) - inner
+            for tid, value in fused.items():
+                np.testing.assert_array_equal(value, unfused[tid])
+            pair_kinds |= {(nodes[grp[0]].kind, nodes[grp[1]].kind)
+                           for grp in plan.fused_groups if len(grp) == 2}
+    assert {(OpKind.ADD, OpKind.RELU), (OpKind.FLATTEN, OpKind.FULLY_CONNECTED),
+            (OpKind.CONV2D, OpKind.RELU)} <= pair_kinds
 
 
 def test_plan_json_roundtrip(tmp_path, mapped_graphs):
@@ -421,5 +520,5 @@ def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
             plan = build_deployment_plan(graph, load_profile(profile))
             plan.save(tmp_path / "plan.json")
             est = pipeline.stage_estimate(tmp_path / "model.json", tmp_path / "plan.json",
-                                          profile, tmp_path / "est.json")
+                                          load_profile(profile), tmp_path / "est.json")
             assert est == plan.estimates

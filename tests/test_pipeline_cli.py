@@ -207,10 +207,28 @@ def test_run_reads_model_and_dataset_once(assets, tmp_path, monkeypatch, skip):
     for owner, name in ((pipeline, "load_model"), (pipeline, "load_dataset"),
                         (pipeline, "load_plan"), (executor, "read_records_csv"),
                         (PrunePlan, "load"), (Checkpoint, "load"), (through, "read_json"),
-                        (pipeline, "export_checkpoint"), (pipeline, "import_checkpoint")):
+                        (pipeline, "export_checkpoint"), (pipeline, "import_checkpoint"),
+                        (pipeline, "load_profile"), (pipeline, "load_link_budget")):
         count(owner, name)
     run_pipeline(make_config(assets, tmp_path / "out", prune={"schedule": [0.1, 0.1], "skip": skip}))
-    assert dict(calls) == {"load_model": 1, "load_dataset": 1}
+    assert dict(calls) == {"load_model": 1, "load_dataset": 1, "load_profile": 1,
+                           "load_link_budget": 1}
+
+
+@pytest.mark.parametrize("key, ref, message", [
+    ("hardware_profile", "builtin:profile_nope",
+     "setup: hardware profile builtin:profile_nope: no builtin data file 'profile_nope.json'"),
+    ("link_budget", "nope/link.json", "setup: link budget nope/link.json: No such file"),
+], ids=["unknown_builtin_profile", "missing_link_file"])
+def test_bad_profile_or_link_ref_fails_at_setup(assets, tmp_path, capsys, monkeypatch,
+                                               key, ref, message):
+    """Refused before any stage runs, with one stage-tagged line and no artifacts."""
+    monkeypatch.setattr(pipeline, "load_model", mock.Mock(side_effect=AssertionError))
+    out = tmp_path / "out"
+    config = {**asdict(make_config(assets, out)), key: ref}
+    assert main(["run", "--config", str(_write(tmp_path / "cfg.json", json.dumps(config)))]) == 1
+    assert_one_error_line(capsys, message)
+    assert list(out.iterdir()) == []
 
 
 def test_run_logs_each_stage_and_its_wall_time(assets, tmp_path, caplog):
@@ -648,8 +666,8 @@ def _retarget(plan, gid, target):
 # and kinds; that the plan is the one `map` builds is `estimate`'s check.
 @pytest.mark.parametrize("edit, message, by_decode", [
     (lambda p: p.pop("timeline"), "missing key 'timeline'", True),
-    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 8 != 9", False),
-    (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 10 != 9", False),
+    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 7 != 8", False),
+    (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 9 != 8", False),
     (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list", True),
     (lambda p: _retarget(p, "conv1+conv1_relu", "GPU"), "timeline[0] target: 'GPU' != 'NPU'",
      False),
@@ -993,6 +1011,14 @@ MALFORMED_INPUTS = {
                           "pass_duration_s": 600, "data_rate": 9600}))),
                       "--out", str(t / "d.json")],
         "link budget: unknown key 'data_rate'"),
+    "link_missing_file": (
+        lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
+                      str(t / "nope.json"), "--out", str(t / "d.json")],
+        "nope.json: No such file or directory"),
+    "profile_unknown_builtin": (
+        lambda m, t: ["map", "--model", str(m / "model.json"), "--profile", "builtin:nope",
+                      "--out", str(t / "plan.json")],
+        "hardware profile builtin:nope: no builtin data file 'nope.json'"),
     "downlink_bytes_per_sample_negative": (
         lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"),
                       "--bytes-per-sample", "-12288", "--out", str(t / "d.json")],
@@ -1047,8 +1073,8 @@ MALFORMED_INPUTS = {
         lambda m, t: _plan_built(m, t, _all_npu()),
         "plan.json assignment[pool1]: 'NPU' != 'CPU'"),
     "plan_head_fused": (
-        lambda m, t: _plan_built(m, t, HardwareProfile(), merge_last=4),
-        "plan.json fused_groups: length 6 != 9"),
+        lambda m, t: _plan_built(m, t, HardwareProfile(), merge_last=3),
+        "plan.json fused_groups: length 6 != 8"),
     "plan_groups_overlap_on_npu": (
         _overlap_on_npu,
         "timeline[5] start_us: 20.08112 != 25.08688"),
