@@ -39,9 +39,9 @@ class LinkBudget:
 
     @classmethod
     def load(cls, path: str | Path) -> "LinkBudget":
-        """A link budget file (`model_io.decode`); DownlinkError names a
-        missing, unknown or wrong-typed key."""
-        return decode(cls, read_json(path, DownlinkError), "link budget", DownlinkError)
+        """A link budget file (`model_io.decode`); DownlinkError names the
+        file and a missing, unknown or wrong-typed key."""
+        return decode(cls, read_json(path, DownlinkError), f"link budget {path}", DownlinkError)
 
 
 @dataclass

@@ -477,13 +477,16 @@ def _int8_weighted_kernel(
     return weighted
 
 
-def _int8_kernel(graph: GraphIR, node: OpNode, fused_relu: bool = False) -> Kernel:
+def _int8_kernel(
+    graph: GraphIR, node: OpNode, fused_relu: bool = False, src: str | None = None
+) -> Kernel:
     """The INT8 kernel of `node`; `fused_relu` (weighted ops and Add only)
-    clips its output at the zero point, as the ReLU reading it would."""
+    clips its output at the zero point, as the ReLU reading it would, and
+    `src` (weighted ops only) is read in place of the node's input."""
+    if node.kind in WEIGHTED_OPS:
+        return _int8_weighted_kernel(graph, node, fused_relu, src)
     kind = node.kind
     src = node.inputs[0]
-    if kind in WEIGHTED_OPS:
-        return _int8_weighted_kernel(graph, node, fused_relu)
 
     if kind == OpKind.RELU:
         _assert_inherited(graph, node)
@@ -573,9 +576,9 @@ class Step(NamedTuple):
     """One kernel of a Program: computes tensor `output` from the env.
 
     `reads` are the input ids of the node it runs, constants included:
-    for a fused pair, what the pair reads from outside itself (the
-    producer's inputs under a ReLU; the Flatten's input and the
-    FullyConnected's constants).
+    for a fused chain, what the chain reads from outside itself (a
+    Conv2D + Add's inputs and the Add's other operand; the Flatten's
+    input and the FullyConnected's constants).
     """
 
     output: str
@@ -618,7 +621,7 @@ class Program:
             node, src = producers[step.output], step.reads[0]
             if (
                 node.kind == OpKind.RELU
-                and step.reads == tuple(node.inputs)  # not a fused producer+ReLU
+                and step.reads == tuple(node.inputs)  # not the end of a fused chain
                 and src in dead
                 and src in written
                 and OpKind.FLATTEN not in {producers[src].kind, *(n.kind for n in consumers[src])}
@@ -675,6 +678,37 @@ def _step(node: OpNode, kernel: Kernel) -> Step:
     return Step(node.outputs[0], kernel, tuple(node.inputs))
 
 
+def _chain_step(graph: GraphIR, chain: list[OpNode]) -> Step:
+    """One Step that runs a `graph.fused_successor` chain as one kernel.
+
+    A leading Flatten becomes the FullyConnected's reshape of its input,
+    and a trailing ReLU the lower clip of the kernel before it. An Add
+    after a convolution, or a Softmax after a FullyConnected, reads its
+    producer's output without the env storing it. The step reads what
+    the chain reads from outside itself.
+    """
+    inner = {n.outputs[0] for n in chain[:-1]}
+    reads = tuple(t for n in chain for t in n.inputs if t not in inner)
+    output = chain[-1].outputs[0]
+    src = None
+    if len(chain) > 1 and chain[0].kind == OpKind.FLATTEN:
+        _assert_inherited(graph, chain[0])
+        src, chain = chain[0].inputs[0], chain[1:]
+    clip = len(chain) > 1 and chain[-1].kind == OpKind.RELU
+    if clip:
+        _assert_inherited(graph, chain[-1])
+        chain = chain[:-1]
+    run = _int8_kernel(graph, chain[0], clip and len(chain) == 1, src)
+    for prev, node in zip(chain, chain[1:]):
+        run = _composed(run, prev.outputs[0], _int8_kernel(graph, node, clip and node is chain[-1]))
+    return Step(output, run, reads)
+
+
+def _composed(first: Kernel, inner: str, then: Kernel) -> Kernel:
+    """`then` reading `first`'s output as tensor `inner`, which no env holds."""
+    return lambda env: then({**env, inner: first(env)})
+
+
 def _overwriting(relu: Callable[..., np.ndarray], src: str) -> Kernel:
     """A `_relu` kernel that writes its result into its input `src`."""
     return lambda env: relu(env, out=env[src])
@@ -686,8 +720,9 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     A fully quantized graph (`GraphIR.is_quantized`) gets the INT8
     kernels, any other graph the Float32 ones. `fused_groups` (node-id
     sequences from a deployment plan, quantized graphs only) executes
-    each pair `graph.fused_successor` allows as one kernel without
-    materializing the tensor between them; the math is unchanged.
+    each chain of nodes that `graph.fused_successor` links as one kernel
+    without materializing the tensors inside it; the math is unchanged.
+    Groups run in the order of their last nodes.
     """
     quantized = graph.is_quantized()
     g = graph.copy()
@@ -724,27 +759,16 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         if sorted(seen) != sorted(order):
             raise ExecutionError("fused groups must cover every node exactly once")
         pos = {nid: i for i, nid in enumerate(order)}
-        groups.sort(key=lambda grp: pos[grp[0]])
+        groups.sort(key=lambda grp: pos[grp[-1]])
 
     consumers = g.consumer_map()
     steps = []
     for grp in groups:
-        if len(grp) == 1:
-            steps.append(_step(nodes[grp[0]], _int8_kernel(g, nodes[grp[0]])))
-            continue
-        first, second = nodes[grp[0]], nodes[grp[-1]]
-        if len(grp) != 2 or fused_successor(g, first, consumers) is not second:
-            raise ExecutionError(f"fused group {group_id(grp)} is not a node and the node "
-                                 "it fuses with (graph.fused_successor)")
-        if second.kind == OpKind.RELU:
-            _assert_inherited(g, second)
-            kernel, reads = _int8_kernel(g, first, fused_relu=True), first.inputs
-        else:  # Flatten + FullyConnected
-            _assert_inherited(g, first)
-            src = first.inputs[0]
-            kernel = _int8_weighted_kernel(g, second, fused_relu=False, src=src)
-            reads = [src, *second.inputs[1:]]
-        steps.append(Step(second.outputs[0], kernel, tuple(reads)))
+        chain = [nodes[nid] for nid in grp]
+        if any(fused_successor(g, a, consumers) is not b for a, b in zip(chain, chain[1:])):
+            raise ExecutionError(f"fused group {group_id(grp)} is not a chain in which each "
+                                 "node fuses with the next (graph.fused_successor)")
+        steps.append(_chain_step(g, chain))
     return Program(g, steps, quantized=True)
 
 

@@ -227,26 +227,36 @@ class GraphIR:
         return saw_int8
 
 
+# Reader kind -> the kinds whose output it fuses with (`fused_successor`).
+FUSES_AFTER = {
+    OpKind.RELU: (*WEIGHTED_OPS, OpKind.ADD),
+    OpKind.ADD: (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D),
+    OpKind.SOFTMAX: (OpKind.FULLY_CONNECTED,),
+    OpKind.FULLY_CONNECTED: (OpKind.FLATTEN,),
+}
+
+
 def fused_successor(
     graph: GraphIR, node: OpNode, consumers: dict[str, list[OpNode]]
 ) -> OpNode | None:
     """The node that `node` fuses with into one kernel, or None.
 
     `node`'s output must not be a graph output and must have one reader,
-    which makes one of the pairs: a weighted op or an Add with a ReLU
-    (the kernel clips at the output zero point), or a Flatten with a
-    FullyConnected (the kernel reads the Flatten's input). `consumers` is
-    `graph.consumer_map()`.
+    which makes one of the FUSES_AFTER pairs: a weighted op or an Add
+    with a ReLU (the kernel clips at the output zero point), a Conv2D or
+    DepthwiseConv2D with an Add or a FullyConnected with a Softmax (the
+    second kernel reads the first's output without storing it), or a
+    Flatten with a FullyConnected (the kernel reads the Flatten's input).
+    Pairs link into chains, such as Conv2D + Add + ReLU and Flatten +
+    FullyConnected + Softmax, in which only the last output is read
+    outside the chain. `consumers` is `graph.consumer_map()`.
     """
     out = node.outputs[0]
     readers = consumers.get(out, [])
     if out in graph.graph_outputs or len(readers) != 1:
         return None
-    reader = readers[0]
-    if reader.kind == OpKind.RELU and node.kind in (*WEIGHTED_OPS, OpKind.ADD):
-        return reader
-    if node.kind == OpKind.FLATTEN and reader.kind == OpKind.FULLY_CONNECTED:
-        return reader
+    if node.kind in FUSES_AFTER.get(readers[0].kind, ()):
+        return readers[0]
     return None
 
 

@@ -72,5 +72,5 @@ class HardwareProfile:
     @classmethod
     def load(cls, path: str | Path) -> "HardwareProfile":
         """A profile file (`model_io.decode`): absent fields keep their
-        defaults; ValueError names an unknown or wrong-typed key."""
-        return decode(cls, read_json(path, ValueError), "hardware profile", ValueError)
+        defaults; ValueError names the file and an unknown or wrong-typed key."""
+        return decode(cls, read_json(path, ValueError), f"hardware profile {path}", ValueError)

@@ -1,13 +1,13 @@
 """Hardware-aware operator mapping.
 
 Partitions a quantized graph onto NPU/CPU by the profile's supported op
-set, fuses pairs into one kernel on one target (`graph.fused_successor`:
-a Conv2D/DepthwiseConv2D/FullyConnected or an Add with the ReLU that
-alone reads its output, a Flatten with the FullyConnected that alone
-reads its output), list-schedules the fused groups over the two
-resources with CPU/NPU overlap, and plans activation memory in a single
-arena with lifetime-based buffer reuse (greedy best-fit, tensors placed
-in descending size). Weights live in flash and never enter the arena;
+set, fuses chains into one kernel on one target (`graph.fused_successor`
+links each node to the one reader it fuses with, giving chains such as
+Conv2D/DepthwiseConv2D + Add + ReLU and Flatten + FullyConnected +
+Softmax), list-schedules the fused groups over the two resources with
+CPU/NPU overlap, and plans activation memory in a single arena with
+lifetime-based buffer reuse (greedy best-fit, tensors placed in
+descending size). Weights live in flash and never enter the arena;
 tensors internal to a fused group are never materialized. Fusing only
 saves dispatches: each group pays one dispatch overhead in the cost
 model, and the flash metadata is still counted per node.
@@ -81,9 +81,13 @@ def partition_and_fuse(
 ) -> tuple[dict[str, str], list[list[str]]]:
     """Assign each node to NPU iff its kind is supported, then fuse.
 
-    A node fuses with its `graph.fused_successor` when both share a
-    target, and groups stay pairs: a node that joined a group as its
-    second member starts none. Groups are listed in topological order.
+    A group is a chain: it starts at a node no earlier group holds and
+    follows `graph.fused_successor` for as long as the next node shares
+    the target and no earlier group holds it (an Add that two
+    convolutions alone read joins the first one's chain). Groups are
+    listed by the topological position of their last node. Only a
+    chain's last output is read outside it, so every group comes after
+    the groups it reads from.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
@@ -93,17 +97,22 @@ def partition_and_fuse(
         n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
     }
 
+    order = topological_order(graph)
+    grouped: set[str] = set()
     groups: list[list[str]] = []
-    seconds: set[str] = set()
-    for nid in topological_order(graph):
-        if nid in seconds:
+    for nid in order:
+        if nid in grouped:
             continue
+        group = [nid]
         succ = fused_successor(graph, nodes[nid], consumers)
-        if succ is not None and assignment[nid] == assignment[succ.id]:
-            groups.append([nid, succ.id])
-            seconds.add(succ.id)
-        else:
-            groups.append([nid])
+        while (succ is not None and succ.id not in grouped
+               and assignment[succ.id] == assignment[nid]):
+            group.append(succ.id)
+            succ = fused_successor(graph, succ, consumers)
+        grouped.update(group)
+        groups.append(group)
+    position = {nid: i for i, nid in enumerate(order)}
+    groups.sort(key=lambda group: position[group[-1]])
     return assignment, groups
 
 

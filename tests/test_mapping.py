@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from graphutil import (
     brute_force_arena_peak,
     brute_force_makespan,
+    classifier_graph,
+    conv_layer,
     inception_graph,
     node,
+    op_layer,
     residual_chain_graph,
     skip_branch_graph,
 )
+from tinydeploy.costmodel import group_id
 from tinydeploy.data_files import load_profile
 from tinydeploy import pipeline
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
@@ -48,7 +52,7 @@ def test_conv_relu_softmax_partition(small_convnet_quantized):
     assert assignment["pool1"] == "CPU"  # pooling stays on CPU by default
     by_first = _groups_by_first(groups)
     assert by_first["conv1"] == ["conv1", "conv1_relu"]
-    assert ["softmax"] in groups
+    assert ["flatten", "fc", "softmax"] in groups
 
 
 def test_zero_npu_support_all_cpu(small_convnet_quantized):
@@ -114,7 +118,7 @@ def test_fused_execution_bit_identical(small_convnet_quantized, test_samples):
 @pytest.mark.parametrize("group", [
     ["conv2", "conv1_relu"],  # the ReLU reads another op's output
     ["conv1_relu", "conv1"],  # the ReLU first
-    ["conv1", "conv1_relu", "pool1"],  # more than a pair
+    ["conv1", "conv1_relu", "pool1"],  # a MaxPool2D fuses with nothing
 ])
 def test_fused_group_must_be_a_producer_and_its_relu(small_convnet_quantized, group):
     order = [n.id for n in small_convnet_quantized.nodes]
@@ -130,18 +134,95 @@ def _quantized(graph):
     return quantize_graph(graph, calibrate(graph, xs))
 
 
+def _with_relu_before_add1(graph):
+    """`graph` (`residual_chain_graph`) with a ReLU `b1_relu` between b1 and add1."""
+    graph.nodes.insert(graph.nodes.index(node(graph, "b1")) + 1,
+                       OpNode("b1_relu", OpKind.RELU, {}, ["b1_out"], ["b1_r"]))
+    node(graph, "add1").inputs = ["stem_r", "b1_r"]
+    graph.tensors["b1_r"] = replace(graph.tensors["b1_out"], id="b1_r")
+    return graph
+
+
+def _with_b1_read_twice(graph):
+    """`graph` (`residual_chain_graph`) whose b1 output a ReLU also reads,
+    into a graph output."""
+    graph.nodes.append(OpNode("side", OpKind.RELU, {}, ["b1_out"], ["side_out"]))
+    graph.tensors["side_out"] = replace(graph.tensors["b1_out"], id="side_out")
+    graph.graph_outputs.append("side_out")
+    return graph
+
+
+def _refused(graph, group):
+    """prepare's error for `group` among single-node groups of `graph`."""
+    groups = [group] + [[n.id] for n in graph.nodes if n.id not in group]
+    with pytest.raises(ExecutionError, match=f"fused group {'[+]'.join(group)} is not a chain "
+                                             "in which each node fuses with the next"):
+        prepare(graph, groups)
+
+
 @pytest.mark.parametrize("group", [
     ["add", "r2"],  # the Add's output is also read by the Concat
     ["cat", "fl"],  # a Concat fuses with nothing
     ["fl", "sm"],  # a Flatten fuses only with a FullyConnected
-    ["fc", "sm"],  # a FullyConnected fuses only with a ReLU
+    ["fl", "sm", "fc"],  # the head's chain out of order
+    ["add", "c2"],  # a Conv2D + Add pair out of order
 ])
 def test_prepare_refuses_a_group_outside_the_rule(group):
-    graph = _quantized(skip_branch_graph())
+    _refused(_quantized(skip_branch_graph()), group)
+
+
+@pytest.mark.parametrize("edit, group", [
+    (_with_relu_before_add1, ["b1", "b1_relu", "add1"]),  # a ReLU fuses with nothing
+    (_with_b1_read_twice, ["b1", "add1", "r1"]),  # b1's output has a second reader
+], ids=["conv_relu_add", "conv_add_second_reader"])
+def test_prepare_refuses_a_chain_the_rule_does_not_link(edit, group):
+    _refused(_quantized(edit(residual_chain_graph())), group)
+
+
+def _late_skip_graph(seed=0):
+    """Stem Conv(8) -> ReLU, then a residual block whose skip input, the
+    1x1 Conv `skip`, comes after the main-path Conv `main` in node order:
+    Add(skip, main) -> ReLU `r`, then the classifier head."""
+    def build(rng):
+        stem = conv_layer(rng, "stem", "in", 8, 3, kernel=3)
+        main = conv_layer(rng, "main", stem[2], 8, 8, kernel=3, relu=False)
+        skip = conv_layer(rng, "skip", stem[2], 8, 8, relu=False)
+        add = op_layer("add", OpKind.ADD, [skip[2], main[2]])
+        return [stem, main, skip, add, op_layer("r", OpKind.RELU, [add[2]])]
+    return classifier_graph("late_skip", seed, build, 6 * 6 * 8)
+
+
+def _with_fc_relu(graph):
+    """`graph` (`residual_chain_graph`) with a ReLU `fc_relu` between the
+    FullyConnected and the Softmax."""
+    graph.nodes.insert(graph.nodes.index(node(graph, "fc")) + 1,
+                       OpNode("fc_relu", OpKind.RELU, {}, ["logits"], ["fc_r"]))
+    node(graph, "sm").inputs = ["fc_r"]
+    graph.tensors["fc_r"] = replace(graph.tensors["logits"], id="fc_r")
+    return graph
+
+
+@pytest.mark.parametrize("graph, group", [
+    (skip_branch_graph, ["fc", "sm"]),
+    (skip_branch_graph, ["fl", "fc", "sm"]),
+    (skip_branch_graph, ["c2", "add"]),
+    (lambda: _with_fc_relu(residual_chain_graph()), ["fl", "fc", "fc_relu"]),
+    (residual_chain_graph, ["b1", "add1", "r1"]),
+    (residual_chain_graph, ["d2", "add2", "r2"]),
+    (_late_skip_graph, ["skip", "add", "r"]),  # the Add's first operand
+], ids=["fc_softmax", "flatten_fc_softmax", "conv_add", "flatten_fc_relu", "conv_add_relu",
+        "depthwise_add_relu", "first_operand_conv_add_relu"])
+def test_prepare_runs_a_chain_the_rule_links_equal_to_unfused(graph, group):
+    graph = _quantized(graph())
     groups = [group] + [[n.id] for n in graph.nodes if n.id not in group]
-    with pytest.raises(ExecutionError, match=f"fused group {'[+]'.join(group)} is not a node "
-                                             "and the node it fuses with"):
-        prepare(graph, groups)
+    x = np.random.default_rng(5).normal(size=(3, *graph.tensors["in"].shape[1:]))
+    unfused, fused = {}, {}
+    run_int8(graph, x, trace=unfused)
+    run_int8(graph, x, fused_groups=groups, trace=fused)
+    inner = {node(graph, nid).outputs[0] for nid in group[:-1]}
+    assert set(fused) == set(unfused) - inner
+    for tid, value in fused.items():
+        np.testing.assert_array_equal(value, unfused[tid])
 
 
 def test_fused_successor_is_the_one_reader_a_node_fuses_into():
@@ -152,53 +233,82 @@ def test_fused_successor_is_the_one_reader_a_node_fuses_into():
                 if (succ := fused_successor(graph, n, consumers)) is not None}
 
     graph = skip_branch_graph()
-    # c2 is read by the Add, the Add by the ReLU and the Concat, and the
-    # FullyConnected by the Softmax.
-    assert pairs(graph) == {"c1": "r1", "fl": "fc"}
-    graph.graph_outputs += ["a", "flat"]  # c1's and fl's outputs
+    # The Add is read by the ReLU and the Concat.
+    assert pairs(graph) == {"c1": "r1", "c2": "add", "fl": "fc", "fc": "sm"}
+    graph.graph_outputs += ["a", "b", "flat", "logits"]  # c1's, c2's, fl's and fc's outputs
     assert pairs(graph) == {}
 
     graph = residual_chain_graph()
-    assert pairs(graph) == {"stem": "stem_relu", "a1": "a1_relu", "add1": "r1",
-                            "a2": "a2_relu", "add2": "r2", "fl": "fc"}
-    graph.graph_outputs.append("add2_out")
-    assert "add2" not in pairs(graph)
+    assert pairs(graph) == {"stem": "stem_relu", "a1": "a1_relu", "b1": "add1", "add1": "r1",
+                            "a2": "a2_relu", "d2": "add2", "add2": "r2", "fl": "fc", "fc": "sm"}
+    graph.graph_outputs += ["add2_out", "d2_out"]
+    assert "add2" not in pairs(graph) and "d2" not in pairs(graph)
 
 
 def test_add_fuses_only_with_the_relu_that_alone_reads_it():
     profile = HardwareProfile()
     _, groups = partition_and_fuse(_quantized(skip_branch_graph()), profile)
-    assert ["add"] in groups and ["r2"] in groups  # `s` is also read by the Concat
+    assert ["c2", "add"] in groups and ["r2"] in groups  # `s` is also read by the Concat
 
     residual = residual_chain_graph()
     _, groups = partition_and_fuse(_quantized(residual), profile)
-    assert ["add1", "r1"] in groups and ["add2", "r2"] in groups
+    assert ["b1", "add1", "r1"] in groups and ["d2", "add2", "r2"] in groups
     residual.graph_outputs.append("add2_out")
     _, groups = partition_and_fuse(_quantized(residual), profile)
-    assert ["add1", "r1"] in groups and ["add2"] in groups and ["r2"] in groups
+    assert ["b1", "add1", "r1"] in groups and ["d2", "add2"] in groups and ["r2"] in groups
 
 
 def test_flatten_fuses_with_its_fully_connected_on_one_target_only(small_convnet_quantized):
     assignment, groups = partition_and_fuse(small_convnet_quantized, HardwareProfile())
-    assert ["flatten", "fc"] in groups and assignment["fc"] == "CPU"
+    assert ["flatten", "fc", "softmax"] in groups and assignment["fc"] == "CPU"
     npu_fc = HardwareProfile(npu_supported_ops=(*DEFAULT_NPU_OPS, "FullyConnected"))
     assignment, groups = partition_and_fuse(small_convnet_quantized, npu_fc)
     assert assignment["flatten"] == "CPU" and assignment["fc"] == "NPU"
-    assert ["flatten"] in groups and ["fc"] in groups
+    assert ["flatten"] in groups and ["fc"] in groups and ["softmax"] in groups
 
 
-def test_second_member_of_a_pair_starts_none():
-    """Flatten -> FullyConnected -> ReLU: the FullyConnected joins the
-    Flatten's group, so its ReLU stays a group of its own."""
-    graph = residual_chain_graph()
-    graph.nodes.insert(graph.nodes.index(node(graph, "fc")) + 1,
-                       OpNode("fc_relu", OpKind.RELU, {}, ["logits"], ["fc_r"]))
-    node(graph, "sm").inputs = ["fc_r"]
-    graph.tensors["fc_r"] = replace(graph.tensors["logits"], id="fc_r")
-    graph = _quantized(graph)
+def test_a_chain_follows_successors_while_they_share_its_target():
+    """Flatten -> FullyConnected -> ReLU -> Softmax: one chain of three
+    while the ReLU runs on the CPU too, and the chain ends at the target
+    change when the ReLU runs on the NPU. Nothing fuses into a ReLU."""
+    graph = _quantized(_with_fc_relu(residual_chain_graph()))
     assert fused_successor(graph, node(graph, "fc"), graph.consumer_map()).id == "fc_relu"
+    relu_on_cpu = HardwareProfile(npu_supported_ops=("Conv2D", "DepthwiseConv2D", "Add"))
+    _, groups = partition_and_fuse(graph, relu_on_cpu)
+    assert ["fl", "fc", "fc_relu"] in groups and ["sm"] in groups
     _, groups = partition_and_fuse(graph, HardwareProfile())
-    assert ["fl", "fc"] in groups and ["fc_relu"] in groups
+    assert ["fl", "fc"] in groups and ["fc_relu"] in groups and ["sm"] in groups
+
+
+def test_groups_are_listed_after_the_groups_they_read_from():
+    """`main` and `skip` both fuse into the Add; `main` comes first, so
+    its chain takes the Add and `skip` stays alone. By its first node the
+    chain would come before `skip`, whose output it reads."""
+    graph = _quantized(_late_skip_graph())
+    plan = build_deployment_plan(graph, HardwareProfile())
+    chain = ["main", "add", "r"]
+    assert chain in plan.fused_groups and ["skip"] in plan.fused_groups
+    deps = group_dependencies(graph, plan.fused_groups)
+    listed = set()
+    for grp in plan.fused_groups:
+        assert deps[group_id(grp)] <= listed
+        listed.add(group_id(grp))
+
+    x = np.random.default_rng(5).normal(size=(3, *graph.tensors["in"].shape[1:]))
+    unfused, fused = {}, {}
+    run_int8(graph, x, trace=unfused)
+    run_int8(graph, x, fused_groups=plan.fused_groups, trace=fused)
+    inner = {node(graph, nid).outputs[0] for grp in plan.fused_groups for nid in grp[:-1]}
+    assert {"main_out", "add_out"} <= inner and set(fused) == set(unfused) - inner
+    for tid, value in fused.items():
+        np.testing.assert_array_equal(value, unfused[tid])
+
+    assert not {"main_out", "add_out"} & set(plan.memory_plan.tensors)
+    lifetimes = {lt.tensor_id: lt for lt in tensor_lifetimes(graph, plan.timeline,
+                                                             plan.fused_groups)}
+    chain_entry = next(e for e in plan.timeline if e.group == group_id(chain))
+    assert lifetimes["skip_out"].end == chain_entry.end_us
+    assert "skip_out" in plan.memory_plan.tensors
 
 
 def test_mapping_requires_quantized_graph(small_convnet):
@@ -354,8 +464,9 @@ def test_cross_target_transfer_latency_term():
 def test_fused_group_count_arithmetic(small_convnet_quantized):
     assignment, groups = partition_and_fuse(small_convnet_quantized, HardwareProfile())
     n_nodes = len(small_convnet_quantized.nodes)
-    fused_pairs = sum(1 for g in groups if len(g) == 2)
-    assert len(groups) == n_nodes - fused_pairs
+    assert len(groups) == n_nodes - sum(len(g) - 1 for g in groups)
+    # three Conv2D + ReLU, three pools and Flatten + FullyConnected + Softmax
+    assert sorted(map(len, groups)) == [1, 1, 1, 2, 2, 2, 3]
 
 
 def test_makespan_monotone_under_added_dependency():
@@ -483,7 +594,7 @@ def mapped_graphs(small_convnet_quantized, dwsep_net_quantized):
 
 def test_every_plan_map_builds_runs_fused_equal_to_unfused(mapped_graphs):
     """Fused and unfused INT8 runs agree bit for bit on every tensor both
-    hold; the fused run holds all but each pair's inner tensor."""
+    hold; the fused run holds all but each chain's inner tensors."""
     pair_kinds = set()
     for graph in mapped_graphs:
         shape = graph.tensors[graph.graph_inputs[0]].shape
@@ -495,14 +606,16 @@ def test_every_plan_map_builds_runs_fused_equal_to_unfused(mapped_graphs):
             plan = build_deployment_plan(graph, load_profile(profile))
             fused = {}
             run_int8(graph, x, fused_groups=plan.fused_groups, trace=fused)
-            inner = {nodes[grp[0]].outputs[0] for grp in plan.fused_groups if len(grp) == 2}
+            inner = {nodes[nid].outputs[0] for grp in plan.fused_groups for nid in grp[:-1]}
             assert set(fused) == set(unfused) - inner
             for tid, value in fused.items():
                 np.testing.assert_array_equal(value, unfused[tid])
-            pair_kinds |= {(nodes[grp[0]].kind, nodes[grp[1]].kind)
-                           for grp in plan.fused_groups if len(grp) == 2}
+            pair_kinds |= {(nodes[a].kind, nodes[b].kind)
+                           for grp in plan.fused_groups for a, b in zip(grp, grp[1:])}
     assert {(OpKind.ADD, OpKind.RELU), (OpKind.FLATTEN, OpKind.FULLY_CONNECTED),
-            (OpKind.CONV2D, OpKind.RELU)} <= pair_kinds
+            (OpKind.CONV2D, OpKind.RELU), (OpKind.CONV2D, OpKind.ADD),
+            (OpKind.DEPTHWISE_CONV2D, OpKind.ADD),
+            (OpKind.FULLY_CONNECTED, OpKind.SOFTMAX)} <= pair_kinds
 
 
 def test_plan_json_roundtrip(tmp_path, mapped_graphs):

@@ -666,8 +666,8 @@ def _retarget(plan, gid, target):
 # and kinds; that the plan is the one `map` builds is `estimate`'s check.
 @pytest.mark.parametrize("edit, message, by_decode", [
     (lambda p: p.pop("timeline"), "missing key 'timeline'", True),
-    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 7 != 8", False),
-    (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 9 != 8", False),
+    (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 6 != 7", False),
+    (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 8 != 7", False),
     (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list", True),
     (lambda p: _retarget(p, "conv1+conv1_relu", "GPU"), "timeline[0] target: 'GPU' != 'NPU'",
      False),
@@ -975,7 +975,7 @@ MALFORMED_INPUTS = {
         lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
                       str(_write(t / "profile.json", '{"op_metadata_bytes": 64.5}')),
                       "--out", str(t / "plan.json")],
-        "hardware profile: key 'op_metadata_bytes' must be int, got float"),
+        "profile.json: key 'op_metadata_bytes' must be int, got float"),
     "profile_utilization_nan": (
         lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
                       str(_write(t / "profile.json", '{"npu_utilization": NaN}')),
@@ -1010,7 +1010,7 @@ MALFORMED_INPUTS = {
                           "name": "l", "data_rate_bps": 9600, "passes_per_day": 4,
                           "pass_duration_s": 600, "data_rate": 9600}))),
                       "--out", str(t / "d.json")],
-        "link budget: unknown key 'data_rate'"),
+        "link.json: unknown key 'data_rate'"),
     "link_missing_file": (
         lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
                       str(t / "nope.json"), "--out", str(t / "d.json")],
@@ -1073,11 +1073,11 @@ MALFORMED_INPUTS = {
         lambda m, t: _plan_built(m, t, _all_npu()),
         "plan.json assignment[pool1]: 'NPU' != 'CPU'"),
     "plan_head_fused": (
-        lambda m, t: _plan_built(m, t, HardwareProfile(), merge_last=3),
-        "plan.json fused_groups: length 6 != 8"),
+        lambda m, t: _plan_built(m, t, HardwareProfile(), merge_last=2),
+        "plan.json fused_groups: length 6 != 7"),
     "plan_groups_overlap_on_npu": (
         _overlap_on_npu,
-        "timeline[5] start_us: 20.08112 != 25.08688"),
+        "timeline[4] start_us: 15.081119999999999 != 20.08688"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
