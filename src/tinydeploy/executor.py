@@ -682,8 +682,10 @@ def _chain_step(graph: GraphIR, chain: list[OpNode]) -> Step:
     """One Step that runs a `graph.fused_successor` chain as one kernel.
 
     A leading Flatten becomes the FullyConnected's reshape of its input,
-    and a trailing ReLU the lower clip of the kernel before it. An Add
-    after a convolution, or a Softmax after a FullyConnected, reads its
+    and a trailing ReLU the lower clip of the kernel before it. Every
+    other node (an Add after a convolution, a Softmax after a
+    FullyConnected, a pool or Flatten after a pool or Concat, and so a
+    Flatten mid-chain between a pool and a FullyConnected) reads its
     producer's output without the env storing it. The step reads what
     the chain reads from outside itself.
     """

@@ -228,11 +228,18 @@ class GraphIR:
 
 
 # Reader kind -> the kinds whose output it fuses with (`fused_successor`).
+# Every reader but Add has one activation input, so a chain waits only on
+# what its first node (or an Add) reads. Concat has no row: a pool fused
+# into the Concat that reads it would wait for the Concat's other inputs.
+_POOLING = (OpKind.MAX_POOL2D, OpKind.AVG_POOL2D, OpKind.CONCAT)
 FUSES_AFTER = {
     OpKind.RELU: (*WEIGHTED_OPS, OpKind.ADD),
     OpKind.ADD: (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D),
     OpKind.SOFTMAX: (OpKind.FULLY_CONNECTED,),
     OpKind.FULLY_CONNECTED: (OpKind.FLATTEN,),
+    OpKind.MAX_POOL2D: _POOLING,
+    OpKind.AVG_POOL2D: _POOLING,
+    OpKind.FLATTEN: _POOLING,
 }
 
 
@@ -244,12 +251,14 @@ def fused_successor(
     `node`'s output must not be a graph output and must have one reader,
     which makes one of the FUSES_AFTER pairs: a weighted op or an Add
     with a ReLU (the kernel clips at the output zero point), a Conv2D or
-    DepthwiseConv2D with an Add or a FullyConnected with a Softmax (the
-    second kernel reads the first's output without storing it), or a
-    Flatten with a FullyConnected (the kernel reads the Flatten's input).
-    Pairs link into chains, such as Conv2D + Add + ReLU and Flatten +
-    FullyConnected + Softmax, in which only the last output is read
-    outside the chain. `consumers` is `graph.consumer_map()`.
+    DepthwiseConv2D with an Add, a FullyConnected with a Softmax, or a
+    MaxPool2D, AvgPool2D or Concat with a MaxPool2D, AvgPool2D or
+    Flatten (the second kernel reads the first's output without storing
+    it), or a Flatten with a FullyConnected (the kernel reads the
+    Flatten's input). Pairs link into chains, such as Conv2D + Add +
+    ReLU and Concat + MaxPool2D + Flatten + FullyConnected + Softmax, in
+    which only the last output is read outside the chain. `consumers` is
+    `graph.consumer_map()`.
     """
     out = node.outputs[0]
     readers = consumers.get(out, [])

@@ -3,14 +3,15 @@
 Partitions a quantized graph onto NPU/CPU by the profile's supported op
 set, fuses chains into one kernel on one target (`graph.fused_successor`
 links each node to the one reader it fuses with, giving chains such as
-Conv2D/DepthwiseConv2D + Add + ReLU and Flatten + FullyConnected +
-Softmax), list-schedules the fused groups over the two resources with
-CPU/NPU overlap, and plans activation memory in a single arena with
-lifetime-based buffer reuse (greedy best-fit, tensors placed in
-descending size). Weights live in flash and never enter the arena;
-tensors internal to a fused group are never materialized. Fusing only
-saves dispatches: each group pays one dispatch overhead in the cost
-model, and the flash metadata is still counted per node.
+Conv2D/DepthwiseConv2D + Add + ReLU, MaxPool2D + MaxPool2D and Concat +
+MaxPool2D + Flatten + FullyConnected + Softmax), list-schedules the
+fused groups over the two resources with CPU/NPU overlap, and plans
+activation memory in a single arena with lifetime-based buffer reuse
+(greedy best-fit, tensors placed in descending size). Weights live in
+flash and never enter the arena; tensors internal to a fused group are
+never materialized. Fusing only saves dispatches: each group pays one
+dispatch overhead in the cost model, and the flash metadata is still
+counted per node.
 
 A fused group is the list of its node ids; `costmodel.group_id` names it
 in timelines and plans, and `costmodel.group_index` maps nodes to it.
@@ -84,10 +85,12 @@ def partition_and_fuse(
     A group is a chain: it starts at a node no earlier group holds and
     follows `graph.fused_successor` for as long as the next node shares
     the target and no earlier group holds it (an Add that two
-    convolutions alone read joins the first one's chain). Groups are
-    listed by the topological position of their last node. Only a
-    chain's last output is read outside it, so every group comes after
-    the groups it reads from.
+    convolutions alone read joins the first one's chain). On the CPU a
+    Concat or pool starts a chain of pools that may end in the head's
+    Flatten + FullyConnected + Softmax; no chain runs into a Concat,
+    which would wait for its other inputs. Groups are listed by the
+    topological position of their last node. Only a chain's last output is read outside it, so
+    every group comes after the groups it reads from.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")

@@ -219,6 +219,27 @@ def inception_graph(seed=0):
     return classifier_graph("inception", seed, build, 6 * 6 * 23)
 
 
+def pool_chain_graph(seed=0):
+    """A Concat whose output runs through two MaxPools into the head.
+
+    Stem Conv(6) -> ReLU -> x; Concat of Conv p(4) -> ReLU and AvgPool
+    `avg` -> MaxPool `amp` on x; then MaxPool 2x2/2 `mp1` -> MaxPool 3x3
+    SAME `mp2` -> Flatten -> FullyConnected -> Softmax. avg, cat, mp1,
+    mp2 and the Flatten each have one reader, which reads nothing else.
+    """
+    def build(rng):
+        same = conv_attrs(padding="SAME")
+        stem = conv_layer(rng, "stem", "in", 6, 3, kernel=3)
+        p = conv_layer(rng, "p", stem[2], 4, 6)
+        avg = op_layer("avg", OpKind.AVG_POOL2D, [stem[2]], **same)
+        amp = op_layer("amp", OpKind.MAX_POOL2D, [avg[2]], **same)
+        cat = op_layer("cat", OpKind.CONCAT, [p[2], amp[2]], axis=3)
+        mp1 = op_layer("mp1", OpKind.MAX_POOL2D, [cat[2]], **conv_attrs(kernel=2, stride=2))
+        mp2 = op_layer("mp2", OpKind.MAX_POOL2D, [mp1[2]], **same)
+        return [stem, p, avg, amp, cat, mp1, mp2]
+    return classifier_graph("pool_chain", seed, build, 3 * 3 * 10)
+
+
 # ---------------------------------------------------------------------------
 # naive reference ops (loop-based, independent of the executor)
 

@@ -14,6 +14,7 @@ from graphutil import (
     inception_graph,
     node,
     op_layer,
+    pool_chain_graph,
     residual_chain_graph,
     skip_branch_graph,
 )
@@ -22,7 +23,7 @@ from tinydeploy.data_files import load_profile
 from tinydeploy import pipeline
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
-from tinydeploy.graph import OpKind, OpNode, fused_successor
+from tinydeploy.graph import FUSES_AFTER, OpKind, OpNode, fused_successor
 from tinydeploy.hardware import DEFAULT_NPU_OPS, HardwareProfile
 from tinydeploy.quantization import quantize_graph
 from tinydeploy.mapping import (
@@ -52,7 +53,7 @@ def test_conv_relu_softmax_partition(small_convnet_quantized):
     assert assignment["pool1"] == "CPU"  # pooling stays on CPU by default
     by_first = _groups_by_first(groups)
     assert by_first["conv1"] == ["conv1", "conv1_relu"]
-    assert ["flatten", "fc", "softmax"] in groups
+    assert ["pool3", "flatten", "fc", "softmax"] in groups
 
 
 def test_zero_npu_support_all_cpu(small_convnet_quantized):
@@ -118,7 +119,7 @@ def test_fused_execution_bit_identical(small_convnet_quantized, test_samples):
 @pytest.mark.parametrize("group", [
     ["conv2", "conv1_relu"],  # the ReLU reads another op's output
     ["conv1_relu", "conv1"],  # the ReLU first
-    ["conv1", "conv1_relu", "pool1"],  # a MaxPool2D fuses with nothing
+    ["conv1", "conv1_relu", "pool1"],  # a MaxPool2D fuses only after a pool or a Concat
 ])
 def test_fused_group_must_be_a_producer_and_its_relu(small_convnet_quantized, group):
     order = [n.id for n in small_convnet_quantized.nodes]
@@ -162,7 +163,7 @@ def _refused(graph, group):
 
 @pytest.mark.parametrize("group", [
     ["add", "r2"],  # the Add's output is also read by the Concat
-    ["cat", "fl"],  # a Concat fuses with nothing
+    ["mp", "cat"],  # a pool never fuses into a Concat
     ["fl", "sm"],  # a Flatten fuses only with a FullyConnected
     ["fl", "sm", "fc"],  # the head's chain out of order
     ["add", "c2"],  # a Conv2D + Add pair out of order
@@ -206,12 +207,17 @@ def _with_fc_relu(graph):
     (skip_branch_graph, ["fc", "sm"]),
     (skip_branch_graph, ["fl", "fc", "sm"]),
     (skip_branch_graph, ["c2", "add"]),
+    (skip_branch_graph, ["cat", "fl"]),
+    (pool_chain_graph, ["cat", "mp1", "mp2", "fl", "fc", "sm"]),
+    (pool_chain_graph, ["mp2", "fl"]),  # ends at the Flatten's view
+    (pool_chain_graph, ["avg", "amp"]),
     (lambda: _with_fc_relu(residual_chain_graph()), ["fl", "fc", "fc_relu"]),
     (residual_chain_graph, ["b1", "add1", "r1"]),
     (residual_chain_graph, ["d2", "add2", "r2"]),
     (_late_skip_graph, ["skip", "add", "r"]),  # the Add's first operand
-], ids=["fc_softmax", "flatten_fc_softmax", "conv_add", "flatten_fc_relu", "conv_add_relu",
-        "depthwise_add_relu", "first_operand_conv_add_relu"])
+], ids=["fc_softmax", "flatten_fc_softmax", "conv_add", "concat_flatten",
+        "concat_pool_pool_head", "pool_flatten", "avgpool_maxpool", "flatten_fc_relu",
+        "conv_add_relu", "depthwise_add_relu", "first_operand_conv_add_relu"])
 def test_prepare_runs_a_chain_the_rule_links_equal_to_unfused(graph, group):
     graph = _quantized(graph())
     groups = [group] + [[n.id] for n in graph.nodes if n.id not in group]
@@ -234,9 +240,15 @@ def test_fused_successor_is_the_one_reader_a_node_fuses_into():
 
     graph = skip_branch_graph()
     # The Add is read by the ReLU and the Concat.
-    assert pairs(graph) == {"c1": "r1", "c2": "add", "fl": "fc", "fc": "sm"}
-    graph.graph_outputs += ["a", "b", "flat", "logits"]  # c1's, c2's, fl's and fc's outputs
+    assert pairs(graph) == {"c1": "r1", "c2": "add", "cat": "fl", "fl": "fc", "fc": "sm"}
+    graph.graph_outputs += ["a", "b", "cat", "flat", "logits"]  # c1's, c2's, cat's, fl's, fc's
     assert pairs(graph) == {}
+
+    graph = pool_chain_graph()
+    assert pairs(graph) == {"stem": "stem_relu", "p": "p_relu", "avg": "amp", "cat": "mp1",
+                            "mp1": "mp2", "mp2": "fl", "fl": "fc", "fc": "sm"}
+    graph.graph_outputs += ["mp1_out"]
+    assert "mp1" not in pairs(graph) and pairs(graph)["cat"] == "mp1"
 
     graph = residual_chain_graph()
     assert pairs(graph) == {"stem": "stem_relu", "a1": "a1_relu", "b1": "add1", "add1": "r1",
@@ -260,11 +272,11 @@ def test_add_fuses_only_with_the_relu_that_alone_reads_it():
 
 def test_flatten_fuses_with_its_fully_connected_on_one_target_only(small_convnet_quantized):
     assignment, groups = partition_and_fuse(small_convnet_quantized, HardwareProfile())
-    assert ["flatten", "fc", "softmax"] in groups and assignment["fc"] == "CPU"
+    assert ["pool3", "flatten", "fc", "softmax"] in groups and assignment["fc"] == "CPU"
     npu_fc = HardwareProfile(npu_supported_ops=(*DEFAULT_NPU_OPS, "FullyConnected"))
     assignment, groups = partition_and_fuse(small_convnet_quantized, npu_fc)
     assert assignment["flatten"] == "CPU" and assignment["fc"] == "NPU"
-    assert ["flatten"] in groups and ["fc"] in groups and ["softmax"] in groups
+    assert ["pool3", "flatten"] in groups and ["fc"] in groups and ["softmax"] in groups
 
 
 def test_a_chain_follows_successors_while_they_share_its_target():
@@ -465,8 +477,8 @@ def test_fused_group_count_arithmetic(small_convnet_quantized):
     assignment, groups = partition_and_fuse(small_convnet_quantized, HardwareProfile())
     n_nodes = len(small_convnet_quantized.nodes)
     assert len(groups) == n_nodes - sum(len(g) - 1 for g in groups)
-    # three Conv2D + ReLU, three pools and Flatten + FullyConnected + Softmax
-    assert sorted(map(len, groups)) == [1, 1, 1, 2, 2, 2, 3]
+    # three Conv2D + ReLU, two pools and pool3 + Flatten + FullyConnected + Softmax
+    assert sorted(map(len, groups)) == [1, 1, 2, 2, 2, 4]
 
 
 def test_makespan_monotone_under_added_dependency():
@@ -586,10 +598,11 @@ PROFILES = ("builtin:profile_default", "builtin:profile_desk_calibrated")
 
 @pytest.fixture(scope="module")
 def mapped_graphs(small_convnet_quantized, dwsep_net_quantized):
-    """Both bundled models, `skip_branch_graph`, `residual_chain_graph`
-    and `inception_graph`, quantized."""
+    """Both bundled models, `skip_branch_graph`, `residual_chain_graph`,
+    `inception_graph` and `pool_chain_graph`, quantized."""
     return [small_convnet_quantized, dwsep_net_quantized, _quantized(skip_branch_graph()),
-            _quantized(residual_chain_graph()), _quantized(inception_graph())]
+            _quantized(residual_chain_graph()), _quantized(inception_graph()),
+            _quantized(pool_chain_graph())]
 
 
 def test_every_plan_map_builds_runs_fused_equal_to_unfused(mapped_graphs):
@@ -615,7 +628,33 @@ def test_every_plan_map_builds_runs_fused_equal_to_unfused(mapped_graphs):
     assert {(OpKind.ADD, OpKind.RELU), (OpKind.FLATTEN, OpKind.FULLY_CONNECTED),
             (OpKind.CONV2D, OpKind.RELU), (OpKind.CONV2D, OpKind.ADD),
             (OpKind.DEPTHWISE_CONV2D, OpKind.ADD),
-            (OpKind.FULLY_CONNECTED, OpKind.SOFTMAX)} <= pair_kinds
+            (OpKind.FULLY_CONNECTED, OpKind.SOFTMAX),
+            (OpKind.CONCAT, OpKind.MAX_POOL2D), (OpKind.MAX_POOL2D, OpKind.MAX_POOL2D),
+            (OpKind.MAX_POOL2D, OpKind.FLATTEN), (OpKind.AVG_POOL2D, OpKind.FLATTEN),
+            (OpKind.CONCAT, OpKind.FLATTEN)} <= pair_kinds
+
+
+def test_a_pool_never_fuses_into_the_concat_that_reads_it():
+    """`mp`'s one reader is the Concat, which also waits for `p` and `s`;
+    Concat has no FUSES_AFTER row, so `mp` runs alone under both profiles."""
+    assert OpKind.CONCAT not in FUSES_AFTER
+    graph = _quantized(skip_branch_graph())
+    assert fused_successor(graph, node(graph, "mp"), graph.consumer_map()) is None
+    for profile in PROFILES:
+        assert ["mp"] in partition_and_fuse(graph, load_profile(profile))[1]
+
+
+def test_every_reader_but_add_reads_one_activation(mapped_graphs):
+    """A chain waits only on what its first node or an Add reads: every
+    other reader kind in FUSES_AFTER reads one non-constant tensor."""
+    readers = set(FUSES_AFTER) - {OpKind.ADD}
+    seen = set()
+    for graph in mapped_graphs:
+        for n in graph.nodes:
+            if n.kind in readers:
+                assert sum(not graph.tensors[t].is_constant for t in n.inputs) == 1, n.id
+                seen.add(n.kind)
+    assert seen == readers
 
 
 def test_plan_json_roundtrip(tmp_path, mapped_graphs):
