@@ -33,9 +33,10 @@ matrix product; DepthwiseConv2D runs one einsum over an uncopied
 (B,Ho,kh,kw,Wo*C) view (stride_w 1; (B,Ho,kh,kw,Wo,C) otherwise), which
 sums each output element in the same order as over the patches; the
 pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
-Float32 DepthwiseConv2D and AvgPool2D keep the patches: with C == 1
-numpy coalesces the window into a horizontal or pairwise reduction,
-whose order no view reproduces.
+Float32 DepthwiseConv2D, AvgPool2D and MaxPool2D keep the patches: with
+C == 1 numpy coalesces the window into a horizontal or pairwise
+reduction, whose order (and, for MaxPool2D, whose pick between tied
+signed zeros) no view reproduces.
 
 INT8 Conv2D, DepthwiseConv2D and FullyConnected share one accumulation
 rule: a sum of K products (K = kh*kw*C, kh*kw or F) runs in float32 while
@@ -304,6 +305,12 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
     if kind == OpKind.MAX_POOL2D:
         window = _Window(node, graph.tensors[src].shape)
+        if graph.tensors[src].shape[3] == 1:
+            # Single channel: max over the patches. With C == 1 numpy
+            # coalesces the window into one reduction, which can pick
+            # another of two tied signed zeros than the taps folded
+            # row-major (see DepthwiseConv2D).
+            return lambda env: window.patches(env[src], -np.inf).max(axis=(3, 4))
         return lambda env: _fold(np.maximum, window.taps(env[src], -np.inf))
 
     if kind == OpKind.AVG_POOL2D:
@@ -407,20 +414,16 @@ def _int8_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.astype(acc, copy=False) @ b.astype(acc, copy=False)
 
 
-def _int8_weighted_kernel(
-    graph: GraphIR, node: OpNode, fused_relu: bool, src: str | None = None
-) -> Kernel:
-    """Conv2D / DepthwiseConv2D / FullyConnected, optionally with fused ReLU.
+def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
+    """Conv2D / DepthwiseConv2D / FullyConnected.
 
-    `src` is the tensor the kernel reads, by default the node's input;
-    a FullyConnected reads it flattened to (B, -1), so it may be a fused
-    Flatten's input. The product accumulates exactly in `_acc_dtype` of
-    the window or input size. The epilogue (int64 cast, bias, 32-bit
-    check, fixed-point requantization, zero point, clip) then runs on
-    `_EPILOGUE_TILE`-sized tiles of output rows, writing into one
-    preallocated Int8 output.
+    A FullyConnected reads its input flattened to (B, -1). The product
+    accumulates exactly in `_acc_dtype` of the window or input size. The
+    epilogue (int64 cast, bias, 32-bit check, fixed-point requantization,
+    zero point, clip) then runs on `_EPILOGUE_TILE`-sized tiles of output
+    rows, writing into one preallocated Int8 output.
     """
-    src = node.inputs[0] if src is None else src
+    src = node.inputs[0]
     zp_in = _require_quant(graph, src).zero_point
     if not QMIN <= zp_in <= QMAX:
         raise ExecutionError(f"node {node.id}: input zero point {zp_in} outside Int8 range")
@@ -457,9 +460,6 @@ def _int8_weighted_kernel(
         def product(x: np.ndarray) -> np.ndarray:
             return depthwise(x.astype(acc_type) - acc_type(zp_in))
 
-    # A fused ReLU clamps at the output zero point, real value 0.
-    q_low = max(QMIN, zp_out) if fused_relu else QMIN
-
     def weighted(env: Env) -> np.ndarray:
         acc = product(env[src])  # (..., C) exact integers; a transposed view for Conv2D
         out = np.empty(acc.shape, dtype=np.int8)
@@ -472,19 +472,15 @@ def _int8_weighted_kernel(
             _check_acc32(q, node.id)
             q = requantize_fixed_point(q, sig, shift)
             q += zp_out
-            out_rows[start:start + tile] = np.clip(q, q_low, QMAX, out=q)
+            out_rows[start:start + tile] = np.clip(q, QMIN, QMAX, out=q)
         return out
     return weighted
 
 
-def _int8_kernel(
-    graph: GraphIR, node: OpNode, fused_relu: bool = False, src: str | None = None
-) -> Kernel:
-    """The INT8 kernel of `node`; `fused_relu` (weighted ops and Add only)
-    clips its output at the zero point, as the ReLU reading it would, and
-    `src` (weighted ops only) is read in place of the node's input."""
+def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
+    """The INT8 kernel of `node`."""
     if node.kind in WEIGHTED_OPS:
-        return _int8_weighted_kernel(graph, node, fused_relu, src)
+        return _int8_weighted_kernel(graph, node)
     kind = node.kind
     src = node.inputs[0]
 
@@ -528,13 +524,12 @@ def _int8_kernel(
         zp_out = _require_quant(graph, node.outputs[0]).zero_point
         requant_a = _requant_table(node, "requant_a")
         requant_b = _requant_table(node, "requant_b")
-        q_low = max(QMIN, zp_out) if fused_relu else QMIN
 
         def add(env: Env) -> np.ndarray:
             # Both operands requantize to the output scale before adding.
             ta = requantize_fixed_point(env[src].astype(np.int64) - zp_a, *requant_a)
             tb = requantize_fixed_point(env[other].astype(np.int64) - zp_b, *requant_b)
-            return np.clip(ta + tb + zp_out, q_low, QMAX).astype(np.int8)
+            return np.clip(ta + tb + zp_out, QMIN, QMAX).astype(np.int8)
         return add
 
     if kind == OpKind.CONCAT:
@@ -674,36 +669,21 @@ class Program:
         return outputs
 
 
-def _step(node: OpNode, kernel: Kernel) -> Step:
-    return Step(node.outputs[0], kernel, tuple(node.inputs))
-
-
-def _chain_step(graph: GraphIR, chain: list[OpNode]) -> Step:
+def _chain_step(
+    graph: GraphIR, chain: list[OpNode], kernel: Callable[[GraphIR, OpNode], Kernel]
+) -> Step:
     """One Step that runs a `graph.fused_successor` chain as one kernel.
 
-    A leading Flatten becomes the FullyConnected's reshape of its input,
-    and a trailing ReLU the lower clip of the kernel before it. Every
-    other node (an Add after a convolution, a Softmax after a
-    FullyConnected, a pool or Flatten after a pool or Concat, and so a
-    Flatten mid-chain between a pool and a FullyConnected) reads its
-    producer's output without the env storing it. The step reads what
-    the chain reads from outside itself.
+    Each node runs its own `kernel` on its producer's output, which the
+    env never stores; a chain of one node is that node's kernel. The step
+    reads what the chain reads from outside itself.
     """
     inner = {n.outputs[0] for n in chain[:-1]}
     reads = tuple(t for n in chain for t in n.inputs if t not in inner)
-    output = chain[-1].outputs[0]
-    src = None
-    if len(chain) > 1 and chain[0].kind == OpKind.FLATTEN:
-        _assert_inherited(graph, chain[0])
-        src, chain = chain[0].inputs[0], chain[1:]
-    clip = len(chain) > 1 and chain[-1].kind == OpKind.RELU
-    if clip:
-        _assert_inherited(graph, chain[-1])
-        chain = chain[:-1]
-    run = _int8_kernel(graph, chain[0], clip and len(chain) == 1, src)
+    run = kernel(graph, chain[0])
     for prev, node in zip(chain, chain[1:]):
-        run = _composed(run, prev.outputs[0], _int8_kernel(graph, node, clip and node is chain[-1]))
-    return Step(output, run, reads)
+        run = _composed(run, prev.outputs[0], kernel(graph, node))
+    return Step(chain[-1].outputs[0], run, reads)
 
 
 def _composed(first: Kernel, inner: str, then: Kernel) -> Kernel:
@@ -750,8 +730,6 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
                 raise ExecutionError(
                     f"tensor {t.id}: Float32 graph carries {t.dtype.value} constants"
                 )
-        steps = [_step(nodes[nid], _f32_kernel(g, nodes[nid])) for nid in order]
-        return Program(g, steps, quantized=False)
 
     if fused_groups is None:
         groups = [[nid] for nid in order]
@@ -763,6 +741,7 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         pos = {nid: i for i, nid in enumerate(order)}
         groups.sort(key=lambda grp: pos[grp[-1]])
 
+    kernel = _int8_kernel if quantized else _f32_kernel
     consumers = g.consumer_map()
     steps = []
     for grp in groups:
@@ -770,8 +749,8 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
         if any(fused_successor(g, a, consumers) is not b for a, b in zip(chain, chain[1:])):
             raise ExecutionError(f"fused group {group_id(grp)} is not a chain in which each "
                                  "node fuses with the next (graph.fused_successor)")
-        steps.append(_chain_step(g, chain))
-    return Program(g, steps, quantized=True)
+        steps.append(_chain_step(g, chain, kernel))
+    return Program(g, steps, quantized)
 
 
 def run_f32(

@@ -71,7 +71,7 @@ class OpKind(str, enum.Enum):
 WEIGHTED_OPS = (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED)
 
 # Ops whose output preserves per-channel identity of their input (used by
-# pruning propagation and quantization-parameter inheritance).
+# pruning propagation).
 CHANNEL_PRESERVING_OPS = (OpKind.RELU, OpKind.MAX_POOL2D, OpKind.AVG_POOL2D)
 
 VALID_PADDINGS = ("VALID", "SAME")
@@ -250,15 +250,14 @@ def fused_successor(
 
     `node`'s output must not be a graph output and must have one reader,
     which makes one of the FUSES_AFTER pairs: a weighted op or an Add
-    with a ReLU (the kernel clips at the output zero point), a Conv2D or
-    DepthwiseConv2D with an Add, a FullyConnected with a Softmax, or a
-    MaxPool2D, AvgPool2D or Concat with a MaxPool2D, AvgPool2D or
-    Flatten (the second kernel reads the first's output without storing
-    it), or a Flatten with a FullyConnected (the kernel reads the
-    Flatten's input). Pairs link into chains, such as Conv2D + Add +
-    ReLU and Concat + MaxPool2D + Flatten + FullyConnected + Softmax, in
-    which only the last output is read outside the chain. `consumers` is
-    `graph.consumer_map()`.
+    with a ReLU, a Conv2D or DepthwiseConv2D with an Add, a
+    FullyConnected with a Softmax, a MaxPool2D, AvgPool2D or Concat with
+    a MaxPool2D, AvgPool2D or Flatten, or a Flatten with a
+    FullyConnected. Pairs link into chains, such as Conv2D + Add + ReLU
+    and Concat + MaxPool2D + Flatten + FullyConnected + Softmax, in
+    which only the last output is read outside the chain; each node's
+    kernel reads its producer's output without storing it. `consumers`
+    is `graph.consumer_map()`.
     """
     out = node.outputs[0]
     readers = consumers.get(out, [])

@@ -16,14 +16,10 @@ counts depend on position).
 
 Outputs of ReLU, MaxPool2D and Flatten inherit their input's
 quantization parameters: these ops then operate directly on codes, and
-fusing them with a neighbouring kernel cannot change the math. A ReLU
-fused into its producer (Conv2D, DepthwiseConv2D, FullyConnected or Add)
-becomes that kernel's lower clip at the output zero point; a Flatten
-fused into the FullyConnected that reads it becomes a reshape of the
-FullyConnected's input. An Add fused after a Conv2D or DepthwiseConv2D,
-or a Softmax after a FullyConnected, keeps its own requantization or
-dequantization and reads the producer's Int8 codes before they are
-stored, so a fused chain (`graph.fused_successor`) gives the same codes.
+fusing them with a neighbouring kernel cannot change the math. Every
+node of a fused chain (`graph.fused_successor`) keeps its own
+requantization, clip or dequantization and reads its producer's Int8
+codes before they are stored, so the chain gives the same codes.
 """
 from __future__ import annotations
 

@@ -224,16 +224,18 @@ def test_window_kernels_match_gathered_windows_at_real_sizes(data):
 
 
 @pytest.mark.parametrize("kind, shape, kernel, stride, padding", [
-    # C == 1: depthwise and AvgPool keep the patch path
+    # C == 1: depthwise and the pools keep the patch path
     (OpKind.DEPTHWISE_CONV2D, (16, 32, 32, 1), 3, (1, 1), "SAME"),
     (OpKind.AVG_POOL2D, (16, 34, 33, 1), 3, (2, 2), "SAME"),
+    # a fold of the taps can give +0.0 where max over the patches gives -0.0
+    (OpKind.MAX_POOL2D, (4, 14, 14, 1), 5, (1, 1), "SAME"),
     # stride_w 2: the (B,Ho,kh,kw,Wo,C) view
     (OpKind.DEPTHWISE_CONV2D, (16, 34, 34, 16), 3, (1, 2), "SAME"),
     (OpKind.DEPTHWISE_CONV2D, (7, 33, 31, 5), 5, (2, 2), "VALID"),
     (OpKind.AVG_POOL2D, (16, 16, 16, 32), 2, (2, 2), "VALID"),
     # dwsep_net's dw1: Wo*C = 512
     (OpKind.DEPTHWISE_CONV2D, (16, 32, 32, 16), 3, (1, 1), "SAME"),
-], ids=["dw_c1", "avg_c1", "dw_stride_w2", "dw_5x5_stride2", "avg_2x2_stride2", "dw1"])
+], ids=["dw_c1", "avg_c1", "max_c1", "dw_stride_w2", "dw_5x5_stride2", "avg_2x2_stride2", "dw1"])
 def test_window_kernels_match_gathered_windows_named_cases(kind, shape, kernel, stride, padding):
     rng = np.random.default_rng(sum(shape))
     attrs = {"kernel_h": kernel, "kernel_w": kernel, "stride_h": stride[0],

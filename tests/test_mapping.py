@@ -25,7 +25,7 @@ from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import FUSES_AFTER, OpKind, OpNode, fused_successor
 from tinydeploy.hardware import DEFAULT_NPU_OPS, HardwareProfile
-from tinydeploy.quantization import quantize_graph
+from tinydeploy.quantization import QMAX, QMIN, quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
     MappingError,
@@ -203,6 +203,19 @@ def _with_fc_relu(graph):
     return graph
 
 
+def _with_one_signed_relu_input(bias_node, bias, relu):
+    """`residual_chain_graph` with every bias of `bias_node` set to `bias`,
+    far enough from 0 that ReLU `relu`'s input is all one sign: its zero
+    point is then QMIN (all positive) or QMAX (all negative), the ends of
+    the Int8 range the ReLU clips to."""
+    graph = residual_chain_graph()
+    graph.tensors[f"{bias_node}_b"].data[:] = bias
+    quantized = _quantized(graph)
+    zero_point = quantized.tensors[node(quantized, relu).inputs[0]].quant.zero_point
+    assert zero_point == (QMIN if bias > 0 else QMAX)
+    return graph
+
+
 @pytest.mark.parametrize("graph, group", [
     (skip_branch_graph, ["fc", "sm"]),
     (skip_branch_graph, ["fl", "fc", "sm"]),
@@ -215,9 +228,15 @@ def _with_fc_relu(graph):
     (residual_chain_graph, ["b1", "add1", "r1"]),
     (residual_chain_graph, ["d2", "add2", "r2"]),
     (_late_skip_graph, ["skip", "add", "r"]),  # the Add's first operand
+    (lambda: _with_one_signed_relu_input("stem", 20.0, "stem_relu"), ["stem", "stem_relu"]),
+    (lambda: _with_one_signed_relu_input("stem", -20.0, "stem_relu"), ["stem", "stem_relu"]),
+    (lambda: _with_one_signed_relu_input("b1", 50.0, "r1"), ["add1", "r1"]),
+    (lambda: _with_one_signed_relu_input("b1", -50.0, "r1"), ["add1", "r1"]),
 ], ids=["fc_softmax", "flatten_fc_softmax", "conv_add", "concat_flatten",
         "concat_pool_pool_head", "pool_flatten", "avgpool_maxpool", "flatten_fc_relu",
-        "conv_add_relu", "depthwise_add_relu", "first_operand_conv_add_relu"])
+        "conv_add_relu", "depthwise_add_relu", "first_operand_conv_add_relu",
+        "conv_relu_zero_point_qmin", "conv_relu_zero_point_qmax",
+        "add_relu_zero_point_qmin", "add_relu_zero_point_qmax"])
 def test_prepare_runs_a_chain_the_rule_links_equal_to_unfused(graph, group):
     graph = _quantized(graph())
     groups = [group] + [[n.id] for n in graph.nodes if n.id not in group]
