@@ -7,11 +7,12 @@ Conv2D/DepthwiseConv2D + Add + ReLU, MaxPool2D + MaxPool2D and Concat +
 MaxPool2D + Flatten + FullyConnected + Softmax), list-schedules the
 fused groups over the two resources with CPU/NPU overlap, and plans
 activation memory in a single arena with lifetime-based buffer reuse
-(greedy best-fit, tensors placed in descending size). Weights live in
-flash and never enter the arena; tensors internal to a fused group are
-never materialized. Fusing only saves dispatches: each group pays one
-dispatch overhead in the cost model, and the flash metadata is still
-counted per node.
+(greedy best-fit in the first of four tensor orders whose arena meets
+the live-set bound, else the first smallest; see `place_lifetimes`).
+Weights live in flash and never enter the arena; tensors internal to a
+fused group are never materialized. Fusing only saves dispatches: each
+group pays one dispatch overhead in the cost model, and the flash
+metadata is still counted per node.
 
 A fused group is the list of its node ids; `costmodel.group_id` names it
 in timelines and plans, and `costmodel.group_index` maps nodes to it.
@@ -89,8 +90,9 @@ def partition_and_fuse(
     Concat or pool starts a chain of pools that may end in the head's
     Flatten + FullyConnected + Softmax; no chain runs into a Concat,
     which would wait for its other inputs. Groups are listed by the
-    topological position of their last node. Only a chain's last output is read outside it, so
-    every group comes after the groups it reads from.
+    topological position of their last node. Only a chain's last output
+    is read outside it, so every group comes after the groups it reads
+    from.
     """
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
@@ -331,11 +333,24 @@ def tensor_lifetimes(
     return lifetimes
 
 
-def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
-    """Greedy best-fit offsets, tensors in descending size order."""
+def live_set_bound(lifetimes: list[Lifetime]) -> int:
+    """The most bytes live at any one instant: no arena can be smaller.
+
+    Lifetimes are half-open [start, end), as in `Lifetime.overlaps`, and
+    the most is reached at some lifetime's start.
+    """
+    return max(
+        (sum(o.size for o in lifetimes if o.start <= lt.start < o.end) for lt in lifetimes),
+        default=0,
+    )
+
+
+def _best_fit(ordered: list[Lifetime]) -> MemoryPlan:
+    """Place each tensor in turn into the smallest gap between the blocks
+    of placed tensors it overlaps, else past the last of them."""
     placed: list[tuple[Lifetime, int]] = []
     slots: dict[str, Slot] = {}
-    for lt in sorted(lifetimes, key=lambda l: (-l.size, l.tensor_id)):
+    for lt in ordered:
         ranges = sorted(
             (off, off + other.size) for other, off in placed if other.overlaps(lt)
         )
@@ -354,10 +369,61 @@ def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
     return MemoryPlan(tensors=slots, arena_peak_bytes=peak)
 
 
+# Sort keys of the tensor orders `place_lifetimes` tries, in turn.
+PLACEMENT_ORDERS = (
+    lambda lt: (-lt.size, lt.tensor_id),
+    lambda lt: (-lt.size * (lt.end - lt.start), lt.tensor_id),
+    lambda lt: (lt.start, -lt.size, lt.tensor_id),
+    lambda lt: (-(lt.end - lt.start), -lt.size, lt.tensor_id),
+)
+
+
+def place_lifetimes(lifetimes: list[Lifetime]) -> MemoryPlan:
+    """Greedy best-fit offsets in the first tensor order that does best.
+
+    The bound is `live_set_bound`, the most bytes live at any one
+    instant. Each of PLACEMENT_ORDERS is placed by the same best-fit
+    rule, in turn: descending size, descending size x duration,
+    ascending start then descending size, and descending duration then
+    descending size; remaining ties go to the smaller tensor id. The
+    first arena that meets the bound wins; if none does, the first
+    smallest. Descending size goes first, so no arena is larger than
+    that order's.
+    """
+    bound = live_set_bound(lifetimes)
+    best: MemoryPlan | None = None
+    for key in PLACEMENT_ORDERS:
+        plan = _best_fit(sorted(lifetimes, key=key))
+        if best is None or plan.arena_peak_bytes < best.arena_peak_bytes:
+            best = plan
+        if best.arena_peak_bytes <= bound:
+            break
+    return best
+
+
 def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
-    """Exhaustive pairwise check: live-together tensors never share bytes."""
+    """Every lifetime has a slot of its size inside [0, arena peak), no
+    slot is for an unknown tensor, and live-together tensors never share
+    bytes (exhaustive pairwise check)."""
     by_id = {lt.tensor_id: lt for lt in lifetimes}
+    missing = sorted(by_id.keys() - plan.tensors.keys())
+    if missing:
+        raise MappingError(f"memory plan: tensor {missing[0]} has no slot")
     items = sorted(plan.tensors.items())
+    for tid, slot in items:
+        if tid not in by_id:
+            raise MappingError(f"memory plan: slot for unknown tensor {tid}")
+        if slot.size != by_id[tid].size:
+            raise MappingError(
+                f"memory plan: tensor {tid} slot size {slot.size} != its size {by_id[tid].size}"
+            )
+        if slot.offset < 0:
+            raise MappingError(f"memory plan: tensor {tid} at negative offset {slot.offset}")
+        if slot.offset + slot.size > plan.arena_peak_bytes:
+            raise MappingError(
+                f"memory plan: tensor {tid} ends at {slot.offset + slot.size}, past the "
+                f"arena peak {plan.arena_peak_bytes}"
+            )
     for i, (tid_a, a) in enumerate(items):
         for tid_b, b in items[i + 1:]:
             if not by_id[tid_a].overlaps(by_id[tid_b]):

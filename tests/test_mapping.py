@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -25,14 +26,20 @@ from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import FUSES_AFTER, OpKind, OpNode, fused_successor
 from tinydeploy.hardware import DEFAULT_NPU_OPS, HardwareProfile
+from tinydeploy.pruning import apply_masks, materialize, new_plan, plan_next_stage
 from tinydeploy.quantization import QMAX, QMIN, quantize_graph
 from tinydeploy.mapping import (
     Lifetime,
     MappingError,
+    MemoryPlan,
+    PLACEMENT_ORDERS,
+    Slot,
     build_deployment_plan,
     group_dependencies,
+    live_set_bound,
     load_plan,
     partition_and_fuse,
+    place_lifetimes,
     schedule,
     tensor_lifetimes,
     verify_memory_plan,
@@ -522,8 +529,6 @@ def chain_lifetimes(sizes, spans):
 
 
 def greedy_peak(lifetimes):
-    from tinydeploy.mapping import place_lifetimes
-
     return place_lifetimes(lifetimes).arena_peak_bytes
 
 
@@ -612,6 +617,71 @@ def test_greedy_peak_within_1_5x_of_optimal(data):
     assert greedy >= optimal  # oracle is a true lower bound
 
 
+def size_descending_peak(lifetimes):
+    """The arena of one best-fit pass with tensors in descending size."""
+    return mapping._best_fit(sorted(lifetimes, key=PLACEMENT_ORDERS[0])).arena_peak_bytes
+
+
+def test_placement_tries_other_orders_until_one_meets_the_bound():
+    # Live at 3: t0, t1, t2 (56 B); at 4: t1, t3 (48 B). Size order puts
+    # t3 at 24 past t0, then t1 and t2 can only share a block above it.
+    lifetimes = [
+        Lifetime("t0", 24, 2.0, 4.0),
+        Lifetime("t1", 16, 3.0, 7.0),
+        Lifetime("t2", 16, 1.0, 4.0),
+        Lifetime("t3", 32, 4.0, 7.0),
+    ]
+    assert live_set_bound(lifetimes) == 56
+    arenas = [mapping._best_fit(sorted(lifetimes, key=key)).arena_peak_bytes
+              for key in PLACEMENT_ORDERS]
+    assert arenas[0] == 64 and arenas[2] == 56 and arenas[3] == 56
+    plan = place_lifetimes(lifetimes)
+    assert plan.arena_peak_bytes == 56
+    verify_memory_plan(plan, lifetimes)
+
+
+def test_placement_is_between_the_bound_and_size_descending_order():
+    rng = random.Random(29)
+    below = 0
+    for _ in range(300):
+        lifetimes = []
+        for i in range(rng.randint(1, 12)):
+            start = rng.randint(0, 10)
+            end = start + rng.choice([1e-9, rng.randint(1, 8)])
+            lifetimes.append(Lifetime(f"t{i}", rng.randint(1, 64) * 8, float(start), end))
+        plan = place_lifetimes(lifetimes)
+        verify_memory_plan(plan, lifetimes)
+        bound = live_set_bound(lifetimes)
+        size_order = size_descending_peak(lifetimes)
+        assert bound <= plan.arena_peak_bytes <= size_order
+        below += plan.arena_peak_bytes < size_order
+        if len(lifetimes) <= 6:
+            assert bound <= brute_force_arena_peak(lifetimes)
+    assert below > 0  # the other orders do win sometimes
+
+
+def _memory_plan(*slots, peak):
+    return MemoryPlan({tid: Slot(off, size) for tid, off, size in slots}, peak)
+
+
+VERIFY_LIFETIMES = [Lifetime("a", 8, 0.0, 2.0), Lifetime("b", 8, 1.0, 3.0)]
+
+
+@pytest.mark.parametrize("plan, message", [
+    (_memory_plan(("a", 0, 8), peak=16), "tensor b has no slot"),
+    (_memory_plan(("a", 0, 8), ("b", 8, 4), peak=16), "tensor b slot size 4 != its size 8"),
+    (_memory_plan(("a", 0, 8), ("b", -8, 8), peak=8), "tensor b at negative offset -8"),
+    (_memory_plan(("a", 0, 8), ("b", 8, 8), peak=12),
+     "tensor b ends at 16, past the arena peak 12"),
+    (_memory_plan(("a", 0, 8), ("b", 8, 8), ("c", 16, 8), peak=24), "slot for unknown tensor c"),
+], ids=["missing", "size", "negative_offset", "past_peak", "unknown"])
+def test_verify_memory_plan_refuses(plan, message):
+    """The well-formed plan passes; each broken one is refused, naming the tensor."""
+    verify_memory_plan(_memory_plan(("a", 0, 8), ("b", 8, 8), peak=16), VERIFY_LIFETIMES)
+    with pytest.raises(MappingError, match=message):
+        verify_memory_plan(plan, VERIFY_LIFETIMES)
+
+
 PROFILES = ("builtin:profile_default", "builtin:profile_desk_calibrated")
 
 
@@ -693,3 +763,32 @@ def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
             est = pipeline.stage_estimate(tmp_path / "model.json", tmp_path / "plan.json",
                                           load_profile(profile), tmp_path / "est.json")
             assert est == plan.estimates
+
+
+def test_every_plan_map_builds_is_at_or_above_the_live_set_bound(mapped_graphs):
+    for graph in mapped_graphs:
+        for profile in PROFILES:
+            plan = build_deployment_plan(graph, load_profile(profile))
+            lifetimes = tensor_lifetimes(graph, plan.timeline, plan.fused_groups)
+            assert plan.memory_plan.arena_peak_bytes >= live_set_bound(lifetimes)
+
+
+def _pruned_like_the_example(graph):
+    """`graph` pruned 10/5/5% as `configs/example_pipeline.json` does, then quantized."""
+    plan = new_plan(graph, [0.10, 0.05, 0.05])
+    for _ in range(3):
+        plan = plan_next_stage(apply_masks(graph, plan), plan)
+    return _quantized(materialize(graph, plan))
+
+
+def test_bundled_arenas_are_pinned(small_convnet, dwsep_net):
+    """Both bundled models meet the live-set bound, pruned as in the
+    example run or not pruned, under both builtin profiles."""
+    cases = [(small_convnet, 19200, 20480), (dwsep_net, 43008, 49152)]
+    for graph, pruned_arena, arena in cases:
+        for model, expected in ((_pruned_like_the_example(graph), pruned_arena),
+                                (_quantized(graph), arena)):
+            for profile in PROFILES:
+                plan = build_deployment_plan(model, load_profile(profile))
+                lifetimes = tensor_lifetimes(model, plan.timeline, plan.fused_groups)
+                assert plan.memory_plan.arena_peak_bytes == live_set_bound(lifetimes) == expected
