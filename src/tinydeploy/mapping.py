@@ -1,14 +1,21 @@
 """Hardware-aware operator mapping.
 
-Partitions a quantized graph onto NPU/CPU by the profile's supported op
-set, fuses chains into one kernel on one target (`graph.fused_successor`
-links each node to the one reader it fuses with, giving chains such as
-Conv2D/DepthwiseConv2D + Add + ReLU, MaxPool2D + MaxPool2D and Concat +
-MaxPool2D + Flatten + FullyConnected + Softmax), list-schedules the
-fused groups over the two resources with CPU/NPU overlap, and plans
-activation memory in a single arena with lifetime-based buffer reuse
-(greedy best-fit in the first of four tensor orders whose arena meets
-the live-set bound, else the first smallest; see `place_lifetimes`).
+Partitions a quantized graph onto NPU/CPU, fuses chains into one kernel
+on one target (`graph.fused_successor` links each node to the one reader
+it fuses with, giving chains such as Conv2D/DepthwiseConv2D + Add +
+ReLU, MaxPool2D + MaxPool2D and Concat + MaxPool2D + Flatten +
+FullyConnected + Softmax), list-schedules the fused groups over the two
+resources with CPU/NPU overlap, and plans activation memory in a single
+arena with lifetime-based buffer reuse (greedy best-fit in the first of
+four tensor orders whose arena meets the live-set bound, else the first
+smallest; see `place_lifetimes`).
+
+The partition starts from the profile's supported op set: a node runs on
+the NPU iff the profile supports its kind. A group the NPU supports may
+then move to the CPU where it would finish earlier there, and the moves
+stand only if the whole plan gets faster at no cost in energy or RAM
+(`build_deployment_plan`). Unsupported nodes never run on the NPU.
+
 Weights live in flash and never enter the arena; tensors internal to a
 fused group are never materialized. Fusing only saves dispatches: each
 group pays one dispatch overhead in the cost model, and the flash
@@ -81,7 +88,19 @@ class DeploymentPlan:
 def partition_and_fuse(
     graph: GraphIR, profile: HardwareProfile
 ) -> tuple[dict[str, str], list[list[str]]]:
-    """Assign each node to NPU iff its kind is supported, then fuse.
+    """The support-based start: each node on the NPU iff the profile
+    supports its kind, fused by `fuse`. `build_deployment_plan` starts
+    from it and may move NPU groups to the CPU."""
+    if not graph.is_quantized():
+        raise MappingError("mapping requires a quantized graph")
+    assignment = {
+        n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
+    }
+    return assignment, fuse(graph, assignment)
+
+
+def fuse(graph: GraphIR, assignment: dict[str, str]) -> list[list[str]]:
+    """The fused groups of `graph` with each node on its assigned target.
 
     A group is a chain: it starts at a node no earlier group holds and
     follows `graph.fused_successor` for as long as the next node shares
@@ -94,14 +113,8 @@ def partition_and_fuse(
     is read outside it, so every group comes after the groups it reads
     from.
     """
-    if not graph.is_quantized():
-        raise MappingError("mapping requires a quantized graph")
     nodes = {n.id: n for n in graph.nodes}
     consumers = graph.consumer_map()
-    assignment = {
-        n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
-    }
-
     order = topological_order(graph)
     grouped: set[str] = set()
     groups: list[list[str]] = []
@@ -118,7 +131,7 @@ def partition_and_fuse(
         groups.append(group)
     position = {nid: i for i, nid in enumerate(order)}
     groups.sort(key=lambda group: position[group[-1]])
-    return assignment, groups
+    return groups
 
 
 def group_dependencies(
@@ -135,6 +148,15 @@ def group_dependencies(
             if prod is not None and node_group[prod.id] != gid:
                 deps[gid].add(node_group[prod.id])
     return deps
+
+
+def _dependents(gids: list[str], dependencies: dict[str, set[str]]) -> dict[str, list[str]]:
+    """Group id -> the groups that wait for it, in `gids` order."""
+    dependents: dict[str, list[str]] = {g: [] for g in gids}
+    for gid in gids:
+        for dep in dependencies[gid]:
+            dependents[dep].append(gid)
+    return dependents
 
 
 def _upward_ranks(
@@ -170,37 +192,55 @@ def _priority_topo_order(
     return order
 
 
+def _rank_order(
+    gids: list[str],
+    dependencies: dict[str, set[str]],
+    dependents: dict[str, list[str]],
+    latencies: dict[str, float],
+) -> list[str]:
+    """Topological order by descending upward rank, ties by position in
+    `gids`; raises on a dependency cycle."""
+    position = {gid: i for i, gid in enumerate(gids)}
+    by_position = _priority_topo_order(gids, dependencies, dependents, position.__getitem__)
+    ranks = _upward_ranks(by_position, dependents, latencies)
+    return _priority_topo_order(gids, dependencies, dependents,
+                                lambda g: (-ranks[g], position[g]))
+
+
 def _run_list_schedule(
     order: list[str],
     dependencies: dict[str, set[str]],
-    targets: dict[str, str],
-    latencies: dict[str, float],
+    options: dict[str, list[tuple[str, float]]],
     transfer_us: float,
 ) -> list[TimelineEntry]:
-    """Place groups in priority order into the earliest fitting idle gap."""
-    done: dict[str, float] = {}
+    """Place groups in priority order into the earliest fitting idle gap.
+
+    `options[gid]` lists the (target, latency) pairs the group may run
+    as; it takes the one that finishes first, the first listed on a tie.
+    """
+    placed: dict[str, TimelineEntry] = {}
     busy: dict[str, list[tuple[float, float]]] = {"CPU": [], "NPU": []}
-    timeline: list[TimelineEntry] = []
     for gid in order:
-        ready = 0.0
-        for dep in dependencies[gid]:
-            edge = done[dep]
-            if targets[dep] != targets[gid]:
-                edge += transfer_us
-            ready = max(ready, edge)
-        lat = latencies[gid]
-        spans = busy[targets[gid]]
-        start = ready
-        for s, e in spans:  # spans stay sorted; first fitting gap wins
-            if start + lat <= s:
-                break
-            start = max(start, e)
-        end = start + lat
-        spans.append((start, end))
+        best: TimelineEntry | None = None
+        for target, lat in options[gid]:
+            ready = 0.0
+            for dep in dependencies[gid]:
+                edge = placed[dep].end_us
+                if placed[dep].target != target:
+                    edge += transfer_us
+                ready = max(ready, edge)
+            start = ready
+            for s, e in busy[target]:  # spans stay sorted; first fitting gap wins
+                if start + lat <= s:
+                    break
+                start = max(start, e)
+            if best is None or start + lat < best.end_us:
+                best = TimelineEntry(gid, target, start, start + lat)
+        spans = busy[best.target]
+        spans.append((best.start_us, best.end_us))
         spans.sort()
-        done[gid] = end
-        timeline.append(TimelineEntry(gid, targets[gid], start, end))
-    return timeline
+        placed[gid] = best
+    return list(placed.values())
 
 
 EXACT_SCHEDULE_LIMIT = 6
@@ -251,26 +291,20 @@ def schedule(
     if len(gids) <= EXACT_SCHEDULE_LIMIT:
         candidates = _topological_orders(gids, dependencies)
     else:
-        dependents: dict[str, list[str]] = {g: [] for g in gids}
-        for gid, deps in dependencies.items():
-            for dep in deps:
-                dependents[dep].append(gid)
+        dependents = _dependents(gids, dependencies)
 
         def topo(key):
             return _priority_topo_order(gids, dependencies, dependents, key)
 
-        by_position = topo(lambda g: position[g])  # raises on a dependency cycle
-        ranks = _upward_ranks(by_position, dependents, latencies)
         candidates = [
-            topo(lambda g: (-ranks[g], position[g])),
-            by_position,
+            _rank_order(gids, dependencies, dependents, latencies),  # raises on a cycle
+            topo(lambda g: position[g]),
             topo(lambda g: (-latencies[g], position[g])),
         ]
+    options = {gid: [(targets[gid], latencies[gid])] for gid in gids}
     best: list[TimelineEntry] | None = None
     for order in candidates:
-        timeline = _run_list_schedule(
-            order, dependencies, targets, latencies, profile.transfer_latency_us
-        )
+        timeline = _run_list_schedule(order, dependencies, options, profile.transfer_latency_us)
         makespan = max(e.end_us for e in timeline)
         if best is None or makespan < max(e.end_us for e in best):
             best = timeline
@@ -438,11 +472,38 @@ def verify_memory_plan(plan: MemoryPlan, lifetimes: list[Lifetime]) -> None:
 def build_deployment_plan(
     graph: GraphIR, profile: HardwareProfile
 ) -> DeploymentPlan:
-    """Partition, fuse, schedule, plan memory and estimate in one pass.
+    """Partition, fuse, schedule, plan memory and estimate.
 
-    The estimate reuses the per-group costs the schedule was built from.
+    The support-based plan of `partition_and_fuse` is the start. One
+    pass then takes its groups in upward-rank order and puts each where
+    it would finish earliest, as HEFT does (Topcuoglu, Hariri and Wu,
+    IEEE TPDS 13(3), 2002): an NPU group may move to the CPU, a CPU group
+    stays, and a tie keeps the start's target. If a group moved, the new
+    assignment is fused again (`fuse`), scheduled, placed and estimated,
+    and that plan is kept only if its latency is strictly lower and
+    neither its energy nor its RAM is higher than the start's.
     """
     assignment, fused_groups = partition_and_fuse(graph, profile)
+    plan = _plan(graph, profile, assignment, fused_groups)
+    chosen = _earliest_finish_targets(graph, profile, plan)
+    if chosen != assignment:
+        moved = _plan(graph, profile, chosen, fuse(graph, chosen))
+        old, new = plan.estimates, moved.estimates
+        if (new.latency_ms < old.latency_ms and new.energy_mj <= old.energy_mj
+                and new.ram_peak_bytes <= old.ram_peak_bytes):
+            plan = moved
+    return plan
+
+
+def _plan(
+    graph: GraphIR,
+    profile: HardwareProfile,
+    assignment: dict[str, str],
+    fused_groups: list[list[str]],
+) -> DeploymentPlan:
+    """Cost, schedule, place the arena of and estimate these groups, each
+    on its nodes' target. The estimate reuses the per-group costs the
+    schedule was built from."""
     nodes = {n.id: n for n in graph.nodes}
     costs = [
         estimate_group([nodes[nid] for nid in grp], assignment[grp[0]], profile, graph)
@@ -466,6 +527,29 @@ def build_deployment_plan(
     )
     plan.estimates = _plan_estimate(plan, costs, plan.flash_bytes, profile)
     return plan
+
+
+def _earliest_finish_targets(
+    graph: GraphIR, profile: HardwareProfile, plan: DeploymentPlan
+) -> dict[str, str]:
+    """Node id -> target when the plan's groups, taken in upward-rank
+    order, each run where they finish first: an NPU group may also run on
+    the CPU, and a tie keeps its own target."""
+    nodes = {n.id: n for n in graph.nodes}
+    options: dict[str, list[tuple[str, float]]] = {}
+    for grp, cost in zip(plan.fused_groups, plan.estimates.per_group_breakdown):
+        options[cost.group] = [(cost.target, cost.latency_us)]
+        if cost.target == "NPU":
+            cpu = estimate_group([nodes[nid] for nid in grp], "CPU", profile, graph)
+            options[cost.group].append(("CPU", cpu.latency_us))
+    gids = list(options)
+    deps = group_dependencies(graph, plan.fused_groups)
+    latencies = {gid: opts[0][1] for gid, opts in options.items()}
+    order = _rank_order(gids, deps, _dependents(gids, deps), latencies)
+    timeline = _run_list_schedule(order, deps, options, profile.transfer_latency_us)
+    target_of = {e.group: e.target for e in timeline}
+    node_group = group_index(plan.fused_groups)
+    return {n.id: target_of[node_group[n.id]] for n in graph.nodes}
 
 
 def load_plan(path: str | Path) -> DeploymentPlan:

@@ -457,16 +457,31 @@ def test_small_schedule_is_first_minimal_permutation(data):
 
     timeline = schedule([[g] for g in gids], deps, targets, latencies, profile)
 
+    options = {g: [(targets[g], latencies[g])] for g in gids}
     best = None
     for order in itertools.permutations(gids):
         pos = {g: i for i, g in enumerate(order)}
         if any(pos[d] > pos[g] for g in gids for d in deps[g]):
             continue
-        candidate = mapping._run_list_schedule(list(order), deps, targets, latencies, transfer)
+        candidate = mapping._run_list_schedule(list(order), deps, options, transfer)
         if best is None or max(e.end_us for e in candidate) < max(e.end_us for e in best):
             best = candidate
     best.sort(key=lambda e: (e.start_us, gids.index(e.group)))
     assert timeline == best
+
+
+@pytest.mark.parametrize("c_options, c_entry", [
+    ([("NPU", 2.0), ("CPU", 1.0)], ("NPU", 4.0, 6.0)),
+    ([("CPU", 1.0), ("NPU", 2.0)], ("CPU", 5.0, 6.0)),
+])
+def test_list_schedule_takes_the_earliest_finish_and_the_first_on_a_tie(c_options, c_entry):
+    """`b` finishes earlier on the idle CPU than behind `a` on the NPU;
+    `c` finishes at 6 us on either target and takes the one listed first."""
+    deps = {"a": set(), "b": set(), "c": set()}
+    options = {"a": [("NPU", 4.0)], "b": [("NPU", 2.0), ("CPU", 5.0)], "c": c_options}
+    timeline = mapping._run_list_schedule(["a", "b", "c"], deps, options, 0.0)
+    assert [(e.group, e.target, e.start_us, e.end_us) for e in timeline] == [
+        ("a", "NPU", 0.0, 4.0), ("b", "CPU", 0.0, 5.0), ("c", *c_entry)]
 
 
 @pytest.mark.parametrize("deps", [
@@ -792,3 +807,75 @@ def test_bundled_arenas_are_pinned(small_convnet, dwsep_net):
                 plan = build_deployment_plan(model, load_profile(profile))
                 lifetimes = tensor_lifetimes(model, plan.timeline, plan.fused_groups)
                 assert plan.memory_plan.arena_peak_bytes == live_set_bound(lifetimes) == expected
+
+
+# --- target choice -----------------------------------------------------------
+
+
+def _support_based_plan(graph, profile):
+    """The plan of `partition_and_fuse`'s start assignment, before any
+    group moves to the CPU."""
+    return mapping._plan(graph, profile, *partition_and_fuse(graph, profile))
+
+
+@pytest.mark.parametrize("profile, moved", [
+    ("builtin:profile_default", {"c", "c_relu"}),
+    ("builtin:profile_desk_calibrated", {"p", "p_relu", "c", "c_relu"}),
+])
+def test_inception_branches_move_to_the_idle_cpu(profile, moved):
+    """`inception_graph`'s parallel branches queue on the NPU in the
+    support-based plan; running these on the CPU beside them lowers the
+    latency without raising energy or RAM."""
+    graph = _quantized(inception_graph())
+    profile = load_profile(profile)
+    start = _support_based_plan(graph, profile)
+    plan = build_deployment_plan(graph, profile)
+    assert {nid for nid, target in plan.assignment.items()
+            if target != start.assignment[nid]} == moved
+    assert {plan.assignment[nid] for nid in moved} == {"CPU"}
+    assert plan.estimates.latency_ms < start.estimates.latency_ms
+    assert plan.estimates.energy_mj <= start.estimates.energy_mj
+    assert plan.estimates.ram_peak_bytes <= start.estimates.ram_peak_bytes
+
+
+def test_chains_keep_the_support_based_plan(mapped_graphs):
+    """The bundled models, `skip_branch_graph`, `residual_chain_graph`
+    and `pool_chain_graph` gain nothing from moving a group."""
+    for graph in mapped_graphs:
+        if graph.name == "inception":
+            continue
+        for name in PROFILES:
+            profile = load_profile(name)
+            assert build_deployment_plan(graph, profile) == _support_based_plan(graph, profile)
+
+
+@pytest.mark.parametrize("transfer_us", [0.0, 37.5, 1e4])
+def test_target_choice_never_worsens_the_plan(mapped_graphs, transfer_us):
+    """Under any transfer latency the plan is no worse on latency, energy
+    or RAM than the support-based plan, keeps unsupported nodes off the
+    NPU, has a sound arena and runs fused equal to unfused. Some plan
+    moves a group at every transfer latency."""
+    moved = 0
+    for graph in mapped_graphs:
+        nodes = {n.id: n for n in graph.nodes}
+        shape = graph.tensors[graph.graph_inputs[0]].shape
+        x = np.random.default_rng(5).normal(size=(3, *shape[1:])).astype(np.float32)
+        unfused = {}
+        run_int8(graph, x, trace=unfused)
+        for name in PROFILES:
+            profile = replace(load_profile(name), transfer_latency_us=transfer_us)
+            start_plan = _support_based_plan(graph, profile)
+            plan = build_deployment_plan(graph, profile)
+            moved += plan.assignment != start_plan.assignment
+            est, start = plan.estimates, start_plan.estimates
+            assert est.latency_ms <= start.latency_ms and est.energy_mj <= start.energy_mj
+            assert est.ram_peak_bytes <= start.ram_peak_bytes
+            assert all(profile.supports(nodes[nid].kind)
+                       for nid, target in plan.assignment.items() if target == "NPU")
+            verify_memory_plan(plan.memory_plan,
+                               tensor_lifetimes(graph, plan.timeline, plan.fused_groups))
+            fused = {}
+            run_int8(graph, x, fused_groups=plan.fused_groups, trace=fused)
+            for tid, value in fused.items():
+                np.testing.assert_array_equal(value, unfused[tid])
+    assert moved

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from graphutil import build_prune_plan, graphs_equal, skip_branch_graph
+from graphutil import build_prune_plan, graphs_equal, inception_graph
 from tinydeploy import executor, mapping, model_io, pipeline
 from tinydeploy.cli import _parse_schedule, build_parser, main
 from tinydeploy.data_files import load_profile
@@ -879,17 +879,19 @@ def _plan_built(m: Path, t: Path, profile: HardwareProfile, merge_last: int = 1)
 
 
 def _overlap_on_npu(m: Path, t: Path) -> list[str]:
-    """estimate argv for the all-NPU plan of `skip_branch_graph` with the
-    MaxPool `mp` moved to start with `c3`: both read only `rs`, so the two
-    overlap on the NPU while every input is still ready in time."""
-    skip = skip_branch_graph()
-    xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 4)).astype(np.float32)
-    graph = quantize_graph(skip, executor.calibrate(skip, xs))
-    save_model(graph, t / "skip")
+    """estimate argv for the all-NPU plan of `inception_graph` with the
+    MaxPool `mp` moved to start with `q`: both read only the stem's
+    output and both stay on the NPU, so the two overlap there while
+    every input is still ready in time."""
+    inception = inception_graph()
+    xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 3)).astype(np.float32)
+    graph = quantize_graph(inception, executor.calibrate(inception, xs))
+    save_model(graph, t / "inception")
     plan = asdict(build_deployment_plan(graph, _all_npu()))
-    c3, mp = (next(e for e in plan["timeline"] if e["group"] == gid) for gid in ("c3", "mp"))
-    mp["start_us"], mp["end_us"] = c3["start_us"], c3["start_us"] + mp["end_us"] - mp["start_us"]
-    return ["estimate", "--model", str(t / "skip.json"),
+    q, mp = (next(e for e in plan["timeline"] if e["group"] == gid) for gid in ("q+q_relu", "mp"))
+    assert q["target"] == mp["target"] == "NPU"
+    mp["start_us"], mp["end_us"] = q["start_us"], q["start_us"] + mp["end_us"] - mp["start_us"]
+    return ["estimate", "--model", str(t / "inception.json"),
             "--plan", str(_write(t / "plan.json", json.dumps(plan))),
             "--profile", str(_write(t / "profile.json", json.dumps(asdict(_all_npu())))),
             "--out", str(t / "est.json")]
@@ -1077,7 +1079,7 @@ MALFORMED_INPUTS = {
         "plan.json fused_groups: length 5 != 6"),
     "plan_groups_overlap_on_npu": (
         _overlap_on_npu,
-        "timeline[4] start_us: 15.081119999999999 != 20.08688"),
+        "timeline[3] start_us: 5.04032 != 10.14592"),
     "ranges_without_max": (
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
