@@ -93,11 +93,8 @@ def estimate_group(
     graph: GraphIR,
 ) -> GroupCost:
     """(macs, latency, energy) for one fused group, given as its nodes, on one target."""
-    macs = 0
-    ops = 0
-    for node in nodes:
-        macs += node_macs(graph, node)
-        ops += 2 * node_macs(graph, node) + node_proxy_ops(graph, node)
+    macs = sum(node_macs(graph, node) for node in nodes)
+    ops = 2 * macs + sum(node_proxy_ops(graph, node) for node in nodes)
     latency_us = ops / profile.throughput_ops_per_us(target) + profile.per_op_overhead_us
     energy_uj = latency_us * profile.active_power_w(target)
     return GroupCost(

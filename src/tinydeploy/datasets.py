@@ -92,9 +92,10 @@ def generate_dataset(
 def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
     """The (sample_id, image, label) samples of a generate_dataset directory.
 
-    A malformed meta.json or index.csv, a sample id that index.csv
-    repeats, or a sample file whose size does not match `shape` raises
-    DatasetError naming the file (and the line and column of index.csv).
+    A malformed meta.json or index.csv, an index.csv that lists no
+    samples, a sample id that index.csv repeats, or a sample file whose
+    size does not match `shape` raises DatasetError naming the file (and
+    the line and column of index.csv).
     """
     path = Path(path)
     meta_path = path / "meta.json"
@@ -113,4 +114,6 @@ def load_dataset(path: str | Path) -> list[tuple[str, np.ndarray, int]]:
             )
         arr = read_tensor_file(path / row["file"], DType.FLOAT32, shape, DatasetError)
         samples.append((row["sample_id"], arr, row["label"]))
+    if not samples:
+        raise DatasetError(f"{path / 'index.csv'}: lists no samples")
     return samples

@@ -808,19 +808,31 @@ def calibrate(
     sample, folded in as each step computes them; constant tensors get
     ranges from their data. Adding samples can only widen ranges. Samples
     run one at a time: a chunk of EVAL_CHUNK would hold each step's
-    windows and activations for every sample in it.
+    windows and activations for every sample in it. `evaluate` folds the
+    same ranges over the samples it is told to observe.
     """
     if len(calibration_set) == 0:
         raise ExecutionError("empty calibration set")
     program = _prepare_f32(graph)
     ranges: dict[str, TensorRange] = {}
-
-    def observe(tid: str, values: np.ndarray) -> None:
-        r = TensorRange(tid, float(values.min()), float(values.max()))
-        ranges[tid] = ranges[tid].merged(r) if tid in ranges else r
-
     for sample in calibration_set:
-        program.run(sample, on_step=observe)
+        program.run(sample, on_step=lambda tid, values: _fold_range(ranges, tid, values))
+    return _with_constant_ranges(ranges, graph)
+
+
+def _fold_range(ranges: dict[str, TensorRange], tid: str, values: np.ndarray) -> None:
+    """Merge the min/max of `values` into `ranges[tid]`."""
+    _merge(ranges, TensorRange(tid, float(values.min()), float(values.max())))
+
+
+def _merge(ranges: dict[str, TensorRange], r: TensorRange) -> None:
+    """Merge `r` into `ranges`; of two equal bounds the one already held
+    stays, so folding in sample order keeps the first sample's signed zero."""
+    ranges[r.tensor_id] = ranges[r.tensor_id].merged(r) if r.tensor_id in ranges else r
+
+
+def _with_constant_ranges(ranges: dict[str, TensorRange], graph: GraphIR) -> dict[str, TensorRange]:
+    """`ranges` plus each constant tensor's range, taken from its data."""
     for tid, t in graph.tensors.items():
         if t.is_constant:
             ranges[tid] = TensorRange(tid, float(t.data.min()), float(t.data.max()))
@@ -870,8 +882,9 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
-    """[fn(batch) for batch in batches(samples)], on the calling thread and a pool.
+def map_batches(fn: Callable[[int, np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
+    """[fn(i, batch) for i, batch in enumerate(batches(samples))], on the
+    calling thread and a pool.
 
     One worker per usable CPU, at most one per chunk and at most
     CHUNKS_IN_FLIGHT: the calling thread and `workers - 1` pool threads
@@ -897,7 +910,7 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
             if batch is None:
                 return
             try:
-                results[i] = fn(batch)
+                results[i] = fn(i, batch)
             except BaseException as exc:
                 with taking:
                     failures[i] = exc
@@ -918,6 +931,8 @@ def map_batches(fn: Callable[[np.ndarray], object], samples: Sequence[np.ndarray
 def evaluate(
     graph: GraphIR,
     dataset: Iterable[tuple],
+    observe: Sequence[int] = (),
+    ranges: dict[str, TensorRange] | None = None,
 ) -> tuple[list[InferenceRecord], float]:
     """Per-sample records plus top-1 accuracy.
 
@@ -925,8 +940,15 @@ def evaluate(
     graph must end in Softmax over class logits. Every label and input
     shape is checked before any sample runs; samples then run in chunks
     of EVAL_CHUNK through `map_batches`.
+
+    Given a `ranges` dict, the same pass of a Float32 graph also
+    calibrates: it fills `ranges` with what `calibrate` returns for the
+    samples at the `observe` indices, in sample order, byte for byte.
+    Each chunk folds its observed rows in sample order and the chunks
+    merge in sample order, so the ranges do not depend on the number of
+    threads.
     """
-    program = prepare(graph)
+    program = prepare(graph) if ranges is None else _prepare_f32(graph)
     g = program.graph
     out_id = g.graph_outputs[0]
     last = g.producer_map().get(out_id)
@@ -956,8 +978,30 @@ def evaluate(
         inputs.append(x)
         labels.append(label)
 
+    # rows[chunk]: the observed rows of that chunk, in sample order.
+    rows: dict[int, list[int]] = {}
+    if ranges is not None:
+        if not observe:
+            raise ExecutionError("empty calibration set")
+        for i in sorted(set(observe)):
+            if not 0 <= i < len(inputs):
+                raise ExecutionError(f"observed sample index {i} outside [0, {len(inputs)})")
+            rows.setdefault(i // EVAL_CHUNK, []).append(i % EVAL_CHUNK)
+
+    def run_chunk(chunk: int, batch: np.ndarray) -> tuple[dict, dict[str, TensorRange]]:
+        folded: dict[str, TensorRange] = {}
+        if chunk not in rows:
+            return program.run(batch), folded
+
+        def fold_rows(tid: str, values: np.ndarray) -> None:
+            for row in rows[chunk]:
+                _fold_range(folded, tid, values[row])
+        return program.run(batch, on_step=fold_rows), folded
+
     records: list[InferenceRecord] = []
-    for outputs in map_batches(program.run, inputs):
+    for outputs, folded in map_batches(run_chunk, inputs):
+        for r in folded.values():
+            _merge(ranges, r)
         probabilities = outputs[out_id]
         for row in probabilities.reshape(len(probabilities), -1):
             predicted = int(np.argmax(row))
@@ -969,6 +1013,8 @@ def evaluate(
                     true_label=labels[len(records)],
                 )
             )
+    if ranges is not None:
+        _with_constant_ranges(ranges, graph)
     return records, top1_accuracy(records)
 
 

@@ -11,6 +11,13 @@ subcommands are thin wrappers that load their input files and call the
 same stage functions, so running the stages one file at a time is
 bit-identical to the monolithic run. `run` has no trainer, so unlike
 `prune-stage` it exports no checkpoints for external fine-tuning.
+
+The calibration samples are a seeded subset of the evaluated ones
+(`calibration_subset`). In a run, the evaluate pass of the quantization
+source (the pruned model, or the Float32 one under `prune.skip`) folds
+their ranges as it goes, so the `calibrate` stage only writes them; the
+`calibrate` subcommand runs `executor.calibrate` over the same subset
+and writes the same bytes.
 All randomness (calibration subset sampling) derives from the config
 seed; re-running a config produces byte-identical output trees.
 """
@@ -30,6 +37,7 @@ from .datasets import load_dataset
 from .downlink import DownlinkError, DownlinkReport, DownlinkScenario, LinkBudget, simulate
 from .executor import (
     InferenceRecord,
+    TensorRange,
     calibrate,
     evaluate,
     ranges_to_json,
@@ -143,10 +151,30 @@ class PipelineConfig:
 # stage functions (objects in, objects out; each writes its artifacts)
 
 
+@dataclass
+class Observed:
+    """Samples to evaluate, with the indices of the calibration subset
+    among them: `stage_evaluate` fills `ranges` with what
+    `executor.calibrate` returns for that subset."""
+
+    samples: list
+    subset: list[int]
+    ranges: dict[str, TensorRange] = field(default_factory=dict)
+
+
 def stage_evaluate(graph: GraphIR, samples, out_prefix) -> tuple[list[InferenceRecord], float]:
     """Evaluate a graph on samples; writes <prefix>.csv and returns the
-    records and their top-1 accuracy."""
-    records, accuracy = evaluate(graph, samples)
+    records and their top-1 accuracy. `Observed` samples also get their
+    calibration ranges from the same pass.
+
+    The subset rides in `samples`, and `evaluate` takes its arguments by
+    position, because tracing (`bench/workloads.py`) names its spans from
+    these calls' positional arguments.
+    """
+    if isinstance(samples, Observed):
+        records, accuracy = evaluate(graph, samples.samples, samples.subset, samples.ranges)
+    else:
+        records, accuracy = evaluate(graph, samples)
     write_records_csv(records, Path(out_prefix).with_suffix(".csv"))
     return records, accuracy
 
@@ -188,15 +216,29 @@ def stage_prune_step(
     return plan, masked, pruned
 
 
-def stage_calibrate(graph: GraphIR, samples, num_samples, seed, out_json) -> tuple[dict, int]:
-    """Calibration ranges over a seeded subset of the samples; returns the
-    ranges and the number of samples they were taken over."""
-    num_samples = min(int(num_samples), len(samples))
+def calibration_subset(n: int, calibration_samples: int, seed: int) -> list[int]:
+    """The sorted indices of the samples, out of n, that calibration runs
+    over: min(calibration_samples, n) of them, drawn by `seed`."""
     rng = np.random.default_rng(seed)
-    picked = sorted(rng.choice(len(samples), size=num_samples, replace=False).tolist())
-    ranges = calibrate(graph, [samples[i][1] for i in picked])
-    model_io.write_json(out_json, ranges_to_json(ranges))
-    return ranges, num_samples
+    return sorted(rng.choice(n, size=min(int(calibration_samples), n), replace=False).tolist())
+
+
+def stage_calibrate(
+    graph: GraphIR, samples, num_samples, seed, out_json, observed: dict | None = None
+) -> tuple[dict, int]:
+    """Calibration ranges of `graph` over the `calibration_subset` of the
+    samples; writes them to `out_json` and returns them with the number of
+    samples they were taken over.
+
+    `observed` are the ranges an evaluate pass of `graph` already took
+    over that subset (`Observed`), and are written as they are. Without
+    them, `executor.calibrate` runs the subset one sample at a time.
+    """
+    picked = calibration_subset(len(samples), num_samples, seed)
+    if observed is None:
+        observed = calibrate(graph, [samples[i][1] for i in picked])
+    model_io.write_json(out_json, ranges_to_json(observed))
+    return observed, len(picked)
 
 
 def stage_quantize(graph: GraphIR, ranges, out_model) -> GraphIR:
@@ -328,7 +370,9 @@ class Run:
     """One run in progress: where it writes, its config, the samples,
     hardware profile and link budget the config names, and every object a
     stage made, keyed by the stem of the file the stage wrote it to
-    ("model_pruned", "eval_float", "deployment_plan", ...)."""
+    ("model_pruned", "eval_float", "deployment_plan", ...), plus the
+    ranges the quantization source's evaluate pass observed, as
+    "observed_ranges", which `calibrate` writes."""
 
     out: Path
     config: PipelineConfig
@@ -359,7 +403,14 @@ class Stage:
 
 
 def _evaluate(model: str, prefix: str):
-    return lambda r: {prefix: stage_evaluate(r.made[model], r.samples, r.out / prefix)}
+    def run(r: Run) -> dict[str, object]:
+        if model != _quant_source(r):
+            return {prefix: stage_evaluate(r.made[model], r.samples, r.out / prefix)}
+        observed = Observed(r.samples, calibration_subset(
+            len(r.samples), r.config.calibration_samples, r.config.seed))
+        return {prefix: stage_evaluate(r.made[model], observed, r.out / prefix),
+                "observed_ranges": observed.ranges}
+    return run
 
 
 def _prune(r: Run) -> dict[str, object]:
@@ -373,8 +424,9 @@ def _prune(r: Run) -> dict[str, object]:
     return {"model_pruned": pruned}
 
 
-def _quant_source(r: Run) -> GraphIR:
-    return r.made["model_float" if r.config.prune.skip else "model_pruned"]
+def _quant_source(r: Run) -> str:
+    """The stem of the model that is calibrated and quantized."""
+    return "model_float" if r.config.prune.skip else "model_pruned"
 
 
 def _report(r: Run) -> dict[str, object]:
@@ -392,11 +444,11 @@ STAGES = (
           pruning=True),
     Stage("calibrate", ("calibration_ranges.json",), lambda r: {
         "calibration_ranges": stage_calibrate(
-            _quant_source(r), r.samples, r.config.calibration_samples, r.config.seed,
-            r.out / "calibration_ranges.json")[0]}),
+            r.made[_quant_source(r)], r.samples, r.config.calibration_samples, r.config.seed,
+            r.out / "calibration_ranges.json", r.made["observed_ranges"])[0]}),
     Stage("quantize", ("model_quantized.*",), lambda r: {
         "model_quantized": stage_quantize(
-            _quant_source(r), r.made["calibration_ranges"], r.out / "model_quantized")}),
+            r.made[_quant_source(r)], r.made["calibration_ranges"], r.out / "model_quantized")}),
     Stage("evaluate-quantized", ("eval_quantized.*",),
           _evaluate("model_quantized", "eval_quantized")),
     Stage("map", ("deployment_plan.*",), lambda r: {

@@ -15,6 +15,7 @@ from graphutil import (
     const,
     conv_attrs,
     conv_relu_softmax,
+    inception_graph,
     make_graph,
     naive_conv2d,
     naive_maxpool,
@@ -22,6 +23,8 @@ from graphutil import (
     record_tuples,
     reference_window_f32,
     reference_window_int8,
+    pool_chain_graph,
+    residual_chain_graph,
     skip_branch_graph,
 )
 from tinydeploy import executor
@@ -40,9 +43,9 @@ from tinydeploy.executor import (
 )
 from tinydeploy.graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorSpec
 from tinydeploy.datasets import synthetic_samples
-from tinydeploy.model_io import load_model, save_model
+from tinydeploy.model_io import json_text, load_model, save_model
 from tinydeploy.models import build_dwsep_net
-from tinydeploy.pruning import materialize
+from tinydeploy.pruning import DEFAULT_SCHEDULE, materialize
 from tinydeploy.quantization import quantize_graph, quantize_tensor
 
 
@@ -609,7 +612,7 @@ def test_map_batches_pool_size(cpus, samples, workers, monkeypatch):
     monkeypatch.setattr(executor, "ThreadPoolExecutor", Pool)
     threads = set()
 
-    def size(batch):
+    def size(_, batch):
         threads.add(threading.get_ident())
         return len(batch)
 
@@ -637,7 +640,7 @@ def test_map_batches_raises_first_failing_chunk(failing_on, monkeypatch):
     ran = []
     threads = threading.active_count()
 
-    def fn(batch):
+    def fn(_, batch):
         chunk = int(batch[0, 0]) // EVAL_CHUNK
         on_caller = threading.get_ident() == caller
         ran.append((chunk, on_caller))
@@ -669,7 +672,7 @@ def test_map_batches_waits_for_the_pool_after_a_caller_failure(monkeypatch):
     caller_failed = threading.Event()
     finished = []
 
-    def fn(batch):
+    def fn(_, batch):
         chunk = int(batch[0, 0]) // EVAL_CHUNK
         both_started.wait()
         if threading.get_ident() == caller:
@@ -753,6 +756,80 @@ def test_calibrate_matches_saved_and_loaded_pruned_graph(tmp_path, model, reques
     reloaded = load_model(tmp_path / "p")
     samples = [s[1] for s in test_samples[:16]]
     assert ranges_to_json(calibrate(pruned, samples)) == ranges_to_json(calibrate(reloaded, samples))
+
+
+# Indices among EQUIVALENCE_SAMPLES: inside the first chunk, across the
+# first chunk boundary, and in the short last chunk.
+OBSERVED_SUBSETS = {"first_chunk": [0, 3, 15], "straddling": [14, 15, 16, 17],
+                    "last_chunk": [31, 32, 36]}
+BRANCHY_GRAPHS = {"skip_branch": skip_branch_graph, "residual_chain": residual_chain_graph,
+                  "inception": inception_graph, "pool_chain": pool_chain_graph}
+
+
+def _observed_case(model, request, test_samples):
+    """(graph, (input, label) samples) for a bundled model, Float32 or
+    pruned as the pipeline prunes it, or a branchy graph on seeded inputs."""
+    if model in BRANCHY_GRAPHS:
+        graph = BRANCHY_GRAPHS[model]()
+        shape = graph.tensors[graph.graph_inputs[0]].shape
+        rng = np.random.default_rng(3)
+        return graph, [(rng.normal(size=shape).astype(np.float32), 0)
+                       for _ in range(EQUIVALENCE_SAMPLES)]
+    name, _, pruned = model.partition("_pruned")
+    graph = request.getfixturevalue(name)
+    if pruned:
+        graph = materialize(graph, build_prune_plan(graph, DEFAULT_SCHEDULE))
+    return graph, [(x, label) for _, x, label in test_samples[:EQUIVALENCE_SAMPLES]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("subset", list(OBSERVED_SUBSETS))
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net", "small_convnet_pruned",
+                                   "dwsep_net_pruned", *BRANCHY_GRAPHS])
+def test_evaluate_observes_what_calibrate_returns(model, subset, workers, request, test_samples,
+                                                  monkeypatch):
+    # Byte for byte, signed zeros included: the rows are folded in sample
+    # order within each chunk and the chunks merged in sample order.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
+    graph, samples = _observed_case(model, request, test_samples)
+    picked = OBSERVED_SUBSETS[subset]
+    ranges = {}
+    records, accuracy = evaluate(graph, samples, picked, ranges)
+    want = calibrate(graph, [samples[i][0] for i in picked])
+    assert json_text(ranges_to_json(ranges)) == json_text(ranges_to_json(want))
+    plain_records, plain_accuracy = evaluate(graph, samples)
+    assert record_tuples(records) == record_tuples(plain_records)
+    assert accuracy == plain_accuracy
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_keeps_the_first_observed_signed_zero(workers, monkeypatch):
+    # Every input is zero; only sample 14's zeros are negative. Of equal
+    # bounds the first observed sample's stays, as in calibrate, so its
+    # sign shows whether rows and chunks were folded in sample order.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
+    graph = conv_relu_softmax()
+    samples = [(np.full((1, 8, 8, 3), -0.0 if i == 14 else 0.0, dtype=np.float32), 0)
+               for i in range(2 * EVAL_CHUNK)]
+    for picked, sign in (([14, 15, 16], "-"), ([13, 14, 16], "")):
+        ranges = {}
+        evaluate(graph, samples, picked, ranges)
+        want = calibrate(graph, [samples[i][0] for i in picked])
+        assert json_text(ranges_to_json(ranges)) == json_text(ranges_to_json(want))
+        assert (repr(ranges["in"].min_r), repr(ranges["in"].max_r)) == (f"{sign}0.0",) * 2
+
+
+def test_evaluate_observes_only_float32_graphs_and_samples_it_has(small_convnet_quantized,
+                                                                  test_samples):
+    samples = test_samples[:4]
+    with pytest.raises(ExecutionError, match="is quantized, expected float32"):
+        evaluate(small_convnet_quantized, samples, [0], {})
+    graph = conv_relu_softmax()
+    samples = [(np.ones((1, 8, 8, 3), dtype=np.float32), 0)] * 4
+    with pytest.raises(ExecutionError, match="empty calibration set"):
+        evaluate(graph, samples, [], {})
+    with pytest.raises(ExecutionError, match=r"observed sample index 4 outside \[0, 4\)"):
+        evaluate(graph, samples, [0, 4], {})
 
 
 def test_evaluate_rejects_wrong_input_shape():

@@ -231,6 +231,15 @@ def test_bad_profile_or_link_ref_fails_at_setup(assets, tmp_path, capsys, monkey
     assert list(out.iterdir()) == []
 
 
+def test_run_refuses_a_dataset_without_samples_at_setup(assets, tmp_path, capsys):
+    dataset = _dataset(tmp_path, _header_only)
+    out = tmp_path / "out"
+    config = {**asdict(make_config(assets, out)), "dataset": str(dataset)}
+    assert main(["run", "--config", str(_write(tmp_path / "cfg.json", json.dumps(config)))]) == 1
+    assert_one_error_line(capsys, f"setup: {dataset / 'index.csv'}: lists no samples")
+    assert list(out.iterdir()) == []
+
+
 def test_run_logs_each_stage_and_its_wall_time(assets, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger=pipeline.__name__)
     run_pipeline(make_config(assets, tmp_path / "out"))
@@ -355,15 +364,20 @@ def test_shared_defaults_agree(tmp_path):
 # --- CLI -------------------------------------------------------------------
 
 
-def test_cli_stagewise_equals_monolithic(assets, tmp_path):
+@pytest.mark.parametrize("skip", [False, True])
+def test_cli_stagewise_equals_monolithic(assets, tmp_path, skip):
+    # The run takes its calibration ranges from the evaluate pass of the
+    # model it quantizes (model_pruned, or model_float under prune.skip);
+    # the `calibrate` subcommand runs executor.calibrate on that model.
+    prune = {"schedule": [0.10, 0.05, 0.05], "skip": skip}
     out_a = tmp_path / "mono"
-    config = make_config(assets, out_a)
+    config = make_config(assets, out_a, prune=prune)
     run_pipeline(config)
 
     out_b = tmp_path / "staged"
     out_b.mkdir()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(asdict(make_config(assets, out_b))))
+    cfg_path.write_text(json.dumps(asdict(make_config(assets, out_b, prune=prune))))
     model = str(assets / "small_convnet.json")
     dataset = str(assets / "dataset")
 
@@ -373,29 +387,32 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
     shutil.copy(assets / "small_convnet.bin", out_b / "model_float.bin")
     assert main(["evaluate", "--model", str(out_b / "model_float.json"),
                  "--dataset", dataset, "--out", str(out_b / "eval_float")]) == 0
-    prev_ckpt = None
-    for k in (1, 2, 3):
-        model_in = str(out_b / ("model_float.json" if k == 1 else f"model_masked_stage{k-1}.json"))
-        argv = [
-            "prune-stage", "--model", model_in,
-            "--plan", str(out_b / "prune_plan.json"),
-            "--schedule", "0.10,0.05,0.05",
-            "--out-masked", str(out_b / f"model_masked_stage{k}"),
-            "--checkpoint-out", str(out_b / f"checkpoint_stage{k}"),
-            "--stage", str(k - 1),
-        ]
-        if k == 3:
-            argv += ["--out-pruned", str(out_b / "model_pruned")]
-        if prev_ckpt:
-            argv += ["--checkpoint-in", prev_ckpt]  # an unmodified checkpoint
-        assert main(argv) == 0
-        prev_ckpt = str(out_b / f"checkpoint_stage{k}.json")
-    assert main(["evaluate", "--model", str(out_b / "model_pruned.json"),
-                 "--dataset", dataset, "--out", str(out_b / "eval_pruned")]) == 0
-    assert main(["calibrate", "--model", str(out_b / "model_pruned.json"),
+    source = out_b / ("model_float.json" if skip else "model_pruned.json")
+    if not skip:
+        prev_ckpt = None
+        for k in (1, 2, 3):
+            model_in = str(out_b / ("model_float.json" if k == 1
+                                    else f"model_masked_stage{k-1}.json"))
+            argv = [
+                "prune-stage", "--model", model_in,
+                "--plan", str(out_b / "prune_plan.json"),
+                "--schedule", "0.10,0.05,0.05",
+                "--out-masked", str(out_b / f"model_masked_stage{k}"),
+                "--checkpoint-out", str(out_b / f"checkpoint_stage{k}"),
+                "--stage", str(k - 1),
+            ]
+            if k == 3:
+                argv += ["--out-pruned", str(out_b / "model_pruned")]
+            if prev_ckpt:
+                argv += ["--checkpoint-in", prev_ckpt]  # an unmodified checkpoint
+            assert main(argv) == 0
+            prev_ckpt = str(out_b / f"checkpoint_stage{k}.json")
+        assert main(["evaluate", "--model", str(out_b / "model_pruned.json"),
+                     "--dataset", dataset, "--out", str(out_b / "eval_pruned")]) == 0
+    assert main(["calibrate", "--model", str(source),
                  "--dataset", dataset, "--samples", "16", "--seed", "0",
                  "--out", str(out_b / "calibration_ranges.json")]) == 0
-    assert main(["quantize", "--model", str(out_b / "model_pruned.json"),
+    assert main(["quantize", "--model", str(source),
                  "--ranges", str(out_b / "calibration_ranges.json"),
                  "--out", str(out_b / "model_quantized")]) == 0
     assert main(["evaluate", "--model", str(out_b / "model_quantized.json"),
@@ -425,6 +442,9 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path):
             assert da[name] == db[name], name
     # `run` writes no checkpoints; the staged run adds only its own.
     checkpoints = {f"checkpoint_stage{k}.{ext}" for k in (1, 2, 3) for ext in ("json", "bin")}
+    if skip:
+        checkpoints = set()
+        assert "model_pruned.json" not in da
     assert set(db) == set(da) | checkpoints and not set(da) & checkpoints
 
 
@@ -781,6 +801,11 @@ def _repeat_first_id(root: Path) -> None:
     index.write_text(index.read_text().replace("s00001,", "s00000,", 1))
 
 
+def _header_only(root: Path) -> None:
+    index = root / "index.csv"
+    index.write_text(index.read_text().splitlines(keepends=True)[0])
+
+
 RECORDS_HEADER = "sample_id,predicted_class,confidence,true_label,correct\n"
 # small_convnet's prunable layers and their filter counts
 PLAN_COUNTS = {"conv1": 16, "conv2": 32, "conv3": 64}
@@ -1118,6 +1143,10 @@ MALFORMED_INPUTS = {
         lambda m, t: ["evaluate", "--model", str(m / "model.json"),
                       "--dataset", str(_dataset(t, _repeat_first_id)), "--out", str(t / "e")],
         "index.csv line 3: sample_id 's00000' repeats line 2"),
+    "dataset_no_samples": (
+        lambda m, t: ["evaluate", "--model", str(m / "model.json"),
+                      "--dataset", str(_dataset(t, _header_only)), "--out", str(t / "e")],
+        "index.csv: lists no samples"),
     "records_negative_label": (
         lambda m, t: ["simulate-downlink", "--records",
                       str(_write(t / "r.csv", RECORDS_HEADER + "s0,1,0.5,1,1\ns1,1,0.5,-1,0\n")),
