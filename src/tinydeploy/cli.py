@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
         print(
             f"quantized accuracy {quant['accuracy']:.4f}, "
             f"flash reduction {report['flash_reduction_pct']:.1f}%, "
-            f"downlink reduction {report['downlink']['reduction_pct']:.2f}%"
+            f"downlink reduction {report['downlink'].reduction_pct:.2f}%"
         )
     else:
         print(f"stopped after stage {args.stage}; outputs in {config.output_dir}")

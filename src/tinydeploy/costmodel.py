@@ -86,6 +86,38 @@ def node_proxy_ops(graph: GraphIR, node: OpNode) -> int:
     return total
 
 
+def node_counts(graph: GraphIR, nodes: Iterable[OpNode]) -> dict[str, tuple[int, int]]:
+    """Node id -> (MACs, ops) of each of `nodes`: 2 ops per MAC plus the
+    byte proxy. The counts do not depend on the target, so a caller that
+    costs groups on several targets counts once."""
+    counts = {}
+    for node in nodes:
+        macs = node_macs(graph, node)
+        counts[node.id] = macs, 2 * macs + node_proxy_ops(graph, node)
+    return counts
+
+
+def group_cost(
+    group: Sequence[str],
+    target: str,
+    counts: dict[str, tuple[int, int]],
+    profile: HardwareProfile,
+) -> GroupCost:
+    """(macs, latency, energy) for one fused group, given as its node ids,
+    on one target, from its nodes' `node_counts`."""
+    macs = sum(counts[nid][0] for nid in group)
+    ops = sum(counts[nid][1] for nid in group)
+    latency_us = ops / profile.throughput_ops_per_us(target) + profile.per_op_overhead_us
+    energy_uj = latency_us * profile.active_power_w(target)
+    return GroupCost(
+        group=group_id(group),
+        target=target,
+        macs=macs,
+        latency_us=latency_us,
+        energy_uj=energy_uj,
+    )
+
+
 def estimate_group(
     nodes: Sequence[OpNode],
     target: str,
@@ -93,17 +125,7 @@ def estimate_group(
     graph: GraphIR,
 ) -> GroupCost:
     """(macs, latency, energy) for one fused group, given as its nodes, on one target."""
-    macs = sum(node_macs(graph, node) for node in nodes)
-    ops = 2 * macs + sum(node_proxy_ops(graph, node) for node in nodes)
-    latency_us = ops / profile.throughput_ops_per_us(target) + profile.per_op_overhead_us
-    energy_uj = latency_us * profile.active_power_w(target)
-    return GroupCost(
-        group=group_id([node.id for node in nodes]),
-        target=target,
-        macs=macs,
-        latency_us=latency_us,
-        energy_uj=energy_uj,
-    )
+    return group_cost([node.id for node in nodes], target, node_counts(graph, nodes), profile)
 
 
 def flash_bytes(graph: GraphIR, profile: HardwareProfile) -> int:
@@ -118,9 +140,9 @@ def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostE
     """Full-plan estimate of a plan `map` built from this graph and
     profile; latency is the schedule makespan, not the op sum."""
     target_of = {entry.group: entry.target for entry in plan.timeline}
-    nodes = {n.id: n for n in graph.nodes}
+    counts = node_counts(graph, graph.nodes)
     breakdown = [
-        estimate_group([nodes[nid] for nid in group], target_of[group_id(group)], profile, graph)
+        group_cost(group, target_of[group_id(group)], counts, profile)
         for group in plan.fused_groups
     ]
     return _plan_estimate(plan, breakdown, flash_bytes(graph, profile), profile)

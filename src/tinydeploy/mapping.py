@@ -26,16 +26,17 @@ in timelines and plans, and `costmodel.group_index` maps nodes to it.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from .costmodel import (
     CostEstimate,
     _plan_estimate,
-    estimate_group,
     flash_bytes,
+    group_cost,
     group_id,
     group_index,
+    node_counts,
 )
 from .graph import GraphIR, fused_successor, topological_order
 from .hardware import HardwareProfile
@@ -82,7 +83,7 @@ class DeploymentPlan:
         return max((e.end_us for e in self.timeline), default=0.0)
 
     def save(self, path: str | Path) -> None:
-        write_json(path, asdict(self))
+        write_json(path, self)
 
 
 def partition_and_fuse(
@@ -484,10 +485,11 @@ def build_deployment_plan(
     neither its energy nor its RAM is higher than the start's.
     """
     assignment, fused_groups = partition_and_fuse(graph, profile)
-    plan = _plan(graph, profile, assignment, fused_groups)
-    chosen = _earliest_finish_targets(graph, profile, plan)
+    counts = node_counts(graph, graph.nodes)
+    plan = _plan(graph, profile, counts, assignment, fused_groups)
+    chosen = _earliest_finish_targets(graph, profile, counts, plan)
     if chosen != assignment:
-        moved = _plan(graph, profile, chosen, fuse(graph, chosen))
+        moved = _plan(graph, profile, counts, chosen, fuse(graph, chosen))
         old, new = plan.estimates, moved.estimates
         if (new.latency_ms < old.latency_ms and new.energy_mj <= old.energy_mj
                 and new.ram_peak_bytes <= old.ram_peak_bytes):
@@ -498,17 +500,14 @@ def build_deployment_plan(
 def _plan(
     graph: GraphIR,
     profile: HardwareProfile,
+    counts: dict[str, tuple[int, int]],
     assignment: dict[str, str],
     fused_groups: list[list[str]],
 ) -> DeploymentPlan:
-    """Cost, schedule, place the arena of and estimate these groups, each
-    on its nodes' target. The estimate reuses the per-group costs the
-    schedule was built from."""
-    nodes = {n.id: n for n in graph.nodes}
-    costs = [
-        estimate_group([nodes[nid] for nid in grp], assignment[grp[0]], profile, graph)
-        for grp in fused_groups
-    ]
+    """Cost (from the graph's `node_counts`), schedule, place the arena of
+    and estimate these groups, each on its nodes' target. The estimate
+    reuses the per-group costs the schedule was built from."""
+    costs = [group_cost(grp, assignment[grp[0]], counts, profile) for grp in fused_groups]
     targets = {c.group: c.target for c in costs}
     latencies = {c.group: c.latency_us for c in costs}
     deps = group_dependencies(graph, fused_groups)
@@ -530,17 +529,19 @@ def _plan(
 
 
 def _earliest_finish_targets(
-    graph: GraphIR, profile: HardwareProfile, plan: DeploymentPlan
+    graph: GraphIR,
+    profile: HardwareProfile,
+    counts: dict[str, tuple[int, int]],
+    plan: DeploymentPlan,
 ) -> dict[str, str]:
     """Node id -> target when the plan's groups, taken in upward-rank
     order, each run where they finish first: an NPU group may also run on
     the CPU, and a tie keeps its own target."""
-    nodes = {n.id: n for n in graph.nodes}
     options: dict[str, list[tuple[str, float]]] = {}
     for grp, cost in zip(plan.fused_groups, plan.estimates.per_group_breakdown):
         options[cost.group] = [(cost.target, cost.latency_us)]
         if cost.target == "NPU":
-            cpu = estimate_group([nodes[nid] for nid in grp], "CPU", profile, graph)
+            cpu = group_cost(grp, "CPU", counts, profile)
             options[cost.group].append(("CPU", cpu.latency_us))
     gids = list(options)
     deps = group_dependencies(graph, plan.fused_groups)

@@ -2,11 +2,16 @@
 
 `json_text` and `csv_text` hold the JSON and CSV layouts; `read_json`,
 `read_csv` and `_field` name the file, line or key of malformed input.
+`json_text` writes the bytes of `json.dumps(indent=2, sort_keys=True)`
+plus a newline, for dicts with str keys, lists, tuples, records, str,
+int, float, bool and None of exactly those types; it refuses anything
+else, and NaN and Infinity, which `read_json` would not read back.
 Records (profiles, link budgets, deployment plans with their timeline,
 memory slots and cost estimates) are read by `decode`, the one record
-reader, and written with `dataclasses.asdict`: a record's dataclass is
-the one statement of its JSON form. A record nested in a record, in a
-list or under the keys of an object is named by its path, such as
+reader, and written by `json_text` as an object of their fields: a
+record's dataclass is the one statement of its JSON form. A record
+nested in a record, in a list or under the keys of an object is named
+by its path, such as
 `plan.json memory_plan tensors[in]` or `timeline[0]`; `first_difference`
 names where two records differ by the same paths.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
@@ -23,8 +28,10 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 from dataclasses import MISSING, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 
@@ -226,8 +233,71 @@ def write_files(files: Iterable[tuple[str | Path, bytes | str]]) -> None:
 
 
 def json_text(obj) -> str:
-    """The JSON layout of every artifact."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The JSON layout of every artifact: the text of
+    `json.dumps(obj, indent=2, sort_keys=True)` and a newline.
+
+    `obj` is built of dicts with str keys, lists, tuples (written as
+    arrays), dataclass records (written as an object of their fields),
+    str, int, float, bool and None, each of exactly that type. Anything
+    else raises TypeError; NaN and Infinity, which JSON has no number
+    for, raise ValueError.
+    """
+    return _json(obj, "\n") + "\n"
+
+
+def _finite(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {value!r} has no JSON form")
+    return float.__repr__(value)
+
+
+# A leaf's text by its exact type: a bool is not an int, nor a str subclass a str.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """A record class's field names, sorted; TypeError for any other class."""
+    if not is_dataclass(cls):
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return tuple(sorted(f.name for f in fields(cls)))
+
+
+def _json(value, newline: str) -> str:
+    """`value`'s JSON text, its lines continued by `newline` (a newline and
+    the indent of `value`'s own level). A container turns leaves into text
+    by `_LEAVES` itself, so only containers recurse."""
+    kind = type(value)
+    inner = newline + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            items.append(leaf(item) if leaf is not None else _json(item, inner))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        pairs = sorted(value.items())  # keys are unique, so values are never compared
+    else:
+        leaf = _LEAVES.get(kind)
+        if leaf is not None:
+            return leaf(value)
+        pairs = [(name, getattr(value, name)) for name in _field_names(kind)]
+    if not pairs:
+        return "{}"
+    items = []
+    for name, item in pairs:
+        leaf = _LEAVES.get(type(item))
+        text = leaf(item) if leaf is not None else _json(item, inner)
+        items.append(encode_basestring_ascii(name) + ": " + text)
+    return "{" + inner + ("," + inner).join(items) + newline + "}"
 
 
 def write_json(path: str | Path, obj) -> None:

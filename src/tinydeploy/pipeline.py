@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -278,7 +278,7 @@ def stage_estimate(graph, plan, profile: HardwareProfile, out_json) -> costmodel
     # Equal to `built.estimates`; costed through `costmodel` so that traced
     # runs still time the estimate as a step of its own (`costmodel.estimate`).
     est = costmodel.estimate_deployment(built, graph, profile)
-    model_io.write_json(out_json, asdict(est))
+    model_io.write_json(out_json, est)
     return est
 
 
@@ -298,7 +298,7 @@ def stage_downlink(
         ground_records=ground,
     )
     report = simulate(scenario, link)
-    model_io.write_json(out_json, asdict(report))
+    model_io.write_json(out_json, report)
     if out_text is not None:
         model_io.write_files([(out_text, report.summary())])
     return report
@@ -309,12 +309,14 @@ REPORTED = ("float", "pruned", "quantized")
 
 
 def stage_report(out_dir, config: PipelineConfig, profile: HardwareProfile, stages: dict,
-                 est: costmodel.CostEstimate, downlink: dict) -> dict:
+                 est: costmodel.CostEstimate, downlink: DownlinkReport | dict) -> dict:
     """Combine the stage results into report.json / report.csv / plot data.
 
     `profile` is the one `config.hardware_profile` names. `stages` maps
     each of REPORTED to its (graph, top-1 accuracy), or None for a skipped
-    pruning; `downlink` is the downlink report's JSON form.
+    pruning; `downlink` is the downlink report or its JSON form. Returns
+    the report as written, its config, estimate and downlink report
+    as given.
     """
     out = Path(out_dir)
     entries: dict[str, dict | None] = {
@@ -329,10 +331,10 @@ def stage_report(out_dir, config: PipelineConfig, profile: HardwareProfile, stag
     quant_flash = entries["quantized"]["flash_bytes"]
     report = {
         "model": stages["float"][0].name,
-        "config": asdict(config),
+        "config": config,
         "stages": entries,
         "flash_reduction_pct": 100.0 * (1.0 - quant_flash / float_flash),
-        "deployment": asdict(est),
+        "deployment": est,
         "downlink": downlink,
     }
 
@@ -433,7 +435,7 @@ def _report(r: Run) -> dict[str, object]:
     stages = {stage: (r.made[f"model_{stage}"], r.made[f"eval_{stage}"][1])
               if f"model_{stage}" in r.made else None for stage in REPORTED}
     return {"report": stage_report(r.out, r.config, r.profile, stages, r.made["cost_estimate"],
-                                   asdict(r.made["downlink_report"]))}
+                                   r.made["downlink_report"])}
 
 
 STAGES = (
@@ -477,7 +479,9 @@ def _purge(out: Path) -> None:
 
 
 def run_pipeline(config: PipelineConfig, stop_after: str | None = None) -> dict | None:
-    """Run the STAGES into config.output_dir; returns the combined report.
+    """Run the STAGES into config.output_dir; returns the combined report
+    (`stage_report`: report.json's value, with the config, the cost
+    estimate and the downlink report as records).
 
     The hardware profile, the link budget, the model and the dataset are
     read once, in a "setup" step that also writes model_float, so a bad

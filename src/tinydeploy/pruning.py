@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict, deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +111,7 @@ class PrunePlan:
         return len(self.stages) >= len(self.schedule)
 
     def save(self, path: str | Path) -> None:
-        write_json(path, {**asdict(self), "basis": "original_count", "masks": self.masks})
+        write_json(path, {**vars(self), "basis": "original_count", "masks": self.masks})
 
     @classmethod
     def load(cls, path: str | Path) -> "PrunePlan":

@@ -1,6 +1,7 @@
 import itertools
+import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,16 +13,18 @@ from graphutil import (
     brute_force_makespan,
     classifier_graph,
     conv_layer,
+    conv_relu_softmax,
     inception_graph,
     node,
     op_layer,
     pool_chain_graph,
     residual_chain_graph,
     skip_branch_graph,
+    two_conv_chain,
 )
-from tinydeploy.costmodel import group_id
+from tinydeploy.costmodel import group_id, node_counts
 from tinydeploy.data_files import load_profile
-from tinydeploy import pipeline
+from tinydeploy import costmodel, pipeline
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import FUSES_AFTER, OpKind, OpNode, fused_successor
@@ -44,7 +47,7 @@ from tinydeploy.mapping import (
     tensor_lifetimes,
     verify_memory_plan,
 )
-from tinydeploy.model_io import save_model
+from tinydeploy.model_io import json_text, save_model
 
 
 def _groups_by_first(fused_groups):
@@ -769,6 +772,20 @@ def test_plan_json_roundtrip(tmp_path, mapped_graphs):
             assert load_plan(tmp_path / "plan.json") == plan
 
 
+def test_plan_file_is_the_json_dumps_text_of_asdict(tmp_path, mapped_graphs):
+    """`save` writes the plan record itself, with the bytes the json module
+    writes for `asdict(plan)`, for every graphutil graph and both bundled
+    models under both builtin profiles."""
+    graphs = mapped_graphs + [_quantized(conv_relu_softmax()), _quantized(two_conv_chain())]
+    for graph in graphs:
+        for profile in PROFILES:
+            plan = build_deployment_plan(graph, load_profile(profile))
+            plan.save(tmp_path / "plan.json")
+            text = json.dumps(asdict(plan), indent=2, sort_keys=True) + "\n"
+            assert json_text(plan) == text
+            assert (tmp_path / "plan.json").read_text() == text
+
+
 def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
     for graph in mapped_graphs:
         save_model(graph, tmp_path / "model")
@@ -815,7 +832,8 @@ def test_bundled_arenas_are_pinned(small_convnet, dwsep_net):
 def _support_based_plan(graph, profile):
     """The plan of `partition_and_fuse`'s start assignment, before any
     group moves to the CPU."""
-    return mapping._plan(graph, profile, *partition_and_fuse(graph, profile))
+    counts = node_counts(graph, graph.nodes)
+    return mapping._plan(graph, profile, counts, *partition_and_fuse(graph, profile))
 
 
 @pytest.mark.parametrize("profile, moved", [
@@ -836,6 +854,18 @@ def test_inception_branches_move_to_the_idle_cpu(profile, moved):
     assert plan.estimates.latency_ms < start.estimates.latency_ms
     assert plan.estimates.energy_mj <= start.estimates.energy_mj
     assert plan.estimates.ram_peak_bytes <= start.estimates.ram_peak_bytes
+
+
+def test_a_plan_build_counts_each_node_once(monkeypatch):
+    """`build_deployment_plan` counts every node's ops once, though it
+    costs moved groups on two targets and builds a second plan."""
+    graph = _quantized(inception_graph())
+    counted = []
+    real = costmodel.node_macs
+    monkeypatch.setattr(costmodel, "node_macs", lambda g, n: counted.append(n.id) or real(g, n))
+    plan = build_deployment_plan(graph, load_profile("builtin:profile_default"))
+    assert "CPU" in {plan.assignment[nid] for nid in ("c", "c_relu")}  # a moved plan was built
+    assert sorted(counted) == sorted(n.id for n in graph.nodes)
 
 
 def test_chains_keep_the_support_based_plan(mapped_graphs):

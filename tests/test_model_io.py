@@ -6,7 +6,10 @@ import re
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tinydeploy
 from graphutil import conv_relu_softmax, graphs_equal
@@ -83,6 +86,55 @@ def test_read_json_rejects_non_finite_numbers(tmp_path, number):
     with pytest.raises(ValueError) as info:
         read_json(path, ValueError)
     assert str(info.value) == f"{path}: malformed JSON: non-finite number {number}"
+
+
+def _dumps_text(value) -> str:
+    """The artifact layout as the json module writes it."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 0.1, -1e-7, 1.7976931348623157e308])
+    | st.text() | st.sampled_from(["", "\x00\x1f\x7f\"\\/", "caf\u00e9 \u2028", "\U0001f600"])
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+@example({"a": {}, "b": [[]], "c": (), "d": [True, 1, 1.0, None]})
+@example(())
+@example(-0.0)
+@settings(max_examples=300, deadline=None)
+def test_json_text_is_the_json_module_layout(value):
+    assert json_text(value) == _dumps_text(value)
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_write_json_refuses_non_finite_numbers_and_writes_nothing(tmp_path, number):
+    with pytest.raises(ValueError, match="non-finite number"):
+        write_json(tmp_path / "x.json", {"a": [1.5, {"b": number}]})
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a"}, {"a": 1, 2: "b"}, {None: 0}, [np.float64(0.5)], {"n": np.int64(3)}, {"a", "b"},
+    [_Float(1.5)], {"path": Path("x")}, [b"raw"], GroupCost,
+], ids=["int_key", "mixed_keys", "none_key", "np_float", "np_int", "set", "float_subclass",
+        "path", "bytes", "record_class"])
+def test_json_text_refuses_values_of_other_types(value):
+    with pytest.raises(TypeError):
+        json_text(value)
 
 
 def test_manifest_length_field_checked(tmp_path):
@@ -296,6 +348,20 @@ RECORDS = {
 
 
 @pytest.mark.parametrize("name", list(RECORDS))
+def test_json_text_writes_a_record_as_its_asdict(name):
+    record, _ = RECORDS[name]
+    assert json_text(record) == _dumps_text(asdict(record))
+    assert json_text([record, {"r": record}]) == _dumps_text([asdict(record), {"r": asdict(record)}])
+
+
+def test_prune_plan_save_writes_its_fields_basis_and_masks(tmp_path):
+    plan, _ = RECORDS["prune_plan"]
+    plan.save(tmp_path / "plan.json")
+    expected = {**asdict(plan), "basis": "original_count", "masks": plan.masks}
+    assert (tmp_path / "plan.json").read_text() == _dumps_text(expected)
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
 def test_decode_inverts_asdict(name):
     record, error = RECORDS[name]
     assert decode(type(record), json.loads(json_text(asdict(record))), "r", error) == record
@@ -405,6 +471,25 @@ def test_only_model_io_encodes_reads_or_writes_files():
                     or isinstance(node, ast.Attribute) and node.attr in codec
                     or isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes")
                     or isinstance(func, ast.Name) and func.id == "open"):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert offenders == []
+
+
+def test_json_text_is_the_only_json_writer():
+    """No `json.dumps` outside model_io.py, and no `asdict` call but the one
+    in `CostEstimate.to_json`: records are written by `json_text` itself."""
+    offenders = []
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name == "CostEstimate":
+                allowed |= {id(node) for func in cls.body
+                            if isinstance(func, ast.FunctionDef) and func.name == "to_json"
+                            for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (_calls(node, "asdict") and id(node) not in allowed
+                    or _calls(node, "dumps") and path.name != "model_io.py"):
                 offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert offenders == []
 

@@ -79,7 +79,7 @@ def test_run_pipeline_produces_all_artifacts(assets, tmp_path):
         assert (out / name).exists(), name
     assert report["stages"]["float"]["accuracy"] > 0.9
     assert report["flash_reduction_pct"] >= 70.0
-    assert report["deployment"]["budget_flags"]["deadline_ok"]
+    assert report["deployment"].budget_flags["deadline_ok"]
     # every emitted artifact reloads and revalidates
     for name in ("model_float", "model_pruned", "model_quantized"):
         g = load_model(out / f"{name}.json")
@@ -619,6 +619,28 @@ def test_cli_run_and_make_assets(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_every_json_artifact_is_in_the_json_module_layout(tmp_path):
+    """Each *.json of a `make-assets` tree and of a `run` tree is the text
+    `json.dumps(indent=2, sort_keys=True)` writes for its own value."""
+    assert main(["make-assets", "--out", str(tmp_path / "assets"),
+                 "--samples", "40", "--train-samples", "60"]) == 0
+    cfg = {
+        "model": str(tmp_path / "assets" / "small_convnet.json"),
+        "dataset": str(tmp_path / "assets" / "dataset"),
+        "output_dir": str(tmp_path / "out"),
+        "calibration_samples": 8,
+        "seed": 3,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
+    written = {p.relative_to(tmp_path).as_posix(): p.read_text()
+               for p in tmp_path.rglob("*.json") if p.name != "cfg.json"}
+    assert {"assets/dataset/meta.json", "assets/small_convnet.json", "out/prune_plan.json",
+            "out/deployment_plan.json", "out/report.json"} <= set(written)
+    for name, text in written.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
 
 
 @pytest.mark.parametrize("option, value", [
