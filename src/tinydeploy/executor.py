@@ -860,19 +860,20 @@ def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
 # ---------------------------------------------------------------------------
 # dataset evaluation
 
-# Samples per Program.run in evaluate and fit_classifier: large enough to
-# amortize the per-call overhead and feed BLAS, small enough to keep
-# activations small.
+# Samples per Program.run in evaluate: large enough to amortize the
+# per-call overhead and feed BLAS, small enough to keep activations small.
+# fit_classifier splits it among the workers (see map_batches).
 EVAL_CHUNK = 16
 # The most workers map_batches runs, so the most chunks it has copied and
 # running at once.
 CHUNKS_IN_FLIGHT = 8
 
 
-def batches(samples: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """The samples concatenated along the batch axis, EVAL_CHUNK at a time."""
-    for start in range(0, len(samples), EVAL_CHUNK):
-        yield np.concatenate(samples[start:start + EVAL_CHUNK])
+def batches(samples: Sequence[np.ndarray], chunk: int = EVAL_CHUNK) -> Iterator[np.ndarray]:
+    """The samples concatenated along the batch axis, `chunk` at a time
+    (the last batch holds the rest)."""
+    for start in range(0, len(samples), chunk):
+        yield np.concatenate(samples[start:start + chunk])
 
 
 def usable_cpus() -> int:
@@ -882,22 +883,31 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def map_batches(fn: Callable[[int, np.ndarray], object], samples: Sequence[np.ndarray]) -> list:
-    """[fn(i, batch) for i, batch in enumerate(batches(samples))], on the
-    calling thread and a pool.
+def pool_workers(chunks: int) -> int:
+    """The workers `map_batches` runs `chunks` chunks on: one per usable
+    CPU, at most one per chunk and at most CHUNKS_IN_FLIGHT, never none."""
+    return max(1, min(chunks, usable_cpus(), CHUNKS_IN_FLIGHT))
 
-    One worker per usable CPU, at most one per chunk and at most
-    CHUNKS_IN_FLIGHT: the calling thread and `workers - 1` pool threads
-    (no pool for one worker). Each worker takes the next chunk in order,
-    concatenates it and runs it, so only the chunks being run are copied.
-    Results come back in chunk order. Once a chunk has raised, no worker
-    takes another, and the first failing chunk in chunk order raises
-    (every chunk before it has run), whichever thread ran it; every pool
-    thread has exited before this returns or raises.
+
+def map_batches(
+    fn: Callable[[int, np.ndarray], object], samples: Sequence[np.ndarray], chunk: int = EVAL_CHUNK
+) -> list:
+    """[fn(i, batch) for i, batch in enumerate(batches(samples, chunk))],
+    on the calling thread and a pool.
+
+    `pool_workers` of the chunks: the calling thread and `workers - 1`
+    pool threads (no pool for one worker). Each worker takes the next
+    chunk in order, concatenates it and runs it, so only the chunks being
+    run are copied: at most `workers * chunk` samples at once, which a
+    caller bounds by shrinking `chunk`. Results come back in chunk order.
+    Once a chunk has raised, no worker takes another, and the first
+    failing chunk in chunk order raises (every chunk before it has run),
+    whichever thread ran it; every pool thread has exited before this
+    returns or raises.
     """
-    results: list = [None] * math.ceil(len(samples) / EVAL_CHUNK)
-    workers = max(1, min(len(results), usable_cpus(), CHUNKS_IN_FLIGHT))
-    chunks = enumerate(batches(samples))
+    results: list = [None] * math.ceil(len(samples) / chunk)
+    workers = pool_workers(len(results))
+    chunks = enumerate(batches(samples, chunk))
     taking = threading.Lock()
     failures: dict[int, BaseException] = {}
 

@@ -486,10 +486,11 @@ def build_deployment_plan(
     """
     assignment, fused_groups = partition_and_fuse(graph, profile)
     counts = node_counts(graph, graph.nodes)
-    plan = _plan(graph, profile, counts, assignment, fused_groups)
+    flash = flash_bytes(graph, profile)
+    plan = _plan(graph, profile, counts, flash, assignment, fused_groups)
     chosen = _earliest_finish_targets(graph, profile, counts, plan)
     if chosen != assignment:
-        moved = _plan(graph, profile, counts, chosen, fuse(graph, chosen))
+        moved = _plan(graph, profile, counts, flash, chosen, fuse(graph, chosen))
         old, new = plan.estimates, moved.estimates
         if (new.latency_ms < old.latency_ms and new.energy_mj <= old.energy_mj
                 and new.ram_peak_bytes <= old.ram_peak_bytes):
@@ -501,12 +502,14 @@ def _plan(
     graph: GraphIR,
     profile: HardwareProfile,
     counts: dict[str, tuple[int, int]],
+    flash: int,
     assignment: dict[str, str],
     fused_groups: list[list[str]],
 ) -> DeploymentPlan:
     """Cost (from the graph's `node_counts`), schedule, place the arena of
     and estimate these groups, each on its nodes' target. The estimate
-    reuses the per-group costs the schedule was built from."""
+    reuses the per-group costs the schedule was built from; `flash` is the
+    graph's `flash_bytes`, which no target choice changes."""
     costs = [group_cost(grp, assignment[grp[0]], counts, profile) for grp in fused_groups]
     targets = {c.group: c.target for c in costs}
     latencies = {c.group: c.latency_us for c in costs}
@@ -522,9 +525,9 @@ def _plan(
         fused_groups=fused_groups,
         timeline=timeline,
         memory_plan=memory,
-        flash_bytes=flash_bytes(graph, profile),
+        flash_bytes=flash,
     )
-    plan.estimates = _plan_estimate(plan, costs, plan.flash_bytes, profile)
+    plan.estimates = _plan_estimate(plan, costs, flash, profile)
     return plan
 
 

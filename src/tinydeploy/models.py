@@ -142,33 +142,47 @@ def fit_classifier(graph: GraphIR, samples) -> GraphIR:
     fewer samples than features (300 against 1024 or 4096), so the n x n
     system is the smaller one: 0.7 MB for n = 300, where the primal
     system is 134 MB for dwsep_net.
+
+    `samples` are (sample_id, input, label) triples; a label outside
+    [0, n_classes) raises ValueError naming the sample before any sample
+    runs. The feature pass runs on `executor.map_batches` in chunks of
+    EVAL_CHUNK // workers, so all workers together hold at most one
+    EVAL_CHUNK of samples. Each chunk writes its rows of Xa from the
+    `on_step` hook and keeps nothing else; a sample's features do not
+    depend on its chunk, so the fit is the same for any thread count.
     """
-    from .executor import batches, prepare
+    from .executor import EVAL_CHUNK, map_batches, pool_workers, prepare
 
     g = graph.copy()
     fc = [n for n in g.nodes if n.kind == OpKind.FULLY_CONNECTED][-1]
     feat_id = fc.inputs[0]
+    n_classes = g.tensors[fc.inputs[1]].shape[0]
 
-    program = prepare(g)
     samples = list(samples)
     if not samples:
         raise ValueError("fit_classifier: no training samples")
     labels = [int(label) for _, _, label in samples]
+    for (sample_id, _, _), label in zip(samples, labels):
+        if not 0 <= label < n_classes:
+            raise ValueError(
+                f"fit_classifier: sample {sample_id}: label {label} outside [0, {n_classes})")
+    program = prepare(g)
     n, f = len(samples), int(np.prod(program.graph.tensors[feat_id].shape[1:]))
     # Each chunk's features go straight into Xa, whose last column is ones,
     # while the hook is called: the array it is handed is valid only then.
     xa = np.empty((n, f + 1))
     xa[:, f] = 1.0
-    start = 0
+    chunk = max(1, EVAL_CHUNK // pool_workers(n))
 
-    def keep(tid: str, values: np.ndarray) -> None:
-        if tid == feat_id:
-            xa[start:start + len(values), :f] = values.reshape(len(values), -1)
+    def features(i: int, batch: np.ndarray) -> None:
+        start = i * chunk
 
-    for batch in batches([x for _, x, _ in samples]):
+        def keep(tid: str, values: np.ndarray) -> None:
+            if tid == feat_id:
+                xa[start:start + len(values), :f] = values.reshape(len(values), -1)
         program.run(batch, on_step=keep)
-        start += len(batch)
-    n_classes = g.tensors[fc.inputs[1]].shape[0]
+
+    map_batches(features, [x for _, x, _ in samples], chunk)
     targets = np.full((n, n_classes), -_MARGIN)
     targets[np.arange(n), labels] = _MARGIN
 

@@ -622,6 +622,17 @@ def test_map_batches_pool_size(cpus, samples, workers, monkeypatch):
     assert len(threads) <= workers
 
 
+@pytest.mark.parametrize("chunk", [1, 5, EVAL_CHUNK])
+def test_map_batches_runs_chunks_of_the_given_size(chunk, monkeypatch):
+    # 37 samples: the last chunk is partial for chunks of 5 and 16.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+    xs = [np.full((1, 2), i, dtype=np.float32) for i in range(37)]
+    rows = executor.map_batches(lambda i, batch: (i, batch[:, 0].tolist()), xs, chunk)
+    starts = range(0, 37, chunk)
+    assert rows == [(i, list(range(s, min(s + chunk, 37)))) for i, s in enumerate(starts)]
+    assert [len(b) for b in executor.batches(xs, chunk)] == [len(r) for _, r in rows]
+
+
 def _chunk_samples(chunks: int) -> list[np.ndarray]:
     """EVAL_CHUNK samples per chunk, each holding its sample index."""
     return [np.full((1, 2), i, dtype=np.float32) for i in range(chunks * EVAL_CHUNK)]

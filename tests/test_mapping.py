@@ -22,7 +22,7 @@ from graphutil import (
     skip_branch_graph,
     two_conv_chain,
 )
-from tinydeploy.costmodel import group_id, node_counts
+from tinydeploy.costmodel import flash_bytes, group_id, node_counts
 from tinydeploy.data_files import load_profile
 from tinydeploy import costmodel, pipeline
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
@@ -833,7 +833,8 @@ def _support_based_plan(graph, profile):
     """The plan of `partition_and_fuse`'s start assignment, before any
     group moves to the CPU."""
     counts = node_counts(graph, graph.nodes)
-    return mapping._plan(graph, profile, counts, *partition_and_fuse(graph, profile))
+    return mapping._plan(graph, profile, counts, flash_bytes(graph, profile),
+                         *partition_and_fuse(graph, profile))
 
 
 @pytest.mark.parametrize("profile, moved", [

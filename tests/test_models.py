@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tinydeploy import executor
 from tinydeploy.executor import run_f32
 from tinydeploy.graph import OpKind
 from tinydeploy.models import build_dwsep_net, build_small_convnet, fit_classifier
@@ -42,11 +43,8 @@ def test_dual_fit_equals_primal_reference(small_convnet, train_samples):
     )
 
 
-def test_fit_classifier_memory_peak(train_samples):
-    # About 13 MB for the dual fit: 13.9 MB while the feature pass kept
-    # each chunk's features past the hook call and ReLU copied its dying
-    # input, 22 MB while it kept every activation of a chunk; a primal
-    # (f+1)^2 solve holds two 4097 x 4097 float64 matrices (147.5 MB peak).
+def _fit_peak_mb(train_samples) -> float:
+    """The tracemalloc peak of fitting dwsep_net, in MB."""
     graph = build_dwsep_net()
     tracemalloc.start()
     try:
@@ -54,7 +52,52 @@ def test_fit_classifier_memory_peak(train_samples):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 13.4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    return peak / 2**20
+
+
+def test_fit_classifier_memory_peak(train_samples):
+    # About 13 MB for the dual fit: 13.9 MB while the feature pass kept
+    # each chunk's features past the hook call and ReLU copied its dying
+    # input, 22 MB while it kept every activation of a chunk; a primal
+    # (f+1)^2 solve holds two 4097 x 4097 float64 matrices (147.5 MB peak).
+    peak = _fit_peak_mb(train_samples)
+    assert peak < 13.4, f"peak {peak:.1f} MB"
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_fit_classifier_memory_peak_on_more_workers(workers, train_samples, monkeypatch):
+    # The chunk shrinks to EVAL_CHUNK // workers, so all workers together
+    # hold one EVAL_CHUNK of samples. Two workers on chunks of 16 peaked
+    # at about 16.3 MB.
+    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
+    peak = _fit_peak_mb(train_samples)
+    assert peak < 13.4, f"peak {peak:.1f} MB"
+
+
+# 37 is a multiple of none of the chunk sizes 16, 8 and 5, so the last
+# chunk is partial for every worker count below.
+FIT_SAMPLES = 37
+
+
+@pytest.mark.parametrize("build", [build_small_convnet, build_dwsep_net])
+def test_fit_classifier_is_the_same_on_any_worker_count(build, train_samples, monkeypatch):
+    fits = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
+        g = fit_classifier(build(), train_samples[:FIT_SAMPLES])
+        fits.append([g.tensors[t].data.tobytes() for t in ("fc_w", "fc_b")])
+    assert fits[1] == fits[0] and fits[2] == fits[0]
+
+
+@pytest.mark.parametrize("label", [-1, 10])
+def test_fit_classifier_rejects_a_label_out_of_range(label, train_samples, monkeypatch):
+    # -1 would index class 9 and 10 past the targets; no sample runs.
+    monkeypatch.setattr(executor, "map_batches", lambda *_: pytest.fail("a sample ran"))
+    samples = list(train_samples[:5])
+    sample_id, x, _ = samples[3]
+    samples[3] = (sample_id, x, label)
+    with pytest.raises(ValueError, match=rf"sample {sample_id}: label {label} outside \[0, 10\)"):
+        fit_classifier(build_small_convnet(), samples)
 
 
 def test_fit_classifier_rejects_empty_training_set():

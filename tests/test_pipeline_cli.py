@@ -621,6 +621,17 @@ def test_cli_run_and_make_assets(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_make_assets_tree_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # The fits' feature passes run on one worker and on two.
+    trees = []
+    for workers in (1, 2):
+        monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["make-assets", "--out", str(out), "--seed", "7"]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+
+
 def test_every_json_artifact_is_in_the_json_module_layout(tmp_path):
     """Each *.json of a `make-assets` tree and of a `run` tree is the text
     `json.dumps(indent=2, sort_keys=True)` writes for its own value."""
