@@ -4,10 +4,10 @@
 constants once, giving a `Program` that runs batches of any leading
 size. Float32 graphs run in Float32. Quantized graphs run
 with integer-only arithmetic between the quantize/dequantize boundaries:
-convolutions and matmuls accumulate in 32-bit (checked, not wrapped),
-outputs are requantized with fixed-point multipliers and saturated to
-[-128, 127]. Softmax always runs in Float32 on dequantized logits.
-`run_f32` and `run_int8` prepare and run in one call.
+convolutions and matmuls accumulate in 32-bit (proved in range, not
+checked), outputs are requantized with fixed-point multipliers and
+saturated to [-128, 127]. Softmax always runs in Float32 on dequantized
+logits. `run_f32` and `run_int8` prepare and run in one call.
 
 Both interpreters are pure functions of (graph, input), bit-reproducible
 run to run, and give each sample the same result whatever batch it runs in.
@@ -42,9 +42,16 @@ INT8 Conv2D, DepthwiseConv2D and FullyConnected share one accumulation
 rule: a sum of K products (K = kh*kw*C, kh*kw or F) runs in float32 while
 K*255*128 < 2**24 and in float64 beyond, where every partial sum is an
 exact integer whatever order BLAS or einsum takes. Their int64 epilogue
-(bias, 32-bit check, requantization, zero point, clip) then runs over
-tiles of at most `_EPILOGUE_TILE` elements into one preallocated Int8
-output, so its temporaries do not grow with the batch or the layer.
+(bias, requantization, zero point, clip) then runs over tiles of at most
+`_EPILOGUE_TILE` elements into one preallocated Int8 output, so its
+temporaries do not grow with the batch or the layer.
+
+No kernel checks its accumulators as it runs, just as CMSIS-NN's int32
+accumulators go unchecked on the MCU (Lai et al., arXiv:1801.06601).
+Instead `prepare` bounds each weighted and AvgPool2D accumulator, per
+output channel, over every input the Int8 range allows, and refuses a
+graph whose bound can leave [-INT32_MAX, INT32_MAX]. So no INT8 run
+fails on its data.
 """
 from __future__ import annotations
 
@@ -74,15 +81,15 @@ from .graph import (
 )
 from .model_io import NUMBER, _field, csv_text, read_csv, write_files
 from .quantization import (
+    INT32_MAX,
     QMAX,
     QMIN,
+    WEIGHT_CHANNEL_AXIS,
     dequantize_tensor,
     fixed_point_multiplier,
     quantize_tensor,
     requantize_fixed_point,
 )
-
-_INT32_MAX = 2**31 - 1
 
 
 class ExecutionError(ValueError):
@@ -90,7 +97,7 @@ class ExecutionError(ValueError):
 
 
 class AccumulatorOverflowError(ExecutionError):
-    """32-bit accumulator range exceeded; reported instead of wrapping."""
+    """A node's 32-bit accumulator can overflow on some input; `prepare` refuses it."""
 
 
 @dataclass
@@ -354,8 +361,10 @@ def _f32_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 # INT8 kernels
 
 
-def _check_acc32(acc: np.ndarray, node_id: str) -> None:
-    if acc.size and (acc.max() > _INT32_MAX or acc.min() < -_INT32_MAX):
+def _prove_acc32(node_id: str, lo, hi) -> None:
+    """Refuse a node whose accumulator range [lo, hi] (per channel, or one
+    range) can leave [-INT32_MAX, INT32_MAX]."""
+    if np.any(hi > INT32_MAX) or np.any(lo < -INT32_MAX):
         raise AccumulatorOverflowError(f"node {node_id}: 32-bit accumulator overflow")
 
 
@@ -419,9 +428,16 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
     A FullyConnected reads its input flattened to (B, -1). The product
     accumulates exactly in `_acc_dtype` of the window or input size. The
-    epilogue (int64 cast, bias, 32-bit check, fixed-point requantization,
-    zero point, clip) then runs on `_EPILOGUE_TILE`-sized tiles of output
-    rows, writing into one preallocated Int8 output.
+    epilogue (int64 cast, bias, fixed-point requantization, zero point,
+    clip) then runs on `_EPILOGUE_TILE`-sized tiles of output rows,
+    writing into one preallocated Int8 output.
+
+    Each channel's accumulator is bounded here, once: centered inputs lie
+    in [QMIN - zp_in, QMAX - zp_in], an interval holding 0 (SAME padding's
+    value), so a channel sums to at most bias + sum(max(w*lo_x, w*hi_x))
+    and at least bias + sum(min(w*lo_x, w*hi_x)), each reached by a window
+    that lies wholly inside the input. A node whose range can leave
+    [-INT32_MAX, INT32_MAX] is refused.
     """
     src = node.inputs[0]
     zp_in = _require_quant(graph, src).zero_point
@@ -434,6 +450,14 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
     sig, shift = _requant_table(node, "requant")
     zp_out = _require_quant(graph, node.outputs[0]).zero_point
     w = weights.data
+
+    axis = WEIGHT_CHANNEL_AXIS[node.kind]
+    per_channel = np.moveaxis(w.astype(np.int64), axis, 0).reshape(w.shape[axis], -1)
+    pos = np.maximum(per_channel, 0).sum(axis=1)
+    neg = np.minimum(per_channel, 0).sum(axis=1)
+    lo_x, hi_x = QMIN - zp_in, QMAX - zp_in
+    offset = 0 if bias is None else bias
+    _prove_acc32(node.id, offset + pos * lo_x + neg * hi_x, offset + pos * hi_x + neg * lo_x)
 
     if node.kind == OpKind.FULLY_CONNECTED:
         w_t = w.astype(_acc_dtype(w.shape[1])).T
@@ -469,7 +493,6 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
             q = acc_rows[start:start + tile].astype(np.int64)
             if bias is not None:
                 q += bias
-            _check_acc32(q, node.id)
             q = requantize_fixed_point(q, sig, shift)
             q += zp_out
             out_rows[start:start + tile] = np.clip(q, QMIN, QMAX, out=q)
@@ -499,6 +522,10 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         qx = _require_quant(graph, src)
         qout = _require_quant(graph, node.outputs[0])
         window = _Window(node, graph.tensors[src].shape)
+        # A window sums at most kh*kw centered codes, each in
+        # [QMIN - zp, QMAX - zp]; padding adds 0.
+        k = window.kernel[0] * window.kernel[1]
+        _prove_acc32(node.id, k * (QMIN - qx.zero_point), k * (QMAX - qx.zero_point))
         # One multiplier per window, by its count of in-bounds cells.
         counts = window.valid_counts()[:, :, None]
         sig = np.empty(counts.shape, dtype=np.int64)
@@ -512,7 +539,6 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         def avg_pool(env: Env) -> np.ndarray:
             centered = env[src].astype(np.int64) - qx.zero_point
             total = _fold(np.add, window.taps(centered, 0))
-            _check_acc32(total, node.id)
             q = requantize_fixed_point(total, sig, shift) + qout.zero_point
             return np.clip(q, QMIN, QMAX).astype(np.int8)
         return avg_pool
@@ -705,6 +731,10 @@ def prepare(graph: GraphIR, fused_groups: Sequence[Sequence[str]] | None = None)
     each chain of nodes that `graph.fused_successor` links as one kernel
     without materializing the tensors inside it; the math is unchanged.
     Groups run in the order of their last nodes.
+
+    Binding an INT8 weighted or AvgPool2D node proves that its 32-bit
+    accumulator stays in range on every input, else raises
+    `AccumulatorOverflowError` naming the node.
     """
     quantized = graph.is_quantized()
     g = graph.copy()
@@ -938,6 +968,42 @@ def map_batches(
     return results
 
 
+def checked_samples(
+    dataset: Iterable[tuple], in_shape: tuple[int, ...], num_classes: int
+) -> tuple[list[str], list[np.ndarray], list[int]]:
+    """The ids, Float32 inputs and labels of (input, label) or
+    (sample_id, input, label) items; an unnamed sample i is `s<i:05d>`.
+
+    A label outside [0, num_classes), an input of another shape than
+    `in_shape` or one that is not finite as Float32 raises ExecutionError
+    naming the sample.
+    """
+    ids: list[str] = []
+    inputs: list[np.ndarray] = []
+    labels: list[int] = []
+    for i, item in enumerate(dataset):
+        if len(item) == 3:
+            sample_id, x, label = item
+        else:
+            x, label = item
+            sample_id = f"s{i:05d}"
+        label = int(label)
+        if not 0 <= label < num_classes:
+            raise ExecutionError(f"sample {sample_id}: label {label} outside [0, {num_classes})")
+        with np.errstate(over="ignore"):  # an overflow becomes inf, refused below
+            x = np.asarray(x, dtype=np.float32)
+        if x.shape != in_shape:
+            raise ExecutionError(
+                f"sample {sample_id}: input shape {x.shape} != graph input shape {in_shape}"
+            )
+        if not np.isfinite(x).all():
+            raise ExecutionError(f"sample {sample_id}: input is not finite as float32")
+        ids.append(str(sample_id))
+        inputs.append(x)
+        labels.append(label)
+    return ids, inputs, labels
+
+
 def evaluate(
     graph: GraphIR,
     dataset: Iterable[tuple],
@@ -947,9 +1013,9 @@ def evaluate(
     """Per-sample records plus top-1 accuracy.
 
     Dataset items are (input, label) or (sample_id, input, label); the
-    graph must end in Softmax over class logits. Every label and input
-    shape is checked before any sample runs; samples then run in chunks
-    of EVAL_CHUNK through `map_batches`.
+    graph must end in Softmax over class logits. Every sample is checked
+    (`checked_samples`) before any runs; samples then run in chunks of
+    EVAL_CHUNK through `map_batches`.
 
     Given a `ranges` dict, the same pass of a Float32 graph also
     calibrates: it fills `ranges` with what `calibrate` returns for the
@@ -965,28 +1031,7 @@ def evaluate(
     if last is None or last.kind != OpKind.SOFTMAX:
         raise ExecutionError("evaluate requires a graph ending in Softmax")
     num_classes = g.tensors[out_id].shape[-1]
-    in_shape = program.input.shape
-
-    ids: list[str] = []
-    inputs: list[np.ndarray] = []
-    labels: list[int] = []
-    for i, item in enumerate(dataset):
-        if len(item) == 3:
-            sample_id, x, label = item
-        else:
-            x, label = item
-            sample_id = f"s{i:05d}"
-        label = int(label)
-        if not 0 <= label < num_classes:
-            raise ExecutionError(f"sample {sample_id}: label {label} outside [0, {num_classes})")
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape != in_shape:
-            raise ExecutionError(
-                f"sample {sample_id}: input shape {x.shape} != graph input shape {in_shape}"
-            )
-        ids.append(str(sample_id))
-        inputs.append(x)
-        labels.append(label)
+    ids, inputs, labels = checked_samples(dataset, program.input.shape, num_classes)
 
     # rows[chunk]: the observed rows of that chunk, in sample order.
     rows: dict[int, list[int]] = {}

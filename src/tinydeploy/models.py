@@ -143,31 +143,28 @@ def fit_classifier(graph: GraphIR, samples) -> GraphIR:
     system is the smaller one: 0.7 MB for n = 300, where the primal
     system is 134 MB for dwsep_net.
 
-    `samples` are (sample_id, input, label) triples; a label outside
-    [0, n_classes) raises ValueError naming the sample before any sample
-    runs. The feature pass runs on `executor.map_batches` in chunks of
-    EVAL_CHUNK // workers, so all workers together hold at most one
-    EVAL_CHUNK of samples. Each chunk writes its rows of Xa from the
-    `on_step` hook and keeps nothing else; a sample's features do not
-    depend on its chunk, so the fit is the same for any thread count.
+    `samples` are (sample_id, input, label) triples, checked by
+    `executor.checked_samples` before any sample runs: a label outside
+    [0, n_classes), an input of the wrong shape or a non-finite one raises
+    ExecutionError naming the sample. The feature pass runs on
+    `executor.map_batches` in chunks of EVAL_CHUNK // workers, so all
+    workers together hold at most one EVAL_CHUNK of samples. Each chunk
+    writes its rows of Xa from the `on_step` hook and keeps nothing else;
+    a sample's features do not depend on its chunk, so the fit is the
+    same for any thread count.
     """
-    from .executor import EVAL_CHUNK, map_batches, pool_workers, prepare
+    from .executor import EVAL_CHUNK, checked_samples, map_batches, pool_workers, prepare
 
     g = graph.copy()
     fc = [n for n in g.nodes if n.kind == OpKind.FULLY_CONNECTED][-1]
     feat_id = fc.inputs[0]
     n_classes = g.tensors[fc.inputs[1]].shape[0]
 
-    samples = list(samples)
-    if not samples:
-        raise ValueError("fit_classifier: no training samples")
-    labels = [int(label) for _, _, label in samples]
-    for (sample_id, _, _), label in zip(samples, labels):
-        if not 0 <= label < n_classes:
-            raise ValueError(
-                f"fit_classifier: sample {sample_id}: label {label} outside [0, {n_classes})")
     program = prepare(g)
-    n, f = len(samples), int(np.prod(program.graph.tensors[feat_id].shape[1:]))
+    _, inputs, labels = checked_samples(samples, program.input.shape, n_classes)
+    if not inputs:
+        raise ValueError("fit_classifier: no training samples")
+    n, f = len(inputs), int(np.prod(program.graph.tensors[feat_id].shape[1:]))
     # Each chunk's features go straight into Xa, whose last column is ones,
     # while the hook is called: the array it is handed is valid only then.
     xa = np.empty((n, f + 1))
@@ -182,7 +179,7 @@ def fit_classifier(graph: GraphIR, samples) -> GraphIR:
                 xa[start:start + len(values), :f] = values.reshape(len(values), -1)
         program.run(batch, on_step=keep)
 
-    map_batches(features, [x for _, x, _ in samples], chunk)
+    map_batches(features, inputs, chunk)
     targets = np.full((n, n_classes), -_MARGIN)
     targets[np.arange(n), labels] = _MARGIN
 

@@ -49,7 +49,7 @@ WEIGHT_CHANNEL_AXIS = {
     OpKind.FULLY_CONNECTED: 0,
 }
 
-_INT32_MAX = 2**31 - 1
+INT32_MAX = 2**31 - 1  # the int32 accumulator range is [-INT32_MAX, INT32_MAX]
 
 
 class QuantizationError(ValueError):
@@ -266,7 +266,7 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
                 b = g.tensors[node.inputs[2]]
                 bias_scale = s_in * s_w
                 bq = round_half_away(np.asarray(b.data, dtype=np.float64) / bias_scale)
-                if np.any(np.abs(bq) > _INT32_MAX):
+                if np.any(np.abs(bq) > INT32_MAX):
                     raise QuantizationError(f"node {nid}: quantized bias exceeds Int32 range")
                 b.quant = QuantParams(
                     scale=bias_scale,

@@ -850,6 +850,15 @@ def test_evaluate_rejects_wrong_input_shape():
         evaluate(g, [(good, 0)] * 20 + [(np.ones((2, 4), dtype=np.float32), 0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+def test_evaluate_rejects_a_non_finite_input(bad, monkeypatch):
+    # 1e300 is finite as float64 but inf as float32; no sample runs.
+    monkeypatch.setattr(executor, "map_batches", lambda *_: pytest.fail("a sample ran"))
+    good = np.ones((1, 4), dtype=np.float32)
+    with pytest.raises(ExecutionError, match="sample s00002: input is not finite as float32"):
+        evaluate(uniform_logit_graph(), [(good, 0)] * 2 + [(np.full((1, 4), bad), 0)])
+
+
 def test_records_csv_roundtrip(tmp_path):
     records = [
         InferenceRecord("a", 3, 0.5, 3),

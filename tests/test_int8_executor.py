@@ -1,8 +1,9 @@
 import sys
-import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphutil import conv_attrs, naive_depthwise_acc, per_sample_records, record_tuples
 from tinydeploy import executor
@@ -98,13 +99,19 @@ def test_unit_scale_matches_float_exactly():
     np.testing.assert_array_equal(run_int8(g, x)["out"], run_f32(gf, x)["out"])
 
 
-def test_accumulator_overflow_reported(monkeypatch):
+def overflowing_conv_graph():
+    """A 1x1 Conv2D whose accumulator passes INT32_MAX for inputs above 9."""
     w = np.full((1, 1, 1, 1), 127, dtype=np.int8)
-    g = unit_scale_conv_graph(w, np.array([2**31 - 10], dtype=np.int64), (1, 1, 1, 1))
-    with pytest.raises(AccumulatorOverflowError, match="conv"):
-        run_int8(g, np.array([[[[100.0]]]], dtype=np.float32))
+    return unit_scale_conv_graph(w, np.array([2**31 - 10], dtype=np.int64), (1, 1, 1, 1))
 
-    # The same overflow in a later evaluate chunk: only the last sample overflows.
+
+def test_accumulator_overflow_reported():
+    with pytest.raises(AccumulatorOverflowError, match="conv"):
+        run_int8(overflowing_conv_graph(), np.array([[[[100.0]]]], dtype=np.float32))
+
+
+def test_evaluate_refuses_an_overflowing_graph_before_any_sample_runs(monkeypatch):
+    g = overflowing_conv_graph()
     g.nodes += [
         OpNode("flat", OpKind.FLATTEN, {}, ["out"], ["flat_out"]),
         OpNode("softmax", OpKind.SOFTMAX, {}, ["flat_out"], ["probs"]),
@@ -113,16 +120,10 @@ def test_accumulator_overflow_reported(monkeypatch):
     g.tensors["flat_out"] = TensorSpec("flat_out", (1, 1), DType.INT8, TensorKind.ACTIVATION,
                                        quant=unit_qp())
     g.tensors["probs"] = TensorSpec("probs", (1, 1), DType.FLOAT32, TensorKind.OUTPUT)
+    monkeypatch.setattr(executor, "map_batches", lambda *_: pytest.fail("a sample ran"))
     zero = np.zeros((1, 1, 1, 1), dtype=np.float32)
-    # Three workers for the two chunks; none of them outlives the call.
-    monkeypatch.setattr(executor, "usable_cpus", lambda: 3)
-    threads = threading.active_count()
-    records, _ = evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 1))
-    assert len(records) == EVAL_CHUNK + 1
-    assert threading.active_count() == threads
-    with pytest.raises(AccumulatorOverflowError, match="conv"):
-        evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 3) + [(np.full_like(zero, 100.0), 0)])
-    assert threading.active_count() == threads
+    with pytest.raises(AccumulatorOverflowError, match="node conv:"):
+        evaluate(g, [(zero, 0)] * (EVAL_CHUNK + 1))
 
 
 def test_int8_gemm_exact_at_extreme_codes():
@@ -204,33 +205,121 @@ def test_int8_depthwise_exact_at_extreme_codes(kernel):
 
 
 def test_depthwise_accumulator_overflow_reported():
-    # The int32 products sum to 255 * 127 * 9 without overflow; the bias
-    # then takes the accumulator past 2**31 - 1, which must be reported.
-    w = np.full((1, 3, 3, 2), 127, dtype=np.int8)
-    x = np.full((1, 3, 3, 2), 255.0, dtype=np.float32)
-    for excess in (0, 1):
-        bias = [0, 2**31 - 1 - 255 * 127 * 9 + excess]
-        g = unit_scale_conv_graph(w, bias, (1, 3, 3, 2), OpKind.DEPTHWISE_CONV2D, zp_in=-128)
-        if excess:
-            with pytest.raises(AccumulatorOverflowError, match="conv"):
-                run_int8(g, x)
-        else:
-            assert run_int8(g, x)["out"].reshape(-1).tolist() == [127.0, 127.0]
+    # Each channel's K products of 127 and a centered 255 sum to 255*127*K
+    # (on the low side, with zp_in 127, to -255*127*K). A bias putting
+    # channel 1 exactly at +-INT32_MAX is accepted and runs; one further
+    # is refused by prepare itself, for every weighted kind.
+    cases = [  # kind, weight shape, input shape, K
+        (OpKind.DEPTHWISE_CONV2D, (1, 3, 3, 2), (1, 3, 3, 2), 9),
+        (OpKind.CONV2D, (2, 3, 3, 2), (1, 3, 3, 2), 18),
+        (OpKind.FULLY_CONNECTED, (2, 18), (1, 18), 18),
+    ]
+    for kind, w_shape, in_shape, k in cases:
+        w = np.full(w_shape, 127, dtype=np.int8)
+        for side in (1, -1):
+            x = np.full(in_shape, 255.0 * side, dtype=np.float32)
+            for excess in (0, 1):
+                bias = [0, side * (2**31 - 1 - 255 * 127 * k + excess)]
+                g = unit_scale_conv_graph(w, bias, in_shape, kind, zp_in=-128 if side > 0 else 127)
+                if excess:
+                    with pytest.raises(AccumulatorOverflowError, match="node conv:"):
+                        prepare(g)
+                else:
+                    out = run_int8(g, x)["out"].reshape(-1).tolist()
+                    assert out == [127.0 if side > 0 else -128.0] * 2
+
+
+def test_avgpool_accumulator_overflow_reported():
+    # A 2x2 window sums 4 centered codes, so its bound is
+    # 4 * max(127 - zp, zp + 128): in range for zp in
+    # [128 - 2**29, 2**29 - 129], refused one past either end.
+    for zp, x, out in ((2**29 - 129, -2.0**29, -128.0), (128 - 2**29, 2.0**29, 127.0)):
+        for excess in (0, 1):
+            tensors = [
+                TensorSpec("in", (1, 2, 2, 1), DType.INT8, TensorKind.INPUT,
+                           quant=QuantParams(scale=1.0, zero_point=zp + excess * np.sign(zp))),
+                TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
+            ]
+            nodes = [OpNode("pool", OpKind.AVG_POOL2D, conv_attrs(kernel=2), ["in"], ["out"])]
+            g = infer_shapes(GraphIR("pool", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
+            if excess:
+                with pytest.raises(AccumulatorOverflowError, match="node pool:"):
+                    prepare(g)
+            else:
+                assert run_int8(g, np.full((1, 2, 2, 1), x, dtype=np.float32))["out"].item() == out
 
 
 @pytest.mark.parametrize("kind", [OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D])
-def test_overflow_in_last_epilogue_tile_reported(kind):
+def test_last_epilogue_tile_computed(kind):
     # One channel, one pixel more than an epilogue tile holds: only the
-    # last pixel, alone in the second tile, overflows.
+    # last pixel, alone in the second tile, has its own input.
     pixels = executor._EPILOGUE_TILE + 1
-    w = np.full((1, 1, 1, 1), 127, dtype=np.int8)
-    g = unit_scale_conv_graph(w, [2**31 - 10 - 127 * 100], (1, 1, pixels, 1), kind)
+    g = unit_scale_conv_graph(np.ones((1, 1, 1, 1)), [3], (1, 1, pixels, 1), kind)
     x = np.zeros((1, 1, pixels, 1), dtype=np.float32)
-    x[0, 0, -1] = 100.0
-    assert run_int8(g, x)["out"].max() == 127.0
-    x[0, 0, -1] = 101.0
-    with pytest.raises(AccumulatorOverflowError, match="node conv:"):
-        run_int8(g, x)
+    x[0, 0, -1] = 50.0
+    out = run_int8(g, x)["out"]
+    assert out[0, 0, -1, 0] == 53.0
+    assert (out[0, 0, :-1] == 3.0).all()
+
+
+_WEIGHTED = [OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D, OpKind.FULLY_CONNECTED]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_prepare_accepts_exactly_the_graphs_whose_extremes_fit_int32(data):
+    # A small VALID unit-scale graph, with each channel's bias put near
+    # where its extreme accumulator meets +-INT32_MAX. The extreme input of
+    # channel o (sample o) centers to hi_x where w > 0 and lo_x where w < 0
+    # (for lo, the other way round) inside the first output's window; an
+    # int64 product gives its accumulator, and prepare must accept exactly
+    # when every channel's extreme fits.
+    kind = data.draw(st.sampled_from(_WEIGHTED))
+    zp_in = data.draw(st.integers(-128, 127))
+    lo_x, hi_x = -128 - zp_in, 127 - zp_in
+    out_c = data.draw(st.integers(1, 3))
+    if kind == OpKind.FULLY_CONNECTED:
+        field = (data.draw(st.integers(1, 8)),)
+        w_shape, in_shape = (out_c, *field), (1, *field)
+    else:
+        k = data.draw(st.integers(1, 3))
+        c = out_c if kind == OpKind.DEPTHWISE_CONV2D else data.draw(st.integers(1, 3))
+        w_shape = (1, k, k, c) if kind == OpKind.DEPTHWISE_CONV2D else (out_c, k, k, c)
+        in_shape = (1, k + data.draw(st.integers(0, 1)), k + data.draw(st.integers(0, 1)), c)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.integers(-128, 128, size=w_shape).astype(np.int8)
+    w.flat[rng.integers(w.size)] = 0  # a zero weight takes no extreme
+    side = data.draw(st.sampled_from(["hi", "lo"]))
+
+    # x[o]: sample o, centered, extreme in channel o's first window.
+    x = rng.integers(lo_x, hi_x + 1, size=(out_c, *in_shape[1:])).astype(np.int64)
+    acc = np.zeros(out_c, dtype=np.int64)
+    for o in range(out_c):
+        if kind == OpKind.DEPTHWISE_CONV2D:
+            w_o, window = w[0, ..., o].astype(np.int64), x[o, :k, :k, o]
+        elif kind == OpKind.CONV2D:
+            w_o, window = w[o].astype(np.int64), x[o, :k, :k]
+        else:
+            w_o, window = w[o].astype(np.int64), x[o]
+        up = (w_o > 0) if side == "hi" else (w_o < 0)
+        window[...] = np.where(up, hi_x, np.where(w_o == 0, window, lo_x))
+        acc[o] = (w_o * window).sum()
+    limit = 2**31 - 1 if side == "hi" else -(2**31 - 1)
+    offsets = data.draw(st.lists(st.integers(-2, 2), min_size=out_c, max_size=out_c))
+    bias = np.clip(limit - acc + offsets, -2**31, 2**31 - 1)
+    acc += bias
+    fits = bool((acc <= 2**31 - 1).all() if side == "hi" else (acc >= -(2**31 - 1)).all())
+
+    g = unit_scale_conv_graph(w, bias, in_shape, kind, zp_in)
+    if not fits:
+        with pytest.raises(AccumulatorOverflowError, match="node conv:"):
+            prepare(g)
+        return
+    trace = {}
+    run_int8(g, x.astype(np.float32), trace=trace)
+    out = trace["out"].reshape(out_c, -1, out_c)[:, 0]
+    np.testing.assert_array_equal(np.diag(out), np.clip(acc, -128, 127))
 
 
 @pytest.mark.parametrize("field,value,message", [

@@ -89,14 +89,25 @@ def test_fit_classifier_is_the_same_on_any_worker_count(build, train_samples, mo
     assert fits[1] == fits[0] and fits[2] == fits[0]
 
 
-@pytest.mark.parametrize("label", [-1, 10])
-def test_fit_classifier_rejects_a_label_out_of_range(label, train_samples, monkeypatch):
-    # -1 would index class 9 and 10 past the targets; no sample runs.
+@pytest.mark.parametrize("edit, message", [
+    # -1 would index class 9 and 10 past the targets.
+    pytest.param(lambda x, _: (x, -1), r"label -1 outside \[0, 10\)", id="-1"),
+    pytest.param(lambda x, _: (x, 10), r"label 10 outside \[0, 10\)", id="10"),
+    # Would fail inside np.concatenate, naming neither sample nor shape.
+    pytest.param(lambda x, label: (x[:, :16, :16], label),
+                 r"input shape \(1, 16, 16, 3\) != graph input shape \(1, 32, 32, 3\)",
+                 id="wrong-shape"),
+    # 1e300 is inf as float32, and would fit NaN weights.
+    pytest.param(lambda x, label: (np.full(x.shape, 1e300), label),
+                 "input is not finite as float32", id="non-finite"),
+])
+def test_fit_classifier_rejects_a_label_out_of_range(edit, message, train_samples, monkeypatch):
+    # One bad sample among good ones is named, and no sample runs.
     monkeypatch.setattr(executor, "map_batches", lambda *_: pytest.fail("a sample ran"))
     samples = list(train_samples[:5])
-    sample_id, x, _ = samples[3]
-    samples[3] = (sample_id, x, label)
-    with pytest.raises(ValueError, match=rf"sample {sample_id}: label {label} outside \[0, 10\)"):
+    sample_id, x, label = samples[3]
+    samples[3] = (sample_id, *edit(x, label))
+    with pytest.raises(ValueError, match=rf"sample {sample_id}: {message}"):
         fit_classifier(build_small_convnet(), samples)
 
 
