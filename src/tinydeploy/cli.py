@@ -19,7 +19,7 @@ from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import (
     DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, load_dataset, synthetic_samples,
 )
-from .downlink import DownlinkError
+from .downlink import DownlinkError, DownlinkReport
 from .executor import ExecutionError, ranges_from_json, read_records_csv, top1_accuracy
 from .model_io import NUMBER, _field, decode, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
@@ -178,12 +178,14 @@ def _cmd_report(args) -> int:
             stages[stage] = None
         else:
             raise PipelineError(f"{model_path}: no {stage} model to report on")
-    estimate_path = run_dir / "cost_estimate.json"
-    est = decode(CostEstimate, read_json(estimate_path, PipelineError), str(estimate_path),
-                 PipelineError)
-    downlink = read_json(run_dir / "downlink_report.json", PipelineError)
-    pipeline.stage_report(run_dir, config, load_profile(config.hardware_profile), stages, est,
-                          downlink)
+
+    def record(cls, name: str):
+        path = run_dir / name
+        return decode(cls, read_json(path, PipelineError), str(path), PipelineError)
+
+    pipeline.stage_report(run_dir, config, load_profile(config.hardware_profile), stages,
+                          record(CostEstimate, "cost_estimate.json"),
+                          record(DownlinkReport, "downlink_report.json"))
     print(f"report written to {run_dir / 'report.json'}")
     return 0
 

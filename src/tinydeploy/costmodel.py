@@ -118,16 +118,6 @@ def group_cost(
     )
 
 
-def estimate_group(
-    nodes: Sequence[OpNode],
-    target: str,
-    profile: HardwareProfile,
-    graph: GraphIR,
-) -> GroupCost:
-    """(macs, latency, energy) for one fused group, given as its nodes, on one target."""
-    return group_cost([node.id for node in nodes], target, node_counts(graph, nodes), profile)
-
-
 def flash_bytes(graph: GraphIR, profile: HardwareProfile) -> int:
     """Constant payload bytes + quantization tables + per-op metadata."""
     payload = sum(t.size_bytes for t in graph.tensors.values() if t.is_constant)

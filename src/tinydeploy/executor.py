@@ -68,6 +68,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .costmodel import group_id
 from .graph import (
+    QMAX,
+    QMIN,
     WEIGHTED_OPS,
     DType,
     GraphIR,
@@ -82,8 +84,6 @@ from .graph import (
 from .model_io import NUMBER, _field, csv_text, read_csv, write_files
 from .quantization import (
     INT32_MAX,
-    QMAX,
-    QMIN,
     WEIGHT_CHANNEL_AXIS,
     dequantize_tensor,
     fixed_point_multiplier,
@@ -434,15 +434,14 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
 
     Each channel's accumulator is bounded here, once: centered inputs lie
     in [QMIN - zp_in, QMAX - zp_in], an interval holding 0 (SAME padding's
-    value), so a channel sums to at most bias + sum(max(w*lo_x, w*hi_x))
-    and at least bias + sum(min(w*lo_x, w*hi_x)), each reached by a window
-    that lies wholly inside the input. A node whose range can leave
+    value) because `QuantParams` keeps zp_in an Int8 code, so a channel
+    sums to at most bias + sum(max(w*lo_x, w*hi_x)) and at least
+    bias + sum(min(w*lo_x, w*hi_x)), each reached by a window that lies
+    wholly inside the input. A node whose range can leave
     [-INT32_MAX, INT32_MAX] is refused.
     """
     src = node.inputs[0]
     zp_in = _require_quant(graph, src).zero_point
-    if not QMIN <= zp_in <= QMAX:
-        raise ExecutionError(f"node {node.id}: input zero point {zp_in} outside Int8 range")
     weights = graph.tensors[node.inputs[1]]
     if weights.dtype != DType.INT8:
         raise ExecutionError(f"node {node.id}: weights are not Int8")

@@ -76,6 +76,8 @@ CHANNEL_PRESERVING_OPS = (OpKind.RELU, OpKind.MAX_POOL2D, OpKind.AVG_POOL2D)
 
 VALID_PADDINGS = ("VALID", "SAME")
 
+QMIN, QMAX = -128, 127  # the Int8 code range
+
 
 class ShapeError(ValueError):
     """Shape inference failed; message names the offending node."""
@@ -86,7 +88,8 @@ class QuantParams:
     """Affine quantization parameters: real = scale * (q - zero_point).
 
     Per-tensor params hold scalar scale/zero_point; per-channel params hold
-    1-D arrays along `axis` of the tensor.
+    1-D arrays along `axis` of the tensor. Every scale is finite and
+    positive and every zero point an Int8 code in [QMIN, QMAX].
     """
 
     scale: float | np.ndarray
@@ -96,24 +99,29 @@ class QuantParams:
     symmetric: bool = False
 
     def __post_init__(self) -> None:
-        if self.granularity not in ("per_tensor", "per_channel"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.granularity == "per_channel":
-            self.scale = np.asarray(self.scale, dtype=np.float64)
-            self.zero_point = np.asarray(self.zero_point, dtype=np.int64)
             if self.axis is None:
                 raise ValueError("per_channel quantization requires an axis")
-            if np.any(self.scale <= 0):
-                raise ValueError("scale must be positive")
-            if self.symmetric and np.any(self.zero_point != 0):
-                raise ValueError("symmetric quantization requires zero_point 0")
-        else:
+            zero_points = np.ravel(self.zero_point).tolist()
+            self.scale = np.asarray(self.scale, dtype=np.float64)
+            scale_ok = np.all(np.isfinite(self.scale) & (self.scale > 0))
+        elif self.granularity == "per_tensor":
+            zero_points = [self.zero_point]
             self.scale = float(self.scale)
+            scale_ok = 0 < self.scale < math.inf
+        else:
+            raise ValueError(f"unknown granularity {self.granularity!r}")
+        outside = [z for z in zero_points if not QMIN <= z <= QMAX]
+        if outside:
+            raise ValueError(f"zero point {outside[0]} outside Int8 range [{QMIN}, {QMAX}]")
+        if not scale_ok:
+            raise ValueError("scale must be finite and positive")
+        if self.granularity == "per_channel":
+            self.zero_point = np.asarray(self.zero_point, dtype=np.int64)
+        else:
             self.zero_point = int(self.zero_point)
-            if self.scale <= 0:
-                raise ValueError("scale must be positive")
-            if self.symmetric and self.zero_point != 0:
-                raise ValueError("symmetric quantization requires zero_point 0")
+        if self.symmetric and any(zero_points):
+            raise ValueError("symmetric quantization requires zero_point 0")
 
     def equals(self, other: "QuantParams") -> bool:
         if self.granularity != other.granularity:
@@ -401,28 +409,42 @@ def topological_order(graph: GraphIR) -> list[str]:
     Raises ValueError when the graph has a cycle.
     """
     producer = {t: i for i, n in enumerate(graph.nodes) for t in n.outputs}
-    indeg: list[int] = []
-    dependents: list[list[int]] = [[] for _ in graph.nodes]
-    for i, n in enumerate(graph.nodes):
-        deps = {producer[t] for t in n.inputs if t in producer}
-        indeg.append(len(deps))
-        for d in deps:
-            dependents[d].append(i)
+    deps = [{producer[t] for t in n.inputs if t in producer} for n in graph.nodes]
+    order = priority_order(range(len(deps)), deps, lambda i: i)
+    if order is None:
+        raise ValueError("dependency cycle among nodes")
+    return [graph.nodes[i].id for i in order]
 
-    # A heap of node positions: popping the smallest ready position is the
-    # tie-break rule, without re-sorting the ready list at every step.
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    order: list[str] = []
+
+def priority_order(items, dependencies, key) -> list | None:
+    """Kahn's order of `items`, taking the ready item with the smallest
+    `key` first; None when the items have a dependency cycle.
+
+    `items` is a sequence of distinct items, `dependencies[item]` the
+    set of items it waits for, and `key(item)` a sort key that no two
+    items share. A heap of (key, position) pairs pops the smallest ready
+    key without re-sorting the ready list at every step.
+    """
+    position = {item: i for i, item in enumerate(items)}
+    keys = list(map(key, items))
+    indeg = []
+    dependents: list[list[int]] = [[] for _ in keys]
+    for i, item in enumerate(items):
+        deps = dependencies[item]
+        indeg.append(len(deps))
+        for dep in deps:
+            dependents[position[dep]].append(i)
+    ready = [(keys[i], i) for i, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order = []
     while ready:
-        i = heapq.heappop(ready)
-        order.append(graph.nodes[i].id)
+        _, i = heapq.heappop(ready)
+        order.append(items[i])
         for dep in dependents[i]:
             indeg[dep] -= 1
             if indeg[dep] == 0:
-                heapq.heappush(ready, dep)
-    if len(order) != len(graph.nodes):
-        raise ValueError("dependency cycle among nodes")
-    return order
+                heapq.heappush(ready, (keys[dep], dep))
+    return order if len(order) == len(keys) else None
 
 
 def conv_output_hw(in_hw: tuple[int, int], kernel: tuple[int, int],

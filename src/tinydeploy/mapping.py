@@ -38,7 +38,7 @@ from .costmodel import (
     group_index,
     node_counts,
 )
-from .graph import GraphIR, fused_successor, topological_order
+from .graph import GraphIR, fused_successor, priority_order, topological_order
 from .hardware import HardwareProfile
 from .model_io import decode, read_json, write_json
 
@@ -151,61 +151,34 @@ def group_dependencies(
     return deps
 
 
-def _dependents(gids: list[str], dependencies: dict[str, set[str]]) -> dict[str, list[str]]:
-    """Group id -> the groups that wait for it, in `gids` order."""
-    dependents: dict[str, list[str]] = {g: [] for g in gids}
-    for gid in gids:
-        for dep in dependencies[gid]:
-            dependents[dep].append(gid)
-    return dependents
-
-
 def _upward_ranks(
-    topo_order: list[str], dependents: dict[str, list[str]], latencies: dict[str, float]
+    topo_order: list[str], dependencies: dict[str, set[str]], latencies: dict[str, float]
 ) -> dict[str, float]:
-    """Longest latency path from each group to any sink, own latency included."""
+    """Longest latency path from each group to any sink, own latency included.
+
+    Walks `topo_order` backwards, so every group that waits for a group
+    has pushed its rank to it before that group's own rank is taken.
+    """
     ranks: dict[str, float] = {}
+    tail = dict.fromkeys(topo_order, 0.0)  # the largest rank that waits for each
     for gid in reversed(topo_order):
-        ranks[gid] = latencies[gid] + max((ranks[d] for d in dependents[gid]), default=0.0)
+        ranks[gid] = latencies[gid] + tail[gid]
+        for dep in dependencies[gid]:
+            tail[dep] = max(tail[dep], ranks[gid])
     return ranks
 
 
-def _priority_topo_order(
-    gids: list[str],
-    dependencies: dict[str, set[str]],
-    dependents: dict[str, list[str]],
-    key,
-) -> list[str]:
-    """Kahn's algorithm picking the ready group with the smallest key."""
-    indeg = {g: len(dependencies[g]) for g in gids}
-    ready = [g for g in gids if indeg[g] == 0]
-    order = []
-    while ready:
-        ready.sort(key=key)
-        g = ready.pop(0)
-        order.append(g)
-        for d in dependents[g]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                ready.append(d)
-    if len(order) != len(gids):
-        raise AssertionError("dependency cycle among groups")
-    return order
-
-
 def _rank_order(
-    gids: list[str],
-    dependencies: dict[str, set[str]],
-    dependents: dict[str, list[str]],
-    latencies: dict[str, float],
+    gids: list[str], dependencies: dict[str, set[str]], latencies: dict[str, float]
 ) -> list[str]:
-    """Topological order by descending upward rank, ties by position in
-    `gids`; raises on a dependency cycle."""
+    """The `graph.priority_order` of `gids` by descending upward rank,
+    ties by position in `gids`; raises on a dependency cycle."""
     position = {gid: i for i, gid in enumerate(gids)}
-    by_position = _priority_topo_order(gids, dependencies, dependents, position.__getitem__)
-    ranks = _upward_ranks(by_position, dependents, latencies)
-    return _priority_topo_order(gids, dependencies, dependents,
-                                lambda g: (-ranks[g], position[g]))
+    by_position = priority_order(gids, dependencies, position.__getitem__)
+    if by_position is None:
+        raise AssertionError("dependency cycle among groups")
+    ranks = _upward_ranks(by_position, dependencies, latencies)
+    return priority_order(gids, dependencies, lambda g: (-ranks[g], position[g]))
 
 
 def _run_list_schedule(
@@ -278,10 +251,11 @@ def schedule(
     orders compete and the first with the smallest makespan wins: for up
     to EXACT_SCHEDULE_LIMIT groups every topological order, generated
     depth-first with ready groups tried in `fused_groups` order; beyond
-    that a portfolio of priority lists (critical-path upward rank,
-    topological position, longest-latency-first). Ties break
-    deterministically, so plans are reproducible. Cross-target edges pay
-    the profile's transfer latency.
+    that a portfolio of three `graph.priority_order`s, which take the
+    ready group with the highest critical-path upward rank, the earliest
+    position or the longest latency first, ties by position. Plans are
+    therefore reproducible. Cross-target edges pay the profile's transfer
+    latency.
     """
     gids = [group_id(g) for g in fused_groups]
     position = {gid: i for i, gid in enumerate(gids)}
@@ -292,15 +266,10 @@ def schedule(
     if len(gids) <= EXACT_SCHEDULE_LIMIT:
         candidates = _topological_orders(gids, dependencies)
     else:
-        dependents = _dependents(gids, dependencies)
-
-        def topo(key):
-            return _priority_topo_order(gids, dependencies, dependents, key)
-
         candidates = [
-            _rank_order(gids, dependencies, dependents, latencies),  # raises on a cycle
-            topo(lambda g: position[g]),
-            topo(lambda g: (-latencies[g], position[g])),
+            _rank_order(gids, dependencies, latencies),  # raises on a cycle
+            priority_order(gids, dependencies, position.__getitem__),
+            priority_order(gids, dependencies, lambda g: (-latencies[g], position[g])),
         ]
     options = {gid: [(targets[gid], latencies[gid])] for gid in gids}
     best: list[TimelineEntry] | None = None
@@ -549,7 +518,7 @@ def _earliest_finish_targets(
     gids = list(options)
     deps = group_dependencies(graph, plan.fused_groups)
     latencies = {gid: opts[0][1] for gid, opts in options.items()}
-    order = _rank_order(gids, deps, _dependents(gids, deps), latencies)
+    order = _rank_order(gids, deps, latencies)
     timeline = _run_list_schedule(order, deps, options, profile.transfer_latency_us)
     target_of = {e.group: e.target for e in timeline}
     node_group = group_index(plan.fused_groups)

@@ -361,10 +361,10 @@ NUMBER = (int, float)
 
 # The JSON kind of a dataclass field annotation: configs and `decode`d
 # records are read by annotation through `_field`.
-KINDS = {"str": str, "int": int, "float": NUMBER, "bool": bool, "dict": dict,
-         "dict[str, str]": {str: str}, "dict[str, int]": {str: int}, "list[float]": [NUMBER],
-         "list[list[str]]": [[str]], "list[dict[str, list[int]]]": [{str: [int]}],
-         "tuple[str, ...]": [str]}
+KINDS = {"str": str, "int": int, "float": NUMBER, "float | None": (*NUMBER, type(None)),
+         "bool": bool, "dict": dict, "dict[str, str]": {str: str}, "dict[str, int]": {str: int},
+         "list[float]": [NUMBER], "list[list[str]]": [[str]],
+         "list[dict[str, list[int]]]": [{str: [int]}], "tuple[str, ...]": [str]}
 
 
 def _field(

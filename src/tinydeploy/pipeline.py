@@ -309,14 +309,13 @@ REPORTED = ("float", "pruned", "quantized")
 
 
 def stage_report(out_dir, config: PipelineConfig, profile: HardwareProfile, stages: dict,
-                 est: costmodel.CostEstimate, downlink: DownlinkReport | dict) -> dict:
+                 est: costmodel.CostEstimate, downlink: DownlinkReport) -> dict:
     """Combine the stage results into report.json / report.csv / plot data.
 
     `profile` is the one `config.hardware_profile` names. `stages` maps
     each of REPORTED to its (graph, top-1 accuracy), or None for a skipped
-    pruning; `downlink` is the downlink report or its JSON form. Returns
-    the report as written, its config, estimate and downlink report
-    as given.
+    pruning. Returns the report as written, its config, estimate and
+    downlink report as given.
     """
     out = Path(out_dir)
     entries: dict[str, dict | None] = {

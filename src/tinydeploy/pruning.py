@@ -68,13 +68,6 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class FilterScore:
-    layer_id: str
-    filter_index: int
-    l2_norm: float
-
-
-@dataclass
 class PrunePlan:
     """Staged removal sets plus derived keep-masks (True = kept); every
     plan, one read from a file too, has its schedule checked."""
@@ -258,14 +251,6 @@ def _l2_norms(graph: GraphIR, node: OpNode) -> np.ndarray:
         raise PruneError(f"layer {node.id}: pruning requires Float32 weights")
     flat = np.asarray(w, dtype=np.float64).reshape(w.shape[0], -1)
     return np.sqrt((flat * flat).sum(axis=1))
-
-
-def rank_filters(graph: GraphIR) -> dict[str, list[FilterScore]]:
-    """Per-layer L2 norms of every output structure, prunable layers only."""
-    return {
-        lid: [FilterScore(lid, i, float(n)) for i, n in enumerate(_l2_norms(graph, node))]
-        for lid, (node, _) in _prunable(graph).items()
-    }
 
 
 def plan_next_stage(graph: GraphIR, plan: PrunePlan) -> PrunePlan:

@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .graph import (
+    QMAX,
+    QMIN,
     DType,
     GraphIR,
     OpKind,
@@ -39,8 +41,6 @@ from .graph import (
 
 if TYPE_CHECKING:
     from .executor import TensorRange
-
-QMIN, QMAX = -128, 127
 
 # Weight output-structure axis by consuming op kind.
 WEIGHT_CHANNEL_AXIS = {

@@ -3,8 +3,8 @@ helpers.
 
 The oracles here deliberately avoid the production code paths: naive
 loop convolutions, permutation search for memory packing, topological
-enumeration for schedules, direct enumeration for hybrid accuracy.
-`graphs_equal` (structural identity), `build_prune_plan` (every stage
+enumeration for schedules, direct enumeration for hybrid accuracy,
+numpy's own norm for filter ranking. `graphs_equal` (structural identity), `build_prune_plan` (every stage
 at once) and `node` (a node by id) serve only tests.
 """
 from __future__ import annotations
@@ -373,11 +373,14 @@ def naive_depthwise_acc(centered, w):
 # brute-force oracles
 
 
-def reference_topological_order(graph):
-    """Reference for `graph.topological_order`'s heap: Kahn's algorithm that
-    re-sorts the ready list by node position at every step, so the smallest
-    original position among ready nodes goes first.
+def reference_topological_order(graph, key=None):
+    """Reference for `graph.priority_order`'s heap: Kahn's algorithm that
+    re-sorts the ready list at every step, so the ready node with the
+    smallest `key(node id)` goes first; by default the smallest original
+    position, as `graph.topological_order` takes it.
     """
+    if key is None:
+        key = {n.id: i for i, n in enumerate(graph.nodes)}.__getitem__
     producers = graph.producer_map()
     indeg = {}
     dependents = {n.id: [] for n in graph.nodes}
@@ -389,9 +392,8 @@ def reference_topological_order(graph):
 
     order = []
     ready = [n.id for n in graph.nodes if indeg[n.id] == 0]
-    position = {n.id: i for i, n in enumerate(graph.nodes)}
     while ready:
-        ready.sort(key=lambda nid: position[nid])
+        ready.sort(key=key)
         nid = ready.pop(0)
         order.append(nid)
         for dep in dependents[nid]:
@@ -506,6 +508,18 @@ def graphs_equal(a: GraphIR, b: GraphIR) -> bool:
         if ta.data is not None and ta.data.tobytes() != tb.data.tobytes():
             return False
     return True
+
+
+def filter_l2_norms(graph: GraphIR) -> dict[str, np.ndarray]:
+    """Layer id -> `np.linalg.norm` of each output filter or neuron of
+    every Conv2D and FullyConnected weight, in float64: the reference for
+    the ranking `pruning.plan_next_stage` computes."""
+    norms = {}
+    for n in graph.nodes:
+        if n.kind in (OpKind.CONV2D, OpKind.FULLY_CONNECTED):
+            w = graph.tensors[n.inputs[1]].data.astype(np.float64)
+            norms[n.id] = np.linalg.norm(w.reshape(len(w), -1), axis=1)
+    return norms
 
 
 def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:

@@ -14,6 +14,7 @@ from graphutil import (
     brute_force_hybrid_accuracy,
     brute_force_makespan,
     build_prune_plan,
+    filter_l2_norms,
     node,
     two_conv_chain,
 )
@@ -35,7 +36,7 @@ from tinydeploy.mapping import (
 )
 from tinydeploy.model_io import save_model
 from tinydeploy.pipeline import PipelineConfig, run_pipeline
-from tinydeploy.pruning import apply_masks, materialize, new_plan, plan_next_stage, rank_filters
+from tinydeploy.pruning import apply_masks, materialize, new_plan, plan_next_stage
 from tinydeploy.quantization import compute_qparams, dequantize_tensor, quantize_graph, quantize_tensor
 from tinydeploy.executor import TensorRange
 
@@ -150,8 +151,8 @@ def test_criterion_05_pruning_correctness(small_convnet, dwsep_net):
             current = graph
             for _ in range(3):
                 scores = {
-                    layer: {s.filter_index: s.l2_norm for s in layer_scores}
-                    for layer, layer_scores in rank_filters(current).items()
+                    layer: dict(enumerate(norms))
+                    for layer, norms in filter_l2_norms(current).items()
                 }
                 already = {layer: plan.removed(layer) for layer in plan.original_counts}
                 plan = plan_next_stage(current, plan)

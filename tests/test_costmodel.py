@@ -4,8 +4,9 @@ import pytest
 from graphutil import act, const, conv_attrs, make_graph
 from tinydeploy.costmodel import (
     estimate_deployment,
-    estimate_group,
     flash_bytes,
+    group_cost,
+    node_counts,
     node_macs,
     node_proxy_ops,
 )
@@ -24,6 +25,11 @@ def conv_graph(out_c, kernel, in_shape, stride=1, padding="VALID"):
         act("out"),
     ]
     return make_graph("conv", nodes, tensors, ["in"], ["out"])
+
+
+def one_group_cost(g, target, profile):
+    """The cost of all of `g`'s nodes as one fused group on `target`."""
+    return group_cost([n.id for n in g.nodes], target, node_counts(g, g.nodes), profile)
 
 
 def test_conv_mac_formula():
@@ -62,14 +68,14 @@ def test_latency_600mmac_at_600gops():
     g = conv_graph(out_c=75, kernel=10, in_shape=(1, 49, 49, 200), stride=2)
     macs = node_macs(g, g.nodes[0])
     assert macs == 20 * 20 * 75 * 10 * 10 * 200  # 600 MMACs
-    cost = estimate_group(g.nodes, "NPU", profile, g)
+    cost = one_group_cost(g, "NPU", profile)
     assert cost.latency_us == pytest.approx(2000.0)
 
 
 def test_energy_is_power_times_time():
     profile = HardwareProfile(npu_utilization=1.0, per_op_overhead_us=0.0, npu_power_w=0.3)
     g = conv_graph(out_c=75, kernel=10, in_shape=(1, 49, 49, 200), stride=2)
-    cost = estimate_group(g.nodes, "NPU", profile, g)
+    cost = one_group_cost(g, "NPU", profile)
     assert cost.energy_uj == pytest.approx(600.0)  # 0.3 W * 2000 us = 0.6 mJ
 
 
@@ -81,7 +87,7 @@ def test_zero_mac_group_costs_overhead_only():
     g = make_graph("r", nodes, tensors, ["in"], ["out"])
     # byte proxy: 4 floats in + 4 floats out = 32 ops; make them free via huge throughput
     profile2 = HardwareProfile(per_op_overhead_us=7.5, cpu_freq_mhz=1e12)
-    cost = estimate_group(g.nodes, "CPU", profile2, g)
+    cost = one_group_cost(g, "CPU", profile2)
     assert cost.macs == 0
     assert cost.latency_us == pytest.approx(7.5, abs=1e-6)
 
@@ -97,8 +103,8 @@ def test_latency_monotone_in_macs():
     profile = HardwareProfile()
     small = conv_graph(out_c=4, kernel=3, in_shape=(1, 16, 16, 4))
     large = conv_graph(out_c=8, kernel=3, in_shape=(1, 16, 16, 4))
-    c_small = estimate_group(small.nodes, "NPU", profile, small)
-    c_large = estimate_group(large.nodes, "NPU", profile, large)
+    c_small = one_group_cost(small, "NPU", profile)
+    c_large = one_group_cost(large, "NPU", profile)
     assert c_large.latency_us > c_small.latency_us
     assert c_large.energy_uj > c_small.energy_uj
 
@@ -174,7 +180,7 @@ def test_serial_single_target_energy_arithmetic():
     g = conv_graph(out_c=2, kernel=1, in_shape=(1, 2, 2, 2))
     plan = FakePlan()
     plan.fused_groups = [["conv"]]
-    cost = estimate_group(g.nodes, "CPU", profile, g)
+    cost = one_group_cost(g, "CPU", profile)
     plan.timeline = [TimelineEntry("conv", "CPU", 0.0, cost.latency_us)]
     plan.memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=0)
     est = estimate_deployment(plan, g, profile)

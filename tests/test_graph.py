@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from graphutil import (
     reference_topological_order,
 )
 from tinydeploy.graph import (
+    QMAX,
+    QMIN,
     DType,
     GraphIR,
     OpKind,
@@ -22,6 +26,7 @@ from tinydeploy.graph import (
     TensorSpec,
     conv_output_hw,
     infer_shapes,
+    priority_order,
     same_padding_amounts,
     topological_order,
     validate,
@@ -162,12 +167,13 @@ def test_topological_order_respects_producers():
                 assert pos[producers[tid].id] < pos[node.id]
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_topological_order_matches_reference(data):
-    # Random DAGs: node i reads the graph input or outputs of nodes earlier
-    # in a hidden order, listed in shuffled order. Optional extra edges
-    # may close cycles; a self-read always does.
+def _draw_dag(data):
+    """A graph of Concat nodes, and whether one of them reads itself.
+
+    Node i reads the graph input or outputs of nodes earlier in a hidden
+    order, listed in shuffled order. Optional extra edges may close
+    cycles; a self-read always does.
+    """
     n = data.draw(st.integers(min_value=1, max_value=9), label="nodes")
     hidden = data.draw(st.permutations(range(n)), label="hidden order")
     inputs = {}
@@ -181,8 +187,13 @@ def test_topological_order_matches_reference(data):
         inputs[0].append("t0")
     nodes = [OpNode(f"n{i}", OpKind.CONCAT, {"axis": 1}, inputs[i], [f"t{i}"]) for i in range(n)]
     tensors = {t.id: t for t in [act("x")] + [act(f"t{i}") for i in range(n)]}
-    g = GraphIR("dag", nodes, tensors, ["x"], [f"t{n - 1}"])
+    return GraphIR("dag", nodes, tensors, ["x"], [f"t{n - 1}"]), self_loop
 
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_topological_order_matches_reference(data):
+    g, self_loop = _draw_dag(data)
     try:
         want = reference_topological_order(g)
     except ValueError as exc:
@@ -192,6 +203,52 @@ def test_topological_order_matches_reference(data):
         return
     assert not self_loop
     assert topological_order(g) == want
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_priority_order_matches_reference(data):
+    # Random distinct keys, so the smallest ready key is not the position.
+    g, self_loop = _draw_dag(data)
+    ids = [n.id for n in g.nodes]
+    keys = data.draw(st.lists(st.integers(-50, 50), min_size=len(ids), max_size=len(ids),
+                              unique=True), label="keys")
+    key = dict(zip(ids, keys)).__getitem__
+    producers = g.producer_map()
+    deps = {n.id: {producers[t].id for t in n.inputs if t in producers} for n in g.nodes}
+    try:
+        want = reference_topological_order(g, key)
+    except ValueError:
+        assert priority_order(ids, deps, key) is None
+        return
+    assert not self_loop
+    assert priority_order(ids, deps, key) == want
+
+
+@pytest.mark.parametrize("zero_point", [QMIN - 1, QMAX + 1, 2**29 - 129])
+def test_quant_params_refuse_zero_point_outside_int8(zero_point):
+    message = f"zero point {zero_point} outside Int8 range \\[-128, 127\\]"
+    with pytest.raises(ValueError, match=message):
+        QuantParams(scale=1.0, zero_point=zero_point)
+    with pytest.raises(ValueError, match=message):
+        QuantParams(scale=np.ones(3), zero_point=[0, zero_point, 0], granularity="per_channel",
+                    axis=0)
+
+
+def test_quant_params_accept_both_ends_of_int8():
+    assert QuantParams(scale=1.0, zero_point=QMIN).zero_point == QMIN
+    assert QuantParams(scale=1.0, zero_point=QMAX).zero_point == QMAX
+    per_channel = QuantParams(scale=np.ones(2), zero_point=[QMIN, QMAX],
+                              granularity="per_channel", axis=0)
+    assert per_channel.zero_point.tolist() == [QMIN, QMAX]
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_quant_params_refuse_scale_not_finite_and_positive(scale):
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        QuantParams(scale=scale, zero_point=0)
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        QuantParams(scale=[1.0, scale], zero_point=[0, 0], granularity="per_channel", axis=0)
 
 
 def test_graph_copy_shares_constants_and_quant_params(small_convnet_quantized):

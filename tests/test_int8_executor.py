@@ -18,6 +18,8 @@ from tinydeploy.executor import (
     run_int8,
 )
 from tinydeploy.graph import (
+    QMAX,
+    QMIN,
     DType,
     GraphIR,
     OpKind,
@@ -27,7 +29,7 @@ from tinydeploy.graph import (
     TensorSpec,
     infer_shapes,
 )
-from tinydeploy.quantization import fixed_point_multiplier, quantize_graph
+from tinydeploy.quantization import INT32_MAX, fixed_point_multiplier, quantize_graph
 
 
 def unit_qp():
@@ -230,23 +232,22 @@ def test_depthwise_accumulator_overflow_reported():
 
 
 def test_avgpool_accumulator_overflow_reported():
-    # A 2x2 window sums 4 centered codes, so its bound is
-    # 4 * max(127 - zp, zp + 128): in range for zp in
-    # [128 - 2**29, 2**29 - 129], refused one past either end.
-    for zp, x, out in ((2**29 - 129, -2.0**29, -128.0), (128 - 2**29, 2.0**29, 127.0)):
-        for excess in (0, 1):
-            tensors = [
-                TensorSpec("in", (1, 2, 2, 1), DType.INT8, TensorKind.INPUT,
-                           quant=QuantParams(scale=1.0, zero_point=zp + excess * np.sign(zp))),
-                TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
-            ]
-            nodes = [OpNode("pool", OpKind.AVG_POOL2D, conv_attrs(kernel=2), ["in"], ["out"])]
-            g = infer_shapes(GraphIR("pool", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
-            if excess:
-                with pytest.raises(AccumulatorOverflowError, match="node pool:"):
-                    prepare(g)
-            else:
-                assert run_int8(g, np.full((1, 2, 2, 1), x, dtype=np.float32))["out"].item() == out
+    # A window sums k centered codes, each within 255 of 0 at zero point
+    # QMIN (all above) or QMAX (all below), so only a window of more than
+    # INT32_MAX // 255 cells can overflow. `prepare` refuses such a
+    # 1 x k window on either side before building anything of its size.
+    k = INT32_MAX // 255 + 1
+    for zp in (QMIN, QMAX):
+        tensors = [
+            TensorSpec("in", (1, 1, k, 1), DType.INT8, TensorKind.INPUT,
+                       quant=QuantParams(scale=1.0, zero_point=zp)),
+            TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
+        ]
+        attrs = {"kernel_h": 1, "kernel_w": k, "stride_h": 1, "stride_w": 1, "padding": "VALID"}
+        nodes = [OpNode("pool", OpKind.AVG_POOL2D, attrs, ["in"], ["out"])]
+        g = infer_shapes(GraphIR("pool", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
+        with pytest.raises(AccumulatorOverflowError, match="node pool:"):
+            prepare(g)
 
 
 @pytest.mark.parametrize("kind", [OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D])
@@ -325,16 +326,13 @@ def test_prepare_accepts_exactly_the_graphs_whose_extremes_fit_int32(data):
 @pytest.mark.parametrize("field,value,message", [
     ("shift", 64, "requant outside"),
     ("significand", 2**31, "requant outside"),
-    ("zero_point", 200, "zero point 200 outside"),
 ])
 def test_prepare_rejects_out_of_range_tables(field, value, message):
     # Manifest values under which the int64 requantization or the exact
-    # float64 GEMM would go wrong are refused before anything runs.
+    # float64 GEMM would go wrong are refused before anything runs. An
+    # input zero point outside Int8 never gets this far (`QuantParams`).
     g = unit_scale_conv_graph(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 4, 4, 1))
-    if field == "zero_point":
-        g.tensors["in"].quant = QuantParams(scale=1.0, zero_point=value)
-    else:
-        g.nodes[0].attrs["requant"][field] = [value]
+    g.nodes[0].attrs["requant"][field] = [value]
     with pytest.raises(ExecutionError, match=message):
         prepare(g)
 

@@ -440,6 +440,34 @@ def test_list_schedule_within_oracle_bound(data):
 
 
 @given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_order_takes_the_highest_upward_rank_ready(data):
+    # The upward rank is the longest latency path to a sink, recomputed
+    # here by recursion; each step must take the ready group of highest
+    # rank, ties by position in `gids`, which is not a topological order.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    gids = [f"g{i}" for i in range(n)]
+    hidden = data.draw(st.permutations(gids), label="hidden order")
+    deps = {
+        g: data.draw(st.sets(st.sampled_from(hidden[:i])) if i else st.just(set()), label=g)
+        for i, g in enumerate(hidden)
+    }
+    latencies = {g: data.draw(st.sampled_from([0.5, 1.0, 2.5]), label=f"lat {g}") for g in gids}
+
+    def rank(g):
+        return latencies[g] + max((rank(h) for h in gids if g in deps[h]), default=0.0)
+
+    ranks = {g: rank(g) for g in gids}
+    assert mapping._upward_ranks(hidden, deps, latencies) == ranks
+    done: set[str] = set()
+    for g in mapping._rank_order(gids, deps, latencies):
+        ready = [h for h in gids if h not in done and deps[h] <= done]
+        assert g == min(ready, key=lambda h: (-ranks[h], gids.index(h)))
+        done.add(g)
+    assert done == set(gids)
+
+
+@given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_small_schedule_is_first_minimal_permutation(data):
     # Up to EXACT_SCHEDULE_LIMIT groups, schedule() returns the list-schedule

@@ -12,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tinydeploy
-from graphutil import conv_relu_softmax, graphs_equal
+from graphutil import conv_relu_softmax, graphs_equal, node, residual_chain_graph
 from tinydeploy import model_io
 from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
 from tinydeploy.downlink import DownlinkError, LinkBudget
-from tinydeploy.executor import InferenceRecord, write_records_csv
+from tinydeploy.executor import InferenceRecord, calibrate, write_records_csv
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan, load_plan
 from tinydeploy.model_io import (
@@ -33,6 +33,7 @@ from tinydeploy.model_io import (
 from tinydeploy.models import build_small_convnet
 from tinydeploy.pipeline import PipelineConfig, PipelineError, PruneConfig
 from tinydeploy.pruning import PruneError, PrunePlan, export_checkpoint
+from tinydeploy.quantization import quantize_graph
 
 
 def test_roundtrip_structural_identity(tmp_path):
@@ -218,6 +219,26 @@ def test_wrong_manifest_type_rejected(tmp_path, path, value, message):
     manifest = json.loads(manifest_path.read_text())
     _set_key(manifest, path, value)
     manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(tmp_path / "m")
+
+
+@pytest.mark.parametrize("reader", ["pool2", "add1"])
+def test_zero_point_outside_int8_refused_at_load(tmp_path, dwsep_net_quantized, reader):
+    # dwsep_net's AvgPool2D and residual_chain_graph's first Add: no kernel
+    # of theirs checks an input zero point, so `QuantParams` must.
+    if reader == "pool2":
+        graph = dwsep_net_quantized
+    else:
+        graph = residual_chain_graph()
+        xs = np.random.default_rng(3).normal(size=(4, 1, 6, 6, 3)).astype(np.float32)
+        graph = quantize_graph(graph, calibrate(graph, xs))
+    tid = node(graph, reader).inputs[-1]
+    manifest_path, _ = save_model(graph, tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"][tid]["quant"]["zero_point"] = 2**29 - 129
+    manifest_path.write_text(json.dumps(manifest))
+    message = f"tensor {tid}: bad quantization params: zero point {2**29 - 129} outside Int8 range"
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load_model(tmp_path / "m")
 

@@ -468,6 +468,27 @@ def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
         assert err == f"error [{estimate_path}: {message}]\n"
 
 
+def test_cli_report_rejects_bad_downlink_report(assets, tmp_path, capsys):
+    out = tmp_path / "out"
+    config = make_config(assets, out)
+    run_pipeline(config)
+    cfg_path = _write(tmp_path / "cfg.json", json.dumps(asdict(config)))
+    downlink_path = out / "downlink_report.json"
+    downlink = json.loads(downlink_path.read_text())
+    (out / "report.json").unlink()
+    for edit, message in (
+        (lambda d: d.pop("reduction_pct"), "missing key 'reduction_pct'"),
+        (lambda d: d.update(bogus="x"), "unknown key 'bogus'"),
+        (lambda d: d.update(num_samples="two hundred"), "key 'num_samples' must be int, got str"),
+    ):
+        broken = dict(downlink)
+        edit(broken)
+        downlink_path.write_text(json.dumps(broken))
+        assert main(["report", "--run-dir", str(out), "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error [{downlink_path}: {message}]\n"
+        assert not (out / "report.json").exists()
+
+
 def test_cli_report_needs_float_and_quantized_models(mapped, tmp_path, capsys):
     cfg_path = _write(tmp_path / "cfg.json", '{"model": "m", "dataset": "d", "output_dir": "o"}')
     run_dir = tmp_path / "run"

@@ -12,6 +12,7 @@ from graphutil import (
     const,
     conv_attrs,
     conv_layer,
+    filter_l2_norms,
     graphs_equal,
     inception_graph,
     make_graph,
@@ -47,19 +48,23 @@ from tinydeploy.pruning import (
     materialize,
     new_plan,
     plan_next_stage,
-    rank_filters,
 )
 from tinydeploy.quantization import QuantizationError, quantize_graph
 
 
 def test_l2_norm_three_four_five():
+    # Filter 0 is (3, 4): L2 norm 5 but L1 norm 7. Filter 1 is (6): L2 and
+    # L1 norm 6. Ranking by L2 removes filter 0, by L1 it would remove 1.
     g = two_conv_chain()
-    g.tensors["w1"].data[:] = 0.0
-    g.tensors["w1"].data[0, 0, 0, 0] = 3.0
-    g.tensors["w1"].data[0, 0, 1, 0] = 4.0
-    scores = rank_filters(g)
-    assert scores["c1"][0].l2_norm == pytest.approx(5.0)
-    assert scores["c1"][1].l2_norm == 0.0
+    w = g.tensors["w1"].data
+    w[:] = 0.0
+    w[:, 0, 0, 0] = 10.0
+    w[0, 0, 0, 0], w[0, 0, 1, 0] = 3.0, 4.0
+    w[1, 0, 0, 0] = 6.0
+    norms = filter_l2_norms(g)["c1"]
+    assert (norms[0], norms[1]) == (5.0, 6.0)
+    plan = plan_next_stage(g, new_plan(g, [0.2]))
+    assert plan.stages[0]["c1"] == [0]  # floor(0.2 * 8) = 1, the lowest L2 norm
 
 
 def test_lowest_norm_selected():
@@ -105,10 +110,8 @@ def test_removed_l2_below_kept_l2():
     plan = new_plan(g, [0.10, 0.05, 0.05])
     graph = g
     for _ in range(3):
-        scores = rank_filters(graph)
         before = {
-            layer: {s.filter_index: s.l2_norm for s in layer_scores}
-            for layer, layer_scores in scores.items()
+            layer: dict(enumerate(norms)) for layer, norms in filter_l2_norms(graph).items()
         }
         already = {layer: plan.removed(layer) for layer in plan.original_counts}
         plan = plan_next_stage(graph, plan)
@@ -257,8 +260,8 @@ def test_residual_chain_group_removes_alike():
         assert stage["stem"] == stage["b1"] == stage["b2"]
     assert [len(stage["stem"]) for stage in plan.stages] == [2, 1]
     # the group is ranked by its members' summed norms
-    scores = rank_filters(g)
-    summed = sum(np.array([s.l2_norm for s in scores[lid]]) for lid in ("stem", "b1", "b2"))
+    norms = filter_l2_norms(g)
+    summed = sum(norms[lid] for lid in ("stem", "b1", "b2"))
     order = sorted(range(8), key=lambda i: (summed[i], i))
     assert plan.stages[0]["stem"] == sorted(order[:2])
     assert plan.stages[1]["stem"] == order[2:3]
