@@ -86,12 +86,12 @@ def node_proxy_ops(graph: GraphIR, node: OpNode) -> int:
     return total
 
 
-def node_counts(graph: GraphIR, nodes: Iterable[OpNode]) -> dict[str, tuple[int, int]]:
-    """Node id -> (MACs, ops) of each of `nodes`: 2 ops per MAC plus the
-    byte proxy. The counts do not depend on the target, so a caller that
-    costs groups on several targets counts once."""
+def node_counts(graph: GraphIR) -> dict[str, tuple[int, int]]:
+    """Node id -> (MACs, ops) of each node: 2 ops per MAC plus the byte
+    proxy. The counts do not depend on the target, so a caller that costs
+    groups on several targets counts once."""
     counts = {}
-    for node in nodes:
+    for node in graph.nodes:
         macs = node_macs(graph, node)
         counts[node.id] = macs, 2 * macs + node_proxy_ops(graph, node)
     return counts
@@ -130,7 +130,7 @@ def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostE
     """Full-plan estimate of a plan `map` built from this graph and
     profile; latency is the schedule makespan, not the op sum."""
     target_of = {entry.group: entry.target for entry in plan.timeline}
-    counts = node_counts(graph, graph.nodes)
+    counts = node_counts(graph)
     breakdown = [
         group_cost(group, target_of[group_id(group)], counts, profile)
         for group in plan.fused_groups

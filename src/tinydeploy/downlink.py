@@ -90,6 +90,17 @@ class DownlinkReport:
     onboard_accuracy: float
     hybrid_accuracy: float | None = None
 
+    def __post_init__(self) -> None:
+        sent, n = self.transmitted_count, self.num_samples
+        if not 0 <= sent <= n:
+            raise DownlinkError(f"transmitted_count {sent} outside [0, num_samples {n}]")
+        if self.reduction_pct != _reduction_pct(sent, n):
+            raise DownlinkError(f"reduction_pct {self.reduction_pct} != {_reduction_pct(sent, n)}")
+        fits = self.transmitted_volume_bytes <= self.daily_budget_bytes
+        if self.fits_daily_budget != fits:
+            raise DownlinkError(f"fits_daily_budget {self.fits_daily_budget} != "
+                                f"(transmitted_volume_bytes <= daily_budget_bytes) = {fits}")
+
     def summary(self) -> str:
         lines = [
             f"samples: {self.num_samples}   threshold: {self.threshold}",
@@ -106,6 +117,11 @@ class DownlinkReport:
         return "\n".join(lines) + "\n"
 
 
+def _reduction_pct(sent: int, n: int) -> float:
+    """Percent of `n` samples kept onboard when `sent` are transmitted."""
+    return 100.0 * (1.0 - sent / n) if n else 0.0
+
+
 def simulate(scenario: DownlinkScenario, link: LinkBudget) -> DownlinkReport:
     """Full-transmission cost vs confidence-thresholded hybrid transmission.
 
@@ -118,7 +134,6 @@ def simulate(scenario: DownlinkScenario, link: LinkBudget) -> DownlinkReport:
     transmitted = [r for r in scenario.onboard_records if r.confidence < scenario.threshold]
     transmitted_ids = {r.sample_id for r in transmitted}
     transmitted_volume = len(transmitted) * scenario.bytes_per_sample
-    reduction_pct = 100.0 * (1.0 - len(transmitted) / n) if n else 0.0
 
     onboard_accuracy = (
         sum(r.correct for r in scenario.onboard_records) / n if n else 0.0
@@ -139,7 +154,7 @@ def simulate(scenario: DownlinkScenario, link: LinkBudget) -> DownlinkReport:
         full_volume_bytes=full_volume,
         transmitted_count=len(transmitted),
         transmitted_volume_bytes=transmitted_volume,
-        reduction_pct=reduction_pct,
+        reduction_pct=_reduction_pct(len(transmitted), n),
         fits_daily_budget=transmitted_volume <= link.daily_budget_bytes,
         daily_budget_bytes=link.daily_budget_bytes,
         onboard_accuracy=onboard_accuracy,

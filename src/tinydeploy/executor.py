@@ -204,9 +204,13 @@ class _Window:
         ]
 
     def valid_counts(self) -> np.ndarray:
-        """Number of in-bounds cells per window, shape (Ho, Wo)."""
-        ones = np.ones((1, *self.hw, 1), dtype=np.int64)
-        return _fold(np.add, self.taps(ones, 0))[0, :, :, 0]
+        """Number of in-bounds cells per window, shape (Ho, Wo): the product
+        of the in-bounds cells along each axis, so no cell is visited."""
+        pads = self.pad or ((0, 0), (0, 0))
+        starts = [np.arange(n, dtype=np.int64) * s - p[0]
+                  for n, s, p in zip(self.out_hw, self.stride, pads)]
+        return np.outer(*(np.minimum(start + k, size) - np.maximum(start, 0)
+                          for start, k, size in zip(starts, self.kernel, self.hw)))
 
 
 def _fold(ufunc: np.ufunc, views: list[np.ndarray]) -> np.ndarray:
@@ -369,11 +373,18 @@ def _prove_acc32(node_id: str, lo, hi) -> None:
 
 
 def _requant_table(node: OpNode, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """A node's `significand`/`shift` attr as int64 arrays, range-checked."""
+    """A node's `significand`/`shift` attr, each an int or a list of ints,
+    as int64 arrays, range-checked."""
     if key not in node.attrs:
         raise ExecutionError(f"node {node.id}: missing precomputed requant multipliers")
-    sig = np.asarray(node.attrs[key]["significand"], dtype=np.int64)
-    shift = np.asarray(node.attrs[key]["shift"], dtype=np.int64)
+    table, where = node.attrs[key], f"node {node.id} {key}"
+    arrays = []
+    for name in ("significand", "shift"):
+        value = _field(table, name, where, (int, list), ExecutionError)
+        if isinstance(value, list):
+            _field(table, name, where, [int], ExecutionError)
+        arrays.append(np.asarray(value, dtype=np.int64))
+    sig, shift = arrays
     # Bounds under which requantize_fixed_point's int64 arithmetic cannot
     # overflow for any int32 accumulator.
     if np.any((sig < 0) | (sig >= 2**31)) or np.any((shift < 1) | (shift > 62)):
@@ -391,7 +402,7 @@ def _require_quant(graph: GraphIR, tid: str):
 def _assert_inherited(graph: GraphIR, node: OpNode) -> None:
     qin = _require_quant(graph, node.inputs[0])
     qout = _require_quant(graph, node.outputs[0])
-    if not qin.equals(qout):
+    if qin != qout:
         raise ExecutionError(
             f"node {node.id}: {node.kind.value} requires matching input/output quant params"
         )

@@ -87,13 +87,16 @@ class ShapeError(ValueError):
 class QuantParams:
     """Affine quantization parameters: real = scale * (q - zero_point).
 
-    Per-tensor params hold scalar scale/zero_point; per-channel params hold
-    1-D arrays along `axis` of the tensor. Every scale is finite and
+    Every field is a plain immutable value, so `==` compares two params,
+    `model_io.json_text` writes them as a record and tensors may share one
+    object. Per-tensor params hold a float scale, an int zero point and
+    axis None; per-channel params hold a tuple of floats and a tuple of
+    ints along the int `axis` of the tensor. Every scale is finite and
     positive and every zero point an Int8 code in [QMIN, QMAX].
     """
 
-    scale: float | np.ndarray
-    zero_point: int | np.ndarray
+    scale: float | tuple[float, ...]
+    zero_point: int | tuple[int, ...]
     granularity: str = "per_tensor"  # "per_tensor" | "per_channel"
     axis: int | None = None
     symmetric: bool = False
@@ -102,13 +105,14 @@ class QuantParams:
         if self.granularity == "per_channel":
             if self.axis is None:
                 raise ValueError("per_channel quantization requires an axis")
-            zero_points = np.ravel(self.zero_point).tolist()
-            self.scale = np.asarray(self.scale, dtype=np.float64)
-            scale_ok = np.all(np.isfinite(self.scale) & (self.scale > 0))
-        elif self.granularity == "per_tensor":
-            zero_points = [self.zero_point]
-            self.scale = float(self.scale)
+            scales = np.ravel(np.asarray(self.scale, dtype=np.float64))
+            scale_ok = np.all(np.isfinite(scales) & (scales > 0))
+            self.scale, self.axis = tuple(scales.tolist()), int(self.axis)
+            self.zero_point = zero_points = tuple(int(z) for z in np.ravel(self.zero_point))
+        elif self.granularity == "per_tensor":  # no numpy: one per activation
+            self.scale, self.zero_point, self.axis = float(self.scale), int(self.zero_point), None
             scale_ok = 0 < self.scale < math.inf
+            zero_points = (self.zero_point,)
         else:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         outside = [z for z in zero_points if not QMIN <= z <= QMAX]
@@ -116,23 +120,9 @@ class QuantParams:
             raise ValueError(f"zero point {outside[0]} outside Int8 range [{QMIN}, {QMAX}]")
         if not scale_ok:
             raise ValueError("scale must be finite and positive")
-        if self.granularity == "per_channel":
-            self.zero_point = np.asarray(self.zero_point, dtype=np.int64)
-        else:
-            self.zero_point = int(self.zero_point)
+        self.symmetric = bool(self.symmetric)
         if self.symmetric and any(zero_points):
             raise ValueError("symmetric quantization requires zero_point 0")
-
-    def equals(self, other: "QuantParams") -> bool:
-        if self.granularity != other.granularity:
-            return False
-        if self.granularity == "per_tensor":
-            return self.scale == other.scale and self.zero_point == other.zero_point
-        return (
-            self.axis == other.axis
-            and np.array_equal(self.scale, other.scale)
-            and np.array_equal(self.zero_point, other.zero_point)
-        )
 
 
 @dataclass
@@ -340,6 +330,12 @@ def _checked_order(graph: GraphIR) -> tuple[list[str], list[str] | None]:
             v.append(f"tensor {tid}: non-positive dimension in shape {t.shape}")
         if t.dtype == DType.INT8 and t.quant is None:
             v.append(f"tensor {tid}: Int8 without quantization parameters")
+        q = t.quant
+        if q is not None and q.granularity == "per_channel" and not (
+            0 <= q.axis < len(t.shape) and len(q.scale) == len(q.zero_point) == t.shape[q.axis]
+        ):
+            v.append(f"tensor {tid}: {len(q.scale)} scales and {len(q.zero_point)} zero points "
+                     f"along axis {q.axis} of shape {list(t.shape)}")
         if t.is_constant:
             if t.data is None:
                 v.append(f"tensor {tid}: {t.kind.value} without constant data")

@@ -454,7 +454,7 @@ def build_deployment_plan(
     neither its energy nor its RAM is higher than the start's.
     """
     assignment, fused_groups = partition_and_fuse(graph, profile)
-    counts = node_counts(graph, graph.nodes)
+    counts = node_counts(graph)
     flash = flash_bytes(graph, profile)
     plan = _plan(graph, profile, counts, flash, assignment, fused_groups)
     chosen = _earliest_finish_targets(graph, profile, counts, plan)

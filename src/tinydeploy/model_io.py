@@ -14,6 +14,10 @@ nested in a record, in a list or under the keys of an object is named
 by its path, such as
 `plan.json memory_plan tensors[in]` or `timeline[0]`; `first_difference`
 names where two records differ by the same paths.
+A manifest's `quant` is a `QuantParams` record that `json_text` writes,
+but the strict `_quant_from_json` reads it: `decode` would let its
+defaulted keys go missing, and cannot check a number or a list per
+granularity.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
 (`pair_paths`, `write_pair`); the manifest gives each constant tensor's
 blob offset/length. `pack_blob` concatenates the payloads little-endian
@@ -82,26 +86,6 @@ def read_tensor_file(path: str | Path, dtype: DType, shape, error: type[Exceptio
     if len(raw) != size:
         raise error(f"{path}: {len(raw)} bytes, shape {shape} needs {size}")
     return unpack_tensor(raw, dtype, shape)
-
-
-def _quant_to_json(qp: QuantParams | None) -> dict | None:
-    if qp is None:
-        return None
-    if qp.granularity == "per_channel":
-        return {
-            "scale": [float(s) for s in np.asarray(qp.scale).ravel()],
-            "zero_point": [int(z) for z in np.asarray(qp.zero_point).ravel()],
-            "granularity": "per_channel",
-            "axis": int(qp.axis),
-            "symmetric": bool(qp.symmetric),
-        }
-    return {
-        "scale": float(qp.scale),
-        "zero_point": int(qp.zero_point),
-        "granularity": "per_tensor",
-        "axis": None,
-        "symmetric": bool(qp.symmetric),
-    }
 
 
 def _quant_from_json(obj: dict | None, where: str) -> QuantParams | None:
@@ -197,7 +181,7 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
                 "shape": list(t.shape),
                 "dtype": t.dtype.value,
                 "kind": t.kind.value,
-                "quant": _quant_to_json(t.quant),
+                "quant": t.quant,
                 "blob": locations.get(tid),
             }
             for tid, t in graph.tensors.items()
@@ -395,7 +379,8 @@ def decode(cls, obj, where: str, error: type[Exception]):
     records, decoded in turn: a record, `record | None` (null is None),
     or a list or `dict[str, ...]` of records. `error` names `where` and
     the key at fault; a nested record is `<where> <field>`, with `[i]` or
-    `[key]` appended for an entry of a list or dict.
+    `[key]` appended for an entry of a list or dict. A ValueError of the
+    record's own checks becomes an `error` naming `where`.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
@@ -411,7 +396,10 @@ def decode(cls, obj, where: str, error: type[Exception]):
         if f.type not in KINDS:
             value = _records(_type_hints(cls)[f.name], value, where, f.name, error)
         values[f.name] = value
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValueError as exc:  # an `error` of the record's own checks passes unchanged
+        raise exc if isinstance(exc, error) else error(f"{where}: {exc}") from None
 
 
 def first_difference(have, want, path: str = "") -> str | None:

@@ -91,27 +91,27 @@ def per_channel_qparams(data: np.ndarray, axis: int) -> QuantParams:
     scale = np.where(bound == 0.0, 1.0, bound / 127.0)
     return QuantParams(
         scale=scale,
-        zero_point=np.zeros(len(scale), dtype=np.int64),
+        zero_point=(0,) * len(scale),
         granularity="per_channel",
         axis=axis,
         symmetric=True,
     )
 
 
-def _broadcast_channelwise(values: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+def _affine(qp: QuantParams, ndim: int) -> tuple:
+    """`qp`'s (scale, zero point), per-channel ones shaped to broadcast
+    along `axis` of a tensor of `ndim` axes."""
+    if qp.granularity == "per_tensor":
+        return qp.scale, qp.zero_point
     shape = [1] * ndim
-    shape[axis] = -1
-    return np.asarray(values).reshape(shape)
+    shape[qp.axis] = -1
+    return np.reshape(qp.scale, shape), np.reshape(qp.zero_point, shape)
 
 
 def quantize_tensor(values: np.ndarray, qp: QuantParams) -> np.ndarray:
     """q = clamp(round(r / S) + Z, -128, 127) as int8."""
     r = np.asarray(values, dtype=np.float64)
-    if qp.granularity == "per_channel":
-        scale = _broadcast_channelwise(qp.scale, r.ndim, qp.axis)
-        zp = _broadcast_channelwise(qp.zero_point, r.ndim, qp.axis)
-    else:
-        scale, zp = qp.scale, qp.zero_point
+    scale, zp = _affine(qp, r.ndim)
     q = round_half_away(r / scale) + zp
     return np.clip(q, QMIN, QMAX).astype(np.int8)
 
@@ -124,11 +124,7 @@ def dequantize_tensor(q: np.ndarray, qp: QuantParams) -> np.ndarray:
     roundtrip bound at rounding ties.
     """
     q = np.asarray(q)
-    if qp.granularity == "per_channel":
-        scale = _broadcast_channelwise(qp.scale, q.ndim, qp.axis)
-        zp = _broadcast_channelwise(qp.zero_point, q.ndim, qp.axis)
-    else:
-        scale, zp = qp.scale, qp.zero_point
+    scale, zp = _affine(qp, q.ndim)
     return (q.astype(np.float64) - zp) * scale
 
 
@@ -227,12 +223,7 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
         if node.kind == OpKind.SOFTMAX:
             continue  # executes in Float32; output keeps its dtype
         if node.kind in inherit:
-            src = g.tensors[node.inputs[0]]
-            out.quant = QuantParams(
-                scale=src.quant.scale,
-                zero_point=src.quant.zero_point,
-                symmetric=src.quant.symmetric,
-            )
+            out.quant = g.tensors[node.inputs[0]].quant
         else:
             out.quant = compute_qparams(require_range(out.id))
         out.dtype = DType.INT8
@@ -270,7 +261,7 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
                     raise QuantizationError(f"node {nid}: quantized bias exceeds Int32 range")
                 b.quant = QuantParams(
                     scale=bias_scale,
-                    zero_point=np.zeros(len(bias_scale), dtype=np.int64),
+                    zero_point=(0,) * len(bias_scale),
                     granularity="per_channel",
                     axis=0,
                     symmetric=True,
@@ -290,12 +281,5 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
 
 def quantization_table_bytes(graph: GraphIR) -> int:
     """Bytes of scale/zero-point tables: 8 per channel entry, 8 per tensor."""
-    total = 0
-    for t in graph.tensors.values():
-        if t.quant is None:
-            continue
-        if t.quant.granularity == "per_channel":
-            total += 8 * len(np.atleast_1d(t.quant.scale))
-        else:
-            total += 8
-    return total
+    return sum(8 * (len(t.quant.scale) if t.quant.granularity == "per_channel" else 1)
+               for t in graph.tensors.values() if t.quant is not None)

@@ -501,7 +501,7 @@ def graphs_equal(a: GraphIR, b: GraphIR) -> bool:
             return False
         if (ta.quant is None) != (tb.quant is None):
             return False
-        if ta.quant is not None and not ta.quant.equals(tb.quant):
+        if ta.quant is not None and ta.quant != tb.quant:
             return False
         if (ta.data is None) != (tb.data is None):
             return False

@@ -29,7 +29,7 @@ def conv_graph(out_c, kernel, in_shape, stride=1, padding="VALID"):
 
 def one_group_cost(g, target, profile):
     """The cost of all of `g`'s nodes as one fused group on `target`."""
-    return group_cost([n.id for n in g.nodes], target, node_counts(g, g.nodes), profile)
+    return group_cost([n.id for n in g.nodes], target, node_counts(g), profile)
 
 
 def test_conv_mac_formula():

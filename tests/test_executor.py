@@ -1,3 +1,4 @@
+import itertools
 import os
 import threading
 import time
@@ -41,7 +42,16 @@ from tinydeploy.executor import (
     run_f32,
     write_records_csv,
 )
-from tinydeploy.graph import DType, GraphIR, OpKind, OpNode, TensorKind, TensorSpec
+from tinydeploy.graph import (
+    DType,
+    GraphIR,
+    OpKind,
+    OpNode,
+    TensorKind,
+    TensorSpec,
+    conv_output_hw,
+    same_padding_amounts,
+)
 from tinydeploy.datasets import synthetic_samples
 from tinydeploy.model_io import json_text, load_model, save_model
 from tinydeploy.models import build_dwsep_net
@@ -244,6 +254,34 @@ def test_window_kernels_match_gathered_windows_named_cases(kind, shape, kernel, 
     attrs = {"kernel_h": kernel, "kernel_w": kernel, "stride_h": stride[0],
              "stride_w": stride[1], "padding": padding}
     _assert_window_kernel_matches(kind, attrs, _window_input(rng, shape, wide=True), rng)
+
+
+def brute_force_valid_counts(hw, kernel, stride, padding):
+    """In-bounds cells of each window, counted one cell at a time."""
+    (h, w), (kh, kw), (sh, sw) = hw, kernel, stride
+    top = same_padding_amounts(h, kh, sh)[0] if padding == "SAME" else 0
+    left = same_padding_amounts(w, kw, sw)[0] if padding == "SAME" else 0
+    oh, ow = conv_output_hw(hw, kernel, stride, padding)
+    return np.array([
+        [sum(0 <= i * sh - top + a < h and 0 <= j * sw - left + b < w
+             for a in range(kh) for b in range(kw)) for j in range(ow)]
+        for i in range(oh)
+    ])
+
+
+def test_window_valid_counts_match_brute_force():
+    geometries = itertools.product(range(1, 6), range(1, 6), range(1, 4), range(1, 4),
+                                   range(1, 3), range(1, 3), ("SAME", "VALID"))
+    for h, w, kh, kw, sh, sw, padding in geometries:
+        if padding == "VALID" and (kh > h or kw > w):
+            continue
+        attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw,
+                 "padding": padding}
+        window = executor._Window(OpNode("pool", OpKind.AVG_POOL2D, attrs), (1, h, w, 1))
+        counts = window.valid_counts()
+        assert counts.dtype == np.int64
+        want = brute_force_valid_counts((h, w), (kh, kw), (sh, sw), padding)
+        np.testing.assert_array_equal(counts, want, err_msg=str(attrs | {"hw": (h, w)}))
 
 
 def test_depthwise_reads_windows_without_copying_them():

@@ -240,7 +240,7 @@ def test_quant_params_accept_both_ends_of_int8():
     assert QuantParams(scale=1.0, zero_point=QMAX).zero_point == QMAX
     per_channel = QuantParams(scale=np.ones(2), zero_point=[QMIN, QMAX],
                               granularity="per_channel", axis=0)
-    assert per_channel.zero_point.tolist() == [QMIN, QMAX]
+    assert list(per_channel.zero_point) == [QMIN, QMAX]
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])

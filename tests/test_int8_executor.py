@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,23 +232,43 @@ def test_depthwise_accumulator_overflow_reported():
                     assert out == [127.0 if side > 0 else -128.0] * 2
 
 
+def wide_avgpool_graph(k, zp):
+    """An INT8 AvgPool2D with one 1 x k window over a 1 x k input at zero point zp."""
+    tensors = [
+        TensorSpec("in", (1, 1, k, 1), DType.INT8, TensorKind.INPUT,
+                   quant=QuantParams(scale=1.0, zero_point=zp)),
+        TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
+    ]
+    attrs = {"kernel_h": 1, "kernel_w": k, "stride_h": 1, "stride_w": 1, "padding": "VALID"}
+    nodes = [OpNode("pool", OpKind.AVG_POOL2D, attrs, ["in"], ["out"])]
+    return infer_shapes(GraphIR("pool", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
+
+
 def test_avgpool_accumulator_overflow_reported():
     # A window sums k centered codes, each within 255 of 0 at zero point
     # QMIN (all above) or QMAX (all below), so only a window of more than
     # INT32_MAX // 255 cells can overflow. `prepare` refuses such a
     # 1 x k window on either side before building anything of its size.
-    k = INT32_MAX // 255 + 1
     for zp in (QMIN, QMAX):
-        tensors = [
-            TensorSpec("in", (1, 1, k, 1), DType.INT8, TensorKind.INPUT,
-                       quant=QuantParams(scale=1.0, zero_point=zp)),
-            TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
-        ]
-        attrs = {"kernel_h": 1, "kernel_w": k, "stride_h": 1, "stride_w": 1, "padding": "VALID"}
-        nodes = [OpNode("pool", OpKind.AVG_POOL2D, attrs, ["in"], ["out"])]
-        g = infer_shapes(GraphIR("pool", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
         with pytest.raises(AccumulatorOverflowError, match="node pool:"):
-            prepare(g)
+            prepare(wide_avgpool_graph(INT32_MAX // 255 + 1, zp))
+
+
+@pytest.mark.parametrize("zp", [QMIN, QMAX])
+def test_avgpool_window_at_the_bound_prepares_without_visiting_its_cells(zp):
+    # The largest window that fits int32, 1 x INT32_MAX // 255 (about
+    # 8.4M) cells, is accepted; its one in-bounds count comes from the
+    # window's extent along each axis, so no array of its size is made.
+    # A small window first, so that numpy's lazy imports are not counted.
+    prepare(wide_avgpool_graph(2, zp))
+    g = wide_avgpool_graph(INT32_MAX // 255, zp)
+    tracemalloc.start()
+    try:
+        prepare(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("kind", [OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D])

@@ -860,7 +860,7 @@ def test_bundled_arenas_are_pinned(small_convnet, dwsep_net):
 def _support_based_plan(graph, profile):
     """The plan of `partition_and_fuse`'s start assignment, before any
     group moves to the CPU."""
-    counts = node_counts(graph, graph.nodes)
+    counts = node_counts(graph)
     return mapping._plan(graph, profile, counts, flash_bytes(graph, profile),
                          *partition_and_fuse(graph, profile))
 

@@ -18,6 +18,7 @@ from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
 from tinydeploy.downlink import DownlinkError, LinkBudget
 from tinydeploy.executor import InferenceRecord, calibrate, write_records_csv
+from tinydeploy.graph import QMAX, QMIN, QuantParams
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan, load_plan
 from tinydeploy.model_io import (
@@ -241,6 +242,62 @@ def test_zero_point_outside_int8_refused_at_load(tmp_path, dwsep_net_quantized, 
     message = f"tensor {tid}: bad quantization params: zero point {2**29 - 129} outside Int8 range"
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load_model(tmp_path / "m")
+
+
+def test_save_model_refuses_per_channel_params_that_do_not_match_their_tensor(
+    tmp_path, small_convnet_quantized
+):
+    graph = small_convnet_quantized.copy()
+    bias = graph.tensors["conv1_b"]
+    bias.quant = replace(bias.quant, scale=bias.quant.scale[1:])
+    message = ("refusing to save invalid graph: tensor conv1_b: "
+               "15 scales and 16 zero points along axis 0 of shape [16]")
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        save_model(graph, tmp_path / "m")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Scales as quantize_graph makes them and integral ones, which JSON must
+# still write as floats (2.0, not 2).
+QUANT_SCALES = (st.floats(min_value=1e-30, max_value=1e30) | st.integers(1, 1000)
+                | st.integers(1, 1000).map(float))
+
+
+@st.composite
+def quant_params_and_json(draw):
+    """A QuantParams built from numpy or plain values, and the five-key
+    object its manifest entry holds."""
+    symmetric = draw(st.booleans())
+    zero_points = st.just(0) if symmetric else st.integers(QMIN, QMAX)
+    if draw(st.booleans()):
+        scale, zero_point = draw(QUANT_SCALES), draw(zero_points)
+        # A per-tensor axis, even a numpy one, is written as null.
+        axis = draw(st.none() | st.integers(0, 3) | st.integers(0, 3).map(np.int64))
+        params = QuantParams(scale, zero_point, "per_tensor", axis, symmetric)
+        return params, {"scale": float(scale), "zero_point": zero_point,
+                        "granularity": "per_tensor", "axis": None, "symmetric": symmetric}
+    channels = draw(st.integers(1, 5))
+    scales = draw(st.lists(QUANT_SCALES, min_size=channels, max_size=channels))
+    zps = draw(st.lists(zero_points, min_size=channels, max_size=channels))
+    axis = draw(st.integers(0, 3))
+    as_numpy = draw(st.booleans())
+    params = QuantParams(
+        np.array(scales, dtype=np.float64) if as_numpy else scales,
+        np.array(zps, dtype=np.int64) if as_numpy else zps,
+        "per_channel", np.int64(axis) if as_numpy else axis, np.bool_(symmetric),
+    )
+    return params, {"scale": [float(s) for s in scales], "zero_point": zps,
+                    "granularity": "per_channel", "axis": axis, "symmetric": symmetric}
+
+
+@given(quant_params_and_json())
+@example((QuantParams(1.0, 0, axis=2), {"scale": 1.0, "zero_point": 0,
+          "granularity": "per_tensor", "axis": None, "symmetric": False}))
+@settings(max_examples=300, deadline=None)
+def test_quant_params_json_is_the_manifest_quant_object(case):
+    params, obj = case
+    assert json_text(params) == _dumps_text(obj)
+    assert model_io._quant_from_json(json.loads(json_text(params)), "tensor t") == params
 
 
 @pytest.mark.parametrize("key,value", [("tensors", []), ("nodes", 7)])

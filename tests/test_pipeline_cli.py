@@ -475,11 +475,21 @@ def test_cli_report_rejects_bad_downlink_report(assets, tmp_path, capsys):
     cfg_path = _write(tmp_path / "cfg.json", json.dumps(asdict(config)))
     downlink_path = out / "downlink_report.json"
     downlink = json.loads(downlink_path.read_text())
+    sent, n = downlink["transmitted_count"], downlink["num_samples"]
+    assert 5 < sent < n
     (out / "report.json").unlink()
     for edit, message in (
         (lambda d: d.pop("reduction_pct"), "missing key 'reduction_pct'"),
         (lambda d: d.update(bogus="x"), "unknown key 'bogus'"),
         (lambda d: d.update(num_samples="two hundred"), "key 'num_samples' must be int, got str"),
+        (lambda d: d.update(num_samples=5), f"transmitted_count {sent} outside [0, num_samples 5]"),
+        (lambda d: d.update(transmitted_count=n + 1),
+         f"transmitted_count {n + 1} outside [0, num_samples {n}]"),
+        (lambda d: d.update(reduction_pct=-300.0),
+         f"reduction_pct -300.0 != {downlink['reduction_pct']}"),
+        (lambda d: d.update(fits_daily_budget=not downlink["fits_daily_budget"]),
+         f"fits_daily_budget {not downlink['fits_daily_budget']} != "
+         f"(transmitted_volume_bytes <= daily_budget_bytes) = {downlink['fits_daily_budget']}"),
     ):
         broken = dict(downlink)
         edit(broken)
@@ -901,6 +911,14 @@ def _tensors_edited(m: Path, t: Path, edit, part: str = "tensors") -> list[str]:
     return ["validate-model", "--model", str(t / "model.json")]
 
 
+def _requant_edited(m: Path, t: Path, edit) -> list[str]:
+    """evaluate argv for the quantized model with `edit` applied to its
+    first node's (conv1's) attrs."""
+    _tensors_edited(m, t, lambda nodes: edit(nodes[0]["attrs"]), part="nodes")
+    return ["evaluate", "--model", str(t / "model.json"),
+            "--dataset", str(_dataset(t, lambda root: None)), "--out", str(t / "e")]
+
+
 def _stack_slots(plan: dict) -> None:
     """Every arena tensor at offset 0, in an arena as large as the largest one."""
     slots = plan["memory_plan"]["tensors"].values()
@@ -1036,6 +1054,19 @@ MALFORMED_INPUTS = {
     "manifest_axis_true": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_w"]["quant"].update(axis=True)),
         "tensor conv1_w: bad quantization params: key 'axis' must be int or NoneType, got bool"),
+    "manifest_per_channel_lists_short": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_b"]["quant"].update(
+            scale=ts["conv1_b"]["quant"]["scale"][1:],
+            zero_point=ts["conv1_b"]["quant"]["zero_point"][1:])),
+        "model.json: cannot infer shapes on invalid graph: tensor conv1_b: "
+        "15 scales and 15 zero points along axis 0 of shape [16]"),
+    "manifest_per_channel_scales_short": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_w"]["quant"].update(
+            scale=ts["conv1_w"]["quant"]["scale"][1:])),
+        "tensor conv1_w: 15 scales and 16 zero points along axis 0 of shape [16, 3, 3, 3]"),
+    "manifest_per_channel_axis_past_rank": (
+        lambda m, t: _tensors_edited(m, t, lambda ts: ts["conv1_w"]["quant"].update(axis=4)),
+        "tensor conv1_w: 16 scales and 16 zero points along axis 4 of shape [16, 3, 3, 3]"),
     "manifest_shape_true": (
         lambda m, t: _tensors_edited(m, t, lambda ts: ts["in"].update(shape=[True, 32, 32, 3])),
         "tensor in: key 'shape'[0] must be int, got bool"),
@@ -1048,6 +1079,19 @@ MALFORMED_INPUTS = {
             part="nodes"),
         "cannot infer shapes on invalid graph: duplicate node id conv1; "
         "node pool1: unknown tensor nowhere"),
+    "requant_list": (
+        lambda m, t: _requant_edited(m, t, lambda attrs: attrs.update(requant=[1])),
+        "node conv1 requant: expected an object, got list"),
+    "requant_without_significand": (
+        lambda m, t: _requant_edited(m, t, lambda attrs: attrs["requant"].pop("significand")),
+        "node conv1 requant: missing key 'significand'"),
+    "requant_significand_string": (
+        lambda m, t: _requant_edited(m, t, lambda attrs: attrs["requant"].update(significand="x")),
+        "node conv1 requant: key 'significand' must be int or list, got str"),
+    "requant_shift_float": (
+        lambda m, t: _requant_edited(
+            m, t, lambda attrs: attrs["requant"]["shift"].__setitem__(2, 30.0)),
+        "node conv1 requant: key 'shift'[2] must be int, got float"),
     "manifest_stride_true": (
         lambda m, t: _tensors_edited(
             m, t, lambda nodes: nodes[0]["attrs"].update(stride_h=True), part="nodes"),

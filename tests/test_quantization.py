@@ -230,8 +230,8 @@ def test_bias_scale_is_input_times_weight(small_convnet_quantized):
 def test_inherited_params_for_order_preserving_ops(small_convnet_quantized):
     g = small_convnet_quantized
     relu = node(g, "conv1_relu")
-    assert g.tensors[relu.inputs[0]].quant.equals(g.tensors[relu.outputs[0]].quant)
+    assert g.tensors[relu.inputs[0]].quant == g.tensors[relu.outputs[0]].quant
     pool = node(g, "pool1")
-    assert g.tensors[pool.inputs[0]].quant.equals(g.tensors[pool.outputs[0]].quant)
+    assert g.tensors[pool.inputs[0]].quant == g.tensors[pool.outputs[0]].quant
     flat = node(g, "flatten")
-    assert g.tensors[flat.inputs[0]].quant.equals(g.tensors[flat.outputs[0]].quant)
+    assert g.tensors[flat.inputs[0]].quant == g.tensors[flat.outputs[0]].quant
