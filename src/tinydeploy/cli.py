@@ -21,7 +21,8 @@ from .datasets import (
 )
 from .downlink import DownlinkError, DownlinkReport
 from .executor import ExecutionError, ranges_from_json, read_records_csv, top1_accuracy
-from .model_io import NUMBER, _field, decode, load_model, read_json, save_model
+from .mapping import MappingError, build_deployment_plan, load_plan
+from .model_io import NUMBER, _field, decode, first_difference, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
 from .pipeline import MINIMUM, REPORTED, PipelineConfig, PipelineError
 from .pruning import DEFAULT_SCHEDULE, Checkpoint, PrunePlan, new_plan
@@ -124,7 +125,13 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    est = pipeline.stage_estimate(args.model, args.plan, load_profile(args.profile), args.out)
+    profile = load_profile(args.profile)
+    graph, plan = load_model(args.model), load_plan(args.plan)
+    built = build_deployment_plan(graph, profile)
+    if plan != built:
+        raise MappingError(f"plan {args.plan} {first_difference(plan, built)} "
+                           "(map builds it from this model and profile)")
+    est = pipeline.stage_estimate(graph, plan, profile, args.out)
     print(
         f"latency {est.latency_ms:.3f} ms, energy {est.energy_mj:.3f} mJ, "
         f"ram {est.ram_peak_bytes} B, flash {est.flash_bytes} B"

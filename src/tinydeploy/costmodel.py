@@ -135,19 +135,20 @@ def estimate_deployment(plan, graph: GraphIR, profile: HardwareProfile) -> CostE
         group_cost(group, target_of[group_id(group)], counts, profile)
         for group in plan.fused_groups
     ]
-    return _plan_estimate(plan, breakdown, flash_bytes(graph, profile), profile)
+    flash = flash_bytes(graph, profile)
+    return _plan_estimate(plan.timeline, plan.memory_plan, breakdown, flash, profile)
 
 
 def _plan_estimate(
-    plan, breakdown: list[GroupCost], flash: int, profile: HardwareProfile
+    timeline, memory_plan, breakdown: list[GroupCost], flash: int, profile: HardwareProfile
 ) -> CostEstimate:
-    """Totals and budget flags of a plan from its per-group costs and flash size."""
-    makespan_us = max((entry.end_us for entry in plan.timeline), default=0.0)
+    """Totals and budget flags of a timeline and memory plan, from per-group costs and flash."""
+    makespan_us = max((entry.end_us for entry in timeline), default=0.0)
     active_uj = sum(g.energy_uj for g in breakdown)
     energy_mj = (active_uj + profile.idle_power_w * makespan_us) / 1000.0
     latency_ms = makespan_us / 1000.0
 
-    ram_peak = plan.memory_plan.arena_peak_bytes + profile.runtime_ram_overhead_bytes
+    ram_peak = memory_plan.arena_peak_bytes + profile.runtime_ram_overhead_bytes
     deadline_ms = 1000.0 / profile.deadline_fps
     flags = {
         "ram_ok": ram_peak <= profile.ram_budget_bytes,

@@ -6,8 +6,10 @@ size. Float32 graphs run in Float32. Quantized graphs run
 with integer-only arithmetic between the quantize/dequantize boundaries:
 convolutions and matmuls accumulate in 32-bit (proved in range, not
 checked), outputs are requantized with fixed-point multipliers and
-saturated to [-128, 127]. Softmax always runs in Float32 on dequantized
-logits. `run_f32` and `run_int8` prepare and run in one call.
+saturated to [-128, 127]; the multipliers come from the scales
+(`quantization.requant_attrs`), not node attrs. Softmax always runs in
+Float32 on dequantized logits. `run_f32` and `run_int8` prepare and run
+in one call.
 
 Both interpreters are pure functions of (graph, input), bit-reproducible
 run to run, and give each sample the same result whatever batch it runs in.
@@ -88,6 +90,7 @@ from .quantization import (
     dequantize_tensor,
     fixed_point_multiplier,
     quantize_tensor,
+    requant_attrs,
     requantize_fixed_point,
 )
 
@@ -372,24 +375,10 @@ def _prove_acc32(node_id: str, lo, hi) -> None:
         raise AccumulatorOverflowError(f"node {node_id}: 32-bit accumulator overflow")
 
 
-def _requant_table(node: OpNode, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """A node's `significand`/`shift` attr, each an int or a list of ints,
-    as int64 arrays, range-checked."""
-    if key not in node.attrs:
-        raise ExecutionError(f"node {node.id}: missing precomputed requant multipliers")
-    table, where = node.attrs[key], f"node {node.id} {key}"
-    arrays = []
-    for name in ("significand", "shift"):
-        value = _field(table, name, where, (int, list), ExecutionError)
-        if isinstance(value, list):
-            _field(table, name, where, [int], ExecutionError)
-        arrays.append(np.asarray(value, dtype=np.int64))
-    sig, shift = arrays
-    # Bounds under which requantize_fixed_point's int64 arithmetic cannot
-    # overflow for any int32 accumulator.
-    if np.any((sig < 0) | (sig >= 2**31)) or np.any((shift < 1) | (shift > 62)):
-        raise ExecutionError(f"node {node.id}: {key} outside significand [0, 2^31), shift [1, 62]")
-    return sig, shift
+def _requant_tables(graph: GraphIR, node: OpNode) -> list[tuple[np.ndarray, np.ndarray]]:
+    """`quantization.requant_attrs` of `node` as int64 (significand, shift) pairs."""
+    return [(np.asarray(t["significand"], dtype=np.int64), np.asarray(t["shift"], dtype=np.int64))
+            for t in requant_attrs(graph, node).values()]
 
 
 def _require_quant(graph: GraphIR, tid: str):
@@ -457,8 +446,8 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
     if weights.dtype != DType.INT8:
         raise ExecutionError(f"node {node.id}: weights are not Int8")
     bias = _bias(graph, node, np.int64)
-    sig, shift = _requant_table(node, "requant")
     zp_out = _require_quant(graph, node.outputs[0]).zero_point
+    [(sig, shift)] = _requant_tables(graph, node)
     w = weights.data
 
     axis = WEIGHT_CHANNEL_AXIS[node.kind]
@@ -558,8 +547,7 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         zp_a = _require_quant(graph, src).zero_point
         zp_b = _require_quant(graph, other).zero_point
         zp_out = _require_quant(graph, node.outputs[0]).zero_point
-        requant_a = _requant_table(node, "requant_a")
-        requant_b = _requant_table(node, "requant_b")
+        requant_a, requant_b = _requant_tables(graph, node)
 
         def add(env: Env) -> np.ndarray:
             # Both operands requantize to the output scale before adding.

@@ -76,7 +76,7 @@ class DeploymentPlan:
     timeline: list[TimelineEntry]
     memory_plan: MemoryPlan
     flash_bytes: int
-    estimates: CostEstimate | None = None
+    estimates: CostEstimate
 
     @property
     def makespan_us(self) -> float:
@@ -487,7 +487,7 @@ def _plan(
     lifetimes = tensor_lifetimes(graph, timeline, fused_groups)
     memory = place_lifetimes(lifetimes)
     verify_memory_plan(memory, lifetimes)
-    plan = DeploymentPlan(
+    return DeploymentPlan(
         model=graph.name,
         profile=profile.name,
         assignment=assignment,
@@ -495,9 +495,8 @@ def _plan(
         timeline=timeline,
         memory_plan=memory,
         flash_bytes=flash,
+        estimates=_plan_estimate(timeline, memory, costs, flash, profile),
     )
-    plan.estimates = _plan_estimate(plan, costs, flash, profile)
-    return plan
 
 
 def _earliest_finish_targets(
@@ -530,29 +529,26 @@ def load_plan(path: str | Path) -> DeploymentPlan:
 
     `model_io.decode` reads it: fields must be present with their JSON
     types and no key may be unknown, or MappingError names the field.
-    Whether the plan is the one `map` builds is `pipeline.stage_estimate`'s
-    check.
+    Whether the plan is the one `map` builds is the `estimate`
+    subcommand's check.
     """
     return decode(DeploymentPlan, read_json(path, MappingError), f"plan {path}", MappingError)
 
 
 def render_report(plan: DeploymentPlan) -> str:
     """Human-readable plan summary."""
+    est = plan.estimates
     lines = [
         f"model: {plan.model}    profile: {plan.profile}",
         f"makespan: {plan.makespan_us:.1f} us    arena peak: "
         f"{plan.memory_plan.arena_peak_bytes} B    flash: {plan.flash_bytes} B",
         "",
         f"{'group':<40} {'target':<6} {'start_us':>10} {'end_us':>10}",
+        *(f"{e.group:<40} {e.target:<6} {e.start_us:>10.1f} {e.end_us:>10.1f}"
+          for e in plan.timeline),
+        "",
+        f"latency: {est.latency_ms:.3f} ms    energy: {est.energy_mj:.3f} mJ    "
+        f"ram peak: {est.ram_peak_bytes} B",
+        "budget flags: " + ", ".join(f"{k}={v}" for k, v in sorted(est.budget_flags.items())),
     ]
-    for e in plan.timeline:
-        lines.append(f"{e.group:<40} {e.target:<6} {e.start_us:>10.1f} {e.end_us:>10.1f}")
-    if plan.estimates is not None:
-        est = plan.estimates
-        lines += [
-            "",
-            f"latency: {est.latency_ms:.3f} ms    energy: {est.energy_mj:.3f} mJ    "
-            f"ram peak: {est.ram_peak_bytes} B",
-            "budget flags: " + ", ".join(f"{k}={v}" for k, v in sorted(est.budget_flags.items())),
-        ]
     return "\n".join(lines) + "\n"

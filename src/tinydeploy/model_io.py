@@ -53,6 +53,7 @@ from .graph import (
     infer_shapes,
     validate,
 )
+from .quantization import WEIGHT_CHANNEL_AXIS, bias_params, requant_attrs
 
 FORMAT_VERSION = 1
 
@@ -405,15 +406,15 @@ def decode(cls, obj, where: str, error: type[Exception]):
 def first_difference(have, want, path: str = "") -> str | None:
     """Where record `have` first differs from `want`, or None when they are equal.
 
-    Records compare field by field, lists first by length, dicts key by
-    key (`want`'s keys first) and everything else by `==`. The answer
-    names the value by its path, as `decode` does, with both sides:
-    `timeline[3] start_us: 5400.0 != 400.0`.
+    Records compare field by field, lists and tuples first by length, dicts
+    key by key (`want`'s keys first) and the rest by type and `==`, as JSON
+    texts do (39.0 is not 39). The answer names the value by its path, as
+    `decode` does, with both sides: `timeline[3] start_us: 5400.0 != 400.0`.
     """
     if is_dataclass(have) and type(have) is type(want):
         pairs = [(f"{path} {f.name}".lstrip(), getattr(have, f.name), getattr(want, f.name))
                  for f in fields(want)]
-    elif isinstance(have, list) and isinstance(want, list):
+    elif isinstance(want, (list, tuple)) and type(have) is type(want):
         if len(have) != len(want):
             return f"{path}: length {len(have)} != {len(want)}"
         pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(have, want))]
@@ -421,7 +422,8 @@ def first_difference(have, want, path: str = "") -> str | None:
         pairs = [(f"{path}[{key}]", have.get(key, _ABSENT), want.get(key, _ABSENT))
                  for key in [*want, *(key for key in have if key not in want)]]
     else:
-        return None if have == want else f"{path}: {_brief(have)} != {_brief(want)}"
+        same = type(have) is type(want) and have == want
+        return None if same else f"{path}: {_brief(have)} != {_brief(want)}"
     diffs = (first_difference(a, b, where) for where, a, b in pairs)
     return next((diff for diff in diffs if diff is not None), None)
 
@@ -432,7 +434,8 @@ _ABSENT = object()  # the value of a dict key one side lacks
 def _brief(value) -> str:
     if value is _ABSENT:
         return "absent"
-    return f"a {type(value).__name__}" if is_dataclass(value) else repr(value)
+    container = is_dataclass(value) or isinstance(value, (list, tuple, dict))
+    return f"a {type(value).__name__}" if container else repr(value)
 
 
 @functools.cache
@@ -538,5 +541,26 @@ def load_model(path: str | Path) -> GraphIR:
             raise ModelFormatError(
                 f"tensor {tid}: shape {list(tensors[tid].shape)} != inferred {list(t.shape)}"
             )
+    if graph.is_quantized():
+        _check_derived(graph)
     return graph
 
+
+def _check_derived(graph: GraphIR) -> None:
+    """Refuse requant tables or bias params other than those `quantization`
+    derives from the scales, naming the first entry that differs."""
+    for node in graph.nodes:
+        if any(graph.tensors[tid].quant is None for tid in (*node.inputs[:2], *node.outputs)):
+            continue  # no scales to derive from; `executor.prepare` refuses the node
+        try:
+            pairs = [(key, node.attrs.get(key, _ABSENT), want)
+                     for key, want in requant_attrs(graph, node).items()]
+        except ValueError as exc:  # a multiplier or bias scale out of range
+            raise ModelFormatError(f"node {node.id}: {exc}") from None
+        if node.kind in WEIGHT_CHANNEL_AXIS and len(node.inputs) == 3:
+            bias = graph.tensors[node.inputs[2]]
+            pairs.append((f"bias {bias.id}", bias.quant, bias_params(graph, node)))
+        for key, have, want in pairs:
+            diff = first_difference(have, want, f"node {node.id} {key}")
+            if diff is not None:
+                raise ModelFormatError(diff)

@@ -45,7 +45,7 @@ from .executor import (
 )
 from .graph import GraphIR, parameter_count
 from .hardware import HardwareProfile
-from .mapping import DeploymentPlan, MappingError, build_deployment_plan, load_plan, render_report
+from .mapping import DeploymentPlan, build_deployment_plan, render_report
 from .model_io import load_model, save_model
 from .pruning import (
     DEFAULT_SCHEDULE,
@@ -257,27 +257,10 @@ def stage_map(
     return plan
 
 
-def stage_estimate(graph, plan, profile: HardwareProfile, out_json) -> costmodel.CostEstimate:
-    """Write and return the cost estimate of `plan`, which must be the plan
-    `map` builds from this model and profile: `build_deployment_plan`
-    rebuilds it, and any other plan raises a MappingError naming its first
-    field that differs (`model_io.first_difference`).
-
-    `graph` and `plan` may also be the paths of a saved model and plan, as
-    the `estimate` subcommand passes them; errors then name the plan file.
-    """
-    if isinstance(graph, (str, Path)):
-        graph = load_model(graph)
-    source = "plan"
-    if isinstance(plan, (str, Path)):
-        source, plan = f"plan {plan}", load_plan(plan)
-    built = build_deployment_plan(graph, profile)
-    if plan != built:
-        raise MappingError(f"{source} {model_io.first_difference(plan, built)} "
-                           "(map builds it from this model and profile)")
-    # Equal to `built.estimates`; costed through `costmodel` so that traced
-    # runs still time the estimate as a step of its own (`costmodel.estimate`).
-    est = costmodel.estimate_deployment(built, graph, profile)
+def stage_estimate(graph, plan: DeploymentPlan, profile: HardwareProfile, out_json):
+    """Write and return `plan.estimates`, costed again through `costmodel`
+    so that traced runs time the estimate as a step of its own."""
+    est = costmodel.estimate_deployment(plan, graph, profile)
     model_io.write_json(out_json, est)
     return est
 

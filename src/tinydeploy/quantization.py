@@ -8,11 +8,11 @@ Int32 at scale S_input * S_weight. Rounding is half-away-from-zero
 everywhere.
 
 Requantization of 32-bit accumulators uses a 32-bit fixed-point
-significand plus right shift, precomputed per node and stored in node
-attrs: Conv2D/DepthwiseConv2D/FullyConnected carry per-channel
-`requant`, Add carries per-operand `requant_a`/`requant_b`. Concat and
-AvgPool2D multipliers are derived at execution time (AvgPool window
-counts depend on position).
+significand plus right shift. Only `requant_attrs` derives these tables
+from the scales, which `quantize_graph` stores in node attrs,
+`load_model` holds a manifest to and `prepare` runs: weighted nodes carry
+per-channel `requant`, Add per-operand `requant_a`/`requant_b`. Concat
+and AvgPool2D multipliers are derived at execution time.
 
 Outputs of ReLU, MaxPool2D and Flatten inherit their input's
 quantization parameters: these ops then operate directly on codes, and
@@ -34,6 +34,7 @@ from .graph import (
     DType,
     GraphIR,
     OpKind,
+    OpNode,
     QuantParams,
     ShapeError,
     checked_order,
@@ -175,15 +176,31 @@ def requantize_fixed_point(
 
 
 def _requant_attr(multiplier: np.ndarray | float) -> dict:
-    mult = np.atleast_1d(np.asarray(multiplier, dtype=np.float64))
-    sigs, shifts = [], []
-    for m in mult:
-        s, sh = fixed_point_multiplier(float(m))
-        sigs.append(s)
-        shifts.append(sh)
-    if mult.size == 1:
+    sigs, shifts = zip(*(fixed_point_multiplier(m) for m in np.atleast_1d(multiplier).tolist()))
+    if len(sigs) == 1:
         return {"significand": sigs[0], "shift": shifts[0]}
-    return {"significand": sigs, "shift": shifts}
+    return {"significand": list(sigs), "shift": list(shifts)}
+
+
+def requant_attrs(graph: GraphIR, node: OpNode) -> dict:
+    """`node`'s requant tables from its tensors' scales: a weighted node's
+    `requant` (S_in * S_w / S_out), an Add's `requant_a` and `requant_b`."""
+    if node.kind in WEIGHT_CHANNEL_AXIS:
+        scales = {"requant": np.asarray(bias_params(graph, node).scale)}
+    elif node.kind == OpKind.ADD:
+        a, b = (graph.tensors[tid].quant.scale for tid in node.inputs)
+        scales = {"requant_a": a, "requant_b": b}
+    else:
+        return {}
+    s_out = graph.tensors[node.outputs[0]].quant.scale
+    return {key: _requant_attr(scale / s_out) for key, scale in scales.items()}
+
+
+def bias_params(graph: GraphIR, node: OpNode) -> QuantParams:
+    """A weighted node's Int32 bias params: symmetric, per channel, S_in * S_w."""
+    s_w = np.atleast_1d(graph.tensors[node.inputs[1]].quant.scale)
+    scale = graph.tensors[node.inputs[0]].quant.scale * s_w
+    return QuantParams(scale, (0,) * len(scale), "per_channel", axis=0, symmetric=True)
 
 
 def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> GraphIR:
@@ -240,41 +257,24 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
                     raise QuantizationError(
                         f"weight {node.inputs[1]} shared across incompatible op kinds"
                     )
-                wq = w.quant
             else:
-                wq = per_channel_qparams(w.data, axis)
-                w.quant = wq
-                w.data = quantize_tensor(w.data, wq)
+                w.quant = per_channel_qparams(w.data, axis)
+                w.data = quantize_tensor(w.data, w.quant)
                 w.dtype = DType.INT8
                 quantized_constants.add(node.inputs[1])
-
-            s_in = g.tensors[node.inputs[0]].quant.scale
-            s_w = np.asarray(wq.scale, dtype=np.float64)
-            s_out = g.tensors[node.outputs[0]].quant.scale
-            node.attrs["requant"] = _requant_attr(s_in * s_w / s_out)
-
-            if len(node.inputs) == 3 and node.inputs[2] not in quantized_constants:
+            if len(node.inputs) == 3 and node.inputs[2] in quantized_constants:
+                if g.tensors[node.inputs[2]].quant != bias_params(g, node):
+                    raise QuantizationError(f"bias {node.inputs[2]} shared at different scales")
+            elif len(node.inputs) == 3:
                 b = g.tensors[node.inputs[2]]
-                bias_scale = s_in * s_w
-                bq = round_half_away(np.asarray(b.data, dtype=np.float64) / bias_scale)
+                b.quant = bias_params(g, node)
+                bq = round_half_away(np.asarray(b.data, dtype=np.float64) / b.quant.scale)
                 if np.any(np.abs(bq) > INT32_MAX):
                     raise QuantizationError(f"node {nid}: quantized bias exceeds Int32 range")
-                b.quant = QuantParams(
-                    scale=bias_scale,
-                    zero_point=(0,) * len(bias_scale),
-                    granularity="per_channel",
-                    axis=0,
-                    symmetric=True,
-                )
                 b.data = bq.astype(np.int32)
                 b.dtype = DType.INT32
                 quantized_constants.add(node.inputs[2])
-        elif node.kind == OpKind.ADD:
-            s_out = g.tensors[node.outputs[0]].quant.scale
-            s_a = g.tensors[node.inputs[0]].quant.scale
-            s_b = g.tensors[node.inputs[1]].quant.scale
-            node.attrs["requant_a"] = _requant_attr(s_a / s_out)
-            node.attrs["requant_b"] = _requant_attr(s_b / s_out)
+        node.attrs.update(requant_attrs(g, node))
 
     return g
 

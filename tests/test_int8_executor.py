@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -30,21 +31,18 @@ from tinydeploy.graph import (
     TensorSpec,
     infer_shapes,
 )
-from tinydeploy.quantization import INT32_MAX, fixed_point_multiplier, quantize_graph
+from tinydeploy.model_io import ModelFormatError, load_model, save_model
+from tinydeploy.quantization import INT32_MAX, fixed_point_multiplier, quantize_graph, requant_attrs
 
 
 def unit_qp():
     return QuantParams(scale=1.0, zero_point=0)
 
 
-def unit_requant():
-    sig, shift = fixed_point_multiplier(1.0)
-    return {"significand": sig, "shift": shift}
-
-
 def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
     """Hand-quantized Conv2D, DepthwiseConv2D or FullyConnected graph with
-    S=1 everywhere and Z=0 except at the input."""
+    S=1 everywhere and Z=0 except at the input, storing the requant table
+    its scales derive (a unit multiplier per channel)."""
     w = np.asarray(weights, dtype=np.int8)
     b = np.asarray(bias, dtype=np.int32)
     axis = 3 if kind == OpKind.DEPTHWISE_CONV2D else 0
@@ -53,13 +51,7 @@ def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
         scale=np.ones(out_c), zero_point=np.zeros(out_c, dtype=np.int64),
         granularity="per_channel", axis=axis, symmetric=True,
     )
-    requant = {
-        "significand": [unit_requant()["significand"]] * out_c,
-        "shift": [unit_requant()["shift"]] * out_c,
-    }
-    attrs = {"requant": requant}
-    if kind != OpKind.FULLY_CONNECTED:
-        attrs.update(conv_attrs(kernel=w.shape[1]))
+    attrs = {} if kind == OpKind.FULLY_CONNECTED else conv_attrs(kernel=w.shape[1])
     nodes = [OpNode("conv", kind, attrs, ["in", "w", "b"], ["out"])]
     tensors = [
         TensorSpec("in", in_shape, DType.INT8, TensorKind.INPUT,
@@ -71,8 +63,9 @@ def unit_scale_conv_graph(weights, bias, in_shape, kind=OpKind.CONV2D, zp_in=0):
                    data=b),
         TensorSpec("out", (1, 1), DType.INT8, TensorKind.ACTIVATION, quant=unit_qp()),
     ]
-    g = GraphIR("unit", nodes, {t.id: t for t in tensors}, ["in"], ["out"])
-    return infer_shapes(g)[0]
+    g = infer_shapes(GraphIR("unit", nodes, {t.id: t for t in tensors}, ["in"], ["out"]))[0]
+    g.nodes[0].attrs.update(requant_attrs(g, g.nodes[0]))
+    return g
 
 
 def test_unit_scale_identity_conv_exact():
@@ -344,18 +337,32 @@ def test_prepare_accepts_exactly_the_graphs_whose_extremes_fit_int32(data):
     np.testing.assert_array_equal(np.diag(out), np.clip(acc, -128, 127))
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("shift", 64, "requant outside"),
-    ("significand", 2**31, "requant outside"),
-])
-def test_prepare_rejects_out_of_range_tables(field, value, message):
-    # Manifest values under which the int64 requantization or the exact
-    # float64 GEMM would go wrong are refused before anything runs. An
+def test_prepare_runs_the_tables_its_scales_derive():
+    # The stored table is never read: a wrong one or none at all runs the
+    # same unit multiplier.
+    g = unit_scale_conv_graph(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 4, 4, 1))
+    x = np.arange(-8, 8, dtype=np.float32).reshape(1, 4, 4, 1)
+    want = run_int8(g, x)["out"]
+    np.testing.assert_array_equal(want, x)
+    g.nodes[0].attrs["requant"] = {"significand": 2**31, "shift": 64}
+    np.testing.assert_array_equal(run_int8(g, x)["out"], want)
+    del g.nodes[0].attrs["requant"]
+    np.testing.assert_array_equal(run_int8(g, x)["out"], want)
+
+
+@pytest.mark.parametrize("field, value", [("shift", 64), ("significand", 2**31)],
+                         ids=["shift", "significand"])
+def test_load_rejects_out_of_range_tables(tmp_path, field, value):
+    # Manifest values under which the int64 requantization would go wrong
+    # never reach `prepare`: a stored table must be the derived one. An
     # input zero point outside Int8 never gets this far (`QuantParams`).
     g = unit_scale_conv_graph(np.ones((1, 1, 1, 1)), np.zeros(1), (1, 4, 4, 1))
-    g.nodes[0].attrs["requant"][field] = [value]
-    with pytest.raises(ExecutionError, match=message):
-        prepare(g)
+    want = g.nodes[0].attrs["requant"][field]
+    g.nodes[0].attrs["requant"][field] = value
+    save_model(g, tmp_path / "m")
+    with pytest.raises(ModelFormatError,
+                       match=re.escape(f"node conv requant[{field}]: {value} != {want}")):
+        load_model(tmp_path / "m.json")
 
 
 def test_bit_identical_intermediates_across_runs(small_convnet_quantized, test_samples):

@@ -23,8 +23,9 @@ from graphutil import (
     two_conv_chain,
 )
 from tinydeploy.costmodel import flash_bytes, group_id, node_counts
+from tinydeploy.cli import main
 from tinydeploy.data_files import load_profile
-from tinydeploy import costmodel, pipeline
+from tinydeploy import costmodel
 from tinydeploy.executor import ExecutionError, calibrate, prepare, run_int8
 from tinydeploy import mapping
 from tinydeploy.graph import FUSES_AFTER, OpKind, OpNode, fused_successor
@@ -815,14 +816,16 @@ def test_plan_file_is_the_json_dumps_text_of_asdict(tmp_path, mapped_graphs):
 
 
 def test_estimate_accepts_every_plan_map_builds(tmp_path, mapped_graphs):
+    # Through the `estimate` subcommand, whose check rebuilds the plan.
     for graph in mapped_graphs:
         save_model(graph, tmp_path / "model")
         for profile in PROFILES:
             plan = build_deployment_plan(graph, load_profile(profile))
             plan.save(tmp_path / "plan.json")
-            est = pipeline.stage_estimate(tmp_path / "model.json", tmp_path / "plan.json",
-                                          load_profile(profile), tmp_path / "est.json")
-            assert est == plan.estimates
+            assert main(["estimate", "--model", str(tmp_path / "model.json"), "--plan",
+                         str(tmp_path / "plan.json"), "--profile", profile,
+                         "--out", str(tmp_path / "est.json")]) == 0
+            assert json_text(plan.estimates) == (tmp_path / "est.json").read_text()
 
 
 def test_every_plan_map_builds_is_at_or_above_the_live_set_bound(mapped_graphs):

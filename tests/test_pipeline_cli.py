@@ -1,6 +1,7 @@
 import inspect
 import json
 import logging
+import math
 import os
 import re
 from collections import Counter
@@ -205,7 +206,7 @@ def test_run_reads_model_and_dataset_once(assets, tmp_path, monkeypatch, skip):
     through = SimpleNamespace(**vars(model_io))
     monkeypatch.setattr(pipeline, "model_io", through)
     for owner, name in ((pipeline, "load_model"), (pipeline, "load_dataset"),
-                        (pipeline, "load_plan"), (executor, "read_records_csv"),
+                        (executor, "read_records_csv"),
                         (PrunePlan, "load"), (Checkpoint, "load"), (through, "read_json"),
                         (pipeline, "export_checkpoint"), (pipeline, "import_checkpoint"),
                         (pipeline, "load_profile"), (pipeline, "load_link_budget")):
@@ -750,6 +751,7 @@ def _retarget(plan, gid, target):
 # and kinds; that the plan is the one `map` builds is `estimate`'s check.
 @pytest.mark.parametrize("edit, message, by_decode", [
     (lambda p: p.pop("timeline"), "missing key 'timeline'", True),
+    (lambda p: p.pop("estimates"), "missing key 'estimates'", True),
     (lambda p: _drop_timeline_entry(p, "conv1+conv1_relu"), "timeline: length 5 != 6", False),
     (lambda p: p["fused_groups"].append(["conv1"]), "fused_groups: length 7 != 6", False),
     (lambda p: p["memory_plan"].update(tensors=[]), "key 'tensors' must be dict, got list", True),
@@ -767,7 +769,7 @@ def _retarget(plan, gid, target):
      "memory_plan tensors[in]: unknown key 'z'", True),
     (lambda p: p["memory_plan"]["tensors"]["in"].update(offset=-1),
      "memory_plan tensors[in] offset: -1 != 16384", False),
-], ids=["missing_timeline", "group_without_entry", "node_in_two_groups", "tensors_list",
+], ids=["missing_timeline", "missing_estimates", "group_without_entry", "node_in_two_groups", "tensors_list",
         "gpu_target", "target_not_assigned", "estimates_without_energy",
         "breakdown_macs_string", "estimates_list", "breakdown_unknown_key",
         "memory_tensor_unknown_key", "memory_tensor_negative_offset"])
@@ -1081,17 +1083,17 @@ MALFORMED_INPUTS = {
         "node pool1: unknown tensor nowhere"),
     "requant_list": (
         lambda m, t: _requant_edited(m, t, lambda attrs: attrs.update(requant=[1])),
-        "node conv1 requant: expected an object, got list"),
+        "node conv1 requant: a list != a dict"),
     "requant_without_significand": (
         lambda m, t: _requant_edited(m, t, lambda attrs: attrs["requant"].pop("significand")),
-        "node conv1 requant: missing key 'significand'"),
+        "node conv1 requant[significand]: absent != a list"),
     "requant_significand_string": (
         lambda m, t: _requant_edited(m, t, lambda attrs: attrs["requant"].update(significand="x")),
-        "node conv1 requant: key 'significand' must be int or list, got str"),
+        "node conv1 requant[significand]: 'x' != a list"),
     "requant_shift_float": (
         lambda m, t: _requant_edited(
-            m, t, lambda attrs: attrs["requant"]["shift"].__setitem__(2, 30.0)),
-        "node conv1 requant: key 'shift'[2] must be int, got float"),
+            m, t, lambda attrs: attrs["requant"]["shift"].__setitem__(2, 39.0)),
+        "node conv1 requant[shift][2]: 39.0 != 39"),
     "manifest_stride_true": (
         lambda m, t: _tensors_edited(
             m, t, lambda nodes: nodes[0]["attrs"].update(stride_h=True), part="nodes"),
@@ -1285,6 +1287,36 @@ def test_malformed_input_file_rejected(mapped, tmp_path, capsys, case):
     argv, message = MALFORMED_INPUTS[case]
     assert main(argv(mapped, tmp_path)) == 1
     assert_one_error_line(capsys, message)
+
+
+def _bump_significand(manifest: dict) -> str:
+    significand = manifest["nodes"][0]["attrs"]["requant"]["significand"]
+    significand[0] += 1
+    return f"node conv1 requant[significand][0]: {significand[0]} != {significand[0] - 1}"
+
+
+def _bias_scale_one_ulp_up(manifest: dict) -> str:
+    scale = manifest["tensors"]["conv1_b"]["quant"]["scale"]
+    derived, scale[0] = scale[0], math.nextafter(scale[0], math.inf)
+    return f"node conv1 bias conv1_b scale[0]: {scale[0]!r} != {derived!r}"
+
+
+@pytest.mark.parametrize("command", ["validate-model", "evaluate"])
+@pytest.mark.parametrize("mutate", [_bump_significand, _bias_scale_one_ulp_up],
+                         ids=["significand_plus_one", "bias_scale_one_ulp_up"])
+def test_manifest_disagreeing_with_its_scales_rejected(mapped, tmp_path, capsys, command, mutate):
+    """A well-formed table or bias scale that is not the one the scales
+    derive is refused at load, before `evaluate` could run it."""
+    manifest = json.loads((mapped / "model.json").read_text())
+    message = mutate(manifest)
+    _write(tmp_path / "model.json", json.dumps(manifest))
+    (tmp_path / "model.bin").write_bytes((mapped / "model.bin").read_bytes())
+    argv = [command, "--model", str(tmp_path / "model.json")]
+    if command == "evaluate":
+        argv += ["--dataset", str(_dataset(tmp_path, lambda root: None)), "--out", str(tmp_path / "e")]
+    assert main(argv) == 1
+    assert_one_error_line(capsys, message)
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_runs_leave_no_temporary_files(assets, tmp_path, monkeypatch):

@@ -1,23 +1,38 @@
+import json
 import math
+import re
 from fractions import Fraction
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphutil import conv_relu_softmax, node
-from tinydeploy.executor import TensorRange, calibrate
-from tinydeploy.graph import DType, QuantParams
-from tinydeploy.model_io import save_model
+from graphutil import (
+    build_prune_plan,
+    conv_relu_softmax,
+    inception_graph,
+    node,
+    residual_chain_graph,
+    skip_branch_graph,
+)
+from tinydeploy.executor import ExecutionError, TensorRange, calibrate, prepare
+from tinydeploy.graph import DType, OpKind, QuantParams
+from tinydeploy.model_io import ModelFormatError, json_text, load_model, save_model
+from tinydeploy.pruning import materialize
 from tinydeploy.quantization import (
+    WEIGHT_CHANNEL_AXIS,
     QuantizationError,
+    bias_params,
     compute_qparams,
     dequantize_tensor,
     fixed_point_multiplier,
     per_channel_qparams,
     quantize_graph,
     quantize_tensor,
+    requant_attrs,
     requantize_fixed_point,
     round_half_away,
 )
@@ -235,3 +250,127 @@ def test_inherited_params_for_order_preserving_ops(small_convnet_quantized):
     assert g.tensors[pool.inputs[0]].quant == g.tensors[pool.outputs[0]].quant
     flat = node(g, "flatten")
     assert g.tensors[flat.inputs[0]].quant == g.tensors[flat.outputs[0]].quant
+
+
+def _branchy():
+    """The bench's seeded branchy graph generator (`bench/branchy.py`)."""
+    spec = spec_from_file_location("branchy", Path(__file__).parents[1] / "bench" / "branchy.py")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _seeded_inputs(graph, count=4):
+    rng = np.random.default_rng(3)
+    shape = graph.tensors[graph.graph_inputs[0]].shape
+    return [rng.normal(size=shape).astype(np.float32) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def quantized_graphs(small_convnet, dwsep_net, test_samples):
+    """Graphs as `quantize_graph` makes them, by name: both bundled models
+    pruned and unpruned (`prune.skip`), graphutil's skip-branch, residual
+    and inception graphs, and every compile_branchy seed-1 graph, pruned."""
+    samples = [s[1] for s in test_samples[:32]]
+    sources = {}
+    for g in (small_convnet, dwsep_net):
+        sources[g.name] = (g, samples)
+        sources[f"{g.name}_pruned"] = (materialize(g, build_prune_plan(g)), samples)
+    for build in (skip_branch_graph, residual_chain_graph, inception_graph):
+        g = build()
+        sources[g.name] = (g, _seeded_inputs(g))
+    branchy = _branchy()
+    for i, g in enumerate(branchy.make_graph_set(1, 30)):
+        sources[g.name] = (materialize(g, build_prune_plan(g)),
+                           branchy.calibration_inputs(g, 1, i, 4))
+    return {name: quantize_graph(g, calibrate(g, inputs)) for name, (g, inputs) in sources.items()}
+
+
+def test_every_quantized_graph_survives_save_and_load(tmp_path, quantized_graphs):
+    kinds = set()
+    for name, graph in quantized_graphs.items():
+        save_model(graph, tmp_path / name)
+        loaded = load_model(tmp_path / f"{name}.json")
+        for n in loaded.nodes:
+            kinds.add(n.kind)
+            tables = requant_attrs(loaded, n)
+            assert json_text(tables) == json_text({key: n.attrs[key] for key in tables})
+            if n.kind in WEIGHT_CHANNEL_AXIS and len(n.inputs) == 3:
+                assert loaded.tensors[n.inputs[2]].quant == bias_params(loaded, n)
+    assert {OpKind.ADD, OpKind.CONCAT, OpKind.DEPTHWISE_CONV2D, OpKind.AVG_POOL2D} <= kinds
+
+
+def _significand_plus_one(manifest):
+    significand = _attrs(manifest, "conv1")["requant"]["significand"]
+    significand[0] += 1
+    return f"node conv1 requant[significand][0]: {significand[0]} != {significand[0] - 1}"
+
+
+def _shift_as_float(manifest):
+    shift = _attrs(manifest, "conv1")["requant"]["shift"]
+    shift[0] = float(shift[0])
+    return f"node conv1 requant[shift][0]: {shift[0]!r} != {int(shift[0])}"
+
+
+def _bias_scale_one_ulp_down(manifest):
+    scale = manifest["tensors"]["conv1_b"]["quant"]["scale"]
+    derived, scale[0] = scale[0], math.nextafter(scale[0], 0.0)
+    return f"node conv1 bias conv1_b scale[0]: {scale[0]!r} != {derived!r}"
+
+
+def _add_operands_swapped(manifest):
+    attrs = _attrs(manifest, "add1")
+    a, b = attrs["requant_a"], attrs["requant_b"]
+    assert a != b  # the operands' scales differ
+    attrs["requant_a"], attrs["requant_b"] = b, a
+    first = next(key for key in ("significand", "shift") if a[key] != b[key])
+    return f"node add1 requant_a[{first}]: {b[first]!r} != {a[first]!r}"
+
+
+def _attrs(manifest, nid):
+    return next(n for n in manifest["nodes"] if n["id"] == nid)["attrs"]
+
+
+@pytest.mark.parametrize("model, mutate", [
+    ("small_convnet", _significand_plus_one),
+    ("small_convnet", _shift_as_float),
+    ("dwsep_net", _bias_scale_one_ulp_down),
+    ("residual_chain", _add_operands_swapped),
+], ids=["significand_plus_one", "shift_as_float", "bias_scale_one_ulp", "add_operands_swapped"])
+def test_load_refuses_tables_the_scales_do_not_derive(tmp_path, quantized_graphs, model, mutate):
+    manifest_path, _ = save_model(quantized_graphs[model], tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    message = mutate(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+        load_model(manifest_path)
+
+
+def test_load_refuses_scales_without_a_requant_table(tmp_path):
+    g = conv_relu_softmax()
+    manifest_path, _ = save_model(quantize_graph(g, calibrate(g, _seeded_inputs(g))), tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"]["conv_out"]["quant"]["scale"] = 1e-300  # S_in * S_w / S_out >= 2**30
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=r"^node conv: requant multiplier .* out of supported"):
+        load_model(manifest_path)
+
+
+def test_a_float_weight_loads_and_prepare_names_it(tmp_path):
+    # No scales, no tables to derive: `load_model` leaves the node to `prepare`.
+    g = conv_relu_softmax()
+    q = quantize_graph(g, calibrate(g, _seeded_inputs(g)))
+    w = q.tensors["w"]
+    w.dtype, w.data, w.quant = DType.FLOAT32, w.data.astype(np.float32), None
+    save_model(q, tmp_path / "m")
+    with pytest.raises(ExecutionError, match="node conv: weights are not Int8"):
+        prepare(load_model(tmp_path / "m.json"))
+
+
+def test_quantize_refuses_a_bias_shared_at_different_scales():
+    g = residual_chain_graph()
+    b1 = node(g, "b1")
+    b1.inputs[2] = "stem_b"  # the stem's 8-channel bias, read at b1's scales too
+    del g.tensors["b1_b"]
+    with pytest.raises(QuantizationError, match="bias stem_b shared at different scales"):
+        quantize_graph(g, calibrate(g, _seeded_inputs(g)))
