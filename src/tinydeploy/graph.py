@@ -211,13 +211,10 @@ class GraphIR:
 
         Outputs produced by Softmax stay Float32 (Softmax runs in float).
         """
-        producers = self.producer_map()
+        softmax_outputs = {t for n in self.nodes if n.kind == OpKind.SOFTMAX for t in n.outputs}
         saw_int8 = False
         for t in self.tensors.values():
-            if t.kind in (TensorKind.WEIGHT, TensorKind.BIAS):
-                continue
-            prod = producers.get(t.id)
-            if prod is not None and prod.kind == OpKind.SOFTMAX:
+            if t.kind in (TensorKind.WEIGHT, TensorKind.BIAS) or t.id in softmax_outputs:
                 continue
             if t.dtype != DType.INT8 or t.quant is None:
                 return False

@@ -12,8 +12,10 @@ smallest; see `place_lifetimes`).
 
 The partition starts from the profile's supported op set: a node runs on
 the NPU iff the profile supports its kind. A group the NPU supports may
-then move to the CPU where it would finish earlier there, and the moves
-stand only if the whole plan gets faster at no cost in energy or RAM
+then move to the CPU where it would finish earlier there. The moves
+stand together if the whole plan gets faster at no cost in energy or
+RAM; otherwise they are tried one at a time, in rank order, and each
+stands that makes the plan kept so far faster at no such cost
 (`build_deployment_plan`). Unsupported nodes never run on the NPU.
 
 Weights live in flash and never enter the arena; tensors internal to a
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .costmodel import (
     CostEstimate,
@@ -38,7 +41,7 @@ from .costmodel import (
     group_index,
     node_counts,
 )
-from .graph import GraphIR, fused_successor, priority_order, topological_order
+from .graph import GraphIR, OpNode, fused_successor, priority_order, topological_order
 from .hardware import HardwareProfile
 from .model_io import decode, read_json, write_json
 
@@ -92,12 +95,30 @@ def partition_and_fuse(
     """The support-based start: each node on the NPU iff the profile
     supports its kind, fused by `fuse`. `build_deployment_plan` starts
     from it and may move NPU groups to the CPU."""
+    assignment = _support_assignment(graph, profile)
+    return assignment, fuse(graph, assignment)
+
+
+def _support_assignment(graph: GraphIR, profile: HardwareProfile) -> dict[str, str]:
     if not graph.is_quantized():
         raise MappingError("mapping requires a quantized graph")
-    assignment = {
-        n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes
-    }
-    return assignment, fuse(graph, assignment)
+    return {n.id: "NPU" if profile.supports(n.kind) else "CPU" for n in graph.nodes}
+
+
+class _Links(NamedTuple):
+    """A graph with its `topological_order` and producer and consumer
+    maps: what `fuse`, `group_dependencies` and `tensor_lifetimes` read
+    of its structure. `build_deployment_plan` builds it once and shares
+    it with every plan it builds."""
+
+    graph: GraphIR
+    order: list[str]
+    producers: dict[str, OpNode]
+    consumers: dict[str, list[OpNode]]
+
+
+def _links(graph: GraphIR) -> _Links:
+    return _Links(graph, topological_order(graph), graph.producer_map(), graph.consumer_map())
 
 
 def fuse(graph: GraphIR, assignment: dict[str, str]) -> list[list[str]]:
@@ -114,9 +135,12 @@ def fuse(graph: GraphIR, assignment: dict[str, str]) -> list[list[str]]:
     is read outside it, so every group comes after the groups it reads
     from.
     """
+    return _fuse(_links(graph), assignment)
+
+
+def _fuse(links: _Links, assignment: dict[str, str]) -> list[list[str]]:
+    graph, order, _, consumers = links
     nodes = {n.id: n for n in graph.nodes}
-    consumers = graph.consumer_map()
-    order = topological_order(graph)
     grouped: set[str] = set()
     groups: list[list[str]] = []
     for nid in order:
@@ -139,13 +163,16 @@ def group_dependencies(
     graph: GraphIR, fused_groups: list[list[str]]
 ) -> dict[str, set[str]]:
     """Group id -> set of group ids it must wait for."""
+    return _group_dependencies(_links(graph), fused_groups)
+
+
+def _group_dependencies(links: _Links, fused_groups: list[list[str]]) -> dict[str, set[str]]:
     node_group = group_index(fused_groups)
-    producers = graph.producer_map()
     deps: dict[str, set[str]] = {group_id(g): set() for g in fused_groups}
-    for node in graph.nodes:
+    for node in links.graph.nodes:
         gid = node_group[node.id]
         for tid in node.inputs:
-            prod = producers.get(tid)
+            prod = links.producers.get(tid)
             if prod is not None and node_group[prod.id] != gid:
                 deps[gid].add(node_group[prod.id])
     return deps
@@ -306,11 +333,16 @@ def tensor_lifetimes(
     the makespan. Tensors produced and consumed entirely inside one fused
     group are not materialized and get no lifetime.
     """
+    return _tensor_lifetimes(_links(graph), timeline, fused_groups)
+
+
+def _tensor_lifetimes(
+    links: _Links, timeline: list[TimelineEntry], fused_groups: list[list[str]]
+) -> list[Lifetime]:
+    graph, _, producers, consumers = links
     node_group = group_index(fused_groups)
     interval = {e.group: (e.start_us, e.end_us) for e in timeline}
     makespan = max((e.end_us for e in timeline), default=0.0)
-    producers = graph.producer_map()
-    consumers = graph.consumer_map()
 
     lifetimes = []
     for tid, t in graph.tensors.items():
@@ -448,27 +480,48 @@ def build_deployment_plan(
     pass then takes its groups in upward-rank order and puts each where
     it would finish earliest, as HEFT does (Topcuoglu, Hariri and Wu,
     IEEE TPDS 13(3), 2002): an NPU group may move to the CPU, a CPU group
-    stays, and a tie keeps the start's target. If a group moved, the new
-    assignment is fused again (`fuse`), scheduled, placed and estimated,
-    and that plan is kept only if its latency is strictly lower and
-    neither its energy nor its RAM is higher than the start's.
+    stays, and a tie keeps the start's target. A plan pays over another
+    when its latency is strictly lower and neither its energy nor its RAM
+    is higher. If groups moved, the plan with every move (fused again by
+    `fuse`, scheduled, placed and estimated) is kept if it pays over the
+    start. If it does not, the moves are tried one at a time from the
+    start, in the pass's rank order: a move is kept if the plan with its
+    group's nodes also on the CPU pays over the plan kept so far. The
+    graph's topological order and producer and consumer maps are built
+    once for all of these plans.
     """
-    assignment, fused_groups = partition_and_fuse(graph, profile)
+    links = _links(graph)
     counts = node_counts(graph)
     flash = flash_bytes(graph, profile)
-    plan = _plan(graph, profile, counts, flash, assignment, fused_groups)
-    chosen = _earliest_finish_targets(graph, profile, counts, plan)
-    if chosen != assignment:
-        moved = _plan(graph, profile, counts, flash, chosen, fuse(graph, chosen))
-        old, new = plan.estimates, moved.estimates
-        if (new.latency_ms < old.latency_ms and new.energy_mj <= old.energy_mj
-                and new.ram_peak_bytes <= old.ram_peak_bytes):
-            plan = moved
+
+    def plan_with(assignment: dict[str, str], on_cpu: list[list[str]]) -> DeploymentPlan:
+        assignment = {**assignment, **{nid: "CPU" for grp in on_cpu for nid in grp}}
+        return _plan(links, profile, counts, flash, assignment, _fuse(links, assignment))
+
+    start = plan_with(_support_assignment(graph, profile), [])
+    moves = _earliest_finish_moves(links, profile, counts, start)
+    if not moves:
+        return start
+    every = plan_with(start.assignment, moves)
+    if _pays(every, start):
+        return every
+    plan = start
+    for group in moves:
+        trial = plan_with(plan.assignment, [group])
+        if _pays(trial, plan):
+            plan = trial
     return plan
 
 
+def _pays(new: DeploymentPlan, old: DeploymentPlan) -> bool:
+    new_cost, old_cost = new.estimates, old.estimates
+    return (new_cost.latency_ms < old_cost.latency_ms
+            and new_cost.energy_mj <= old_cost.energy_mj
+            and new_cost.ram_peak_bytes <= old_cost.ram_peak_bytes)
+
+
 def _plan(
-    graph: GraphIR,
+    links: _Links,
     profile: HardwareProfile,
     counts: dict[str, tuple[int, int]],
     flash: int,
@@ -476,19 +529,20 @@ def _plan(
     fused_groups: list[list[str]],
 ) -> DeploymentPlan:
     """Cost (from the graph's `node_counts`), schedule, place the arena of
-    and estimate these groups, each on its nodes' target. The estimate
-    reuses the per-group costs the schedule was built from; `flash` is the
-    graph's `flash_bytes`, which no target choice changes."""
+    and estimate these groups of the links' graph, each on its nodes'
+    target. The estimate reuses the per-group costs the schedule was built
+    from; `flash` is the graph's `flash_bytes`, which no target choice
+    changes."""
     costs = [group_cost(grp, assignment[grp[0]], counts, profile) for grp in fused_groups]
     targets = {c.group: c.target for c in costs}
     latencies = {c.group: c.latency_us for c in costs}
-    deps = group_dependencies(graph, fused_groups)
+    deps = _group_dependencies(links, fused_groups)
     timeline = schedule(fused_groups, deps, targets, latencies, profile)
-    lifetimes = tensor_lifetimes(graph, timeline, fused_groups)
+    lifetimes = _tensor_lifetimes(links, timeline, fused_groups)
     memory = place_lifetimes(lifetimes)
     verify_memory_plan(memory, lifetimes)
     return DeploymentPlan(
-        model=graph.name,
+        model=links.graph.name,
         profile=profile.name,
         assignment=assignment,
         fused_groups=fused_groups,
@@ -499,15 +553,16 @@ def _plan(
     )
 
 
-def _earliest_finish_targets(
-    graph: GraphIR,
+def _earliest_finish_moves(
+    links: _Links,
     profile: HardwareProfile,
     counts: dict[str, tuple[int, int]],
     plan: DeploymentPlan,
-) -> dict[str, str]:
-    """Node id -> target when the plan's groups, taken in upward-rank
-    order, each run where they finish first: an NPU group may also run on
-    the CPU, and a tie keeps its own target."""
+) -> list[list[str]]:
+    """The plan's groups that move when its groups, taken in upward-rank
+    order, each run where they finish first (an NPU group may also run on
+    the CPU, and a tie keeps its own target), listed in that order. Every
+    group listed moves from the NPU to the CPU."""
     options: dict[str, list[tuple[str, float]]] = {}
     for grp, cost in zip(plan.fused_groups, plan.estimates.per_group_breakdown):
         options[cost.group] = [(cost.target, cost.latency_us)]
@@ -515,13 +570,13 @@ def _earliest_finish_targets(
             cpu = group_cost(grp, "CPU", counts, profile)
             options[cost.group].append(("CPU", cpu.latency_us))
     gids = list(options)
-    deps = group_dependencies(graph, plan.fused_groups)
+    deps = _group_dependencies(links, plan.fused_groups)
     latencies = {gid: opts[0][1] for gid, opts in options.items()}
     order = _rank_order(gids, deps, latencies)
     timeline = _run_list_schedule(order, deps, options, profile.transfer_latency_us)
     target_of = {e.group: e.target for e in timeline}
-    node_group = group_index(plan.fused_groups)
-    return {n.id: target_of[node_group[n.id]] for n in graph.nodes}
+    groups = dict(zip(gids, plan.fused_groups))
+    return [groups[gid] for gid in order if target_of[gid] != options[gid][0][0]]
 
 
 def load_plan(path: str | Path) -> DeploymentPlan:

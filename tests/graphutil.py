@@ -5,14 +5,18 @@ The oracles here deliberately avoid the production code paths: naive
 loop convolutions, permutation search for memory packing, topological
 enumeration for schedules, direct enumeration for hybrid accuracy,
 numpy's own norm for filter ranking. `graphs_equal` (structural identity), `build_prune_plan` (every stage
-at once) and `node` (a node by id) serve only tests.
+at once), `compile_branchy_graphs` (the bench's branchy graphs, pruned
+and quantized) and `node` (a node by id) serve only tests.
 """
 from __future__ import annotations
 
 import itertools
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
 
+from tinydeploy.executor import calibrate
 from tinydeploy.graph import (
     DType,
     GraphIR,
@@ -24,8 +28,14 @@ from tinydeploy.graph import (
     infer_shapes,
     same_padding_amounts,
 )
-from tinydeploy.pruning import DEFAULT_SCHEDULE, PrunePlan, new_plan, plan_next_stage
-from tinydeploy.quantization import QMAX, QMIN, fixed_point_multiplier, requantize_fixed_point
+from tinydeploy.pruning import DEFAULT_SCHEDULE, PrunePlan, materialize, new_plan, plan_next_stage
+from tinydeploy.quantization import (
+    QMAX,
+    QMIN,
+    fixed_point_multiplier,
+    quantize_graph,
+    requantize_fixed_point,
+)
 
 
 def act(tid, shape=(1, 1)):
@@ -528,6 +538,20 @@ def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     for _ in plan.schedule:
         plan = plan_next_stage(graph, plan)
     return plan
+
+
+def compile_branchy_graphs() -> list[GraphIR]:
+    """The 30 graphs of the bench's compile_branchy workload at seed 1
+    (`bench/branchy.py`), each pruned by `build_prune_plan`, calibrated on
+    4 of its seeded inputs and quantized."""
+    spec = spec_from_file_location("branchy", Path(__file__).parents[1] / "bench" / "branchy.py")
+    branchy = module_from_spec(spec)
+    spec.loader.exec_module(branchy)
+    graphs = []
+    for i, g in enumerate(branchy.make_graph_set(1, 30)):
+        pruned = materialize(g, build_prune_plan(g))
+        graphs.append(quantize_graph(pruned, calibrate(pruned, branchy.calibration_inputs(g, 1, i, 4))))
+    return graphs
 
 
 def node(graph: GraphIR, nid: str) -> OpNode:

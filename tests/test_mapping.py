@@ -864,7 +864,7 @@ def _support_based_plan(graph, profile):
     """The plan of `partition_and_fuse`'s start assignment, before any
     group moves to the CPU."""
     counts = node_counts(graph)
-    return mapping._plan(graph, profile, counts, flash_bytes(graph, profile),
+    return mapping._plan(mapping._links(graph), profile, counts, flash_bytes(graph, profile),
                          *partition_and_fuse(graph, profile))
 
 

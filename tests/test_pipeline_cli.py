@@ -16,6 +16,7 @@ import pytest
 from graphutil import build_prune_plan, graphs_equal, inception_graph
 from tinydeploy import executor, mapping, model_io, pipeline
 from tinydeploy.cli import _parse_schedule, build_parser, main
+from tinydeploy.costmodel import flash_bytes, node_counts
 from tinydeploy.data_files import load_profile
 from tinydeploy.datasets import generate_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
@@ -963,17 +964,15 @@ def _all_npu() -> HardwareProfile:
 
 
 def _plan_built(m: Path, t: Path, profile: HardwareProfile, merge_last: int = 1) -> list[str]:
-    """estimate argv, under the default profile, for the plan that
-    `build_deployment_plan` makes of the mapped model under `profile`
-    with its last `merge_last` fused groups merged into one: consistent
-    in itself, but not the plan `map` builds."""
-    partition = mapping.partition_and_fuse
-
-    def merged(graph, prof):
-        assignment, groups = partition(graph, prof)
-        return assignment, groups[:-merge_last] + [sum(groups[-merge_last:], [])]
-    with mock.patch.object(mapping, "partition_and_fuse", merged):
-        plan = build_deployment_plan(load_model(m / "model.json"), profile)
+    """estimate argv, under the default profile, for the plan of the
+    mapped model's support-based groups under `profile` with its last
+    `merge_last` fused groups merged into one: consistent in itself, but
+    not the plan `map` builds."""
+    graph = load_model(m / "model.json")
+    assignment, groups = mapping.partition_and_fuse(graph, profile)
+    groups = groups[:-merge_last] + [sum(groups[-merge_last:], [])]
+    plan = mapping._plan(mapping._links(graph), profile, node_counts(graph),
+                         flash_bytes(graph, profile), assignment, groups)
     return _plan_edited(m, t, lambda p: p.update(asdict(plan)))
 
 

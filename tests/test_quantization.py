@@ -2,8 +2,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from importlib.util import module_from_spec, spec_from_file_location
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphutil import (
     build_prune_plan,
+    compile_branchy_graphs,
     conv_relu_softmax,
     inception_graph,
     node,
@@ -252,14 +251,6 @@ def test_inherited_params_for_order_preserving_ops(small_convnet_quantized):
     assert g.tensors[flat.inputs[0]].quant == g.tensors[flat.outputs[0]].quant
 
 
-def _branchy():
-    """The bench's seeded branchy graph generator (`bench/branchy.py`)."""
-    spec = spec_from_file_location("branchy", Path(__file__).parents[1] / "bench" / "branchy.py")
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _seeded_inputs(graph, count=4):
     rng = np.random.default_rng(3)
     shape = graph.tensors[graph.graph_inputs[0]].shape
@@ -279,11 +270,9 @@ def quantized_graphs(small_convnet, dwsep_net, test_samples):
     for build in (skip_branch_graph, residual_chain_graph, inception_graph):
         g = build()
         sources[g.name] = (g, _seeded_inputs(g))
-    branchy = _branchy()
-    for i, g in enumerate(branchy.make_graph_set(1, 30)):
-        sources[g.name] = (materialize(g, build_prune_plan(g)),
-                           branchy.calibration_inputs(g, 1, i, 4))
-    return {name: quantize_graph(g, calibrate(g, inputs)) for name, (g, inputs) in sources.items()}
+    graphs = {name: quantize_graph(g, calibrate(g, inputs)) for name, (g, inputs) in sources.items()}
+    graphs.update((g.name, g) for g in compile_branchy_graphs())
+    return graphs
 
 
 def test_every_quantized_graph_survives_save_and_load(tmp_path, quantized_graphs):
