@@ -258,8 +258,8 @@ def stage_map(
 
 
 def stage_estimate(graph, plan: DeploymentPlan, profile: HardwareProfile, out_json):
-    """Write and return `plan.estimates`, costed again through `costmodel`
-    so that traced runs time the estimate as a step of its own."""
+    """Write and return `plan.estimates`, read through
+    `costmodel.estimate_deployment` so that traced runs keep its span."""
     est = costmodel.estimate_deployment(plan, graph, profile)
     model_io.write_json(out_json, est)
     return est

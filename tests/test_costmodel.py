@@ -1,9 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tinydeploy
 from graphutil import act, const, conv_attrs, make_graph
+from test_model_io import _calls
 from tinydeploy.costmodel import (
-    estimate_deployment,
+    _plan_estimate,
     flash_bytes,
     group_cost,
     node_counts,
@@ -12,7 +17,7 @@ from tinydeploy.costmodel import (
 )
 from tinydeploy.graph import DType, OpKind, OpNode, TensorKind, TensorSpec
 from tinydeploy.hardware import HardwareProfile
-from tinydeploy.mapping import build_deployment_plan
+from tinydeploy.mapping import MemoryPlan, TimelineEntry, build_deployment_plan
 
 
 def conv_graph(out_c, kernel, in_shape, stride=1, padding="VALID"):
@@ -153,17 +158,11 @@ def test_deployment_estimate_consistency(small_convnet_quantized):
 def test_budget_flags():
     profile = HardwareProfile()
     # 0.12 MB arena on the default 4.2 MB budget -> ram_ok
-    class FakePlan:
-        pass
-
-    from tinydeploy.mapping import MemoryPlan, TimelineEntry
-
-    plan = FakePlan()
-    plan.fused_groups = [["conv"]]
-    plan.timeline = [TimelineEntry("conv", "CPU", 0.0, 30_400.0)]
-    plan.memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=120_000)
     g = conv_graph(out_c=2, kernel=1, in_shape=(1, 2, 2, 2))
-    est = estimate_deployment(plan, g, profile)
+    timeline = [TimelineEntry("conv", "CPU", 0.0, 30_400.0)]
+    memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=120_000)
+    est = _plan_estimate(timeline, memory_plan, [one_group_cost(g, "CPU", profile)],
+                         flash_bytes(g, profile), profile)
     assert est.budget_flags["ram_ok"]
     # 30.4 ms makespan meets the 5 FPS (200 ms) deadline
     assert est.latency_ms == pytest.approx(30.4)
@@ -172,17 +171,24 @@ def test_budget_flags():
 
 def test_serial_single_target_energy_arithmetic():
     profile = HardwareProfile(cpu_power_w=0.5, idle_power_w=0.1, per_op_overhead_us=1.0)
-    from tinydeploy.mapping import MemoryPlan, TimelineEntry
-
-    class FakePlan:
-        pass
-
     g = conv_graph(out_c=2, kernel=1, in_shape=(1, 2, 2, 2))
-    plan = FakePlan()
-    plan.fused_groups = [["conv"]]
     cost = one_group_cost(g, "CPU", profile)
-    plan.timeline = [TimelineEntry("conv", "CPU", 0.0, cost.latency_us)]
-    plan.memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=0)
-    est = estimate_deployment(plan, g, profile)
+    timeline = [TimelineEntry("conv", "CPU", 0.0, cost.latency_us)]
+    memory_plan = MemoryPlan(tensors={}, arena_peak_bytes=0)
+    est = _plan_estimate(timeline, memory_plan, [cost], flash_bytes(g, profile), profile)
     expect_mj = (cost.latency_us * 0.5 + 0.1 * cost.latency_us) / 1000.0
     assert est.energy_mj == pytest.approx(expect_mj)
+
+
+def test_only_mapping_costs_groups_and_plans():
+    """In the library, only mapping.py calls `group_cost` or
+    `_plan_estimate`: a plan is costed once, while `map` builds it, and
+    every other reader takes the plan's `estimates`."""
+    offenders = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py"))
+        if path.name != "mapping.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _calls(node, "group_cost") or _calls(node, "_plan_estimate")
+    ]
+    assert offenders == []

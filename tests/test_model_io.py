@@ -572,6 +572,17 @@ def test_json_text_is_the_only_json_writer():
     assert offenders == []
 
 
+def test_version_is_stated_once():
+    """pyproject.toml states no version of its own: setuptools reads
+    `tinydeploy.__version__`."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(tinydeploy.__file__).parents[2] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"] == {"version": {"attr": "tinydeploy.__version__"}}
+
+
 def test_library_observes_runs_only_through_on_step():
     """No module passes `trace=` to a run: library code reads activations
     through `Program.run`'s `on_step` hook, which keeps none it does not

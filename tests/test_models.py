@@ -1,8 +1,13 @@
-import tracemalloc
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tinydeploy
 from tinydeploy import executor
 from tinydeploy.executor import run_f32
 from tinydeploy.graph import OpKind
@@ -43,16 +48,32 @@ def test_dual_fit_equals_primal_reference(small_convnet, train_samples):
     )
 
 
-def _fit_peak_mb(train_samples) -> float:
-    """The tracemalloc peak of fitting dwsep_net, in MB."""
-    graph = build_dwsep_net()
-    tracemalloc.start()
-    try:
-        fit_classifier(graph, train_samples)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / 2**20
+# Fits dwsep_net on the pickled samples read from stdin and prints the
+# tracemalloc peak in bytes; argv[1], when given, is the worker count.
+_FIT_PEAK = """
+import pickle, sys, tracemalloc
+from tinydeploy import executor
+from tinydeploy.models import build_dwsep_net, fit_classifier
+if len(sys.argv) > 1:
+    executor.usable_cpus = lambda: int(sys.argv[1])
+samples = pickle.load(sys.stdin.buffer)
+graph = build_dwsep_net()
+tracemalloc.start()
+fit_classifier(graph, samples)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _fit_peak_mb(train_samples, *workers) -> float:
+    """The tracemalloc peak of fitting dwsep_net, in MB, measured in a
+    fresh interpreter: in this one, a fit that grows a process-wide table
+    such as the interned-string dict would count it too, by as much as
+    3.7 MB depending on how many strings earlier tests interned."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tinydeploy.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _FIT_PEAK, *map(str, workers)],
+                         input=pickle.dumps(train_samples), env=env,
+                         capture_output=True, check=True).stdout
+    return int(out) / 2**20
 
 
 def test_fit_classifier_memory_peak(train_samples):
@@ -65,12 +86,11 @@ def test_fit_classifier_memory_peak(train_samples):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_fit_classifier_memory_peak_on_more_workers(workers, train_samples, monkeypatch):
+def test_fit_classifier_memory_peak_on_more_workers(workers, train_samples):
     # The chunk shrinks to EVAL_CHUNK // workers, so all workers together
     # hold one EVAL_CHUNK of samples. Two workers on chunks of 16 peaked
     # at about 16.3 MB.
-    monkeypatch.setattr(executor, "usable_cpus", lambda: workers)
-    peak = _fit_peak_mb(train_samples)
+    peak = _fit_peak_mb(train_samples, workers)
     assert peak < 13.4, f"peak {peak:.1f} MB"
 
 

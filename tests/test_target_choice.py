@@ -1,11 +1,4 @@
-"""Earliest-finish target choice on the bench's compile_branchy graphs.
-
-Kept apart from test_mapping.py, which runs before test_models.py:
-building and planning these 30 graphs there moves the point at which
-CPython's interned-string table next grows into the traced fits of
-`test_fit_classifier_memory_peak*`, whose peak then counts the table's
-1.9 MB.
-"""
+"""Earliest-finish target choice on the bench's compile_branchy graphs."""
 import pytest
 
 from graphutil import compile_branchy_graphs
@@ -82,3 +75,22 @@ def test_a_plan_build_reads_the_graph_structure_once(monkeypatch, branchy_graphs
     build_deployment_plan(graph, load_profile("builtin:profile_desk_calibrated"))
     assert len(plans) > 2
     assert sorted(built) == ["consumer_map", "producer_map", "topological_order"]
+
+
+def test_no_build_plans_one_assignment_twice(monkeypatch, branchy_graphs):
+    """Over the 30 compile_branchy seed-1 graphs under both builtin
+    profiles, no `build_deployment_plan` call builds two plans with one
+    assignment: in particular it does not try the last move when every
+    earlier move was kept, since that trial is the plan with every move."""
+    real_plan = mapping._plan
+    assignments = []
+    monkeypatch.setattr(mapping, "_plan",
+                        lambda *args: assignments.append(args[4]) or real_plan(*args))
+    repeated = []
+    for graph in branchy_graphs:
+        for name in PROFILES:
+            assignments.clear()
+            build_deployment_plan(graph, load_profile(name))
+            if any(a in assignments[:i] for i, a in enumerate(assignments)):
+                repeated.append((graph.name, name))
+    assert repeated == []
