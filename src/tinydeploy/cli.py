@@ -144,11 +144,15 @@ def _cmd_simulate_downlink(args) -> int:
     threshold, bps = args.threshold, args.bytes_per_sample
     if args.scenario:
         scenario = read_json(args.scenario, DownlinkError)
+        where = f"scenario {args.scenario}"
         kinds = {"records": str, "ground_records": str,
                  "threshold": NUMBER, "bytes_per_sample": NUMBER}
+        for key in scenario if isinstance(scenario, dict) else ():
+            if key not in kinds:
+                raise DownlinkError(f"{where}: unknown key {key!r}")
         # An absent or null key keeps the flag's value.
         given = {
-            key: _field(scenario, key, f"scenario {args.scenario}", kind, DownlinkError)
+            key: _field(scenario, key, where, kind, DownlinkError)
             for key, kind in kinds.items()
             if not isinstance(scenario, dict) or scenario.get(key) is not None
         }

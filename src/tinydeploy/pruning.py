@@ -4,9 +4,9 @@ Output structures (Conv2D filters, FullyConnected neurons) are ranked by
 the L2 norm of their weight slice; each stage removes the lowest-ranked
 floor(fraction * original_count) structures per layer, fractions relative
 to the original count. Masking zeroes the structures in fresh copies of
-the touched constants; materializing removes them physically and slices
-every consumer's input channels. Both walk the removals that
-`_checked_removals`, the one check of a plan against a graph, returns.
+the touched constants; materializing removes them physically and also
+cuts every consumer's input channels. Both read the cut list that
+`_checked_cuts`, the one check of a plan against a graph, returns.
 
 Channel propagation rule: a removal travels from a layer's output through
 channel-preserving ops (ReLU, MaxPool2D, AvgPool2D) and DepthwiseConv2D
@@ -37,7 +37,7 @@ model blob of the same graph, packed and read by model_io.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -125,18 +125,23 @@ class PrunePlan:
 
 
 def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None, tuple[str, ...]]]:
-    """Every Conv2D/FullyConnected layer of `graph` with its downstream
-    actions and its coupled group.
+    """Every Conv2D/FullyConnected layer of `graph` with its cuts and its
+    coupled group.
 
-    Maps layer id -> (layer node, actions, group). Actions is a list of
-    ("dw"|"conv_in"|"fc_in", consumer node, bases): a removed filter c
-    cuts the consumer's input channel or column `base + c` for every base.
-    Actions are None when the layer is not prunable, and then for its
-    whole group. The group is the layers, in graph order, whose outputs
-    meet at an Add, closed over chains of Adds; a layer that meets no Add
-    is alone. The table depends only on graph structure and the channel
-    counts of Flatten and Concat inputs, which masking leaves unchanged;
-    every index it yields is one of the unpruned graph.
+    Maps layer id -> (layer node, cuts, group). Cuts is a list of
+    (constant tensor id, axis, bases, masked): a removed filter c cuts
+    index `base + c` of that axis for every base. They are the layer's
+    own weight rows and bias entries (axis 0), each depthwise consumer's
+    channels (weight axis 3, bias axis 0), each Conv2D consumer's input
+    channels (weight axis 3) and each FullyConnected consumer's columns
+    (weight axis 1). Masking zeroes the masked cuts, which are all but a
+    consumer's inputs; materializing deletes every cut. Cuts are None
+    when the layer is not prunable, and then for its whole group. The
+    group is the layers, in graph order, whose outputs meet at an Add,
+    closed over chains of Adds; a layer that meets no Add is alone. The
+    table depends only on graph structure and the channel counts of
+    Flatten and Concat inputs, which masking leaves unchanged; every
+    index it yields is one of the unpruned graph.
     """
     consumers = graph.consumer_map()
     origins = _add_origins(graph)
@@ -146,9 +151,9 @@ def _propagation_table(graph: GraphIR) -> dict[str, tuple[OpNode, list | None, t
         members = set().union(*(groups[lid] for lid in sources))
         group = tuple(n.id for n in layers if n.id in members)
         groups.update(dict.fromkeys(group, group))
-    actions = {n.id: _propagation_actions(graph, consumers, origins, n.outputs[0]) for n in layers}
+    cuts = {n.id: _propagation_cuts(graph, consumers, origins, n) for n in layers}
     return {
-        n.id: (n, None if any(actions[m] is None for m in groups[n.id]) else actions[n.id],
+        n.id: (n, None if any(cuts[m] is None for m in groups[n.id]) else cuts[n.id],
                groups[n.id])
         for n in layers
     }
@@ -191,12 +196,12 @@ def _concat_offset(g: GraphIR, concat: OpNode, tid: str) -> int | None:
     return sum(g.tensors[t].shape[-1] for t in concat.inputs[:k])
 
 
-def _propagation_actions(g: GraphIR, consumers, origins, output: str):
-    """Walk one layer's `output` through its consumers on `g`."""
-    actions = []
+def _propagation_cuts(g: GraphIR, consumers, origins, layer: OpNode):
+    """Walk `layer`'s output through its consumers on `g`."""
+    cuts = [(tid, 0, (0,), True) for tid in layer.inputs[1:]]  # weight rows and bias entries
     # (tensor id, bases, flattened): removed filter c is the tensor's
     # channel, or after a Flatten its column, `base + c` for every base
-    queue: deque[tuple[str, tuple[int, ...], bool]] = deque([(output, (0,), False)])
+    queue: deque[tuple[str, tuple[int, ...], bool]] = deque([(layer.outputs[0], (0,), False)])
     seen: set[tuple[str, tuple[int, ...], bool]] = set()
     while queue:
         state = queue.popleft()
@@ -215,14 +220,14 @@ def _propagation_actions(g: GraphIR, consumers, origins, output: str):
                     return None
                 queue.append((out, bases, flat))
             elif kind == OpKind.FULLY_CONNECTED:
-                actions.append(("fc_in", consumer, bases))
+                cuts.append((consumer.inputs[1], 1, bases, False))
             elif flat:
                 return None
             elif kind == OpKind.DEPTHWISE_CONV2D:
-                actions.append(("dw", consumer, bases))
+                cuts += [(tid, axis, bases, True) for tid, axis in zip(consumer.inputs[1:], (3, 0))]
                 queue.append((out, bases, False))
             elif kind == OpKind.CONV2D:
-                actions.append(("conv_in", consumer, bases))
+                cuts.append((consumer.inputs[1], 3, bases, False))
             elif kind == OpKind.FLATTEN:
                 shape = g.tensors[tid].shape
                 spatial = int(np.prod(shape[1:-1])) if len(shape) > 2 else 1
@@ -232,15 +237,15 @@ def _propagation_actions(g: GraphIR, consumers, origins, output: str):
                 queue.append((out, tuple(b + offset for b in bases), False))
             else:
                 return None
-    return actions
+    return cuts
 
 
 def _prunable(graph: GraphIR) -> dict[str, tuple[OpNode, tuple[str, ...]]]:
     """Prunable layer id -> (its node, its coupled group)."""
     return {
         lid: (node, group)
-        for lid, (node, actions, group) in _propagation_table(graph).items()
-        if actions is not None
+        for lid, (node, cuts, group) in _propagation_table(graph).items()
+        if cuts is not None
     }
 
 
@@ -294,9 +299,13 @@ def new_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     return PrunePlan(schedule=schedule, original_counts=counts)
 
 
-def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, list[int], list]]:
-    """The plan's removals on `graph`: (layer node, sorted removed indices,
-    propagation actions) for each layer that has removals.
+def _checked_cuts(
+    graph: GraphIR, plan: PrunePlan,
+) -> dict[tuple[str, int], tuple[list[int], bool]]:
+    """The plan's cuts on `graph`: (constant tensor id, axis) -> (sorted
+    indices cut, masked), gathered from the propagation table's cuts of
+    every layer that has removals. A consumer of a Concat is cut by
+    several layers, at indices of the unpruned tensor.
 
     The one check of a plan against a graph. Raises PruneError when a
     stage names a layer that `original_counts` lacks, or a counted layer
@@ -312,13 +321,13 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
                 raise PruneError(
                     f"prune plan stage {k}: layer {layer_id} is not in original_counts"
                 )
-    checked = []
+    cuts: dict[tuple[str, int], tuple[set[int], bool]] = {}
     for layer_id, count in plan.original_counts.items():
         if layer_id not in table:
             raise PruneError(
                 f"layer {layer_id}: in the prune plan but not a prunable layer of the model"
             )
-        node, actions, group = table[layer_id]
+        node, layer_cuts, group = table[layer_id]
         filters = graph.tensors[node.inputs[1]].shape[0]
         if filters != count:
             raise PruneError(f"layer {layer_id}: mask length {count} != filter count {filters}")
@@ -328,7 +337,7 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
             raise PruneError(f"layer {layer_id}: filter index {outside[0]} outside [0, {count})")
         if not removed:
             continue
-        if actions is None:
+        if layer_cuts is None:
             raise PruneError(f"layer {layer_id} is not prunable in this graph")
         for k, stage in enumerate(plan.stages, 1):
             for other in group:
@@ -338,67 +347,44 @@ def _checked_removals(graph: GraphIR, plan: PrunePlan) -> list[tuple[OpNode, lis
                         f"prune plan stage {k}: layers {first} and {second} meet at an Add"
                         " but remove different filters"
                     )
-        checked.append((node, removed, actions))
-    return checked
+        for tid, axis, bases, masked in layer_cuts:
+            index = cuts.setdefault((tid, axis), (set(), masked))[0]
+            index.update(b + c for b in bases for c in removed)
+    return {key: (sorted(index), masked) for key, (index, masked) in cuts.items()}
 
 
 def apply_masks(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     """Zero removed structures; shapes unchanged.
 
-    Besides the pruned layer's weight rows and bias entries, per-channel
-    kernels and biases of depthwise consumers on the propagation path are
-    zeroed too, so the masked graph computes exactly what the
-    materialized one does. Copy-on-write: each touched constant is zeroed
-    in a fresh copy, and every other constant stays shared with `graph`.
+    Zeroes the masked cuts: the pruned layers' weight rows and bias
+    entries, and the per-channel kernels and biases of depthwise
+    consumers on the propagation path, so the masked graph computes
+    exactly what the materialized one does. A consumer's input channels
+    and columns are left alone. Copy-on-write: each touched constant is
+    zeroed in a fresh copy, and every other constant stays shared with
+    `graph`.
     """
     g = graph.copy()
-    copied: set[str] = set()
-
-    def own(tid: str) -> np.ndarray:
-        t = g.tensors[tid]
-        if tid not in copied:
-            t.data = t.data.copy(order="K")
-            copied.add(tid)
-        return t.data
-
-    for node, removed, actions in _checked_removals(graph, plan):
-        for tid in node.inputs[1:]:  # weight rows and bias entries
-            own(tid)[removed] = 0
-        for action, consumer, bases in actions:
-            if action == "dw":
-                channels = [b + c for b in bases for c in removed]
-                own(consumer.inputs[1])[:, :, :, channels] = 0
-                if len(consumer.inputs) == 3:
-                    own(consumer.inputs[2])[channels] = 0
+    for (tid, axis), (index, masked) in _checked_cuts(graph, plan).items():
+        if masked:
+            t = g.tensors[tid]
+            if t.data is graph.tensors[tid].data:
+                t.data = t.data.copy(order="K")
+            t.data[(slice(None),) * axis + (index,)] = 0
     return g
 
 
 def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
     """Physically remove pruned structures and re-infer shapes.
 
-    The plan is checked, and the propagation table built, on the input
-    graph: removing channels changes neither graph structure nor Flatten
-    spatial sizes. Every cut of one tensor axis is gathered first and made
-    once, since a consumer of a Concat is cut by several layers at indices
-    of the unpruned tensor.
+    Deletes every cut, masked or not. The plan is checked, and the
+    propagation table built, on the input graph: removing channels
+    changes neither graph structure nor Flatten spatial sizes.
     """
-    cuts: dict[tuple[str, int], set[int]] = defaultdict(set)
-    for node, removed, actions in _checked_removals(graph, plan):
-        for tid in node.inputs[1:]:  # weight rows and bias entries
-            cuts[tid, 0].update(removed)
-        for action, consumer, bases in actions:
-            index = {b + c for b in bases for c in removed}
-            if action == "fc_in":
-                cuts[consumer.inputs[1], 1] |= index
-            else:  # dw and conv_in: the input-channel axis, and a depthwise bias
-                cuts[consumer.inputs[1], 3] |= index
-                if action == "dw" and len(consumer.inputs) == 3:
-                    cuts[consumer.inputs[2], 0] |= index
-
     g = graph.copy()
-    for (tid, axis), index in cuts.items():
+    for (tid, axis), (index, _) in _checked_cuts(graph, plan).items():
         t = g.tensors[tid]
-        t.data = np.delete(t.data, sorted(index), axis=axis)
+        t.data = np.delete(t.data, index, axis=axis)
         t.shape = t.data.shape
     try:
         return infer_shapes(g)[0]

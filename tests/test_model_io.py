@@ -3,8 +3,9 @@ from __future__ import annotations
 import ast
 import json
 import re
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from graphutil import conv_relu_softmax, graphs_equal, node, residual_chain_grap
 from tinydeploy import model_io
 from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
-from tinydeploy.downlink import DownlinkError, LinkBudget
+from tinydeploy.downlink import DownlinkError, DownlinkReport, LinkBudget
 from tinydeploy.executor import InferenceRecord, calibrate, write_records_csv
 from tinydeploy.graph import QMAX, QMIN, QuantParams
 from tinydeploy.hardware import HardwareProfile
-from tinydeploy.mapping import MappingError, TimelineEntry, build_deployment_plan, load_plan
+from tinydeploy.mapping import (
+    DeploymentPlan, MappingError, TimelineEntry, build_deployment_plan, load_plan,
+)
 from tinydeploy.model_io import (
     ModelFormatError,
     decode,
@@ -499,6 +502,60 @@ def test_decode_names_the_path_of_a_nested_error(edit, message):
     edit(obj)
     with pytest.raises(ValueError, match=re.escape(message)):
         decode(Tree, obj, "t", ValueError)
+
+
+# The record classes the loaders hand to `decode`.
+DECODED = (HardwareProfile, LinkBudget, DeploymentPlan, CostEstimate, DownlinkReport, PrunePlan,
+           PipelineConfig)
+
+
+def _held_record(hint):
+    """The record class `model_io._records` decodes for the resolved field
+    `hint`, or None when it would decode none: `record | None` is read
+    as its first member, and a dict must be keyed by str."""
+    origin, args = get_origin(hint), get_args(hint)
+    if type(None) in args or origin is list:
+        return _held_record(args[0])
+    if origin is dict:
+        return _held_record(args[1]) if args[0] is str else None
+    return hint if is_dataclass(hint) else None
+
+
+def _kindless_fields(classes) -> list[str]:
+    """Fields, of `classes` and the records they hold, whose annotation is
+    neither a `KINDS` key nor a hint that holds records."""
+    out, todo, seen = [], list(classes), set()
+    while todo:
+        cls = todo.pop(0)
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.type in model_io.KINDS:
+                continue
+            held = _held_record(hints[f.name])
+            if held is None:
+                out.append(f"{cls.__name__}.{f.name}: {f.type}")
+            else:
+                todo.append(held)
+    return out
+
+
+@dataclass
+class Trap:
+    xs: list[int]
+    y: None | float
+    leaf: Leaf | None = None
+
+
+def test_every_decoded_field_has_a_kind_or_holds_records():
+    # `decode` reads an annotation missing from `KINDS` as records, so such
+    # a field refuses every plain value: `list[int]` refuses [1, 2].
+    assert _kindless_fields(DECODED) == []
+    assert _kindless_fields([Trap]) == ["Trap.xs: list[int]", "Trap.y: None | float"]
+    with pytest.raises(ValueError, match=re.escape("probe xs[0]: expected an object, got int")):
+        decode(Trap, {"xs": [1, 2], "y": None}, "probe", ValueError)
 
 
 @pytest.mark.parametrize("have, difference", [

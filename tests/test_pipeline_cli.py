@@ -1216,6 +1216,11 @@ MALFORMED_INPUTS = {
         lambda m, t: ["simulate-downlink", "--scenario",
                       str(_write(t / "s.json", '{"records": 5}')), "--out", str(t / "d.json")],
         "key 'records' must be str, got int"),
+    "scenario_unknown_key": (
+        lambda m, t: ["simulate-downlink", "--scenario",
+                      str(_write(t / "s.json", '{"records": "r.csv", "treshold": 0.6}')),
+                      "--out", str(t / "d.json")],
+        "s.json: unknown key 'treshold'"),
     "records_without_confidence": (
         lambda m, t: ["simulate-downlink", "--records",
                       str(_write(t / "r.csv", "sample_id,predicted_class,true_label\ns0,1,1\n")),

@@ -45,6 +45,7 @@ from tinydeploy.pruning import (
     apply_masks,
     export_checkpoint,
     import_checkpoint,
+    _checked_cuts,
     materialize,
     new_plan,
     plan_next_stage,
@@ -342,6 +343,42 @@ def test_skip_branch_concat_layer_prunable():
     for out in g.graph_outputs:
         assert np.abs(run_f32(masked, x)[out] - run_f32(mat, x)[out]).max() <= 1e-5
     assert mat.tensors["w4"].shape == (5, 6 * 6 * 12)
+
+
+CUT_GRAPHS = {
+    "residual_chain": residual_chain_graph, "skip_branch": skip_branch_graph,
+    "inception": inception_graph,
+}
+
+
+@pytest.mark.parametrize("model", [*CUT_GRAPHS, "small_convnet", "dwsep_net"])
+def test_masking_and_materializing_read_one_cut_list(request, model):
+    # Masking zeroes exactly the masked cuts and materializing deletes
+    # every cut; a consumer's input slices are cut but not masked.
+    g = CUT_GRAPHS[model]() if model in CUT_GRAPHS else request.getfixturevalue(model)
+    plan = build_prune_plan(g, [0.25, 0.125])
+    cuts = _checked_cuts(g, plan)
+    assert {masked for _, masked in cuts.values()} == {True, False}
+    assert all(g.tensors[tid].is_constant for tid, _ in cuts)
+    masked_graph, mat = apply_masks(g, plan), materialize(g, plan)
+    for tid, t in g.tensors.items():
+        if not t.is_constant:
+            continue
+        axes = {axis: cut for (cut_tid, axis), cut in cuts.items() if cut_tid == tid}
+        cut_region, zeroed = np.zeros(t.shape, bool), np.zeros(t.shape, bool)
+        want = t.data
+        for axis, (index, masked) in axes.items():
+            where = (slice(None),) * axis + (index,)
+            cut_region[where] = True
+            zeroed[where] |= masked
+            want = np.delete(want, index, axis=axis)
+        new = masked_graph.tensors[tid].data
+        assert np.array_equal(new[~cut_region], t.data[~cut_region]), tid
+        assert not new[zeroed].any(), tid
+        assert np.array_equal(new[~zeroed], t.data[~zeroed]), tid  # consumer inputs kept
+        shape = tuple(n - len(axes[a][0]) if a in axes else n for a, n in enumerate(t.shape))
+        assert mat.tensors[tid].shape == shape, tid
+        np.testing.assert_array_equal(mat.tensors[tid].data, want, err_msg=tid)
 
 
 def _split_group(plan):
