@@ -20,7 +20,7 @@ from .datasets import (
     DEFAULT_NUM_SAMPLES, DEFAULT_SEED, generate_dataset, load_dataset, synthetic_samples,
 )
 from .downlink import DownlinkError, DownlinkReport
-from .executor import ExecutionError, ranges_from_json, read_records_csv, top1_accuracy
+from .executor import ExecutionError, calibrate, ranges_from_json, read_records_csv, top1_accuracy
 from .mapping import MappingError, build_deployment_plan, load_plan
 from .model_io import NUMBER, _field, decode, first_difference, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
@@ -99,11 +99,10 @@ def _cmd_prune_stage(args) -> int:
 def _cmd_calibrate(args) -> int:
     _at_least("calibrate", "--samples", args.samples, MINIMUM["calibration_samples"])
     _at_least("calibrate", "--seed", args.seed, MINIMUM["seed"])
-    _, used = pipeline.stage_calibrate(
-        load_model(args.model), load_dataset(resolve_path(args.dataset)), args.samples,
-        args.seed, args.out,
-    )
-    print(f"calibrated on {used} samples -> {args.out}")
+    graph, samples = load_model(args.model), load_dataset(resolve_path(args.dataset))
+    picked = pipeline.calibration_subset(len(samples), args.samples, args.seed)
+    pipeline.stage_calibrate(calibrate(graph, [samples[i][1] for i in picked]), args.out)
+    print(f"calibrated on {len(picked)} samples -> {args.out}")
     return 0
 
 

@@ -83,7 +83,7 @@ from .graph import (
     fused_successor,
     same_padding_amounts,
 )
-from .model_io import NUMBER, _field, csv_text, read_csv, write_files
+from .model_io import csv_text, decode, read_csv, write_files
 from .quantization import (
     INT32_MAX,
     WEIGHT_CHANNEL_AXIS,
@@ -105,24 +105,22 @@ class AccumulatorOverflowError(ExecutionError):
 
 @dataclass
 class TensorRange:
-    """Observed value range of one tensor over a calibration run."""
+    """Observed value range of one tensor over a calibration run; ranges
+    are held in a dict keyed by tensor id."""
 
-    tensor_id: str
-    min_r: float
-    max_r: float
+    min: float
+    max: float
 
     def __post_init__(self) -> None:
-        self.min_r = float(self.min_r)
-        self.max_r = float(self.max_r)
-        if not (math.isfinite(self.min_r) and math.isfinite(self.max_r)):
-            raise ValueError(f"{self.tensor_id}: non-finite range")
-        if self.min_r > self.max_r:
-            raise ValueError(f"{self.tensor_id}: min {self.min_r} > max {self.max_r}")
+        self.min = float(self.min)
+        self.max = float(self.max)
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError("non-finite range")
+        if self.min > self.max:
+            raise ValueError(f"min {self.min} > max {self.max}")
 
     def merged(self, other: "TensorRange") -> "TensorRange":
-        return TensorRange(
-            self.tensor_id, min(self.min_r, other.min_r), max(self.max_r, other.max_r)
-        )
+        return TensorRange(min(self.min, other.min), max(self.max, other.max))
 
 
 @dataclass
@@ -445,6 +443,8 @@ def _int8_weighted_kernel(graph: GraphIR, node: OpNode) -> Kernel:
     weights = graph.tensors[node.inputs[1]]
     if weights.dtype != DType.INT8:
         raise ExecutionError(f"node {node.id}: weights are not Int8")
+    if len(node.inputs) == 3 and graph.tensors[node.inputs[2]].dtype != DType.INT32:
+        raise ExecutionError(f"node {node.id}: bias is not Int32")
     bias = _bias(graph, node, np.int64)
     zp_out = _require_quant(graph, node.outputs[0]).zero_point
     [(sig, shift)] = _requant_tables(graph, node)
@@ -850,39 +850,34 @@ def calibrate(
 
 def _fold_range(ranges: dict[str, TensorRange], tid: str, values: np.ndarray) -> None:
     """Merge the min/max of `values` into `ranges[tid]`."""
-    _merge(ranges, TensorRange(tid, float(values.min()), float(values.max())))
+    try:
+        r = TensorRange(float(values.min()), float(values.max()))
+    except ValueError as exc:
+        raise ExecutionError(f"{tid}: {exc}") from None
+    _merge(ranges, tid, r)
 
 
-def _merge(ranges: dict[str, TensorRange], r: TensorRange) -> None:
-    """Merge `r` into `ranges`; of two equal bounds the one already held
-    stays, so folding in sample order keeps the first sample's signed zero."""
-    ranges[r.tensor_id] = ranges[r.tensor_id].merged(r) if r.tensor_id in ranges else r
+def _merge(ranges: dict[str, TensorRange], tid: str, r: TensorRange) -> None:
+    """Merge `r` into `ranges[tid]`; of two equal bounds the one already
+    held stays, so folding in sample order keeps the first sample's signed zero."""
+    ranges[tid] = ranges[tid].merged(r) if tid in ranges else r
 
 
 def _with_constant_ranges(ranges: dict[str, TensorRange], graph: GraphIR) -> dict[str, TensorRange]:
     """`ranges` plus each constant tensor's range, taken from its data."""
     for tid, t in graph.tensors.items():
         if t.is_constant:
-            ranges[tid] = TensorRange(tid, float(t.data.min()), float(t.data.max()))
+            ranges[tid] = TensorRange(float(t.data.min()), float(t.data.max()))
     return ranges
 
 
-def ranges_to_json(ranges: dict[str, TensorRange]) -> dict:
-    return {tid: {"min": r.min_r, "max": r.max_r} for tid, r in sorted(ranges.items())}
-
-
 def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
-    """Inverse of ranges_to_json; a malformed entry raises ExecutionError naming it."""
+    """The ranges of a `calibration_ranges.json` object, each entry read by
+    `decode`; a malformed entry raises ExecutionError naming its tensor."""
     if not isinstance(obj, dict):
         raise ExecutionError(f"calibration ranges: expected an object, got {type(obj).__name__}")
-    return {
-        tid: TensorRange(
-            tid,
-            _field(e, "min", f"calibration range {tid}", NUMBER, ExecutionError),
-            _field(e, "max", f"calibration range {tid}", NUMBER, ExecutionError),
-        )
-        for tid, e in obj.items()
-    }
+    return {tid: decode(TensorRange, e, f"calibration range {tid}", ExecutionError)
+            for tid, e in obj.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1048,8 @@ def evaluate(
 
     records: list[InferenceRecord] = []
     for outputs, folded in map_batches(run_chunk, inputs):
-        for r in folded.values():
-            _merge(ranges, r)
+        for tid, r in folded.items():
+            _merge(ranges, tid, r)
         probabilities = outputs[out_id]
         for row in probabilities.reshape(len(probabilities), -1):
             predicted = int(np.argmax(row))

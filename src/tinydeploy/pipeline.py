@@ -15,7 +15,8 @@ bit-identical to the monolithic run. `run` has no trainer, so unlike
 The calibration samples are a seeded subset of the evaluated ones
 (`calibration_subset`). In a run, the evaluate pass of the quantization
 source (the pruned model, or the Float32 one under `prune.skip`) folds
-their ranges as it goes, so the `calibrate` stage only writes them; the
+their ranges as it goes, and `stage_calibrate` only writes them to
+calibration_ranges.json, one `TensorRange` record per tensor id. The
 `calibrate` subcommand runs `executor.calibrate` over the same subset
 and writes the same bytes.
 All randomness (calibration subset sampling) derives from the config
@@ -35,14 +36,7 @@ from . import costmodel, model_io
 from .data_files import load_link_budget, load_profile, resolve_path
 from .datasets import load_dataset
 from .downlink import DownlinkError, DownlinkReport, DownlinkScenario, LinkBudget, simulate
-from .executor import (
-    InferenceRecord,
-    TensorRange,
-    calibrate,
-    evaluate,
-    ranges_to_json,
-    write_records_csv,
-)
+from .executor import InferenceRecord, TensorRange, evaluate, write_records_csv
 from .graph import GraphIR, parameter_count
 from .hardware import HardwareProfile
 from .mapping import DeploymentPlan, build_deployment_plan, render_report
@@ -223,22 +217,12 @@ def calibration_subset(n: int, calibration_samples: int, seed: int) -> list[int]
     return sorted(rng.choice(n, size=min(int(calibration_samples), n), replace=False).tolist())
 
 
-def stage_calibrate(
-    graph: GraphIR, samples, num_samples, seed, out_json, observed: dict | None = None
-) -> tuple[dict, int]:
-    """Calibration ranges of `graph` over the `calibration_subset` of the
-    samples; writes them to `out_json` and returns them with the number of
-    samples they were taken over.
-
-    `observed` are the ranges an evaluate pass of `graph` already took
-    over that subset (`Observed`), and are written as they are. Without
-    them, `executor.calibrate` runs the subset one sample at a time.
-    """
-    picked = calibration_subset(len(samples), num_samples, seed)
-    if observed is None:
-        observed = calibrate(graph, [samples[i][1] for i in picked])
-    model_io.write_json(out_json, ranges_to_json(observed))
-    return observed, len(picked)
+def stage_calibrate(ranges: dict[str, TensorRange], out_json) -> dict[str, TensorRange]:
+    """Write calibration ranges, keyed by tensor id, to `out_json` and
+    return them. A run passes the ranges its evaluate pass observed
+    (`Observed`); the `calibrate` subcommand those of `executor.calibrate`."""
+    model_io.write_json(out_json, ranges)
+    return ranges
 
 
 def stage_quantize(graph: GraphIR, ranges, out_model) -> GraphIR:
@@ -428,8 +412,7 @@ STAGES = (
           pruning=True),
     Stage("calibrate", ("calibration_ranges.json",), lambda r: {
         "calibration_ranges": stage_calibrate(
-            r.made[_quant_source(r)], r.samples, r.config.calibration_samples, r.config.seed,
-            r.out / "calibration_ranges.json", r.made["observed_ranges"])[0]}),
+            r.made["observed_ranges"], r.out / "calibration_ranges.json")}),
     Stage("quantize", ("model_quantized.*",), lambda r: {
         "model_quantized": stage_quantize(
             r.made[_quant_source(r)], r.made["calibration_ranges"], r.out / "model_quantized")}),

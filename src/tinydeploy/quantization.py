@@ -66,16 +66,13 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
 def compute_qparams(rng: "TensorRange") -> QuantParams:
     """Asymmetric per-tensor scale/zero-point from an observed range.
 
-    The range is widened to include 0, S = span / 255 and
-    Z = round(-128 - min/S) clamped to [-128, 127]. A degenerate all-zero
-    range gets the convention S = 1, Z = 0.
+    `TensorRange` holds finite floats with min <= max, so only the span
+    is checked here. The range is widened to include 0, S = span / 255
+    and Z = round(-128 - min/S) clamped to [-128, 127]. A degenerate
+    all-zero range gets the convention S = 1, Z = 0; a span that
+    overflows a float is refused.
     """
-    lo, hi = float(rng.min_r), float(rng.max_r)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise QuantizationError(f"non-finite range ({lo}, {hi})")
-    if lo > hi:
-        raise QuantizationError(f"inverted range ({lo}, {hi})")
-    lo, hi = min(lo, 0.0), max(hi, 0.0)
+    lo, hi = min(rng.min, 0.0), max(rng.max, 0.0)
     scale = (hi - lo) / 255.0
     if scale == 0.0:  # zero-width or subnormal-underflow range
         return QuantParams(scale=1.0, zero_point=0)

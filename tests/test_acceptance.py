@@ -77,7 +77,7 @@ def test_criterion_02_quantization_roundtrip():
         errs = np.empty(n)
         scales = np.empty(n)
         for i in range(n):
-            qp = compute_qparams(TensorRange("t", lo[i], hi[i]))
+            qp = compute_qparams(TensorRange(lo[i], hi[i]))
             wlo, whi = min(lo[i], 0.0), max(hi[i], 0.0)
             r = rng.uniform(wlo, whi)
             back = dequantize_tensor(quantize_tensor(np.array([r]), qp), qp)[0]

@@ -37,7 +37,6 @@ from tinydeploy.executor import (
     calibrate,
     evaluate,
     prepare,
-    ranges_to_json,
     read_records_csv,
     run_f32,
     write_records_csv,
@@ -532,7 +531,7 @@ def test_calibrate_single_input_range():
     g = relu_only_graph()
     x = np.array([[-2.0, 0.0, 3.0]], dtype=np.float32)
     ranges = calibrate(g, [x])
-    assert ranges["in"].min_r == -2.0 and ranges["in"].max_r == 3.0
+    assert ranges["in"].min == -2.0 and ranges["in"].max == 3.0
 
 
 def test_calibrate_merges_ranges():
@@ -540,14 +539,21 @@ def test_calibrate_merges_ranges():
     a = np.array([[-1.0, 2.0, 0.0]], dtype=np.float32)
     b = np.array([[-3.0, 1.0, 0.0]], dtype=np.float32)
     ranges = calibrate(g, [a, b])
-    assert (ranges["in"].min_r, ranges["in"].max_r) == (-3.0, 2.0)
+    assert (ranges["in"].min, ranges["in"].max) == (-3.0, 2.0)
 
 
 def test_calibrate_degenerate_zero_range_flagged():
     g = relu_only_graph()
     ranges = calibrate(g, [np.zeros((1, 3), dtype=np.float32)])
-    assert ranges["out"].min_r == ranges["out"].max_r
-    assert (ranges["out"].min_r, ranges["out"].max_r) == (0.0, 0.0)
+    assert ranges["out"].min == ranges["out"].max
+    assert (ranges["out"].min, ranges["out"].max) == (0.0, 0.0)
+
+
+def test_calibrate_names_a_tensor_whose_range_is_not_finite():
+    # A finite input whose Conv2D sums overflow Float32.
+    x = np.full((1, 8, 8, 3), 3e38, dtype=np.float32)
+    with pytest.raises(ExecutionError, match="^conv_out: non-finite range$"):
+        calibrate(conv_relu_softmax(), [x])
 
 
 def test_calibrate_empty_set_rejected():
@@ -562,8 +568,8 @@ def test_calibrate_monotone_under_more_samples():
     prev = calibrate(g, samples[:3])
     more = calibrate(g, samples)
     for tid in prev:
-        assert more[tid].min_r <= prev[tid].min_r
-        assert more[tid].max_r >= prev[tid].max_r
+        assert more[tid].min <= prev[tid].min
+        assert more[tid].max >= prev[tid].max
 
 
 # --- evaluation ------------------------------------------------------------
@@ -804,7 +810,7 @@ def test_calibrate_matches_saved_and_loaded_pruned_graph(tmp_path, model, reques
     save_model(pruned, tmp_path / "p")
     reloaded = load_model(tmp_path / "p")
     samples = [s[1] for s in test_samples[:16]]
-    assert ranges_to_json(calibrate(pruned, samples)) == ranges_to_json(calibrate(reloaded, samples))
+    assert calibrate(pruned, samples) == calibrate(reloaded, samples)
 
 
 # Indices among EQUIVALENCE_SAMPLES: inside the first chunk, across the
@@ -845,7 +851,7 @@ def test_evaluate_observes_what_calibrate_returns(model, subset, workers, reques
     ranges = {}
     records, accuracy = evaluate(graph, samples, picked, ranges)
     want = calibrate(graph, [samples[i][0] for i in picked])
-    assert json_text(ranges_to_json(ranges)) == json_text(ranges_to_json(want))
+    assert json_text(ranges) == json_text(want)
     plain_records, plain_accuracy = evaluate(graph, samples)
     assert record_tuples(records) == record_tuples(plain_records)
     assert accuracy == plain_accuracy
@@ -864,8 +870,8 @@ def test_evaluate_keeps_the_first_observed_signed_zero(workers, monkeypatch):
         ranges = {}
         evaluate(graph, samples, picked, ranges)
         want = calibrate(graph, [samples[i][0] for i in picked])
-        assert json_text(ranges_to_json(ranges)) == json_text(ranges_to_json(want))
-        assert (repr(ranges["in"].min_r), repr(ranges["in"].max_r)) == (f"{sign}0.0",) * 2
+        assert json_text(ranges) == json_text(want)
+        assert (repr(ranges["in"].min), repr(ranges["in"].max)) == (f"{sign}0.0",) * 2
 
 
 def test_evaluate_observes_only_float32_graphs_and_samples_it_has(small_convnet_quantized,
@@ -910,8 +916,8 @@ def test_records_csv_roundtrip(tmp_path):
 
 def test_tensor_range_invariants():
     with pytest.raises(ValueError):
-        TensorRange("t", 2.0, 1.0)
+        TensorRange(2.0, 1.0)
     with pytest.raises(ValueError):
-        TensorRange("t", float("nan"), 1.0)
+        TensorRange(float("nan"), 1.0)
     with pytest.raises(ValueError):
         InferenceRecord("s", 0, 1.5, 0)

@@ -629,6 +629,23 @@ def test_json_text_is_the_only_json_writer():
     assert offenders == []
 
 
+def test_no_hand_written_json_encoders():
+    """No function or method named `to_json` or `*_to_json` but
+    `CostEstimate.to_json`: `json_text` writes a record from its fields."""
+    offenders = []
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(func) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "CostEstimate"
+                   for func in cls.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and (node.name == "to_json" or node.name.endswith("_to_json"))
+                    and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno} {node.name}")
+    assert offenders == []
+
+
 def test_version_is_stated_once():
     """pyproject.toml states no version of its own: setuptools reads
     `tinydeploy.__version__`."""

@@ -266,7 +266,8 @@ def test_save_load_round_trip_is_identity_on_every_graph_the_run_hands_on(
             out_pruned=tmp_path / "pruned")
         handed_on[f"model_masked_stage{k}"] = graph
     handed_on["model_pruned"] = pruned
-    ranges, _ = pipeline.stage_calibrate(pruned, test_samples, 32, 0, tmp_path / "ranges.json")
+    ranges = executor.calibrate(pruned, [s[1] for s in test_samples[:32]])
+    ranges = pipeline.stage_calibrate(ranges, tmp_path / "ranges.json")
     handed_on["model_quantized"] = pipeline.stage_quantize(pruned, ranges, tmp_path / "quantized")
     for name, g in handed_on.items():
         manifest, _ = save_model(g, tmp_path / f"{name}_round_trip")
@@ -1208,6 +1209,16 @@ MALFORMED_INPUTS = {
         lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
                       str(_write(t / "r.json", '{"x": {"min": 0.0}}')), "--out", str(t / "q")],
         "calibration range x: missing key 'max'"),
+    "ranges_unknown_key": (
+        lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
+                      str(_write(t / "r.json", '{"in": {"min": 0.0, "max": 1.0, "mx": 5}}')),
+                      "--out", str(t / "q")],
+        "calibration range in: unknown key 'mx'"),
+    "ranges_inverted": (
+        lambda m, t: ["quantize", "--model", str(m / "model.json"), "--ranges",
+                      str(_write(t / "r.json", '{"in": {"min": 2, "max": 1}}')),
+                      "--out", str(t / "q")],
+        "calibration range in: min 2.0 > max 1.0"),
     "scenario_list": (
         lambda m, t: ["simulate-downlink", "--scenario", str(_write(t / "s.json", "[1]")),
                       "--out", str(t / "d.json")],

@@ -45,7 +45,7 @@ def test_round_half_away_from_zero():
 def test_asymmetric_qparams_example():
     # solve the affine endpoint equations for range (-1.0, 1.55):
     # S = (1.55 - (-1.0)) / 255 = 0.01, Z = round(-128 + 1.0/0.01) = -28
-    qp = compute_qparams(TensorRange("t", -1.0, 1.55))
+    qp = compute_qparams(TensorRange(-1.0, 1.55))
     assert qp.scale == pytest.approx(0.01, abs=1e-12)
     assert qp.zero_point == -28
     assert qp.scale * (-128 - qp.zero_point) == pytest.approx(-1.0, abs=1e-9)
@@ -55,11 +55,11 @@ def test_asymmetric_qparams_example():
 
 def test_overflow_wide_range_rejected():
     with pytest.raises(QuantizationError, match="too wide"):
-        compute_qparams(TensorRange("t", -1e308, 1e308))
+        compute_qparams(TensorRange(-1e308, 1e308))
 
 
 def test_degenerate_zero_range_convention():
-    qp = compute_qparams(TensorRange("t", 0.0, 0.0))
+    qp = compute_qparams(TensorRange(0.0, 0.0))
     assert (qp.scale, qp.zero_point) == (1.0, 0)
 
 
@@ -84,7 +84,7 @@ def test_quantize_saturates():
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_bound_property(lo, width, frac):
     hi = lo + width
-    qp = compute_qparams(TensorRange("t", lo, hi))
+    qp = compute_qparams(TensorRange(lo, hi))
     # in-range r over the widened range [min', max']
     lo_w, hi_w = min(lo, 0.0), max(hi, 0.0)
     r = lo_w + frac * (hi_w - lo_w)
@@ -98,7 +98,7 @@ def test_roundtrip_bound_property(lo, width, frac):
 )
 @settings(max_examples=200, deadline=None)
 def test_zero_exactly_representable_property(lo, width):
-    qp = compute_qparams(TensorRange("t", lo, lo + width))
+    qp = compute_qparams(TensorRange(lo, lo + width))
     z = dequantize_tensor(quantize_tensor(np.array([0.0]), qp), qp)[0]
     assert z == 0.0
 
@@ -354,6 +354,17 @@ def test_a_float_weight_loads_and_prepare_names_it(tmp_path):
     save_model(q, tmp_path / "m")
     with pytest.raises(ExecutionError, match="node conv: weights are not Int8"):
         prepare(load_model(tmp_path / "m.json"))
+
+
+def test_prepare_refuses_a_bias_that_is_not_int32():
+    # `load_model` refuses such a bias in a file, by its quant; in memory
+    # only `prepare` sees it. Cast to Int64, b + 0.7 would run as b.
+    g = conv_relu_softmax()
+    q = quantize_graph(g, calibrate(g, _seeded_inputs(g)))
+    b = q.tensors["b"]
+    b.dtype, b.data = DType.FLOAT32, b.data.astype(np.float32) + 0.7
+    with pytest.raises(ExecutionError, match="node conv: bias is not Int32"):
+        prepare(q)
 
 
 def test_quantize_refuses_a_bias_shared_at_different_scales():
