@@ -85,8 +85,10 @@ from .graph import (
 )
 from .model_io import csv_text, decode, read_csv, write_files
 from .quantization import (
+    INHERITS_INPUT_PARAMS,
     INT32_MAX,
     WEIGHT_CHANNEL_AXIS,
+    calibrated_tensors,
     dequantize_tensor,
     fixed_point_multiplier,
     quantize_tensor,
@@ -386,15 +388,6 @@ def _require_quant(graph: GraphIR, tid: str):
     return qp
 
 
-def _assert_inherited(graph: GraphIR, node: OpNode) -> None:
-    qin = _require_quant(graph, node.inputs[0])
-    qout = _require_quant(graph, node.outputs[0])
-    if qin != qout:
-        raise ExecutionError(
-            f"node {node.id}: {node.kind.value} requires matching input/output quant params"
-        )
-
-
 # int64 elements per tile of the INT8 weighted epilogue: its temporaries
 # stay this size whatever the batch or layer size.
 _EPILOGUE_TILE = 2**16
@@ -505,15 +498,19 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         return _int8_weighted_kernel(graph, node)
     kind = node.kind
     src = node.inputs[0]
+    if kind in INHERITS_INPUT_PARAMS and (
+        _require_quant(graph, src) != _require_quant(graph, node.outputs[0])
+    ):
+        raise ExecutionError(
+            f"node {node.id}: {kind.value} requires matching input/output quant params"
+        )
 
     if kind == OpKind.RELU:
-        _assert_inherited(graph, node)
         return _relu(src, np.int8(_require_quant(graph, src).zero_point))
 
     if kind == OpKind.MAX_POOL2D:
         # max is order-preserving under affine maps with S > 0; QMIN padding
         # can never beat a real cell.
-        _assert_inherited(graph, node)
         window = _Window(node, graph.tensors[src].shape)
         return lambda env: _fold(np.maximum, window.taps(env[src], QMIN))
 
@@ -575,7 +572,6 @@ def _int8_kernel(graph: GraphIR, node: OpNode) -> Kernel:
         return concat
 
     if kind == OpKind.FLATTEN:
-        _assert_inherited(graph, node)
         return lambda env: env[src].reshape(env[src].shape[0], -1)
 
     if kind == OpKind.SOFTMAX:
@@ -830,45 +826,43 @@ def _prepare_f32(graph: GraphIR) -> Program:
 def calibrate(
     graph: GraphIR, calibration_set: Sequence[np.ndarray]
 ) -> dict[str, TensorRange]:
-    """Observed min/max per tensor over the calibration runs.
-
-    Activation ranges come from executing the Float32 graph on every
-    sample, folded in as each step computes them; constant tensors get
-    ranges from their data. Adding samples can only widen ranges. Samples
-    run one at a time: a chunk of EVAL_CHUNK would hold each step's
-    windows and activations for every sample in it. `evaluate` folds the
-    same ranges over the samples it is told to observe.
+    """Observed min/max of each `quantization.calibrated_tensors` tensor
+    over the calibration runs, folded in as the Float32 graph's steps
+    compute them; quantization reads no other range. Adding samples can
+    only widen ranges. Samples run one at a time: a chunk of EVAL_CHUNK
+    would hold each step's windows and activations for every sample in
+    it. `evaluate` folds the same ranges over the samples it is told to
+    observe.
     """
     if len(calibration_set) == 0:
         raise ExecutionError("empty calibration set")
     program = _prepare_f32(graph)
     ranges: dict[str, TensorRange] = {}
+    fold = _range_fold(graph, ranges)
     for sample in calibration_set:
-        program.run(sample, on_step=lambda tid, values: _fold_range(ranges, tid, values))
-    return _with_constant_ranges(ranges, graph)
+        program.run(sample, on_step=fold)
+    return ranges
 
 
-def _fold_range(ranges: dict[str, TensorRange], tid: str, values: np.ndarray) -> None:
-    """Merge the min/max of `values` into `ranges[tid]`."""
-    try:
-        r = TensorRange(float(values.min()), float(values.max()))
-    except ValueError as exc:
-        raise ExecutionError(f"{tid}: {exc}") from None
-    _merge(ranges, tid, r)
+def _range_fold(graph: GraphIR, ranges: dict[str, TensorRange], rows: Sequence = (...,)):
+    """An on_step hook merging the min/max of each of `rows` (by default
+    the whole array) of a calibrated tensor's values into `ranges`."""
+    calibrated = calibrated_tensors(graph)
+
+    def fold(tid: str, values: np.ndarray) -> None:
+        for row in rows if tid in calibrated else ():
+            try:
+                r = TensorRange(float(values[row].min()), float(values[row].max()))
+            except ValueError as exc:
+                raise ExecutionError(f"{tid}: {exc}") from None
+            _merge(ranges, tid, r)
+    return fold
 
 
 def _merge(ranges: dict[str, TensorRange], tid: str, r: TensorRange) -> None:
     """Merge `r` into `ranges[tid]`; of two equal bounds the one already
     held stays, so folding in sample order keeps the first sample's signed zero."""
     ranges[tid] = ranges[tid].merged(r) if tid in ranges else r
-
-
-def _with_constant_ranges(ranges: dict[str, TensorRange], graph: GraphIR) -> dict[str, TensorRange]:
-    """`ranges` plus each constant tensor's range, taken from its data."""
-    for tid, t in graph.tensors.items():
-        if t.is_constant:
-            ranges[tid] = TensorRange(float(t.data.min()), float(t.data.max()))
-    return ranges
 
 
 def ranges_from_json(obj: dict) -> dict[str, TensorRange]:
@@ -1011,11 +1005,11 @@ def evaluate(
     EVAL_CHUNK through `map_batches`.
 
     Given a `ranges` dict, the same pass of a Float32 graph also
-    calibrates: it fills `ranges` with what `calibrate` returns for the
-    samples at the `observe` indices, in sample order, byte for byte.
-    Each chunk folds its observed rows in sample order and the chunks
-    merge in sample order, so the ranges do not depend on the number of
-    threads.
+    calibrates: it fills `ranges` with what `calibrate` returns (the
+    `quantization.calibrated_tensors`) for the samples at the `observe`
+    indices, byte for byte. Each chunk folds its observed rows in sample
+    order and the chunks merge in sample order, so the ranges do not
+    depend on the number of threads.
     """
     program = prepare(graph) if ranges is None else _prepare_f32(graph)
     g = program.graph
@@ -1040,11 +1034,7 @@ def evaluate(
         folded: dict[str, TensorRange] = {}
         if chunk not in rows:
             return program.run(batch), folded
-
-        def fold_rows(tid: str, values: np.ndarray) -> None:
-            for row in rows[chunk]:
-                _fold_range(folded, tid, values[row])
-        return program.run(batch, on_step=fold_rows), folded
+        return program.run(batch, on_step=_range_fold(graph, folded, rows[chunk])), folded
 
     records: list[InferenceRecord] = []
     for outputs, folded in map_batches(run_chunk, inputs):
@@ -1061,8 +1051,6 @@ def evaluate(
                     true_label=labels[len(records)],
                 )
             )
-    if ranges is not None:
-        _with_constant_ranges(ranges, graph)
     return records, top1_accuracy(records)
 
 

@@ -462,6 +462,24 @@ def same_padding_amounts(in_size: int, kernel: int, stride: int) -> tuple[int, i
     return before, total - before
 
 
+def _window_output_hw(node: OpNode, data: tuple, weight: tuple | None = None) -> tuple[int, int]:
+    """(Ho, Wo) of a windowed node over NHWC `data`, checking a convolution's `weight`."""
+    if len(data) != 4:
+        raise ShapeError(f"node {node.id}: expected NHWC input, got {data}")
+    if weight is not None and len(weight) != 4:
+        raise ShapeError(f"node {node.id}: expected 4-D weight, got {weight}")
+    kernel = (node.attrs["kernel_h"], node.attrs["kernel_w"])
+    stride = (node.attrs["stride_h"], node.attrs["stride_w"])
+    if weight is not None and (weight[1], weight[2]) != kernel:
+        raise ShapeError(
+            f"node {node.id}: weight spatial dims {weight[1:3]} != kernel attrs {kernel}"
+        )
+    try:
+        return conv_output_hw(data[1:3], kernel, stride, node.attrs["padding"])
+    except ShapeError as exc:
+        raise ShapeError(f"node {node.id}: {exc}") from None
+
+
 def _node_output_shape(graph: GraphIR, node: OpNode) -> tuple[int, ...]:
     def ishape(i: int) -> tuple[int, ...]:
         return graph.tensors[node.inputs[i]].shape
@@ -469,20 +487,7 @@ def _node_output_shape(graph: GraphIR, node: OpNode) -> tuple[int, ...]:
     kind = node.kind
     if kind in (OpKind.CONV2D, OpKind.DEPTHWISE_CONV2D):
         data, weight = ishape(0), ishape(1)
-        if len(data) != 4:
-            raise ShapeError(f"node {node.id}: expected NHWC input, got {data}")
-        if len(weight) != 4:
-            raise ShapeError(f"node {node.id}: expected 4-D weight, got {weight}")
-        kernel = (node.attrs["kernel_h"], node.attrs["kernel_w"])
-        stride = (node.attrs["stride_h"], node.attrs["stride_w"])
-        if (weight[1], weight[2]) != kernel:
-            raise ShapeError(
-                f"node {node.id}: weight spatial dims {weight[1:3]} != kernel attrs {kernel}"
-            )
-        try:
-            oh, ow = conv_output_hw(data[1:3], kernel, stride, node.attrs["padding"])
-        except ShapeError as exc:
-            raise ShapeError(f"node {node.id}: {exc}") from None
+        oh, ow = _window_output_hw(node, data, weight)
         if kind == OpKind.CONV2D:
             if weight[3] != data[3]:
                 raise ShapeError(
@@ -516,15 +521,7 @@ def _node_output_shape(graph: GraphIR, node: OpNode) -> tuple[int, ...]:
 
     if kind in (OpKind.MAX_POOL2D, OpKind.AVG_POOL2D):
         data = ishape(0)
-        if len(data) != 4:
-            raise ShapeError(f"node {node.id}: expected NHWC input, got {data}")
-        kernel = (node.attrs["kernel_h"], node.attrs["kernel_w"])
-        stride = (node.attrs["stride_h"], node.attrs["stride_w"])
-        try:
-            oh, ow = conv_output_hw(data[1:3], kernel, stride, node.attrs["padding"])
-        except ShapeError as exc:
-            raise ShapeError(f"node {node.id}: {exc}") from None
-        return (data[0], oh, ow, data[3])
+        return (data[0], *_window_output_hw(node, data), data[3])
 
     if kind == OpKind.ADD:
         a, b = ishape(0), ishape(1)

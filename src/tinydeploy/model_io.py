@@ -296,16 +296,19 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def _non_finite(name: str):
-    raise ValueError(f"non-finite number {name}")
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def read_json(path: str | Path, error: type[Exception]):
     """A JSON file's value; `error` names the file if it does not decode
-    or holds NaN, Infinity or -Infinity, which are not JSON numbers."""
+    or holds NaN, Infinity, -Infinity or a number that overflows a float
+    (1e999), none of which is a finite number."""
     try:
-        return json.loads(Path(path).read_bytes(), parse_constant=_non_finite)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _non_finite
+        return json.loads(Path(path).read_bytes(), parse_constant=_finite, parse_float=_finite)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _finite
         raise error(f"{path}: malformed JSON: {exc}") from None
 
 

@@ -16,7 +16,8 @@ The calibration samples are a seeded subset of the evaluated ones
 (`calibration_subset`). In a run, the evaluate pass of the quantization
 source (the pruned model, or the Float32 one under `prune.skip`) folds
 their ranges as it goes, and `stage_calibrate` only writes them to
-calibration_ranges.json, one `TensorRange` record per tensor id. The
+calibration_ranges.json, one `TensorRange` record per tensor that
+quantization reads a range for (`quantization.calibrated_tensors`). The
 `calibrate` subcommand runs `executor.calibrate` over the same subset
 and writes the same bytes.
 All randomness (calibration subset sampling) derives from the config

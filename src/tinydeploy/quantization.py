@@ -14,8 +14,9 @@ from the scales, which `quantize_graph` stores in node attrs,
 per-channel `requant`, Add per-operand `requant_a`/`requant_b`. Concat
 and AvgPool2D multipliers are derived at execution time.
 
-Outputs of ReLU, MaxPool2D and Flatten inherit their input's
-quantization parameters: these ops then operate directly on codes, and
+Outputs of the `INHERITS_INPUT_PARAMS` kinds (ReLU, MaxPool2D, Flatten)
+inherit their input's quantization parameters: these ops then operate
+directly on codes, so only the `calibrated_tensors` need a range, and
 fusing them with a neighbouring kernel cannot change the math. Every
 node of a fused chain (`graph.fused_successor`) keeps its own
 requantization, clip or dequantization and reads its producer's Int8
@@ -51,6 +52,16 @@ WEIGHT_CHANNEL_AXIS = {
 }
 
 INT32_MAX = 2**31 - 1  # the int32 accumulator range is [-INT32_MAX, INT32_MAX]
+
+# Op kinds whose output carries its input's parameters (Jacob et al., arXiv:1712.05877).
+INHERITS_INPUT_PARAMS = frozenset({OpKind.RELU, OpKind.MAX_POOL2D, OpKind.FLATTEN})
+
+
+def calibrated_tensors(graph: GraphIR) -> set[str]:
+    """The tensors `quantize_graph` reads a range for: the graph inputs and
+    the outputs of all nodes but Softmax and the `INHERITS_INPUT_PARAMS` kinds."""
+    skip = INHERITS_INPUT_PARAMS | {OpKind.SOFTMAX}
+    return {*graph.graph_inputs, *(n.outputs[0] for n in graph.nodes if n.kind not in skip)}
 
 
 class QuantizationError(ValueError):
@@ -203,10 +214,11 @@ def bias_params(graph: GraphIR, node: OpNode) -> QuantParams:
 def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> GraphIR:
     """Produce a fully quantized copy of a Float32 graph.
 
-    Activation tensors need calibration entries in `ranges`; weights and
-    biases are quantized from their constant data. Graph structure is
-    unchanged; only dtypes, quantization params and requant attrs differ.
-    Deterministic: identical inputs give byte-identical graphs.
+    The `calibrated_tensors` need entries in `ranges`, and no other entry
+    is read: weights and biases are quantized from their constant data.
+    Graph structure is unchanged; only dtypes, quantization params and
+    requant attrs differ. Deterministic: identical inputs give
+    byte-identical graphs.
     """
     g = graph.copy()
     try:
@@ -230,13 +242,12 @@ def quantize_graph(graph: GraphIR, ranges: Mapping[str, "TensorRange"]) -> Graph
         t.quant = compute_qparams(require_range(tid))
         t.dtype = DType.INT8
 
-    inherit = (OpKind.RELU, OpKind.MAX_POOL2D, OpKind.FLATTEN)
     for nid in order:
         node = nodes[nid]
         out = g.tensors[node.outputs[0]]
         if node.kind == OpKind.SOFTMAX:
             continue  # executes in Float32; output keeps its dtype
-        if node.kind in inherit:
+        if node.kind in INHERITS_INPUT_PARAMS:
             out.quant = g.tensors[node.inputs[0]].quant
         else:
             out.quant = compute_qparams(require_range(out.id))

@@ -5,8 +5,9 @@ The oracles here deliberately avoid the production code paths: naive
 loop convolutions, permutation search for memory packing, topological
 enumeration for schedules, direct enumeration for hybrid accuracy,
 numpy's own norm for filter ranking. `graphs_equal` (structural identity), `build_prune_plan` (every stage
-at once), `compile_branchy_graphs` (the bench's branchy graphs, pruned
-and quantized) and `node` (a node by id) serve only tests.
+at once), `compile_branchy_sources` and `compile_branchy_graphs` (the
+bench's branchy graphs, pruned, with their calibration inputs or
+quantized) and `node` (a node by id) serve only tests.
 """
 from __future__ import annotations
 
@@ -540,18 +541,20 @@ def build_prune_plan(graph: GraphIR, schedule=DEFAULT_SCHEDULE) -> PrunePlan:
     return plan
 
 
-def compile_branchy_graphs() -> list[GraphIR]:
+def compile_branchy_sources() -> list[tuple[GraphIR, list[np.ndarray]]]:
     """The 30 graphs of the bench's compile_branchy workload at seed 1
-    (`bench/branchy.py`), each pruned by `build_prune_plan`, calibrated on
-    4 of its seeded inputs and quantized."""
+    (`bench/branchy.py`), each pruned by `build_prune_plan`, with the 4
+    seeded inputs it is calibrated on."""
     spec = spec_from_file_location("branchy", Path(__file__).parents[1] / "bench" / "branchy.py")
     branchy = module_from_spec(spec)
     spec.loader.exec_module(branchy)
-    graphs = []
-    for i, g in enumerate(branchy.make_graph_set(1, 30)):
-        pruned = materialize(g, build_prune_plan(g))
-        graphs.append(quantize_graph(pruned, calibrate(pruned, branchy.calibration_inputs(g, 1, i, 4))))
-    return graphs
+    return [(materialize(g, build_prune_plan(g)), branchy.calibration_inputs(g, 1, i, 4))
+            for i, g in enumerate(branchy.make_graph_set(1, 30))]
+
+
+def compile_branchy_graphs() -> list[GraphIR]:
+    """`compile_branchy_sources`, each calibrated on its inputs and quantized."""
+    return [quantize_graph(g, calibrate(g, inputs)) for g, inputs in compile_branchy_sources()]
 
 
 def node(graph: GraphIR, nid: str) -> OpNode:

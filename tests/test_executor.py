@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from graphutil import (
     act,
     build_prune_plan,
+    compile_branchy_sources,
     const,
     conv_attrs,
     conv_relu_softmax,
@@ -55,7 +57,7 @@ from tinydeploy.datasets import synthetic_samples
 from tinydeploy.model_io import json_text, load_model, save_model
 from tinydeploy.models import build_dwsep_net
 from tinydeploy.pruning import DEFAULT_SCHEDULE, materialize
-from tinydeploy.quantization import quantize_graph, quantize_tensor
+from tinydeploy.quantization import calibrated_tensors, quantize_graph, quantize_tensor
 
 
 def single_op_graph(kind, attrs, in_shape, consts=(), n_inputs=1):
@@ -545,8 +547,8 @@ def test_calibrate_merges_ranges():
 def test_calibrate_degenerate_zero_range_flagged():
     g = relu_only_graph()
     ranges = calibrate(g, [np.zeros((1, 3), dtype=np.float32)])
-    assert ranges["out"].min == ranges["out"].max
-    assert (ranges["out"].min, ranges["out"].max) == (0.0, 0.0)
+    assert ranges["in"].min == ranges["in"].max
+    assert (ranges["in"].min, ranges["in"].max) == (0.0, 0.0)
 
 
 def test_calibrate_names_a_tensor_whose_range_is_not_finite():
@@ -855,6 +857,48 @@ def test_evaluate_observes_what_calibrate_returns(model, subset, workers, reques
     plain_records, plain_accuracy = evaluate(graph, samples)
     assert record_tuples(records) == record_tuples(plain_records)
     assert accuracy == plain_accuracy
+
+
+class RecordingRanges(Mapping):
+    """Ranges that answer every tensor id, `known`'s range or a made-up
+    one, and record each id looked up in `read`."""
+
+    def __init__(self, known: dict[str, TensorRange]):
+        self.known, self.read = known, set()
+
+    def __getitem__(self, tid):
+        self.read.add(tid)
+        return self.known.get(tid, TensorRange(-1.0, 1.0))
+
+    def __contains__(self, tid):
+        self.read.add(tid)
+        return True
+
+    def __iter__(self):
+        return iter(self.known)
+
+    def __len__(self):
+        return len(self.known)
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net", "small_convnet_pruned",
+                                   "dwsep_net_pruned", *BRANCHY_GRAPHS, "compile_branchy"])
+def test_calibration_keeps_exactly_the_ranges_quantization_reads(model, request, test_samples):
+    # No constant and no output of an op that inherits its input's
+    # parameters (ReLU, MaxPool2D, Flatten) or of Softmax gets a range.
+    if model == "compile_branchy":
+        cases = [(g, [(x, 0) for x in inputs]) for g, inputs in compile_branchy_sources()]
+    else:
+        cases = [_observed_case(model, request, test_samples)]
+    for graph, samples in cases:
+        picked = range(0, len(samples), 3)
+        calibrated = calibrate(graph, [samples[i][0] for i in picked])
+        observed = {}
+        evaluate(graph, samples, picked, observed)
+        recording = RecordingRanges(calibrated)
+        quantize_graph(graph, recording)
+        assert set(calibrated) == set(observed) == recording.read == calibrated_tensors(graph)
+        assert not any(graph.tensors[tid].is_constant for tid in calibrated)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

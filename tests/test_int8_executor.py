@@ -32,7 +32,13 @@ from tinydeploy.graph import (
     infer_shapes,
 )
 from tinydeploy.model_io import ModelFormatError, load_model, save_model
-from tinydeploy.quantization import INT32_MAX, fixed_point_multiplier, quantize_graph, requant_attrs
+from tinydeploy.quantization import (
+    INHERITS_INPUT_PARAMS,
+    INT32_MAX,
+    fixed_point_multiplier,
+    quantize_graph,
+    requant_attrs,
+)
 
 
 def unit_qp():
@@ -550,6 +556,23 @@ def test_int8_maxpool_same_padding_exact():
         want = codes.reshape(3, 3).max()  # 2x2 stride-2 SAME over 3x3: window (0,0) covers 2x2 etc.
         got = trace["out"].reshape(2, 2)
         assert got.max() == want
+
+
+def test_prepare_refuses_an_inheriting_node_with_its_own_params(small_convnet_quantized):
+    # ReLU, MaxPool2D and Flatten run on their input's codes, so their
+    # output must carry their input's parameters.
+    kinds = set()
+    for n in small_convnet_quantized.nodes:
+        if n.kind not in INHERITS_INPUT_PARAMS:
+            continue
+        kinds.add(n.kind)
+        g = small_convnet_quantized.copy()
+        out = g.tensors[n.outputs[0]]
+        out.quant = QuantParams(out.quant.scale * 2, out.quant.zero_point)
+        message = f"node {n.id}: {n.kind.value} requires matching input/output quant params"
+        with pytest.raises(ExecutionError, match=f"^{re.escape(message)}$"):
+            prepare(g)
+    assert kinds == INHERITS_INPUT_PARAMS
 
 
 def test_run_int8_requires_quantized_graph(small_convnet):

@@ -84,7 +84,7 @@ def test_malformed_manifest_rejected(tmp_path):
         load_model(tmp_path / "m")
 
 
-@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_read_json_rejects_non_finite_numbers(tmp_path, number):
     path = tmp_path / "x.json"
     path.write_text(f'{{"a": [1.5, {number}]}}')

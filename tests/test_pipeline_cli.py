@@ -18,7 +18,7 @@ from tinydeploy import executor, mapping, model_io, pipeline
 from tinydeploy.cli import _parse_schedule, build_parser, main
 from tinydeploy.costmodel import flash_bytes, node_counts
 from tinydeploy.data_files import load_profile
-from tinydeploy.datasets import generate_dataset
+from tinydeploy.datasets import generate_dataset, load_dataset
 from tinydeploy.downlink import DownlinkError, DownlinkScenario, LinkBudget, simulate
 from tinydeploy.executor import InferenceRecord, read_records_csv, write_records_csv
 from tinydeploy.graph import OpKind, validate
@@ -449,6 +449,38 @@ def test_cli_stagewise_equals_monolithic(assets, tmp_path, skip):
         checkpoints = set()
         assert "model_pruned.json" not in da
     assert set(db) == set(da) | checkpoints and not set(da) & checkpoints
+
+
+@pytest.mark.parametrize("model", ["small_convnet", "dwsep_net"])
+def test_quantize_reads_a_ranges_file_of_the_earlier_format(assets, tmp_path, model):
+    # calibration_ranges.json used to hold a range for every tensor: each
+    # constant's from its data, and the observed ranges of the ReLU,
+    # MaxPool2D, Flatten and Softmax outputs too. quantize reads none of
+    # those, so such a file quantizes to the same bytes.
+    source, dataset = str(assets / f"{model}.json"), str(assets / "dataset")
+    ranges_path, earlier_path = tmp_path / "ranges.json", tmp_path / "earlier.json"
+    assert main(["calibrate", "--model", source, "--dataset", dataset, "--samples", "16",
+                 "--seed", "0", "--out", str(ranges_path)]) == 0
+    graph, samples = load_model(source), load_dataset(dataset)
+    earlier = {}
+    for i in pipeline.calibration_subset(len(samples), 16, 0):
+        trace = {}
+        executor.run_f32(graph, samples[i][1], trace)
+        for tid, values in trace.items():
+            r = executor.TensorRange(values.min(), values.max())
+            earlier[tid] = earlier[tid].merged(r) if tid in earlier else r
+    earlier.update((tid, executor.TensorRange(t.data.min(), t.data.max()))
+                   for tid, t in graph.tensors.items() if t.is_constant)
+    model_io.write_json(earlier_path, earlier)
+    kept = json.loads(ranges_path.read_text())
+    assert len(kept) < len(earlier)
+    assert ranges_path.read_text() == model_io.json_text({tid: earlier[tid] for tid in kept})
+    for path, out in ((ranges_path, "kept"), (earlier_path, "earlier")):
+        assert main(["quantize", "--model", source, "--ranges", str(path),
+                     "--out", str(tmp_path / out)]) == 0
+    for suffix in (".json", ".bin"):
+        assert (tmp_path / f"kept{suffix}").read_bytes() == \
+            (tmp_path / f"earlier{suffix}").read_bytes()
 
 
 def test_cli_report_rejects_short_cost_estimate(assets, tmp_path, capsys):
@@ -1108,6 +1140,11 @@ MALFORMED_INPUTS = {
                       str(_write(t / "profile.json", '{"npu_utilization": NaN}')),
                       "--out", str(t / "plan.json")],
         "profile.json: malformed JSON: non-finite number NaN"),
+    "profile_idle_power_overflow": (
+        lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
+                      str(_write(t / "profile.json", '{"idle_power_w": 1e999}')),
+                      "--out", str(t / "plan.json")],
+        "profile.json: malformed JSON: non-finite number 1e999"),
     "plan_without_original_counts": (
         lambda m, t: ["prune-stage", "--model", str(m / "model.json"), "--plan",
                       str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
@@ -1138,6 +1175,12 @@ MALFORMED_INPUTS = {
                           "pass_duration_s": 600, "data_rate": 9600}))),
                       "--out", str(t / "d.json")],
         "link.json: unknown key 'data_rate'"),
+    "link_data_rate_overflow": (
+        lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
+                      str(_write(t / "link.json", '{"name": "l", "data_rate_bps": 1e999, '
+                                 '"passes_per_day": 4, "pass_duration_s": 600}')),
+                      "--out", str(t / "d.json")],
+        "link.json: malformed JSON: non-finite number 1e999"),
     "link_missing_file": (
         lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
                       str(t / "nope.json"), "--out", str(t / "d.json")],
