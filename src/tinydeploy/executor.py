@@ -29,16 +29,16 @@ sees the input and each step's output as it is computed; an array it is
 handed is valid only during the call, and `run_f32` and `run_int8` copy
 each one into a `trace` dict.
 
-Windows are read through strided views of the padded input. Conv2D
-copies them once into C-ordered (B,Ho,Wo,kh,kw,C) patches for its
-matrix product; DepthwiseConv2D runs one einsum over an uncopied
-(B,Ho,kh,kw,Wo*C) view (stride_w 1; (B,Ho,kh,kw,Wo,C) otherwise), which
-sums each output element in the same order as over the patches; the
-pools fold the (B,Ho,Wo,C) view under each kernel offset. Single-channel
-Float32 DepthwiseConv2D, AvgPool2D and MaxPool2D keep the patches: with
-C == 1 numpy coalesces the window into a horizontal or pairwise
-reduction, whose order (and, for MaxPool2D, whose pick between tied
-signed zeros) no view reproduces.
+Windows are read through one strided (B,Ho,Wo,kh,kw,C) view of the
+padded input, `_Window.view`. Conv2D copies it once into C-ordered
+patches for its matrix product; DepthwiseConv2D runs one einsum over it
+uncopied, transposed to (B,Ho,kh,kw,Wo,C) with Wo and C merged for
+stride_w 1, which sums each output element in the same order as over
+the patches; the pools fold its (B,Ho,Wo,C) slice under each kernel
+offset. Single-channel Float32 DepthwiseConv2D, AvgPool2D and MaxPool2D
+keep the patches: with C == 1 numpy coalesces the window into a
+horizontal or pairwise reduction, whose order (and, for MaxPool2D,
+whose pick between tied signed zeros) no view reproduces.
 
 INT8 Conv2D, DepthwiseConv2D and FullyConnected share one accumulation
 rule: a sum of K products (K = kh*kw*C, kh*kw or F) runs in float32 while
@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .costmodel import group_id
 from .graph import (
@@ -148,8 +148,9 @@ class InferenceRecord:
 class _Window:
     """The padding, strides and output size of one windowed node, computed once.
 
-    Windows are read through strided views of the padded input; no kernel
-    gathers them through index arrays.
+    `view` is the one place the window strides are worked out; `patches`,
+    `rows` and `taps` are its copy, transpose and slices. No kernel
+    gathers windows through index arrays.
     """
 
     def __init__(self, node: OpNode, in_shape: tuple[int, ...]):
@@ -166,45 +167,35 @@ class _Window:
         self.out_hw = conv_output_hw((h, w), self.kernel, self.stride, padding)
         self.hw = (h, w)
 
-    def _padded(self, x: np.ndarray, pad_value) -> np.ndarray:
-        if self.pad is None:
-            return x
-        (top, bottom), (left, right) = self.pad
-        b, h, w, c = x.shape
-        out = np.full((b, top + h + bottom, left + w + right, c), pad_value, dtype=x.dtype)
-        out[:, top:top + h, left:left + w] = x
-        return out
+    def view(self, x: np.ndarray, pad_value) -> np.ndarray:
+        """(B,H,W,C) -> its (B,Ho,Wo,kh,kw,C) windows under constant padding,
+        one read-only strided view of the padded input."""
+        if self.pad is not None:
+            (top, bottom), (left, right) = self.pad
+            b, h, w, c = x.shape
+            padded = np.full((b, top + h + bottom, left + w + right, c), pad_value, dtype=x.dtype)
+            padded[:, top:top + h, left:left + w] = x
+            x = padded
+        x = np.ascontiguousarray(x)  # so `rows` merges Wo and C without a copy
+        (kh, kw), (sh, sw), (oh, ow) = self.kernel, self.stride, self.out_hw
+        sb, sr, sp, sc = x.strides
+        return as_strided(x, (len(x), oh, ow, kh, kw, x.shape[3]),
+                          (sb, sh * sr, sw * sp, sr, sp, sc), writeable=False)
 
     def patches(self, x: np.ndarray, pad_value) -> np.ndarray:
-        """(B,H,W,C) -> C-ordered (B,Ho,Wo,kh,kw,C) windows with constant padding."""
-        sh, sw = self.stride
-        view = sliding_window_view(self._padded(x, pad_value), self.kernel, axis=(1, 2))
-        return np.ascontiguousarray(view[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3))
+        """The windows copied into C order."""
+        return np.ascontiguousarray(self.view(x, pad_value))
 
     def rows(self, x: np.ndarray, pad_value) -> np.ndarray:
-        """The windows as a strided view of the padded input, no copy.
-
-        (B,Ho,kh,kw,Wo*C) for stride_w 1, where output column and channel
-        merge into one contiguous axis; (B,Ho,kh,kw,Wo,C) otherwise.
-        """
-        x = np.ascontiguousarray(self._padded(x, pad_value))
-        (kh, kw), (sh, sw), (oh, ow) = self.kernel, self.stride, self.out_hw
-        b, c = x.shape[0], x.shape[3]
-        sb, sr, sp, sc = x.strides
-        if sw == 1:
-            shape, strides = (b, oh, kh, kw, ow * c), (sb, sh * sr, sr, sp, sc)
-        else:
-            shape, strides = (b, oh, kh, kw, ow, c), (sb, sh * sr, sr, sp, sw * sp, sc)
-        return as_strided(x, shape, strides, writeable=False)
+        """The windows as (B,Ho,kh,kw,Wo,C), no copy; for stride_w 1 output
+        column and channel merge into one contiguous (B,Ho,kh,kw,Wo*C) axis."""
+        view = self.view(x, pad_value).transpose(0, 1, 3, 4, 2, 5)
+        return view.reshape(view.shape[:4] + (-1,)) if self.stride[1] == 1 else view
 
     def taps(self, x: np.ndarray, pad_value) -> list[np.ndarray]:
-        """The strided (B,Ho,Wo,C) view under each kernel offset, row-major."""
-        x = self._padded(x, pad_value)
-        (kh, kw), (sh, sw), (oh, ow) = self.kernel, self.stride, self.out_hw
-        return [
-            x[:, i:i + sh * (oh - 1) + 1:sh, j:j + sw * (ow - 1) + 1:sw]
-            for i in range(kh) for j in range(kw)
-        ]
+        """The (B,Ho,Wo,C) view under each kernel offset, row-major, no copy."""
+        view = self.view(x, pad_value)
+        return [view[:, :, :, i, j] for i in range(self.kernel[0]) for j in range(self.kernel[1])]
 
     def valid_counts(self) -> np.ndarray:
         """Number of in-bounds cells per window, shape (Ho, Wo): the product

@@ -230,7 +230,7 @@ def json_text(obj) -> str:
     return _json(obj, "\n") + "\n"
 
 
-def _finite(value: float) -> str:
+def _float_text(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {value!r} has no JSON form")
     return float.__repr__(value)
@@ -240,7 +240,7 @@ def _finite(value: float) -> str:
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _finite,
+    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
@@ -296,7 +296,7 @@ def csv_text(rows: Iterable[Iterable]) -> str:
     return buf.getvalue()
 
 
-def _finite(text: str) -> float:
+def _parse_finite(text: str) -> float:
     if not math.isfinite(value := float(text)):
         raise ValueError(f"non-finite number {text}")
     return value
@@ -307,8 +307,9 @@ def read_json(path: str | Path, error: type[Exception]):
     or holds NaN, Infinity, -Infinity or a number that overflows a float
     (1e999), none of which is a finite number."""
     try:
-        return json.loads(Path(path).read_bytes(), parse_constant=_finite, parse_float=_finite)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _finite
+        raw = Path(path).read_bytes()
+        return json.loads(raw, parse_constant=_parse_finite, parse_float=_parse_finite)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, _parse_finite
         raise error(f"{path}: malformed JSON: {exc}") from None
 
 
@@ -473,6 +474,11 @@ def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise error(f"{what} must be {names}, got {type(value).__name__}")
+    if float in kinds and type(value) is int:
+        try:
+            float(value)
+        except OverflowError:  # an integer literal past the float range
+            raise error(f"{what} is an int too large for a float") from None
 
 
 def load_model(path: str | Path) -> GraphIR:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import threading
@@ -5,12 +6,15 @@ import time
 import tracemalloc
 import weakref
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import as_strided
 
+import tinydeploy
 from graphutil import (
     act,
     build_prune_plan,
@@ -283,6 +287,54 @@ def test_window_valid_counts_match_brute_force():
         assert counts.dtype == np.int64
         want = brute_force_valid_counts((h, w), (kh, kw), (sh, sw), padding)
         np.testing.assert_array_equal(counts, want, err_msg=str(attrs | {"hw": (h, w)}))
+
+
+def test_window_strides_are_worked_out_in_one_place():
+    """`as_strided` is called once in src/, in `_Window.view`, and nothing
+    imports `sliding_window_view`: every window accessor derives from the view."""
+    calls, imports = [], []
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "_Window"
+                   for func in cls.body
+                   if isinstance(func, ast.FunctionDef) and func.name == "view"
+                   for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            called = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(called, ast.Name) and called.id == "as_strided"
+                    or isinstance(called, ast.Attribute) and called.attr == "as_strided"):
+                calls.append((path.name, node.lineno, id(node) in allowed))
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(alias.name.endswith("sliding_window_view") for alias in node.names)
+                    or isinstance(node, ast.Attribute) and node.attr == "sliding_window_view"):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert [in_view for *_, in_view in calls] == [True], calls
+    assert imports == []
+
+
+@pytest.mark.parametrize("padding", ["VALID", "SAME"])
+@pytest.mark.parametrize("stride_w", [1, 2])
+def test_window_rows_and_taps_are_views_of_the_padded_input(monkeypatch, padding, stride_w):
+    padded = []  # the array each `view` call strides over
+
+    def spy(x, *args, **kwargs):
+        padded.append(x)
+        return as_strided(x, *args, **kwargs)
+    monkeypatch.setattr(executor, "as_strided", spy)
+    attrs = {"kernel_h": 3, "kernel_w": 2, "stride_h": 2, "stride_w": stride_w,
+             "padding": padding}
+    window = executor._Window(OpNode("dw", OpKind.DEPTHWISE_CONV2D, attrs), (2, 7, 9, 4))
+    x = np.arange(2 * 7 * 9 * 4, dtype=np.float32).reshape(2, 7, 9, 4)
+    rows, taps = window.rows(x, 0.0), window.taps(x, 0.0)
+    assert [a.shape for a in padded] == 2 * [(2, 9, 10, 4) if padding == "SAME" else x.shape]
+    assert all(np.shares_memory(a, x) == (padding == "VALID") for a in padded)
+    assert np.shares_memory(rows, padded[0])
+    assert len(taps) == 6 and all(np.shares_memory(tap, padded[1]) for tap in taps)
+    want = window.patches(x, 0.0)  # (B,Ho,Wo,kh,kw,C)
+    np.testing.assert_array_equal(
+        rows.reshape(want.shape[:2] + want.shape[3:5] + (-1, 4)).transpose(0, 1, 4, 2, 3, 5), want)
+    np.testing.assert_array_equal(np.stack(taps, axis=3).reshape(want.shape), want)
 
 
 def test_depthwise_reads_windows_without_copying_them():

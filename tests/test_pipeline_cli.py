@@ -233,6 +233,25 @@ def test_bad_profile_or_link_ref_fails_at_setup(assets, tmp_path, capsys, monkey
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("key, text, field", [
+    ("hardware_profile", '{"idle_power_w": 1' + "0" * 400 + "}", "idle_power_w"),
+    ("link_budget", '{"name": "l", "data_rate_bps": 1' + "0" * 400
+     + ', "passes_per_day": 4, "pass_duration_s": 600}', "data_rate_bps"),
+], ids=["profile_idle_power", "link_data_rate"])
+def test_run_refuses_an_int_too_large_for_a_float_at_setup(assets, tmp_path, capsys,
+                                                           key, text, field):
+    """An integer literal past the float range in a float field is refused
+    where its file is read, not where a stage first converts it."""
+    path = _write(tmp_path / "ref.json", text)
+    out = tmp_path / "out"
+    config = {**asdict(make_config(assets, out)), key: str(path)}
+    assert main(["run", "--config", str(_write(tmp_path / "cfg.json", json.dumps(config)))]) == 1
+    what = "hardware profile" if key == "hardware_profile" else "link budget"
+    assert_one_error_line(
+        capsys, f"setup: {what} {path}: key {field!r} is an int too large for a float")
+    assert list(out.iterdir()) == []
+
+
 def test_run_refuses_a_dataset_without_samples_at_setup(assets, tmp_path, capsys):
     dataset = _dataset(tmp_path, _header_only)
     out = tmp_path / "out"
@@ -1051,6 +1070,12 @@ MALFORMED_INPUTS = {
     "config_schedule_true": (
         lambda m, t: _run_config(m, t, prune={"schedule": [0.1, True]}),
         "config prune: key 'schedule'[1] must be int or float, got bool"),
+    "config_bytes_per_sample_int_overflow": (
+        lambda m, t: _run_config(m, t, bytes_per_sample=10**400),
+        "config: key 'bytes_per_sample' is an int too large for a float"),
+    "config_schedule_int_overflow": (
+        lambda m, t: _run_config(m, t, prune={"schedule": [0.1, 10**400]}),
+        "config prune: key 'schedule'[1] is an int too large for a float"),
     "config_output_dir_int": (
         lambda m, t: _run_config(m, t, output_dir=3),
         "config: key 'output_dir' must be str, got int"),
@@ -1145,6 +1170,11 @@ MALFORMED_INPUTS = {
                       str(_write(t / "profile.json", '{"idle_power_w": 1e999}')),
                       "--out", str(t / "plan.json")],
         "profile.json: malformed JSON: non-finite number 1e999"),
+    "profile_idle_power_int_overflow": (
+        lambda m, t: ["map", "--model", str(m / "model.json"), "--profile",
+                      str(_write(t / "profile.json", '{"idle_power_w": 1' + "0" * 400 + "}")),
+                      "--out", str(t / "plan.json")],
+        "profile.json: key 'idle_power_w' is an int too large for a float"),
     "plan_without_original_counts": (
         lambda m, t: ["prune-stage", "--model", str(m / "model.json"), "--plan",
                       str(_write(t / "p.json", '{"schedule": [0.1], "stages": []}')),
@@ -1181,6 +1211,12 @@ MALFORMED_INPUTS = {
                                  '"passes_per_day": 4, "pass_duration_s": 600}')),
                       "--out", str(t / "d.json")],
         "link.json: malformed JSON: non-finite number 1e999"),
+    "link_data_rate_int_overflow": (
+        lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
+                      str(_write(t / "link.json", '{"name": "l", "data_rate_bps": 1' + "0" * 400
+                                 + ', "passes_per_day": 4, "pass_duration_s": 600}')),
+                      "--out", str(t / "d.json")],
+        "link.json: key 'data_rate_bps' is an int too large for a float"),
     "link_missing_file": (
         lambda m, t: ["simulate-downlink", "--records", str(m / "records.csv"), "--link",
                       str(t / "nope.json"), "--out", str(t / "d.json")],
