@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import pipeline
@@ -22,7 +23,7 @@ from .datasets import (
 from .downlink import DownlinkError, DownlinkReport
 from .executor import ExecutionError, calibrate, ranges_from_json, read_records_csv, top1_accuracy
 from .mapping import MappingError, build_deployment_plan, load_plan
-from .model_io import NUMBER, _field, decode, first_difference, load_model, read_json, save_model
+from .model_io import decode, first_difference, load_model, read_json, save_model
 from .models import BUNDLED_MODELS, build_bundled_model, fit_classifier
 from .pipeline import MINIMUM, REPORTED, PipelineConfig, PipelineError
 from .pruning import DEFAULT_SCHEDULE, Checkpoint, PrunePlan, new_plan
@@ -138,37 +139,31 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+@dataclass
+class ScenarioFile:
+    """A `simulate-downlink --scenario` file: each non-null key beats its flag."""
+
+    records: str | None = None
+    ground_records: str | None = None
+    threshold: float | None = None
+    bytes_per_sample: float | None = None
+
+
 def _cmd_simulate_downlink(args) -> int:
-    records, ground = args.records, args.ground_records
-    threshold, bps = args.threshold, args.bytes_per_sample
     if args.scenario:
-        scenario = read_json(args.scenario, DownlinkError)
-        where = f"scenario {args.scenario}"
-        kinds = {"records": str, "ground_records": str,
-                 "threshold": NUMBER, "bytes_per_sample": NUMBER}
-        for key in scenario if isinstance(scenario, dict) else ():
-            if key not in kinds:
-                raise DownlinkError(f"{where}: unknown key {key!r}")
-        # An absent or null key keeps the flag's value.
-        given = {
-            key: _field(scenario, key, where, kind, DownlinkError)
-            for key, kind in kinds.items()
-            if not isinstance(scenario, dict) or scenario.get(key) is not None
-        }
-        records = records or given.get("records")
-        ground = ground or given.get("ground_records")
-        threshold = given.get("threshold", threshold)
-        bps = given.get("bytes_per_sample", bps)
-    if not records:
+        scenario = decode(ScenarioFile, read_json(args.scenario, DownlinkError),
+                          f"scenario {args.scenario}", DownlinkError)
+        vars(args).update((key, v) for key, v in vars(scenario).items() if v is not None)
+    if not args.records:
         print("error: no records CSV given (flag --records or scenario file)", file=sys.stderr)
         return 1
     report = pipeline.stage_downlink(
-        read_records_csv(records),
+        read_records_csv(args.records),
         load_link_budget(args.link),
-        threshold,
-        bps,
+        args.threshold,
+        args.bytes_per_sample,
         args.out,
-        ground=read_records_csv(ground) if ground else None,
+        ground=read_records_csv(args.ground_records) if args.ground_records else None,
         out_text=args.summary,
     )
     print(report.summary(), end="")

@@ -156,9 +156,9 @@ class TensorSpec:
 class OpNode:
     id: str
     kind: OpKind
-    attrs: dict = field(default_factory=dict)
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
+    attrs: dict = field(metadata={"absent": dict})  # a manifest may leave it out
+    inputs: list[str]
+    outputs: list[str]
 
 
 @dataclass

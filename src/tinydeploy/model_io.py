@@ -6,22 +6,23 @@
 plus a newline, for dicts with str keys, lists, tuples, records, str,
 int, float, bool and None of exactly those types; it refuses anything
 else, and NaN and Infinity, which `read_json` would not read back.
-Records (profiles, link budgets, deployment plans with their timeline,
-memory slots and cost estimates) are read by `decode`, the one record
-reader, and written by `json_text` as an object of their fields: a
-record's dataclass is the one statement of its JSON form. A record
-nested in a record, in a list or under the keys of an object is named
-by its path, such as
-`plan.json memory_plan tensors[in]` or `timeline[0]`; `first_difference`
-names where two records differ by the same paths.
-A manifest's `quant` is a `QuantParams` record that `json_text` writes,
-but the strict `_quant_from_json` reads it: `decode` would let its
-defaulted keys go missing, and cannot check a number or a list per
-granularity.
+Records (model manifests and checkpoints, profiles, link budgets,
+deployment plans with their timeline, memory slots and cost estimates)
+are read by `decode`, the one record reader, and written by `json_text`
+as an object of their fields: a record's dataclass is the one statement
+of its JSON form; a str-valued enum (`OpKind`, `DType`) is its value.
+A record nested in a record, in a list or under the keys of an object
+is named by its path, such as `plan.json memory_plan tensors[in]` or
+`timeline[0]`; `first_difference` names where two records differ by
+the same paths. A manifest's `quant` is a `QuantParams` that `json_text`
+writes as a record, but its `TensorEntry` field has `decode` read it with
+the strict `_quant_from_json`: as a record its defaulted keys could go
+missing, and a number or a list per granularity could not be checked.
 Models and checkpoints are a `<name>.json` manifest + `<name>.bin` blob
-(`pair_paths`, `write_pair`); the manifest gives each constant tensor's
-blob offset/length. `pack_blob` concatenates the payloads little-endian
-in sorted tensor-id order and `read_blob` reads one back, bounds-checked.
+(`pair_paths`, `write_pair`); the manifest, whose version is the JSON
+integer 1 (`read_versioned`), gives each constant tensor's `BlobSpan`.
+`pack_blob` concatenates the payloads little-endian in sorted tensor-id
+order and `read_blob` reads one back, bounds-checked.
 Dataset samples are raw tensor files of that codec (`tensor_file`,
 `read_tensor_file`). Float32 is 4-byte IEEE-754, Int8 signed bytes, Int32
 little-endian. Field names are part of the contract (README "File formats").
@@ -29,12 +30,13 @@ little-endian. Field names are part of the contract (README "File formats").
 from __future__ import annotations
 
 import csv
+import enum
 import functools
 import io
 import json
 import math
 import os
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, get_args, get_origin, get_type_hints
@@ -54,8 +56,6 @@ from .graph import (
     validate,
 )
 from .quantization import WEIGHT_CHANNEL_AXIS, bias_params, requant_attrs
-
-FORMAT_VERSION = 1
 
 
 class ModelFormatError(ValueError):
@@ -89,20 +89,46 @@ def read_tensor_file(path: str | Path, dtype: DType, shape, error: type[Exceptio
     return unpack_tensor(raw, dtype, shape)
 
 
-def _quant_from_json(obj: dict | None, where: str) -> QuantParams | None:
-    if obj is None:
-        return None
-    where = f"{where}: bad quantization params"
-    granularity = _field(obj, "granularity", where, str)
+def _quant_from_json(obj) -> QuantParams:
+    where = "bad quantization params"
+    granularity = _field(obj, "granularity", where, str, ValueError)
     per_channel = granularity == "per_channel"
-    scale = _field(obj, "scale", where, [NUMBER] if per_channel else NUMBER)
-    zero_point = _field(obj, "zero_point", where, [int] if per_channel else int)
-    axis = _field(obj, "axis", where, (int, type(None)))
-    symmetric = _field(obj, "symmetric", where, bool)
+    scale = _field(obj, "scale", where, [NUMBER] if per_channel else NUMBER, ValueError)
+    zero_point = _field(obj, "zero_point", where, [int] if per_channel else int, ValueError)
+    axis = _field(obj, "axis", where, (int, type(None)), ValueError)
+    symmetric = _field(obj, "symmetric", where, bool, ValueError)
+    unknown = obj.keys() - _field_names(QuantParams)
+    if unknown:
+        raise ValueError(f"{where}: unknown key {min(unknown)!r}")
     try:
         return QuantParams(scale, zero_point, granularity, axis, symmetric)
     except ValueError as exc:
-        raise ModelFormatError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
+
+
+@dataclass
+class BlobSpan:
+    offset: int
+    length: int
+
+
+@dataclass
+class TensorEntry:
+    shape: list[int]
+    dtype: DType
+    kind: TensorKind
+    quant: QuantParams | None = field(default=None, metadata={"read": _quant_from_json})
+    blob: BlobSpan | None = None  # None for a tensor without data
+
+
+@dataclass
+class Manifest:
+    format_version: int
+    name: str
+    graph_inputs: list[str]
+    graph_outputs: list[str]
+    nodes: list  # of OpNode, which `load_model` decodes naming the node
+    tensors: dict  # id -> TensorEntry, which `load_model` decodes naming the tensor
 
 
 def pair_paths(path: str | Path) -> tuple[Path, Path]:
@@ -113,25 +139,23 @@ def pair_paths(path: str | Path) -> tuple[Path, Path]:
     return path.with_suffix(".json"), path.with_suffix(".bin")
 
 
-def pack_blob(tensors: dict[str, TensorSpec]) -> tuple[bytes, dict[str, dict]]:
+def pack_blob(tensors: dict[str, TensorSpec]) -> tuple[bytes, dict[str, BlobSpan]]:
     """The payloads of the tensors holding data, in sorted id order (so
-    load+save is byte-stable), and each one's `{offset, length}` by id."""
+    load+save is byte-stable), and each one's span by id."""
     blob = bytearray()
-    locations = {}
+    spans = {}
     for tid, t in sorted(tensors.items()):
         if t.data is not None:
             payload = pack_tensor(t.data, t.dtype)
-            locations[tid] = {"offset": len(blob), "length": len(payload)}
+            spans[tid] = BlobSpan(len(blob), len(payload))
             blob.extend(payload)
-    return bytes(blob), locations
+    return bytes(blob), spans
 
 
-def read_blob(blob: bytes, location, dtype: DType, shape, where: str, error=ModelFormatError):
-    """The array at `location` (`{offset, length}` ints) in `blob`, or an
-    `error` naming `where` unless `length` fits `shape` and `dtype` and
-    the bytes lie inside `blob`."""
-    offset = _field(location, "offset", where, int, error)
-    length = _field(location, "length", where, int, error)
+def read_blob(blob: bytes, span: BlobSpan, dtype: DType, shape, where: str, error=ModelFormatError):
+    """The array at `span` in `blob`, or an `error` naming `where` unless
+    its length fits `shape` and `dtype` and the bytes lie inside `blob`."""
+    offset, length = span.offset, span.length
     expected = int(np.prod(shape)) * dtype.size_bytes
     if length != expected:
         raise error(f"{where}: blob length mismatch (manifest {length}, shape implies {expected})")
@@ -145,11 +169,20 @@ def read_blob(blob: bytes, location, dtype: DType, shape, where: str, error=Mode
     return unpack_tensor(blob[offset:offset + length], dtype, shape)
 
 
-def write_pair(path: str | Path, manifest: dict, blob: bytes) -> tuple[Path, Path]:
-    """Write a manifest+blob pair, the manifest renamed last; returns both paths."""
+def write_pair(path: str | Path, manifest, blob: bytes) -> tuple[Path, Path]:
+    """Write a manifest record and its blob, the manifest renamed last; returns both paths."""
     manifest_path, blob_path = pair_paths(path)
     write_files([(blob_path, blob), (manifest_path, json_text(manifest))])
     return manifest_path, blob_path
+
+
+def read_versioned(path: Path, key: str, error: type[Exception]) -> dict:
+    """The JSON object in `path`, an `error` unless its `key` is the JSON integer 1."""
+    obj = read_json(path, error)
+    version = obj.get(key) if isinstance(obj, dict) else None
+    if type(version) is not int or version != 1:
+        raise error(f"{path}: unsupported {key} {version!r}")
+    return obj
 
 
 def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
@@ -161,33 +194,11 @@ def save_model(graph: GraphIR, path: str | Path) -> tuple[Path, Path]:
     if not report.ok:
         raise ModelFormatError("refusing to save invalid graph: " + "; ".join(report.violations))
 
-    blob, locations = pack_blob(graph.tensors)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "name": graph.name,
-        "graph_inputs": list(graph.graph_inputs),
-        "graph_outputs": list(graph.graph_outputs),
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "attrs": n.attrs,
-                "inputs": list(n.inputs),
-                "outputs": list(n.outputs),
-            }
-            for n in graph.nodes
-        ],
-        "tensors": {
-            tid: {
-                "shape": list(t.shape),
-                "dtype": t.dtype.value,
-                "kind": t.kind.value,
-                "quant": t.quant,
-                "blob": locations.get(tid),
-            }
-            for tid, t in graph.tensors.items()
-        },
-    }
+    blob, spans = pack_blob(graph.tensors)
+    tensors = {tid: TensorEntry(t.shape, t.dtype, t.kind, t.quant, spans.get(tid))
+               for tid, t in graph.tensors.items()}
+    manifest = Manifest(1, graph.name, graph.graph_inputs, graph.graph_outputs, graph.nodes,
+                        tensors)
     return write_pair(path, manifest, blob)
 
 
@@ -223,9 +234,10 @@ def json_text(obj) -> str:
 
     `obj` is built of dicts with str keys, lists, tuples (written as
     arrays), dataclass records (written as an object of their fields),
-    str, int, float, bool and None, each of exactly that type. Anything
-    else raises TypeError; NaN and Infinity, which JSON has no number
-    for, raise ValueError.
+    members of the str-valued enums `DType`, `OpKind` and `TensorKind`
+    (written as their value), str, int, float, bool and None, each of
+    exactly that type. Anything else raises TypeError; NaN and Infinity,
+    which JSON has no number for, raise ValueError.
     """
     return _json(obj, "\n") + "\n"
 
@@ -236,9 +248,11 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# A leaf's text by its exact type: a bool is not an int, nor a str subclass a str.
+# A leaf's text by its exact type: a bool is not an int, nor a str subclass a
+# str, but a member of a str-valued enum is the str of its value.
 _LEAVES = {
     str: encode_basestring_ascii,
+    **dict.fromkeys((DType, OpKind, TensorKind), encode_basestring_ascii),
     int: int.__repr__,
     float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
@@ -349,11 +363,12 @@ def read_csv(
 NUMBER = (int, float)
 
 # The JSON kind of a dataclass field annotation: configs and `decode`d
-# records are read by annotation through `_field`.
-KINDS = {"str": str, "int": int, "float": NUMBER, "float | None": (*NUMBER, type(None)),
-         "bool": bool, "dict": dict, "dict[str, str]": {str: str}, "dict[str, int]": {str: int},
-         "list[float]": [NUMBER], "list[list[str]]": [[str]],
-         "list[dict[str, list[int]]]": [{str: [int]}], "tuple[str, ...]": [str]}
+# records are read by annotation through `_field`; None leaves it to the record.
+KINDS = {"str": str, "int": int, "float": NUMBER, "str | None": (str, type(None)),
+         "float | None": (*NUMBER, type(None)), "bool": bool, "dict": dict,
+         "dict[str, str]": {str: str}, "dict[str, int]": {str: int}, "list[int]": [int],
+         "list[str]": [str], "list[float]": [NUMBER], "list[list[str]]": [[str]],
+         "list[dict[str, list[int]]]": [{str: [int]}], "tuple[str, ...]": [str], "list": list}
 
 
 def _field(
@@ -379,31 +394,40 @@ def _field(
 def decode(cls, obj, where: str, error: type[Exception]):
     """The `cls` dataclass record a JSON object holds.
 
-    Every key must name a field, and a field without a default is
-    required. Each value must be of its annotation's `KINDS` kind or hold
-    records, decoded in turn: a record, `record | None` (null is None),
-    or a list or `dict[str, ...]` of records. `error` names `where` and
-    the key at fault; a nested record is `<where> <field>`, with `[i]` or
-    `[key]` appended for an entry of a list or dict. A ValueError of the
-    record's own checks becomes an `error` naming `where`.
+    Every key must name a field, and a field is required unless it has a
+    default or, like `OpNode.attrs`, an `"absent"` factory in its metadata.
+    A field whose metadata has a `"read"` function (`TensorEntry.quant`)
+    is null or read by it. Any other value must be of its annotation's
+    `KINDS` kind, be a value of its str-valued enum annotation (read as
+    the member), or hold records, decoded in turn: a record, `record |
+    None` (null is None), or a list or `dict[str, ...]` of records.
+    `error` names `where` and the key at fault; a nested record is
+    `<where> <field>`, with `[i]` or `[key]` appended for an entry of a
+    list or dict. A reader's or the record's own ValueError names `where`.
     """
     if not isinstance(obj, dict):
         raise error(f"{where}: expected an object, got {type(obj).__name__}")
-    names = {f.name for f in fields(cls)}
+    names = _field_names(cls)
     for key in obj:
         if key not in names:
             raise error(f"{where}: unknown key {key!r}")
     values = {}
-    for f in fields(cls):
-        if f.name not in obj and (f.default is not MISSING or f.default_factory is not MISSING):
-            continue
-        value = _field(obj, f.name, where, KINDS.get(f.type), error)
-        if f.type not in KINDS:
-            value = _records(_type_hints(cls)[f.name], value, where, f.name, error)
-        values[f.name] = value
     try:
+        for f in fields(cls):
+            if f.name not in obj:
+                if f.default is not MISSING or f.default_factory is not MISSING:
+                    continue
+                if "absent" in f.metadata:
+                    values[f.name] = f.metadata["absent"]()
+                    continue
+            value = _field(obj, f.name, where, KINDS.get(f.type), error)
+            if "read" in f.metadata and value is not None:
+                value = f.metadata["read"](value)
+            elif f.type not in KINDS:
+                value = _records(_type_hints(cls)[f.name], value, where, f.name, error)
+            values[f.name] = value
         return cls(**values)
-    except ValueError as exc:  # an `error` of the record's own checks passes unchanged
+    except ValueError as exc:  # an `error` passes unchanged
         raise exc if isinstance(exc, error) else error(f"{where}: {exc}") from None
 
 
@@ -442,15 +466,23 @@ def _brief(value) -> str:
     return f"a {type(value).__name__}" if container else repr(value)
 
 
+_type_hints = functools.cache(get_type_hints)  # a record class's resolved annotations
+
+
 @functools.cache
-def _type_hints(cls) -> dict:
-    """`cls`'s resolved field annotations, computed once per record class."""
-    return get_type_hints(cls)
+def _hint_parts(hint) -> tuple:  # (None, ()) for a class; before 3.11 `list[X]` is a type too
+    return get_origin(hint), get_args(hint)
 
 
 def _records(hint, value, where: str, name: str, error: type[Exception]):
-    """Field `name`'s `value` decoded as its records annotation `hint`."""
-    origin, args = get_origin(hint), get_args(hint)
+    """Field `name`'s `value` decoded as its records or enum annotation `hint`."""
+    origin, args = _hint_parts(hint)
+    if origin is None and issubclass(hint, enum.Enum):
+        _check_kind(value, str, f"{where}: key {name!r}", error)
+        try:
+            return hint(value)
+        except ValueError:
+            raise error(f"{where}: unsupported {name} {value!r}") from None
     if type(None) in args:  # record | None
         return None if value is None else _records(args[0], value, where, name, error)
     if origin is list:
@@ -468,7 +500,8 @@ def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
         items = value.items() if isinstance(kind, dict) else enumerate(value)
         element = kind[str] if isinstance(kind, dict) else kind[0]
         for key, item in items:
-            _check_kind(item, element, f"{what}[{key}]", error)
+            if type(item) is not element:  # an item of exactly the element type passes
+                _check_kind(item, element, f"{what}[{key}]", error)
         return
     kinds = kind if isinstance(kind, tuple) else (kind,)
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
@@ -484,63 +517,20 @@ def _check_kind(value, kind, what: str, error: type[Exception]) -> None:
 def load_model(path: str | Path) -> GraphIR:
     """Load a manifest + blob pair saved by save_model."""
     manifest_path, blob_path = pair_paths(path)
-    manifest = read_json(manifest_path, ModelFormatError)
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"{manifest_path}: unsupported format_version {version!r}")
+    obj = read_versioned(manifest_path, "format_version", ModelFormatError)
+    manifest = decode(Manifest, obj, str(manifest_path), ModelFormatError)
     blob = blob_path.read_bytes() if blob_path.exists() else b""
-
-    top = str(manifest_path)
+    ids = [raw.get("id") if isinstance(raw, dict) else None for raw in manifest.nodes]
+    nodes = [decode(OpNode, raw, f"node {nid if type(nid) is str else i}", ModelFormatError)
+             for i, (raw, nid) in enumerate(zip(manifest.nodes, ids))]  # by id, else place
     tensors: dict[str, TensorSpec] = {}
-    for tid, entry in _field(manifest, "tensors", top, dict).items():
-        where = f"tensor {tid}"
-        dtype_name, kind_name = _field(entry, "dtype", where), _field(entry, "kind", where)
-        try:
-            dtype = DType(dtype_name)
-        except ValueError:
-            raise ModelFormatError(f"{where}: unsupported dtype {dtype_name!r}") from None
-        try:
-            kind = TensorKind(kind_name)
-        except ValueError:
-            raise ModelFormatError(f"{where}: unsupported kind {kind_name!r}") from None
-        shape = tuple(_field(entry, "shape", where, [int]))
-        loc = entry.get("blob")
-        data = None if loc is None else read_blob(blob, loc, dtype, shape, f"{where} blob")
-        tensors[tid] = TensorSpec(
-            id=tid,
-            shape=shape,
-            dtype=dtype,
-            kind=kind,
-            quant=_quant_from_json(entry.get("quant"), where),
-            data=data,
-        )
-
-    nodes = []
-    for i, entry in enumerate(_field(manifest, "nodes", top, list)):
-        nid = _field(entry, "id", f"node {i}", str)
-        where = f"node {nid}"
-        kind_name = _field(entry, "kind", where)
-        try:
-            kind = OpKind(kind_name)
-        except ValueError:
-            raise ModelFormatError(f"{where}: unsupported op kind {kind_name!r}") from None
-        nodes.append(
-            OpNode(
-                id=nid,
-                kind=kind,
-                attrs=dict(_field(entry, "attrs", where, dict) if "attrs" in entry else {}),
-                inputs=list(_field(entry, "inputs", where, list)),
-                outputs=list(_field(entry, "outputs", where, list)),
-            )
-        )
-
-    graph = GraphIR(
-        name=_field(manifest, "name", top, str),
-        nodes=nodes,
-        tensors=tensors,
-        graph_inputs=list(_field(manifest, "graph_inputs", top, list)),
-        graph_outputs=list(_field(manifest, "graph_outputs", top, list)),
-    )
+    for tid, raw in manifest.tensors.items():
+        entry = decode(TensorEntry, raw, f"tensor {tid}", ModelFormatError)
+        data = None if entry.blob is None else read_blob(
+            blob, entry.blob, entry.dtype, entry.shape, f"tensor {tid} blob")
+        tensors[tid] = TensorSpec(tid, entry.shape, entry.dtype, entry.kind, entry.quant, data)
+    graph = GraphIR(manifest.name, nodes, tensors, manifest.graph_inputs,
+                    manifest.graph_outputs)
     try:
         inferred, _ = infer_shapes(graph)  # validates the graph first
     except ShapeError as exc:

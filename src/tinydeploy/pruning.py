@@ -45,6 +45,7 @@ import numpy as np
 
 from .graph import (
     CHANNEL_PRESERVING_OPS,
+    DType,
     GraphIR,
     OpKind,
     OpNode,
@@ -52,7 +53,8 @@ from .graph import (
     infer_shapes,
 )
 from .model_io import (
-    _field, decode, pack_blob, pair_paths, read_blob, read_json, write_json, write_pair,
+    BlobSpan, decode, pack_blob, pair_paths, read_blob, read_json, read_versioned, write_json,
+    write_pair,
 )
 
 PRUNABLE_OPS = (OpKind.CONV2D, OpKind.FULLY_CONNECTED)
@@ -397,30 +399,42 @@ def materialize(graph: GraphIR, plan: PrunePlan) -> GraphIR:
 
 
 @dataclass
+class CheckpointEntry(BlobSpan):
+    dtype: DType
+    shape: list[int]
+
+
+@dataclass
+class CheckpointManifest:
+    checkpoint_version: int
+    tensors: dict  # id -> CheckpointEntry, which `Checkpoint.load` decodes naming the tensor
+
+
+@dataclass
 class Checkpoint:
     """Constant-tensor snapshot: its blob is the model blob of the same graph."""
 
-    index: dict[str, dict]  # tensor id -> {offset, length, dtype, shape}
+    index: dict[str, CheckpointEntry]
     blob: bytes
 
     def save(self, path: str | Path) -> tuple[Path, Path]:
-        return write_pair(path, {"checkpoint_version": 1, "tensors": self.index}, self.blob)
+        return write_pair(path, CheckpointManifest(1, self.index), self.blob)
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         manifest_path, blob_path = pair_paths(path)
-        base = manifest_path.with_suffix("")
-        manifest = read_json(manifest_path, CheckpointError)
-        if not isinstance(manifest, dict) or manifest.get("checkpoint_version") != 1:
-            raise CheckpointError(f"unsupported checkpoint version in {base}")
-        index = _field(manifest, "tensors", f"checkpoint {base}", dict, CheckpointError)
+        obj = read_versioned(manifest_path, "checkpoint_version", CheckpointError)
+        manifest = decode(CheckpointManifest, obj, f"checkpoint {manifest_path.with_suffix('')}",
+                          CheckpointError)
+        index = {tid: decode(CheckpointEntry, entry, f"checkpoint tensor {tid}", CheckpointError)
+                 for tid, entry in manifest.tensors.items()}
         return cls(index=index, blob=blob_path.read_bytes())
 
 
 def export_checkpoint(graph: GraphIR) -> Checkpoint:
-    blob, index = pack_blob(graph.tensors)
-    for tid, entry in index.items():
-        entry.update(dtype=graph.tensors[tid].dtype.value, shape=list(graph.tensors[tid].shape))
+    blob, spans = pack_blob(tensors := graph.tensors)
+    index = {tid: CheckpointEntry(s.offset, s.length, tensors[tid].dtype, list(tensors[tid].shape))
+             for tid, s in spans.items()}
     return Checkpoint(index=index, blob=blob)
 
 
@@ -437,13 +451,12 @@ def import_checkpoint(graph: GraphIR, checkpoint: Checkpoint) -> GraphIR:
     for tid, t in g.tensors.items():
         if not t.is_constant:
             continue
-        entry = checkpoint.index[tid]
-        where = f"checkpoint tensor {tid}"
-        dtype = _field(entry, "dtype", where, str, CheckpointError)
-        if dtype != t.dtype.value:
-            raise CheckpointError(f"tensor {tid}: checkpoint dtype {dtype} != {t.dtype.value}")
-        shape = _field(entry, "shape", where, [int], CheckpointError)
-        if shape != list(t.shape):
-            raise CheckpointError(f"tensor {tid}: checkpoint shape {shape} != {list(t.shape)}")
+        entry, where = checkpoint.index[tid], f"checkpoint tensor {tid}"
+        if entry.dtype != t.dtype:
+            raise CheckpointError(
+                f"tensor {tid}: checkpoint dtype {entry.dtype.value} != {t.dtype.value}")
+        if entry.shape != list(t.shape):
+            raise CheckpointError(
+                f"tensor {tid}: checkpoint shape {entry.shape} != {list(t.shape)}")
         t.data = read_blob(checkpoint.blob, entry, t.dtype, t.shape, where, CheckpointError)
     return g

@@ -282,7 +282,7 @@ def test_window_valid_counts_match_brute_force():
             continue
         attrs = {"kernel_h": kh, "kernel_w": kw, "stride_h": sh, "stride_w": sw,
                  "padding": padding}
-        window = executor._Window(OpNode("pool", OpKind.AVG_POOL2D, attrs), (1, h, w, 1))
+        window = executor._Window(OpNode("pool", OpKind.AVG_POOL2D, attrs, [], []), (1, h, w, 1))
         counts = window.valid_counts()
         assert counts.dtype == np.int64
         want = brute_force_valid_counts((h, w), (kh, kw), (sh, sw), padding)
@@ -324,7 +324,8 @@ def test_window_rows_and_taps_are_views_of_the_padded_input(monkeypatch, padding
     monkeypatch.setattr(executor, "as_strided", spy)
     attrs = {"kernel_h": 3, "kernel_w": 2, "stride_h": 2, "stride_w": stride_w,
              "padding": padding}
-    window = executor._Window(OpNode("dw", OpKind.DEPTHWISE_CONV2D, attrs), (2, 7, 9, 4))
+    window = executor._Window(OpNode("dw", OpKind.DEPTHWISE_CONV2D, attrs, [], []),
+                              (2, 7, 9, 4))
     x = np.arange(2 * 7 * 9 * 4, dtype=np.float32).reshape(2, 7, 9, 4)
     rows, taps = window.rows(x, 0.0), window.taps(x, 0.0)
     assert [a.shape for a in padded] == 2 * [(2, 9, 10, 4) if padding == "SAME" else x.shape]

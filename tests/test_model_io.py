@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import re
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -18,7 +20,7 @@ from tinydeploy import model_io
 from tinydeploy.cli import main
 from tinydeploy.costmodel import CostEstimate, GroupCost
 from tinydeploy.downlink import DownlinkError, DownlinkReport, LinkBudget
-from tinydeploy.executor import InferenceRecord, calibrate, write_records_csv
+from tinydeploy.executor import InferenceRecord, TensorRange, calibrate, write_records_csv
 from tinydeploy.graph import QMAX, QMIN, QuantParams
 from tinydeploy.hardware import HardwareProfile
 from tinydeploy.mapping import (
@@ -42,9 +44,14 @@ from tinydeploy.quantization import quantize_graph
 
 def test_roundtrip_structural_identity(tmp_path):
     g = conv_relu_softmax()
-    save_model(g, tmp_path / "m")
+    manifest_path, _ = save_model(g, tmp_path / "m")
     loaded = load_model(tmp_path / "m")
     assert graphs_equal(g, loaded)
+    # A node may leave out its attrs.
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["nodes"][1]["attrs"]
+    manifest_path.write_text(json.dumps(manifest))
+    assert graphs_equal(g, load_model(manifest_path))
 
 
 def test_roundtrip_bundled_model_bit_identical(tmp_path):
@@ -72,7 +79,12 @@ def test_unknown_op_kind_rejected(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest["nodes"][0]["kind"] = "LSTM"
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ModelFormatError, match="unsupported op kind"):
+    with pytest.raises(ModelFormatError, match=re.escape("node conv: unsupported kind 'LSTM'")):
+        load_model(tmp_path / "m")
+    manifest["nodes"][0]["kind"] = "Conv2D"
+    manifest["tensors"]["w"]["dtype"] = "float64"
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=re.escape("tensor w: unsupported dtype 'float64'")):
         load_model(tmp_path / "m")
 
 
@@ -204,8 +216,9 @@ def _set_key(manifest, path, value):
 WRONG_TYPES = [
     (("tensors",), [], "key 'tensors' must be dict, got list"),
     (("nodes",), {}, "key 'nodes' must be list, got dict"),
-    (("nodes", 0, "inputs"), 3, "key 'inputs' must be list, got int"),
-    (("nodes", 0, "attrs"), [], "key 'attrs' must be dict, got list"),
+    (("nodes", 0, "inputs"), 3, "node conv: key 'inputs' must be list, got int"),
+    (("nodes", 0, "attrs"), [], "node conv: key 'attrs' must be dict, got list"),
+    (("nodes", 0, "id"), 3, "node 0: key 'id' must be str, got int"),
     (("graph_inputs",), "in", "key 'graph_inputs' must be list, got str"),
     (("tensors", "w", "shape"), 36, "key 'shape' must be list, got int"),
     (("tensors", "w", "shape"), ["4"], "key 'shape'[0] must be int, got str"),
@@ -225,6 +238,36 @@ def test_wrong_manifest_type_rejected(tmp_path, path, value, message):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ModelFormatError, match=re.escape(message)):
         load_model(tmp_path / "m")
+
+
+# Edits a manifest of the quantized small_convnet must be refused for,
+# naming what is wrong.
+REFUSED_MANIFESTS = [
+    ("version_true", lambda m: m.update(format_version=True), "unsupported format_version True"),
+    ("version_float", lambda m: m.update(format_version=1.0), "unsupported format_version 1.0"),
+    ("top_unknown", lambda m: m.update(notes="x"), "m.json: unknown key 'notes'"),
+    ("node_unknown", lambda m: m["nodes"][0].update(notes="x"),
+     "node conv1: unknown key 'notes'"),
+    ("tensor_unknown", lambda m: m["tensors"]["conv1_w"].update(notes="x"),
+     "tensor conv1_w: unknown key 'notes'"),
+    ("blob_unknown", lambda m: m["tensors"]["conv1_w"]["blob"].update(notes="x"),
+     "tensor conv1_w blob: unknown key 'notes'"),
+    ("quant_unknown", lambda m: m["tensors"]["conv1_w"]["quant"].update(notes="x"),
+     "tensor conv1_w: bad quantization params: unknown key 'notes'"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [c[1:] for c in REFUSED_MANIFESTS],
+                         ids=[c[0] for c in REFUSED_MANIFESTS])
+def test_manifest_refuses_other_versions_and_unknown_keys(
+    tmp_path, small_convnet_quantized, edit, message
+):
+    manifest_path, _ = save_model(small_convnet_quantized, tmp_path / "m")
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(manifest_path)
 
 
 @pytest.mark.parametrize("reader", ["pool2", "add1"])
@@ -300,7 +343,7 @@ def quant_params_and_json(draw):
 def test_quant_params_json_is_the_manifest_quant_object(case):
     params, obj = case
     assert json_text(params) == _dumps_text(obj)
-    assert model_io._quant_from_json(json.loads(json_text(params)), "tensor t") == params
+    assert model_io._quant_from_json(json.loads(json_text(params))) == params
 
 
 @pytest.mark.parametrize("key,value", [("tensors", []), ("nodes", 7)])
@@ -504,26 +547,55 @@ def test_decode_names_the_path_of_a_nested_error(edit, message):
         decode(Tree, obj, "t", ValueError)
 
 
-# The record classes the loaders hand to `decode`.
-DECODED = (HardwareProfile, LinkBudget, DeploymentPlan, CostEstimate, DownlinkReport, PrunePlan,
-           PipelineConfig)
+def _decoded_records() -> set[type]:
+    """The record classes `src/` hands to `decode`: the class a call
+    `decode(<name>, ...)` names, `cls` being the class whose method makes
+    the call, and a parameter of a function the classes that function is
+    called with. `model_io._records`, decode's own recursion, is no loader."""
+    records = set()
+    for path in sorted(Path(tinydeploy.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"tinydeploy.{path.stem}")
+        tree = ast.parse(path.read_text())
+        found = []  # (name, enclosing class, enclosing function)
+
+        def visit(node, cls, func):
+            for child in ast.iter_child_nodes(node):
+                if _calls(child, "decode") and getattr(func, "name", None) != "_records":
+                    found.append((child.args[0].id, cls, func))
+                visit(child, child if isinstance(child, ast.ClassDef) else cls,
+                      child if isinstance(child, ast.FunctionDef) else func)
+
+        visit(tree, None, None)
+        for name, cls, func in found:
+            params = [arg.arg for arg in func.args.args] if func else []
+            if name == "cls" and cls is not None:
+                records.add(getattr(module, cls.name))
+            elif name in params:
+                at = params.index(name)
+                records.update(getattr(module, call.args[at].id) for call in ast.walk(tree)
+                               if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                               and call.func.id == func.name)
+            else:
+                records.add(getattr(module, name))
+    return records
 
 
-def _held_record(hint):
-    """The record class `model_io._records` decodes for the resolved field
-    `hint`, or None when it would decode none: `record | None` is read
-    as its first member, and a dict must be keyed by str."""
+def _held_class(hint):
+    """The record or enum class `model_io._records` reads for the resolved
+    field `hint`, or None when it would read none: `record | None` is
+    read as its first member, and a dict must be keyed by str."""
     origin, args = get_origin(hint), get_args(hint)
     if type(None) in args or origin is list:
-        return _held_record(args[0])
+        return _held_class(args[0])
     if origin is dict:
-        return _held_record(args[1]) if args[0] is str else None
-    return hint if is_dataclass(hint) else None
+        return _held_class(args[1]) if args[0] is str else None
+    is_enum = isinstance(hint, type) and issubclass(hint, Enum)
+    return hint if is_dataclass(hint) or is_enum else None
 
 
 def _kindless_fields(classes) -> list[str]:
     """Fields, of `classes` and the records they hold, whose annotation is
-    neither a `KINDS` key nor a hint that holds records."""
+    neither a `KINDS` key nor a hint that holds records or an enum."""
     out, todo, seen = [], list(classes), set()
     while todo:
         cls = todo.pop(0)
@@ -532,30 +604,33 @@ def _kindless_fields(classes) -> list[str]:
         seen.add(cls)
         hints = get_type_hints(cls)
         for f in fields(cls):
-            if f.type in model_io.KINDS:
+            if f.type in model_io.KINDS or "read" in f.metadata:
                 continue
-            held = _held_record(hints[f.name])
+            held = _held_class(hints[f.name])
             if held is None:
                 out.append(f"{cls.__name__}.{f.name}: {f.type}")
-            else:
+            elif is_dataclass(held):
                 todo.append(held)
     return out
 
 
 @dataclass
 class Trap:
-    xs: list[int]
+    xs: list[bool]
     y: None | float
     leaf: Leaf | None = None
 
 
 def test_every_decoded_field_has_a_kind_or_holds_records():
     # `decode` reads an annotation missing from `KINDS` as records, so such
-    # a field refuses every plain value: `list[int]` refuses [1, 2].
-    assert _kindless_fields(DECODED) == []
-    assert _kindless_fields([Trap]) == ["Trap.xs: list[int]", "Trap.y: None | float"]
-    with pytest.raises(ValueError, match=re.escape("probe xs[0]: expected an object, got int")):
-        decode(Trap, {"xs": [1, 2], "y": None}, "probe", ValueError)
+    # a field refuses every plain value: `list[bool]` refuses [true, false].
+    decoded = _decoded_records()
+    # The scan finds a class by its name, as `cls` and through a helper's parameter.
+    assert {TensorRange, HardwareProfile, DownlinkReport} <= decoded
+    assert _kindless_fields(sorted(decoded, key=lambda cls: cls.__name__)) == []
+    assert _kindless_fields([Trap]) == ["Trap.xs: list[bool]", "Trap.y: None | float"]
+    with pytest.raises(ValueError, match=re.escape("probe xs[0]: expected an object, got bool")):
+        decode(Trap, {"xs": [True, False], "y": None}, "probe", ValueError)
 
 
 @pytest.mark.parametrize("have, difference", [

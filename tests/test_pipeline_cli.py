@@ -689,6 +689,31 @@ def test_cli_downlink_scenario_json(assets, tmp_path):
     assert json.loads((out / "from_scenario.json").read_text()) == library
 
 
+def test_cli_downlink_scenario_values_beat_their_flags(tmp_path):
+    # Two sets of onboard and ground records over the same samples; "b"
+    # transmits more at 0.6 than "a" at 0.9, and its ground side is right.
+    ids = [f"s{i}" for i in range(4)]
+    for side, confidences, predicted in (("a", [0.95, 0.95, 0.95, 0.5], 1), ("b", [0.5] * 4, 0)):
+        write_records_csv([InferenceRecord(i, 1, c, 0) for i, c in zip(ids, confidences)],
+                          tmp_path / f"{side}.csv")
+        write_records_csv([InferenceRecord(i, predicted, 0.9, 0) for i in ids],
+                          tmp_path / f"ground_{side}.csv")
+    scenario = {"records": str(tmp_path / "b.csv"), "ground_records": str(tmp_path / "ground_b.csv"),
+                "threshold": 0.6, "bytes_per_sample": 500.0}
+    (tmp_path / "s.json").write_text(json.dumps(scenario))
+    flags = ["--records", str(tmp_path / "a.csv"), "--ground-records",
+             str(tmp_path / "ground_a.csv"), "--threshold", "0.9", "--bytes-per-sample", "100"]
+    assert main(["simulate-downlink", *flags, "--scenario", str(tmp_path / "s.json"),
+                 "--out", str(tmp_path / "from_scenario.json")]) == 0
+    assert main(["simulate-downlink", "--records", str(tmp_path / "b.csv"), "--ground-records",
+                 str(tmp_path / "ground_b.csv"), "--threshold", "0.6", "--bytes-per-sample",
+                 "500", "--out", str(tmp_path / "from_flags.json")]) == 0
+    report = json.loads((tmp_path / "from_scenario.json").read_text())
+    assert report == json.loads((tmp_path / "from_flags.json").read_text())
+    assert (report["threshold"], report["full_volume_bytes"]) == (0.6, 2000.0)
+    assert (report["transmitted_count"], report["hybrid_accuracy"]) == (4, 1.0)
+
+
 def test_cli_run_and_make_assets(tmp_path, capsys):
     assert main(["make-assets", "--out", str(tmp_path / "assets"),
                  "--samples", "40", "--train-samples", "60"]) == 0
@@ -1305,7 +1330,7 @@ MALFORMED_INPUTS = {
     "scenario_records_int": (
         lambda m, t: ["simulate-downlink", "--scenario",
                       str(_write(t / "s.json", '{"records": 5}')), "--out", str(t / "d.json")],
-        "key 'records' must be str, got int"),
+        "key 'records' must be str or NoneType, got int"),
     "scenario_unknown_key": (
         lambda m, t: ["simulate-downlink", "--scenario",
                       str(_write(t / "s.json", '{"records": "r.csv", "treshold": 0.6}')),

@@ -40,6 +40,7 @@ from tinydeploy.graph import (
 from tinydeploy.model_io import save_model
 from tinydeploy.pruning import (
     Checkpoint,
+    CheckpointEntry,
     CheckpointError,
     PruneError,
     apply_masks,
@@ -605,7 +606,7 @@ def test_checkpoint_blob_is_the_model_blob(request, tmp_path, model):
 def test_checkpoint_wrong_length_names_tensor():
     g = two_conv_chain()
     ckpt = export_checkpoint(g)
-    ckpt.index["w1"]["length"] -= 4
+    ckpt.index["w1"].length -= 4
     with pytest.raises(CheckpointError, match="w1"):
         import_checkpoint(g, ckpt)
 
@@ -613,14 +614,10 @@ def test_checkpoint_wrong_length_names_tensor():
 def test_checkpoint_externally_scaled_weights_take_effect():
     g = two_conv_chain()
     ckpt = export_checkpoint(g)
-    scaled = np.frombuffer(
-        ckpt.blob[ckpt.index["w1"]["offset"]:ckpt.index["w1"]["offset"] + ckpt.index["w1"]["length"]],
-        dtype="<f4",
-    ).copy() * 2.0
+    span = slice(ckpt.index["w1"].offset, ckpt.index["w1"].offset + ckpt.index["w1"].length)
+    scaled = np.frombuffer(ckpt.blob[span], dtype="<f4").copy() * 2.0
     blob = bytearray(ckpt.blob)
-    blob[ckpt.index["w1"]["offset"]:ckpt.index["w1"]["offset"] + ckpt.index["w1"]["length"]] = (
-        scaled.astype("<f4").tobytes()
-    )
+    blob[span] = scaled.astype("<f4").tobytes()
     imported = import_checkpoint(g, Checkpoint(ckpt.index, bytes(blob)))
     np.testing.assert_allclose(imported.tensors["w1"].data, g.tensors["w1"].data * 2.0)
     x = np.random.default_rng(0).normal(size=(1, 6, 6, 3)).astype(np.float32)
@@ -644,6 +641,11 @@ MALFORMED_CHECKPOINTS = [
     ("no_dtype", lambda m: m["tensors"]["w1"].pop("dtype"), "missing key 'dtype'"),
     ("offset_negative", lambda m: m["tensors"]["w1"].update(offset=-4),
      "checkpoint tensor w1: negative blob offset -4"),
+    ("version_float", lambda m: m.update(checkpoint_version=1.0),
+     "unsupported checkpoint_version 1.0"),
+    ("top_unknown", lambda m: m.update(notes="x"), "unknown key 'notes'"),
+    ("entry_unknown", lambda m: m["tensors"]["w1"].update(notes="x"),
+     "checkpoint tensor w1: unknown key 'notes'"),
 ]
 
 
@@ -679,6 +681,6 @@ def test_cli_prune_stage_reports_malformed_checkpoint(tmp_path, capsys):
 def test_checkpoint_unknown_tensor_rejected():
     g = two_conv_chain()
     ckpt = export_checkpoint(g)
-    ckpt.index["mystery"] = {"offset": 0, "length": 4, "dtype": "float32", "shape": [1]}
+    ckpt.index["mystery"] = CheckpointEntry(0, 4, DType.FLOAT32, [1])
     with pytest.raises(CheckpointError, match="mystery"):
         import_checkpoint(g, ckpt)
